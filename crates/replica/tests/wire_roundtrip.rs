@@ -162,3 +162,15 @@ fn oversized_state_claims_error_without_allocating() {
     4096u64.encode(&mut frame);
     assert!(matches!(VsrMsg::from_frame(&frame), Err(WireError::Truncated { .. })));
 }
+
+/// The `Prepare` frame as the codec wrote it before `Vec<u8>` state
+/// became a block copy (bytes captured at that commit; the rest of the
+/// golden set is in `crates/core/tests/wire_roundtrip.rs`).
+#[test]
+fn prepare_frame_is_byte_identical_to_the_element_wise_format() {
+    let prepare =
+        VsrMsg::Prepare { view: 2, op_num: 7, commit_num: 6, state: vec![0xDE, 0xAD, 0xBE, 0xEF] };
+    let hex: String = prepare.to_frame().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "000200000000000000070000000000000006000000000000000400000000000000deadbeef");
+    assert_eq!(VsrMsg::from_frame(&prepare.to_frame()).unwrap(), prepare);
+}

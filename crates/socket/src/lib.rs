@@ -40,7 +40,7 @@
 pub mod frame;
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -71,10 +71,20 @@ const ENV_SCALE: &str = "MPISTREAM_SOCKET_SCALE";
 const CTL_GO: u8 = 0x47;
 const CTL_ALL_DONE: u8 = 0x44;
 
-/// How long control-plane reads (HELLO, results) and first-use data
-/// connects may take before the run is declared wedged.
-const CTL_TIMEOUT: Duration = Duration::from_secs(120);
+/// How long the launch handshake (HELLO, GO) and first-use data connects
+/// may take before the run is declared wedged. The handshake bound does
+/// not cover the body: how long a world runs is the caller's business.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+/// While the launcher waits for results it wakes this often to look at
+/// the children's exit statuses, so a rank that died is reported by name
+/// within about a second. Long enough that the launcher costs the ranks
+/// it shares a CPU with nothing.
+const RESULT_POLL: Duration = Duration::from_secs(1);
+/// The per-rank send buffer keeps its capacity between sends unless one
+/// frame grew it past this; then it is released, so a single large
+/// message does not pin its memory for the life of the rank.
+const SEND_BUF_KEEP: usize = 1 << 20;
 
 /// An ordered set of world ranks on the socket backend. Same shape as
 /// the native group; the id keys the collective tag namespace and — for
@@ -141,6 +151,9 @@ pub struct SocketWorld {
     child_args: Option<Vec<String>>,
     /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
     tolerant: bool,
+    /// Bound on the launch handshake; [`HANDSHAKE_TIMEOUT`] outside this
+    /// crate's own tests.
+    handshake_timeout: Duration,
 }
 
 impl SocketWorld {
@@ -155,6 +168,7 @@ impl SocketWorld {
             compute_scale: 1.0,
             child_args: None,
             tolerant: false,
+            handshake_timeout: HANDSHAKE_TIMEOUT,
         }
     }
 
@@ -191,6 +205,13 @@ impl SocketWorld {
     /// runs behave identically to the strict mode.
     pub fn death_tolerant(mut self) -> SocketWorld {
         self.tolerant = true;
+        self
+    }
+
+    /// Shrink the handshake bound, so a test can outlast it in seconds.
+    #[cfg(test)]
+    fn with_handshake_timeout(mut self, bound: Duration) -> SocketWorld {
+        self.handshake_timeout = bound;
         self
     }
 
@@ -265,14 +286,14 @@ impl SocketWorld {
 
         // Accept one HELLO per rank; each child binds its data listener
         // before greeting, so past this loop every listener exists.
-        let deadline = std::time::Instant::now() + CTL_TIMEOUT;
+        let deadline = std::time::Instant::now() + self.handshake_timeout;
         let mut conns: Vec<Option<UnixStream>> = (0..self.nprocs).map(|_| None).collect();
         let mut accepted = 0;
         while accepted < self.nprocs {
             match listener.accept() {
                 Ok((mut s, _)) => {
                     s.set_nonblocking(false).expect("blocking control conn");
-                    s.set_read_timeout(Some(CTL_TIMEOUT)).expect("control read timeout");
+                    s.set_read_timeout(Some(self.handshake_timeout)).expect("control read timeout");
                     let mut hello = [0u8; 4];
                     s.read_exact(&mut hello).expect("read HELLO");
                     let r = u32::from_le_bytes(hello) as usize;
@@ -282,7 +303,7 @@ impl SocketWorld {
                     accepted += 1;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    guard.check_alive();
+                    guard.check_alive("during the handshake");
                     assert!(
                         std::time::Instant::now() < deadline,
                         "socket world {:?}: timed out waiting for rank handshakes \
@@ -297,20 +318,38 @@ impl SocketWorld {
         }
         let mut conns: Vec<UnixStream> = conns.into_iter().map(|c| c.expect("all ranks")).collect();
 
+        // The handshake bound ends with GO: from here on a silent control
+        // link is a rank still running its body, for as long as that
+        // takes. A rank that died shows in its exit status instead, which
+        // the launcher looks at every RESULT_POLL.
         for c in &mut conns {
             c.write_all(&[CTL_GO]).expect("send GO");
+            c.set_read_timeout(Some(RESULT_POLL)).expect("control read timeout");
         }
         // Collect results in rank order, then release everyone at once:
         // the ALL_DONE close barrier keeps ranks alive until no peer can
         // still be writing to them.
         let mut results = Vec::with_capacity(self.nprocs);
-        for (r, c) in conns.iter_mut().enumerate() {
-            match frame::read_blob(c) {
+        for (r, conn) in conns.iter_mut().enumerate() {
+            let idle = || {
+                // Tolerant worlds expect deaths: the dead rank's own
+                // link reports it (EOF) when its turn comes.
+                if !self.tolerant {
+                    guard.check_alive("before returning a result");
+                }
+            };
+            match frame::read_blob(&mut Polled { conn, idle }) {
                 Ok(blob) => results.push(Some(R::from_frame(&blob).unwrap_or_else(|e| {
                     panic!("rank {r} returned a malformed result frame: {e}")
                 }))),
                 Err(_) if self.tolerant => results.push(None),
-                Err(e) => panic!("rank {r} died before returning a result: {e}"),
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                    // A rank's end of the link closes only when its
+                    // process goes; the exit status follows at once.
+                    let status = guard.children[r].wait().expect("wait for rank process");
+                    panic!("rank {r} exited with {status} before returning a result");
+                }
+                Err(e) => panic!("rank {r} failed to return a result: {e}"),
             }
         }
         for (r, c) in conns.iter_mut().enumerate() {
@@ -350,32 +389,22 @@ impl SocketWorld {
         let listener = UnixListener::bind(rank_sock(&dir, rank)).expect("bind data listener");
         let mut ctl =
             connect_retry(&dir.join("ctl.sock"), CONNECT_TIMEOUT).expect("connect control socket");
-        ctl.set_read_timeout(Some(CTL_TIMEOUT)).expect("control read timeout");
+        ctl.set_read_timeout(Some(self.handshake_timeout)).expect("control read timeout");
         ctl.write_all(&(rank as u32).to_le_bytes()).expect("send HELLO");
         let mut go = [0u8; 1];
         ctl.read_exact(&mut go).expect("read GO");
         assert_eq!(go[0], CTL_GO, "unexpected control byte");
+        // Only the handshake is bounded: ALL_DONE comes when the slowest
+        // rank has finished, however long that is.
+        ctl.set_read_timeout(None).expect("clear control read timeout");
 
         {
             let mailbox = Arc::clone(&mailbox);
             let tolerant = self.tolerant;
-            std::thread::spawn(move || acceptor_loop(listener, mailbox, tolerant));
+            std::thread::spawn(move || acceptor_loop(listener, rank, mailbox, tolerant));
         }
 
-        let mut sr = SocketRank {
-            rank,
-            nprocs,
-            epoch: Instant::now(),
-            compute_scale,
-            dir,
-            mailbox,
-            links: (0..nprocs).map(|_| None).collect(),
-            coll_seq: HashMap::new(),
-            mail_seen: 0,
-            next_channel: 0,
-            tolerant: self.tolerant,
-            dead: vec![false; nprocs],
-        };
+        let mut sr = SocketRank::new(rank, nprocs, dir, compute_scale, mailbox, self.tolerant);
         let result = body(&mut sr);
         frame::write_blob(&mut ctl, &result.to_frame()).expect("ship result");
         let mut done = [0u8; 1];
@@ -395,13 +424,36 @@ struct LaunchGuard {
 }
 
 impl LaunchGuard {
-    /// Fail fast if a child already died during the handshake.
-    fn check_alive(&mut self) {
+    /// Fail fast, naming the rank, if a child has already exited: no rank
+    /// exits before the launcher's ALL_DONE, so an early exit — whatever
+    /// its status — is a death.
+    fn check_alive(&mut self, phase: &str) {
         for (r, c) in self.children.iter_mut().enumerate() {
             if let Ok(Some(status)) = c.try_wait() {
-                if !status.success() {
-                    panic!("rank {r} exited with {status} during the handshake");
+                panic!("rank {r} exited with {status} {phase}");
+            }
+        }
+    }
+}
+
+/// A control link with its read timeout armed: a `read` that times out
+/// calls `idle` and tries again. The `read_exact` above it sees only
+/// bytes, EOF or a real error, so no timeout can fall inside a blob.
+struct Polled<'a, F> {
+    conn: &'a mut UnixStream,
+    idle: F,
+}
+
+impl<F: FnMut()> Read for Polled<'_, F> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.conn.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    (self.idle)()
                 }
+                other => return other,
             }
         }
     }
@@ -464,7 +516,14 @@ fn connect_retry(path: &Path, total: Duration) -> std::io::Result<UnixStream> {
 /// consumer, so a recv deadline expiring while a frame is in flight
 /// never corrupts the link — the frame simply lands in the mailbox when
 /// complete.
-fn acceptor_loop(listener: UnixListener, mailbox: Arc<Mailbox>, tolerant: bool) {
+///
+/// A link that fails (bad preamble, malformed or mid-frame-truncated
+/// traffic) is fatal to the **process**, not just to its reader thread:
+/// the body would otherwise park forever on frames that can no longer
+/// arrive. The non-zero exit is what the launcher's exit-status poll
+/// reports. Under `tolerant` a broken link is a dead peer and reads as
+/// end-of-stream.
+fn acceptor_loop(listener: UnixListener, rank: usize, mailbox: Arc<Mailbox>, tolerant: bool) {
     for conn in listener.incoming() {
         let mut stream = match conn {
             Ok(s) => s,
@@ -472,32 +531,42 @@ fn acceptor_loop(listener: UnixListener, mailbox: Arc<Mailbox>, tolerant: bool) 
         };
         let mailbox = Arc::clone(&mailbox);
         std::thread::spawn(move || {
-            let src = match frame::read_preamble(&mut stream) {
-                Ok(src) => src,
-                Err(_) if tolerant => return, // peer died right after dialling
-                Err(e) => panic!("connection preamble: {e}"),
+            let served = match frame::read_preamble(&mut stream) {
+                Ok(src) => pump_link(stream, src, &mailbox)
+                    .map_err(|e| format!("inbound link from rank {src}: {e}")),
+                Err(e) => Err(format!("connection preamble: {e}")),
             };
-            reader_loop(stream, src, &mailbox, tolerant);
+            match served {
+                Err(why) if !tolerant => {
+                    eprintln!("rank {rank}: {why}");
+                    std::process::exit(1);
+                }
+                _ => {}
+            }
         });
     }
 }
 
+/// Push every frame of one inbound link into the mailbox; `Ok(())` is a
+/// clean EOF at a frame boundary.
+fn pump_link(stream: impl Read, src: usize, mailbox: &Mailbox) -> io::Result<()> {
+    let mut frames = frame::FrameReader::new(stream);
+    while let Some((tag, bytes, payload)) = frames.next_frame()? {
+        mailbox.push(Env { src, tag: Tag(tag), bytes, payload: Box::new(payload) });
+    }
+    Ok(())
+}
+
 /// Decode frames from one inbound link into the mailbox until clean
-/// EOF. Malformed traffic from a peer is fatal to this rank (the peers
-/// are our own world; garbage means a protocol bug, not hostile input —
-/// the codec itself reports it as a typed error first) — except under
-/// `tolerant`, where a broken link (the peer process died mid-frame) is
-/// treated as end-of-stream.
-pub fn reader_loop(mut stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: bool) {
-    loop {
-        match frame::read_frame(&mut stream) {
-            Ok(Some((tag, bytes, payload))) => {
-                mailbox.push(Env { src, tag: Tag(tag), bytes, payload: Box::new(payload) });
-            }
-            Ok(None) => break,
-            Err(_) if tolerant => break,
-            Err(e) => panic!("reader for link from rank {src}: {e}"),
-        }
+/// EOF. Malformed traffic from a peer panics the calling thread (the
+/// peers are our own world; garbage means a protocol bug, not hostile
+/// input — the codec itself reports it as a typed error first) — except
+/// under `tolerant`, where a broken link (the peer process died
+/// mid-frame) is treated as end-of-stream.
+pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: bool) {
+    match pump_link(stream, src, mailbox) {
+        Err(e) if !tolerant => panic!("reader for link from rank {src}: {e}"),
+        _ => {}
     }
 }
 
@@ -530,9 +599,37 @@ pub struct SocketRank {
     /// write to a rank fails it stays marked, so later sends drop
     /// immediately instead of re-dialling a corpse.
     dead: Vec<bool>,
+    /// Where `send` builds its frame; keeps its capacity between sends
+    /// (up to [`SEND_BUF_KEEP`]).
+    send_buf: Vec<u8>,
 }
 
 impl SocketRank {
+    fn new(
+        rank: usize,
+        nprocs: usize,
+        dir: PathBuf,
+        compute_scale: f64,
+        mailbox: Arc<Mailbox>,
+        tolerant: bool,
+    ) -> SocketRank {
+        SocketRank {
+            rank,
+            nprocs,
+            epoch: Instant::now(),
+            compute_scale,
+            dir,
+            mailbox,
+            links: (0..nprocs).map(|_| None).collect(),
+            coll_seq: HashMap::new(),
+            mail_seen: 0,
+            next_channel: 0,
+            tolerant,
+            dead: vec![false; nprocs],
+            send_buf: Vec::new(),
+        }
+    }
+
     /// Connect-on-first-use outbound link; `None` means `dst` is dead
     /// (only possible in death-tolerant mode — strict worlds panic).
     fn link(&mut self, dst: usize) -> Option<&mut UnixStream> {
@@ -689,24 +786,41 @@ impl Transport for SocketRank {
 
     fn send<T: Wire + Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
         assert!(dst < self.nprocs, "send to out-of-range rank {dst}");
-        let payload = value.to_frame();
         if dst == self.rank {
             // Self-sends still cross the codec — one uniform path, so a
             // payload that cannot round-trip fails loudly everywhere.
-            self.mailbox.push(Env { src: self.rank, tag, bytes, payload: Box::new(payload) });
+            let payload = Box::new(value.to_frame());
+            self.mailbox.push(Env { src: self.rank, tag, bytes, payload });
             return;
         }
+        // The encoder writes straight behind the reserved header bytes of
+        // the retained buffer, and the finished frame leaves in one write
+        // before `send` returns. Nothing is ever held back for a later
+        // flush: that would be aggregation behind the caller's back, and
+        // would stall a producer's last element for as long as the
+        // application computes between sends.
         let me = self.rank;
-        let Some(link) = self.link(dst) else {
-            return; // tolerant mode: dst is dead, the send is dropped
-        };
-        if let Err(e) = frame::write_frame(link, tag.0, bytes, &payload) {
-            if self.tolerant {
-                self.links[dst] = None;
-                self.dead[dst] = true;
-            } else {
-                panic!("rank {me}: send to rank {dst}: {e}");
+        let mut buf = std::mem::take(&mut self.send_buf);
+        frame::begin_frame(&mut buf);
+        value.encode(&mut buf);
+        if let Err(e) = frame::finish_frame(&mut buf, tag.0, bytes) {
+            // The caller's error, found before any I/O: in neither mode
+            // does it say anything about the peer.
+            panic!("rank {me}: send to rank {dst} under tag {tag:?}: {e}");
+        }
+        // `None`: tolerant mode and dst is dead — the send is dropped.
+        if let Some(link) = self.link(dst) {
+            if let Err(e) = link.write_all(&buf) {
+                if self.tolerant {
+                    self.links[dst] = None;
+                    self.dead[dst] = true;
+                } else {
+                    panic!("rank {me}: send to rank {dst}: {e}");
+                }
             }
+        }
+        if buf.capacity() <= SEND_BUF_KEEP {
+            self.send_buf = buf;
         }
     }
 
@@ -885,6 +999,41 @@ mod tests {
         assert_eq!(Overlay::parent(1), 0);
     }
 
+    #[test]
+    fn oversize_payload_is_the_senders_panic_in_both_modes() {
+        // One byte over the cap once the Vec's count prefix and the frame
+        // header are added. Never touched, so it costs no memory itself.
+        let over = mpistream::MAX_FRAME_BYTES - frame::HEADER_BYTES - 8 + 1;
+        let tag = Tag::user(9);
+        for tolerant in [false, true] {
+            let dir = scratch_dir("oversize");
+            std::fs::create_dir_all(&dir).unwrap();
+            let peer = UnixListener::bind(rank_sock(&dir, 1)).unwrap();
+            let mailbox = Arc::new(Mailbox::new());
+            let mut rank = SocketRank::new(0, 2, dir.clone(), 1.0, mailbox, tolerant);
+
+            let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rank.send(1, tag, 8, vec![0u8; over]);
+            }));
+            let panic = sent.expect_err("an oversize payload must panic, tolerant or not");
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+            let size = (mpistream::MAX_FRAME_BYTES + 1).to_string();
+            for needle in ["rank 0", "rank 1", &format!("{tag:?}"), &size] {
+                assert!(msg.contains(needle), "panic {msg:?} does not name {needle:?}");
+            }
+
+            // It was found before any I/O and says nothing about the
+            // peer: not marked dead, not even dialled, and the next send
+            // goes through.
+            assert!(!rank.dead[1] && rank.links[1].is_none(), "tolerant = {tolerant}");
+            rank.send(1, tag, 8, 7u64);
+            let (mut conn, _) = peer.accept().unwrap();
+            assert_eq!(frame::read_preamble(&mut conn).unwrap(), 0);
+            assert_eq!(frame::read_frame(&mut conn).unwrap(), Some((tag.0, 8, 7u64.to_frame())));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     // Real multi-process smokes: each spawns its world as child
     // processes re-running this exact test under --exact. One
     // SocketWorld::run per test, placed first.
@@ -929,5 +1078,23 @@ mod tests {
             assert_eq!(from_root, 99);
             assert_eq!(cell_sum, if r % 2 == 0 { 6 } else { 4 });
         }
+    }
+
+    #[test]
+    fn body_may_outlast_the_handshake_timeout() {
+        // The control-link read timeout bounds HELLO and GO only. Rank 0
+        // keeps the launcher waiting for its result, and rank 1 waiting
+        // for ALL_DONE, for twice the handshake bound: neither wait may
+        // be mistaken for a death.
+        let bound = Duration::from_secs(1);
+        let ranks = SocketWorld::for_test("tests::body_may_outlast_the_handshake_timeout", 2)
+            .with_handshake_timeout(bound)
+            .run(|rank| {
+                if rank.world_rank() == 0 {
+                    std::thread::sleep(2 * bound);
+                }
+                rank.world_rank()
+            });
+        assert_eq!(ranks, vec![0, 1]);
     }
 }
