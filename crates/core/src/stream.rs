@@ -174,12 +174,6 @@ pub struct Stream<T> {
     claimed: u64,
     /// Elements received but not yet handed out by [`Stream::recv_one`].
     pending: std::collections::VecDeque<T>,
-    /// Credit not yet acknowledged, per producer world rank: flushed as
-    /// one credit message once `config.credit_batch` elements accumulate
-    /// (see [`ChannelConfig::credit_batch`]).
-    ///
-    /// [`ChannelConfig::credit_batch`]: crate::ChannelConfig::credit_batch
-    pending_credit: std::collections::HashMap<usize, u64>,
     /// While true, [`Stream::grant_credit`] only accumulates — nothing is
     /// acknowledged until [`Stream::release_credits`]. The
     /// commit-before-credit-return gate of replicated consumers
@@ -187,23 +181,41 @@ pub struct Stream<T> {
     /// acknowledgement there, so it must not leave before the processed
     /// state is replicated.
     gate_credits: bool,
-    /// Element cursor per producer world rank: how many of its elements
-    /// this consumer endpoint has processed. The replay oracle replicated
-    /// consumers checkpoint; maintained on every receive path.
-    delivered_by: std::collections::HashMap<usize, u64>,
-    /// Terminated producers' claimed totals per world rank (their `Term`
-    /// payloads), checkpointed alongside the cursors.
-    claimed_by: std::collections::HashMap<usize, u64>,
-    /// Producer world ranks whose data tag is quarantined, mapped to the
+    /// What this consumer knows of each producer, in channel order — slot
+    /// `i` belongs to world rank `channel.producers[i]`, so walking it
+    /// front to back is ascending world-rank order. Empty on endpoints of
+    /// any other role.
+    by_producer: Vec<ProducerSlot>,
+    stats: StreamStats,
+}
+
+/// One producer as a consumer endpoint sees it.
+#[derive(Clone, Default)]
+struct ProducerSlot {
+    /// Credit not yet acknowledged: flushed as one credit message once
+    /// `config.credit_batch` elements accumulate (see
+    /// [`ChannelConfig::credit_batch`]).
+    ///
+    /// [`ChannelConfig::credit_batch`]: crate::ChannelConfig::credit_batch
+    pending_credit: u64,
+    /// Element cursor: how many of the producer's elements this endpoint
+    /// has processed; `None` until its first data message. The replay
+    /// oracle replicated consumers checkpoint; maintained on every
+    /// receive path.
+    delivered: Option<u64>,
+    /// The producer's claimed total (its `Term` payload) once it has
+    /// terminated — `Some(0)` is a claim — checkpointed alongside the
+    /// cursor.
+    claimed: Option<u64>,
+    /// `Some(mark)` while the producer's data tag is quarantined: the
     /// [`StreamMsg::Mark`] value that lifts the quarantine (`u64::MAX` =
     /// never). A replicated consumer taking over quarantines every
     /// unfinished producer until its post-announce epoch marker arrives:
     /// per-`(src, tag)` FIFO puts all traffic addressed to an earlier
     /// reign of this rank strictly before the marker, so everything
-    /// dropped while muted is provably stale. Always empty on
+    /// dropped while muted is provably stale. Always `None` on
     /// unreplicated channels.
-    muted: std::collections::HashMap<usize, u64>,
-    stats: StreamStats,
+    muted: Option<u64>,
 }
 
 /// What one [`Stream::step_deadline`] call consumed.
@@ -245,6 +257,7 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// the role of the MPI derived datatype).
     pub fn attach(channel: StreamChannel) -> Stream<T> {
         let nc = channel.consumers.len();
+        let np = if channel.my_role == Role::Consumer { channel.producers.len() } else { 0 };
         // Aggregation buffers are allocated at full batch capacity once
         // and swapped for an equally-sized buffer on every flush, so the
         // element push path never grows a Vec (see `flush_one`).
@@ -261,11 +274,8 @@ impl<T: Wire + Send + 'static> Stream<T> {
             dead_producers: Vec::new(),
             claimed: 0,
             pending: std::collections::VecDeque::new(),
-            pending_credit: std::collections::HashMap::new(),
             gate_credits: false,
-            delivered_by: std::collections::HashMap::new(),
-            claimed_by: std::collections::HashMap::new(),
-            muted: std::collections::HashMap::new(),
+            by_producer: vec![ProducerSlot::default(); np],
             stats: StreamStats::default(),
         }
     }
@@ -280,12 +290,15 @@ impl<T: Wire + Send + 'static> Stream<T> {
         self.stats
     }
 
+    /// Position of world rank `src` among the channel's (sorted)
+    /// producers — on a consumer endpoint, the index of its
+    /// [`ProducerSlot`].
+    fn producer_index(&self, src: usize) -> Option<usize> {
+        self.channel.producers.binary_search(&src).ok()
+    }
+
     fn my_producer_index<TP: Transport>(&self, rank: &TP) -> usize {
-        self.channel
-            .producers
-            .iter()
-            .position(|&w| w == rank.world_rank())
-            .expect("this rank is not a producer on the channel")
+        self.producer_index(rank.world_rank()).expect("this rank is not a producer on the channel")
     }
 
     fn default_consumer_index<TP: Transport>(&mut self, rank: &TP) -> usize {
@@ -498,35 +511,33 @@ impl<T: Wire + Send + 'static> Stream<T> {
     // Consumer side
     // ------------------------------------------------------------------
 
-    /// Acknowledge `n` consumed elements towards producer `src`,
-    /// accumulating up to `config.credit_batch` elements per producer
-    /// before flushing one credit message. With the default batch of 1
-    /// this is exactly the original protocol: one credit message per
-    /// data batch, sent immediately.
-    fn grant_credit<TP: Transport>(&mut self, rank: &mut TP, src: usize, n: u64) {
+    /// [`Stream::producer_index`] of the sender of a message that arrived
+    /// on the data tag.
+    fn sender_index(&self, src: usize) -> usize {
+        self.producer_index(src).expect("stream data from a channel producer")
+    }
+
+    /// Acknowledge `n` consumed elements towards the producer in slot
+    /// `pi`, accumulating up to `config.credit_batch` elements per
+    /// producer before flushing one credit message. With the default
+    /// batch of 1 this is exactly the original protocol: one credit
+    /// message per data batch, sent immediately.
+    fn grant_credit<TP: Transport>(&mut self, rank: &mut TP, pi: usize, n: u64) {
         debug_assert!(self.channel.config.credits.is_some());
-        if self.gate_credits {
-            // Commit-before-credit-return: park everything until the
-            // replication layer calls `release_credits`.
-            *self.pending_credit.entry(src).or_insert(0) += n;
-            return;
-        }
-        let batch = self.channel.config.credit_batch as u64;
-        let tag = self.channel.credit_tag();
-        if batch <= 1 {
-            // Sanitizer report before the send, as on the data path: the
-            // producer absorbs the credit as soon as it is observable.
-            rank.check_credit_issued(self.channel.id, src, n);
-            rank.send(src, tag, 8, n);
-            return;
-        }
-        let pending = self.pending_credit.entry(src).or_insert(0);
+        let pending = &mut self.by_producer[pi].pending_credit;
         *pending += n;
-        if *pending >= batch {
-            let acked = std::mem::take(pending);
-            rank.check_credit_issued(self.channel.id, src, acked);
-            rank.send(src, tag, 8, acked);
+        // Parked while the gate is held (commit-before-credit-return:
+        // until the replication layer calls `release_credits`) or the
+        // batch is still filling.
+        if self.gate_credits || *pending < self.channel.config.credit_batch as u64 {
+            return;
         }
+        let acked = std::mem::take(pending);
+        let src = self.channel.producers[pi];
+        // Sanitizer report before the send, as on the data path: the
+        // producer absorbs the credit as soon as it is observable.
+        rank.check_credit_issued(self.channel.id, src, acked);
+        rank.send(src, self.channel.credit_tag(), 8, acked);
     }
 
     /// Gate (or un-gate) credit acknowledgements. While held, every credit
@@ -543,15 +554,8 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// Flush every parked credit acknowledgement, regardless of the
     /// `credit_batch` threshold. A no-op on channels without credits.
     pub fn release_credits<TP: Transport>(&mut self, rank: &mut TP) {
-        if self.channel.config.credits.is_none() {
-            return;
-        }
         let tag = self.channel.credit_tag();
-        // Deterministic flush order (HashMap iteration is not).
-        let mut entries: Vec<(usize, u64)> =
-            self.pending_credit.drain().filter(|&(_, n)| n > 0).collect();
-        entries.sort_unstable();
-        for (src, acked) in entries {
+        for (src, acked) in self.take_pending_credits() {
             rank.check_credit_issued(self.channel.id, src, acked);
             rank.send(src, tag, 8, acked);
         }
@@ -561,26 +565,61 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// replicated driver's alternative to [`Stream::release_credits`],
     /// used to wrap each acknowledgement in a view-stamped envelope
     /// before it leaves (`crates/replica`). Returns `(producer world
-    /// rank, elements)` pairs, sorted by rank for a deterministic send
+    /// rank, elements)` pairs, ascending by rank for a deterministic send
     /// order; empty on channels without credits. The caller must report
     /// each pair via `Transport::check_credit_issued` when it sends.
     pub fn take_pending_credits(&mut self) -> Vec<(usize, u64)> {
-        if self.channel.config.credits.is_none() {
-            return Vec::new();
-        }
-        let mut entries: Vec<(usize, u64)> =
-            self.pending_credit.drain().filter(|&(_, n)| n > 0).collect();
-        entries.sort_unstable();
-        entries
+        let slots = self.by_producer.iter_mut().zip(&self.channel.producers);
+        slots
+            .filter(|(slot, _)| slot.pending_credit > 0)
+            .map(|(slot, &src)| (src, std::mem::take(&mut slot.pending_credit)))
+            .collect()
     }
 
-    /// A producer terminated (or died): drop its accumulated credit
-    /// rather than acknowledging into the void. Its `Term` is the last
-    /// message on the data tag (non-overtaking per `(src, tag)`), so the
-    /// producer can never again block on the window — a flush here would
-    /// only send a message nobody is waiting for.
-    fn credit_on_closed(&mut self, src: usize) {
-        self.pending_credit.remove(&src);
+    /// Whether a message from the producer in slot `pi` is consumed by
+    /// the quarantine instead of being processed: an epoch marker, which
+    /// lifts a matching quarantine (stale markers, from a view this rank's
+    /// quarantine outlived, are ignored), or anything at all from a
+    /// producer still quarantined — pre-takeover traffic addressed to an
+    /// earlier reign of this rank. Dropping it is the exactly-once cut:
+    /// everything below the producer's marker was either already folded
+    /// into the committed checkpoint or will arrive again in the
+    /// post-marker replay.
+    fn quarantine_consumes(&mut self, pi: usize, wire: &StreamMsg<T>) -> bool {
+        let muted = &mut self.by_producer[pi].muted;
+        if let StreamMsg::Mark(mark) = wire {
+            if muted.is_some_and(|need| *mark >= need) {
+                *muted = None;
+            }
+            return true;
+        }
+        muted.is_some()
+    }
+
+    /// Account a data batch of `n` elements from the producer in slot `pi`.
+    fn note_data<TP: Transport>(&mut self, rank: &mut TP, pi: usize, n: u64, bytes: u64) {
+        self.stats.elements += n;
+        self.stats.batches += 1;
+        self.stats.bytes += bytes;
+        rank.prof_stream_recv(self.channel.id, n, bytes);
+        *self.by_producer[pi].delivered.get_or_insert(0) += n;
+    }
+
+    /// Account the `Term` of the producer in slot `pi`. Idempotent: a
+    /// resent `Term` (a replicated producer whose TermAck was lost, see
+    /// `crates/replica`) must not double-count the claim. The producer's
+    /// accumulated credit is dropped rather than acknowledged into the
+    /// void: its `Term` is the last message on the data tag
+    /// (non-overtaking per `(src, tag)`), so it can never again block on
+    /// the window — a flush here would only send a message nobody is
+    /// waiting for.
+    fn note_term(&mut self, pi: usize, sent: u64) {
+        let slot = &mut self.by_producer[pi];
+        if slot.claimed.replace(sent).is_none() {
+            self.terms_seen += 1;
+            self.claimed += sent;
+        }
+        slot.pending_credit = 0;
     }
 
     /// Apply `op` to every arriving element, first-come-first-served over
@@ -635,11 +674,6 @@ impl<T: Wire + Send + 'static> Stream<T> {
         assert_eq!(self.terms_seen, 0, "operate_outcome must be the endpoint's only draining call");
         let producers = self.channel.producers.clone();
         let np = producers.len();
-        // World rank -> channel index, so the per-message attribution is a
-        // hash lookup instead of an O(np) scan (wide fan-in channels drain
-        // one message per producer per scan otherwise — O(np²) total).
-        let idx_of: std::collections::HashMap<usize, usize> =
-            producers.iter().enumerate().map(|(i, &w)| (w, i)).collect();
         // Consumer patience is 2x the configured timeout (see rustdoc).
         let timeout = self.channel.config.failure_timeout.map(|t| t + t);
         let mut delivered = vec![0u64; np];
@@ -681,7 +715,7 @@ impl<T: Wire + Send + 'static> Stream<T> {
             };
             match got {
                 Some((wire, info)) => {
-                    let pi = *idx_of.get(&info.src).expect("stream data from a channel producer");
+                    let pi = self.sender_index(info.src);
                     if let Some(t) = timeout {
                         // Absent when `pi` was closed (dead producer
                         // speaking again) — remove is a no-op then.
@@ -692,11 +726,7 @@ impl<T: Wire + Send + 'static> Stream<T> {
                     match wire {
                         StreamMsg::Data(batch) => {
                             let n = batch.len() as u64;
-                            self.stats.elements += n;
-                            self.stats.batches += 1;
-                            self.stats.bytes += info.bytes;
-                            rank.prof_stream_recv(self.channel.id, n, info.bytes);
-                            *self.delivered_by.entry(info.src).or_insert(0) += n;
+                            self.note_data(rank, pi, n, info.bytes);
                             delivered[pi] += n;
                             processed += n;
                             for elem in batch {
@@ -708,17 +738,13 @@ impl<T: Wire + Send + 'static> Stream<T> {
                                 }
                             }
                             if self.channel.config.credits.is_some() {
-                                self.grant_credit(rank, info.src, n);
+                                self.grant_credit(rank, pi, n);
                             }
                         }
                         StreamMsg::Term { sent } => {
-                            if self.claimed_by.insert(info.src, sent).is_none() {
-                                self.terms_seen += 1;
-                                self.claimed += sent;
-                            }
+                            self.note_term(pi, sent);
                             terminated[pi] = true;
                             claimed[pi] = Some(sent);
-                            self.credit_on_closed(info.src);
                         }
                         StreamMsg::Mark(_) => {
                             // Epoch marker: a liveness signal with nothing
@@ -837,15 +863,10 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// encoding is canonical: two endpoints that processed the same
     /// elements produce byte-identical checkpoints.
     pub fn consumer_checkpoint(&self) -> ConsumerCheckpoint {
-        let mut cursors: Vec<(u64, u64)> =
-            self.delivered_by.iter().map(|(&r, &n)| (r as u64, n)).collect();
-        cursors.sort_unstable();
-        let mut claims: Vec<(u64, u64)> =
-            self.claimed_by.iter().map(|(&r, &n)| (r as u64, n)).collect();
-        claims.sort_unstable();
+        let slots = || self.channel.producers.iter().map(|&r| r as u64).zip(&self.by_producer);
         ConsumerCheckpoint {
-            cursors,
-            claims,
+            cursors: slots().filter_map(|(r, slot)| Some((r, slot.delivered?))).collect(),
+            claims: slots().filter_map(|(r, slot)| Some((r, slot.claimed?))).collect(),
             elements: self.stats.elements,
             batches: self.stats.batches,
             bytes: self.stats.bytes,
@@ -860,13 +881,21 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// elements).
     pub fn restore_consumer(&mut self, ckpt: &ConsumerCheckpoint) {
         assert_eq!(self.channel.my_role, Role::Consumer);
-        self.delivered_by = ckpt.cursors.iter().map(|&(r, n)| (r as usize, n)).collect();
-        self.claimed_by = ckpt.claims.iter().map(|&(r, n)| (r as usize, n)).collect();
+        self.by_producer.fill(ProducerSlot::default());
+        let producers = &self.channel.producers;
+        let index = |r: u64| {
+            let pi = usize::try_from(r).ok().and_then(|r| producers.binary_search(&r).ok());
+            pi.expect("checkpoint names a channel producer")
+        };
+        for &(r, n) in &ckpt.cursors {
+            self.by_producer[index(r)].delivered = Some(n);
+        }
+        for &(r, n) in &ckpt.claims {
+            self.by_producer[index(r)].claimed = Some(n);
+        }
         self.terms_seen = ckpt.claims.len();
         self.claimed = ckpt.claims.iter().map(|&(_, n)| n).sum();
         self.pending.clear();
-        self.pending_credit.clear();
-        self.muted.clear();
         self.stats.elements = ckpt.elements;
         self.stats.batches = ckpt.batches;
         self.stats.bytes = ckpt.bytes;
@@ -882,24 +911,30 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// reign is delivered strictly before the post-announce marker, so
     /// the drop window contains exactly the stale traffic.
     pub fn quarantine_until_mark(&mut self, src: usize, mark: u64) {
-        self.muted.insert(src, mark);
+        let pi = self.producer_index(src).expect("quarantine of a channel producer");
+        self.by_producer[pi].muted = Some(mark);
+    }
+
+    /// World rank `src`'s slot, if it is one of the channel's producers.
+    fn slot_of(&self, src: usize) -> Option<&ProducerSlot> {
+        self.producer_index(src).map(|pi| &self.by_producer[pi])
     }
 
     /// Whether producer world rank `src` is currently quarantined.
     pub fn is_quarantined(&self, src: usize) -> bool {
-        self.muted.contains_key(&src)
+        self.slot_of(src).is_some_and(|slot| slot.muted.is_some())
     }
 
     /// The element cursor for producer world rank `src`: elements of its
     /// flow this endpoint has processed.
     pub fn cursor_of(&self, src: usize) -> u64 {
-        self.delivered_by.get(&src).copied().unwrap_or(0)
+        self.slot_of(src).and_then(|slot| slot.delivered).unwrap_or(0)
     }
 
     /// Whether producer world rank `src`'s `Term` has been processed, and
     /// its claimed total if so.
     pub fn claim_of(&self, src: usize) -> Option<u64> {
-        self.claimed_by.get(&src).copied()
+        self.slot_of(src).and_then(|slot| slot.claimed)
     }
 
     /// Whether every producer has signalled termination (or, after a
@@ -958,39 +993,21 @@ impl<T: Wire + Send + 'static> Stream<T> {
             }
             let tag = self.channel.data_tag();
             let (wire, info) = rank.recv::<StreamMsg<T>>(Src::Any, tag);
-            if let StreamMsg::Mark(mark) = wire {
-                if self.muted.get(&info.src).is_some_and(|&need| mark >= need) {
-                    self.muted.remove(&info.src);
-                }
+            let pi = self.sender_index(info.src);
+            if self.quarantine_consumes(pi, &wire) {
                 continue;
-            }
-            if !self.muted.is_empty() && self.muted.contains_key(&info.src) {
-                continue; // quarantined: stale pre-takeover traffic
             }
             match wire {
                 StreamMsg::Data(batch) => {
                     let n = batch.len() as u64;
-                    self.stats.elements += n;
-                    self.stats.batches += 1;
-                    self.stats.bytes += info.bytes;
-                    rank.prof_stream_recv(self.channel.id, n, info.bytes);
-                    *self.delivered_by.entry(info.src).or_insert(0) += n;
+                    self.note_data(rank, pi, n, info.bytes);
                     self.pending.extend(batch);
                     if self.channel.config.credits.is_some() {
-                        self.grant_credit(rank, info.src, n);
+                        self.grant_credit(rank, pi, n);
                     }
                 }
-                StreamMsg::Term { sent } => {
-                    // Idempotent: a resent Term (a replicated producer whose
-                    // TermAck was lost, see `crates/replica`) must not
-                    // double-count the claim.
-                    if self.claimed_by.insert(info.src, sent).is_none() {
-                        self.terms_seen += 1;
-                        self.claimed += sent;
-                    }
-                    self.credit_on_closed(info.src);
-                }
-                StreamMsg::Mark(_) => unreachable!("Mark is consumed before the match"),
+                StreamMsg::Term { sent } => self.note_term(pi, sent),
+                StreamMsg::Mark(_) => unreachable!("the quarantine consumes every Mark"),
             }
         }
     }
@@ -1009,50 +1026,29 @@ impl<T: Wire + Send + 'static> Stream<T> {
         info: MsgInfo,
         op: &mut impl FnMut(&mut TP, T),
     ) -> u64 {
-        if let StreamMsg::Mark(mark) = wire {
-            // An epoch marker lifts a matching quarantine; stale markers
-            // (from a view this rank's quarantine outlived) are ignored.
-            if self.muted.get(&info.src).is_some_and(|&need| mark >= need) {
-                self.muted.remove(&info.src);
-            }
-            return 0;
-        }
-        if !self.muted.is_empty() && self.muted.contains_key(&info.src) {
-            // Quarantined: pre-takeover traffic addressed to an earlier
-            // reign of this rank. Dropping it is the exactly-once cut —
-            // everything below the producer's marker was either already
-            // folded into the committed checkpoint or will arrive again
-            // in the post-marker replay.
+        let pi = self.sender_index(info.src);
+        if self.quarantine_consumes(pi, &wire) {
             return 0;
         }
         match wire {
             StreamMsg::Data(batch) => {
                 let n = batch.len() as u64;
-                self.stats.elements += n;
-                self.stats.batches += 1;
-                self.stats.bytes += info.bytes;
-                rank.prof_stream_recv(self.channel.id, n, info.bytes);
-                *self.delivered_by.entry(info.src).or_insert(0) += n;
+                self.note_data(rank, pi, n, info.bytes);
                 for elem in batch {
                     op(rank, elem);
                 }
                 if self.channel.config.credits.is_some() {
                     // Acknowledge the whole batch (or accumulate towards
                     // one credit_batch-sized acknowledgement).
-                    self.grant_credit(rank, info.src, n);
+                    self.grant_credit(rank, pi, n);
                 }
                 n
             }
             StreamMsg::Term { sent } => {
-                // Idempotent against resent Terms (see `recv_one`).
-                if self.claimed_by.insert(info.src, sent).is_none() {
-                    self.terms_seen += 1;
-                    self.claimed += sent;
-                }
-                self.credit_on_closed(info.src);
+                self.note_term(pi, sent);
                 0
             }
-            StreamMsg::Mark(_) => unreachable!("Mark is consumed before the dispatch match"),
+            StreamMsg::Mark(_) => unreachable!("the quarantine consumes every Mark"),
         }
     }
 }

@@ -64,9 +64,16 @@ impl Token {
         Token { flag: Mutex::new(false), cv: Condvar::new() }
     }
 
+    /// Notify *after* the unlock: a wakee that preempts its waker must
+    /// not run straight into a mutex the waker still holds (it would block
+    /// there, and need a second wake-up once the waker unlocks). No wake
+    /// is lost to the gap — the waiter checks the flag under this same
+    /// mutex before every wait, so it either sees `true` or is already
+    /// waiting when the notify comes — and the token outlives the late
+    /// notify: every setter holds an `Arc<Token>` clone or the
+    /// `Arc<Kernel>` that owns `main_token`.
     fn set(&self) {
-        let mut f = self.flag.lock();
-        *f = true;
+        *self.flag.lock() = true;
         self.cv.notify_one();
     }
 

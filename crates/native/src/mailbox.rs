@@ -43,19 +43,57 @@
 //! common case for directed receives on an otherwise-empty mailbox
 //! (credit waits, pingpong turnarounds, tree-collective hops).
 //!
-//! ## Parking, without lost wake-ups
+//! ## Parking: one wake per park, none lost
 //!
 //! Blocking waits use an eventcount-style protocol instead of sleeping
-//! under the index lock. The consumer publishes `parked = true` (while
-//! holding the small park mutex), then re-checks its wake condition —
-//! staging non-empty for `take`, version moved for `wait_change` — and
-//! only then waits on the condvar. A producer makes its push visible
-//! first, then checks `parked` and notifies under the park mutex. All
-//! four accesses are `SeqCst`, which closes the store-buffering race: the
-//! producer sees `parked` or the consumer sees the push — never neither.
-//! Taking the park mutex around `notify_all` closes the other gap: a
-//! notification cannot fire between the consumer's re-check and its wait,
-//! because the consumer holds the mutex across both.
+//! under the index lock. The consumer takes the small park mutex,
+//! publishes `parked = true`, re-checks its wake condition — staging
+//! non-empty for `take`, version moved for `wait_change` — and only then
+//! waits on the condvar (which releases the mutex); awake again, it clears
+//! `parked` and goes round its loop. A producer makes its push visible
+//! first, then *claims the wake*: it swaps `parked` to false, and only the
+//! producer whose swap returned true locks-and-drops the park mutex and
+//! notifies. Every other push into the same park reads false and returns
+//! after its CAS — no lock, no `futex_wake`. (A flag that stays up until
+//! the consumer next *runs* charges that syscall to the whole burst a
+//! producer sends after waking it; on one CPU that is the entire credit
+//! window.) One consumer per mailbox, so `notify_one` is enough.
+//!
+//! All the accesses are `SeqCst`, which closes the store-buffering race:
+//! a producer sees `parked` or the consumer's re-check sees the push —
+//! never neither. Locking the park mutex before the notify closes the
+//! other gap: the consumer holds it from publishing `parked` until it is
+//! inside the wait, so the claimant's notify cannot fire in between. What
+//! the claim adds is that a push may now find the flag already cleared by
+//! *another producer*, and three interleavings need an argument:
+//!
+//! 1. *A claims and is preempted before its notify; B pushes, reads
+//!    false, returns.* The consumer sleeps until A runs again — delayed by
+//!    A's preemption exactly as a lone producer's notify would be — and
+//!    the notify is still owed: A passes through `park` only once the
+//!    consumer is inside the wait. Woken, the consumer clears `parked`
+//!    and then drains. B's swap read A's claim, not that clear, so it —
+//!    and B's CAS before it — came first: the drain takes B's envelope
+//!    too. (A push that reads the consumer's own clear instead precedes
+//!    the consumer's next publish-and-re-check, which therefore sees it.)
+//! 2. *A's notify arrives late: the consumer already woke (a timeout, or
+//!    its re-check saw the push and it never slept), found no match and
+//!    parked again.* A spurious wake — one extra trip round the loop. It
+//!    cannot be a lost one, because the second park republished `parked`
+//!    *before* its own re-check, so pushes after that re-check claim
+//!    afresh.
+//! 3. *The woken consumer finds an envelope for a different tag and parks
+//!    again while the matching push is in flight.* That push's CAS either
+//!    precedes the re-check of the second park (the consumer sees it and
+//!    does not sleep) or follows it, and then its swap reads the
+//!    republished flag and claims a fresh wake.
+//!
+//! `wait_change` shares `parked` and the same argument, with `version`
+//! in place of the staging head. The first push into a park still wakes
+//! at once: wakes are never deferred or batched, and there is no
+//! spin-before-park — where the benchmark pins both ranks to one CPU a
+//! spin only burns the producer's time slice, and no measured workload
+//! could justify a constant for the multi-core case.
 //!
 //! A monotone `version` counter (bumped on every push) lets
 //! `wait_for_mail` detect "something changed since I last looked". The
@@ -341,11 +379,15 @@ pub struct Mailbox {
     /// The owning consumer's match index. Uncontended by construction —
     /// producers never lock it.
     inner: Mutex<Inner>,
-    /// Eventcount state: `parked` is only trusted when the consumer set it
-    /// under `park`; producers notify under `park` too.
+    /// Eventcount state: the consumer raises `parked` under `park`; the
+    /// producer that swaps it back to false owes the park its one notify,
+    /// issued after passing through `park`.
     parked: AtomicBool,
     park: Mutex<()>,
     cv: Condvar,
+    /// Notifies issued, for the one-per-park unit tests.
+    #[cfg(test)]
+    notifies: std::sync::atomic::AtomicUsize,
 }
 
 // SAFETY: the raw `Node` pointers are only ever created from `Box`es and
@@ -371,12 +413,32 @@ impl Mailbox {
             parked: AtomicBool::new(false),
             park: Mutex::new(()),
             cv: Condvar::new(),
+            #[cfg(test)]
+            notifies: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
     /// Land an envelope (any thread). Lock-free except for the notify path,
-    /// which takes the (tiny) park mutex only when the consumer is parked.
+    /// which only the first push into a park takes.
     pub fn push(&self, env: Env) {
+        self.publish(env);
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.wake();
+        }
+    }
+
+    /// Seeded bug for the model checker (`schedcheck_models.rs`): claim the
+    /// park's one wake, then never deliver it.
+    #[cfg(schedcheck)]
+    #[doc(hidden)]
+    pub fn push_claiming_the_wake_without_notifying(&self, env: Env) {
+        self.publish(env);
+        self.parked.swap(false, Ordering::SeqCst);
+    }
+
+    /// Make `env` visible to the consumer: the staging CAS (arrival's
+    /// linearization point), then the version bump.
+    fn publish(&self, env: Env) {
         let node = boxed::into_raw(Box::new(Node { env, next: RaceCell::new(ptr::null_mut()) }));
         let mut head = self.stage.load(Ordering::Relaxed);
         loop {
@@ -389,18 +451,18 @@ impl Mailbox {
             }
         }
         self.version.fetch_add(1, Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) {
-            // Locking (then releasing) the park mutex makes the notify
-            // atomic with respect to the consumer's park-or-recheck
-            // decision: the consumer holds the mutex from publishing
-            // `parked` through entering the wait, so our acquisition
-            // serializes either before its re-check (which then sees the
-            // push) or after it is waiting (so the notify lands). Dropping
-            // the guard *before* notifying keeps the woken thread from
-            // immediately blocking on a mutex we still hold.
-            drop(self.park.lock().unwrap());
-            self.cv.notify_all();
-        }
+    }
+
+    /// Deliver the wake this producer claimed. The consumer holds `park`
+    /// from raising `parked` until it is inside the wait, so passing
+    /// through the mutex first puts the notify after the point where it
+    /// could be missed. Dropping the guard *before* notifying keeps the
+    /// woken thread from immediately blocking on a mutex we still hold.
+    fn wake(&self) {
+        drop(self.park.lock().unwrap());
+        self.cv.notify_one();
+        #[cfg(test)]
+        self.notifies.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Detach the staged chain and restore arrival order (the stack is
@@ -719,6 +781,61 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         drop(mb);
         assert_eq!(drops.load(Ordering::SeqCst), 3, "indexed envelopes leaked at teardown");
+    }
+
+    fn notifies(mb: &Mailbox) -> usize {
+        mb.notifies.load(Ordering::Relaxed)
+    }
+
+    /// A consumer that parked and is being kept off the CPU, seen from
+    /// the producers' side: the flag is up and stays up until one of
+    /// them claims it. The whole burst pays for one notify, not one each
+    /// (which is what a `parked.load()` in `push` costs); pushes at a
+    /// consumer that is not parked pay for none.
+    #[test]
+    fn a_burst_into_one_park_notifies_once() {
+        let mb = Mailbox::new();
+        let t = Tag::user(1);
+        mb.push(env(0, t, 0));
+        assert_eq!(notifies(&mb), 0, "nobody is parked");
+        for park in 1..=3 {
+            mb.parked.store(true, Ordering::SeqCst);
+            for i in 0..64 {
+                mb.push(env(0, t, i));
+            }
+            assert_eq!(notifies(&mb), park, "one notify per park, however long the burst");
+            assert!(!mb.parked.load(Ordering::SeqCst), "the claim clears the flag");
+        }
+    }
+
+    /// The same count against a real consumer thread blocked on a tag that
+    /// arrives last: every non-matching push finds it parked again (the
+    /// test waits for that), wakes it exactly once, and it re-parks.
+    #[test]
+    fn each_park_of_a_real_consumer_is_notified_once() {
+        let mb = Mailbox::new();
+        let wanted = Tag::user(9);
+        // The consumer holds `park` from raising the flag until it is
+        // inside the wait, so flag up + one pass through the mutex means
+        // it is asleep on the condvar.
+        let wait_until_parked = || {
+            while !mb.parked.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            drop(mb.park.lock().unwrap());
+        };
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| val(mb.take(Src::Any, wanted)));
+            for other in 1..=3u32 {
+                wait_until_parked();
+                mb.push(env(0, Tag::user(other), other));
+                assert_eq!(notifies(&mb), other as usize);
+            }
+            wait_until_parked();
+            mb.push(env(0, wanted, 42));
+            assert_eq!(consumer.join().unwrap(), 42);
+        });
+        assert_eq!(notifies(&mb), 4, "three parks woken for nothing, one for the match");
     }
 
     /// Index-first matching must not reorder a staged-but-undrained

@@ -206,6 +206,55 @@ fn polling_rounds_never_sleep_past_a_push() {
     });
 }
 
+/// A wake storm against one wake per park: every round, N producers
+/// each fire a burst of filler envelopes at a consumer blocked on a tag
+/// that is pushed only after the last burst has landed. The fillers
+/// claim the consumer's wakes for nothing — it finds no match and parks
+/// again, over and over, while later fillers read an already-cleared
+/// flag and skip the notify — and the one push that matters must still
+/// find a raised flag or an awake consumer. A lost wake-up hangs the
+/// round; the watchdog converts that into an abort.
+#[test]
+fn wake_storm_never_sleeps_past_the_last_tag() {
+    let producers = 4usize;
+    let burst = 16u64;
+    let rounds = iters(2_000);
+    let filler = Tag::user(1);
+    let wanted = |round: u64| Tag::user(1_000 + u32::try_from(round).expect("round fits a tag"));
+    let mb = Mailbox::new();
+    let bursts_landed = std::sync::Barrier::new(producers);
+    with_watchdog("wake_storm", 120, || {
+        std::thread::scope(|s| {
+            for p in 0..producers {
+                let (mb, bursts_landed) = (&mb, &bursts_landed);
+                s.spawn(move || {
+                    for round in 0..rounds {
+                        for i in 0..burst {
+                            mb.push(env_msg(p, filler, round * burst + i));
+                        }
+                        bursts_landed.wait();
+                        if round % producers as u64 == p as u64 {
+                            mb.push(env_msg(p, wanted(round), round));
+                        }
+                    }
+                });
+            }
+            let mut next = vec![0u64; producers];
+            for round in 0..rounds {
+                let (_, seq) = seq_of(mb.take(Src::Any, wanted(round)));
+                assert_eq!(seq, round);
+                // This round's fillers all preceded the wanted push.
+                for _ in 0..burst * producers as u64 {
+                    let (src, seq) = seq_of(mb.try_take(Src::Any, filler).expect("a filler"));
+                    assert_eq!(seq, next[src], "per-source FIFO violated for src {src}");
+                    next[src] += 1;
+                }
+            }
+        });
+    });
+    assert!(mb.try_take(Src::Any, filler).is_none(), "no stragglers");
+}
+
 // ---------------------------------------------------------------------
 // Deadline semantics under spurious wakes
 // ---------------------------------------------------------------------

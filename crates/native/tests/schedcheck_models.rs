@@ -108,7 +108,9 @@ fn mpsc_push_and_reverse_drain_is_clean() {
 /// SC202 deadlock: the producer is finished, nobody will ever notify).
 #[test]
 fn eventcount_park_vs_concurrent_push_is_clean() {
-    let out = checker(4_000).model(|| {
+    // Bound 3: with one wake per park most pushes are a CAS, an add and a
+    // swap, and bound 2 exhausts this model at 919 schedules.
+    let out = checker_with(4_000, 3).model(|| {
         let mb = Arc::new(Mailbox::new());
         let (ta, tb) = (Tag::user(1), Tag::user(2));
         let p1 = {
@@ -123,6 +125,77 @@ fn eventcount_park_vs_concurrent_push_is_clean() {
         // park while the other producer's envelope sits staged.
         assert_eq!(val(mb.take(Src::Any, ta)), 7);
         assert_eq!(val(mb.take(Src::Any, tb)), 9);
+        p1.join().unwrap();
+        p2.join().unwrap();
+    });
+    assert_clean_and_explored(&out);
+}
+
+// ---------------------------------------------------------------------
+// 2b. One wake per park: the claim, when the claimed wake is for nothing
+// ---------------------------------------------------------------------
+
+/// `push` wakes a parked consumer once per park: the producer that swaps
+/// `parked` back to false owes the notify, every other push into that
+/// park returns after its CAS. The interleavings this adds are the ones
+/// where the claimed wake is for an envelope the consumer does *not*
+/// want: it wakes (or never slept), finds only `tag_a`, and parks again
+/// while the `tag_b` push is somewhere between its CAS and its swap — or
+/// has already read the flag another producer cleared. Whatever the
+/// order, the consumer must end up with `tag_b`'s envelope; a schedule
+/// where it sleeps through it is an SC202.
+#[test]
+fn wake_claimed_for_a_non_matching_envelope_is_clean() {
+    let out = checker(4_000).model(|| {
+        let mb = Arc::new(Mailbox::new());
+        let (ta, tb) = (Tag::user(1), Tag::user(2));
+        let p1 = {
+            let mb = Arc::clone(&mb);
+            schedcheck::thread::spawn(move || {
+                mb.push(env(0, ta, 1));
+                mb.push(env(0, ta, 2));
+            })
+        };
+        let p2 = {
+            let mb = Arc::clone(&mb);
+            schedcheck::thread::spawn(move || mb.push(env(1, tb, 9)))
+        };
+        assert_eq!(val(mb.take(Src::Any, tb)), 9);
+        p1.join().unwrap();
+        p2.join().unwrap();
+    });
+    assert_clean_and_explored(&out);
+}
+
+/// The same race through the other park: a `wait_for_mail`-style round
+/// (`try_take`, then `wait_change` on the snapshot the previous wait
+/// returned) shares `parked` with `take`, with `version` in place of the
+/// staging head as the re-checked condition.
+#[test]
+fn wake_claimed_for_a_non_matching_envelope_is_clean_through_wait_change() {
+    let out = checker(4_000).model(|| {
+        let mb = Arc::new(Mailbox::new());
+        let (ta, tb) = (Tag::user(1), Tag::user(2));
+        let p1 = {
+            let mb = Arc::clone(&mb);
+            schedcheck::thread::spawn(move || {
+                mb.push(env(0, ta, 1));
+                mb.push(env(0, ta, 2));
+            })
+        };
+        let p2 = {
+            let mb = Arc::clone(&mb);
+            schedcheck::thread::spawn(move || mb.push(env(1, tb, 9)))
+        };
+        // A rank's snapshot starts at the mailbox's initial version.
+        let mut seen = 0;
+        let got = loop {
+            match mb.try_take(Src::Any, tb) {
+                Some(e) => break val(e),
+                None => seen = mb.wait_change(seen),
+            }
+        };
+        assert_eq!(got, 9);
         p1.join().unwrap();
         p2.join().unwrap();
     });
@@ -361,6 +434,48 @@ fn mail_seen_poll_absorption_bug_is_caught() {
     };
     let out = checker(4_000).model(model);
     let v = out.violation.expect("the absorbed push must be caught as a lost wakeup");
+    assert_eq!(v.code, codes::SC202, "wrong code: {v}");
+    assert!(v.message.contains("lost wakeup"), "should flag the park: {v}");
+    assert!(
+        out.schedules <= 1_000,
+        "a 2-preemption bug should surface in a handful of schedules, took {}",
+        out.schedules
+    );
+    let replayed = checker(4_000)
+        .replay(&v.trace, model)
+        .expect("the reported trace must replay to a violation");
+    assert_eq!(replayed.code, v.code);
+}
+
+/// The claim's own failure mode, seeded: a producer that clears `parked`
+/// — taking on the park's one wake — and then never notifies. The
+/// *other* producer, which is correct, reads the cleared flag and rightly
+/// returns without a notify of its own, so the consumer sleeps on a
+/// staged `tag_b` envelope with nobody left to wake it. The checker must
+/// report the lost wakeup (SC202) within a handful of schedules, with a
+/// trace that replays.
+#[test]
+fn claimed_wake_that_is_never_delivered_is_caught() {
+    let model = || {
+        let mb = Arc::new(Mailbox::new());
+        let (ta, tb) = (Tag::user(1), Tag::user(2));
+        let p1 = {
+            let mb = Arc::clone(&mb);
+            schedcheck::thread::spawn(move || {
+                // BUG: swaps `parked` to false, skips lock + notify.
+                mb.push_claiming_the_wake_without_notifying(env(0, ta, 1));
+            })
+        };
+        let p2 = {
+            let mb = Arc::clone(&mb);
+            schedcheck::thread::spawn(move || mb.push(env(1, tb, 9)))
+        };
+        assert_eq!(val(mb.take(Src::Any, tb)), 9);
+        p1.join().unwrap();
+        p2.join().unwrap();
+    };
+    let out = checker(4_000).model(model);
+    let v = out.violation.expect("the undelivered wake must be caught as a lost wakeup");
     assert_eq!(v.code, codes::SC202, "wrong code: {v}");
     assert!(v.message.contains("lost wakeup"), "should flag the park: {v}");
     assert!(
