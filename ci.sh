@@ -15,6 +15,14 @@ cargo fmt --check
 
 echo "== build (release) =="
 cargo build --release --offline
+# benchmark/ is frozen outside [benchmark] issues, implements `Transport`
+# itself (src/traced.rs) and calls the mailbox, frame and VSR layers
+# directly (src/probes.rs), so a signature drift in the crates breaks its
+# build: find that here, compile only, not at the benchmark smoke near
+# the end. run.sh builds into the same directory, so the smoke reuses
+# this build.
+CARGO_TARGET_DIR=benchmark/target cargo build --release --offline \
+    --manifest-path benchmark/Cargo.toml
 
 echo "== test suite =="
 cargo test -q --offline

@@ -156,7 +156,7 @@ fn coll_sweep(iters: u64) -> (Vec<(usize, f64, f64)>, usize) {
         .map(|&(ranks, _, _)| ranks)
         .max()
         .unwrap_or_else(|| rows.first().map_or(2, |r| r.0));
-    println!("  recommended NATIVE_COLL_FLAT_THRESHOLD={recommended}");
+    println!("  recommended flat threshold: {recommended}");
     (rows, recommended)
 }
 
@@ -371,7 +371,7 @@ fn main() {
         // Auto-emit the tuning result into the artifact notes so the
         // committed capture records the recommendation, not just a table
         // scrolled off a terminal.
-        let auto = format!("recommended NATIVE_COLL_FLAT_THRESHOLD={recommended}");
+        let auto = format!("recommended flat threshold: {recommended}");
         let note = match &notes {
             Some(n) => format!("{n}; {auto}"),
             None => auto,

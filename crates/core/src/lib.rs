@@ -52,6 +52,7 @@
 
 pub mod adaptive;
 pub mod channel;
+pub mod coll;
 pub mod group;
 pub mod harness;
 pub mod operators;

@@ -12,12 +12,28 @@
 //!   programs inside the deterministic discrete-event simulator, on a
 //!   virtual clock with a modelled network.
 //! - `native::NativeRank` (the `crates/native` backend) runs the same
-//!   programs on real OS threads with lock-and-condvar mailboxes, on the
-//!   wall clock.
+//!   programs on real OS threads, one per rank, each draining a
+//!   lock-free staging stack into its own indexed mailbox, on the wall
+//!   clock.
+//! - `socket::SocketRank` (the `crates/socket` backend) runs them as one
+//!   OS process per rank: payloads cross the [`Wire`] codec as frames
+//!   over Unix-domain sockets and land in that same mailbox.
 //!
-//! The trait deliberately exposes the *semantics* both backends share and
-//! nothing either is forced to fake: time is a monotone [`SimTime`] whose
-//! meaning (virtual vs wall nanoseconds) belongs to the backend;
+//! What a real backend writes itself is identity, the clock,
+//! point-to-point, [`Transport::wait_for_mail`] and
+//! [`Transport::alloc_channel_id`]. The group type, the
+//! five collectives and `split` come from [`crate::coll`]: its functions
+//! use only `send` and `recv`, the backend's rank keeps one
+//! [`crate::coll::CollState`], and each trait collective begins a round
+//! on it and calls the `coll` function of the same name. The one choice
+//! left to the backend is the group size up to which collectives use a
+//! star instead of a binomial tree. The simulator implements the
+//! collectives itself, cost-modelled: they are the paper's reference
+//! baselines.
+//!
+//! The trait deliberately exposes the *semantics* the backends share and
+//! nothing any of them is forced to fake: time is a monotone [`SimTime`]
+//! whose meaning (virtual vs wall nanoseconds) belongs to the backend;
 //! [`Transport::send`] returns once the message is injected (delivery is
 //! asynchronous); receives match on `(source, tag)` with [`Src::Any`]
 //! selecting the first *available* message — the FCFS mechanism the

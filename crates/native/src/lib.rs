@@ -36,18 +36,11 @@
 //! eventcount park protocol that cannot lose wake-ups, and a version
 //! counter snapshotted once per polling round inside `wait_for_mail`).
 //!
-//! Collectives run over those mailboxes with a **rank-threshold hybrid
-//! geometry**: groups at or below the flat threshold use a star (every
-//! member exchanges directly with group rank 0 — the fewest total hops,
-//! which wins when ranks outnumber cores and every tree level costs a
-//! context switch), larger groups use a binomial tree (reduce to rank 0
-//! and broadcast back down, `2(size-1)` directed messages but only
-//! `O(log size)` levels on the critical path). The threshold comes from
-//! [`NativeWorld::with_coll_flat_threshold`] or the
-//! `NATIVE_COLL_FLAT_THRESHOLD` env var (see DESIGN.md §13 for the
-//! measured crossover). Either geometry replaces the old global
-//! gather-all rendezvous, whose single registry mutex and `notify_all`
-//! thundering herd serialized every collective in the world.
+//! Collectives, `split` and the group type are [`mpistream::coll`]'s,
+//! run over those mailboxes. This backend hands it one number, the flat
+//! threshold: groups up to that size use the star, larger ones the
+//! binomial tree ([`NativeWorld::with_coll_flat_threshold`]; DESIGN.md
+//! §13 has the measured crossover behind the default).
 //!
 //! ```
 //! use mpistream::{run_decoupled, ChannelConfig, GroupSpec, Transport};
@@ -75,76 +68,26 @@
 //! assert_eq!(outcome.nprocs, 8);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use desim::SimTime;
-use mpistream::{Group, MsgInfo, Src, Tag, Transport, Wire};
+use mpistream::coll::{self, CollState, RankGroup};
+use mpistream::{MsgInfo, Src, Tag, Transport, Wire};
 
 pub mod mailbox;
 pub mod sync;
 
 use mailbox::{Env, Mailbox};
 use sync::atomic::{AtomicU32, Ordering};
-use sync::{thread, Instant, Mutex};
-
-/// Group id of the world group.
-const WORLD_ID: u64 = 0;
-/// Group id marking metadata-only groups (never collective targets).
-const META_ID: u64 = u64::MAX;
-/// Internal tag namespace for collective traffic (streams use ns 2).
-const NS_COLL: u8 = 3;
-
-/// An ordered set of world ranks on the native backend — plain metadata
-/// plus an id the collective rendezvous keys on.
-#[derive(Clone, Debug)]
-pub struct NativeGroup {
-    id: u64,
-    ranks: Arc<Vec<usize>>,
-}
-
-impl NativeGroup {
-    /// Number of members.
-    pub fn size(&self) -> usize {
-        self.ranks.len()
-    }
-}
-
-impl Group for NativeGroup {
-    fn ranks(&self) -> &[usize] {
-        &self.ranks
-    }
-
-    fn rank_of(&self, w: usize) -> Option<usize> {
-        // Membership lists are small and setup-time only; linear scan.
-        self.ranks.iter().position(|&x| x == w)
-    }
-
-    fn meta(ranks: Vec<usize>) -> NativeGroup {
-        NativeGroup { id: META_ID, ranks: Arc::new(ranks) }
-    }
-}
-
-#[derive(Default)]
-struct GroupRegistry {
-    /// `(parent_id, collective_seq, color) -> id` — every member of one
-    /// split cell computes the same key, so lookup-or-insert hands the
-    /// whole cell the same id regardless of arrival order.
-    ids: HashMap<(u64, u32, i64), u64>,
-    next: u64,
-}
+use sync::{thread, Instant};
 
 struct SharedState {
     nprocs: usize,
     epoch: Instant,
     compute_scale: f64,
-    /// Groups at or below this size use the flat (star) collective
-    /// geometry; larger ones use the binomial tree.
-    flat_threshold: usize,
     mailboxes: Vec<Mailbox>,
-    world: NativeGroup,
-    groups: Mutex<GroupRegistry>,
+    world: RankGroup,
     channel_ids: AtomicU32,
 }
 
@@ -164,22 +107,21 @@ pub struct NativeOutcome {
 /// level is a forced context switch while the star's hub drains its one
 /// mailbox in arrival order; see DESIGN.md §13). Sizes past the
 /// measured range fall back to the tree's `O(log n)` critical path.
-/// Override per-world with [`NativeWorld::with_coll_flat_threshold`] or
-/// globally with the `NATIVE_COLL_FLAT_THRESHOLD` env var.
+/// Override per-world with [`NativeWorld::with_coll_flat_threshold`].
 const DEFAULT_FLAT_THRESHOLD: usize = 64;
 
 /// A native world: `nprocs` ranks, each on its own OS thread.
 pub struct NativeWorld {
     nprocs: usize,
     compute_scale: f64,
-    coll_flat_threshold: Option<usize>,
+    coll_flat_threshold: usize,
 }
 
 impl NativeWorld {
     /// A world of `nprocs` ranks.
     pub fn new(nprocs: usize) -> NativeWorld {
         assert!(nprocs > 0, "a world needs at least one rank");
-        NativeWorld { nprocs, compute_scale: 1.0, coll_flat_threshold: None }
+        NativeWorld { nprocs, compute_scale: 1.0, coll_flat_threshold: DEFAULT_FLAT_THRESHOLD }
     }
 
     /// Wall-clock seconds slept per modelled compute second (default 1.0).
@@ -194,10 +136,9 @@ impl NativeWorld {
     /// Largest group size that uses the flat (star) collective geometry;
     /// bigger groups switch to the binomial tree. `0` forces trees
     /// everywhere, `usize::MAX` forces flat everywhere. Defaults to the
-    /// `NATIVE_COLL_FLAT_THRESHOLD` env var, else the measured crossover
-    /// baked into the crate.
+    /// measured crossover baked into the crate.
     pub fn with_coll_flat_threshold(mut self, threshold: usize) -> NativeWorld {
-        self.coll_flat_threshold = Some(threshold);
+        self.coll_flat_threshold = threshold;
         self
     }
 
@@ -209,20 +150,12 @@ impl NativeWorld {
     where
         F: Fn(&mut NativeRank) + Send + Sync,
     {
-        let flat_threshold = self.coll_flat_threshold.unwrap_or_else(|| {
-            std::env::var("NATIVE_COLL_FLAT_THRESHOLD")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(DEFAULT_FLAT_THRESHOLD)
-        });
         let shared = Arc::new(SharedState {
             nprocs: self.nprocs,
             epoch: Instant::now(),
             compute_scale: self.compute_scale,
-            flat_threshold,
             mailboxes: (0..self.nprocs).map(|_| Mailbox::new()).collect(),
-            world: NativeGroup { id: WORLD_ID, ranks: Arc::new((0..self.nprocs).collect()) },
-            groups: Mutex::new(GroupRegistry { ids: HashMap::new(), next: 1 }),
+            world: RankGroup::world(self.nprocs),
             channel_ids: AtomicU32::new(0),
         });
         let start = Instant::now();
@@ -231,8 +164,8 @@ impl NativeWorld {
             for r in 0..self.nprocs {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || {
-                    let mut rank =
-                        NativeRank { shared, rank: r, coll_seq: HashMap::new(), mail_seen: 0 };
+                    let coll = CollState::new(self.coll_flat_threshold);
+                    let mut rank = NativeRank { shared, rank: r, coll, mail_seen: 0 };
                     body(&mut rank);
                 });
             }
@@ -247,9 +180,7 @@ impl NativeWorld {
 pub struct NativeRank {
     shared: Arc<SharedState>,
     rank: usize,
-    /// Per-group collective sequence numbers (identical call order on a
-    /// group keeps them in agreement, as MPI requires).
-    coll_seq: HashMap<u64, u32>,
+    coll: CollState,
     /// Mailbox version at the last `wait_for_mail` return — a polling-
     /// round snapshot, deliberately *not* advanced by `try_recv`/`probe`
     /// (see `wait_for_mail` for why).
@@ -257,146 +188,13 @@ pub struct NativeRank {
 }
 
 impl NativeRank {
-    fn next_seq(&mut self, group: &NativeGroup) -> u32 {
-        assert!(group.id != META_ID, "collective on a metadata-only group");
-        let seq = self.coll_seq.entry(group.id).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        s
-    }
-
-    /// My group rank on `group` (collectives only make sense for members).
-    fn my_group_rank(&self, group: &NativeGroup) -> usize {
-        group.rank_of(self.rank).expect("collective on a group we are not in")
-    }
-
-    /// Children of virtual rank `v` in a binomial tree over `size` ranks,
-    /// ascending: `v + 2^k` for every `2^k` below `v`'s lowest set bit
-    /// (all of them for the root) that stays inside the group.
-    fn tree_children(v: usize, size: usize) -> impl Iterator<Item = usize> {
-        let lsb = if v == 0 { usize::MAX } else { v & v.wrapping_neg() };
-        std::iter::successors(Some(1usize), |k| k.checked_mul(2))
-            .take_while(move |&k| k < lsb && v + k < size)
-            .map(move |k| v + k)
-    }
-
-    /// Parent of virtual rank `v != 0`: clear the lowest set bit.
-    fn tree_parent(v: usize) -> usize {
-        v & (v - 1)
-    }
-
-    /// Whether collectives on a group of `size` members use the flat
-    /// (star) geometry. Every member computes this from the shared
-    /// threshold, so the whole group always agrees.
-    fn coll_flat(&self, size: usize) -> bool {
-        size <= self.shared.flat_threshold
-    }
-
-    /// Reduce up to virtual rank 0: fold the children's partial
-    /// accumulators (ascending, a fixed deterministic order) into ours,
-    /// then forward to the parent. Returns `Some(total)` at the root,
-    /// `None` elsewhere. `op` must be associative and commutative (the
-    /// Transport contract); for floats the fold order — linear in the
-    /// flat geometry, tree-shaped otherwise — may differ bitwise from
-    /// another geometry's (DESIGN.md §11).
-    fn tree_reduce<T: Wire + Send + 'static>(
-        &mut self,
-        tree: &Tree<'_>,
-        bytes: u64,
-        value: T,
-        op: &impl Fn(&mut T, &T),
-    ) -> Option<T> {
-        let mut acc = value;
-        for c in tree.children(tree.my_v) {
-            let (child, _info) = self.recv::<T>(Src::Rank((tree.to_world)(c)), tree.tag);
-            op(&mut acc, &child);
-        }
-        if tree.my_v == 0 {
-            Some(acc)
-        } else {
-            self.send((tree.to_world)(tree.parent(tree.my_v)), tree.tag, bytes, acc);
-            None
-        }
-    }
-
-    /// Broadcast down from virtual rank 0: receive from the parent, then
-    /// forward to each child. `value` must be `Some` at the root. Safe on
-    /// the same tag as a preceding [`Self::tree_reduce`] over the same
-    /// tree: between any rank pair the two phases flow in opposite
-    /// directions, so directed receives cannot cross-match.
-    fn tree_bcast<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        tree: &Tree<'_>,
-        bytes: u64,
-        value: Option<T>,
-    ) -> T {
-        let val = if tree.my_v == 0 {
-            value.expect("tree root supplies the broadcast value")
-        } else {
-            self.recv::<T>(Src::Rank((tree.to_world)(tree.parent(tree.my_v))), tree.tag).0
-        };
-        for c in tree.children(tree.my_v) {
-            self.send((tree.to_world)(c), tree.tag, bytes, val.clone());
-        }
-        val
-    }
-
     fn deadline_instant(&self, deadline: SimTime) -> Instant {
         self.shared.epoch + Duration::from_nanos(deadline.0)
     }
 }
 
-/// One collective's geometry: its tag, this rank's virtual rank in the
-/// (possibly root-rotated) overlay, the group size, the map from virtual
-/// ranks back to world ranks, and the shape — flat star (small groups)
-/// or binomial tree (large ones). Both shapes share the reduce/bcast
-/// drivers: only `children`/`parent` differ.
-struct Tree<'a> {
-    tag: Tag,
-    to_world: &'a dyn Fn(usize) -> usize,
-    my_v: usize,
-    size: usize,
-    flat: bool,
-}
-
-impl Tree<'_> {
-    /// Children of virtual rank `v`, ascending (the deterministic fold
-    /// and gather order). Flat: the root owns everyone. The `Vec` is at
-    /// most `log2(size)` entries on the tree path and `size - 1` on the
-    /// flat one — noise next to the per-child envelope allocations.
-    fn children(&self, v: usize) -> Vec<usize> {
-        if self.flat {
-            if v == 0 {
-                (1..self.size).collect()
-            } else {
-                Vec::new()
-            }
-        } else {
-            NativeRank::tree_children(v, self.size).collect()
-        }
-    }
-
-    /// Parent of virtual rank `v != 0`.
-    fn parent(&self, v: usize) -> usize {
-        if self.flat {
-            0
-        } else {
-            NativeRank::tree_parent(v)
-        }
-    }
-}
-
-/// Tag for collective `seq` on `group` — unique among *concurrently
-/// outstanding* messages: collectives on one group are totally ordered on
-/// every member (the MPI call-order contract), matching is directed, and
-/// per-`(src, tag)` delivery is FIFO, so a truncated group id cannot
-/// cause cross-matching even if two group ids alias in the low 16 bits.
-fn coll_tag(group_id: u64, seq: u32) -> Tag {
-    Tag::internal(NS_COLL, group_id as u16, seq)
-}
-
 impl Transport for NativeRank {
-    type Group = NativeGroup;
+    type Group = RankGroup;
 
     fn world_rank(&self) -> usize {
         self.rank
@@ -406,7 +204,7 @@ impl Transport for NativeRank {
         self.shared.nprocs
     }
 
-    fn world_group(&self) -> NativeGroup {
+    fn world_group(&self) -> RankGroup {
         self.shared.world.clone()
     }
 
@@ -468,126 +266,46 @@ impl Transport for NativeRank {
         self.mail_seen = self.shared.mailboxes[self.rank].wait_change(self.mail_seen);
     }
 
-    fn barrier(&mut self, group: &NativeGroup) {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Tree { tag, to_world: &to_world, my_v: my_gr, size, flat: self.coll_flat(size) };
-        let done = self.tree_reduce(&tree, 1, (), &|_, _| {});
-        let () = self.tree_bcast(&tree, 1, done);
+    fn barrier(&mut self, group: &RankGroup) {
+        let round = self.coll.begin(group, self.rank);
+        coll::barrier(self, &round)
     }
 
     fn allreduce<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &NativeGroup,
+        group: &RankGroup,
         bytes: u64,
         value: T,
         op: impl Fn(&mut T, &T),
     ) -> T {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        // Reduce to group rank 0, then broadcast the total back down the
-        // same overlay: 2(size-1) directed messages instead of the old
-        // global gather-all rendezvous (one mutex, thundering-herd
-        // wake-ups). `op` must be associative and commutative (the
-        // Transport contract) — for floats the fold order depends on the
-        // geometry (see DESIGN.md §11).
-        let tree = Tree { tag, to_world: &to_world, my_v: my_gr, size, flat: self.coll_flat(size) };
-        let total = self.tree_reduce(&tree, bytes, value, &op);
-        self.tree_bcast(&tree, bytes, total)
+        let round = self.coll.begin(group, self.rank);
+        coll::allreduce(self, &round, bytes, value, op)
     }
 
     fn allgatherv<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &NativeGroup,
+        group: &RankGroup,
         bytes: u64,
         value: T,
     ) -> Vec<T> {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Tree { tag, to_world: &to_world, my_v: my_gr, size, flat: self.coll_flat(size) };
-        // Gather upward: in the tree, child `v + 2^k` owns the contiguous
-        // group-rank range [v + 2^k, v + 2^(k+1)) (clipped to size); in
-        // the flat star each child owns just itself. Either way appending
-        // children ascending keeps the accumulator contiguous and
-        // group-rank-ordered; rank 0 ends up with the full vector.
-        let mut acc: Vec<T> = vec![value];
-        for c in tree.children(my_gr) {
-            let (mut sub, _info) = self.recv::<Vec<T>>(Src::Rank((tree.to_world)(c)), tag);
-            acc.append(&mut sub);
-        }
-        let gathered = if my_gr == 0 {
-            Some(acc)
-        } else {
-            let n = acc.len() as u64;
-            self.send((tree.to_world)(tree.parent(my_gr)), tag, bytes * n, acc);
-            None
-        };
-        self.tree_bcast(&tree, bytes * size as u64, gathered)
+        let round = self.coll.begin(group, self.rank);
+        coll::allgatherv(self, &round, bytes, value)
     }
 
     fn bcast<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &NativeGroup,
+        group: &RankGroup,
         root: usize,
         bytes: u64,
         value: Option<T>,
     ) -> T {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        assert!(root < size, "bcast root {root} out of range for group of {size}");
-        // Rotate the overlay so the root sits at virtual rank 0.
-        let my_v = (my_gr + size - root) % size;
-        let to_world = move |v: usize| ranks[(v + root) % size];
-        if my_v == 0 {
-            assert!(value.is_some(), "root supplied the broadcast value");
-        }
-        let tree = Tree { tag, to_world: &to_world, my_v, size, flat: self.coll_flat(size) };
-        self.tree_bcast(&tree, bytes, value)
+        let round = self.coll.begin(group, self.rank);
+        coll::bcast(self, &round, root, bytes, value)
     }
 
-    fn split(&mut self, group: &NativeGroup, color: Option<i64>, key: i64) -> Option<NativeGroup> {
-        // Gather the Option itself (via the tree allgatherv) — no
-        // sentinel, so every i64 (including i64::MIN) is a legal color,
-        // distinct from non-participation.
-        let mut entries = self.allgatherv(group, 24, (color, key, self.rank));
-        let seq = self.coll_seq[&group.id] - 1; // the allgatherv's seq
-        let my_color = color?;
-        // Members with my color, ordered by (key, world_rank) — the
-        // MPI_Comm_split contract. `None` entries match no Some color.
-        entries.retain(|&(c, _, _)| c == Some(my_color));
-        entries.sort_unstable_by_key(|&(_, k, w)| (k, w));
-        let members: Vec<usize> = entries.iter().map(|&(_, _, w)| w).collect();
-        // One id per split cell, agreed through the registry: every member
-        // computes the same (parent, seq, color) key, and non-participants
-        // returned above without ever touching the registry.
-        let id = {
-            let mut groups = self.shared.groups.lock().unwrap();
-            match groups.ids.get(&(group.id, seq, my_color)) {
-                Some(&id) => id,
-                None => {
-                    let id = groups.next;
-                    groups.next += 1;
-                    groups.ids.insert((group.id, seq, my_color), id);
-                    id
-                }
-            }
-        };
-        Some(NativeGroup { id, ranks: Arc::new(members) })
+    fn split(&mut self, group: &RankGroup, color: Option<i64>, key: i64) -> Option<RankGroup> {
+        let round = self.coll.begin(group, self.rank);
+        coll::split(self, &round, color, key)
     }
 
     fn alloc_channel_id(&mut self) -> u16 {
@@ -612,6 +330,7 @@ fn unpack<T: Send + 'static>(rank: usize, env: Env) -> (T, MsgInfo) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpistream::Group;
 
     #[test]
     fn ping_pong_round_trips() {
@@ -626,20 +345,6 @@ mod tests {
                 let (v, _) = rank.recv::<u64>(Src::Any, t);
                 rank.send(0, t, 8, v + 1);
             }
-        });
-    }
-
-    #[test]
-    fn collectives_agree_across_threads() {
-        NativeWorld::new(8).run(|rank| {
-            let world = rank.world_group();
-            let sum = rank.allreduce(&world, 8, rank.world_rank() as u64, |a, b| *a += b);
-            assert_eq!(sum, 28);
-            let all = rank.allgatherv(&world, 8, rank.world_rank());
-            assert_eq!(all, (0..8).collect::<Vec<_>>());
-            let from_root = rank.bcast(&world, 3, 8, (rank.world_rank() == 3).then_some(99u32));
-            assert_eq!(from_root, 99);
-            rank.barrier(&world);
         });
     }
 

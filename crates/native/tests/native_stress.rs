@@ -22,13 +22,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use mpistream::coll::RankGroup;
 use mpistream::transport::SimTime;
 use mpistream::{
     ChannelConfig, Group, GroupSpec, MsgInfo, Role, RoutePolicy, Src, Stream, StreamChannel, Tag,
     Transport, Wire,
 };
 use native::mailbox::{Env, Mailbox};
-use native::{NativeGroup, NativeRank, NativeWorld};
+use native::{NativeRank, NativeWorld};
 use proptest::prelude::*;
 
 /// `n` scaled by the `NATIVE_STRESS_ITERS` multiplier (default 1).
@@ -382,7 +383,7 @@ struct Audited<'a> {
 }
 
 impl Transport for Audited<'_> {
-    type Group = NativeGroup;
+    type Group = RankGroup;
 
     fn world_rank(&self) -> usize {
         self.inner.world_rank()
@@ -390,7 +391,7 @@ impl Transport for Audited<'_> {
     fn world_size(&self) -> usize {
         self.inner.world_size()
     }
-    fn world_group(&self) -> NativeGroup {
+    fn world_group(&self) -> RankGroup {
         self.inner.world_group()
     }
     fn now(&self) -> SimTime {
@@ -422,12 +423,12 @@ impl Transport for Audited<'_> {
     fn wait_for_mail(&mut self) {
         self.inner.wait_for_mail();
     }
-    fn barrier(&mut self, group: &NativeGroup) {
+    fn barrier(&mut self, group: &RankGroup) {
         self.inner.barrier(group);
     }
     fn allreduce<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &NativeGroup,
+        group: &RankGroup,
         bytes: u64,
         value: T,
         op: impl Fn(&mut T, &T),
@@ -436,7 +437,7 @@ impl Transport for Audited<'_> {
     }
     fn allgatherv<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &NativeGroup,
+        group: &RankGroup,
         bytes: u64,
         value: T,
     ) -> Vec<T> {
@@ -444,14 +445,14 @@ impl Transport for Audited<'_> {
     }
     fn bcast<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &NativeGroup,
+        group: &RankGroup,
         root: usize,
         bytes: u64,
         value: Option<T>,
     ) -> T {
         self.inner.bcast(group, root, bytes, value)
     }
-    fn split(&mut self, group: &NativeGroup, color: Option<i64>, key: i64) -> Option<NativeGroup> {
+    fn split(&mut self, group: &RankGroup, color: Option<i64>, key: i64) -> Option<RankGroup> {
         self.inner.split(group, color, key)
     }
     fn alloc_channel_id(&mut self) -> u16 {

@@ -8,8 +8,8 @@
 //! [`Wire`] codec (DESIGN.md §16), matching happens in the exact same
 //! [`Mailbox`] the native backend uses (lock-free MPSC staging +
 //! eventcount park, so the schedcheck models of that structure still
-//! apply), and collectives are genuine network rendezvous over the
-//! binomial-tree overlays from the native backend.
+//! apply), and collectives are genuine network rendezvous:
+//! [`mpistream::coll`]'s binomial trees, over this crate's `send`/`recv`.
 //!
 //! ## Topology
 //!
@@ -39,7 +39,6 @@
 
 pub mod frame;
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -49,16 +48,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use desim::SimTime;
-use mpistream::{Group, MsgInfo, Src, Tag, Transport, Wire};
+use mpistream::coll::{self, CollState, RankGroup};
+use mpistream::{MsgInfo, Src, Tag, Transport, Wire};
 use native::mailbox::{Env, Mailbox};
 use native::sync::Instant;
-
-/// Group id of the world group (matches the native backend).
-const WORLD_ID: u64 = 0;
-/// Group id marking metadata-only groups (never collective targets).
-const META_ID: u64 = u64::MAX;
-/// Internal tag namespace for collective traffic (streams use ns 2).
-const NS_COLL: u8 = 3;
 
 /// Launch-handshake environment variables.
 const ENV_KEY: &str = "MPISTREAM_SOCKET_KEY";
@@ -86,59 +79,11 @@ const RESULT_POLL: Duration = Duration::from_secs(1);
 /// message does not pin its memory for the life of the rank.
 const SEND_BUF_KEEP: usize = 1 << 20;
 
-/// An ordered set of world ranks on the socket backend. Same shape as
-/// the native group; the id keys the collective tag namespace and — for
-/// split products — is *derived*, not registered: every member hashes
-/// the same `(parent, seq, color)` triple to the same 64-bit id, so no
-/// cross-process registry is needed.
-#[derive(Clone, Debug)]
-pub struct SocketGroup {
-    id: u64,
-    ranks: Arc<Vec<usize>>,
-}
-
-impl Group for SocketGroup {
-    fn ranks(&self) -> &[usize] {
-        &self.ranks
-    }
-
-    fn rank_of(&self, w: usize) -> Option<usize> {
-        self.ranks.iter().position(|&x| x == w)
-    }
-
-    fn meta(ranks: Vec<usize>) -> SocketGroup {
-        SocketGroup { id: META_ID, ranks: Arc::new(ranks) }
-    }
-}
-
-/// Deterministic split-cell id: every member of one cell computes the
-/// same key locally, replacing the native backend's shared-memory
-/// registry. splitmix64 finalization over the triple; the reserved
-/// world/meta ids are remapped.
-fn split_id(parent: u64, seq: u32, color: i64) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let h =
-        mix(mix(mix(parent.wrapping_add(0x9E37_79B9_7F4A_7C15)) ^ u64::from(seq)) ^ color as u64);
-    match h {
-        WORLD_ID => 1,
-        META_ID => META_ID - 1,
-        other => other,
-    }
-}
-
-/// Tag for collective `seq` on the group with `id`. The id is folded
-/// into both the 16-bit channel field and the sequence field: hashed
-/// split ids can alias in the low 16 bits, and mixing the high bits
-/// into `seq` keeps concurrently outstanding collectives of two such
-/// groups on distinct tags (within one group, call order still makes
-/// `seq` unique — the MPI contract).
-fn coll_tag(id: u64, seq: u32) -> Tag {
-    Tag::internal(NS_COLL, id as u16, seq.wrapping_add((id >> 16) as u32))
-}
+/// What this backend hands [`CollState::new`]: the binomial tree at
+/// every size — there is no shared-memory star shortcut worth taking
+/// when every hop is a real socket write, and `O(log n)` hops is the
+/// shape the paper's aggregation analysis assumes.
+const COLL_FLAT_THRESHOLD: usize = 0;
 
 /// A socket world: `nprocs` ranks, each its own OS process.
 pub struct SocketWorld {
@@ -250,7 +195,7 @@ impl SocketWorld {
         F: FnOnce(&mut SocketRank) -> R,
     {
         match std::env::var(ENV_KEY) {
-            Err(_) => self.run_launcher(),
+            Err(_) => self.run_launcher(scratch_dir(&self.key)),
             Ok(k) if k == self.key => self.run_child(body),
             Ok(k) => panic!(
                 "this process was launched as a rank of socket world {k:?} but reached \
@@ -261,8 +206,12 @@ impl SocketWorld {
         }
     }
 
-    fn run_launcher<R: Wire>(&self) -> Vec<Option<R>> {
-        let dir = scratch_dir(&self.key);
+    fn run_launcher<R: Wire>(&self, dir: PathBuf) -> Vec<Option<R>> {
+        // A launcher that was killed leaves its directory behind, and once
+        // the kernel reuses its pid `bind` would fail here on the stale
+        // `ctl.sock`, or in rank N on `rankN.sock`. No live world can own
+        // the path: its launcher would have this pid.
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create socket scratch dir");
         let listener = UnixListener::bind(dir.join("ctl.sock")).expect("bind control socket");
         listener.set_nonblocking(true).expect("nonblocking control listener");
@@ -583,9 +532,7 @@ pub struct SocketRank {
     /// Outbound links, connected on first use (always succeeds: every
     /// listener was bound before GO).
     links: Vec<Option<UnixStream>>,
-    /// Per-group collective sequence numbers (identical call order on a
-    /// group keeps them in agreement, as MPI requires).
-    coll_seq: HashMap<u64, u32>,
+    coll: CollState,
     /// Mailbox version at the last `wait_for_mail` return (see the
     /// native backend for the polling-round protocol).
     mail_seen: u64,
@@ -621,7 +568,7 @@ impl SocketRank {
             dir,
             mailbox,
             links: (0..nprocs).map(|_| None).collect(),
-            coll_seq: HashMap::new(),
+            coll: CollState::new(COLL_FLAT_THRESHOLD),
             mail_seen: 0,
             next_channel: 0,
             tolerant,
@@ -666,100 +613,13 @@ impl SocketRank {
         self.links[dst].as_mut()
     }
 
-    fn next_seq(&mut self, group: &SocketGroup) -> u32 {
-        assert!(group.id != META_ID, "collective on a metadata-only group");
-        let seq = self.coll_seq.entry(group.id).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        s
-    }
-
-    fn my_group_rank(&self, group: &SocketGroup) -> usize {
-        group.rank_of(self.rank).expect("collective on a group we are not in")
-    }
-
-    /// Reduce up to virtual rank 0 over the binomial tree (children
-    /// ascending — the deterministic fold order); `Some(total)` at the
-    /// root, `None` elsewhere. For floats the tree-shaped fold order may
-    /// differ bitwise from another backend's (DESIGN.md §11), and across
-    /// processes there is no shared memory to paper over it.
-    fn tree_reduce<T: Wire + Send + 'static>(
-        &mut self,
-        tree: &Overlay<'_>,
-        bytes: u64,
-        value: T,
-        op: &impl Fn(&mut T, &T),
-    ) -> Option<T> {
-        let mut acc = value;
-        for c in tree.children(tree.my_v) {
-            let (child, _info) = self.recv::<T>(Src::Rank((tree.to_world)(c)), tree.tag);
-            op(&mut acc, &child);
-        }
-        if tree.my_v == 0 {
-            Some(acc)
-        } else {
-            self.send((tree.to_world)(Overlay::parent(tree.my_v)), tree.tag, bytes, acc);
-            None
-        }
-    }
-
-    /// Broadcast down from virtual rank 0. Safe on the same tag as a
-    /// preceding reduce over the same overlay: between any rank pair the
-    /// two phases flow in opposite directions, so directed receives
-    /// cannot cross-match.
-    fn tree_bcast<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        tree: &Overlay<'_>,
-        bytes: u64,
-        value: Option<T>,
-    ) -> T {
-        let val = if tree.my_v == 0 {
-            value.expect("tree root supplies the broadcast value")
-        } else {
-            self.recv::<T>(Src::Rank((tree.to_world)(Overlay::parent(tree.my_v))), tree.tag).0
-        };
-        for c in tree.children(tree.my_v) {
-            self.send((tree.to_world)(c), tree.tag, bytes, val.clone());
-        }
-        val
-    }
-
     fn deadline_instant(&self, deadline: SimTime) -> Instant {
         self.epoch + Duration::from_nanos(deadline.0)
     }
 }
 
-/// One collective's geometry: always the binomial tree here — there is
-/// no shared-memory star shortcut worth taking when every hop is a real
-/// socket write, and `O(log n)` hops is the shape the paper's
-/// aggregation analysis assumes.
-struct Overlay<'a> {
-    tag: Tag,
-    to_world: &'a dyn Fn(usize) -> usize,
-    my_v: usize,
-    size: usize,
-}
-
-impl Overlay<'_> {
-    /// Children of virtual rank `v`, ascending: `v + 2^k` for every
-    /// `2^k` below `v`'s lowest set bit that stays inside the group.
-    fn children(&self, v: usize) -> Vec<usize> {
-        let size = self.size;
-        let lsb = if v == 0 { usize::MAX } else { v & v.wrapping_neg() };
-        std::iter::successors(Some(1usize), |k| k.checked_mul(2))
-            .take_while(move |&k| k < lsb && v + k < size)
-            .map(move |k| v + k)
-            .collect()
-    }
-
-    /// Parent of virtual rank `v != 0`: clear the lowest set bit.
-    fn parent(v: usize) -> usize {
-        v & (v - 1)
-    }
-}
-
 impl Transport for SocketRank {
-    type Group = SocketGroup;
+    type Group = RankGroup;
 
     fn world_rank(&self) -> usize {
         self.rank
@@ -769,8 +629,8 @@ impl Transport for SocketRank {
         self.nprocs
     }
 
-    fn world_group(&self) -> SocketGroup {
-        SocketGroup { id: WORLD_ID, ranks: Arc::new((0..self.nprocs).collect()) }
+    fn world_group(&self) -> RankGroup {
+        RankGroup::world(self.nprocs)
     }
 
     fn now(&self) -> SimTime {
@@ -853,103 +713,46 @@ impl Transport for SocketRank {
         self.mail_seen = self.mailbox.wait_change(self.mail_seen);
     }
 
-    fn barrier(&mut self, group: &SocketGroup) {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Overlay { tag, to_world: &to_world, my_v: my_gr, size };
-        let done = self.tree_reduce(&tree, 1, (), &|_, _| {});
-        let () = self.tree_bcast(&tree, 1, done);
+    fn barrier(&mut self, group: &RankGroup) {
+        let round = self.coll.begin(group, self.rank);
+        coll::barrier(self, &round)
     }
 
     fn allreduce<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &SocketGroup,
+        group: &RankGroup,
         bytes: u64,
         value: T,
         op: impl Fn(&mut T, &T),
     ) -> T {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Overlay { tag, to_world: &to_world, my_v: my_gr, size };
-        let total = self.tree_reduce(&tree, bytes, value, &op);
-        self.tree_bcast(&tree, bytes, total)
+        let round = self.coll.begin(group, self.rank);
+        coll::allreduce(self, &round, bytes, value, op)
     }
 
     fn allgatherv<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &SocketGroup,
+        group: &RankGroup,
         bytes: u64,
         value: T,
     ) -> Vec<T> {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        let to_world = move |v: usize| ranks[v];
-        let tree = Overlay { tag, to_world: &to_world, my_v: my_gr, size };
-        // Child `v + 2^k` owns the contiguous group-rank range
-        // [v + 2^k, v + 2^(k+1)) clipped to size, so appending children
-        // ascending keeps the accumulator group-rank-ordered.
-        let mut acc: Vec<T> = vec![value];
-        for c in tree.children(my_gr) {
-            let (mut sub, _info) = self.recv::<Vec<T>>(Src::Rank((tree.to_world)(c)), tag);
-            acc.append(&mut sub);
-        }
-        let gathered = if my_gr == 0 {
-            Some(acc)
-        } else {
-            let n = acc.len() as u64;
-            self.send((tree.to_world)(Overlay::parent(my_gr)), tag, bytes * n, acc);
-            None
-        };
-        self.tree_bcast(&tree, bytes * size as u64, gathered)
+        let round = self.coll.begin(group, self.rank);
+        coll::allgatherv(self, &round, bytes, value)
     }
 
     fn bcast<T: Wire + Clone + Send + 'static>(
         &mut self,
-        group: &SocketGroup,
+        group: &RankGroup,
         root: usize,
         bytes: u64,
         value: Option<T>,
     ) -> T {
-        let seq = self.next_seq(group);
-        let tag = coll_tag(group.id, seq);
-        let my_gr = self.my_group_rank(group);
-        let size = group.size();
-        let ranks = Arc::clone(&group.ranks);
-        assert!(root < size, "bcast root {root} out of range for group of {size}");
-        // Rotate the overlay so the root sits at virtual rank 0.
-        let my_v = (my_gr + size - root) % size;
-        let to_world = move |v: usize| ranks[(v + root) % size];
-        if my_v == 0 {
-            assert!(value.is_some(), "root supplied the broadcast value");
-        }
-        let tree = Overlay { tag, to_world: &to_world, my_v, size };
-        self.tree_bcast(&tree, bytes, value)
+        let round = self.coll.begin(group, self.rank);
+        coll::bcast(self, &round, root, bytes, value)
     }
 
-    fn split(&mut self, group: &SocketGroup, color: Option<i64>, key: i64) -> Option<SocketGroup> {
-        // Gather the Option itself — no sentinel, so every i64 is a
-        // legal color, distinct from non-participation.
-        let mut entries = self.allgatherv(group, 24, (color, key, self.rank));
-        let seq = self.coll_seq[&group.id] - 1; // the allgatherv's seq
-        let my_color = color?;
-        entries.retain(|&(c, _, _)| c == Some(my_color));
-        entries.sort_unstable_by_key(|&(_, k, w)| (k, w));
-        let members: Vec<usize> = entries.iter().map(|&(_, _, w)| w).collect();
-        // Every member of the cell hashes the same triple — agreement
-        // without the native backend's shared registry.
-        let id = split_id(group.id, seq, my_color);
-        Some(SocketGroup { id, ranks: Arc::new(members) })
+    fn split(&mut self, group: &RankGroup, color: Option<i64>, key: i64) -> Option<RankGroup> {
+        let round = self.coll.begin(group, self.rank);
+        coll::split(self, &round, color, key)
     }
 
     fn alloc_channel_id(&mut self) -> u16 {
@@ -978,26 +781,6 @@ fn unpack<T: Wire>(rank: usize, env: Env) -> (T, MsgInfo) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_ids_dodge_the_reserved_values() {
-        assert_ne!(split_id(0, 0, 0), WORLD_ID);
-        assert_ne!(split_id(0, 0, 0), META_ID);
-        // Distinct cells of one split get distinct ids.
-        assert_ne!(split_id(0, 3, 0), split_id(0, 3, 1));
-    }
-
-    #[test]
-    fn overlay_matches_the_binomial_recurrence() {
-        let noop = |v: usize| v;
-        let t = Overlay { tag: Tag::user(0), to_world: &noop, my_v: 0, size: 6 };
-        assert_eq!(t.children(0), vec![1, 2, 4]);
-        assert_eq!(t.children(2), vec![3]);
-        assert_eq!(t.children(4), vec![5]);
-        assert_eq!(Overlay::parent(5), 4);
-        assert_eq!(Overlay::parent(3), 2);
-        assert_eq!(Overlay::parent(1), 0);
-    }
 
     #[test]
     fn oversize_payload_is_the_senders_panic_in_both_modes() {
@@ -1058,26 +841,22 @@ mod tests {
     }
 
     #[test]
-    fn collectives_agree_across_processes() {
-        let reports =
-            SocketWorld::for_test("tests::collectives_agree_across_processes", 5).run(|rank| {
-                let world = rank.world_group();
-                let sum = rank.allreduce(&world, 8, rank.world_rank() as u64, |a, b| *a += b);
-                let all = rank.allgatherv(&world, 8, rank.world_rank());
-                let from_root = rank.bcast(&world, 3, 8, (rank.world_rank() == 3).then_some(99u32));
-                rank.barrier(&world);
-                // Split into parity cells, reduce within each.
-                let parity = (rank.world_rank() % 2) as i64;
-                let cell = rank.split(&world, Some(parity), rank.world_rank() as i64).unwrap();
-                let cell_sum = rank.allreduce(&cell, 8, rank.world_rank() as u64, |a, b| *a += b);
-                (sum, all, from_root, cell_sum)
-            });
-        for (r, (sum, all, from_root, cell_sum)) in reports.into_iter().enumerate() {
-            assert_eq!(sum, 10);
-            assert_eq!(all, (0..5).collect::<Vec<_>>());
-            assert_eq!(from_root, 99);
-            assert_eq!(cell_sum, if r % 2 == 0 { 6 } else { 4 });
+    fn launcher_clears_a_stale_scratch_dir() {
+        let world = SocketWorld::for_test("tests::launcher_clears_a_stale_scratch_dir", 2);
+        if std::env::var(ENV_KEY).is_ok() {
+            world.run(|rank| rank.world_rank()); // a rank process: never returns
         }
+        // What a killed launcher leaves: dropping a listener closes it
+        // but does not unlink its path.
+        let dir = scratch_dir(&world.key);
+        std::fs::create_dir_all(&dir).unwrap();
+        drop(UnixListener::bind(dir.join("ctl.sock")).unwrap());
+        drop(UnixListener::bind(rank_sock(&dir, 0)).unwrap());
+        UnixListener::bind(dir.join("ctl.sock")).expect_err("the stale path is still in the way");
+
+        let ranks: Vec<Option<usize>> = world.run_launcher(dir.clone());
+        assert_eq!(ranks, vec![Some(0), Some(1)]);
+        assert!(!dir.exists(), "the launcher removes its scratch dir");
     }
 
     #[test]

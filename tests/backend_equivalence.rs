@@ -8,10 +8,11 @@
 //! (sorted) payloads and their fingerprints.
 //!
 //! Keep reductions in this suite integer-valued (or order-insensitive):
-//! both backends now reduce along binomial trees, but the two trees'
-//! combine orders are an implementation detail with no cross-backend
-//! agreement, so an f64 sum can legally be bitwise-different across
-//! backends even on fault-free plans (DESIGN.md §11).
+//! the simulator's modelled collectives and `mpistream::coll`'s star and
+//! tree each combine in their own order, an implementation detail with
+//! no cross-backend agreement, so an f64 sum can legally be
+//! bitwise-different across backends even on fault-free plans
+//! (DESIGN.md §11).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -223,6 +224,12 @@ fn collective_observations<TP: Transport>(rank: &mut TP, rounds: u64) -> Vec<u64
     let sub = rank
         .split(&world, Some((rank.world_rank() % 2) as i64), -(me as i64))
         .expect("every rank has a color");
+    // A split of the split product: halves of each parity cell, in
+    // ascending world-rank order this time.
+    let my_sr = sub.rank_of(rank.world_rank()).expect("member");
+    let subsub = rank
+        .split(&sub, Some((my_sr * 2 / sub.size()) as i64), me as i64)
+        .expect("every rank has a color");
     let mut obs = Vec::new();
     for r in 0..rounds {
         rank.barrier(&world);
@@ -232,32 +239,49 @@ fn collective_observations<TP: Transport>(rank: &mut TP, rounds: u64) -> Vec<u64
         obs.push(rank.bcast(&world, root, 8, (rank.world_rank() == root).then_some(r * 7)));
         obs.push(rank.allreduce(&sub, 8, me, |a, b| *a = (*a).max(*b)));
         obs.extend(rank.allgatherv(&sub, 8, me));
-        obs.push(sub.rank_of(rank.world_rank()).expect("member") as u64);
+        obs.push(my_sr as u64);
+        // A non-zero root on the subgroup: the rotated overlay, over a
+        // member list that is not in world-rank order.
+        let sub_root = 1 + r as usize % (sub.size() - 1);
+        obs.push(rank.bcast(&sub, sub_root, 8, (my_sr == sub_root).then_some(me * 31 + r)));
+        obs.extend(rank.allgatherv(&subsub, 8, me));
+        obs.push(rank.allreduce(&subsub, 8, me + r, |a, b| *a += b));
     }
     obs
 }
 
+type ObsMap = BTreeMap<usize, Vec<u64>>;
+const COLL_ROUNDS: u64 = 5;
+
+fn collectives_sim(nprocs: usize) -> ObsMap {
+    let obs: Arc<Mutex<ObsMap>> = Arc::new(Mutex::new(BTreeMap::new()));
+    let sink = obs.clone();
+    World::new(MachineConfig::default()).with_seed(3).run_expect(nprocs, move |rank| {
+        let o = collective_observations(rank, COLL_ROUNDS);
+        sink.lock().insert(rank.world_rank(), o);
+    });
+    Arc::try_unwrap(obs).expect("world joined").into_inner()
+}
+
 #[test]
 fn tree_collectives_agree_across_backends() {
-    const ROUNDS: u64 = 5;
-    type ObsMap = BTreeMap<usize, Vec<u64>>;
-    let sim_obs: Arc<Mutex<ObsMap>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = sim_obs.clone();
-    World::new(MachineConfig::default()).with_seed(3).run_expect(RANKS, move |rank| {
-        let obs = collective_observations(rank, ROUNDS);
-        sink.lock().insert(rank.world_rank(), obs);
-    });
-    let native_obs: Arc<Mutex<ObsMap>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = native_obs.clone();
-    NativeWorld::new(RANKS).run(move |rank| {
-        let me = rank.world_rank();
-        let obs = collective_observations(rank, ROUNDS);
-        sink.lock().insert(me, obs);
-    });
-    let (sim, native) = (sim_obs.lock(), native_obs.lock());
+    let sim = collectives_sim(RANKS);
     assert_eq!(sim.len(), RANKS);
-    for rank in 0..RANKS {
-        assert_eq!(sim[&rank], native[&rank], "rank {rank}: collective observations diverge");
+    // Native at its default (the star at this size), then with the
+    // binomial tree forced: `mpistream::coll`'s two shapes.
+    let trees = NativeWorld::new(RANKS).with_coll_flat_threshold(0);
+    for (shape, world) in [("default", NativeWorld::new(RANKS)), ("trees forced", trees)] {
+        let native_obs: Arc<Mutex<ObsMap>> = Arc::new(Mutex::new(BTreeMap::new()));
+        let sink = native_obs.clone();
+        world.run(move |rank| {
+            let me = rank.world_rank();
+            let obs = collective_observations(rank, COLL_ROUNDS);
+            sink.lock().insert(me, obs);
+        });
+        let native = native_obs.lock();
+        for rank in 0..RANKS {
+            assert_eq!(native[&rank], sim[&rank], "native ({shape}) rank {rank} diverges from sim");
+        }
     }
 }
 
@@ -328,6 +352,19 @@ fn socket_quickstart_matches_sim_and_native() {
     }
     let produced: u64 = socket.iter().map(|(s, _)| s).sum();
     assert_eq!(produced, (RANKS - RANKS / EVERY) as u64 * STEPS as u64);
+}
+
+#[test]
+fn socket_collectives_match_sim() {
+    // Six processes: a tree with a clipped last level, and split cells of
+    // three whose halves are uneven.
+    const N: usize = 6;
+    let socket: Vec<Vec<u64>> = socket::SocketWorld::for_test("socket_collectives_match_sim", N)
+        .run(|rank| collective_observations(rank, COLL_ROUNDS));
+    let sim = collectives_sim(N);
+    for (rank, obs) in socket.iter().enumerate() {
+        assert_eq!(*obs, sim[&rank], "rank {rank}: collective observations diverge");
+    }
 }
 
 #[test]
