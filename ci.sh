@@ -10,6 +10,11 @@ export CARGO_NET_OFFLINE=true
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== docs (rustdoc, warnings are errors) =="
+# Broken or ambiguous intra-doc links are how a deleted or renamed public
+# item goes unnoticed in the prose that points at it.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== format check =="
 cargo fmt --check
 

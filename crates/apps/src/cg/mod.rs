@@ -6,7 +6,7 @@
 //! stencil application, and two dot-product allreduces — the structure of
 //! the open-source reference the paper decouples (Hoefler et al.,
 //! "Optimizing a conjugate gradient solver with non-blocking collective
-//! operations", cited as [17]).
+//! operations", cited as \[17\]).
 //!
 //! Three variants:
 //! - [`run_blocking`] — halo exchange completes before any compute;

@@ -4,7 +4,7 @@
 //! implementations:
 //!
 //! - [`run_reference`] — the MPI pattern of Hoefler et al. ("Towards
-//!   efficient MapReduce using MPI", cited as [15]): every rank maps its
+//!   efficient MapReduce using MPI", cited as \[15\]): every rank maps its
 //!   files, then the global key set is agreed with `Iallgatherv` and the
 //!   dense count vectors are combined with `Ireduce`.
 //! - [`run_decoupled`] — the paper's strategy: a map group streams
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use mpisim::{MachineConfig, Rank, World, WorldOutcome};
 use mpistream::{
     create_tree_channels, plan_tree, prof_scoped, reduce_through, ChannelConfig, Combiner,
-    GroupSpec, Role, Stream, StreamChannel, Transport,
+    GroupSpec, Role, Stream, StreamChannel, Transport, Wire,
 };
 use parking_lot::Mutex;
 use pfsim::{Pfs, PfsConfig};
@@ -121,13 +121,13 @@ pub struct MapReduceResult {
 /// chunk-sized slices so the data flow (in the decoupled version) is
 /// spread over the execution. `emit` is called once per chunk with the
 /// chunk's partial counts.
-fn map_file(
-    rank: &mut Rank,
+fn map_file<'w>(
+    rank: &mut Rank<'w>,
     corpus: &Corpus,
     file: &workloads::FileSpec,
     cfg: &MapReduceConfig,
     pfs: &Pfs,
-    mut emit: impl FnMut(&mut Rank, Vec<(u32, u32)>),
+    emit: &mut dyn FnMut(&mut Rank<'w>, KvChunk),
 ) {
     let tokens = corpus.tokens_of(file);
     let n_chunks = tokens.len().div_ceil(cfg.chunk_tokens).max(1);
@@ -163,7 +163,7 @@ pub fn run_reference(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
         // --- map phase: local histogram over my files ---
         let mut local: HashMap<u32, u64> = HashMap::new();
         for file in corpus2.files_for(me, nprocs) {
-            map_file(rank, &corpus2, &file, &cfg2, &pfs2, |_rank, pairs| {
+            map_file(rank, &corpus2, &file, &cfg2, &pfs2, &mut |_rank, pairs| {
                 for (w, c) in pairs {
                     *local.entry(w).or_insert(0) += c as u64;
                 }
@@ -207,8 +207,9 @@ pub fn run_reference(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
     MapReduceResult { outcome, histogram, map_done_secs: 0.0, master_drain_secs: 0.0 }
 }
 
-/// A streamed chunk of intermediate map output.
-pub(crate) type KvChunk = Vec<(u32, u32)>;
+/// A streamed chunk of intermediate map output: sorted `(word, count)`
+/// pairs.
+pub type KvChunk = Vec<(u32, u32)>;
 
 /// A folded histogram shard climbing the reduction tree (sorted by word).
 pub(crate) type Shard = Vec<(u32, u64)>;
@@ -255,11 +256,10 @@ pub(crate) fn merge_sorted<C: Copy + std::ops::AddAssign>(
     *acc = out;
 }
 
-/// The local reducer's kernel, generic over the transport: fold arriving
-/// chunks FCFS into the sparse `local` histogram and forward each chunk to
-/// the master — deliberately unaggregated, per the paper. The simulated
-/// and native backends run this same function.
-pub(crate) fn reduce_fold<TP: Transport>(
+/// The local reducer's kernel: fold arriving chunks FCFS into the sparse
+/// `local` histogram and forward each chunk to the master — deliberately
+/// unaggregated, per the paper.
+fn reduce_fold<TP: Transport>(
     rank: &mut TP,
     input: &mut Stream<KvChunk>,
     mut to_master: Option<&mut Stream<KvChunk>>,
@@ -279,261 +279,244 @@ pub(crate) fn reduce_fold<TP: Transport>(
     });
 }
 
-/// The master's kernel, generic over the transport: aggregate the stream
-/// of unaggregated per-chunk updates into a dense histogram.
-pub(crate) fn master_aggregate<TP: Transport>(
+/// The master's kernel: aggregate what reaches it — the flat incast's
+/// stream of unaggregated per-chunk updates (`u32` counts), or the single
+/// pre-merged shard of the tree root (`u64`) — into a dense histogram.
+fn master_aggregate<TP: Transport, C: Into<u64> + Send + 'static>(
     rank: &mut TP,
-    from_reducers: &mut Stream<KvChunk>,
+    channel: StreamChannel,
     hist: &mut [u64],
-) {
-    from_reducers.operate(rank, |rank, chunk| {
+) where
+    Vec<(u32, C)>: Wire,
+{
+    Stream::<Vec<(u32, C)>>::attach(channel).operate(rank, |rank, chunk| {
         prof_scoped(rank, "master", |rank| {
             rank.compute(chunk.len() as f64 * 100e-9);
             for (w, c) in chunk {
-                hist[w as usize] += c as u64;
+                hist[w as usize] += c.into();
             }
         });
     });
 }
 
-/// Decoupled implementation: map group ⇒ (keyed stream) ⇒ reduce group ⇒
-/// (flat gather, no aggregation — per the paper) ⇒ master.
-/// Decoupled implementation (§IV-B of the paper): a map group streams
-/// intermediate `(word, count)` chunks to a group of local reducers
-/// (keyed routing over the word space); the local reducers fold arriving
-/// chunks on the fly (FCFS) **and** forward their per-chunk results to a
-/// master rank *without data aggregation* — the unoptimized intra-group
-/// flow the paper calls out as the cause of master congestion at
-/// 4,096–8,192 processes.
+/// Everything about the Fig. 5 dataflow that is not its input: the shape
+/// [`decoupled_rank`] builds, as plain data.
+#[derive(Clone, Debug)]
+pub struct DecoupledShape {
+    /// One reduce rank per `every` ranks (the paper's `alpha`).
+    pub every: usize,
+    /// Word-id space: the length of the master's histogram.
+    pub vocab: usize,
+    /// The map-output channel, mappers → local reducers.
+    pub map_output: ChannelConfig,
+    /// The flat reducers → master relay.
+    pub to_master: ChannelConfig,
+    /// Every reduction-tree stage and the tree root → master link.
+    pub tree: ChannelConfig,
+    /// Producer-side combiner ([`MapReduceConfig::combine_every`]).
+    pub combine_every: usize,
+    /// Reduction tree ([`MapReduceConfig::tree_fan_in`]).
+    pub tree_fan_in: Option<usize>,
+}
+
+/// One rank of the decoupled implementation (§IV-B of the paper, its
+/// Fig. 5), generic over the transport: a map group streams intermediate
+/// `(word, count)` chunks to a group of local reducers (keyed routing over
+/// the word space); the local reducers fold arriving chunks on the fly
+/// (FCFS) **and** forward their per-chunk results to a master rank
+/// *without data aggregation* — the unoptimized intra-group flow the
+/// paper calls out as the cause of master congestion at 4,096–8,192
+/// processes. Returns `Some(histogram)` on the master, `None` elsewhere.
+///
+/// The input is the caller's: on mapper `mapper_index` of `n_mappers`,
+/// `map(rank, mapper_index, n_mappers, emit)` runs once and calls `emit`
+/// with each chunk's sorted pairs.
+pub fn decoupled_rank<TP: Transport>(
+    rank: &mut TP,
+    shape: &DecoupledShape,
+    map: impl FnOnce(&mut TP, usize, usize, &mut dyn FnMut(&mut TP, KvChunk)),
+) -> Option<Vec<u64>> {
+    let nprocs = rank.world_size();
+    assert!(nprocs >= shape.every, "need at least {} ranks for alpha = 1/{0}", shape.every);
+    let comm = rank.world_group();
+    let spec = GroupSpec { every: shape.every };
+    let me = rank.world_rank();
+    let my_role = spec.role_of(me);
+    // The reduce group's highest rank serves as the master aggregator
+    // (it does not consume map output unless it is the only reducer).
+    let reduce_ranks: Vec<usize> =
+        (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
+    let master = *reduce_ranks.last().expect("at least one reducer");
+    let solo_reducer = reduce_ranks.len() == 1;
+    let local_reducers: Vec<usize> =
+        reduce_ranks.iter().copied().filter(|&r| solo_reducer || r != master).collect();
+    // Optional reduction tree over the local reducers (a solo reducer
+    // is its own master — nothing to aggregate).
+    let tree_plan =
+        if solo_reducer { None } else { shape.tree_fan_in.map(|k| plan_tree(&local_reducers, k)) };
+
+    // Channel 1: map group -> local reducers.
+    let ch1_role = match my_role {
+        Role::Producer => Role::Producer,
+        Role::Consumer if me == master && !solo_reducer => Role::Bystander,
+        Role::Consumer => Role::Consumer,
+        Role::Bystander => unreachable!(),
+    };
+    let ch1 = StreamChannel::create(rank, &comm, ch1_role, shape.map_output.clone());
+    // Channel 2: local reducers -> master (absent when solo). In tree
+    // mode only the tree root produces — the other reducers' shards
+    // reach the master through it.
+    let ch2 = (!solo_reducer).then(|| {
+        let role = match (&tree_plan, my_role) {
+            (_, Role::Consumer) if me == master => Role::Consumer,
+            (Some(plan), _) if plan.is_root(me) => Role::Producer,
+            (None, Role::Consumer) => Role::Producer,
+            _ => Role::Bystander,
+        };
+        let config = if tree_plan.is_some() { &shape.tree } else { &shape.to_master };
+        StreamChannel::create(rank, &comm, role, config.clone())
+    });
+    // Tree-stage block channels (collective: every rank takes part in
+    // the per-stage subgroup splits, mappers and master end up with no
+    // endpoints).
+    let tree = tree_plan.as_ref().map(|plan| create_tree_channels(rank, &comm, plan, &shape.tree));
+
+    match ch1_role {
+        Role::Producer => {
+            // Map rank: stream each chunk's pairs, partitioned by the
+            // owning local reducer.
+            let mut stream: Stream<KvChunk> = Stream::attach(ch1);
+            let map_ranks: Vec<usize> =
+                (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
+            let mi = map_ranks.iter().position(|&r| r == me).expect("mapper");
+            let nc = stream.channel().consumers().len();
+            // Optional producer-side combiner: pre-merge chunks bound
+            // for the same reducer so the channel carries one element
+            // per `combine_every` chunks.
+            let mut comb =
+                (shape.combine_every > 1).then(|| Combiner::new(&stream, shape.combine_every));
+            map(rank, mi, map_ranks.len(), &mut |rank, pairs| {
+                let mut by_consumer: Vec<KvChunk> = vec![Vec::new(); nc];
+                for (w, c) in pairs {
+                    by_consumer[w as usize % nc].push((w, c));
+                }
+                for (ci, part) in by_consumer.into_iter().enumerate() {
+                    if part.is_empty() {
+                        continue;
+                    }
+                    match comb.as_mut() {
+                        Some(comb) => comb.push(rank, &mut stream, ci, part, merge_sorted),
+                        None => stream.isend_to(rank, ci, part),
+                    }
+                }
+            });
+            if let Some(comb) = comb {
+                comb.finish(rank, &mut stream);
+            }
+            stream.terminate(rank);
+            None
+        }
+        Role::Consumer => {
+            let mut input: Stream<KvChunk> = Stream::attach(ch1);
+            let mut local: HashMap<u32, u64> = HashMap::new();
+            if let (Some(plan), Some(tree)) = (tree_plan.as_ref(), tree) {
+                // Tree mode: fold the map stream locally (nothing is
+                // forwarded per chunk), then climb the reduction tree
+                // with the folded shard; only the tree root talks to
+                // the master — with a single pre-merged shard.
+                reduce_fold(rank, &mut input, None, &mut local);
+                let mut shard: Shard = local.into_iter().collect();
+                shard.sort_unstable();
+                let merged = reduce_through(rank, plan, tree, Some(shard), |rank, acc, other| {
+                    rank.compute(other.len() as f64 * 100e-9);
+                    merge_sorted(acc, other);
+                });
+                if let Some(shard) = merged {
+                    let mut m: Stream<Shard> =
+                        Stream::attach(ch2.expect("tree root has the master channel"));
+                    m.isend_to(rank, 0, shard);
+                    m.terminate(rank);
+                }
+                return None;
+            }
+            // Paper baseline: fold arriving chunks FCFS and forward
+            // each folded chunk to the master without aggregation.
+            let mut to_master: Option<Stream<KvChunk>> = ch2.map(Stream::attach);
+            reduce_fold(rank, &mut input, to_master.as_mut(), &mut local);
+            if let Some(mut m) = to_master {
+                m.terminate(rank);
+                return None;
+            }
+            // Solo reducer: it *is* the master.
+            let mut hist = vec![0u64; shape.vocab];
+            for (w, c) in local {
+                hist[w as usize] += c;
+            }
+            Some(hist)
+        }
+        Role::Bystander => {
+            let ch2 = ch2.expect("master has the reducer channel");
+            let mut hist = vec![0u64; shape.vocab];
+            if tree_plan.is_some() {
+                master_aggregate::<_, u64>(rank, ch2, &mut hist);
+            } else {
+                master_aggregate::<_, u32>(rank, ch2, &mut hist);
+            }
+            Some(hist)
+        }
+    }
+}
+
+/// The [`DecoupledShape`] of the Fig. 5 experiment: three default
+/// channels that differ in their modelled element size.
+fn shape_of(cfg: &MapReduceConfig) -> DecoupledShape {
+    let sized = |element_bytes| ChannelConfig { element_bytes, ..ChannelConfig::default() };
+    // A merged shard covers the whole vocabulary in the worst case;
+    // model every tree (and tree-root → master) element at that full
+    // size rather than flattering the tree with per-stage estimates.
+    let shard_bytes = (cfg.corpus.vocab as f64 * cfg.pair_bytes as f64 * cfg.wire_scale) as u64;
+    DecoupledShape {
+        every: cfg.alpha_every,
+        vocab: cfg.corpus.vocab,
+        map_output: sized(cfg.element_bytes),
+        to_master: sized(cfg.master_element_bytes),
+        tree: sized(shard_bytes),
+        combine_every: cfg.combine_every,
+        tree_fan_in: cfg.tree_fan_in,
+    }
+}
+
+/// Decoupled implementation on the simulator: [`decoupled_rank`] over the
+/// corpus, each mapper reading its files through the `pfsim` model.
 pub fn run_decoupled(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
-    assert!(
-        nprocs >= cfg.alpha_every,
-        "need at least {} ranks for alpha = 1/{}",
-        cfg.alpha_every,
-        cfg.alpha_every
-    );
     let corpus = Arc::new(Corpus::new(cfg.corpus.clone()));
     let pfs = Pfs::new(cfg.pfs.clone());
     let result: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let map_done: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
 
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
-    let cfg2 = cfg.clone();
-    let (corpus2, pfs2, result2, map_done2) = (corpus, pfs, result.clone(), map_done.clone());
+    let (cfg2, shape) = (cfg.clone(), shape_of(cfg));
+    let (result2, map_done2) = (result.clone(), map_done.clone());
     let outcome = world.run_expect(nprocs, move |rank| {
-        let comm = rank.comm_world();
-        let spec = GroupSpec { every: cfg2.alpha_every };
-        let me = rank.world_rank();
-        let my_role = spec.role_of(me);
-        // The reduce group's highest rank serves as the master aggregator
-        // (it does not consume map output unless it is the only reducer).
-        let reduce_ranks: Vec<usize> =
-            (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
-        let master = *reduce_ranks.last().expect("at least one reducer");
-        let solo_reducer = reduce_ranks.len() == 1;
-        let local_reducers: Vec<usize> = if solo_reducer {
-            reduce_ranks.clone()
-        } else {
-            reduce_ranks[..reduce_ranks.len() - 1].to_vec()
-        };
-        // Optional reduction tree over the local reducers (a solo reducer
-        // is its own master — nothing to aggregate).
-        let tree_plan = if solo_reducer {
-            None
-        } else {
-            cfg2.tree_fan_in.map(|k| plan_tree(&local_reducers, k))
-        };
-        // A merged shard covers the whole vocabulary in the worst case;
-        // model every tree (and tree-root → master) element at that full
-        // size rather than flattering the tree with per-stage estimates.
-        let shard_bytes =
-            (corpus2.vocab() as f64 * cfg2.pair_bytes as f64 * cfg2.wire_scale) as u64;
-
-        // Channel 1: map group -> local reducers.
-        let ch1_role = match my_role {
-            Role::Producer => Role::Producer,
-            Role::Consumer if me == master && !solo_reducer => Role::Bystander,
-            Role::Consumer => Role::Consumer,
-            Role::Bystander => unreachable!(),
-        };
-        let ch1 = StreamChannel::create(
-            rank,
-            &comm,
-            ch1_role,
-            ChannelConfig {
-                element_bytes: cfg2.element_bytes,
-                aggregation: 1,
-                credits: None,
-                route: mpistream::RoutePolicy::Static,
-                credit_batch: 1,
-                failure_timeout: None,
-                replicas: 0,
-                replication_patience: None,
-            },
-        );
-        // Channel 2: local reducers -> master (absent when solo). In tree
-        // mode only the tree root produces — the other reducers' shards
-        // reach the master through it.
-        let ch2 = if solo_reducer {
-            None
-        } else {
-            let ch2_role = if let Some(plan) = &tree_plan {
-                if me == master {
-                    Role::Consumer
-                } else if me == plan.root {
-                    Role::Producer
-                } else {
-                    Role::Bystander
-                }
-            } else {
-                match my_role {
-                    Role::Consumer if me == master => Role::Consumer,
-                    Role::Consumer => Role::Producer,
-                    _ => Role::Bystander,
-                }
-            };
-            Some(StreamChannel::create(
-                rank,
-                &comm,
-                ch2_role,
-                ChannelConfig {
-                    element_bytes: if tree_plan.is_some() {
-                        shard_bytes
-                    } else {
-                        cfg2.master_element_bytes
-                    },
-                    aggregation: 1, // deliberately unaggregated (the paper)
-                    credits: None,
-                    route: mpistream::RoutePolicy::Static,
-                    credit_batch: 1,
-                    failure_timeout: None,
-                    replicas: 0,
-                    replication_patience: None,
-                },
-            ))
-        };
-        // Tree-stage block channels (collective: every rank takes part in
-        // the per-stage subgroup splits, mappers and master end up with no
-        // endpoints).
-        let tree = tree_plan.as_ref().map(|plan| {
-            create_tree_channels(
-                rank,
-                &comm,
-                plan,
-                &ChannelConfig { element_bytes: shard_bytes, ..ChannelConfig::default() },
-            )
+        let mut mapped = false;
+        let hist = decoupled_rank(rank, &shape, |rank, mi, nmap, emit| {
+            for file in corpus.files_for(mi, nmap) {
+                map_file(rank, &corpus, &file, &cfg2, &pfs, emit);
+            }
+            mapped = true;
         });
-
-        match ch1_role {
-            Role::Producer => {
-                // Map rank: stream each chunk's pairs, partitioned by the
-                // owning local reducer.
-                let mut stream: Stream<KvChunk> = Stream::attach(ch1);
-                let map_ranks: Vec<usize> =
-                    (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-                let nmap = map_ranks.len();
-                let mi = map_ranks.iter().position(|&r| r == me).expect("mapper");
-                let nc = stream.channel().consumers().len();
-                // Optional producer-side combiner: pre-merge chunks bound
-                // for the same reducer so the channel carries one element
-                // per `combine_every` chunks.
-                let mut comb =
-                    (cfg2.combine_every > 1).then(|| Combiner::new(&stream, cfg2.combine_every));
-                for file in corpus2.files_for(mi, nmap) {
-                    map_file(rank, &corpus2, &file, &cfg2, &pfs2, |rank, pairs| {
-                        let mut by_consumer: Vec<KvChunk> = vec![Vec::new(); nc];
-                        for (w, c) in pairs {
-                            by_consumer[w as usize % nc].push((w, c));
-                        }
-                        for (ci, part) in by_consumer.into_iter().enumerate() {
-                            if part.is_empty() {
-                                continue;
-                            }
-                            match comb.as_mut() {
-                                Some(comb) => comb.push(rank, &mut stream, ci, part, merge_sorted),
-                                None => stream.isend_to(rank, ci, part),
-                            }
-                        }
-                    });
-                }
-                if let Some(comb) = comb {
-                    comb.finish(rank, &mut stream);
-                }
-                stream.terminate(rank);
-                // Stamp the last-mapper finish time: everything after the
-                // maximum of these is pipeline flush (the drain tail).
-                let done = Transport::now(rank).as_secs_f64();
-                let mut latest = map_done2.lock();
-                if done > *latest {
-                    *latest = done;
-                }
+        if mapped {
+            // Stamp the last-mapper finish time (nothing after the map
+            // stream's `terminate` advanced this rank's clock): everything
+            // after the maximum of these is pipeline flush (the drain tail).
+            let done = Transport::now(rank).as_secs_f64();
+            let mut latest = map_done2.lock();
+            if done > *latest {
+                *latest = done;
             }
-            Role::Consumer => {
-                let mut input: Stream<KvChunk> = Stream::attach(ch1);
-                if let (Some(plan), Some(tree)) = (tree_plan.as_ref(), tree) {
-                    // Tree mode: fold the map stream locally (nothing is
-                    // forwarded per chunk), then climb the reduction tree
-                    // with the folded shard; only the tree root talks to
-                    // the master — with a single pre-merged shard.
-                    let mut local: HashMap<u32, u64> = HashMap::new();
-                    reduce_fold(rank, &mut input, None, &mut local);
-                    let mut shard: Shard = local.into_iter().collect();
-                    shard.sort_unstable();
-                    let merged =
-                        reduce_through(rank, plan, tree, Some(shard), |rank, acc, other| {
-                            rank.compute(other.len() as f64 * 100e-9);
-                            merge_sorted(acc, other);
-                        });
-                    if let Some(shard) = merged {
-                        let mut m: Stream<Shard> =
-                            Stream::attach(ch2.expect("tree root has the master channel"));
-                        m.isend_to(rank, 0, shard);
-                        m.terminate(rank);
-                    }
-                } else {
-                    // Paper baseline: fold arriving chunks FCFS and forward
-                    // each folded chunk to the master without aggregation.
-                    let mut to_master: Option<Stream<KvChunk>> = ch2.map(Stream::attach);
-                    let mut local: HashMap<u32, u64> = HashMap::new();
-                    reduce_fold(rank, &mut input, to_master.as_mut(), &mut local);
-                    if let Some(mut m) = to_master {
-                        m.terminate(rank);
-                    } else {
-                        // Solo reducer: it *is* the master.
-                        let vocab = corpus2.vocab();
-                        let mut hist = vec![0u64; vocab];
-                        for (w, c) in local {
-                            hist[w as usize] += c;
-                        }
-                        *result2.lock() = hist;
-                    }
-                }
-            }
-            Role::Bystander => {
-                let vocab = corpus2.vocab();
-                let mut hist = vec![0u64; vocab];
-                if tree_plan.is_some() {
-                    // Master behind the tree: a single pre-merged shard
-                    // arrives from the tree root.
-                    let mut from_root: Stream<Shard> =
-                        Stream::attach(ch2.expect("master has the reducer channel"));
-                    from_root.operate(rank, |rank, shard| {
-                        prof_scoped(rank, "master", |rank| {
-                            rank.compute(shard.len() as f64 * 100e-9);
-                            for (w, c) in shard {
-                                hist[w as usize] += c;
-                            }
-                        });
-                    });
-                } else {
-                    // Master on the flat incast: aggregate the stream of
-                    // unaggregated per-chunk updates.
-                    let mut from_reducers: Stream<KvChunk> =
-                        Stream::attach(ch2.expect("master has the reducer channel"));
-                    master_aggregate(rank, &mut from_reducers, &mut hist);
-                }
-                *result2.lock() = hist;
-            }
+        }
+        if let Some(hist) = hist {
+            *result2.lock() = hist;
         }
     });
 
@@ -545,7 +528,7 @@ pub fn run_decoupled(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
 
 /// The decoupled run's communication topology (the paper's Fig. 5 shape),
 /// declared for the `streamcheck` static pass. Mirrors exactly what
-/// [`run_decoupled`] builds: mappers stream keyed word chunks to the local
+/// [`decoupled_rank`] builds from the same [`DecoupledShape`]: mappers stream keyed word chunks to the local
 /// reducers (`word % nc` partitioning), which forward folded chunks to the
 /// master — the reduce group's highest rank — unless a solo reducer is
 /// its own master.
@@ -562,25 +545,19 @@ pub fn topology(nprocs: usize, cfg: &MapReduceConfig) -> streamcheck::Topology {
         reducers.iter().copied().filter(|&r| r != master).collect()
     };
     let nc = local.len();
+    let shape = shape_of(cfg);
     let mut topo = Topology::new(nprocs)
         .group(GroupDecl::new("map", mappers.clone()))
         .group(GroupDecl::new("reduce", reducers))
         .channel(
-            ChannelDecl::new(
-                "map-output",
-                mappers,
-                local.clone(),
-                ChannelConfig { element_bytes: cfg.element_bytes, ..ChannelConfig::default() },
-            )
-            // Word-space partitioning: bucket `w % nc` -> local reducer.
-            .keyed((0..nc).map(Some).collect()),
+            ChannelDecl::new("map-output", mappers, local.clone(), shape.map_output)
+                // Word-space partitioning: bucket `w % nc` -> local reducer.
+                .keyed((0..nc).map(Some).collect()),
         );
     if !solo {
         if let Some(k) = cfg.tree_fan_in {
             // Tree mode: one private channel per aggregation block, then a
             // single root → master link. Mirrors `create_tree_channels`.
-            let shard_bytes =
-                (cfg.corpus.vocab as f64 * cfg.pair_bytes as f64 * cfg.wire_scale) as u64;
             let plan = plan_tree(&local, k);
             for (si, stage) in plan.stages.iter().enumerate() {
                 for (bi, block) in stage.blocks.iter().enumerate() {
@@ -592,36 +569,20 @@ pub fn topology(nprocs: usize, cfg: &MapReduceConfig) -> streamcheck::Topology {
                             format!("tree-s{si}-b{bi}"),
                             block[1..].to_vec(),
                             vec![block[0]],
-                            ChannelConfig {
-                                element_bytes: shard_bytes,
-                                ..ChannelConfig::default()
-                            },
+                            shape.tree.clone(),
                         )
                         .keyed(vec![Some(0)]),
                     );
                 }
             }
             topo = topo.channel(
-                ChannelDecl::new(
-                    "reduce-to-master",
-                    vec![plan.root],
-                    vec![master],
-                    ChannelConfig { element_bytes: shard_bytes, ..ChannelConfig::default() },
-                )
-                .keyed(vec![Some(0)]),
+                ChannelDecl::new("reduce-to-master", vec![plan.root], vec![master], shape.tree)
+                    .keyed(vec![Some(0)]),
             );
         } else {
             topo = topo.channel(
-                ChannelDecl::new(
-                    "reduce-to-master",
-                    local,
-                    vec![master],
-                    ChannelConfig {
-                        element_bytes: cfg.master_element_bytes,
-                        ..ChannelConfig::default()
-                    },
-                )
-                .keyed(vec![Some(0)]),
+                ChannelDecl::new("reduce-to-master", local, vec![master], shape.to_master)
+                    .keyed(vec![Some(0)]),
             );
         }
     }

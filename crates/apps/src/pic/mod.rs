@@ -38,7 +38,7 @@ use std::sync::Arc;
 use mpisim::{dims_create, CartComm, MachineConfig, Rank, World, WorldOutcome};
 use mpistream::{
     create_tree_channels, operate2, plan_stage, prof_scoped, ChannelConfig, GroupSpec, Role,
-    Stream, StreamChannel, Transport, TreePlan,
+    Stream, StreamChannel, Transport, TreePlan, Wait,
 };
 use pfsim::{Pfs, PfsConfig};
 use workloads::particles::{advance, Particle, ParticleConfig};
@@ -474,7 +474,12 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                     // Opportunistic, non-blocking merge of whatever
                     // arrivals already landed; stragglers join later.
                     let mut staged: Vec<Vec<Particle>> = Vec::new();
-                    while back.operate_some(rank, |_, bundle| staged.push(bundle)) > 0 {}
+                    // Stops on an empty poll *and* on a `Term`, which
+                    // carries no elements.
+                    while back
+                        .step(rank, Wait::Poll, |_, bundle| staged.push(bundle))
+                        .is_some_and(|ev| ev.elems > 0)
+                    {}
                     for p in staged.into_iter().flatten() {
                         debug_assert_eq!(st.cart_owner(p.pos), me);
                         st.particles.push(p);

@@ -1,8 +1,9 @@
 //! Portable stream applications — the same programs on every backend.
 //!
 //! The functions here are written once, generic over [`Transport`], and
-//! run unchanged on the discrete-event simulator (`mpisim::Rank`) and the
-//! native threaded backend (`native::NativeRank`). They are the substrate
+//! run unchanged on all three backends: the discrete-event simulator
+//! (`mpisim::Rank`), native threads (`native::NativeRank`) and
+//! multi-process sockets (`socket::SocketRank`). They are the substrate
 //! of the cross-backend equivalence tests: both take only deterministic
 //! inputs (world rank, step number, a splitmix recurrence), route over
 //! [`RoutePolicy::Static`] or explicit keyed partitioning, and report the
@@ -14,12 +15,9 @@
 
 use std::collections::HashMap;
 
-use mpistream::{
-    create_tree_channels, plan_tree, reduce_through, run_decoupled, ChannelConfig, Combiner,
-    GroupSpec, Role, Stream, StreamChannel, Transport,
-};
+use mpistream::{run_decoupled, ChannelConfig, GroupSpec, Role, Transport};
 
-use crate::mapreduce::{master_aggregate, merge_sorted, reduce_fold, KvChunk};
+use crate::mapreduce::{decoupled_rank, DecoupledShape};
 
 // ---------------------------------------------------------------------
 // Quickstart (the paper's Listing 1)
@@ -173,171 +171,48 @@ fn token(cfg: &MiniMrConfig, mi: usize, chunk: usize, i: usize) -> u32 {
     (mix64(seq as u64) % cfg.vocab as u64) as u32
 }
 
-/// The paper's Fig. 5 dataflow in miniature, generic over the transport:
-/// a map group streams `(word, count)` chunks to local reducers (keyed
-/// `word % n_reducers` partitioning); the reducers fold FCFS and forward
-/// each chunk — unaggregated — to a master rank that assembles the global
-/// histogram. Returns `Some(histogram)` on the master, `None` elsewhere.
+/// The paper's Fig. 5 dataflow in miniature: [`decoupled_rank`] — the
+/// program `mapreduce::run_decoupled` runs on the simulator, not a
+/// transcription of it — fed a synthetic token stream, every channel
+/// sharing one configuration. Returns `Some(histogram)` on the master,
+/// `None` elsewhere.
 ///
-/// With `combine_every > 1` the mappers pre-merge same-reducer chunks
-/// through a [`Combiner`]; with `tree_fan_in = Some(k)` the local
-/// reducers fold completely and merge their shards down a fan-in-`k`
-/// reduction tree, whose root relays one shard to the master — the
-/// tree-aggregated variant of the same dataflow. All merging is integer
-/// count addition, so the result is exact on every backend (a floating
-/// combiner would inherit the reduction-order caveat of DESIGN.md §11).
+/// `combine_every` and `tree_fan_in` are Fig. 5's two aggregation
+/// operators. All merging is integer count addition, so the result is
+/// exact on every backend (a floating combiner would inherit the
+/// reduction-order caveat of DESIGN.md §11).
 ///
 /// The token stream is a pure function of the mapper index, so the
 /// master's histogram equals [`mini_mapreduce_oracle`] on every backend.
 pub fn mini_mapreduce<TP: Transport>(rank: &mut TP, cfg: &MiniMrConfig) -> Option<Vec<u64>> {
-    let nprocs = rank.world_size();
-    assert!(nprocs >= cfg.every, "need at least {} ranks for alpha = 1/{0}", cfg.every);
-    let comm = rank.world_group();
-    let spec = GroupSpec { every: cfg.every };
-    let me = rank.world_rank();
-    let my_role = spec.role_of(me);
-    // The reduce group's highest rank serves as the master aggregator
-    // (it does not consume map output unless it is the only reducer).
-    let reduce_ranks: Vec<usize> =
-        (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
-    let master = *reduce_ranks.last().expect("at least one reducer");
-    let solo_reducer = reduce_ranks.len() == 1;
-    let local_reducers: Vec<usize> =
-        reduce_ranks.iter().copied().filter(|&r| solo_reducer || r != master).collect();
-    let tree_plan =
-        if solo_reducer { None } else { cfg.tree_fan_in.map(|k| plan_tree(&local_reducers, k)) };
-
-    // Channel 1: map group -> local reducers.
-    let ch1_role = match my_role {
-        Role::Producer => Role::Producer,
-        Role::Consumer if me == master && !solo_reducer => Role::Bystander,
-        Role::Consumer => Role::Consumer,
-        Role::Bystander => unreachable!(),
-    };
-    let stream_config = ChannelConfig {
+    let channel = ChannelConfig {
         element_bytes: 1 << 10,
         credits: cfg.credits,
         credit_batch: cfg.credit_batch,
         ..ChannelConfig::default()
     };
-    let ch1 = StreamChannel::create(rank, &comm, ch1_role, stream_config.clone());
-    // Channel 2: local reducers -> master (absent when solo). In tree
-    // mode only the tree root produces into it.
-    let ch2 = if solo_reducer {
-        None
-    } else {
-        let ch2_role = match (&tree_plan, my_role) {
-            (_, Role::Consumer) if me == master => Role::Consumer,
-            (Some(plan), _) => {
-                if plan.is_root(me) {
-                    Role::Producer
-                } else {
-                    Role::Bystander
-                }
-            }
-            (None, Role::Consumer) => Role::Producer,
-            _ => Role::Bystander,
-        };
-        Some(StreamChannel::create(rank, &comm, ch2_role, stream_config.clone()))
+    let shape = DecoupledShape {
+        every: cfg.every,
+        vocab: cfg.vocab,
+        map_output: channel.clone(),
+        to_master: channel.clone(),
+        tree: channel,
+        combine_every: cfg.combine_every,
+        tree_fan_in: cfg.tree_fan_in,
     };
-    // Per-block tree channels (collective over the world, like ch1/ch2).
-    let tree =
-        tree_plan.as_ref().map(|plan| create_tree_channels(rank, &comm, plan, &stream_config));
-
-    match ch1_role {
-        Role::Producer => {
-            // Map rank: hash each synthetic chunk and stream its pairs,
-            // partitioned by the owning local reducer.
-            let mut stream: Stream<KvChunk> = Stream::attach(ch1);
-            let map_ranks: Vec<usize> =
-                (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-            let mi = map_ranks.iter().position(|&r| r == me).expect("mapper");
-            let nc = stream.channel().consumers().len();
-            let mut combiner =
-                (cfg.combine_every > 1).then(|| Combiner::new(&stream, cfg.combine_every));
-            for chunk in 0..cfg.chunks_per_mapper {
-                let mut partial: HashMap<u32, u32> = HashMap::new();
-                for i in 0..cfg.tokens_per_chunk {
-                    *partial.entry(token(cfg, mi, chunk, i)).or_insert(0) += 1;
-                }
-                rank.compute(cfg.tokens_per_chunk as f64 * 50e-9);
-                let mut pairs: Vec<(u32, u32)> = partial.into_iter().collect();
-                pairs.sort_unstable();
-                let mut by_consumer: Vec<KvChunk> = vec![Vec::new(); nc];
-                for (w, c) in pairs {
-                    by_consumer[w as usize % nc].push((w, c));
-                }
-                for (ci, part) in by_consumer.into_iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
-                    }
-                    match &mut combiner {
-                        Some(comb) => comb.push(rank, &mut stream, ci, part, merge_sorted),
-                        None => stream.isend_to(rank, ci, part),
-                    }
-                }
+    decoupled_rank(rank, &shape, |rank, mi, _n_mappers, emit| {
+        // Hash each synthetic chunk and hand its sorted pairs on.
+        for chunk in 0..cfg.chunks_per_mapper {
+            let mut partial: HashMap<u32, u32> = HashMap::new();
+            for i in 0..cfg.tokens_per_chunk {
+                *partial.entry(token(cfg, mi, chunk, i)).or_insert(0) += 1;
             }
-            if let Some(comb) = combiner {
-                comb.finish(rank, &mut stream);
-            }
-            stream.terminate(rank);
-            None
+            rank.compute(cfg.tokens_per_chunk as f64 * 50e-9);
+            let mut pairs: Vec<(u32, u32)> = partial.into_iter().collect();
+            pairs.sort_unstable();
+            emit(rank, pairs);
         }
-        Role::Consumer => {
-            let mut input: Stream<KvChunk> = Stream::attach(ch1);
-            if let (Some(plan), Some(tree)) = (&tree_plan, tree) {
-                // Tree mode: fold completely, merge shards up the tree;
-                // the root relays the single merged shard to the master.
-                let mut local: HashMap<u32, u64> = HashMap::new();
-                reduce_fold(rank, &mut input, None, &mut local);
-                let mut shard: Vec<(u32, u64)> = local.into_iter().collect();
-                shard.sort_unstable();
-                let merged = reduce_through(rank, plan, tree, Some(shard), |_, acc, other| {
-                    merge_sorted(acc, other)
-                });
-                if let Some(shard) = merged {
-                    let mut to_master: Stream<Vec<(u32, u64)>> =
-                        Stream::attach(ch2.expect("tree root has the master channel"));
-                    to_master.isend_to(rank, 0, shard);
-                    to_master.terminate(rank);
-                }
-                None
-            } else {
-                let mut to_master: Option<Stream<KvChunk>> = ch2.map(Stream::attach);
-                let mut local: HashMap<u32, u64> = HashMap::new();
-                reduce_fold(rank, &mut input, to_master.as_mut(), &mut local);
-                if let Some(mut m) = to_master {
-                    m.terminate(rank);
-                    None
-                } else {
-                    // Solo reducer: it *is* the master.
-                    let mut hist = vec![0u64; cfg.vocab];
-                    for (w, c) in local {
-                        hist[w as usize] += c;
-                    }
-                    Some(hist)
-                }
-            }
-        }
-        Role::Bystander => {
-            let ch2 = ch2.expect("master has the reducer channel");
-            let mut hist = vec![0u64; cfg.vocab];
-            if tree_plan.is_some() {
-                // Tree mode: one merged shard arrives from the tree root.
-                let mut from_root: Stream<Vec<(u32, u64)>> = Stream::attach(ch2);
-                from_root.operate(rank, |_, shard| {
-                    for (w, c) in shard {
-                        hist[w as usize] += c;
-                    }
-                });
-            } else {
-                // Flat mode: aggregate the stream of unaggregated chunks.
-                let mut from_reducers: Stream<KvChunk> = Stream::attach(ch2);
-                master_aggregate(rank, &mut from_reducers, &mut hist);
-            }
-            Some(hist)
-        }
-    }
+    })
 }
 
 /// Serial oracle for [`mini_mapreduce`]: the histogram the master must

@@ -205,8 +205,8 @@ mod tests {
     }
 }
 
-/// The experiment configurations used by both the figure binaries and the
-/// Criterion benches, in one place so they stay consistent.
+/// The experiment configurations used by both the figure binaries and
+/// `benchmark/`'s `sim_fig5` workload, in one place so they stay consistent.
 pub mod configs {
     use apps::cg::CgConfig;
     use apps::mapreduce::MapReduceConfig;
@@ -248,7 +248,7 @@ pub mod configs {
     /// `iters`, the paper uses 300). The machine gets a visible OS-noise
     /// level (~1.5 % duty): Fig. 6's blocking-vs-overlap separation is an
     /// idle-wave effect — serialized halo waits harvest and propagate
-    /// noise that overlap hides (Peng et al., HPCC'16, the paper's [5]).
+    /// noise that overlap hides (Peng et al., HPCC'16, the paper's \[5\]).
     pub fn fig6(iters: usize) -> CgConfig {
         use desim::SimDuration;
         use mpisim::{MachineConfig, NoiseModel};

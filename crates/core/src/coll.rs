@@ -34,7 +34,7 @@ const NS_COLL: u8 = 3;
 
 /// An ordered set of world ranks plus the id its collectives are tagged
 /// with. The id of a split product is *derived*, not registered: every
-/// member hashes the same `(parent, seq, color)` triple ([`split_id`]),
+/// member hashes the same `(parent, seq, color)` triple (`split_id`),
 /// so neither threads nor processes need a shared registry.
 #[derive(Clone, Debug)]
 pub struct RankGroup {

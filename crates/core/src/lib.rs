@@ -74,7 +74,7 @@ pub use select::operate2;
 pub use sim::SimTransport;
 pub use stream::{
     ConsumerCheckpoint, ProducerReport, ProducerState, StepEvent, Stream, StreamMsg, StreamOutcome,
-    StreamStats,
+    StreamStats, Wait,
 };
 pub use transport::{prof_scoped, Group, MsgInfo, Src, Tag, TagKind, Transport};
 pub use wire::{Wire, WireError, MAX_FRAME_BYTES, MAX_WIRE_ELEMS};

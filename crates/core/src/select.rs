@@ -7,7 +7,7 @@
 //! module provides first-come-first-served draining across two channels
 //! without busy-waiting.
 
-use crate::stream::Stream;
+use crate::stream::{Stream, Wait};
 use crate::transport::Transport;
 use crate::wire::Wire;
 
@@ -33,15 +33,18 @@ where
     let (mut na, mut nb) = (0u64, 0u64);
     loop {
         let mut progressed = false;
+        // Any consumed message is progress, a `Term` included.
         if !a.all_terminated() {
-            let (n, consumed) = a.try_step(rank, &mut on_a);
-            na += n;
-            progressed |= consumed;
+            if let Some(ev) = a.step(rank, Wait::Poll, &mut on_a) {
+                na += ev.elems;
+                progressed = true;
+            }
         }
         if !b.all_terminated() {
-            let (n, consumed) = b.try_step(rank, &mut on_b);
-            nb += n;
-            progressed |= consumed;
+            if let Some(ev) = b.step(rank, Wait::Poll, &mut on_b) {
+                nb += ev.elems;
+                progressed = true;
+            }
         }
         if a.all_terminated() && b.all_terminated() {
             return (na, nb);

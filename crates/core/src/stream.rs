@@ -149,7 +149,7 @@ impl StreamOutcome {
 ///
 /// Producer endpoints push with [`Stream::isend`] and close with
 /// [`Stream::terminate`]; consumer endpoints drain with
-/// [`Stream::operate`] (or step with [`Stream::operate_some`]).
+/// [`Stream::operate`] (or one message at a time with [`Stream::step`]).
 pub struct Stream<T> {
     channel: StreamChannel,
     // --- producer state ---
@@ -218,14 +218,28 @@ struct ProducerSlot {
     muted: Option<u64>,
 }
 
-/// What one [`Stream::step_deadline`] call consumed.
+/// How [`Stream::step`] waits for the next wire message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// Suspend until a message arrives.
+    Block,
+    /// Take a message only if one has already arrived; never suspend.
+    Poll,
+    /// Suspend until a message arrives or this instant passes.
+    Until(SimTime),
+}
+
+/// What one [`Stream::step`] call consumed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepEvent {
     /// World rank of the producer whose message was dispatched.
     pub src: usize,
     /// Elements handed to the operator (0 for a `Term`).
     pub elems: u64,
-    /// Whether the message was the producer's termination marker.
+    /// Whether the message was the producer's termination marker — and
+    /// was counted: a quarantined `Term` is dropped and reports `false`
+    /// (the replica driver acknowledges term events, which would certify
+    /// a flow whose claim never committed).
     pub term: bool,
 }
 
@@ -625,17 +639,8 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// Apply `op` to every arriving element, first-come-first-served over
     /// all producers, until every producer has terminated
     /// (`MPIStream_Operate`). Returns the number of elements processed.
-    pub fn operate<TP: Transport>(&mut self, rank: &mut TP, mut op: impl FnMut(&mut TP, T)) -> u64 {
-        assert_eq!(self.channel.my_role, Role::Consumer, "operate on a non-consumer endpoint");
-        let mut processed = 0;
-        // Drain anything a prior recv_one pulled but did not hand out.
-        while let Some(elem) = self.pending.pop_front() {
-            op(rank, elem);
-            processed += 1;
-        }
-        while self.terms_seen < self.channel.producers.len() {
-            processed += self.step(rank, &mut op);
-        }
+    pub fn operate<TP: Transport>(&mut self, rank: &mut TP, op: impl FnMut(&mut TP, T)) -> u64 {
+        let processed = self.operate_while(rank, || true, op);
         debug_assert_eq!(
             self.stats.elements, self.claimed,
             "conservation: processed must equal producers' claimed total"
@@ -672,19 +677,16 @@ impl<T: Wire + Send + 'static> Stream<T> {
     ) -> StreamOutcome {
         assert_eq!(self.channel.my_role, Role::Consumer, "operate on a non-consumer endpoint");
         assert_eq!(self.terms_seen, 0, "operate_outcome must be the endpoint's only draining call");
-        let producers = self.channel.producers.clone();
-        let np = producers.len();
+        let np = self.channel.producers.len();
         // Consumer patience is 2x the configured timeout (see rustdoc).
         let timeout = self.channel.config.failure_timeout.map(|t| t + t);
-        let mut delivered = vec![0u64; np];
-        let mut claimed: Vec<Option<u64>> = vec![None; np];
         let mut dead = vec![false; np];
-        let mut terminated = vec![false; np];
         let mut last_heard = vec![rank.now(); np];
         // Silence deadlines of *open* (neither terminated nor dead)
         // producers, ordered: `first()` is the earliest instant any of them
         // exceeds the timeout. Maintained incrementally on each arrival in
-        // place of a full O(np) min-scan per message.
+        // place of a full O(np) min-scan per message. Stays empty without
+        // a `failure_timeout`.
         let mut deadlines: std::collections::BTreeSet<(SimTime, usize)> =
             std::collections::BTreeSet::new();
         if let Some(t) = timeout {
@@ -692,97 +694,58 @@ impl<T: Wire + Send + 'static> Stream<T> {
                 deadlines.insert((heard + t, i));
             }
         }
-        let mut processed = 0u64;
-        // Elements a prior `recv_one` pulled but never handed out can no
-        // longer be attributed to a producer; they only count in the total.
-        while let Some(elem) = self.pending.pop_front() {
-            op(rank, elem);
-            processed += 1;
-        }
+        let mut processed = self.hand_out_pending(rank, &mut op);
         let tag = self.channel.data_tag();
-        loop {
-            if terminated.iter().zip(&dead).all(|(&t, &d)| t || d) {
-                break;
-            }
-            let got = match timeout {
+        // A producer is open until its claim sits in its slot or it is dead.
+        while self.by_producer.iter().zip(&dead).any(|(slot, &d)| slot.claimed.is_none() && !d) {
+            // This loop receives for itself instead of calling `step`: the
+            // sender's `last_heard` must be stamped at arrival, *before*
+            // `op` spends virtual time on the batch.
+            let got = match deadlines.first() {
                 None => Some(rank.recv::<StreamMsg<T>>(Src::Any, tag)),
-                Some(_) => {
-                    // The earliest instant any open producer's silence
-                    // exceeds the timeout.
-                    let &(deadline, _) = deadlines.first().expect("at least one producer is open");
-                    rank.recv_deadline::<StreamMsg<T>>(Src::Any, tag, deadline)
-                }
+                // The earliest instant any open producer's silence
+                // exceeds the timeout.
+                Some(&(deadline, _)) => rank.recv_deadline::<StreamMsg<T>>(Src::Any, tag, deadline),
             };
-            match got {
-                Some((wire, info)) => {
-                    let pi = self.sender_index(info.src);
-                    if let Some(t) = timeout {
-                        // Absent when `pi` was closed (dead producer
-                        // speaking again) — remove is a no-op then.
-                        deadlines.remove(&(last_heard[pi] + t, pi));
+            let Some((wire, info)) = got else {
+                // Deadline passed with nothing deliverable: declare
+                // every producer silent past the timeout dead and
+                // reclaim its claim on this endpoint.
+                let now = rank.now();
+                while let Some(&(d, i)) = deadlines.first() {
+                    if d > now {
+                        break;
                     }
-                    last_heard[pi] = rank.now();
-                    dead[pi] = false; // self-heal: it spoke after the verdict
-                    match wire {
-                        StreamMsg::Data(batch) => {
-                            let n = batch.len() as u64;
-                            self.note_data(rank, pi, n, info.bytes);
-                            delivered[pi] += n;
-                            processed += n;
-                            for elem in batch {
-                                op(rank, elem);
-                            }
-                            if let Some(t) = timeout {
-                                if !terminated[pi] {
-                                    deadlines.insert((last_heard[pi] + t, pi));
-                                }
-                            }
-                            if self.channel.config.credits.is_some() {
-                                self.grant_credit(rank, pi, n);
-                            }
-                        }
-                        StreamMsg::Term { sent } => {
-                            self.note_term(pi, sent);
-                            terminated[pi] = true;
-                            claimed[pi] = Some(sent);
-                        }
-                        StreamMsg::Mark(_) => {
-                            // Epoch marker: a liveness signal with nothing
-                            // to fold. Only replicated producers send it,
-                            // and they drain through `step_deadline` — but
-                            // arriving here it is benign: re-arm the
-                            // sender's silence deadline and move on.
-                            if let Some(t) = timeout {
-                                if !terminated[pi] {
-                                    deadlines.insert((last_heard[pi] + t, pi));
-                                }
-                            }
-                        }
-                    }
+                    deadlines.pop_first();
+                    dead[i] = true;
                 }
-                None => {
-                    // Deadline passed with nothing deliverable: declare
-                    // every producer silent past the timeout dead and
-                    // reclaim its claim on this endpoint.
-                    let now = rank.now();
-                    while let Some(&(d, i)) = deadlines.first() {
-                        if d > now {
-                            break;
-                        }
-                        deadlines.pop_first();
-                        dead[i] = true;
-                    }
-                }
+                continue;
+            };
+            let pi = self.sender_index(info.src);
+            if let Some(t) = timeout {
+                // Absent when `pi` was closed (dead producer
+                // speaking again) — remove is a no-op then.
+                deadlines.remove(&(last_heard[pi] + t, pi));
+            }
+            last_heard[pi] = rank.now();
+            dead[pi] = false; // self-heal: it spoke after the verdict
+            processed += self.dispatch(rank, pi, wire, info, &mut op).elems;
+            // Anything but a `Term` — data, or an epoch marker, which is a
+            // liveness signal with nothing to fold — re-arms the sender's
+            // silence deadline.
+            if let (Some(t), None) = (timeout, self.by_producer[pi].claimed) {
+                deadlines.insert((last_heard[pi] + t, pi));
             }
         }
+        let producers = &self.channel.producers;
         self.dead_producers = (0..np).filter(|&i| dead[i]).map(|i| producers[i]).collect();
         StreamOutcome {
             processed,
             producers: (0..np)
                 .map(|i| ProducerReport {
                     rank: producers[i],
-                    delivered: delivered[i],
-                    claimed: claimed[i],
+                    delivered: self.by_producer[i].delivered.unwrap_or(0),
+                    claimed: self.by_producer[i].claimed,
                     state: if dead[i] { ProducerState::Dead } else { ProducerState::Terminated },
                 })
                 .collect(),
@@ -792,70 +755,96 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// Process arriving elements while `running` stays true (for consumers
     /// that interleave stream processing with other work). Returns
     /// elements processed; stops early once all producers terminated.
+    /// Elements a prior [`Stream::recv_one`] buffered are handed out first,
+    /// whatever `running` says: they were acknowledged when they arrived.
     pub fn operate_while<TP: Transport>(
         &mut self,
         rank: &mut TP,
         mut running: impl FnMut() -> bool,
         mut op: impl FnMut(&mut TP, T),
     ) -> u64 {
-        let mut processed = 0;
+        let mut processed = self.hand_out_pending(rank, &mut op);
         while self.terms_seen < self.channel.producers.len() && running() {
-            processed += self.step(rank, &mut op);
+            processed += self.step(rank, Wait::Block, &mut op).map_or(0, |ev| ev.elems);
         }
         processed
     }
 
-    /// Process at most the next wire message if one is already available;
-    /// never blocks. Returns elements processed (0 if nothing was ready).
-    pub fn operate_some<TP: Transport>(
+    /// Apply `op` to whatever a prior [`Stream::recv_one`] pulled off the
+    /// wire but did not hand out (accounted and credited at arrival).
+    fn hand_out_pending<TP: Transport>(
         &mut self,
         rank: &mut TP,
-        mut op: impl FnMut(&mut TP, T),
+        op: &mut impl FnMut(&mut TP, T),
     ) -> u64 {
-        assert_eq!(self.channel.my_role, Role::Consumer);
-        let tag = self.channel.data_tag();
-        match rank.try_recv::<StreamMsg<T>>(Src::Any, tag) {
-            Some((wire, info)) => self.dispatch(rank, wire, info, &mut op),
-            None => 0,
+        let n = self.pending.len() as u64;
+        for elem in self.pending.drain(..) {
+            op(rank, elem);
         }
+        n
     }
 
-    /// Like [`Stream::operate_some`] but also reports whether *any* wire
-    /// message (data or termination marker) was consumed — the progress
-    /// signal multiplexers need to avoid busy-waiting.
-    pub fn try_step<TP: Transport>(
+    /// Receive at most one wire message as `wait` says and dispatch it:
+    /// `None` when nothing arrived (an empty [`Wait::Poll`], a passed
+    /// [`Wait::Until`] deadline), otherwise what was consumed — also for a
+    /// message that carried no elements (a `Term`, an epoch marker, stale
+    /// quarantined traffic), the progress signal multiplexers need to
+    /// avoid busy-waiting. The primitive under every other drain, and the
+    /// receive loop of replicated consumers (`crates/replica`), whose
+    /// primary must interleave stream progress with heartbeats to its
+    /// standbys.
+    pub fn step<TP: Transport>(
         &mut self,
         rank: &mut TP,
-        mut op: impl FnMut(&mut TP, T),
-    ) -> (u64, bool) {
-        assert_eq!(self.channel.my_role, Role::Consumer);
-        let tag = self.channel.data_tag();
-        match rank.try_recv::<StreamMsg<T>>(Src::Any, tag) {
-            Some((wire, info)) => (self.dispatch(rank, wire, info, &mut op), true),
-            None => (0, false),
-        }
-    }
-
-    /// Blockingly dispatch the next wire message, giving up at `deadline`:
-    /// `None` on timeout, otherwise what was consumed. The receive loop
-    /// primitive of replicated consumers (`crates/replica`), whose primary
-    /// must interleave stream progress with heartbeats to its standbys.
-    pub fn step_deadline<TP: Transport>(
-        &mut self,
-        rank: &mut TP,
-        deadline: SimTime,
+        wait: Wait,
         mut op: impl FnMut(&mut TP, T),
     ) -> Option<StepEvent> {
-        assert_eq!(self.channel.my_role, Role::Consumer);
+        assert_eq!(self.channel.my_role, Role::Consumer, "step on a non-consumer endpoint");
         let tag = self.channel.data_tag();
-        let (wire, info) = rank.recv_deadline::<StreamMsg<T>>(Src::Any, tag, deadline)?;
-        let src = info.src;
-        // A quarantined `Term` is dropped by `dispatch` and must not be
-        // reported either: the replica driver acknowledges term events,
-        // which would certify a flow whose claim never committed.
-        let term = matches!(wire, StreamMsg::Term { .. }) && !self.is_quarantined(src);
-        let elems = self.dispatch(rank, wire, info, &mut op);
-        Some(StepEvent { src, elems, term })
+        let (wire, info) = match wait {
+            Wait::Block => rank.recv::<StreamMsg<T>>(Src::Any, tag),
+            Wait::Poll => rank.try_recv::<StreamMsg<T>>(Src::Any, tag)?,
+            Wait::Until(deadline) => rank.recv_deadline::<StreamMsg<T>>(Src::Any, tag, deadline)?,
+        };
+        let pi = self.sender_index(info.src);
+        Some(self.dispatch(rank, pi, wire, info, &mut op))
+    }
+
+    /// The one place a wire message is interpreted, whichever drain
+    /// received it: quarantine, accounting, `op` over the batch, credit.
+    /// `pi` is the sender's slot (`sender_index` of `info.src`).
+    fn dispatch<TP: Transport>(
+        &mut self,
+        rank: &mut TP,
+        pi: usize,
+        wire: StreamMsg<T>,
+        info: MsgInfo,
+        op: &mut impl FnMut(&mut TP, T),
+    ) -> StepEvent {
+        let mut ev = StepEvent { src: info.src, elems: 0, term: false };
+        if self.quarantine_consumes(pi, &wire) {
+            return ev;
+        }
+        match wire {
+            StreamMsg::Data(batch) => {
+                ev.elems = batch.len() as u64;
+                self.note_data(rank, pi, ev.elems, info.bytes);
+                for elem in batch {
+                    op(rank, elem);
+                }
+                if self.channel.config.credits.is_some() {
+                    // Acknowledge the whole batch (or accumulate towards
+                    // one credit_batch-sized acknowledgement).
+                    self.grant_credit(rank, pi, ev.elems);
+                }
+            }
+            StreamMsg::Term { sent } => {
+                self.note_term(pi, sent);
+                ev.term = true;
+            }
+            StreamMsg::Mark(_) => unreachable!("the quarantine consumes every Mark"),
+        }
+        ev
     }
 
     /// Snapshot this consumer endpoint's durable state (element cursors,
@@ -982,7 +971,6 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// all elements were handed out. Mixing `recv_one` with `operate` on
     /// the same endpoint is supported — both drain the same buffers.
     pub fn recv_one<TP: Transport>(&mut self, rank: &mut TP) -> Option<T> {
-        assert_eq!(self.channel.my_role, Role::Consumer, "recv_one on a non-consumer endpoint");
         loop {
             if let Some(elem) = self.pending.pop_front() {
                 return Some(elem);
@@ -991,64 +979,11 @@ impl<T: Wire + Send + 'static> Stream<T> {
                 debug_assert_eq!(self.stats.elements, self.claimed);
                 return None;
             }
-            let tag = self.channel.data_tag();
-            let (wire, info) = rank.recv::<StreamMsg<T>>(Src::Any, tag);
-            let pi = self.sender_index(info.src);
-            if self.quarantine_consumes(pi, &wire) {
-                continue;
-            }
-            match wire {
-                StreamMsg::Data(batch) => {
-                    let n = batch.len() as u64;
-                    self.note_data(rank, pi, n, info.bytes);
-                    self.pending.extend(batch);
-                    if self.channel.config.credits.is_some() {
-                        self.grant_credit(rank, pi, n);
-                    }
-                }
-                StreamMsg::Term { sent } => self.note_term(pi, sent),
-                StreamMsg::Mark(_) => unreachable!("the quarantine consumes every Mark"),
-            }
-        }
-    }
-
-    /// Blockingly receive and dispatch one wire message.
-    fn step<TP: Transport>(&mut self, rank: &mut TP, op: &mut impl FnMut(&mut TP, T)) -> u64 {
-        let tag = self.channel.data_tag();
-        let (wire, info) = rank.recv::<StreamMsg<T>>(Src::Any, tag);
-        self.dispatch(rank, wire, info, op)
-    }
-
-    fn dispatch<TP: Transport>(
-        &mut self,
-        rank: &mut TP,
-        wire: StreamMsg<T>,
-        info: MsgInfo,
-        op: &mut impl FnMut(&mut TP, T),
-    ) -> u64 {
-        let pi = self.sender_index(info.src);
-        if self.quarantine_consumes(pi, &wire) {
-            return 0;
-        }
-        match wire {
-            StreamMsg::Data(batch) => {
-                let n = batch.len() as u64;
-                self.note_data(rank, pi, n, info.bytes);
-                for elem in batch {
-                    op(rank, elem);
-                }
-                if self.channel.config.credits.is_some() {
-                    // Acknowledge the whole batch (or accumulate towards
-                    // one credit_batch-sized acknowledgement).
-                    self.grant_credit(rank, pi, n);
-                }
-                n
-            }
-            StreamMsg::Term { sent } => {
-                self.note_term(pi, sent);
-                0
-            }
-            StreamMsg::Mark(_) => unreachable!("the quarantine consumes every Mark"),
+            // The (empty) buffer is taken out for the step so the closure
+            // does not borrow `self` a second time.
+            let mut pending = std::mem::take(&mut self.pending);
+            self.step(rank, Wait::Block, |_, elem| pending.push_back(elem));
+            self.pending = pending;
         }
     }
 }

@@ -26,7 +26,7 @@
 //!   element — the bytes are the same either way.
 //! - `Option<T>` is a presence byte (`0`/`1`) followed by the value.
 //! - Tuples and arrays are their fields in order, no framing.
-//! - Structs/enums composed via [`wire_struct!`]/manual impls follow the
+//! - Structs/enums composed via [`crate::wire_struct!`]/manual impls follow the
 //!   same field-in-order rule; enums lead with a `u8` discriminant.
 //!
 //! Decoding is **total**: malformed input — truncated buffers, oversized

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use desim::SimDuration;
 use mpisim::{MachineConfig, NoiseModel, World};
 use mpistream::{
-    ChannelConfig, ConsumerCheckpoint, Role, Stream, StreamChannel, StreamMsg, Transport, Wire,
+    ChannelConfig, ConsumerCheckpoint, Role, StepEvent, Stream, StreamChannel, StreamMsg,
+    Transport, Wait, Wire,
 };
 use parking_lot::Mutex;
 
@@ -55,7 +56,9 @@ fn step(
     op: impl FnMut(&mut mpisim::Rank, u32),
 ) -> mpistream::StepEvent {
     let deadline = Transport::now(rank) + SimDuration::from_secs(3600);
-    stream.step_deadline(rank, deadline, op).expect("a message arrives long before the deadline")
+    stream
+        .step(rank, Wait::Until(deadline), op)
+        .expect("a message arrives long before the deadline")
 }
 
 /// Producer 3 sends five elements and terminates, 17 terminates having
@@ -274,6 +277,103 @@ fn quarantine_drops_until_a_matching_mark() {
             Role::Bystander => {}
         }
     });
+}
+
+/// One script — data, a silent gap, a quarantined stale batch, the `Mark`
+/// that lifts the quarantine, data, a quarantined `Term`, real `Term`s —
+/// drained one message at a time in the given [`Wait`] mode. Returns the
+/// events, the folded elements and how many steps came back empty.
+fn drive_script(
+    wait: impl Fn(&mpisim::Rank) -> Wait + Send + Sync + 'static,
+) -> (Vec<StepEvent>, Vec<u32>, usize) {
+    let seen = Arc::new(Mutex::new((Vec::new(), Vec::new(), 0)));
+    let out = seen.clone();
+    quiet().run_expect(RANKS, move |rank| {
+        let comm = rank.comm_world();
+        let me = rank.world_rank();
+        let role = role_of(me);
+        let ch = StreamChannel::create(rank, &comm, role, config());
+        match role {
+            Role::Producer => {
+                // (virtual millisecond, message): one message per
+                // millisecond over all producers, nothing at 2 ms.
+                let script: Vec<(u64, StreamMsg<u32>)> = match me {
+                    3 => vec![(1, StreamMsg::Data(vec![1, 2])), (7, StreamMsg::Term { sent: 2 })],
+                    17 => vec![
+                        (3, StreamMsg::Data(vec![9])), // stale: dropped
+                        (4, StreamMsg::Mark(5)),       // lifts
+                        (5, StreamMsg::Data(vec![3])),
+                        (8, StreamMsg::Term { sent: 1 }),
+                    ],
+                    _ => vec![(6, StreamMsg::Term { sent: 0 })], // muted forever
+                };
+                let mut at = 0;
+                for (ms, msg) in script {
+                    rank.compute_exact((ms - at) as f64 * 1e-3);
+                    at = ms;
+                    Transport::send(rank, CONSUMER, ch.data_tag(), 8, msg);
+                }
+            }
+            Role::Consumer => {
+                let mut s: Stream<u32> = Stream::attach(ch);
+                s.hold_credits(true);
+                s.quarantine_until_mark(17, 5);
+                s.quarantine_until_mark(40, u64::MAX);
+                let (mut events, mut folded, mut empty) = (Vec::new(), Vec::new(), 0);
+                while events.len() < 7 {
+                    let wait = wait(rank);
+                    match s.step(rank, wait, |_, v| folded.push(v)) {
+                        Some(ev) => events.push(ev),
+                        None => {
+                            empty += 1;
+                            match wait {
+                                Wait::Block => panic!("a blocking step always consumes a message"),
+                                Wait::Poll => Transport::wait_for_mail(rank),
+                                Wait::Until(t) => assert_eq!(Transport::now(rank), t),
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    (s.claim_of(3), s.claim_of(17), s.claim_of(40)),
+                    (Some(2), Some(1), None)
+                );
+                assert!(!s.all_terminated(), "the quarantined Term was not counted");
+                *out.lock() = (events, folded, empty);
+            }
+            Role::Bystander => {}
+        }
+    });
+    let seen = seen.lock().clone();
+    seen
+}
+
+/// The consumer engine is one function: whichever way `step` waits, the
+/// same script yields the same events — in particular `term: false` for
+/// the quarantined `Term` — and the same folded elements. Only the empty
+/// steps differ: none when blocking, one per silent stretch otherwise.
+#[test]
+fn step_reports_the_same_events_in_every_wait_mode() {
+    let ev = |src, elems, term| StepEvent { src, elems, term };
+    let expected = [
+        ev(3, 2, false),
+        ev(17, 0, false), // stale batch
+        ev(17, 0, false), // Mark
+        ev(17, 1, false),
+        ev(40, 0, false), // quarantined Term
+        ev(3, 0, true),
+        ev(17, 0, true),
+    ];
+    let (events, folded, empty) = drive_script(|_| Wait::Block);
+    assert_eq!((events.as_slice(), folded.as_slice(), empty), (&expected[..], &[1, 2, 3][..], 0));
+    let (events, folded, empty) = drive_script(|_| Wait::Poll);
+    assert_eq!((events.as_slice(), folded.as_slice()), (&expected[..], &[1, 2, 3][..]));
+    assert_eq!(empty, 7, "every message is preceded by exactly one empty poll");
+    let tick = SimDuration::from_micros(1500);
+    let (events, folded, empty) =
+        drive_script(move |rank| Wait::Until(Transport::now(rank) + tick));
+    assert_eq!((events.as_slice(), folded.as_slice()), (&expected[..], &[1, 2, 3][..]));
+    assert!(empty >= 1, "the 2 ms gap outlasts a 1.5 ms deadline");
 }
 
 /// Data on the channel's tag from a rank that is not one of its producers

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use mpisim::{MachineConfig, NoiseModel, World};
 use mpistream::{
-    run_decoupled, ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel,
+    run_decoupled, ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel, Wait,
 };
 use parking_lot::Mutex;
 
@@ -378,7 +378,7 @@ fn two_channels_coexist_without_crosstalk() {
 }
 
 #[test]
-fn operate_some_allows_polling_consumers() {
+fn step_poll_allows_polling_consumers() {
     quiet().run_expect(2, |rank| {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: 2 };
@@ -396,7 +396,7 @@ fn operate_some_allows_polling_consumers() {
             Role::Consumer => {
                 let mut got = 0u64;
                 while !stream.all_terminated() {
-                    let n = stream.operate_some(rank, |_, _| {});
+                    let n = stream.step(rank, Wait::Poll, |_, _| {}).map_or(0, |ev| ev.elems);
                     if n == 0 {
                         got += stream.operate_while(rank, || got == 0, |_, _| {});
                         // interleave "other work"
@@ -406,6 +406,37 @@ fn operate_some_allows_polling_consumers() {
                     }
                 }
                 assert_eq!(got, 10);
+            }
+            Role::Bystander => unreachable!(),
+        }
+    });
+}
+
+/// `recv_one` pulls a whole batch off the wire and hands out one element;
+/// the rest stays buffered. A consumer that then drains with
+/// `operate_while` must get the buffered elements too — they were
+/// accounted and credited on arrival, so skipping them ends in `free()`
+/// panicking with "3 undelivered elements".
+#[test]
+fn operate_while_hands_out_what_recv_one_buffered() {
+    quiet().run_expect(2, |rank| {
+        let comm = rank.comm_world();
+        let spec = GroupSpec { every: 2 };
+        let role = spec.role_of(rank.world_rank());
+        let config = ChannelConfig { aggregation: 4, ..ChannelConfig::default() };
+        let ch = StreamChannel::create(rank, &comm, role, config);
+        let mut stream: Stream<u32> = Stream::attach(ch);
+        match role {
+            Role::Producer => {
+                (0..10u32).for_each(|i| stream.isend(rank, i));
+                stream.terminate(rank);
+            }
+            Role::Consumer => {
+                let mut got = vec![stream.recv_one(rank).expect("the first element")];
+                let n = stream.operate_while(rank, || true, |_, v| got.push(v));
+                assert_eq!(n, 9, "three buffered elements, then six from the wire");
+                assert_eq!(got, (0..10).collect::<Vec<u32>>());
+                stream.free(rank);
             }
             Role::Bystander => unreachable!(),
         }
@@ -669,8 +700,8 @@ fn double_terminate_is_idempotent() {
                 // Exactly one Term was consumed; a duplicate would leave
                 // terms_seen past the producer count or traffic behind.
                 assert!(s.all_terminated());
-                let (extra, progressed) = s.try_step(rank, |_, _| {});
-                assert_eq!((extra, progressed), (0, false), "no duplicate Term on the wire");
+                let extra = s.step(rank, Wait::Poll, |_, _| {});
+                assert_eq!(extra, None, "no duplicate Term on the wire");
                 s.free(rank);
             }
             Role::Bystander => unreachable!(),

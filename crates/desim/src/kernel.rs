@@ -494,7 +494,7 @@ impl Kernel {
         self.check_killed(me);
     }
 
-    /// Mark `victim` for death. It unwinds with [`ProcKill`] the next time
+    /// Mark `victim` for death. It unwinds with `ProcKill` the next time
     /// it is scheduled (a wake-up at the current virtual time is queued so
     /// a parked victim dies "now" in virtual time); `Simulation::run`
     /// records it as killed rather than failed. Killing an already-exited

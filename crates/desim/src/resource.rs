@@ -111,7 +111,7 @@ impl FifoServer {
 /// ordered execution would have served it, instead of queueing behind work
 /// that arrives later in virtual time. With in-call-order arrivals the gap
 /// list is never hit on the fast path and results match the plain tally.
-/// The gap list is bounded ([`LinkClock::GAP_CAP`]); the oldest gaps are
+/// The gap list is bounded (`LinkClock::GAP_CAP`); the oldest gaps are
 /// forgotten (treated as busy), which only ever delays a booking, keeps
 /// memory constant, and stays deterministic.
 #[derive(Debug, Default, Clone)]

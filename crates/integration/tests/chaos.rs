@@ -716,3 +716,59 @@ fn chaos_replicated_runs_replay_identically() {
         assert_eq!(a, b, "seed {seed}: replicated fingerprint diverged between replays");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden fingerprints: parent-versus-change identity.
+//
+// The replay tests above compare a seed with its own re-run, which a
+// refactor that shifts every virtual time by the same amount passes. The
+// golden file pins what each seed produced at the commit that last
+// regenerated it, so "the stream protocol is byte-identical" is checked,
+// not asserted.
+// ---------------------------------------------------------------------------
+
+/// One line per seed: `seed`, then the digests of the unreplicated and the
+/// replicated fingerprint. Lines starting with `#` are comments.
+const GOLDEN: &str = include_str!("../../../tests/golden/chaos_fingerprints.txt");
+
+/// 64-bit FNV-1a of a fingerprint's `Debug` text — a fixed function, unlike
+/// `DefaultHasher`, whose output may change between toolchains.
+fn digest(fingerprint: &impl std::fmt::Debug) -> u64 {
+    let text = format!("{fingerprint:?}");
+    text.bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+}
+
+/// Every seed of the sweep range the golden file covers reproduces the
+/// committed digests. To regenerate after an *intended* protocol change,
+/// copy the file the failure names over the golden (run the default
+/// 250-seed range first).
+#[test]
+fn chaos_fingerprints_match_golden() {
+    let (start, count) = sweep_range();
+    let seeds: Vec<u64> = (start..start + count).collect();
+    let actual = desim::sweep::par_map(seeds, |seed| {
+        let (plain, replicated) = (run_chaos(seed).1, run_replicated_chaos(seed).1);
+        format!("{seed} {:016x} {:016x}", digest(&plain), digest(&replicated))
+    });
+    // Keyed by seed; the `#` comment line lands under a key no seed has.
+    let golden: std::collections::HashMap<&str, &str> =
+        GOLDEN.lines().filter_map(|line| Some((line.split_once(' ')?.0, line))).collect();
+    let drifted: Vec<&String> = actual
+        .iter()
+        .filter(|line| {
+            let (seed, _) = line.split_once(' ').expect("`seed digest digest`");
+            golden.get(seed).is_some_and(|g| *g != line.as_str())
+        })
+        .collect();
+    if !drifted.is_empty() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/chaos_fingerprints.actual");
+        std::fs::write(path, actual.join("\n") + "\n").expect("write actual fingerprints");
+        panic!(
+            "{} of {count} seeds drifted from tests/golden/chaos_fingerprints.txt \
+             (first: `{}`); actual lines written to {path}",
+            drifted.len(),
+            drifted[0]
+        );
+    }
+}

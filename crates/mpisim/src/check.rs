@@ -25,8 +25,8 @@
 //! - **Credit-protocol violations** (`SC103`): a producer put more elements
 //!   in flight to one consumer than the channel's credit window admits,
 //!   breaking the memory bound of §II-D. The stream library reports its
-//!   sends and credit grants through the [`crate::Rank::check_data_sent`] /
-//!   [`crate::Rank::check_credit_issued`] hooks.
+//!   sends and credit grants through the `Rank::check_data_sent` /
+//!   `Rank::check_credit_issued` hooks.
 
 #[cfg(feature = "check")]
 use std::collections::{HashMap, HashSet};

@@ -93,7 +93,7 @@ impl MachineConfig {
 
 /// A two-component OS-noise model, after the classic characterisations of
 /// system interference on large machines (Petrini et al., SC'03, cited as
-/// [3] in the paper):
+/// \[3\] in the paper):
 ///
 /// - **Jitter**: every compute phase is stretched by a multiplicative
 ///   log-normal factor with coefficient of variation `jitter_cv` —

@@ -2,7 +2,7 @@
 //!
 //! Payloads travel as `Box<dyn Any + Send>` carrying *real* Rust values —
 //! the applications built on the simulator compute on genuine data — while
-//! the *modelled* wire size is carried separately in [`Envelope::bytes`] and
+//! the *modelled* wire size is carried separately in `Envelope::bytes` and
 //! drives all timing.
 //!
 //! # Matching semantics (the contract every index must preserve)
@@ -32,7 +32,7 @@
 //!   newly landed entries `pending → ready`; virtual time is monotone, so
 //!   promotion is one-way.
 //! - `by_src_tag`: per-`(src, tag)` arrival-order seq list. Per-link
-//!   delivery is non-overtaking — [`MailboxInner::insert`] clamps each
+//!   delivery is non-overtaking — `MailboxInner::insert` clamps each
 //!   envelope's availability to a per-source floor, covering both the
 //!   gap-calendar `LinkClock` (which can book an out-of-call-order request
 //!   into an earlier idle slot) and fault-window delays — so the front is

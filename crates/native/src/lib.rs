@@ -1,6 +1,6 @@
 //! # native — the stream runtime on real OS threads
 //!
-//! A [`Transport`](mpistream::Transport) backend that runs every rank as
+//! A [`Transport`] backend that runs every rank as
 //! an OS thread on the host, so stream programs written against
 //! `mpistream` execute in *actual* parallel instead of inside the
 //! discrete-event simulator. The paper's decoupling pipeline — producer

@@ -38,7 +38,7 @@ use std::ops::ControlFlow;
 
 use mpistream::transport::{SimDuration, Src, Tag, Transport};
 use mpistream::wire::Wire;
-use mpistream::{ConsumerCheckpoint, Stream, StreamChannel};
+use mpistream::{ConsumerCheckpoint, Stream, StreamChannel, Wait};
 
 use crate::producer::{CreditMsg, TakeoverMsg};
 use crate::vsr::{Effect, Snapshot, VsrCore, VsrMsg};
@@ -225,7 +225,7 @@ where
                 let ev = {
                     let acc = &mut acc;
                     let fold = &mut fold;
-                    stream.step_deadline(rank, deadline, |r, elem| {
+                    stream.step(rank, Wait::Until(deadline), |r, elem| {
                         // After a Break, swallow the rest of the batch:
                         // the "crashed" rank must not keep folding.
                         if !died && fold(r, acc, elem).is_break() {

@@ -19,7 +19,7 @@
 //! exactly one value.
 //!
 //! A frame costs **one** `write` to send — the sender builds prefix,
-//! header and payload in one buffer ([`begin_frame`] / [`finish_frame`])
+//! header and payload in one buffer (`begin_frame` / `finish_frame`)
 //! — and, through a [`FrameReader`], far less than one `read` to receive:
 //! each `read` takes whatever the kernel has and every complete frame in
 //! it is parsed out of the reader's buffer.
@@ -191,7 +191,7 @@ fn next_frame(
 }
 
 /// Buffered frame reader for one inbound link: owns the reader and a
-/// [`LINK_BUF_BYTES`] buffer (see [`next_frame`] for its invariants).
+/// [`LINK_BUF_BYTES`] buffer (see `next_frame` for its invariants).
 pub struct FrameReader<R> {
     inner: R,
     buf: Box<[u8]>,

@@ -21,7 +21,7 @@
 //!   ASCII Gantt chart (byte-compatible with `desim`'s, so the
 //!   simulator-only renderer is subsumed; [`Trace::from_desim`] adapts an
 //!   existing `desim::Trace`).
-//! - [`fit`] — estimators that recover the paper's Eq. 4 parameters
+//! - [`mod@fit`] — estimators that recover the paper's Eq. 4 parameters
 //!   (per-element overhead `o`, pipelining fraction β(S), imbalance Tσ)
 //!   from a recorded trace and report the residual against the
 //!   `perfmodel` prediction; [`synth`] generates traces from known

@@ -18,8 +18,8 @@ use crate::sink::ProfSink;
 /// else). Non-blocking calls (`try_recv`, `probe`) are never spanned.
 /// The `prof_*` hooks the stream runtime invokes on every transport are
 /// intercepted here: named application spans (`prof_begin`/`prof_end`)
-/// land on the timeline, stream counters land in [`StreamMetrics`]
-/// (see [`crate::StreamMetrics`]).
+/// land on the timeline, stream counters land in
+/// [`crate::StreamMetrics`].
 pub struct Profiled<'a, T: Transport> {
     inner: &'a mut T,
     sink: ProfSink,
