@@ -17,7 +17,6 @@
 //! Word counts are computed for real: both implementations are verified
 //! against [`workloads::Corpus::serial_histogram`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mpisim::{MachineConfig, Rank, World, WorldOutcome};
@@ -117,6 +116,28 @@ pub struct MapReduceResult {
     pub master_drain_secs: f64,
 }
 
+/// One chunk's partial counts: its distinct words in ascending order, each
+/// with its number of occurrences. A sort of the chunk's words and a
+/// run-length pass — no hashing, so nothing here depends on a per-process
+/// hash key.
+pub(crate) fn count_words(tokens: impl IntoIterator<Item = u32>) -> KvChunk {
+    let mut words: Vec<u32> = tokens.into_iter().collect();
+    words.sort_unstable();
+    let mut pairs = KvChunk::with_capacity(words.len());
+    for w in words {
+        match pairs.last_mut() {
+            Some((last, count)) if *last == w => *count += 1,
+            _ => pairs.push((w, 1)),
+        }
+    }
+    pairs
+}
+
+/// The sorted `(word, count)` pairs of a word-indexed count table.
+fn nonzero(counts: &[u64]) -> impl Iterator<Item = (u32, u64)> + '_ {
+    counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(w, &c)| (w as u32, c))
+}
+
 /// Map one file's tokens into a local histogram, charging compute in
 /// chunk-sized slices so the data flow (in the decoupled version) is
 /// spread over the execution. `emit` is called once per chunk with the
@@ -134,16 +155,10 @@ fn map_file<'w>(
     let bytes_per_chunk = file.bytes / n_chunks as u64;
     let secs_per_chunk = cfg.map_secs_per_gb * bytes_per_chunk as f64 / (1u64 << 30) as f64;
     for chunk in tokens.chunks(cfg.chunk_tokens) {
-        // Read this slice of the file, then hash its words (really).
+        // Read this slice of the file, then count its words (really).
         pfs.read_striped(rank.ctx(), bytes_per_chunk);
         rank.compute(secs_per_chunk);
-        let mut partial: HashMap<u32, u32> = HashMap::new();
-        for &t in chunk {
-            *partial.entry(t).or_insert(0) += 1;
-        }
-        let mut pairs: Vec<(u32, u32)> = partial.into_iter().collect();
-        pairs.sort_unstable();
-        emit(rank, pairs);
+        emit(rank, count_words(chunk.iter().copied()));
     }
 }
 
@@ -161,17 +176,16 @@ pub fn run_reference(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         // --- map phase: local histogram over my files ---
-        let mut local: HashMap<u32, u64> = HashMap::new();
+        let mut local = vec![0u64; corpus2.vocab()];
         for file in corpus2.files_for(me, nprocs) {
             map_file(rank, &corpus2, &file, &cfg2, &pfs2, &mut |_rank, pairs| {
                 for (w, c) in pairs {
-                    *local.entry(w).or_insert(0) += c as u64;
+                    local[w as usize] += c as u64;
                 }
             });
         }
         // --- key union: allgatherv of local key sets ---
-        let mut my_keys: Vec<u32> = local.keys().copied().collect();
-        my_keys.sort_unstable();
+        let my_keys: Vec<u32> = nonzero(&local).map(|(w, _)| w).collect();
         let key_bytes = (my_keys.len() as f64 * 4.0 * cfg2.wire_scale) as u64;
         let req = rank.iallgatherv_start(&comm, key_bytes, my_keys);
         let key_sets = rank.iallgatherv_wait::<Vec<u32>>(req);
@@ -179,8 +193,7 @@ pub fn run_reference(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
         global_keys.sort_unstable();
         global_keys.dedup();
         // --- dense reduce over the agreed key order ---
-        let dense: Vec<u64> =
-            global_keys.iter().map(|k| local.get(k).copied().unwrap_or(0)).collect();
+        let dense: Vec<u64> = global_keys.iter().map(|&k| local[k as usize]).collect();
         let dense_bytes = (dense.len() as f64 * cfg2.pair_bytes as f64 * cfg2.wire_scale) as u64;
         // Materialising the union-sized dense vector and combining it
         // along the tree is real CPU work proportional to its size
@@ -256,21 +269,21 @@ pub(crate) fn merge_sorted<C: Copy + std::ops::AddAssign>(
     *acc = out;
 }
 
-/// The local reducer's kernel: fold arriving chunks FCFS into the sparse
-/// `local` histogram and forward each chunk to the master — deliberately
-/// unaggregated, per the paper.
+/// The local reducer's kernel: fold arriving chunks FCFS into the
+/// word-indexed `local` histogram and forward each chunk to the master —
+/// deliberately unaggregated, per the paper.
 fn reduce_fold<TP: Transport>(
     rank: &mut TP,
     input: &mut Stream<KvChunk>,
     mut to_master: Option<&mut Stream<KvChunk>>,
-    local: &mut HashMap<u32, u64>,
+    local: &mut [u64],
 ) {
     input.operate(rank, |rank, chunk| {
         prof_scoped(rank, "reduce", |rank| {
-            // Sparse hash fold: cheap per pair.
+            // Sparse fold: cheap per pair.
             rank.compute(chunk.len() as f64 * 100e-9);
             for &(w, c) in &chunk {
-                *local.entry(w).or_insert(0) += c as u64;
+                local[w as usize] += c as u64;
             }
             if let Some(m) = to_master.as_mut() {
                 m.isend_to(rank, 0, chunk);
@@ -418,15 +431,14 @@ pub fn decoupled_rank<TP: Transport>(
         }
         Role::Consumer => {
             let mut input: Stream<KvChunk> = Stream::attach(ch1);
-            let mut local: HashMap<u32, u64> = HashMap::new();
+            let mut local = vec![0u64; shape.vocab];
             if let (Some(plan), Some(tree)) = (tree_plan.as_ref(), tree) {
                 // Tree mode: fold the map stream locally (nothing is
                 // forwarded per chunk), then climb the reduction tree
                 // with the folded shard; only the tree root talks to
                 // the master — with a single pre-merged shard.
                 reduce_fold(rank, &mut input, None, &mut local);
-                let mut shard: Shard = local.into_iter().collect();
-                shard.sort_unstable();
+                let shard: Shard = nonzero(&local).collect();
                 let merged = reduce_through(rank, plan, tree, Some(shard), |rank, acc, other| {
                     rank.compute(other.len() as f64 * 100e-9);
                     merge_sorted(acc, other);
@@ -448,11 +460,7 @@ pub fn decoupled_rank<TP: Transport>(
                 return None;
             }
             // Solo reducer: it *is* the master.
-            let mut hist = vec![0u64; shape.vocab];
-            for (w, c) in local {
-                hist[w as usize] += c;
-            }
-            Some(hist)
+            Some(local)
         }
         Role::Bystander => {
             let ch2 = ch2.expect("master has the reducer channel");
@@ -652,6 +660,35 @@ mod tests {
         let oracle = Corpus::new(cfg.corpus.clone()).serial_histogram();
         let res = run_reference(1, &cfg);
         assert_eq!(res.histogram, oracle);
+    }
+
+    /// A chunk's counts the way `map_file` built them before ISSUE 24:
+    /// hash, collect, sort.
+    fn count_words_by_hashing(chunk: &[u32]) -> KvChunk {
+        let mut partial = std::collections::HashMap::new();
+        for &t in chunk {
+            *partial.entry(t).or_insert(0) += 1;
+        }
+        let mut pairs: KvChunk = partial.into_iter().collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn count_words_equals_the_hashed_chunk() {
+        let zipf = Corpus::new(small_cfg(3).corpus);
+        let zipf: Vec<u32> = zipf.files().iter().flat_map(|f| zipf.tokens_of(f)).collect();
+        assert!(!zipf.len().is_multiple_of(128), "the last chunk is meant to be a short one");
+        let all_equal = [7u32; 128];
+        let all_distinct: Vec<u32> = (0..128u32).rev().map(|i| i * 7_919 % 20_000).collect();
+        let slices =
+            zipf.chunks(128).chain([&all_equal[..], &all_distinct[..], &[][..], &[u32::MAX][..]]);
+        for chunk in slices {
+            let pairs = count_words(chunk.iter().copied());
+            assert_eq!(pairs, count_words_by_hashing(chunk));
+            assert_eq!(pairs.iter().map(|&(_, c)| c as usize).sum::<usize>(), chunk.len());
+        }
+        assert_eq!(count_words(all_equal), vec![(7, 128)]);
     }
 
     #[test]

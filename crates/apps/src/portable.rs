@@ -13,11 +13,9 @@
 //!
 //! [`RoutePolicy::Static`]: mpistream::RoutePolicy::Static
 
-use std::collections::HashMap;
-
 use mpistream::{run_decoupled, ChannelConfig, GroupSpec, Role, Transport};
 
-use crate::mapreduce::{decoupled_rank, DecoupledShape};
+use crate::mapreduce::{count_words, decoupled_rank, DecoupledShape};
 
 // ---------------------------------------------------------------------
 // Quickstart (the paper's Listing 1)
@@ -201,16 +199,11 @@ pub fn mini_mapreduce<TP: Transport>(rank: &mut TP, cfg: &MiniMrConfig) -> Optio
         tree_fan_in: cfg.tree_fan_in,
     };
     decoupled_rank(rank, &shape, |rank, mi, _n_mappers, emit| {
-        // Hash each synthetic chunk and hand its sorted pairs on.
+        // Count each synthetic chunk and hand its sorted pairs on.
         for chunk in 0..cfg.chunks_per_mapper {
-            let mut partial: HashMap<u32, u32> = HashMap::new();
-            for i in 0..cfg.tokens_per_chunk {
-                *partial.entry(token(cfg, mi, chunk, i)).or_insert(0) += 1;
-            }
+            let tokens = (0..cfg.tokens_per_chunk).map(|i| token(cfg, mi, chunk, i));
             rank.compute(cfg.tokens_per_chunk as f64 * 50e-9);
-            let mut pairs: Vec<(u32, u32)> = partial.into_iter().collect();
-            pairs.sort_unstable();
-            emit(rank, pairs);
+            emit(rank, count_words(tokens));
         }
     })
 }
@@ -249,6 +242,7 @@ mod tests {
     use super::*;
     use mpisim::{MachineConfig, World};
     use parking_lot::Mutex;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     #[test]
