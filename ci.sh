@@ -32,6 +32,12 @@ CARGO_TARGET_DIR=benchmark/target cargo build --release --offline \
 echo "== test suite =="
 cargo test -q --offline
 
+echo "== simulator tests, as the fig binaries build it (no mpisim/check) =="
+# The root run above turns `mpisim/check` on through dev-dependencies, so
+# the simulator's own tests never see the configuration that the fig
+# binaries and benchmark/ build. Selecting the two crates alone does.
+cargo test -q --offline -p desim -p mpisim
+
 echo "== chaos smoke (25 seeds, fixed range, parallel sweep) =="
 # A deterministic subset of the default 250-seed sweep; the fixed range
 # keeps the smoke run reproducible and fast, and SWEEP_JOBS exercises the

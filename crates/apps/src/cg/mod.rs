@@ -249,13 +249,13 @@ fn halo_blocking(rank: &mut Rank, cart: &CartComm, st: &mut CgState, cfg: &CgCon
         let face = st.p.extract_face(dim, dir);
         let w = cart.comm().world_rank(nb);
         let tag = halo_tag(dim, dir);
-        reqs.push(rank.isend_t(w, tag, face_bytes, face));
+        reqs.push(rank.isend(w, tag, face_bytes, face));
     }
     for (dim, dir, nb) in cart.neighbors(me) {
         let w = cart.comm().world_rank(nb);
         // Our -x halo comes from the neighbour's +x face.
         let tag = halo_tag(dim, -dir);
-        let (face, _) = rank.recv_t::<Vec<f64>>(Src::Rank(w), tag);
+        let (face, _) = rank.recv::<Vec<f64>>(Src::Rank(w), tag);
         st.p.set_halo(dim, dir, &face);
     }
     rank.wait_send_all(reqs);
@@ -280,7 +280,7 @@ fn halo_nonblocking(
     for (dim, dir, nb) in cart.neighbors(me) {
         let face = st.p.extract_face(dim, dir);
         let w = cart.comm().world_rank(nb);
-        reqs.push(rank.isend_t(w, halo_tag(dim, dir), face_bytes, face));
+        reqs.push(rank.isend(w, halo_tag(dim, dir), face_bytes, face));
     }
     rank.trace_end("comm");
     // Overlap: inner stencil while the halos travel.
@@ -290,7 +290,7 @@ fn halo_nonblocking(
     rank.trace_begin("comm");
     for (dim, dir, nb) in cart.neighbors(me) {
         let w = cart.comm().world_rank(nb);
-        let (face, _) = rank.recv_t::<Vec<f64>>(Src::Rank(w), halo_tag(dim, -dir));
+        let (face, _) = rank.recv::<Vec<f64>>(Src::Rank(w), halo_tag(dim, -dir));
         st.p.set_halo(dim, dir, &face);
     }
     rank.wait_send_all(reqs);

@@ -325,14 +325,14 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                     let w = comm.world_rank(nb);
                     let bundle = buckets.remove(&nb).unwrap_or_default();
                     let bytes = st.bytes_of(&cfg2, bundle.len());
-                    let tag = 200 + dim as u32 * 2 + u32::from(dir > 0);
+                    let tag = mpisim::Tag::user(200 + dim as u32 * 2 + u32::from(dir > 0));
                     reqs.push(rank.isend(w, tag, bytes, bundle));
                 }
                 debug_assert!(buckets.is_empty(), "every hop must be a neighbour");
                 for &(dim, dir, nb) in &neighbours {
                     let w = comm.world_rank(nb);
                     // Our (dim, dir) send matches their (dim, -dir) recv.
-                    let tag = 200 + dim as u32 * 2 + u32::from(dir < 0);
+                    let tag = mpisim::Tag::user(200 + dim as u32 * 2 + u32::from(dir < 0));
                     let (bundle, _) = rank.recv::<Vec<Particle>>(mpisim::Src::Rank(w), tag);
                     for p in bundle {
                         if st.cart_owner(p.pos) == me {

@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use bench_harness::{scenarios as sc, workspace_root};
 use desim::EventStats;
-use mpisim::{MachineConfig, NoiseModel, Src, World};
+use mpisim::{MachineConfig, NoiseModel, Src, Tag, World};
 use mpistream::{ChannelConfig, Role, RoutePolicy, Stream, StreamChannel};
 
 const SEED: u64 = 0xE26_1BE7;
@@ -132,13 +132,13 @@ fn incast(producers: usize, per_producer: u64) -> Metrics {
                 let total = producers as u64 * per_producer;
                 let mut sum = 0u64;
                 for _ in 0..total {
-                    let (v, _info) = rank.recv::<u64>(Src::Any, 1);
+                    let (v, _info) = rank.recv::<u64>(Src::Any, Tag::user(1));
                     sum = sum.wrapping_add(v);
                 }
                 assert!(sum > 0);
             } else {
                 for i in 0..per_producer {
-                    rank.send(0, 1, BYTES, (me as u64) << 32 | i);
+                    rank.send(0, Tag::user(1), BYTES, (me as u64) << 32 | i);
                 }
             }
         })
@@ -153,12 +153,12 @@ fn pingpong(rounds: u64) -> Metrics {
             let peer = 1 - me;
             for i in 0..rounds {
                 if me == 0 {
-                    rank.send(peer, 7, 8, i);
-                    let (v, _) = rank.recv::<u64>(Src::Rank(peer), 7);
+                    rank.send(peer, Tag::user(7), 8, i);
+                    let (v, _) = rank.recv::<u64>(Src::Rank(peer), Tag::user(7));
                     assert_eq!(v, i);
                 } else {
-                    let (v, _) = rank.recv::<u64>(Src::Rank(peer), 7);
-                    rank.send(peer, 7, 8, v);
+                    let (v, _) = rank.recv::<u64>(Src::Rank(peer), Tag::user(7));
+                    rank.send(peer, Tag::user(7), 8, v);
                 }
             }
         })
@@ -177,7 +177,7 @@ fn fanin(producers: usize, per_producer: u64, tags: u32) -> Metrics {
                 while got < total {
                     let mut progressed = false;
                     for t in 1..=tags {
-                        while rank.try_recv::<u64>(Src::Any, t).is_some() {
+                        while rank.try_recv::<u64>(Src::Any, Tag::user(t)).is_some() {
                             got += 1;
                             progressed = true;
                         }
@@ -189,7 +189,7 @@ fn fanin(producers: usize, per_producer: u64, tags: u32) -> Metrics {
             } else {
                 let tag = 1 + (me as u32 - 1) % tags;
                 for i in 0..per_producer {
-                    rank.send(0, tag, 4 << 10, i);
+                    rank.send(0, Tag::user(tag), 4 << 10, i);
                 }
             }
         })

@@ -203,17 +203,6 @@ pub fn stream_shape(producers: usize, consumers: usize, per_producer: u64) -> Sh
     Shape { nprocs: producers + consumers, msgs: 0, elems: producers as u64 * per_producer }
 }
 
-pub fn stream_config(credit_batch: usize) -> ChannelConfig {
-    ChannelConfig {
-        element_bytes: 512,
-        aggregation: 2,
-        credits: Some(32),
-        route: RoutePolicy::RoundRobin,
-        credit_batch,
-        ..ChannelConfig::default()
-    }
-}
-
 /// Returns the number of elements this rank processed (consumers) or 0
 /// (producers); the harness sums and checks conservation.
 pub fn stream_rank<TP: Transport>(
@@ -225,7 +214,15 @@ pub fn stream_rank<TP: Transport>(
     let comm = rank.world_group();
     let me = rank.world_rank();
     let role = if me < producers { Role::Producer } else { Role::Consumer };
-    let ch = StreamChannel::create(rank, &comm, role, stream_config(credit_batch));
+    let config = ChannelConfig {
+        element_bytes: 512,
+        aggregation: 2,
+        credits: Some(32),
+        route: RoutePolicy::RoundRobin,
+        credit_batch,
+        ..ChannelConfig::default()
+    };
+    let ch = StreamChannel::create(rank, &comm, role, config);
     let mut stream: Stream<u64> = Stream::attach(ch);
     match role {
         Role::Producer => {

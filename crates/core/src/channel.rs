@@ -1,21 +1,11 @@
 //! Stream channels: the communication fabric between decoupled groups.
 
 use desim::SimDuration;
+// A channel's tags live in the one tag space every backend shares.
+use mpisim::msg::{CODE_CREDIT, CODE_DATA, CODE_REPL, CODE_TAKEOVER, NS_STREAM};
 
 use crate::group::Role;
 use crate::transport::{Group, Tag, Transport};
-
-/// Namespace byte for stream traffic inside the simulator's tag space.
-pub(crate) const NS_STREAM: u8 = 2;
-
-/// Tag codes within one channel.
-pub(crate) const CODE_DATA: u32 = 0;
-pub(crate) const CODE_CREDIT: u32 = 1;
-/// Replica-group traffic (VSR prepare/commit/view-change, `crates/replica`).
-pub(crate) const CODE_REPL: u32 = 2;
-/// Takeover announcements and term acknowledgements between a replica
-/// primary and the producers (`crates/replica`).
-pub(crate) const CODE_TAKEOVER: u32 = 3;
 
 /// How stream elements are routed from producers to consumers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

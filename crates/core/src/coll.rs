@@ -22,6 +22,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use mpisim::msg::NS_MPISTREAM_COLL;
+
 use crate::transport::{Group, Src, Tag, Transport};
 use crate::wire::Wire;
 
@@ -29,8 +31,6 @@ use crate::wire::Wire;
 const WORLD_ID: u64 = 0;
 /// Group id marking metadata-only groups (never collective targets).
 const META_ID: u64 = u64::MAX;
-/// Internal tag namespace for collective traffic (streams use ns 2).
-const NS_COLL: u8 = 3;
 
 /// An ordered set of world ranks plus the id its collectives are tagged
 /// with. The id of a split product is *derived*, not registered: every
@@ -89,7 +89,7 @@ fn split_id(parent: u64, seq: u32, color: i64) -> u64 {
 /// on distinct tags (within one group, call order still makes `seq`
 /// unique — the MPI contract).
 fn coll_tag(id: u64, seq: u32) -> Tag {
-    Tag::internal(NS_COLL, id as u16, seq.wrapping_add((id >> 16) as u32))
+    Tag::internal(NS_MPISTREAM_COLL, id as u16, seq.wrapping_add((id >> 16) as u32))
 }
 
 /// Children of virtual rank `v` among `size`, ascending (the

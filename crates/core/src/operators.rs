@@ -271,11 +271,6 @@ pub struct TreeChannels {
 }
 
 impl TreeChannels {
-    /// Per-stage channel presence (testing / introspection).
-    pub fn stage_roles(&self) -> Vec<Option<Role>> {
-        self.channels.iter().map(|c| c.as_ref().map(StreamChannel::role)).collect()
-    }
-
     /// Take the per-stage endpoints out, for callers that drive the block
     /// channels directly (streaming aggregators) instead of through
     /// [`reduce_through`].

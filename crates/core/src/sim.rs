@@ -8,15 +8,11 @@
 //! harnesses, the chaos suite and the perf-regression baselines rely on:
 //! going through the abstraction is byte-identical to not having it.
 //!
-//! Two details keep the shim exact:
-//!
-//! - [`Transport::send`] forwards to [`mpisim::Rank::send_t`], which is
-//!   defined as `isend_t` + `wait_send` — precisely the call pair the
-//!   stream layer used before the refactor (wait only for injection,
-//!   never for delivery).
-//! - [`Tag`]/[`Src`] convert by value with the same bit layout, so tags
-//!   on the wire are unchanged and the sanitizer's tag-space
-//!   classification still applies.
+//! `Rank`'s point-to-point calls already carry the trait's names,
+//! arguments and message types ([`Tag`], [`Src`], [`MsgInfo`] are
+//! `mpisim`'s own), so every method is one call; [`Transport::send`] is
+//! [`mpisim::Rank::send`]: `isend` + `wait_send`, waiting for injection,
+//! never for delivery.
 
 use mpisim::Rank;
 
@@ -26,24 +22,6 @@ use crate::wire::Wire;
 /// The simulator backend, by its transport name. Stream programs written
 /// against `Transport` take a `&mut SimTransport` to run simulated.
 pub type SimTransport<'c> = Rank<'c>;
-
-#[inline]
-fn sim_src(src: Src) -> mpisim::Src {
-    match src {
-        Src::Rank(r) => mpisim::Src::Rank(r),
-        Src::Any => mpisim::Src::Any,
-    }
-}
-
-#[inline]
-fn sim_tag(tag: Tag) -> mpisim::Tag {
-    mpisim::Tag(tag.0)
-}
-
-#[inline]
-fn from_sim_info(info: mpisim::MsgInfo) -> MsgInfo {
-    MsgInfo { src: info.src, tag: Tag(info.tag.0), bytes: info.bytes }
-}
 
 impl Group for mpisim::Comm {
     fn ranks(&self) -> &[usize] {
@@ -85,16 +63,15 @@ impl<'c> Transport for Rank<'c> {
     }
 
     fn send<T: Wire + Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
-        Rank::send_t(self, dst, sim_tag(tag), bytes, value);
+        Rank::send(self, dst, tag, bytes, value);
     }
 
     fn recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
-        let (v, info) = Rank::recv_t(self, sim_src(src), sim_tag(tag));
-        (v, from_sim_info(info))
+        Rank::recv(self, src, tag)
     }
 
     fn try_recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
-        Rank::try_recv_t(self, sim_src(src), sim_tag(tag)).map(|(v, i)| (v, from_sim_info(i)))
+        Rank::try_recv(self, src, tag)
     }
 
     fn recv_deadline<T: Wire + Send + 'static>(
@@ -103,12 +80,11 @@ impl<'c> Transport for Rank<'c> {
         tag: Tag,
         deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
-        Rank::recv_t_deadline(self, sim_src(src), sim_tag(tag), deadline)
-            .map(|(v, i)| (v, from_sim_info(i)))
+        Rank::recv_deadline(self, src, tag, deadline)
     }
 
     fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
-        Rank::iprobe_t(self, sim_src(src), sim_tag(tag)).map(from_sim_info)
+        Rank::probe(self, src, tag)
     }
 
     fn wait_for_mail(&mut self) {
@@ -163,7 +139,7 @@ impl<'c> Transport for Rank<'c> {
 
     #[cfg(feature = "check")]
     fn check_register_channel(&mut self, id: u16, window: Option<u64>, credit_tag: Tag) {
-        Rank::check_register_channel(self, id, window, sim_tag(credit_tag));
+        Rank::check_register_channel(self, id, window, credit_tag);
     }
 
     #[cfg(feature = "check")]

@@ -40,83 +40,12 @@
 //! decoupling model uses to absorb producer imbalance.
 
 pub use desim::{SimDuration, SimTime};
+// The message vocabulary is the simulator's, for every backend: one tag
+// layout (with the whole tag space in `mpisim::msg`), one `Src`, one
+// `MsgInfo`.
+pub use mpisim::{MsgInfo, Src, Tag, TagKind};
 
 use crate::wire::Wire;
-
-/// Wire tag. User tags occupy the low 32 bits; library-internal traffic
-/// (collectives, streams) sets the top bit and namespaces the rest so it
-/// can never collide with application tags. The bit layout is shared by
-/// every backend, so a channel's tags mean the same thing in the
-/// simulator and on native threads.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct Tag(pub u64);
-
-impl Tag {
-    /// A plain application tag.
-    pub const fn user(t: u32) -> Tag {
-        Tag(t as u64)
-    }
-
-    /// An internal tag in namespace `ns` (collectives, streams, ...) with
-    /// a per-channel id and sequence number.
-    pub const fn internal(ns: u8, chan: u16, seq: u32) -> Tag {
-        Tag(1 << 63 | (ns as u64) << 48 | (chan as u64) << 32 | seq as u64)
-    }
-
-    /// Classify this tag for backend-independent tooling (profilers,
-    /// sanitizers) that observes traffic without knowing who built the
-    /// tag. Stream payload and credit tags are recognised from their
-    /// namespace bits, so a blocked receive can be attributed to
-    /// wait-for-data vs wait-for-credit from the tag alone.
-    pub fn kind(&self) -> TagKind {
-        use crate::channel::{CODE_CREDIT, CODE_DATA, NS_STREAM};
-        if self.0 >> 63 == 0 {
-            return TagKind::User(self.0 as u32);
-        }
-        let ns = ((self.0 >> 48) & 0xFF) as u8;
-        let channel = ((self.0 >> 32) & 0xFFFF) as u16;
-        let seq = self.0 as u32;
-        match (ns, seq) {
-            (NS_STREAM, CODE_DATA) => TagKind::StreamData { channel },
-            (NS_STREAM, CODE_CREDIT) => TagKind::StreamCredit { channel },
-            _ => TagKind::Internal { ns, channel, seq },
-        }
-    }
-}
-
-/// What a [`Tag`] means on the wire (see [`Tag::kind`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TagKind {
-    /// A plain application tag ([`Tag::user`]).
-    User(u32),
-    /// Stream payload traffic on `channel`.
-    StreamData { channel: u16 },
-    /// Stream flow-control credits on `channel`.
-    StreamCredit { channel: u16 },
-    /// Library-internal traffic in some other namespace (collectives, ...).
-    Internal { ns: u8, channel: u16, seq: u32 },
-}
-
-/// Source selector for receives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Src {
-    /// Match only messages from this world rank.
-    Rank(usize),
-    /// Match a message from any source — the first *available* one, which
-    /// is the mechanism the decoupling model uses to absorb imbalance.
-    Any,
-}
-
-/// Metadata delivered along with a received payload.
-#[derive(Clone, Copy, Debug)]
-pub struct MsgInfo {
-    /// World rank of the sender.
-    pub src: usize,
-    /// The message's wire tag.
-    pub tag: Tag,
-    /// Modelled wire size in bytes.
-    pub bytes: u64,
-}
 
 /// An ordered set of world ranks — the backend's communicator type.
 ///
@@ -347,6 +276,8 @@ mod tests {
 
     #[test]
     fn tag_layout_separates_user_and_internal_space() {
+        // One type, not a look-alike: this line fails to compile otherwise.
+        let _: mpisim::Tag = crate::Tag::user(1);
         assert_eq!(Tag::user(7).0, 7);
         let t = Tag::internal(2, 0x0102, 1);
         assert_eq!(t.0 >> 63, 1);

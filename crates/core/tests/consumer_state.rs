@@ -20,7 +20,7 @@ const RANKS: usize = 64;
 const PRODUCERS: [usize; 3] = [3, 17, 40];
 const CONSUMER: usize = 9;
 /// User tag of the consumer's "carry on" message to a waiting producer.
-const GO: u32 = 7;
+const GO: mpisim::Tag = mpisim::Tag::user(7);
 
 fn quiet() -> World {
     World::new(MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() })

@@ -277,13 +277,6 @@ impl Kernel {
         s.push_event(time, pid);
     }
 
-    /// Schedule a wake-up for `pid` after `delay`.
-    pub fn schedule_after(&self, delay: SimDuration, pid: Pid) {
-        let mut s = self.state.lock();
-        let time = s.now + delay.0;
-        s.push_event(time, pid);
-    }
-
     /// Event-traffic counters so far (see [`EventStats`]).
     pub fn event_stats(&self) -> EventStats {
         self.state.lock().stats

@@ -20,25 +20,35 @@
 //!
 //! ## Quick example
 //!
+//! A process blocks with [`Ctx::suspend`] and is woken by an event that
+//! some process scheduled for it with [`Kernel::schedule_at`]. Wake-ups
+//! may be spurious, so the sleeper re-checks its condition every time.
+//!
 //! ```
+//! use std::sync::{Arc, Mutex};
 //! use desim::{Simulation, SimConfig, SimDuration};
-//! use desim::sync::SimChannel;
 //!
 //! let mut sim = Simulation::new(SimConfig::default());
-//! let ch: SimChannel<u64> = SimChannel::new();
-//! let tx = ch.clone();
+//! let inbox: Arc<Mutex<Vec<u64>>> = Arc::default();
+//! let tx = inbox.clone();
 //! sim.spawn("producer", move |ctx| {
 //!     for i in 0..3 {
 //!         ctx.advance(SimDuration::from_micros(5)); // "compute"
-//!         tx.send(ctx, i);
+//!         tx.lock().unwrap().push(i);
+//!         ctx.kernel().schedule_at(ctx.now(), 1); // wake the consumer (pid 1)
 //!     }
-//!     tx.close(ctx);
 //! });
-//! let rx = ch.clone();
 //! sim.spawn("consumer", move |ctx| {
-//!     let mut sum = 0;
-//!     while let Some(v) = rx.recv(ctx) {
-//!         sum += v;
+//!     let (mut sum, mut seen) = (0, 0);
+//!     loop {
+//!         for v in inbox.lock().unwrap().drain(..) {
+//!             sum += v;
+//!             seen += 1;
+//!         }
+//!         if seen == 3 {
+//!             break;
+//!         }
+//!         ctx.suspend("waiting for the producer");
 //!     }
 //!     assert_eq!(sum, 3);
 //! });
@@ -52,7 +62,6 @@ mod raw_thread;
 pub mod resource;
 pub mod sim;
 pub mod sweep;
-pub mod sync;
 pub mod time;
 pub mod trace;
 
@@ -60,6 +69,5 @@ pub use fault::{FaultAction, FaultKind, FaultPlan, LinkDisposition, LinkFault};
 pub use kernel::{EventStats, Kernel, Pid};
 pub use resource::{FifoServer, LinkClock};
 pub use sim::{Ctx, ProcStats, SimConfig, SimError, SimOutcome, Simulation};
-pub use sync::{SimBarrier, SimChannel, SimMutex, SimSemaphore, WaitSet};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Span, Trace, TraceSink};

@@ -93,11 +93,6 @@ impl FifoServer {
     pub fn requests(&self) -> u64 {
         self.inner.lock().requests
     }
-
-    /// Earliest time any lane is free (diagnostic).
-    pub fn earliest_free(&self) -> SimTime {
-        SimTime(self.inner.lock().free_at.peek().map(|Reverse(t)| *t).unwrap_or(0))
-    }
 }
 
 /// A running tally of availability for a *single* serial device, cheaper

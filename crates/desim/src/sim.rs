@@ -567,12 +567,8 @@ impl Ctx {
         std::panic::panic_any(ProcKill)
     }
 
-    /// Schedule a wake-up for `pid` at absolute virtual time `at`.
-    pub fn wake_at(&self, at: SimTime, pid: Pid) {
-        self.kernel.schedule_at(at, pid);
-    }
-
-    /// The shared kernel (for building synchronization primitives).
+    /// The shared kernel (for building synchronization primitives: wake
+    /// another process with [`Kernel::schedule_at`]).
     pub fn kernel(&self) -> &Arc<Kernel> {
         &self.kernel
     }
@@ -580,11 +576,6 @@ impl Ctx {
     /// Deterministic per-process random number generator.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
-    }
-
-    /// Virtual time this process has spent in [`Ctx::advance`] so far.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
     }
 
     /// Open a trace span tagged `tag`. Nestable; close with

@@ -3,10 +3,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use desim::sync::{SimBarrier, SimChannel};
 use desim::{FaultPlan, SimConfig, SimDuration, SimTime, Simulation};
 use parking_lot::Mutex;
 use rand::Rng;
+
+mod common;
+use common::Queue;
 
 #[test]
 fn empty_simulation_completes_at_time_zero() {
@@ -110,7 +112,7 @@ fn process_panic_fails_the_simulation_with_message() {
 fn identical_seeds_give_identical_outcomes() {
     fn run_once(seed: u64) -> (u64, Vec<u64>) {
         let mut sim = Simulation::new(SimConfig { seed, ..SimConfig::default() });
-        let ch: SimChannel<u64> = SimChannel::new();
+        let ch: Queue<u64> = Queue::new();
         let samples = Arc::new(Mutex::new(Vec::new()));
         for i in 0..8usize {
             let tx = ch.clone();
@@ -193,14 +195,22 @@ fn nested_trace_spans_close_lifo() {
 fn barrier_synchronises_thousand_processes() {
     const N: usize = 1_000;
     let mut sim = Simulation::new(SimConfig::default());
-    let bar = Arc::new(SimBarrier::new(N));
+    // The last arrival posts one release per waiter.
+    let bar: Queue<()> = Queue::new();
+    let arrived = Arc::new(AtomicU64::new(0));
     let max_t = Arc::new(AtomicU64::new(0));
     for i in 0..N {
-        let bar = bar.clone();
+        let (bar, arrived) = (bar.clone(), arrived.clone());
         let max_t = max_t.clone();
         sim.spawn(format!("p{i}"), move |ctx| {
             ctx.advance(SimDuration::from_nanos(i as u64));
-            bar.wait(ctx);
+            if arrived.fetch_add(1, Ordering::SeqCst) + 1 == N as u64 {
+                for _ in 1..N {
+                    bar.send(ctx, ());
+                }
+            } else {
+                bar.recv(ctx);
+            }
             max_t.fetch_max(ctx.now().as_nanos(), Ordering::SeqCst);
             assert!(ctx.now() >= SimTime(N as u64 - 1));
         });
@@ -216,7 +226,7 @@ fn barrier_synchronises_thousand_processes() {
 fn scales_to_8192_processes() {
     const N: usize = 8_192;
     let mut sim = Simulation::new(SimConfig::default());
-    let ch: SimChannel<usize> = SimChannel::new();
+    let ch: Queue<usize> = Queue::new();
     let done = Arc::new(AtomicU64::new(0));
     for i in 0..N {
         let ch = ch.clone();
@@ -226,7 +236,7 @@ fn scales_to_8192_processes() {
                 ctx.advance(SimDuration::from_micros(1));
                 ch.send(ctx, i);
                 // Keep the queue from growing unboundedly.
-                let _ = ch.try_recv(ctx);
+                let _ = ch.try_recv();
             }
             done.fetch_add(1, Ordering::SeqCst);
         });
@@ -311,7 +321,7 @@ fn deadlock_detector_fires_when_blocked_on_killed_process() {
         fault_plan: FaultPlan::new(1).kill(0, SimTime(1_000)),
         ..SimConfig::default()
     });
-    let ch: SimChannel<u64> = SimChannel::new();
+    let ch: Queue<u64> = Queue::new();
     let tx = ch.clone();
     sim.spawn("producer", move |ctx| {
         // Would send at t=10us, but is killed at t=1us.
@@ -321,7 +331,7 @@ fn deadlock_detector_fires_when_blocked_on_killed_process() {
     let rx = ch.clone();
     sim.spawn("consumer", move |ctx| {
         // Blocks forever: the message never arrives.
-        let _ = rx.recv(ctx);
+        rx.recv(ctx);
     });
     let err = sim.run().unwrap_err();
     assert!(err.0.contains("deadlock"), "got: {}", err.0);

@@ -2,10 +2,12 @@
 
 use std::sync::Arc;
 
-use desim::sync::SimChannel;
 use desim::{FifoServer, SimConfig, SimDuration, SimTime, Simulation};
 use parking_lot::Mutex;
 use proptest::prelude::*;
+
+mod common;
+use common::Queue;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -57,23 +59,16 @@ proptest! {
         payloads in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..30), 1..6)
     ) {
         let mut sim = Simulation::new(SimConfig::default());
-        let ch: SimChannel<(usize, u32)> = SimChannel::new();
+        let ch: Queue<(usize, u32)> = Queue::new();
         let n_producers = payloads.len();
         let expected: Vec<Vec<u32>> = payloads.clone();
-        let remaining = Arc::new(Mutex::new(n_producers));
+        let total: usize = payloads.iter().map(Vec::len).sum();
         for (i, items) in payloads.into_iter().enumerate() {
             let ch = ch.clone();
-            let remaining = remaining.clone();
             sim.spawn(format!("prod{i}"), move |ctx| {
                 for v in items {
                     ctx.advance(SimDuration::from_nanos(1));
                     ch.send(ctx, (i, v));
-                }
-                let mut r = remaining.lock();
-                *r -= 1;
-                if *r == 0 {
-                    drop(r);
-                    ch.close(ctx);
                 }
             });
         }
@@ -82,7 +77,8 @@ proptest! {
             let ch = ch.clone();
             let got = got.clone();
             sim.spawn("consumer", move |ctx| {
-                while let Some((i, v)) = ch.recv(ctx) {
+                for _ in 0..total {
+                    let (i, v) = ch.recv(ctx);
                     got.lock()[i].push(v);
                 }
             });
@@ -122,7 +118,7 @@ proptest! {
     ) {
         fn run(seed: u64, n: usize, iters: usize) -> u64 {
             let mut sim = Simulation::new(SimConfig { seed, ..SimConfig::default() });
-            let ch: SimChannel<u64> = SimChannel::new();
+            let ch: Queue<u64> = Queue::new();
             for i in 0..n {
                 let ch = ch.clone();
                 sim.spawn(format!("p{i}"), move |ctx| {
@@ -133,7 +129,7 @@ proptest! {
                         if i % 2 == 0 {
                             ch.send(ctx, w);
                         } else {
-                            let _ = ch.try_recv(ctx);
+                            let _ = ch.try_recv();
                         }
                     }
                 });

@@ -13,11 +13,8 @@
 //! does next), and the remaining tree steps run inside `wait`.
 
 use crate::comm::Comm;
-use crate::msg::{Src, Tag};
+use crate::msg::{Src, Tag, NS_MPISIM_COLL};
 use crate::rank::Rank;
-
-/// Namespace byte for collective tags.
-const NS_COLL: u8 = 1;
 
 /// Binomial-tree topology helper in *virtual* rank space (root at 0).
 #[derive(Debug, Clone)]
@@ -83,7 +80,7 @@ pub struct IAllgathervReq<T> {
 impl Rank<'_> {
     fn coll_tag(&mut self, comm: &Comm) -> Tag {
         let seq = self.next_seq(comm);
-        Tag::internal(NS_COLL, comm.id(), seq)
+        Tag::internal(NS_MPISIM_COLL, comm.id(), seq)
     }
 
     fn crank(&self, comm: &Comm) -> usize {
@@ -122,13 +119,13 @@ impl Rank<'_> {
         let mut acc = value;
         for &child_vr in &tree.children {
             let child = comm.world_rank(from_vrank(child_vr, root, n));
-            let (part, _) = self.recv_tagged::<T>(Src::Rank(child), tag);
+            let (part, _) = self.recv::<T>(Src::Rank(child), tag);
             op(&mut acc, &part);
         }
         match tree.parent {
             Some(parent_vr) => {
                 let parent = comm.world_rank(from_vrank(parent_vr, root, n));
-                let req = self.isend_tagged(parent, tag, bytes, Box::new(acc));
+                let req = self.isend(parent, tag, bytes, acc);
                 self.wait_send(req);
                 None
             }
@@ -169,7 +166,7 @@ impl Rank<'_> {
                 mask <<= 1;
             }
             let parent = comm.world_rank(from_vrank(vr & !mask, root, n));
-            let (v, _) = self.recv_tagged::<T>(Src::Rank(parent), tag);
+            let (v, _) = self.recv::<T>(Src::Rank(parent), tag);
             v
         };
         // Forward down the tree: highest bit below our own set bit first.
@@ -183,7 +180,7 @@ impl Rank<'_> {
             let child_vr = vr | mask;
             if child_vr < n {
                 let child = comm.world_rank(from_vrank(child_vr, root, n));
-                reqs.push(self.isend_tagged(child, tag, bytes, Box::new(val.clone())));
+                reqs.push(self.isend(child, tag, bytes, val.clone()));
             }
             mask >>= 1;
         }
@@ -233,7 +230,7 @@ impl Rank<'_> {
             slots[me] = Some(value);
             for _ in 0..n - 1 {
                 // First-come-first-served assembly.
-                let (v, info) = self.recv_tagged::<T>(Src::Any, tag);
+                let (v, info) = self.recv::<T>(Src::Any, tag);
                 let cr = comm.rank_of(info.src).expect("sender is a member");
                 debug_assert!(slots[cr].is_none(), "duplicate gather contribution");
                 slots[cr] = Some(v);
@@ -241,7 +238,7 @@ impl Rank<'_> {
             Some(slots.into_iter().map(|s| s.expect("all contributions arrived")).collect())
         } else {
             let dst = comm.world_rank(root);
-            let req = self.isend_tagged(dst, tag, bytes, Box::new(value));
+            let req = self.isend(dst, tag, bytes, value);
             self.wait_send(req);
             None
         }
@@ -279,7 +276,7 @@ impl Rank<'_> {
         let tree = binomial(vr, n);
         if let (true, Some(parent_vr)) = (tree.children.is_empty(), tree.parent) {
             let parent = comm.world_rank(from_vrank(parent_vr, 0, n));
-            let req = self.isend_tagged(parent, tag, bytes, Box::new(value));
+            let req = self.isend(parent, tag, bytes, value);
             IReduceReq {
                 comm: comm.clone(),
                 tag,
@@ -318,13 +315,13 @@ impl Rank<'_> {
         let mut acc = pending.expect("interior rank holds its value");
         for &child_vr in &tree.children {
             let child = comm.world_rank(from_vrank(child_vr, root, n));
-            let (part, _) = self.recv_tagged::<T>(Src::Rank(child), tag);
+            let (part, _) = self.recv::<T>(Src::Rank(child), tag);
             op(&mut acc, &part);
         }
         match tree.parent {
             Some(parent_vr) => {
                 let parent = comm.world_rank(from_vrank(parent_vr, root, n));
-                let s = self.isend_tagged(parent, tag, bytes, Box::new(acc));
+                let s = self.isend(parent, tag, bytes, acc);
                 self.wait_send(s);
                 None
             }
@@ -346,7 +343,7 @@ impl Rank<'_> {
             IAllgathervReq { comm: comm.clone(), tag, bytes, own: Some(value), send: None }
         } else {
             let dst = comm.world_rank(0);
-            let send = self.isend_tagged(dst, tag, bytes, Box::new(value));
+            let send = self.isend(dst, tag, bytes, value);
             IAllgathervReq { comm: comm.clone(), tag, bytes, own: None, send: Some(send) }
         }
     }
@@ -366,7 +363,7 @@ impl Rank<'_> {
             let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
             slots[0] = own;
             for _ in 0..n - 1 {
-                let (v, info) = self.recv_tagged::<T>(Src::Any, tag);
+                let (v, info) = self.recv::<T>(Src::Any, tag);
                 let cr = comm.rank_of(info.src).expect("sender is a member");
                 slots[cr] = Some(v);
             }

@@ -12,7 +12,7 @@
 //! from the machine model.
 //!
 //! ```
-//! use mpisim::{MachineConfig, Src, World};
+//! use mpisim::{MachineConfig, Src, Tag, World};
 //!
 //! let world = World::new(MachineConfig::default());
 //! let out = world.run_expect(4, |rank| {
@@ -20,9 +20,9 @@
 //!     let sum = rank.allreduce(&comm, 8, rank.world_rank() as u64, |a, b| *a += b);
 //!     assert_eq!(sum, 0 + 1 + 2 + 3);
 //!     if rank.world_rank() == 0 {
-//!         rank.send(1, 7, 64, String::from("hello"));
+//!         rank.send(1, Tag::user(7), 64, String::from("hello"));
 //!     } else if rank.world_rank() == 1 {
-//!         let (msg, info) = rank.recv::<String>(Src::Rank(0), 7);
+//!         let (msg, info) = rank.recv::<String>(Src::Rank(0), Tag::user(7));
 //!         assert_eq!(msg, "hello");
 //!         assert_eq!(info.bytes, 64);
 //!     }
@@ -33,7 +33,6 @@
 pub mod cart;
 pub mod check;
 pub mod coll;
-pub mod coll_ext;
 pub mod comm;
 pub mod config;
 pub mod msg;
@@ -45,8 +44,8 @@ pub use check::SanReport;
 pub use coll::{IAllgathervReq, IReduceReq};
 pub use comm::Comm;
 pub use config::{MachineConfig, NoiseModel};
-pub use msg::{MsgInfo, Src, Tag};
-pub use rank::{Rank, RecvReq, SendReq};
+pub use msg::{MsgInfo, Src, Tag, TagKind};
+pub use rank::{Rank, SendReq};
 pub use world::{World, WorldOutcome};
 
 pub use desim::{FaultPlan, LinkDisposition, LinkFault, SimDuration, SimTime};

@@ -71,10 +71,32 @@ use desim::{Ctx, Pid, SimTime};
 use parking_lot::Mutex;
 
 /// Wire tag. User tags occupy the low 32 bits; library-internal traffic
-/// (collectives, streams) uses the upper bits so it can never collide with
-/// application tags.
+/// (collectives, streams) sets the top bit and namespaces the rest so it
+/// can never collide with application tags. Every backend shares this
+/// type (`mpistream` re-exports it), so a channel's tags mean the same
+/// thing in the simulator, on native threads and over sockets.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Tag(pub u64);
+
+// The tag space, all of it: the namespace byte of every internal tag
+// (bits 48..56) and the codes a stream channel puts in the sequence field.
+
+/// `mpisim`'s own cost-modelled collectives ([`crate::coll`]).
+pub const NS_MPISIM_COLL: u8 = 1;
+/// Stream channels (`mpistream::StreamChannel`); the channel id is the
+/// 16-bit field and one of the `CODE_*` values the sequence field.
+pub const NS_STREAM: u8 = 2;
+/// The message-only collectives of the real backends (`mpistream::coll`).
+pub const NS_MPISTREAM_COLL: u8 = 3;
+/// Stream payload batches.
+pub const CODE_DATA: u32 = 0;
+/// Stream flow-control credits, consumer to producer.
+pub const CODE_CREDIT: u32 = 1;
+/// Replica-group traffic (VSR prepare/commit/view-change, `crates/replica`).
+pub const CODE_REPL: u32 = 2;
+/// Takeover announcements and term acknowledgements between a replica
+/// primary and the producers (`crates/replica`).
+pub const CODE_TAKEOVER: u32 = 3;
 
 impl Tag {
     /// A plain application tag.
@@ -83,10 +105,42 @@ impl Tag {
     }
 
     /// An internal tag in namespace `ns` (collectives, streams, ...) with a
-    /// per-communicator id and sequence number.
-    pub const fn internal(ns: u8, comm: u16, seq: u32) -> Tag {
-        Tag(1 << 63 | (ns as u64) << 48 | (comm as u64) << 32 | seq as u64)
+    /// per-communicator or per-channel id and a sequence number.
+    pub const fn internal(ns: u8, chan: u16, seq: u32) -> Tag {
+        Tag(1 << 63 | (ns as u64) << 48 | (chan as u64) << 32 | seq as u64)
     }
+
+    /// Classify this tag for backend-independent tooling (profilers,
+    /// sanitizers) that observes traffic without knowing who built the
+    /// tag. Stream payload and credit tags are recognised from their
+    /// namespace bits, so a blocked receive can be attributed to
+    /// wait-for-data vs wait-for-credit from the tag alone.
+    pub fn kind(&self) -> TagKind {
+        if self.0 >> 63 == 0 {
+            return TagKind::User(self.0 as u32);
+        }
+        let ns = ((self.0 >> 48) & 0xFF) as u8;
+        let channel = ((self.0 >> 32) & 0xFFFF) as u16;
+        let seq = self.0 as u32;
+        match (ns, seq) {
+            (NS_STREAM, CODE_DATA) => TagKind::StreamData { channel },
+            (NS_STREAM, CODE_CREDIT) => TagKind::StreamCredit { channel },
+            _ => TagKind::Internal { ns, channel, seq },
+        }
+    }
+}
+
+/// What a [`Tag`] means on the wire (see [`Tag::kind`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TagKind {
+    /// A plain application tag ([`Tag::user`]).
+    User(u32),
+    /// Stream payload traffic on `channel`.
+    StreamData { channel: u16 },
+    /// Stream flow-control credits on `channel`.
+    StreamCredit { channel: u16 },
+    /// Library-internal traffic in some other namespace (collectives, ...).
+    Internal { ns: u8, channel: u16, seq: u32 },
 }
 
 /// Source selector for receives.
@@ -102,7 +156,9 @@ pub enum Src {
 /// Metadata delivered along with a received payload.
 #[derive(Clone, Copy, Debug)]
 pub struct MsgInfo {
+    /// World rank of the sender.
     pub src: usize,
+    /// The message's wire tag.
     pub tag: Tag,
     /// Modelled wire size in bytes.
     pub bytes: u64,
@@ -570,11 +626,6 @@ impl Mailbox {
         metas.into_iter().map(|(_, m)| m).collect()
     }
 
-    /// Queue depth (diagnostics / memory accounting). O(1).
-    pub fn len(&self) -> usize {
-        self.inner.lock().envs.len()
-    }
-
     /// Total modelled bytes parked in the queue (memory accounting). O(1)
     /// via a maintained counter.
     pub fn queued_bytes(&self) -> u64 {
@@ -585,6 +636,12 @@ impl Mailbox {
     #[cfg(test)]
     fn push_raw(&self, env: Envelope) {
         self.inner.lock().insert(SimTime::ZERO, env);
+    }
+
+    /// Queue depth.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.inner.lock().envs.len()
     }
 }
 
@@ -607,13 +664,36 @@ mod tests {
     #[test]
     fn tags_never_collide_across_namespaces() {
         let user = Tag::user(7);
-        let coll = Tag::internal(1, 0, 7);
-        let stream = Tag::internal(2, 0, 7);
+        let coll = Tag::internal(NS_MPISIM_COLL, 0, 7);
+        let stream = Tag::internal(NS_STREAM, 0, 7);
         assert_ne!(user, coll);
         assert_ne!(coll, stream);
         // Same namespace, different seq/comm differ too.
         assert_ne!(Tag::internal(1, 0, 1), Tag::internal(1, 0, 2));
         assert_ne!(Tag::internal(1, 1, 1), Tag::internal(1, 0, 1));
+    }
+
+    /// One tag from every namespace decodes to what its builder meant, and
+    /// no two namespaces share a byte.
+    #[test]
+    fn every_namespace_decodes_through_kind() {
+        let namespaces = [NS_MPISIM_COLL, NS_STREAM, NS_MPISTREAM_COLL];
+        for (i, a) in namespaces.iter().enumerate() {
+            assert!(namespaces[i + 1..].iter().all(|b| a != b), "namespace byte {a} reused");
+        }
+        let internal = |ns, channel, seq| TagKind::Internal { ns, channel, seq };
+        let cases = [
+            (Tag::user(u32::MAX), TagKind::User(u32::MAX)),
+            (Tag::internal(NS_MPISIM_COLL, 4, 9), internal(NS_MPISIM_COLL, 4, 9)),
+            (Tag::internal(NS_MPISTREAM_COLL, 0xBEEF, 2), internal(NS_MPISTREAM_COLL, 0xBEEF, 2)),
+            (Tag::internal(NS_STREAM, 7, CODE_DATA), TagKind::StreamData { channel: 7 }),
+            (Tag::internal(NS_STREAM, 7, CODE_CREDIT), TagKind::StreamCredit { channel: 7 }),
+            (Tag::internal(NS_STREAM, 7, CODE_REPL), internal(NS_STREAM, 7, CODE_REPL)),
+            (Tag::internal(NS_STREAM, 7, CODE_TAKEOVER), internal(NS_STREAM, 7, CODE_TAKEOVER)),
+        ];
+        for (tag, kind) in cases {
+            assert_eq!(tag.kind(), kind, "{tag:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The per-process MPI-flavoured handle: point-to-point messaging, modelled
 //! compute, communicator management.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -15,9 +14,10 @@ use crate::world::{Shared, SplitState};
 
 /// Handle through which a rank body talks to the simulated machine.
 ///
-/// Exposes a deliberately MPI-shaped API (`send`/`isend`/`recv`/`irecv`,
-/// collectives in [`crate::coll`], Cartesian topologies in [`crate::cart`])
-/// so application code reads like the MPI codes the paper modifies.
+/// Exposes a deliberately MPI-shaped API (`send`/`isend`/`recv`/`probe`
+/// under namespaced [`Tag`]s, collectives in [`crate::coll`], Cartesian
+/// topologies in [`crate::cart`]) so application code reads like the MPI
+/// codes the paper modifies.
 pub struct Rank<'c> {
     pub(crate) ctx: &'c mut Ctx,
     pub(crate) shared: Arc<Shared>,
@@ -33,14 +33,6 @@ pub struct Rank<'c> {
 #[must_use = "isend requests should be waited on (or explicitly dropped)"]
 pub struct SendReq {
     inject_done: SimTime,
-}
-
-/// Handle for a non-blocking receive: matching is deferred to `wait`.
-#[derive(Debug)]
-#[must_use = "irecv requests must be waited on"]
-pub struct RecvReq {
-    src: Src,
-    tag: Tag,
 }
 
 impl<'c> Rank<'c> {
@@ -124,7 +116,9 @@ impl<'c> Rank<'c> {
     }
 
     // ------------------------------------------------------------------
-    // Point-to-point
+    // Point-to-point: the `mpistream::Transport` vocabulary, so a concrete
+    // `Rank` and a generic stream program call the same names with the
+    // same arguments.
     // ------------------------------------------------------------------
 
     /// Non-blocking typed send of `value` to world rank `dst`, with a
@@ -133,157 +127,9 @@ impl<'c> Rank<'c> {
     pub fn isend<T: Send + 'static>(
         &mut self,
         dst: usize,
-        tag: u32,
-        bytes: u64,
-        value: T,
-    ) -> SendReq {
-        self.isend_tagged(dst, Tag::user(tag), bytes, Box::new(value))
-    }
-
-    /// Blocking send: complete once the local NIC has injected the message
-    /// (eager protocol).
-    pub fn send<T: Send + 'static>(&mut self, dst: usize, tag: u32, bytes: u64, value: T) {
-        let req = self.isend(dst, tag, bytes, value);
-        self.wait_send(req);
-    }
-
-    /// Blocking typed receive. Panics if the payload type differs from `T`
-    /// (a genuine program error, like a datatype mismatch in MPI).
-    pub fn recv<T: Send + 'static>(&mut self, src: Src, tag: u32) -> (T, MsgInfo) {
-        self.recv_tagged(src, Tag::user(tag))
-    }
-
-    /// Non-blocking receive: matching happens at [`Rank::wait_recv`].
-    pub fn irecv(&mut self, src: Src, tag: u32) -> RecvReq {
-        RecvReq { src, tag: Tag::user(tag) }
-    }
-
-    /// Complete a non-blocking send.
-    pub fn wait_send(&mut self, req: SendReq) {
-        let now = self.ctx.now();
-        if req.inject_done > now {
-            self.ctx.advance(req.inject_done.since(now));
-        }
-    }
-
-    /// Complete a set of non-blocking sends.
-    pub fn wait_send_all(&mut self, reqs: Vec<SendReq>) {
-        let latest = reqs.iter().map(|r| r.inject_done).max();
-        if let Some(t) = latest {
-            let now = self.ctx.now();
-            if t > now {
-                self.ctx.advance(t.since(now));
-            }
-        }
-    }
-
-    /// Complete a non-blocking receive.
-    pub fn wait_recv<T: Send + 'static>(&mut self, req: RecvReq) -> (T, MsgInfo) {
-        self.recv_tagged(req.src, req.tag)
-    }
-
-    /// Blocking receive bounded by an absolute virtual-time `deadline`.
-    ///
-    /// Returns `None` if no matching message became available by the
-    /// deadline (a message available exactly at the deadline is still
-    /// delivered). This is the failure-detection primitive: instead of
-    /// hanging forever on a peer that died, bound the wait and decide.
-    pub fn recv_deadline<T: Send + 'static>(
-        &mut self,
-        src: Src,
-        tag: u32,
-        deadline: SimTime,
-    ) -> Option<(T, MsgInfo)> {
-        self.recv_tagged_deadline(src, Tag::user(tag), deadline)
-    }
-
-    /// [`Rank::recv_deadline`] with a relative timeout from now.
-    pub fn recv_timeout<T: Send + 'static>(
-        &mut self,
-        src: Src,
-        tag: u32,
-        timeout: SimDuration,
-    ) -> Option<(T, MsgInfo)> {
-        let deadline = self.ctx.now() + timeout;
-        self.recv_tagged_deadline(src, Tag::user(tag), deadline)
-    }
-
-    /// Whether a matching message could be received right now without
-    /// blocking.
-    pub fn iprobe(&mut self, src: Src, tag: u32) -> Option<MsgInfo> {
-        self.shared.mailboxes[self.rank].probe(self.ctx.now(), src, Tag::user(tag))
-    }
-
-    /// Non-blocking matched receive: take a message only if available now.
-    pub fn try_recv<T: Send + 'static>(&mut self, src: Src, tag: u32) -> Option<(T, MsgInfo)> {
-        self.try_recv_tagged(src, Tag::user(tag))
-    }
-
-    // ------------------------------------------------------------------
-    // Namespaced-tag variants (for libraries layered on the simulator,
-    // e.g. the MPIStream crate; see [`Tag::internal`])
-    // ------------------------------------------------------------------
-
-    /// Non-blocking send with an explicit (possibly namespaced) [`Tag`].
-    pub fn isend_t<T: Send + 'static>(
-        &mut self,
-        dst: usize,
         tag: Tag,
         bytes: u64,
         value: T,
-    ) -> SendReq {
-        self.isend_tagged(dst, tag, bytes, Box::new(value))
-    }
-
-    /// Blocking send with an explicit [`Tag`].
-    pub fn send_t<T: Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
-        let req = self.isend_t(dst, tag, bytes, value);
-        self.wait_send(req);
-    }
-
-    /// Blocking receive with an explicit [`Tag`].
-    pub fn recv_t<T: Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
-        self.recv_tagged(src, tag)
-    }
-
-    /// Non-blocking matched receive with an explicit [`Tag`].
-    pub fn try_recv_t<T: Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
-        self.try_recv_tagged(src, tag)
-    }
-
-    /// Deadline-bounded receive with an explicit [`Tag`]
-    /// (see [`Rank::recv_deadline`]).
-    pub fn recv_t_deadline<T: Send + 'static>(
-        &mut self,
-        src: Src,
-        tag: Tag,
-        deadline: SimTime,
-    ) -> Option<(T, MsgInfo)> {
-        self.recv_tagged_deadline(src, tag, deadline)
-    }
-
-    /// Probe with an explicit [`Tag`].
-    pub fn iprobe_t(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
-        self.shared.mailboxes[self.rank].probe(self.ctx.now(), src, tag)
-    }
-
-    /// Messages currently parked in this rank's mailbox (diagnostics).
-    pub fn mailbox_depth(&self) -> usize {
-        self.shared.mailboxes[self.rank].len()
-    }
-
-    /// Modelled bytes currently parked in this rank's mailbox — the memory
-    /// footprint of buffered, unconsumed stream data (§II-D of the paper).
-    pub fn mailbox_bytes(&self) -> u64 {
-        self.shared.mailboxes[self.rank].queued_bytes()
-    }
-
-    pub(crate) fn isend_tagged(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        bytes: u64,
-        payload: Box<dyn Any + Send>,
     ) -> SendReq {
         assert!(dst < self.shared.nprocs, "send to out-of-range rank {dst}");
         let cfg = &self.shared.config;
@@ -353,7 +199,7 @@ impl<'c> Rank<'c> {
                 tag,
                 bytes,
                 available_at,
-                payload,
+                payload: Box::new(value),
                 #[cfg(feature = "check")]
                 clock,
             },
@@ -361,35 +207,77 @@ impl<'c> Rank<'c> {
         SendReq { inject_done }
     }
 
-    pub(crate) fn recv_tagged<T: Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
+    /// Blocking send: complete once the local NIC has injected the message
+    /// (eager protocol).
+    pub fn send<T: Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
+        let req = self.isend(dst, tag, bytes, value);
+        self.wait_send(req);
+    }
+
+    /// Complete a non-blocking send.
+    pub fn wait_send(&mut self, req: SendReq) {
+        let now = self.ctx.now();
+        if req.inject_done > now {
+            self.ctx.advance(req.inject_done.since(now));
+        }
+    }
+
+    /// Complete a set of non-blocking sends.
+    pub fn wait_send_all(&mut self, reqs: Vec<SendReq>) {
+        let latest = reqs.iter().map(|r| r.inject_done).max();
+        if let Some(t) = latest {
+            let now = self.ctx.now();
+            if t > now {
+                self.ctx.advance(t.since(now));
+            }
+        }
+    }
+
+    /// Blocking typed receive. Panics if the payload type differs from `T`
+    /// (a genuine program error, like a datatype mismatch in MPI).
+    pub fn recv<T: Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
         let env = self.shared.mailboxes[self.rank].take(self.ctx, src, tag);
         #[cfg(feature = "check")]
         self.check_wildcard(src, &env);
         self.unpack(env)
     }
 
-    pub(crate) fn recv_tagged_deadline<T: Send + 'static>(
-        &mut self,
-        src: Src,
-        tag: Tag,
-        deadline: SimTime,
-    ) -> Option<(T, MsgInfo)> {
-        let shared = self.shared.clone();
-        let env = shared.mailboxes[self.rank].take_deadline(self.ctx, src, tag, deadline)?;
+    /// Non-blocking matched receive: take a message only if available now.
+    pub fn try_recv<T: Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
+        let env = self.shared.mailboxes[self.rank].try_take(self.ctx.now(), src, tag)?;
         #[cfg(feature = "check")]
         self.check_wildcard(src, &env);
         Some(self.unpack(env))
     }
 
-    pub(crate) fn try_recv_tagged<T: Send + 'static>(
+    /// Blocking receive bounded by an absolute virtual-time `deadline`.
+    ///
+    /// Returns `None` if no matching message became available by the
+    /// deadline (a message available exactly at the deadline is still
+    /// delivered). This is the failure-detection primitive: instead of
+    /// hanging forever on a peer that died, bound the wait and decide.
+    pub fn recv_deadline<T: Send + 'static>(
         &mut self,
         src: Src,
         tag: Tag,
+        deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
-        let env = self.shared.mailboxes[self.rank].try_take(self.ctx.now(), src, tag)?;
+        let env = self.shared.mailboxes[self.rank].take_deadline(self.ctx, src, tag, deadline)?;
         #[cfg(feature = "check")]
         self.check_wildcard(src, &env);
         Some(self.unpack(env))
+    }
+
+    /// Metadata of a matching message that could be received right now,
+    /// without consuming it.
+    pub fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
+        self.shared.mailboxes[self.rank].probe(self.ctx.now(), src, tag)
+    }
+
+    /// Modelled bytes currently parked in this rank's mailbox — the memory
+    /// footprint of buffered, unconsumed stream data (§II-D of the paper).
+    pub fn mailbox_bytes(&self) -> u64 {
+        self.shared.mailboxes[self.rank].queued_bytes()
     }
 
     /// Sanitizer: after a wildcard match on a *user* tag, look for causally
@@ -583,27 +471,12 @@ impl<'c> Rank<'c> {
         out
     }
 
-    /// Non-blocking attempt to complete a receive request (for
-    /// [`Rank::waitany`]-style combinators).
-    pub(crate) fn try_recv_req<T: Send + 'static>(
-        &mut self,
-        req: &RecvReq,
-    ) -> Option<(T, MsgInfo)> {
-        self.try_recv_tagged(req.src, req.tag)
-    }
-
     /// Suspend until this rank's mailbox changes — a new message arrives
     /// or an in-flight one becomes available. May wake spuriously; callers
     /// re-check their condition. The building block for multiplexing over
     /// several message sources (see `mpistream`'s `operate2`).
     pub fn wait_for_mail(&mut self) {
-        self.park_on_mailbox();
-    }
-
-    /// Suspend until this rank's mailbox changes (possibly spuriously).
-    pub(crate) fn park_on_mailbox(&mut self) {
-        let shared = self.shared.clone();
-        shared.mailboxes[self.rank].park_until_change(self.ctx);
+        self.shared.mailboxes[self.rank].park_until_change(self.ctx);
     }
 
     /// Allocate a world-unique 16-bit id (for layered libraries that need

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mpisim::{MachineConfig, NoiseModel, World};
+use mpisim::{MachineConfig, NoiseModel, Tag, World};
 use parking_lot::Mutex;
 
 fn ideal_world() -> World {
@@ -238,12 +238,12 @@ fn interleaved_collectives_and_p2p_do_not_cross_talk() {
         // User p2p with a tag value that internal traffic must not collide
         // with, interleaved between collectives.
         if rank.world_rank() == 0 {
-            rank.send(1, 0, 8, 111u64);
+            rank.send(1, Tag::user(0), 8, 111u64);
         }
         let s = rank.allreduce(&comm, 8, 1u64, |a, b| *a += b);
         assert_eq!(s, 4);
         if rank.world_rank() == 1 {
-            let (v, _) = rank.recv::<u64>(mpisim::Src::Rank(0), 0);
+            let (v, _) = rank.recv::<u64>(mpisim::Src::Rank(0), Tag::user(0));
             assert_eq!(v, 111);
         }
         let s2 = rank.allreduce(&comm, 8, 2u64, |a, b| *a += b);

@@ -4,7 +4,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mpisim::{FaultPlan, LinkFault, MachineConfig, NoiseModel, SimDuration, SimTime, Src, World};
+use mpisim::{
+    FaultPlan, LinkFault, MachineConfig, NoiseModel, SimDuration, SimTime, Src, Tag, World,
+};
 use parking_lot::Mutex;
 
 fn quiet_world() -> World {
@@ -17,7 +19,11 @@ fn recv_timeout_returns_none_when_nothing_arrives() {
     world.run_expect(2, |rank| {
         if rank.world_rank() == 1 {
             let before = rank.now();
-            let got = rank.recv_timeout::<u64>(Src::Rank(0), 5, SimDuration::from_millis(2));
+            let got = rank.recv_deadline::<u64>(
+                Src::Rank(0),
+                Tag::user(5),
+                rank.now() + SimDuration::from_millis(2),
+            );
             assert!(got.is_none());
             assert_eq!(rank.now().since(before), SimDuration::from_millis(2));
         }
@@ -31,9 +37,13 @@ fn recv_timeout_delivers_message_that_arrives_in_time() {
     world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
             rank.compute_exact(1e-4);
-            rank.send(1, 5, 64, 77u64);
+            rank.send(1, Tag::user(5), 64, 77u64);
         } else {
-            let got = rank.recv_timeout::<u64>(Src::Rank(0), 5, SimDuration::from_secs(1));
+            let got = rank.recv_deadline::<u64>(
+                Src::Rank(0),
+                Tag::user(5),
+                rank.now() + SimDuration::from_secs(1),
+            );
             let (v, info) = got.expect("message arrives well before the deadline");
             assert_eq!(v, 77);
             assert_eq!(info.src, 0);
@@ -48,7 +58,7 @@ fn recv_deadline_in_the_past_only_drains_available_messages() {
         // Deadline already passed and the mailbox is empty: immediate None,
         // no time advances.
         let before = rank.now();
-        let got = rank.recv_deadline::<u64>(Src::Any, 9, SimTime::ZERO);
+        let got = rank.recv_deadline::<u64>(Src::Any, Tag::user(9), SimTime::ZERO);
         assert!(got.is_none());
         assert_eq!(rank.now(), before);
     });
@@ -61,10 +71,14 @@ fn dropped_messages_never_arrive_and_are_counted() {
         quiet_world().with_fault_plan(FaultPlan::new(3).link(LinkFault::new(0, 1).drop_prob(1.0)));
     let out = world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
-            rank.send(1, 5, 64, 1u64);
-            rank.send(1, 5, 64, 2u64);
+            rank.send(1, Tag::user(5), 64, 1u64);
+            rank.send(1, Tag::user(5), 64, 2u64);
         } else {
-            let got = rank.recv_timeout::<u64>(Src::Rank(0), 5, SimDuration::from_millis(1));
+            let got = rank.recv_deadline::<u64>(
+                Src::Rank(0),
+                Tag::user(5),
+                rank.now() + SimDuration::from_millis(1),
+            );
             assert!(got.is_none(), "dropped message must not arrive");
         }
     });
@@ -84,12 +98,14 @@ fn partial_drops_preserve_surviving_payloads_in_order() {
         const N: u64 = 64;
         if rank.world_rank() == 0 {
             for i in 0..N {
-                rank.send(1, 5, 256, i);
+                rank.send(1, Tag::user(5), 256, i);
             }
         } else {
-            while let Some((v, _)) =
-                rank.recv_timeout::<u64>(Src::Rank(0), 5, SimDuration::from_millis(5))
-            {
+            while let Some((v, _)) = rank.recv_deadline::<u64>(
+                Src::Rank(0),
+                Tag::user(5),
+                rank.now() + SimDuration::from_millis(5),
+            ) {
                 rx.lock().push(v);
             }
         }
@@ -111,11 +127,11 @@ fn delay_spike_window_slows_messages_without_reordering() {
             if rank.world_rank() == 0 {
                 for i in 0..20u64 {
                     rank.compute_exact(1e-5);
-                    rank.send(1, 5, 256, i);
+                    rank.send(1, Tag::user(5), 256, i);
                 }
             } else {
                 for _ in 0..20 {
-                    let (v, _) = rank.recv::<u64>(Src::Rank(0), 5);
+                    let (v, _) = rank.recv::<u64>(Src::Rank(0), Tag::user(5));
                     t.lock().push((v, rank.now()));
                 }
             }
@@ -138,11 +154,11 @@ fn delay_spike_window_slows_messages_without_reordering() {
             if rank.world_rank() == 0 {
                 for i in 0..20u64 {
                     rank.compute_exact(1e-5);
-                    rank.send(1, 5, 256, i);
+                    rank.send(1, Tag::user(5), 256, i);
                 }
             } else {
                 for _ in 0..20 {
-                    let (v, _) = rank.recv::<u64>(Src::Rank(0), 5);
+                    let (v, _) = rank.recv::<u64>(Src::Rank(0), Tag::user(5));
                     t.lock().push((v, rank.now()));
                 }
             }
@@ -199,10 +215,12 @@ fn fault_injected_world_replays_bit_identically() {
             for i in 0..50u64 {
                 rank.compute(1e-6);
                 let peer = (me + 1) % 3;
-                rank.send(peer, 7, 128, (me as u64) << 32 | i);
-                if let Some((v, info)) =
-                    rank.recv_timeout::<u64>(Src::Any, 7, SimDuration::from_micros(50))
-                {
+                rank.send(peer, Tag::user(7), 128, (me as u64) << 32 | i);
+                if let Some((v, info)) = rank.recv_deadline::<u64>(
+                    Src::Any,
+                    Tag::user(7),
+                    rank.now() + SimDuration::from_micros(50),
+                ) {
                     l.lock().push((me, v, info.src, rank.now().as_nanos()));
                 }
             }

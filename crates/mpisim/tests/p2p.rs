@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mpisim::{MachineConfig, NoiseModel, Src, World};
+use mpisim::{MachineConfig, NoiseModel, Src, Tag, World};
 use parking_lot::Mutex;
 
 fn quiet(cfg: MachineConfig) -> MachineConfig {
@@ -15,15 +15,15 @@ fn typed_payloads_roundtrip() {
     let world = World::new(MachineConfig::ideal());
     world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
-            rank.send(1, 1, 16, vec![1.0f64, 2.0]);
-            rank.send(1, 2, 4, 42u32);
-            rank.send(1, 3, 11, String::from("hello world"));
+            rank.send(1, Tag::user(1), 16, vec![1.0f64, 2.0]);
+            rank.send(1, Tag::user(2), 4, 42u32);
+            rank.send(1, Tag::user(3), 11, String::from("hello world"));
         } else {
-            let (v, _) = rank.recv::<Vec<f64>>(Src::Rank(0), 1);
+            let (v, _) = rank.recv::<Vec<f64>>(Src::Rank(0), Tag::user(1));
             assert_eq!(v, vec![1.0, 2.0]);
-            let (n, _) = rank.recv::<u32>(Src::Rank(0), 2);
+            let (n, _) = rank.recv::<u32>(Src::Rank(0), Tag::user(2));
             assert_eq!(n, 42);
-            let (s, info) = rank.recv::<String>(Src::Rank(0), 3);
+            let (s, info) = rank.recv::<String>(Src::Rank(0), Tag::user(3));
             assert_eq!(s, "hello world");
             assert_eq!(info.src, 0);
             assert_eq!(info.bytes, 11);
@@ -38,12 +38,12 @@ fn messages_from_one_source_do_not_overtake() {
     let world = World::new(quiet(MachineConfig::default()));
     world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
-            let r1 = rank.isend(1, 9, 100 << 20, 1u32); // 100 MB
-            let r2 = rank.isend(1, 9, 1, 2u32); // 1 B
+            let r1 = rank.isend(1, Tag::user(9), 100 << 20, 1u32); // 100 MB
+            let r2 = rank.isend(1, Tag::user(9), 1, 2u32); // 1 B
             rank.wait_send_all(vec![r1, r2]);
         } else {
-            let (a, _) = rank.recv::<u32>(Src::Rank(0), 9);
-            let (b, _) = rank.recv::<u32>(Src::Rank(0), 9);
+            let (a, _) = rank.recv::<u32>(Src::Rank(0), Tag::user(9));
+            let (b, _) = rank.recv::<u32>(Src::Rank(0), Tag::user(9));
             assert_eq!((a, b), (1, 2));
         }
     });
@@ -61,15 +61,15 @@ fn any_source_takes_first_available() {
         match rank.world_rank() {
             0 => {
                 rank.compute_exact(1e-6);
-                rank.send(2, 5, 8, 0u64);
+                rank.send(2, Tag::user(5), 8, 0u64);
             }
             1 => {
                 rank.compute_exact(5e-3); // much later
-                rank.send(2, 5, 8, 1u64);
+                rank.send(2, Tag::user(5), 8, 1u64);
             }
             _ => {
                 for _ in 0..2 {
-                    let (v, info) = rank.recv::<u64>(Src::Any, 5);
+                    let (v, info) = rank.recv::<u64>(Src::Any, Tag::user(5));
                     got2.lock().push((v, info.src));
                 }
             }
@@ -95,9 +95,9 @@ fn latency_and_bandwidth_govern_delivery_time() {
     world.run_expect(2, move |rank| {
         if rank.world_rank() == 0 {
             // 1 MB at 1 GB/s = 1 ms per NIC stage, plus 2 us latency.
-            rank.send(1, 1, 1_000_000, ());
+            rank.send(1, Tag::user(1), 1_000_000, ());
         } else {
-            let (_, _) = rank.recv::<()>(Src::Rank(0), 1);
+            let (_, _) = rank.recv::<()>(Src::Rank(0), Tag::user(1));
             t2.store(rank.now().as_nanos(), Ordering::SeqCst);
         }
     });
@@ -115,9 +115,9 @@ fn intra_node_is_faster_than_inter_node() {
         let world = World::new(cfg);
         world.run_expect(2, move |rank| {
             if rank.world_rank() == 0 {
-                rank.send(1, 1, 1 << 20, ());
+                rank.send(1, Tag::user(1), 1 << 20, ());
             } else {
-                let _ = rank.recv::<()>(Src::Rank(0), 1);
+                let _ = rank.recv::<()>(Src::Rank(0), Tag::user(1));
                 t2.store(rank.now().as_nanos(), Ordering::SeqCst);
             }
         });
@@ -145,11 +145,11 @@ fn incast_serializes_on_receiver_nic() {
     world.run_expect(N + 1, move |rank| {
         if rank.world_rank() == 0 {
             for _ in 0..N {
-                let _ = rank.recv::<()>(Src::Any, 3);
+                let _ = rank.recv::<()>(Src::Any, Tag::user(3));
             }
             t2.store(rank.now().as_nanos(), Ordering::SeqCst);
         } else {
-            rank.send(0, 3, 1 << 20, ());
+            rank.send(0, Tag::user(3), 1 << 20, ());
         }
     });
     let t = t_done.load(Ordering::SeqCst) as f64 / 1e9;
@@ -159,43 +159,20 @@ fn incast_serializes_on_receiver_nic() {
 }
 
 #[test]
-fn irecv_overlaps_compute() {
-    // Receiver posts irecv, computes 10 ms, then waits: the 1 MB message
-    // arrives during the compute window, so wait is (nearly) free.
-    let cfg = quiet(MachineConfig::default());
-    let t_done = Arc::new(AtomicU64::new(0));
-    let t2 = t_done.clone();
-    let world = World::new(cfg);
-    world.run_expect(2, move |rank| {
-        if rank.world_rank() == 0 {
-            rank.send(1, 4, 1 << 20, 123u64);
-        } else {
-            let req = rank.irecv(Src::Rank(0), 4);
-            rank.compute_exact(10e-3);
-            let (v, _) = rank.wait_recv::<u64>(req);
-            assert_eq!(v, 123);
-            t2.store(rank.now().as_nanos(), Ordering::SeqCst);
-        }
-    });
-    let t = t_done.load(Ordering::SeqCst) as f64 / 1e9;
-    assert!(t < 10.1e-3, "wait should be hidden by compute, got {t}");
-}
-
-#[test]
 fn probe_and_try_recv() {
     let world = World::new(quiet(MachineConfig::default()));
     world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
-            rank.send(1, 8, 64, 7i64);
+            rank.send(1, Tag::user(8), 64, 7i64);
         } else {
-            assert!(rank.try_recv::<i64>(Src::Any, 8).is_none(), "nothing arrived yet");
+            assert!(rank.try_recv::<i64>(Src::Any, Tag::user(8)).is_none(), "nothing arrived yet");
             // Give the message time to arrive.
             rank.compute_exact(1e-3);
-            let info = rank.iprobe(Src::Any, 8).expect("message should be visible");
+            let info = rank.probe(Src::Any, Tag::user(8)).expect("message should be visible");
             assert_eq!(info.src, 0);
-            let (v, _) = rank.try_recv::<i64>(Src::Any, 8).expect("message is takeable");
+            let (v, _) = rank.try_recv::<i64>(Src::Any, Tag::user(8)).expect("message is takeable");
             assert_eq!(v, 7);
-            assert!(rank.iprobe(Src::Any, 8).is_none());
+            assert!(rank.probe(Src::Any, Tag::user(8)).is_none());
         }
     });
 }
@@ -206,9 +183,9 @@ fn type_mismatch_panics_with_clear_message() {
     let world = World::new(MachineConfig::ideal());
     world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
-            rank.send(1, 1, 8, 1u64);
+            rank.send(1, Tag::user(1), 8, 1u64);
         } else {
-            let _ = rank.recv::<String>(Src::Rank(0), 1);
+            let _ = rank.recv::<String>(Src::Rank(0), Tag::user(1));
         }
     });
 }
@@ -219,11 +196,11 @@ fn message_counters_account_traffic() {
     let out = world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
             for _ in 0..5 {
-                rank.send(1, 1, 100, ());
+                rank.send(1, Tag::user(1), 100, ());
             }
         } else {
             for _ in 0..5 {
-                let _ = rank.recv::<()>(Src::Rank(0), 1);
+                let _ = rank.recv::<()>(Src::Rank(0), Tag::user(1));
             }
         }
     });

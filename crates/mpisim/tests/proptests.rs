@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use mpisim::{MachineConfig, Src, World};
+use mpisim::{MachineConfig, Src, Tag, World};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -94,10 +94,10 @@ proptest! {
         ideal().run_expect(N, move |rank| {
             let me = rank.world_rank();
             for &(dst, v) in &outgoing[me] {
-                rank.send(dst, 9, 8, v);
+                rank.send(dst, Tag::user(9), 8, v);
             }
             for _ in 0..expected2[me].len() {
-                let (v, _) = rank.recv::<u64>(Src::Any, 9);
+                let (v, _) = rank.recv::<u64>(Src::Any, Tag::user(9));
                 rcv.lock()[me].push(v);
             }
         });
@@ -150,9 +150,9 @@ proptest! {
             });
             world.run_expect(2, move |rank| {
                 if rank.world_rank() == 0 {
-                    rank.send(1, 1, s, ());
+                    rank.send(1, Tag::user(1), s, ());
                 } else {
-                    let _ = rank.recv::<()>(Src::Rank(0), 1);
+                    let _ = rank.recv::<()>(Src::Rank(0), Tag::user(1));
                     t2.lock().push((s, rank.now().as_nanos()));
                 }
             });

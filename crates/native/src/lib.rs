@@ -84,8 +84,6 @@ use sync::{thread, Instant};
 
 struct SharedState {
     nprocs: usize,
-    epoch: Instant,
-    compute_scale: f64,
     mailboxes: Vec<Mailbox>,
     world: RankGroup,
     channel_ids: AtomicU32,
@@ -150,10 +148,9 @@ impl NativeWorld {
     where
         F: Fn(&mut NativeRank) + Send + Sync,
     {
+        let clock = WallClock::start(self.compute_scale);
         let shared = Arc::new(SharedState {
             nprocs: self.nprocs,
-            epoch: Instant::now(),
-            compute_scale: self.compute_scale,
             mailboxes: (0..self.nprocs).map(|_| Mailbox::new()).collect(),
             world: RankGroup::world(self.nprocs),
             channel_ids: AtomicU32::new(0),
@@ -165,7 +162,7 @@ impl NativeWorld {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || {
                     let coll = CollState::new(self.coll_flat_threshold);
-                    let mut rank = NativeRank { shared, rank: r, coll, mail_seen: 0 };
+                    let mut rank = NativeRank { shared, rank: r, clock, coll, mail_seen: 0 };
                     body(&mut rank);
                 });
             }
@@ -180,6 +177,7 @@ impl NativeWorld {
 pub struct NativeRank {
     shared: Arc<SharedState>,
     rank: usize,
+    clock: WallClock,
     coll: CollState,
     /// Mailbox version at the last `wait_for_mail` return — a polling-
     /// round snapshot, deliberately *not* advanced by `try_recv`/`probe`
@@ -187,9 +185,37 @@ pub struct NativeRank {
     mail_seen: u64,
 }
 
-impl NativeRank {
-    fn deadline_instant(&self, deadline: SimTime) -> Instant {
-        self.shared.epoch + Duration::from_nanos(deadline.0)
+/// The clock of a real-backend rank: [`Transport::now`] reads nanoseconds
+/// since the world began and [`Transport::compute`] sleeps `secs ×
+/// compute_scale`. Native and socket ranks each hold one.
+#[derive(Clone, Copy, Debug)]
+pub struct WallClock {
+    epoch: Instant,
+    compute_scale: f64,
+}
+
+impl WallClock {
+    /// A clock whose epoch is now.
+    pub fn start(compute_scale: f64) -> WallClock {
+        WallClock { epoch: Instant::now(), compute_scale }
+    }
+
+    /// Nanoseconds since the epoch.
+    pub fn now(&self) -> SimTime {
+        SimTime(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
+    }
+
+    /// The instant at which `deadline` (read on this clock) falls.
+    pub fn instant(&self, deadline: SimTime) -> Instant {
+        self.epoch + Duration::from_nanos(deadline.0)
+    }
+
+    /// Model `secs` of computation: sleep `secs × compute_scale`.
+    pub fn compute(&self, secs: f64) {
+        let scaled = secs * self.compute_scale;
+        if scaled.is_finite() && scaled > 0.0 {
+            thread::sleep(Duration::from_secs_f64(scaled));
+        }
     }
 }
 
@@ -209,14 +235,11 @@ impl Transport for NativeRank {
     }
 
     fn now(&self) -> SimTime {
-        SimTime(u64::try_from(self.shared.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
+        self.clock.now()
     }
 
     fn compute(&mut self, secs: f64) {
-        let scaled = secs * self.shared.compute_scale;
-        if scaled.is_finite() && scaled > 0.0 {
-            thread::sleep(Duration::from_secs_f64(scaled));
-        }
+        self.clock.compute(secs);
     }
 
     fn send<T: Wire + Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
@@ -245,7 +268,7 @@ impl Transport for NativeRank {
         tag: Tag,
         deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
-        let until = self.deadline_instant(deadline);
+        let until = self.clock.instant(deadline);
         let env = self.shared.mailboxes[self.rank].take_deadline(src, tag, until)?;
         Some(unpack(self.rank, env))
     }

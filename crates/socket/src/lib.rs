@@ -51,7 +51,7 @@ use desim::SimTime;
 use mpistream::coll::{self, CollState, RankGroup};
 use mpistream::{MsgInfo, Src, Tag, Transport, Wire};
 use native::mailbox::{Env, Mailbox};
-use native::sync::Instant;
+use native::WallClock;
 
 /// Launch-handshake environment variables.
 const ENV_KEY: &str = "MPISTREAM_SOCKET_KEY";
@@ -525,8 +525,7 @@ pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: 
 pub struct SocketRank {
     rank: usize,
     nprocs: usize,
-    epoch: Instant,
-    compute_scale: f64,
+    clock: WallClock,
     dir: PathBuf,
     mailbox: Arc<Mailbox>,
     /// Outbound links, connected on first use (always succeeds: every
@@ -563,8 +562,7 @@ impl SocketRank {
         SocketRank {
             rank,
             nprocs,
-            epoch: Instant::now(),
-            compute_scale,
+            clock: WallClock::start(compute_scale),
             dir,
             mailbox,
             links: (0..nprocs).map(|_| None).collect(),
@@ -612,10 +610,6 @@ impl SocketRank {
         }
         self.links[dst].as_mut()
     }
-
-    fn deadline_instant(&self, deadline: SimTime) -> Instant {
-        self.epoch + Duration::from_nanos(deadline.0)
-    }
 }
 
 impl Transport for SocketRank {
@@ -634,14 +628,11 @@ impl Transport for SocketRank {
     }
 
     fn now(&self) -> SimTime {
-        SimTime(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
+        self.clock.now()
     }
 
     fn compute(&mut self, secs: f64) {
-        let scaled = secs * self.compute_scale;
-        if scaled.is_finite() && scaled > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(scaled));
-        }
+        self.clock.compute(secs);
     }
 
     fn send<T: Wire + Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
@@ -700,7 +691,7 @@ impl Transport for SocketRank {
         tag: Tag,
         deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
-        let until = self.deadline_instant(deadline);
+        let until = self.clock.instant(deadline);
         let env = self.mailbox.take_deadline(src, tag, until)?;
         Some(unpack(self.rank, env))
     }

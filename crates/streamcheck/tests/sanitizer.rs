@@ -5,10 +5,11 @@
 //! clean stream pipeline, and annotates credit-exhaustion deadlock reports
 //! with its credit-state table.
 
-use mpisim::{MachineConfig, SanReport, Src, World};
+use mpisim::{MachineConfig, SanReport, Src, Tag, World};
 use mpistream::{ChannelConfig, GroupSpec, Role, Stream, StreamChannel};
 
-const TAG: u32 = 7;
+const TAG: Tag = Tag::user(7);
+const BATON: Tag = Tag::user(8);
 
 /// Ranks 1 and 2 send to rank 0 concurrently (no communication between
 /// them); rank 0 waits until both are in its mailbox, then receives with
@@ -56,10 +57,10 @@ fn causally_ordered_candidates_are_not_a_race() {
         }
         1 => {
             rank.send(0, TAG, 64, 1u32);
-            rank.send(2, TAG + 1, 8, 0u8); // hand the baton to rank 2
+            rank.send(2, BATON, 8, 0u8); // hand the baton to rank 2
         }
         _ => {
-            let _: (u8, _) = rank.recv(Src::Rank(1), TAG + 1);
+            let _: (u8, _) = rank.recv(Src::Rank(1), BATON);
             rank.send(0, TAG, 64, 2u32);
         }
     });
@@ -149,7 +150,7 @@ fn credit_deadlock_report_includes_credit_table() {
                 }
                 Role::Consumer => {
                     // Never drains the stream: waits on a tag nobody sends.
-                    let _: (u8, _) = rank.recv(Src::Rank(0), 999);
+                    let _: (u8, _) = rank.recv(Src::Rank(0), Tag::user(999));
                 }
                 Role::Bystander => unreachable!(),
             }
