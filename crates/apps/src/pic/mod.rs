@@ -31,7 +31,7 @@
 //! the compute/wire/IO cost models at paper scale.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -360,7 +360,6 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
 }
 
 /// Messages on the forward (compute → decoupled) channel.
-/// Messages on the forward (compute → decoupled) channel.
 enum ToComm {
     Exits { particles: Vec<Particle> },
 }
@@ -384,8 +383,9 @@ impl mpistream::Wire for ToComm {
 
 /// The communication group's relay kernel, generic over the transport:
 /// aggregate each arriving bundle of exits by destination owner and
-/// forward in one pass — pure FCFS, no waiting on any producer. The
-/// simulated and native backends run this same function.
+/// forward in one pass, in ascending destination order — pure FCFS, no
+/// waiting on any producer. The simulated and native backends run this
+/// same function.
 fn relay_exits<TP: Transport>(
     rank: &mut TP,
     input: &mut Stream<ToComm>,
@@ -394,7 +394,7 @@ fn relay_exits<TP: Transport>(
 ) {
     while let Some(ToComm::Exits { particles }) = input.recv_one(rank) {
         prof_scoped(rank, "relay", |rank| {
-            let mut by_dest: HashMap<usize, Vec<Particle>> = HashMap::new();
+            let mut by_dest: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
             for p in particles {
                 by_dest.entry(owner_of(&p)).or_default().push(p);
             }

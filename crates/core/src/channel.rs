@@ -5,7 +5,7 @@ use desim::SimDuration;
 use mpisim::msg::{CODE_CREDIT, CODE_DATA, CODE_REPL, CODE_TAKEOVER, NS_STREAM};
 
 use crate::group::Role;
-use crate::transport::{Group, Tag, Transport};
+use crate::transport::{Event, Group, Tag, Transport};
 
 /// How stream elements are routed from producers to consumers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -327,7 +327,8 @@ impl StreamChannel {
         // parameters (idempotent) so credit audits and the orphan scan can
         // classify this channel's traffic. A no-op on backends without a
         // checker.
-        rank.check_register_channel(ch.id, ch.config.credits.map(|c| c as u64), ch.credit_tag());
+        let window = ch.config.credits.map(|c| c as u64);
+        rank.observe(Event::RegisterChannel { id: ch.id, window, credit_tag: ch.credit_tag() });
         Ok(ch)
     }
 

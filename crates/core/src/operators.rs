@@ -37,7 +37,7 @@
 use crate::channel::{ChannelConfig, StreamChannel};
 use crate::group::Role;
 use crate::stream::Stream;
-use crate::transport::Transport;
+use crate::transport::{prof_scoped, Transport};
 use crate::wire::Wire;
 
 // ---------------------------------------------------------------------
@@ -148,9 +148,7 @@ impl<T: Wire + Send + 'static> Combiner<T> {
         let acc = self.slots[consumer].take().expect("emit of an empty combiner slot");
         self.counts[consumer] = 0;
         self.stats.emitted += 1;
-        rank.prof_begin("combine");
-        stream.isend_to(rank, consumer, acc);
-        rank.prof_end("combine");
+        prof_scoped(rank, "combine", |rank| stream.isend_to(rank, consumer, acc));
     }
 }
 
@@ -363,13 +361,12 @@ pub fn reduce_through<TP: Transport, T: Wire + Send + 'static>(
             }
             Role::Consumer => {
                 let mut s: Stream<T> = Stream::attach(ch);
-                let span = stage_span(i);
-                rank.prof_begin(span);
-                s.operate(rank, |rank, incoming| match acc.as_mut() {
-                    Some(acc) => merge(rank, acc, incoming),
-                    None => acc = Some(incoming),
+                prof_scoped(rank, stage_span(i), |rank| {
+                    s.operate(rank, |rank, incoming| match acc.as_mut() {
+                        Some(acc) => merge(rank, acc, incoming),
+                        None => acc = Some(incoming),
+                    })
                 });
-                rank.prof_end(span);
                 s.free(rank);
             }
             Role::Bystander => unreachable!("block channels have no bystanders"),

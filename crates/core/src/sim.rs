@@ -137,18 +137,20 @@ impl<'c> Transport for Rank<'c> {
         Rank::alloc_channel_id(self)
     }
 
+    /// The sanitizer events go to the simulator's checker; the profiling
+    /// ones are for a wrapper such as `streamprof::Profiled`.
     #[cfg(feature = "check")]
-    fn check_register_channel(&mut self, id: u16, window: Option<u64>, credit_tag: Tag) {
-        Rank::check_register_channel(self, id, window, credit_tag);
-    }
-
-    #[cfg(feature = "check")]
-    fn check_data_sent(&mut self, id: u16, consumer: usize, elems: u64) {
-        Rank::check_data_sent(self, id, consumer, elems);
-    }
-
-    #[cfg(feature = "check")]
-    fn check_credit_issued(&mut self, id: u16, producer: usize, elems: u64) {
-        Rank::check_credit_issued(self, id, producer, elems);
+    fn observe(&mut self, ev: crate::transport::Event) {
+        use crate::transport::Event;
+        match ev {
+            Event::RegisterChannel { id, window, credit_tag } => {
+                self.check_register_channel(id, window, credit_tag)
+            }
+            Event::DataSent { id, consumer, elems } => self.check_data_sent(id, consumer, elems),
+            Event::CreditIssued { id, producer, elems } => {
+                self.check_credit_issued(id, producer, elems)
+            }
+            _ => {}
+        }
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::channel::{RoutePolicy, StreamChannel};
 use crate::group::Role;
-use crate::transport::{MsgInfo, SimTime, Src, Transport};
+use crate::transport::{Event, MsgInfo, SimTime, Src, Transport};
 use crate::wire::{Wire, WireError};
 
 /// Wire format of one stream message: the enum that actually crosses the
@@ -415,17 +415,16 @@ impl<T: Wire + Send + 'static> Stream<T> {
             // Report to the sanitizer *before* injecting: on a threaded
             // backend the consumer can observe the message (and ack it)
             // the instant `send` returns, so a post-send report would
-            // race any cross-rank ledger built on these hooks.
-            rank.check_data_sent(self.channel.id, dst, n);
+            // race any cross-rank ledger built on these events.
+            let id = self.channel.id;
+            rank.observe(Event::DataSent { id, consumer: dst, elems: n });
             rank.send(dst, tag, bytes, StreamMsg::Data(batch));
             self.outstanding[consumer] += n;
-            rank.prof_stream_send(self.channel.id, n, bytes);
+            rank.observe(Event::StreamSend { channel: id, elems: n, bytes });
             if let Some(window) = self.channel.config.credits {
-                rank.prof_credit_occupancy(
-                    self.channel.id,
-                    self.outstanding[consumer],
-                    window as u64,
-                );
+                let outstanding = self.outstanding[consumer];
+                let window = window as u64;
+                rank.observe(Event::CreditOccupancy { channel: id, outstanding, window });
             }
             self.sent_per_consumer[consumer] += n;
             self.stats.elements += n;
@@ -550,7 +549,7 @@ impl<T: Wire + Send + 'static> Stream<T> {
         let src = self.channel.producers[pi];
         // Sanitizer report before the send, as on the data path: the
         // producer absorbs the credit as soon as it is observable.
-        rank.check_credit_issued(self.channel.id, src, acked);
+        rank.observe(Event::CreditIssued { id: self.channel.id, producer: src, elems: acked });
         rank.send(src, self.channel.credit_tag(), 8, acked);
     }
 
@@ -570,7 +569,7 @@ impl<T: Wire + Send + 'static> Stream<T> {
     pub fn release_credits<TP: Transport>(&mut self, rank: &mut TP) {
         let tag = self.channel.credit_tag();
         for (src, acked) in self.take_pending_credits() {
-            rank.check_credit_issued(self.channel.id, src, acked);
+            rank.observe(Event::CreditIssued { id: self.channel.id, producer: src, elems: acked });
             rank.send(src, tag, 8, acked);
         }
     }
@@ -581,7 +580,7 @@ impl<T: Wire + Send + 'static> Stream<T> {
     /// before it leaves (`crates/replica`). Returns `(producer world
     /// rank, elements)` pairs, ascending by rank for a deterministic send
     /// order; empty on channels without credits. The caller must report
-    /// each pair via `Transport::check_credit_issued` when it sends.
+    /// each pair as an [`Event::CreditIssued`] before it sends.
     pub fn take_pending_credits(&mut self) -> Vec<(usize, u64)> {
         let slots = self.by_producer.iter_mut().zip(&self.channel.producers);
         slots
@@ -615,7 +614,7 @@ impl<T: Wire + Send + 'static> Stream<T> {
         self.stats.elements += n;
         self.stats.batches += 1;
         self.stats.bytes += bytes;
-        rank.prof_stream_recv(self.channel.id, n, bytes);
+        rank.observe(Event::StreamRecv { channel: self.channel.id, elems: n, bytes });
         *self.by_producer[pi].delivered.get_or_insert(0) += n;
     }
 

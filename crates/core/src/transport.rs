@@ -19,17 +19,23 @@
 //!   OS process per rank: payloads cross the [`Wire`] codec as frames
 //!   over Unix-domain sockets and land in that same mailbox.
 //!
-//! What a real backend writes itself is identity, the clock,
-//! point-to-point, [`Transport::wait_for_mail`] and
-//! [`Transport::alloc_channel_id`]. The group type, the
-//! five collectives and `split` come from [`crate::coll`]: its functions
-//! use only `send` and `recv`, the backend's rank keeps one
-//! [`crate::coll::CollState`], and each trait collective begins a round
-//! on it and calls the `coll` function of the same name. The one choice
-//! left to the backend is the group size up to which collectives use a
-//! star instead of a binomial tree. The simulator implements the
-//! collectives itself, cost-modelled: they are the paper's reference
-//! baselines.
+//! The two real backends implement this trait once, together:
+//! `native::MailboxRank` owns identity, the wall clock, receives and
+//! [`Transport::wait_for_mail`] on the rank's own mailbox, channel ids
+//! and the five collectives, and each backend supplies only how a
+//! message leaves and how a received payload becomes a value. The
+//! collectives and `split` come from [`crate::coll`], whose functions
+//! use only `send` and `recv`; the one choice left to the backend is the
+//! group size up to which they use a star instead of a binomial tree.
+//! The simulator implements the collectives itself, cost-modelled: they
+//! are the paper's reference baselines.
+//!
+//! Instrumentation crosses the line through one provided method,
+//! [`Transport::observe`], which the stream runtime calls with an
+//! [`Event`] at each point a sanitizer or profiler may care about. It is
+//! a no-op unless a backend or wrapper overrides it: the simulator routes
+//! the sanitizer events to its checker, `streamprof::Profiled` records
+//! spans and counters.
 //!
 //! The trait deliberately exposes the *semantics* the backends share and
 //! nothing any of them is forced to fake: time is a monotone [`SimTime`]
@@ -214,59 +220,56 @@ pub trait Transport {
     /// allocate on one rank and broadcast.
     fn alloc_channel_id(&mut self) -> u16;
 
-    // ---------------------------------------------------------------
-    // Sanitizer hooks (no-ops unless the backend carries a checker)
-    // ---------------------------------------------------------------
-
-    /// Report a stream channel's flow-control parameters to the backend's
-    /// sanitizer, if any.
-    fn check_register_channel(&mut self, _id: u16, _window: Option<u64>, _credit_tag: Tag) {}
-
-    /// Report `elems` stream elements sent towards `_consumer`.
-    fn check_data_sent(&mut self, _id: u16, _consumer: usize, _elems: u64) {}
-
-    /// Report `elems` elements' worth of credit granted to `_producer`.
-    fn check_credit_issued(&mut self, _id: u16, _producer: usize, _elems: u64) {}
-
-    // ---------------------------------------------------------------
-    // Profiling hooks (no-ops unless the backend carries a profiler,
-    // e.g. `streamprof::Profiled`)
-    // ---------------------------------------------------------------
-
-    /// Open a named application span (closed by [`Transport::prof_end`]).
-    fn prof_begin(&mut self, _cat: &'static str) {}
-
-    /// Close the innermost open span named `cat`.
-    fn prof_end(&mut self, _cat: &'static str) {}
-
-    /// Report `elems`/`bytes` of stream payload sent on `channel`.
-    fn prof_stream_send(&mut self, _channel: u16, _elems: u64, _bytes: u64) {}
-
-    /// Report `elems`/`bytes` of stream payload received on `channel`.
-    fn prof_stream_recv(&mut self, _channel: u16, _elems: u64, _bytes: u64) {}
-
-    /// Sample the credit window right after a send: `outstanding` of
-    /// `window` elements currently un-acknowledged towards one consumer.
-    fn prof_credit_occupancy(&mut self, _channel: u16, _outstanding: u64, _window: u64) {}
-
-    /// Report one committed replication round on `channel`: a checkpoint
-    /// of `bytes` reached quorum `latency_ns` after its prepare was sent
-    /// (`crates/replica`; virtual nanoseconds on sim, wall clock on
-    /// native).
-    fn prof_repl_commit(&mut self, _channel: u16, _bytes: u64, _latency_ns: u64) {}
+    /// Take note of `ev` (see [`Event`]). A no-op unless the backend
+    /// carries a checker or a wrapper records a profile; a wrapper
+    /// forwards every event to the transport it wraps.
+    fn observe(&mut self, _ev: Event) {}
 }
 
-/// Run `f` under a named profiling span: `prof_begin(cat)` / `prof_end(cat)`
-/// around the call. Free on unprofiled backends (the hooks are no-ops);
-/// under a profiler the span lands on this rank's timeline.
+/// What the stream runtime reports through [`Transport::observe`]. The
+/// first three feed a sanitizer and are reported *before* the send they
+/// describe: on a threaded backend the peer can act on a message the
+/// instant `send` returns, so a later report would race any cross-rank
+/// ledger built on them. The rest feed a profiler.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Event {
+    /// A stream channel's flow-control parameters (`window` in elements),
+    /// reported by every member when the channel is created.
+    RegisterChannel { id: u16, window: Option<u64>, credit_tag: Tag },
+    /// `elems` stream elements are about to be sent towards `consumer`.
+    DataSent { id: u16, consumer: usize, elems: u64 },
+    /// `elems` elements' worth of credit is about to be granted to
+    /// `producer`.
+    CreditIssued { id: u16, producer: usize, elems: u64 },
+    /// Open a named application span.
+    Begin(&'static str),
+    /// Close the innermost open span of that name.
+    End(&'static str),
+    /// `elems`/`bytes` of stream payload sent on `channel`.
+    StreamSend { channel: u16, elems: u64, bytes: u64 },
+    /// `elems`/`bytes` of stream payload received on `channel`.
+    StreamRecv { channel: u16, elems: u64, bytes: u64 },
+    /// The credit window right after a send: `outstanding` of `window`
+    /// elements un-acknowledged towards one consumer.
+    CreditOccupancy { channel: u16, outstanding: u64, window: u64 },
+    /// One committed replication round on `channel`: a checkpoint of
+    /// `bytes` reached quorum `latency_ns` after its prepare was sent
+    /// (`crates/replica`; virtual nanoseconds on sim, wall clock on the
+    /// real backends).
+    ReplCommit { channel: u16, bytes: u64, latency_ns: u64 },
+}
+
+/// Run `f` under a named profiling span: [`Event::Begin`] and
+/// [`Event::End`] around the call. Free on unprofiled backends; under a
+/// profiler the span lands on this rank's timeline.
 pub fn prof_scoped<TP: Transport, R>(
     rank: &mut TP,
     cat: &'static str,
     f: impl FnOnce(&mut TP) -> R,
 ) -> R {
-    rank.prof_begin(cat);
+    rank.observe(Event::Begin(cat));
     let r = f(rank);
-    rank.prof_end(cat);
+    rank.observe(Event::End(cat));
     r
 }
 

@@ -110,27 +110,6 @@ impl Trace {
         self.spans.iter().map(|s| s.end).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Per-process utilization summary: for each pid, the fraction of the
-    /// trace horizon covered by each tag. The Fig. 2-style headline
-    /// numbers ("compute ranks are busy 95% of the time") fall out of
-    /// this directly.
-    pub fn utilization(&self) -> Vec<(Pid, Vec<(&'static str, f64)>)> {
-        let horizon = self.horizon().as_secs_f64().max(f64::MIN_POSITIVE);
-        let totals = self.totals_by_tag();
-        let npids = self.spans.iter().map(|s| s.pid + 1).max().unwrap_or(0);
-        let mut out = Vec::with_capacity(npids);
-        for pid in 0..npids {
-            let mut tags: Vec<(&'static str, f64)> = totals
-                .iter()
-                .filter(|((p, _), _)| *p == pid)
-                .map(|((_, tag), d)| (*tag, d.as_secs_f64() / horizon))
-                .collect();
-            tags.sort_by(|a, b| a.0.cmp(b.0));
-            out.push((pid, tags));
-        }
-        out
-    }
-
     /// Dump as CSV (`pid,tag,start_s,end_s`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("pid,tag,start_s,end_s\n");
@@ -234,32 +213,5 @@ mod tests {
         assert_eq!(p1.len(), 2);
         assert_eq!(p1[0].tag, "a");
         assert_eq!(p1[1].tag, "b");
-    }
-}
-
-#[cfg(test)]
-mod utilization_tests {
-    use super::*;
-
-    #[test]
-    fn utilization_fractions_are_relative_to_horizon() {
-        let sink = TraceSink::new(true);
-        sink.record(Span { pid: 0, tag: "comp", start: SimTime(0), end: SimTime(80) });
-        sink.record(Span { pid: 0, tag: "comm", start: SimTime(80), end: SimTime(100) });
-        sink.record(Span { pid: 1, tag: "comp", start: SimTime(0), end: SimTime(50) });
-        let trace = sink.take();
-        let util = trace.utilization();
-        assert_eq!(util.len(), 2);
-        let p0: std::collections::HashMap<_, _> = util[0].1.iter().copied().collect();
-        assert!((p0["comp"] - 0.8).abs() < 1e-12);
-        assert!((p0["comm"] - 0.2).abs() < 1e-12);
-        let p1: std::collections::HashMap<_, _> = util[1].1.iter().copied().collect();
-        assert!((p1["comp"] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_of_empty_trace_is_empty() {
-        let trace = TraceSink::new(true).take();
-        assert!(trace.utilization().is_empty());
     }
 }

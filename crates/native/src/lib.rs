@@ -26,18 +26,26 @@
 //!   it will wait until then — bound native runs with an external timeout
 //!   (as `ci.sh` does).
 //!
-//! ## Mailboxes and collectives
+//! ## One rank type for both real backends
 //!
-//! Each rank owns an indexed mailbox mirroring the simulator's PR-3
-//! matching structure — per-tag ordered index for wildcard matches,
-//! per-`(src, tag)` FIFO for directed ones — fed through a lock-free
-//! MPSC staging stack so N producers never serialize on the consumer's
-//! index (see [`mailbox`] for the full design: Treiber staging, an
-//! eventcount park protocol that cannot lose wake-ups, and a version
-//! counter snapshotted once per polling round inside `wait_for_mail`).
+//! [`MailboxRank`] implements [`Transport`] for this crate and for the
+//! `socket` crate alike. It owns everything the two share: identity, the
+//! [`WallClock`], receive matching and [`Transport::wait_for_mail`] on
+//! the rank's own [`Mailbox`], the collectives, and channel ids. Its
+//! [`Links`] parameter supplies the rest — how a message leaves and how a
+//! received payload becomes a value. Here that is [`ThreadLinks`]: a send
+//! moves the boxed value into the peer's mailbox, nothing is encoded.
+//!
+//! Each mailbox mirrors the simulator's PR-3 matching structure — per-tag
+//! ordered index for wildcard matches, per-`(src, tag)` FIFO for directed
+//! ones — fed through a lock-free MPSC staging stack so N producers never
+//! serialize on the consumer's index (see [`mailbox`] for the full
+//! design: Treiber staging, an eventcount park protocol that cannot lose
+//! wake-ups, and a version counter snapshotted once per polling round
+//! inside `wait_for_mail`).
 //!
 //! Collectives, `split` and the group type are [`mpistream::coll`]'s,
-//! run over those mailboxes. This backend hands it one number, the flat
+//! run over those mailboxes. The backend hands it one number, the flat
 //! threshold: groups up to that size use the star, larger ones the
 //! binomial tree ([`NativeWorld::with_coll_flat_threshold`]; DESIGN.md
 //! §13 has the measured crossover behind the default).
@@ -79,15 +87,7 @@ pub mod mailbox;
 pub mod sync;
 
 use mailbox::{Env, Mailbox};
-use sync::atomic::{AtomicU32, Ordering};
 use sync::{thread, Instant};
-
-struct SharedState {
-    nprocs: usize,
-    mailboxes: Vec<Mailbox>,
-    world: RankGroup,
-    channel_ids: AtomicU32,
-}
 
 /// What a native run reports back.
 #[derive(Clone, Copy, Debug)]
@@ -149,22 +149,14 @@ impl NativeWorld {
         F: Fn(&mut NativeRank) + Send + Sync,
     {
         let clock = WallClock::start(self.compute_scale);
-        let shared = Arc::new(SharedState {
-            nprocs: self.nprocs,
-            mailboxes: (0..self.nprocs).map(|_| Mailbox::new()).collect(),
-            world: RankGroup::world(self.nprocs),
-            channel_ids: AtomicU32::new(0),
-        });
+        let mailboxes: Arc<[Mailbox]> = (0..self.nprocs).map(|_| Mailbox::new()).collect();
         let start = Instant::now();
         thread::scope(|scope| {
             let body = &body;
-            for r in 0..self.nprocs {
-                let shared = Arc::clone(&shared);
-                scope.spawn(move || {
-                    let coll = CollState::new(self.coll_flat_threshold);
-                    let mut rank = NativeRank { shared, rank: r, clock, coll, mail_seen: 0 };
-                    body(&mut rank);
-                });
+            let (nprocs, flat) = (self.nprocs, self.coll_flat_threshold);
+            for r in 0..nprocs {
+                let links = ThreadLinks(Arc::clone(&mailboxes));
+                scope.spawn(move || body(&mut MailboxRank::new(r, nprocs, clock, flat, links)));
             }
         });
         NativeOutcome { nprocs: self.nprocs, elapsed: start.elapsed() }
@@ -172,22 +164,98 @@ impl NativeWorld {
 }
 
 /// One native rank: the per-thread handle [`NativeWorld::run`] passes to
-/// the body. Implements [`Transport`], so the whole stream runtime works
-/// against it.
-pub struct NativeRank {
-    shared: Arc<SharedState>,
+/// the body.
+pub type NativeRank = MailboxRank<ThreadLinks>;
+
+/// The [`Links`] of a native rank: every mailbox of the world, shared by
+/// its threads.
+pub struct ThreadLinks(Arc<[Mailbox]>);
+
+impl Links for ThreadLinks {
+    fn send<T: Wire + Send + 'static>(&mut self, dst: usize, info: MsgInfo, v: T) {
+        let MsgInfo { src, tag, bytes } = info;
+        self.0[dst].push(Env { src, tag, bytes, payload: Box::new(v) });
+    }
+
+    fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T {
+        *env.payload.downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "rank {me}: payload type mismatch receiving tag {:?} from {} (expected {})",
+                env.tag,
+                env.src,
+                std::any::type_name::<T>()
+            )
+        })
+    }
+
+    fn inbox(&self, me: usize) -> &Mailbox {
+        &self.0[me]
+    }
+}
+
+/// What a backend hands [`MailboxRank`]: how a message leaves this rank,
+/// how a received payload becomes a value, and where this rank's mail
+/// arrives. Everything else is the rank's, the same for every backend.
+pub trait Links {
+    /// Deliver `v` to world rank `dst` (in range); `info` is what the
+    /// receiver will see, its `src` the sending rank.
+    fn send<T: Wire + Send + 'static>(&mut self, dst: usize, info: MsgInfo, v: T);
+
+    /// The value `env` carries, received by world rank `me`.
+    fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T;
+
+    /// World rank `me`'s own mailbox.
+    fn inbox(&self, me: usize) -> &Mailbox;
+}
+
+/// A rank of a real backend, generic over its [`Links`]: the one
+/// [`Transport`] implementation behind [`NativeRank`] and
+/// `socket::SocketRank`.
+pub struct MailboxRank<L> {
     rank: usize,
+    nprocs: usize,
+    world: RankGroup,
     clock: WallClock,
     coll: CollState,
     /// Mailbox version at the last `wait_for_mail` return — a polling-
     /// round snapshot, deliberately *not* advanced by `try_recv`/`probe`
     /// (see `wait_for_mail` for why).
     mail_seen: u64,
+    /// Channel ids this rank has allocated (see `alloc_channel_id`).
+    channels: u32,
+    links: L,
+}
+
+impl<L: Links> MailboxRank<L> {
+    /// World rank `rank` of `nprocs`, on `clock`. Groups of up to `flat`
+    /// members use the star collectives ([`CollState::new`]); every rank
+    /// of a world must pass the same.
+    pub fn new(rank: usize, nprocs: usize, clock: WallClock, flat: usize, links: L) -> Self {
+        MailboxRank {
+            rank,
+            nprocs,
+            world: RankGroup::world(nprocs),
+            clock,
+            coll: CollState::new(flat),
+            mail_seen: 0,
+            channels: 0,
+            links,
+        }
+    }
+
+    fn inbox(&self) -> &Mailbox {
+        self.links.inbox(self.rank)
+    }
+
+    fn unpack<T: Wire + Send + 'static>(&self, env: Env) -> (T, MsgInfo) {
+        let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
+        (L::unpack(self.rank, env), info)
+    }
 }
 
 /// The clock of a real-backend rank: [`Transport::now`] reads nanoseconds
 /// since the world began and [`Transport::compute`] sleeps `secs ×
-/// compute_scale`. Native and socket ranks each hold one.
+/// compute_scale`.
 #[derive(Clone, Copy, Debug)]
 pub struct WallClock {
     epoch: Instant,
@@ -219,7 +287,7 @@ impl WallClock {
     }
 }
 
-impl Transport for NativeRank {
+impl<L: Links> Transport for MailboxRank<L> {
     type Group = RankGroup;
 
     fn world_rank(&self) -> usize {
@@ -227,11 +295,11 @@ impl Transport for NativeRank {
     }
 
     fn world_size(&self) -> usize {
-        self.shared.nprocs
+        self.nprocs
     }
 
     fn world_group(&self) -> RankGroup {
-        self.shared.world.clone()
+        self.world.clone()
     }
 
     fn now(&self) -> SimTime {
@@ -243,23 +311,18 @@ impl Transport for NativeRank {
     }
 
     fn send<T: Wire + Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
-        assert!(dst < self.shared.nprocs, "send to out-of-range rank {dst}");
-        self.shared.mailboxes[dst].push(Env {
-            src: self.rank,
-            tag,
-            bytes,
-            payload: Box::new(value),
-        });
+        assert!(dst < self.nprocs, "send to out-of-range rank {dst}");
+        self.links.send(dst, MsgInfo { src: self.rank, tag, bytes }, value);
     }
 
     fn recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
-        let env = self.shared.mailboxes[self.rank].take(src, tag);
-        unpack(self.rank, env)
+        let env = self.inbox().take(src, tag);
+        self.unpack(env)
     }
 
     fn try_recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
-        let env = self.shared.mailboxes[self.rank].try_take(src, tag);
-        env.map(|e| unpack(self.rank, e))
+        let env = self.inbox().try_take(src, tag)?;
+        Some(self.unpack(env))
     }
 
     fn recv_deadline<T: Wire + Send + 'static>(
@@ -269,12 +332,12 @@ impl Transport for NativeRank {
         deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
         let until = self.clock.instant(deadline);
-        let env = self.shared.mailboxes[self.rank].take_deadline(src, tag, until)?;
-        Some(unpack(self.rank, env))
+        let env = self.inbox().take_deadline(src, tag, until)?;
+        Some(self.unpack(env))
     }
 
     fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
-        self.shared.mailboxes[self.rank].probe(src, tag)
+        self.inbox().probe(src, tag)
     }
 
     fn wait_for_mail(&mut self) {
@@ -286,7 +349,7 @@ impl Transport for NativeRank {
         // snapshot and this returns immediately instead of parking past a
         // message it never re-examined. Worst case is one spurious
         // re-poll; a lost wake-up is impossible.
-        self.mail_seen = self.shared.mailboxes[self.rank].wait_change(self.mail_seen);
+        self.mail_seen = self.inbox().wait_change(self.mail_seen);
     }
 
     fn barrier(&mut self, group: &RankGroup) {
@@ -332,21 +395,11 @@ impl Transport for NativeRank {
     }
 
     fn alloc_channel_id(&mut self) -> u16 {
-        let id = self.shared.channel_ids.fetch_add(1, Ordering::Relaxed);
+        // Rank r hands out r, r + n, r + 2n, ...: world-unique with no
+        // shared state, so threads and processes allocate alike.
+        let id = self.channels as usize * self.nprocs + self.rank;
+        self.channels += 1;
         u16::try_from(id).expect("too many channels")
-    }
-}
-
-fn unpack<T: Send + 'static>(rank: usize, env: Env) -> (T, MsgInfo) {
-    let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
-    match env.payload.downcast::<T>() {
-        Ok(v) => (*v, info),
-        Err(_) => panic!(
-            "rank {rank}: payload type mismatch receiving tag {:?} from {} (expected {})",
-            env.tag,
-            env.src,
-            std::any::type_name::<T>()
-        ),
     }
 }
 
@@ -368,6 +421,19 @@ mod tests {
                 let (v, _) = rank.recv::<u64>(Src::Any, t);
                 rank.send(0, t, 8, v + 1);
             }
+        });
+    }
+
+    /// Every rank of a 5-rank world allocates 3 ids; all 15 are distinct.
+    #[test]
+    fn channel_ids_are_world_unique() {
+        NativeWorld::new(5).run(|rank| {
+            let mine: Vec<u16> = (0..3).map(|_| rank.alloc_channel_id()).collect();
+            let world = rank.world_group();
+            let mut all: Vec<u16> = rank.allgatherv(&world, 6, mine).concat();
+            all.sort_unstable();
+            all.dedup();
+            assert_eq!(all.len(), 15);
         });
     }
 

@@ -27,9 +27,7 @@ mod imp {
     pub use std::time::Instant;
 
     pub mod atomic {
-        pub use std::sync::atomic::{
-            AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
-        };
+        pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
     }
 
     pub mod thread {

@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use mpistream::coll::RankGroup;
 use mpistream::transport::SimTime;
 use mpistream::{
-    ChannelConfig, Group, GroupSpec, MsgInfo, Role, RoutePolicy, Src, Stream, StreamChannel, Tag,
-    Transport, Wire,
+    ChannelConfig, Event, Group, GroupSpec, MsgInfo, Role, RoutePolicy, Src, Stream, StreamChannel,
+    Tag, Transport, Wire,
 };
 use native::mailbox::{Env, Mailbox};
 use native::{NativeRank, NativeWorld};
@@ -329,8 +329,8 @@ fn matching_message_beats_the_deadline_despite_spurious_wakes() {
 // Batched credits: no credit overrun, end-to-end on real threads
 // ---------------------------------------------------------------------
 
-/// Per-(channel, producer, consumer) credit ledger fed by the Transport
-/// sanitizer hooks. The invariants of the credit protocol, batched or
+/// Per-(channel, producer, consumer) credit ledger fed by the sanitizer
+/// events of `Transport::observe`. The invariants of the credit protocol, batched or
 /// not: a producer never has more than `window` elements outstanding
 /// towards one consumer, and a consumer never acknowledges elements it
 /// was never sent.
@@ -375,7 +375,7 @@ impl CreditLedger {
 }
 
 /// A [`Transport`] wrapper that forwards everything to the wrapped
-/// [`NativeRank`] and routes the sanitizer hooks into a [`CreditLedger`]
+/// [`NativeRank`] and routes the sanitizer events into a [`CreditLedger`]
 /// — the native analogue of the simulator's `check` feature.
 struct Audited<'a> {
     inner: &'a mut NativeRank,
@@ -459,18 +459,20 @@ impl Transport for Audited<'_> {
         self.inner.alloc_channel_id()
     }
 
-    fn check_register_channel(&mut self, id: u16, window: Option<u64>, _credit_tag: Tag) {
-        if let Some(w) = window {
-            self.ledger.windows.lock().unwrap().insert(id, w);
+    fn observe(&mut self, ev: Event) {
+        let me = self.inner.world_rank();
+        match ev {
+            Event::RegisterChannel { id, window: Some(w), .. } => {
+                self.ledger.windows.lock().unwrap().insert(id, w);
+            }
+            Event::DataSent { id, consumer, elems } => {
+                self.ledger.data_sent(id, me, consumer, elems)
+            }
+            Event::CreditIssued { id, producer, elems } => {
+                self.ledger.credit_issued(id, producer, me, elems)
+            }
+            _ => {}
         }
-    }
-    fn check_data_sent(&mut self, id: u16, consumer: usize, elems: u64) {
-        let me = self.inner.world_rank();
-        self.ledger.data_sent(id, me, consumer, elems);
-    }
-    fn check_credit_issued(&mut self, id: u16, producer: usize, elems: u64) {
-        let me = self.inner.world_rank();
-        self.ledger.credit_issued(id, producer, me, elems);
     }
 }
 

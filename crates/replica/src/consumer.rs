@@ -36,7 +36,7 @@
 
 use std::ops::ControlFlow;
 
-use mpistream::transport::{SimDuration, Src, Tag, Transport};
+use mpistream::transport::{Event, SimDuration, Src, Tag, Transport};
 use mpistream::wire::Wire;
 use mpistream::{ConsumerCheckpoint, Stream, StreamChannel, Wait};
 
@@ -265,7 +265,7 @@ where
                     RepState { acc: acc.to_frame(), ckpt: stream.consumer_checkpoint() }.to_frame();
                 let bytes = snap.len() as u64;
                 let t0 = rank.now();
-                rank.prof_begin("repl-commit");
+                rank.observe(Event::Begin("repl-commit"));
                 let mut milestones = Vec::new();
                 let eff = core.on_local_op(snap);
                 apply_effects(rank, &group, me, repl_tag, eff, &mut milestones);
@@ -275,7 +275,7 @@ where
                             let eff = core.on_message(msg);
                             apply_effects(rank, &group, me, repl_tag, eff, &mut milestones);
                             if !core.is_primary() {
-                                rank.prof_end("repl-commit");
+                                rank.observe(Event::End("repl-commit"));
                                 continue 'role;
                             }
                         }
@@ -297,19 +297,20 @@ where
                         }
                     }
                 }
-                rank.prof_end("repl-commit");
+                rank.observe(Event::End("repl-commit"));
                 commits += 1;
-                rank.prof_repl_commit(channel.id(), bytes, (rank.now() - t0).as_nanos());
+                let latency_ns = (rank.now() - t0).as_nanos();
+                rank.observe(Event::ReplCommit { channel: channel.id(), bytes, latency_ns });
                 // The checkpoint is durable on a majority: now the
                 // producers may drop the acknowledged elements. Each
                 // acknowledgement leaves stamped with this primary's
                 // view, so a producer that already followed a successor
                 // (or has not yet heard of us) can reject it locally
                 // instead of relying on cross-tag ordering.
-                for (src, acked) in stream.take_pending_credits() {
-                    rank.check_credit_issued(channel.id(), src, acked);
-                    let credit = CreditMsg { view: core.view(), acked };
-                    rank.send(src, channel.credit_tag(), 16, credit);
+                for (producer, elems) in stream.take_pending_credits() {
+                    rank.observe(Event::CreditIssued { id: channel.id(), producer, elems });
+                    let credit = CreditMsg { view: core.view(), acked: elems };
+                    rank.send(producer, channel.credit_tag(), 16, credit);
                 }
                 if ev.term {
                     let ack = TakeoverMsg::TermAck { view: core.view() };

@@ -1,15 +1,21 @@
-//! Multi-process [`Transport`] backend: every rank a separate OS
-//! process, linked by framed Unix-domain sockets.
+//! Multi-process [`Transport`](mpistream::Transport) backend: every rank
+//! a separate OS process, linked by framed Unix-domain sockets.
 //!
 //! The paper's decoupling strategy assumes compute and data-movement
 //! groups that could live on different nodes; the sim and native
 //! backends still share one address space. This backend takes the same
 //! stream programs across a real process boundary: payloads cross the
-//! [`Wire`] codec (DESIGN.md §16), matching happens in the exact same
-//! [`Mailbox`] the native backend uses (lock-free MPSC staging +
+//! [`Wire`] codec (DESIGN.md §16) and collectives are genuine network
+//! rendezvous, [`mpistream::coll`]'s binomial trees.
+//!
+//! A [`SocketRank`] *is* the native backend's rank,
+//! [`native::MailboxRank`], over this crate's [`SocketLinks`]: matching
+//! happens in the exact same [`Mailbox`] (lock-free MPSC staging +
 //! eventcount park, so the schedcheck models of that structure still
-//! apply), and collectives are genuine network rendezvous:
-//! [`mpistream::coll`]'s binomial trees, over this crate's `send`/`recv`.
+//! apply), on the same clock, with the same collectives and channel ids.
+//! What this crate adds is how a message leaves — encoded into a frame
+//! and written to the peer's socket — and how a received frame is
+//! decoded.
 //!
 //! ## Topology
 //!
@@ -47,11 +53,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use desim::SimTime;
-use mpistream::coll::{self, CollState, RankGroup};
-use mpistream::{MsgInfo, Src, Tag, Transport, Wire};
+use mpistream::{MsgInfo, Tag, Wire};
 use native::mailbox::{Env, Mailbox};
-use native::WallClock;
+use native::{Links, MailboxRank, WallClock};
 
 /// Launch-handshake environment variables.
 const ENV_KEY: &str = "MPISTREAM_SOCKET_KEY";
@@ -79,10 +83,10 @@ const RESULT_POLL: Duration = Duration::from_secs(1);
 /// message does not pin its memory for the life of the rank.
 const SEND_BUF_KEEP: usize = 1 << 20;
 
-/// What this backend hands [`CollState::new`]: the binomial tree at
-/// every size — there is no shared-memory star shortcut worth taking
-/// when every hop is a real socket write, and `O(log n)` hops is the
-/// shape the paper's aggregation analysis assumes.
+/// The flat threshold this backend hands [`MailboxRank::new`]: the
+/// binomial tree at every size — there is no shared-memory star shortcut
+/// worth taking when every hop is a real socket write, and `O(log n)`
+/// hops is the shape the paper's aggregation analysis assumes.
 const COLL_FLAT_THRESHOLD: usize = 0;
 
 /// A socket world: `nprocs` ranks, each its own OS process.
@@ -353,8 +357,9 @@ impl SocketWorld {
             std::thread::spawn(move || acceptor_loop(listener, rank, mailbox, tolerant));
         }
 
-        let mut sr = SocketRank::new(rank, nprocs, dir, compute_scale, mailbox, self.tolerant);
-        let result = body(&mut sr);
+        let links = SocketLinks::new(dir, mailbox, nprocs, self.tolerant);
+        let clock = WallClock::start(compute_scale);
+        let result = body(&mut MailboxRank::new(rank, nprocs, clock, COLL_FLAT_THRESHOLD, links));
         frame::write_blob(&mut ctl, &result.to_frame()).expect("ship result");
         let mut done = [0u8; 1];
         ctl.read_exact(&mut done).expect("read ALL_DONE");
@@ -520,25 +525,19 @@ pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: 
 }
 
 /// One socket rank: the per-process handle [`SocketWorld::run`] passes
-/// to the body. Implements [`Transport`], so the whole stream runtime —
-/// channels, streams, combiners, `run_decoupled` — works against it.
-pub struct SocketRank {
-    rank: usize,
-    nprocs: usize,
-    clock: WallClock,
+/// to the body. The native backend's rank over [`SocketLinks`], so the
+/// whole stream runtime — channels, streams, combiners, `run_decoupled`
+/// — works against it.
+pub type SocketRank = MailboxRank<SocketLinks>;
+
+/// The [`Links`] of a socket rank: framed connections to the other rank
+/// processes, and this process's mailbox, which the reader threads fill.
+pub struct SocketLinks {
     dir: PathBuf,
     mailbox: Arc<Mailbox>,
     /// Outbound links, connected on first use (always succeeds: every
     /// listener was bound before GO).
     links: Vec<Option<UnixStream>>,
-    coll: CollState,
-    /// Mailbox version at the last `wait_for_mail` return (see the
-    /// native backend for the polling-round protocol).
-    mail_seen: u64,
-    /// Per-process channel counter; world-unique ids without shared
-    /// memory: `counter * nprocs + rank` gives each rank a disjoint
-    /// arithmetic progression.
-    next_channel: u32,
     /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
     tolerant: bool,
     /// Peers observed dead (tolerant mode only): once a connect or a
@@ -550,98 +549,56 @@ pub struct SocketRank {
     send_buf: Vec<u8>,
 }
 
-impl SocketRank {
-    fn new(
-        rank: usize,
-        nprocs: usize,
-        dir: PathBuf,
-        compute_scale: f64,
-        mailbox: Arc<Mailbox>,
-        tolerant: bool,
-    ) -> SocketRank {
-        SocketRank {
-            rank,
-            nprocs,
-            clock: WallClock::start(compute_scale),
+impl SocketLinks {
+    fn new(dir: PathBuf, mailbox: Arc<Mailbox>, nprocs: usize, tolerant: bool) -> SocketLinks {
+        let links = (0..nprocs).map(|_| None).collect();
+        SocketLinks {
             dir,
             mailbox,
-            links: (0..nprocs).map(|_| None).collect(),
-            coll: CollState::new(COLL_FLAT_THRESHOLD),
-            mail_seen: 0,
-            next_channel: 0,
+            links,
             tolerant,
             dead: vec![false; nprocs],
             send_buf: Vec::new(),
         }
     }
 
-    /// Connect-on-first-use outbound link; `None` means `dst` is dead
-    /// (only possible in death-tolerant mode — strict worlds panic).
-    fn link(&mut self, dst: usize) -> Option<&mut UnixStream> {
-        if self.dead[dst] {
-            return None;
-        }
-        if self.links[dst].is_none() {
-            // Every listener was bound before GO, so in tolerant mode a
-            // refused connect means the peer is gone — fail on the first
-            // attempt instead of retrying against a corpse for seconds.
-            let connected = if self.tolerant {
-                UnixStream::connect(rank_sock(&self.dir, dst))
-            } else {
-                connect_retry(&rank_sock(&self.dir, dst), CONNECT_TIMEOUT)
-            };
-            let mut s = match connected {
-                Ok(s) => s,
-                Err(_) if self.tolerant => {
-                    self.dead[dst] = true;
-                    return None;
-                }
-                Err(e) => panic!("rank {}: connect to rank {dst}: {e}", self.rank),
-            };
-            match frame::write_preamble(&mut s, self.rank) {
-                Ok(()) => {}
-                Err(_) if self.tolerant => {
-                    self.dead[dst] = true;
-                    return None;
-                }
-                Err(e) => panic!("rank {}: preamble to rank {dst}: {e}", self.rank),
+    /// Connect-on-first-use outbound link from `me`; `None` means `dst`
+    /// is dead (only possible in death-tolerant mode — strict worlds
+    /// panic).
+    fn link(&mut self, me: usize, dst: usize) -> Option<&mut UnixStream> {
+        if self.links[dst].is_none() && !self.dead[dst] {
+            match self.connect(me, dst) {
+                Ok(s) => self.links[dst] = Some(s),
+                Err(_) if self.tolerant => self.dead[dst] = true,
+                Err(e) => panic!("rank {me}: {e}"),
             }
-            self.links[dst] = Some(s);
         }
         self.links[dst].as_mut()
     }
+
+    fn connect(&self, me: usize, dst: usize) -> Result<UnixStream, String> {
+        // Every listener was bound before GO, so in tolerant mode a
+        // refused connect means the peer is gone — fail on the first
+        // attempt instead of retrying against a corpse for seconds.
+        let path = rank_sock(&self.dir, dst);
+        let connected = if self.tolerant {
+            UnixStream::connect(&path)
+        } else {
+            connect_retry(&path, CONNECT_TIMEOUT)
+        };
+        let mut s = connected.map_err(|e| format!("connect to rank {dst}: {e}"))?;
+        frame::write_preamble(&mut s, me).map_err(|e| format!("preamble to rank {dst}: {e}"))?;
+        Ok(s)
+    }
 }
 
-impl Transport for SocketRank {
-    type Group = RankGroup;
-
-    fn world_rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world_size(&self) -> usize {
-        self.nprocs
-    }
-
-    fn world_group(&self) -> RankGroup {
-        RankGroup::world(self.nprocs)
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    fn compute(&mut self, secs: f64) {
-        self.clock.compute(secs);
-    }
-
-    fn send<T: Wire + Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: u64, value: T) {
-        assert!(dst < self.nprocs, "send to out-of-range rank {dst}");
-        if dst == self.rank {
+impl Links for SocketLinks {
+    fn send<T: Wire + Send + 'static>(&mut self, dst: usize, info: MsgInfo, v: T) {
+        let MsgInfo { src: me, tag, bytes } = info;
+        if dst == me {
             // Self-sends still cross the codec — one uniform path, so a
             // payload that cannot round-trip fails loudly everywhere.
-            let payload = Box::new(value.to_frame());
-            self.mailbox.push(Env { src: self.rank, tag, bytes, payload });
+            self.mailbox.push(Env { src: me, tag, bytes, payload: Box::new(v.to_frame()) });
             return;
         }
         // The encoder writes straight behind the reserved header bytes of
@@ -650,24 +607,20 @@ impl Transport for SocketRank {
         // flush: that would be aggregation behind the caller's back, and
         // would stall a producer's last element for as long as the
         // application computes between sends.
-        let me = self.rank;
         let mut buf = std::mem::take(&mut self.send_buf);
         frame::begin_frame(&mut buf);
-        value.encode(&mut buf);
+        v.encode(&mut buf);
         if let Err(e) = frame::finish_frame(&mut buf, tag.0, bytes) {
             // The caller's error, found before any I/O: in neither mode
             // does it say anything about the peer.
             panic!("rank {me}: send to rank {dst} under tag {tag:?}: {e}");
         }
         // `None`: tolerant mode and dst is dead — the send is dropped.
-        if let Some(link) = self.link(dst) {
+        if let Some(link) = self.link(me, dst) {
             if let Err(e) = link.write_all(&buf) {
-                if self.tolerant {
-                    self.links[dst] = None;
-                    self.dead[dst] = true;
-                } else {
-                    panic!("rank {me}: send to rank {dst}: {e}");
-                }
+                assert!(self.tolerant, "rank {me}: send to rank {dst}: {e}");
+                self.links[dst] = None;
+                self.dead[dst] = true;
             }
         }
         if buf.capacity() <= SEND_BUF_KEEP {
@@ -675,103 +628,29 @@ impl Transport for SocketRank {
         }
     }
 
-    fn recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
-        let env = self.mailbox.take(src, tag);
-        unpack(self.rank, env)
+    fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T {
+        let buf = env.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
+            panic!("rank {me}: non-frame payload in a socket mailbox (tag {:?})", env.tag)
+        });
+        T::from_frame(&buf).unwrap_or_else(|e| {
+            panic!(
+                "rank {me}: malformed {} frame from rank {} under tag {:?}: {e}",
+                std::any::type_name::<T>(),
+                env.src,
+                env.tag
+            )
+        })
     }
 
-    fn try_recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
-        let env = self.mailbox.try_take(src, tag)?;
-        Some(unpack(self.rank, env))
-    }
-
-    fn recv_deadline<T: Wire + Send + 'static>(
-        &mut self,
-        src: Src,
-        tag: Tag,
-        deadline: SimTime,
-    ) -> Option<(T, MsgInfo)> {
-        let until = self.clock.instant(deadline);
-        let env = self.mailbox.take_deadline(src, tag, until)?;
-        Some(unpack(self.rank, env))
-    }
-
-    fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
-        self.mailbox.probe(src, tag)
-    }
-
-    fn wait_for_mail(&mut self) {
-        self.mail_seen = self.mailbox.wait_change(self.mail_seen);
-    }
-
-    fn barrier(&mut self, group: &RankGroup) {
-        let round = self.coll.begin(group, self.rank);
-        coll::barrier(self, &round)
-    }
-
-    fn allreduce<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        group: &RankGroup,
-        bytes: u64,
-        value: T,
-        op: impl Fn(&mut T, &T),
-    ) -> T {
-        let round = self.coll.begin(group, self.rank);
-        coll::allreduce(self, &round, bytes, value, op)
-    }
-
-    fn allgatherv<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        group: &RankGroup,
-        bytes: u64,
-        value: T,
-    ) -> Vec<T> {
-        let round = self.coll.begin(group, self.rank);
-        coll::allgatherv(self, &round, bytes, value)
-    }
-
-    fn bcast<T: Wire + Clone + Send + 'static>(
-        &mut self,
-        group: &RankGroup,
-        root: usize,
-        bytes: u64,
-        value: Option<T>,
-    ) -> T {
-        let round = self.coll.begin(group, self.rank);
-        coll::bcast(self, &round, root, bytes, value)
-    }
-
-    fn split(&mut self, group: &RankGroup, color: Option<i64>, key: i64) -> Option<RankGroup> {
-        let round = self.coll.begin(group, self.rank);
-        coll::split(self, &round, color, key)
-    }
-
-    fn alloc_channel_id(&mut self) -> u16 {
-        let id = self.next_channel as usize * self.nprocs + self.rank;
-        self.next_channel += 1;
-        u16::try_from(id).expect("too many channels")
-    }
-}
-
-fn unpack<T: Wire>(rank: usize, env: Env) -> (T, MsgInfo) {
-    let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
-    let buf = env.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
-        panic!("rank {rank}: non-frame payload in a socket mailbox (tag {:?})", env.tag)
-    });
-    match T::from_frame(&buf) {
-        Ok(v) => (v, info),
-        Err(e) => panic!(
-            "rank {rank}: malformed {} frame from rank {} under tag {:?}: {e}",
-            std::any::type_name::<T>(),
-            info.src,
-            env.tag
-        ),
+    fn inbox(&self, _me: usize) -> &Mailbox {
+        &self.mailbox
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpistream::{Src, Transport};
 
     #[test]
     fn oversize_payload_is_the_senders_panic_in_both_modes() {
@@ -784,10 +663,10 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             let peer = UnixListener::bind(rank_sock(&dir, 1)).unwrap();
             let mailbox = Arc::new(Mailbox::new());
-            let mut rank = SocketRank::new(0, 2, dir.clone(), 1.0, mailbox, tolerant);
+            let mut links = SocketLinks::new(dir.clone(), mailbox, 2, tolerant);
 
             let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                rank.send(1, tag, 8, vec![0u8; over]);
+                links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, vec![0u8; over]);
             }));
             let panic = sent.expect_err("an oversize payload must panic, tolerant or not");
             let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
@@ -799,8 +678,8 @@ mod tests {
             // It was found before any I/O and says nothing about the
             // peer: not marked dead, not even dialled, and the next send
             // goes through.
-            assert!(!rank.dead[1] && rank.links[1].is_none(), "tolerant = {tolerant}");
-            rank.send(1, tag, 8, 7u64);
+            assert!(!links.dead[1] && links.links[1].is_none(), "tolerant = {tolerant}");
+            links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, 7u64);
             let (mut conn, _) = peer.accept().unwrap();
             assert_eq!(frame::read_preamble(&mut conn).unwrap(), 0);
             assert_eq!(frame::read_frame(&mut conn).unwrap(), Some((tag.0, 8, 7u64.to_frame())));
@@ -829,6 +708,22 @@ mod tests {
                 }
             });
         assert_eq!(totals, vec![42, 41]);
+    }
+
+    /// Every rank of a 5-process world allocates 3 ids; all 15 are
+    /// distinct, and every rank gathers the same 15.
+    #[test]
+    fn channel_ids_are_world_unique() {
+        let ids = SocketWorld::for_test("tests::channel_ids_are_world_unique", 5).run(|rank| {
+            let mine: Vec<u16> = (0..3).map(|_| rank.alloc_channel_id()).collect();
+            let world = rank.world_group();
+            rank.allgatherv(&world, 6, mine).concat()
+        });
+        let mut all = ids[0].clone();
+        assert!(ids.iter().all(|g| *g == all), "ranks disagree: {ids:?}");
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 15, "{ids:?}");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   call: `compute`, `send`, blocking receives (classified into
 //!   *wait-for-data* vs *wait-for-credit* from the wire tag alone), and
 //!   the collective subset. Stream-level counters (elements/bytes,
-//!   credit-window occupancy) arrive through the `prof_*` hooks the
-//!   stream runtime invokes on any transport.
+//!   credit-window occupancy) and application spans arrive as the
+//!   [`Event`](mpistream::Event)s the stream runtime reports through
+//!   `Transport::observe` on any transport.
 //! - [`Trace`] — the finished recording: per-rank stall breakdowns
 //!   ([`StallBreakdown`]), per-stream [`StreamMetrics`], and exporters —
 //!   `chrome://tracing` JSON ([`Trace::to_chrome_json`]), CSV, and the

@@ -1,7 +1,7 @@
 //! A transparent [`Transport`] wrapper that times every call.
 
 use desim::SimTime;
-use mpistream::transport::{MsgInfo, Src, Tag, TagKind, Transport};
+use mpistream::transport::{Event, MsgInfo, Src, Tag, TagKind, Transport};
 use mpistream::Wire;
 
 use crate::sink::ProfSink;
@@ -16,15 +16,15 @@ use crate::sink::ProfSink;
 /// tag alone ([`Tag::kind`]) — `"wait-data"` (starved consumer),
 /// `"wait-credit"` (back-pressured producer), or `"recv"` (anything
 /// else). Non-blocking calls (`try_recv`, `probe`) are never spanned.
-/// The `prof_*` hooks the stream runtime invokes on every transport are
-/// intercepted here: named application spans (`prof_begin`/`prof_end`)
-/// land on the timeline, stream counters land in
-/// [`crate::StreamMetrics`].
+/// The [`Event`]s the stream runtime reports through
+/// [`Transport::observe`] are recorded here too: named application spans
+/// ([`Event::Begin`]/[`Event::End`]) land on the timeline, stream
+/// counters in [`crate::StreamMetrics`].
 pub struct Profiled<'a, T: Transport> {
     inner: &'a mut T,
     sink: ProfSink,
     pid: usize,
-    /// Open application spans (`prof_begin` without a `prof_end` yet).
+    /// Open application spans (begun, not yet ended).
     open: Vec<(&'static str, SimTime)>,
 }
 
@@ -156,48 +156,36 @@ impl<'a, T: Transport> Transport for Profiled<'a, T> {
         self.inner.alloc_channel_id()
     }
 
-    // Sanitizer hooks pass straight through, so a profiled sim rank keeps
-    // its happens-before checking.
-    fn check_register_channel(&mut self, id: u16, window: Option<u64>, credit_tag: Tag) {
-        self.inner.check_register_channel(id, window, credit_tag);
-    }
-
-    fn check_data_sent(&mut self, id: u16, consumer: usize, elems: u64) {
-        self.inner.check_data_sent(id, consumer, elems);
-    }
-
-    fn check_credit_issued(&mut self, id: u16, producer: usize, elems: u64) {
-        self.inner.check_credit_issued(id, producer, elems);
-    }
-
-    fn prof_begin(&mut self, cat: &'static str) {
-        self.open.push((cat, self.inner.now()));
-    }
-
-    fn prof_end(&mut self, cat: &'static str) {
-        let i = self
-            .open
-            .iter()
-            .rposition(|&(c, _)| c == cat)
-            .unwrap_or_else(|| panic!("prof_end({cat:?}) without a matching prof_begin"));
-        let (_, start) = self.open.remove(i);
-        let end = self.inner.now();
-        self.sink.record_span(self.pid, cat, start, end);
-    }
-
-    fn prof_stream_send(&mut self, channel: u16, elems: u64, bytes: u64) {
-        self.sink.stream_send(self.pid, channel, elems, bytes);
-    }
-
-    fn prof_stream_recv(&mut self, channel: u16, elems: u64, bytes: u64) {
-        self.sink.stream_recv(self.pid, channel, elems, bytes);
-    }
-
-    fn prof_credit_occupancy(&mut self, channel: u16, outstanding: u64, window: u64) {
-        self.sink.credit_sample(self.pid, channel, outstanding, window);
-    }
-
-    fn prof_repl_commit(&mut self, channel: u16, bytes: u64, latency_ns: u64) {
-        self.sink.repl_commit(self.pid, channel, bytes, latency_ns);
+    /// Records the profiling events, then forwards every event: a
+    /// profiled sim rank keeps its happens-before checking.
+    fn observe(&mut self, ev: Event) {
+        let pid = self.pid;
+        match ev {
+            Event::Begin(cat) => self.open.push((cat, self.inner.now())),
+            Event::End(cat) => {
+                let i = self
+                    .open
+                    .iter()
+                    .rposition(|&(c, _)| c == cat)
+                    .unwrap_or_else(|| panic!("span {cat:?} ended without a matching begin"));
+                let (_, start) = self.open.remove(i);
+                self.sink.record_span(pid, cat, start, self.inner.now());
+            }
+            Event::StreamSend { channel, elems, bytes } => {
+                self.sink.stream_send(pid, channel, elems, bytes)
+            }
+            Event::StreamRecv { channel, elems, bytes } => {
+                self.sink.stream_recv(pid, channel, elems, bytes)
+            }
+            Event::CreditOccupancy { channel, outstanding, window } => {
+                self.sink.credit_sample(pid, channel, outstanding, window)
+            }
+            Event::ReplCommit { channel, bytes, latency_ns } => {
+                self.sink.repl_commit(pid, channel, bytes, latency_ns)
+            }
+            // The sanitizer's events are only forwarded.
+            _ => {}
+        }
+        self.inner.observe(ev);
     }
 }

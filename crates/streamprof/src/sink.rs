@@ -35,7 +35,7 @@ pub struct Span {
     pub pid: usize,
     /// Category: `"compute"`, `"send"`, `"wait-data"`, `"wait-credit"`,
     /// `"recv"`, `"wait-mail"`, `"coll"`, or an application name opened
-    /// via `prof_begin`.
+    /// via `Event::Begin`.
     pub cat: &'static str,
     pub start: SimTime,
     pub end: SimTime,
@@ -151,44 +151,43 @@ impl ProfSink {
         }
     }
 
-    pub fn stream_send(&self, pid: usize, channel: u16, elems: u64, bytes: u64) {
+    /// Update the counters of `(pid, channel)`, if recording.
+    fn count(&self, pid: usize, channel: u16, update: impl FnOnce(&mut StreamMetrics)) {
         if self.enabled() {
-            let mut inner = self.shared.inner.lock();
-            let m = inner.streams.entry((pid, channel)).or_default();
+            update(self.shared.inner.lock().streams.entry((pid, channel)).or_default());
+        }
+    }
+
+    pub fn stream_send(&self, pid: usize, channel: u16, elems: u64, bytes: u64) {
+        self.count(pid, channel, |m| {
             m.elems_sent += elems;
             m.bytes_sent += bytes;
             m.batches_sent += 1;
-        }
+        });
     }
 
     pub fn stream_recv(&self, pid: usize, channel: u16, elems: u64, bytes: u64) {
-        if self.enabled() {
-            let mut inner = self.shared.inner.lock();
-            let m = inner.streams.entry((pid, channel)).or_default();
+        self.count(pid, channel, |m| {
             m.elems_recv += elems;
             m.bytes_recv += bytes;
             m.batches_recv += 1;
-        }
+        });
     }
 
     pub fn credit_sample(&self, pid: usize, channel: u16, outstanding: u64, window: u64) {
-        if self.enabled() {
-            let mut inner = self.shared.inner.lock();
-            let m = inner.streams.entry((pid, channel)).or_default();
+        self.count(pid, channel, |m| {
             m.credit_samples += 1;
             m.credit_outstanding_sum += outstanding;
             m.credit_window = window;
-        }
+        });
     }
 
     pub fn repl_commit(&self, pid: usize, channel: u16, bytes: u64, latency_ns: u64) {
-        if self.enabled() {
-            let mut inner = self.shared.inner.lock();
-            let m = inner.streams.entry((pid, channel)).or_default();
+        self.count(pid, channel, |m| {
             m.repl_commits += 1;
             m.repl_bytes += bytes;
             m.repl_latency_sum_ns += latency_ns;
-        }
+        });
     }
 
     /// Drain the recording into a [`Trace`]. Spans are sorted by

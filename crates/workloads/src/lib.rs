@@ -10,8 +10,8 @@
 //!   (Fig. 2, 7, 8);
 //! - [`imbalance`]: per-rank workload spread profiles and the `Tσ`
 //!   estimator of the performance model;
-//! - [`samplers`]: the underlying Zipf / log-normal / exponential /
-//!   Gaussian samplers (implemented here to avoid extra dependencies).
+//! - [`samplers`]: the underlying Zipf / log-normal / Gaussian
+//!   samplers (implemented here to avoid extra dependencies).
 //!
 //! Everything is deterministic given its seed.
 
@@ -23,4 +23,4 @@ pub mod samplers;
 pub use corpus::{Corpus, CorpusConfig, FileSpec};
 pub use imbalance::Imbalance;
 pub use particles::{advance, Particle, ParticleConfig};
-pub use samplers::{exponential, gaussian, lognormal, pareto, Ar1, Zipf};
+pub use samplers::{gaussian, lognormal, Zipf};

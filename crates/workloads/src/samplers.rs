@@ -13,13 +13,6 @@ pub fn gaussian(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Exponential with the given mean.
-pub fn exponential(mean: f64, rng: &mut StdRng) -> f64 {
-    debug_assert!(mean > 0.0);
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -u.ln() * mean
-}
-
 /// Log-normal parameterised by its *linear-space* mean and coefficient of
 /// variation — the natural way to express "workload with mean W and 30%
 /// spread".
@@ -90,14 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_is_right() {
-        let mut r = rng();
-        let n = 40_000;
-        let mean: f64 = (0..n).map(|_| exponential(3.0, &mut r)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.06, "{mean}");
-    }
-
-    #[test]
     fn lognormal_mean_and_cv_are_right() {
         let mut r = rng();
         let n = 60_000;
@@ -149,89 +134,5 @@ mod tests {
             assert_eq!(z.sample(&mut r), 0);
         }
         assert!((z.pmf(0) - 1.0).abs() < 1e-12);
-    }
-}
-
-/// Pareto (power-law) sampler with scale `x_min` and shape `alpha` —
-/// heavy-tailed service times, file sizes, flow sizes.
-pub fn pareto(x_min: f64, alpha: f64, rng: &mut StdRng) -> f64 {
-    debug_assert!(x_min > 0.0 && alpha > 0.0);
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    x_min / u.powf(1.0 / alpha)
-}
-
-/// A mean-one AR(1) multiplicative jitter process: successive draws are
-/// correlated with coefficient `rho`, marginal coefficient of variation
-/// `cv`. Models slowly-wandering interference (a neighbour job ramping
-/// up, thermal throttling) as opposed to i.i.d. per-step noise.
-#[derive(Clone, Debug)]
-pub struct Ar1 {
-    rho: f64,
-    sigma: f64,
-    state: f64,
-}
-
-impl Ar1 {
-    pub fn new(rho: f64, cv: f64) -> Ar1 {
-        assert!((0.0..1.0).contains(&rho), "rho in [0,1)");
-        assert!(cv >= 0.0);
-        // Stationary log-variance for a log-normal marginal with the
-        // requested cv.
-        let sigma2 = (1.0 + cv * cv).ln();
-        Ar1 { rho, sigma: sigma2.sqrt(), state: 0.0 }
-    }
-
-    /// Next multiplicative factor (mean ≈ 1).
-    pub fn next(&mut self, rng: &mut StdRng) -> f64 {
-        let innovation = (1.0 - self.rho * self.rho).sqrt() * self.sigma * gaussian(rng);
-        self.state = self.rho * self.state + innovation;
-        (self.state - self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
-#[cfg(test)]
-mod ext_tests {
-    use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn pareto_respects_scale_and_tail() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| pareto(2.0, 2.5, &mut rng)).collect();
-        assert!(xs.iter().all(|&x| x >= 2.0));
-        // Mean of Pareto(alpha=2.5, xm=2) = alpha*xm/(alpha-1) = 10/3.
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean - 10.0 / 3.0).abs() < 0.1, "{mean}");
-    }
-
-    #[test]
-    fn ar1_is_mean_one_and_correlated() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut ar = Ar1::new(0.9, 0.3);
-        // Burn in, then sample.
-        for _ in 0..100 {
-            ar.next(&mut rng);
-        }
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| ar.next(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
-        // Lag-1 autocorrelation of log(x) should be ~rho.
-        let logs: Vec<f64> = xs.iter().map(|x| x.ln()).collect();
-        let lmean = logs.iter().sum::<f64>() / n as f64;
-        let var: f64 = logs.iter().map(|l| (l - lmean) * (l - lmean)).sum::<f64>();
-        let cov: f64 = logs.windows(2).map(|w| (w[0] - lmean) * (w[1] - lmean)).sum::<f64>();
-        let rho_hat = cov / var;
-        assert!((rho_hat - 0.9).abs() < 0.02, "rho {rho_hat}");
-    }
-
-    #[test]
-    fn ar1_with_zero_cv_is_constant_one() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut ar = Ar1::new(0.5, 0.0);
-        for _ in 0..10 {
-            assert!((ar.next(&mut rng) - 1.0).abs() < 1e-12);
-        }
     }
 }

@@ -1,9 +1,10 @@
 //! streamprof end-to-end: a golden Chrome trace on the simulator
 //! (byte-compared — the sim is deterministic, so the exporter must be
 //! too), structural validation of the native backend's trace (wall-clock
-//! timings differ run to run, but the shape must not), and exporter
+//! timings differ run to run, but the shape must not), exporter
 //! equivalence between `desim`'s original trace renderers and the
-//! `streamprof` adapters fig2 now routes through.
+//! `streamprof` adapters fig2 now routes through, and the sanitizer
+//! still reporting through a `Profiled` wrapper.
 //!
 //! To refresh the golden after an intentional format change:
 //! `STREAMPROF_UPDATE_GOLDEN=1 cargo test -p integration --test streamprof_trace`
@@ -12,7 +13,7 @@
 use apps::pic::{run_comm_decoupled_traced, PicConfig};
 use apps::portable::{quickstart, quickstart_with};
 use mpisim::{MachineConfig, NoiseModel, World};
-use mpistream::{ChannelConfig, GroupSpec, Role};
+use mpistream::{ChannelConfig, GroupSpec, Role, Src, Stream, StreamChannel, Tag, Transport};
 use native::NativeWorld;
 use streamprof::{validate_chrome, Clock, ProfSink, Profiled, Trace};
 
@@ -145,6 +146,47 @@ fn native_stream_metrics_are_exact_under_batched_credits() {
             Role::Bystander => unreachable!("quickstart has no bystanders"),
         }
     }
+}
+
+/// Wrapping ranks in `Profiled` keeps them checked: this is streamcheck's
+/// `credit_deadlock_report_includes_credit_table` with both ranks
+/// profiled. The credit table is filled only by the sanitizer events
+/// `Profiled::observe` forwards, so the report carries it only if they
+/// arrive.
+#[test]
+fn profiled_ranks_keep_the_sanitizer_credit_table() {
+    let sink = ProfSink::new(Clock::Virtual);
+    let world = World::new(MachineConfig::default()).with_seed(5).with_check();
+    let err = world
+        .run(2, move |rank| {
+            let mut rank = Profiled::new(rank, sink.clone());
+            let comm = rank.world_group();
+            let role = GroupSpec { every: 2 }.role_of(rank.world_rank());
+            let config = ChannelConfig { credits: Some(4), ..ChannelConfig::default() };
+            let ch = StreamChannel::create(&mut rank, &comm, role, config);
+            let mut stream: Stream<u32> = Stream::attach(ch);
+            match role {
+                Role::Producer => {
+                    for i in 0..8 {
+                        stream.isend(&mut rank, i); // blocks at the 5th element
+                    }
+                    stream.terminate(&mut rank);
+                }
+                Role::Consumer => {
+                    // Never drains the stream: waits on a tag nobody sends.
+                    let _: (u8, _) = rank.recv(Src::Rank(0), Tag::user(999));
+                }
+                Role::Bystander => unreachable!(),
+            }
+        })
+        .expect_err("this pipeline must deadlock");
+    let report = err.to_string();
+    assert!(report.contains("deadlock"), "unexpected error: {report}");
+    assert!(
+        report.contains("streamcheck sanitizer credit state"),
+        "credit table missing from deadlock report:\n{report}"
+    );
+    assert!(report.contains("window full"), "window-full marker missing:\n{report}");
 }
 
 #[test]
