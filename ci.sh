@@ -104,6 +104,22 @@ done
 timeout 180 cargo test -q --release --offline -p integration \
     --test streamprof_trace
 
+echo "== examples over apps, and the committed Fig. 6-8 rows =="
+# quickstart is Listing 1 as every backend runs it (apps::portable);
+# alpha_tuning sweeps and fits the same program (about 1 s in release).
+# A simulated run is deterministic, so fig6/7/8 regenerated up to 64
+# ranks must reproduce the first rows of the committed CSVs byte for
+# byte; a change meant to move them regenerates results/fig{6,7,8}_* over
+# their full row range (EXPERIMENTS.md).
+timeout 120 cargo run --release --offline -q -p integration --example quickstart > /dev/null
+timeout 120 cargo run --release --offline -q -p integration --example alpha_tuning > /dev/null
+for fig in fig6:fig6_cg fig7:fig7_pic_comm fig8:fig8_pic_io; do
+    csv="${fig#*:}.csv"
+    MAX_PROCS=64 RESULTS_DIR=target/ci_results timeout 300 \
+        cargo run --release --offline -q -p bench-harness --bin "${fig%%:*}" > /dev/null
+    head -n "$(wc -l < "target/ci_results/$csv")" "results/$csv" | cmp "target/ci_results/$csv" -
+done
+
 echo "== schedcheck model checking (bounded exhaustive interleavings) =="
 # The native backend's lock-free core — mailbox push/drain, eventcount
 # park, deadline receives, batched credit returns, a small tree

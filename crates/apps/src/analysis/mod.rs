@@ -1,27 +1,21 @@
-//! Decoupled workload analysis — the paper's Listing 1 as a library.
+//! Decoupled workload analysis — the paper's Listing 1 as a case study.
 //!
 //! An application alternates `Calculation()` with an analysis of the
 //! workload distribution across processes (min / max / median), a common
 //! load-balancing ingredient. Conventionally this costs three global
 //! reductions per analysis round ("often the bottleneck of scalability");
 //! decoupled, the computation group streams workload updates to a small
-//! analysis group that digests them on the fly.
+//! analysis group that digests them on the fly. The decoupled program is
+//! [`listing1`]; this module runs it, and the reference, in simulated
+//! worlds.
 
 use std::sync::Arc;
 
-use mpisim::{MachineConfig, World, WorldOutcome};
+use mpisim::{MachineConfig, Rank, World, WorldOutcome};
 use mpistream::{run_decoupled, ChannelConfig, GroupSpec, Transport};
 use parking_lot::Mutex;
 
-/// One workload report streamed to the analysis group.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WorkloadUpdate {
-    pub rank: usize,
-    pub step: usize,
-    pub work_units: u64,
-}
-
-mpistream::wire_struct!(WorkloadUpdate { rank, step, work_units });
+use crate::portable::{listing1, workload, workload_updates, Listing1Shape, WorkloadUpdate};
 
 /// Distribution digest the analysis group maintains.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -71,49 +65,47 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// Deterministic per-rank workload trajectory (an LCG walk, so both
-/// implementations and the oracle see the same values).
-pub fn workload_at(rank: usize, step: usize) -> u64 {
-    let mut x = (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for _ in 0..=step {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+impl AnalysisConfig {
+    /// This case study as a [`listing1`] run over `element_bytes`
+    /// elements. With `analysis_cost`, a consumer's total analysis work
+    /// matches one producer's compute work, which gives Eq. 4 a modelled
+    /// `T_W1` to overlap; without it the effective β is trivially 1.
+    fn listing1(&self, element_bytes: u64, analysis_cost: bool) -> Listing1Shape {
+        let fan_in = (self.alpha_every - 1).max(1) as f64;
+        Listing1Shape {
+            steps: self.steps,
+            every: self.alpha_every,
+            channel: ChannelConfig { element_bytes, ..ChannelConfig::default() },
+            secs_per_unit: self.secs_per_unit,
+            analysis_secs_per_unit: if analysis_cost { self.secs_per_unit / fan_in } else { 0.0 },
+        }
     }
-    500 + x % 2000
 }
 
 /// Result of one analysis run.
 pub struct AnalysisResult {
     pub outcome: WorldOutcome,
-    /// Digest over every `(rank, step)` sample, assembled at one rank.
+    /// Digest over every `(rank, step)` sample.
     pub digest: WorkloadDigest,
 }
 
-/// Serial oracle over all samples.
+/// Serial oracle over the samples of ranks `0..compute_ranks`.
 pub fn oracle(compute_ranks: usize, steps: usize) -> WorkloadDigest {
-    let mut all = Vec::with_capacity(compute_ranks * steps);
-    for r in 0..compute_ranks {
-        for s in 0..steps {
-            all.push(workload_at(r, s));
-        }
-    }
-    min_max_median(&mut all)
+    min_max_median(&mut workload_updates(0..compute_ranks, steps))
 }
 
 /// Conventional implementation: every rank joins three reductions per
 /// step (min, max, and a median stand-in via a full gather at a root —
 /// medians do not decompose, which is exactly why this pattern hurts).
 pub fn run_reference(nprocs: usize, cfg: &AnalysisConfig) -> AnalysisResult {
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
-    let digest: Arc<Mutex<WorkloadDigest>> = Arc::new(Mutex::new(WorkloadDigest::default()));
-    let d2 = digest.clone();
     let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let (outcome, digests) = run_world(nprocs, cfg, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let mut all: Vec<u64> = Vec::new();
-        for step in 0..cfg2.steps {
-            let w = workload_at(me, step);
-            rank.compute(w as f64 * cfg2.secs_per_unit);
+        for work in workload(me, cfg2.steps).windows(2) {
+            rank.compute(work[0] as f64 * cfg2.secs_per_unit);
+            let w = work[1];
             // min and max reduce cheaply...
             let _ = rank.allreduce(&comm, 8, w, |a, b| *a = (*a).min(*b));
             let _ = rank.allreduce(&comm, 8, w, |a, b| *a = (*a).max(*b));
@@ -122,105 +114,55 @@ pub fn run_reference(nprocs: usize, cfg: &AnalysisConfig) -> AnalysisResult {
                 all.extend(ws);
             }
         }
-        if me == 0 {
-            *d2.lock() = min_max_median(&mut all);
-        }
+        (me == 0).then(|| min_max_median(&mut all))
     });
-    let digest = digest.lock().clone();
+    let digest = digests.into_iter().flatten().next().expect("rank 0 assembles the digest");
     AnalysisResult { outcome, digest }
 }
 
-/// Decoupled implementation (Listing 1): stream updates to the analysis
-/// group; rank `consumers[0]` assembles the digest.
-pub fn run_decoupled_analysis(nprocs: usize, cfg: &AnalysisConfig) -> AnalysisResult {
+/// Run `body` on every rank of one simulated world of this case study;
+/// returns the outcome and every rank's result, in no particular order.
+fn run_world<R: Send + 'static>(
+    nprocs: usize,
+    cfg: &AnalysisConfig,
+    body: impl Fn(&mut Rank) -> R + Send + Sync + 'static,
+) -> (WorldOutcome, Vec<R>) {
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
-    let digest: Arc<Mutex<WorkloadDigest>> = Arc::new(Mutex::new(WorkloadDigest::default()));
-    let d2 = digest.clone();
-    let cfg2 = cfg.clone();
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let sink = results.clone();
     let outcome = world.run_expect(nprocs, move |rank| {
-        let comm = rank.comm_world();
-        let spec = GroupSpec { every: cfg2.alpha_every };
-        let steps = cfg2.steps;
-        let secs_per_unit = cfg2.secs_per_unit;
-        let d3 = d2.clone();
-        run_decoupled::<WorkloadUpdate, _, _, _>(
-            rank,
-            &comm,
-            spec,
-            ChannelConfig { element_bytes: 1 << 10, ..ChannelConfig::default() },
-            move |rank, p| {
-                let me = rank.world_rank();
-                for step in 0..steps {
-                    let w = workload_at(me, step);
-                    rank.compute(w as f64 * secs_per_unit);
-                    p.stream.isend(rank, WorkloadUpdate { rank: me, step, work_units: w });
-                }
-            },
-            move |rank, c| {
-                let mut samples = Vec::new();
-                c.stream.operate(rank, |_, u| samples.push(u.work_units));
-                // Consumers gather their shards at consumer 0 for the
-                // global digest.
-                let shard_bytes = samples.len() as u64 * 8;
-                if let Some(shards) = rank.gatherv(&c.group, 0, shard_bytes, samples) {
-                    let mut all: Vec<u64> = shards.into_iter().flatten().collect();
-                    *d3.lock() = min_max_median(&mut all);
-                }
-            },
-        );
+        let result = body(rank);
+        sink.lock().push(result);
     });
-    let digest = digest.lock().clone();
-    AnalysisResult { outcome, digest }
+    let results = std::mem::take(&mut *results.lock());
+    (outcome, results)
 }
 
-/// Profiled decoupled analysis run for granularity sweeps: the same
-/// streaming pattern as [`run_decoupled_analysis`] (minus the final
-/// digest gather) under `streamprof` instrumentation, with the channel
-/// granularity `S` (`element_bytes`) as a parameter. Returns the virtual
-/// makespan and the recorded trace — the substrate for fitting the
-/// paper's β(S)/Tσ from observations instead of assuming them (see
-/// `examples/alpha_tuning.rs`).
-///
-/// Unlike the digest variant, the consumer here models per-update
-/// analysis cost (normalised so a consumer's total OP1 work matches one
-/// producer's OP0 work) — without a modelled `T_W1` there is nothing to
-/// overlap and the effective β is trivially 1.
+/// Decoupled implementation: [`listing1`], with the digest taken over
+/// every analysis rank's samples once the world has joined.
+pub fn run_decoupled_analysis(nprocs: usize, cfg: &AnalysisConfig) -> AnalysisResult {
+    let shape = cfg.listing1(1 << 10, false);
+    let (outcome, reports) = run_world(nprocs, cfg, move |rank| listing1(rank, &shape));
+    let mut all: Vec<u64> = reports.into_iter().flat_map(|r| r.received).collect();
+    AnalysisResult { outcome, digest: min_max_median(&mut all) }
+}
+
+/// Profiled decoupled analysis run for granularity sweeps: [`listing1`]
+/// under `streamprof` instrumentation, with the channel granularity `S`
+/// (`element_bytes`) as a parameter and a modelled per-update analysis
+/// cost. Returns the virtual makespan and the recorded trace — the
+/// substrate for fitting the paper's β(S)/Tσ from observations instead of
+/// assuming them (see `examples/alpha_tuning.rs`).
 pub fn run_profiled_analysis(
     nprocs: usize,
     cfg: &AnalysisConfig,
     element_bytes: u64,
 ) -> (f64, streamprof::Trace) {
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
     let sink = streamprof::ProfSink::new(streamprof::Clock::Virtual);
     let s2 = sink.clone();
-    let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
-        let mut rank = streamprof::Profiled::new(rank, s2.clone());
-        let comm = rank.world_group();
-        let spec = GroupSpec { every: cfg2.alpha_every };
-        let steps = cfg2.steps;
-        let secs_per_unit = cfg2.secs_per_unit;
-        run_decoupled::<WorkloadUpdate, _, _, _>(
-            &mut rank,
-            &comm,
-            spec,
-            ChannelConfig { element_bytes, ..ChannelConfig::default() },
-            move |rank, p| {
-                let me = rank.world_rank();
-                for step in 0..steps {
-                    let w = workload_at(me, step);
-                    rank.compute(w as f64 * secs_per_unit);
-                    p.stream.isend(rank, WorkloadUpdate { rank: me, step, work_units: w });
-                }
-            },
-            move |rank, c| {
-                let fan_in = (cfg2.alpha_every - 1).max(1) as f64;
-                let per_update = secs_per_unit / fan_in;
-                c.stream.operate(rank, |rank, u| {
-                    rank.compute(u.work_units as f64 * per_update);
-                });
-            },
-        );
+    let shape = cfg.listing1(element_bytes, true);
+    let (outcome, _) = run_world(nprocs, cfg, move |rank| {
+        listing1(&mut streamprof::Profiled::new(rank, s2.clone()), &shape)
     });
     (outcome.elapsed_secs(), sink.take())
 }
@@ -243,55 +185,46 @@ pub fn run_profiled_combined_analysis(
     element_bytes: u64,
     combine_every: usize,
 ) -> (f64, streamprof::Trace, mpistream::CombinerStats) {
-    use mpistream::Combiner;
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
+    use mpistream::{Combiner, CombinerStats};
     let sink = streamprof::ProfSink::new(streamprof::Clock::Virtual);
     let s2 = sink.clone();
-    let cfg2 = cfg.clone();
-    let stats: Arc<Mutex<mpistream::CombinerStats>> =
-        Arc::new(Mutex::new(mpistream::CombinerStats::default()));
-    let st2 = stats.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let shape = cfg.listing1(element_bytes, true);
+    let (outcome, per_rank) = run_world(nprocs, cfg, move |rank| {
         let mut rank = streamprof::Profiled::new(rank, s2.clone());
         let comm = rank.world_group();
-        let spec = GroupSpec { every: cfg2.alpha_every };
-        let steps = cfg2.steps;
-        let secs_per_unit = cfg2.secs_per_unit;
-        let st3 = st2.clone();
+        let mut stats = CombinerStats::default();
         run_decoupled::<Vec<WorkloadUpdate>, _, _, _>(
             &mut rank,
             &comm,
-            spec,
-            ChannelConfig { element_bytes, ..ChannelConfig::default() },
-            move |rank, p| {
+            GroupSpec { every: shape.every },
+            shape.channel.clone(),
+            |rank, p| {
                 let me = rank.world_rank();
                 let nc = p.stream.channel().consumers().len();
                 let mut comb = Combiner::new(p.stream, combine_every);
-                for step in 0..steps {
-                    let w = workload_at(me, step);
-                    rank.compute(w as f64 * secs_per_unit);
-                    let update = vec![WorkloadUpdate { rank: me, step, work_units: w }];
+                for (step, work) in workload(me, shape.steps).windows(2).enumerate() {
+                    rank.compute(work[0] as f64 * shape.secs_per_unit);
+                    let update = vec![WorkloadUpdate { rank: me, step, work_units: work[1] }];
                     comb.push(rank, p.stream, me % nc, update, |acc, mut e| {
                         acc.append(&mut e);
                     });
                 }
-                let s = comb.finish(rank, p.stream);
-                let mut sum = st3.lock();
-                sum.folded += s.folded;
-                sum.emitted += s.emitted;
+                stats = comb.finish(rank, p.stream);
             },
-            move |rank, c| {
-                let fan_in = (cfg2.alpha_every - 1).max(1) as f64;
-                let per_update = secs_per_unit / fan_in;
+            |rank, c| {
                 c.stream.operate(rank, |rank, batch| {
                     for u in batch {
-                        rank.compute(u.work_units as f64 * per_update);
+                        rank.compute(u.work_units as f64 * shape.analysis_secs_per_unit);
                     }
                 });
             },
         );
+        stats
     });
-    let stats = *stats.lock();
+    let stats = per_rank.iter().fold(CombinerStats::default(), |sum, s| CombinerStats {
+        folded: sum.folded + s.folded,
+        emitted: sum.emitted + s.emitted,
+    });
     (outcome.elapsed_secs(), sink.take(), stats)
 }
 
@@ -299,11 +232,8 @@ pub fn run_profiled_combined_analysis(
 /// the `streamcheck` static pass: a single statically-routed update stream
 /// from the computation group to the analysis group.
 pub fn topology(nprocs: usize, cfg: &AnalysisConfig) -> streamcheck::Topology {
-    use mpistream::Role;
     use streamcheck::{ChannelDecl, GroupDecl, Topology};
-    let spec = GroupSpec { every: cfg.alpha_every };
-    let g0: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-    let g1: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
+    let (g0, g1) = GroupSpec { every: cfg.alpha_every }.members(nprocs);
     Topology::new(nprocs)
         .group(GroupDecl::new("computation", g0.clone()))
         .group(GroupDecl::new("analysis", g1.clone()))
@@ -355,12 +285,7 @@ mod tests {
         // 8 ranks, every=4: compute ranks are 0,1,2,4,5,6 — the oracle
         // must cover exactly those trajectories.
         let res = run_decoupled_analysis(8, &c);
-        let mut all = Vec::new();
-        for r in [0usize, 1, 2, 4, 5, 6] {
-            for s in 0..c.steps {
-                all.push(workload_at(r, s));
-            }
-        }
+        let mut all = workload_updates([0, 1, 2, 4, 5, 6], c.steps);
         assert_eq!(res.digest, min_max_median(&mut all));
     }
 
@@ -427,14 +352,12 @@ mod tests {
 
     #[test]
     fn workload_trajectories_are_deterministic() {
-        assert_eq!(workload_at(3, 5), workload_at(3, 5));
-        assert_ne!(workload_at(3, 5), workload_at(4, 5));
-        assert_ne!(workload_at(3, 5), workload_at(3, 6));
+        assert_eq!(workload(3, 5), workload(3, 5));
+        assert_ne!(workload(3, 5), workload(4, 5));
+        // A longer run extends the trajectory; it does not change its prefix.
+        assert_eq!(workload(3, 5), workload(3, 6)[..6]);
         for r in 0..20 {
-            for s in 0..20 {
-                let w = workload_at(r, s);
-                assert!((500..2500).contains(&w));
-            }
+            assert!(workload(r, 20).iter().all(|w| (500..2500).contains(w)));
         }
     }
 }

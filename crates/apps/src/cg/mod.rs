@@ -24,8 +24,11 @@ pub mod grid;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
-use mpisim::{dims_create, CartComm, MachineConfig, Rank, Src, World, WorldOutcome};
-use mpistream::{prof_scoped, ChannelConfig, GroupSpec, Role, Stream, StreamChannel, Transport};
+use mpisim::{Comm, MachineConfig, Rank, Src, World, WorldOutcome};
+use mpistream::{
+    dims_create, prof_scoped, Cart, ChannelConfig, GroupSpec, Role, Stream, StreamChannel,
+    Transport,
+};
 use parking_lot::Mutex;
 
 use grid::{Field, Shell};
@@ -126,7 +129,7 @@ fn manufactured_u(g: [usize; 3], n_global: [usize; 3]) -> f64 {
     (PI * x).sin() * (PI * y).sin() * (PI * z).sin()
 }
 
-fn setup_state(cart: &CartComm, crank: usize, n_local: usize) -> CgState {
+fn setup_state(cart: &Cart, crank: usize, n_local: usize) -> CgState {
     let dims = cart.dims();
     let coords = cart.coords(crank);
     let n = [n_local; 3];
@@ -176,8 +179,7 @@ impl CgState {
 /// Serial oracle: plain CG on the full grid, no simulator involved.
 /// Returns `(final ‖r‖², max-norm solution error)`.
 pub fn serial_solve(n_global_per_dim: usize, iterations: usize) -> (f64, f64) {
-    let comm = mpisim::Comm::new(0, vec![0]);
-    let cart = CartComm::new(comm, vec![1, 1, 1], vec![false; 3]);
+    let cart = Cart::new(vec![1, 1, 1], vec![false; 3]);
     let mut st = setup_state(&cart, 0, n_global_per_dim);
     let mut rr = st.rr;
     for _ in 0..iterations {
@@ -199,7 +201,7 @@ pub fn serial_solve(n_global_per_dim: usize, iterations: usize) -> (f64, f64) {
 /// iteration (dots, updates, allreduces) is identical across variants.
 fn cg_loop(
     rank: &mut Rank,
-    comm: &mpisim::Comm,
+    comm: &Comm,
     st: &mut CgState,
     cfg: &CgConfig,
     scale: f64,
@@ -232,27 +234,35 @@ fn cg_loop(
 /// MPI_Alltoallv): a global synchronization plus the pairwise-exchange
 /// algorithm's `P` rounds, even though only six partners carry data. The
 /// payload itself still moves point-to-point so the numerics are real.
-fn halo_blocking(rank: &mut Rank, cart: &CartComm, st: &mut CgState, cfg: &CgConfig, scale: f64) {
-    let me = cart.comm().rank_of(rank.world_rank()).expect("member");
+/// `cart` is laid over `comm`'s ranks.
+fn halo_blocking(
+    rank: &mut Rank,
+    comm: &Comm,
+    cart: &Cart,
+    st: &mut CgState,
+    cfg: &CgConfig,
+    scale: f64,
+) {
+    let me = comm.rank_of(rank.world_rank()).expect("member");
     let face_bytes = cfg.face_bytes(scale);
     rank.trace_begin("comm");
     // Blocking MPI_Alltoallv: enter together (a collective is a
     // synchronization point) ...
-    rank.barrier(cart.comm());
+    rank.barrier(comm);
     // ... and walk the pairwise-exchange rounds: one latency + software
     // overhead per peer, including the P-6 empty ones.
-    let rounds = cart.comm().size() as u64;
+    let rounds = comm.size() as u64;
     let per_round = cfg.machine.inter_latency + cfg.machine.send_overhead * 2;
     rank.ctx().advance(per_round * rounds);
     let mut reqs = Vec::new();
     for (dim, dir, nb) in cart.neighbors(me) {
         let face = st.p.extract_face(dim, dir);
-        let w = cart.comm().world_rank(nb);
+        let w = comm.world_rank(nb);
         let tag = halo_tag(dim, dir);
         reqs.push(rank.isend(w, tag, face_bytes, face));
     }
     for (dim, dir, nb) in cart.neighbors(me) {
-        let w = cart.comm().world_rank(nb);
+        let w = comm.world_rank(nb);
         // Our -x halo comes from the neighbour's +x face.
         let tag = halo_tag(dim, -dir);
         let (face, _) = rank.recv::<Vec<f64>>(Src::Rank(w), tag);
@@ -268,18 +278,19 @@ fn halo_blocking(rank: &mut Rank, cart: &CartComm, st: &mut CgState, cfg: &CgCon
 /// faces are in flight, then complete the boundary.
 fn halo_nonblocking(
     rank: &mut Rank,
-    cart: &CartComm,
+    comm: &Comm,
+    cart: &Cart,
     st: &mut CgState,
     cfg: &CgConfig,
     scale: f64,
 ) {
-    let me = cart.comm().rank_of(rank.world_rank()).expect("member");
+    let me = comm.rank_of(rank.world_rank()).expect("member");
     let face_bytes = cfg.face_bytes(scale);
     rank.trace_begin("comm");
     let mut reqs = Vec::new();
     for (dim, dir, nb) in cart.neighbors(me) {
         let face = st.p.extract_face(dim, dir);
-        let w = cart.comm().world_rank(nb);
+        let w = comm.world_rank(nb);
         reqs.push(rank.isend(w, halo_tag(dim, dir), face_bytes, face));
     }
     rank.trace_end("comm");
@@ -289,7 +300,7 @@ fn halo_nonblocking(
     st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::Inner);
     rank.trace_begin("comm");
     for (dim, dir, nb) in cart.neighbors(me) {
-        let w = cart.comm().world_rank(nb);
+        let w = comm.world_rank(nb);
         let (face, _) = rank.recv::<Vec<f64>>(Src::Rank(w), halo_tag(dim, -dir));
         st.p.set_halo(dim, dir, &face);
     }
@@ -320,18 +331,17 @@ fn run_reference(nprocs: usize, cfg: &CgConfig, nonblocking: bool) -> CgResult {
     let cfg2 = cfg.clone();
     let outcome = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
-        let dims = dims_create(nprocs, 3);
-        let cart = CartComm::new(comm.clone(), dims, vec![false; 3]);
+        let cart = Cart::new(dims_create(nprocs, 3), vec![false; 3]);
         let me = rank.world_rank();
         let mut st = setup_state(&cart, me, cfg2.n_local);
         let (res, err) = cg_loop(rank, &comm, &mut st, &cfg2, 1.0, cfg2.iterations, {
-            let cart = cart.clone();
+            let comm = comm.clone();
             let cfg3 = cfg2.clone();
             move |rank, st, _it| {
                 if nonblocking {
-                    halo_nonblocking(rank, &cart, st, &cfg3, 1.0);
+                    halo_nonblocking(rank, &comm, &cart, st, &cfg3, 1.0);
                 } else {
-                    halo_blocking(rank, &cart, st, &cfg3, 1.0);
+                    halo_blocking(rank, &comm, &cart, st, &cfg3, 1.0);
                 }
             }
         });
@@ -413,27 +423,21 @@ pub fn run_decoupled(nprocs: usize, cfg: &CgConfig) -> CgResult {
         // The compute group owns the whole grid: each member's share of
         // the nominal workload is inflated by P / |G0| (Eq. 2's 1/(1-α)).
         let scale = nprocs as f64 / g0.size() as f64;
-        let fwd_role = role; // G0 produces faces, G1 consumes
-        let rev_role = match role {
-            Role::Producer => Role::Consumer,
-            Role::Consumer => Role::Producer,
-            Role::Bystander => Role::Bystander,
-        };
         let face_bytes = cfg2.face_bytes(scale);
+        // G0 produces faces, G1 consumes them and replies.
         let fwd_ch = StreamChannel::create(
             rank,
             &comm,
-            fwd_role,
+            role,
             ChannelConfig { element_bytes: face_bytes, ..ChannelConfig::default() },
         );
         let rev_ch = StreamChannel::create(
             rank,
             &comm,
-            rev_role,
+            role.reverse(),
             ChannelConfig { element_bytes: face_bytes * 6, ..ChannelConfig::default() },
         );
-        let dims = dims_create(g0.size(), 3);
-        let cart = CartComm::new(g0.clone(), dims, vec![false; 3]);
+        let cart = Cart::new(dims_create(g0.size(), 3), vec![false; 3]);
 
         match role {
             Role::Producer => {
@@ -503,9 +507,7 @@ pub fn run_decoupled(nprocs: usize, cfg: &CgConfig) -> CgResult {
 /// checker reports it as an informational cycle, not a credit deadlock.
 pub fn topology(nprocs: usize, cfg: &CgConfig) -> streamcheck::Topology {
     use streamcheck::{ChannelDecl, GroupDecl, Topology};
-    let spec = GroupSpec { every: cfg.alpha_every };
-    let g0: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-    let g1: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
+    let (g0, g1) = GroupSpec { every: cfg.alpha_every }.members(nprocs);
     let scale = nprocs as f64 / g0.len() as f64;
     let face_bytes = cfg.face_bytes(scale);
     let nc = g1.len();

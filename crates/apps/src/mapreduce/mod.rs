@@ -357,8 +357,7 @@ pub fn decoupled_rank<TP: Transport>(
     let my_role = spec.role_of(me);
     // The reduce group's highest rank serves as the master aggregator
     // (it does not consume map output unless it is the only reducer).
-    let reduce_ranks: Vec<usize> =
-        (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
+    let (map_ranks, reduce_ranks) = spec.members(nprocs);
     let master = *reduce_ranks.last().expect("at least one reducer");
     let solo_reducer = reduce_ranks.len() == 1;
     let local_reducers: Vec<usize> =
@@ -399,8 +398,6 @@ pub fn decoupled_rank<TP: Transport>(
             // Map rank: stream each chunk's pairs, partitioned by the
             // owning local reducer.
             let mut stream: Stream<KvChunk> = Stream::attach(ch1);
-            let map_ranks: Vec<usize> =
-                (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
             let mi = map_ranks.iter().position(|&r| r == me).expect("mapper");
             let nc = stream.channel().consumers().len();
             // Optional producer-side combiner: pre-merge chunks bound
@@ -542,9 +539,7 @@ pub fn run_decoupled(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
 /// its own master.
 pub fn topology(nprocs: usize, cfg: &MapReduceConfig) -> streamcheck::Topology {
     use streamcheck::{ChannelDecl, GroupDecl, Topology};
-    let spec = GroupSpec { every: cfg.alpha_every };
-    let mappers: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-    let reducers: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
+    let (mappers, reducers) = GroupSpec { every: cfg.alpha_every }.members(nprocs);
     let master = *reducers.last().expect("at least one reducer");
     let solo = reducers.len() == 1;
     let local: Vec<usize> = if solo {

@@ -35,10 +35,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mpisim::{dims_create, CartComm, MachineConfig, Rank, World, WorldOutcome};
+use mpisim::{MachineConfig, Rank, World, WorldOutcome};
 use mpistream::{
-    create_tree_channels, operate2, plan_stage, prof_scoped, ChannelConfig, GroupSpec, Role,
-    Stream, StreamChannel, Transport, TreePlan, Wait,
+    create_tree_channels, dims_create, operate2, plan_stage, prof_scoped, Cart, ChannelConfig,
+    GroupSpec, Role, Stream, StreamChannel, Transport, TreePlan, Wait,
 };
 use pfsim::{Pfs, PfsConfig};
 use workloads::particles::{advance, Particle, ParticleConfig};
@@ -114,6 +114,14 @@ impl Default for PicConfig {
     }
 }
 
+impl PicConfig {
+    /// Modelled wire/disk bytes of one actual particle: `particle_bytes`
+    /// times the nominal particles it stands for.
+    pub fn particle_wire_bytes(&self) -> u64 {
+        (self.particle_bytes as f64 * self.nominal_per_rank / self.actual_per_rank as f64) as u64
+    }
+}
+
 /// Result of one PIC run.
 pub struct PicResult {
     pub outcome: WorldOutcome,
@@ -133,7 +141,7 @@ pub struct PicResult {
 
 /// Per-rank particle state on a Cartesian compute decomposition.
 struct PicState {
-    cart: CartComm,
+    cart: Cart,
     me: usize,
     lo: [f64; 3],
     hi: [f64; 3],
@@ -146,7 +154,7 @@ impl PicState {
     /// Build the state for compute rank `me` of `cart`, with the global
     /// nominal population taken from `world_ranks` (so decoupled runs
     /// carry the same total workload on fewer compute ranks).
-    fn new(cfg: &PicConfig, cart: &CartComm, me: usize, world_ranks: usize) -> PicState {
+    fn new(cfg: &PicConfig, cart: &Cart, me: usize, world_ranks: usize) -> PicState {
         let dims = cart.dims();
         let coords = cart.coords(me);
         let lo = [
@@ -168,16 +176,6 @@ impl PicState {
         let n_actual = (total_actual * frac).round() as usize;
         let particles = cfg.particle.generate(me, n_actual, lo, hi);
         PicState { cart: cart.clone(), me, lo, hi, particles, scale: total_nominal / total_actual }
-    }
-
-    /// The compute rank owning position `pos`.
-    fn cart_owner(&self, pos: [f64; 3]) -> usize {
-        let dims = self.cart.dims();
-        let mut c = [0usize; 3];
-        for d in 0..3 {
-            c[d] = ((pos[d] * dims[d] as f64) as usize).min(dims[d] - 1);
-        }
-        self.cart.rank_at(&c)
     }
 
     /// Nominal particle count currently represented by this rank.
@@ -206,7 +204,7 @@ impl PicState {
         let mut exiting = Vec::new();
         let mut kept = Vec::with_capacity(self.particles.len());
         for p in self.particles.drain(..) {
-            if Self::owner_static(&self.cart, p.pos) == me {
+            if cart_owner(&self.cart, p.pos) == me {
                 kept.push(p);
             } else {
                 exiting.push(p);
@@ -216,20 +214,11 @@ impl PicState {
         exiting
     }
 
-    fn owner_static(cart: &CartComm, pos: [f64; 3]) -> usize {
-        let dims = cart.dims();
-        let mut c = [0usize; 3];
-        for d in 0..3 {
-            c[d] = ((pos[d] * dims[d] as f64) as usize).min(dims[d] - 1);
-        }
-        cart.rank_at(&c)
-    }
-
     /// Every resident particle is inside the subdomain box.
     fn assert_all_home(&self) {
         for p in &self.particles {
             assert_eq!(
-                self.cart_owner(p.pos),
+                cart_owner(&self.cart, p.pos),
                 self.me,
                 "particle at {:?} not home on rank {} ([{:?} .. {:?}])",
                 p.pos,
@@ -241,10 +230,20 @@ impl PicState {
     }
 }
 
+/// The compute rank (cart rank) owning position `pos` of the unit cube.
+fn cart_owner(cart: &Cart, pos: [f64; 3]) -> usize {
+    let dims = cart.dims();
+    let mut c = [0usize; 3];
+    for d in 0..3 {
+        c[d] = ((pos[d] * dims[d] as f64) as usize).min(dims[d] - 1);
+    }
+    cart.rank_at(&c)
+}
+
 /// One hop of the reference forwarding: which neighbour takes a particle
 /// that ultimately belongs to `owner`? Move along the first mismatched
 /// dimension, in the wrap-shortest direction.
-fn forward_hop(cart: &CartComm, me: usize, owner: usize) -> usize {
+fn forward_hop(cart: &Cart, me: usize, owner: usize) -> usize {
     let dims = cart.dims();
     let my_c = cart.coords(me);
     let ow_c = cart.coords(owner);
@@ -295,8 +294,7 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
     let cfg2 = cfg.clone();
     let outcome = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
-        let dims = pic_dims(nprocs);
-        let cart = CartComm::new(comm.clone(), dims, vec![true; 3]);
+        let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
         let me = rank.world_rank();
         let mut st = PicState::new(&cfg2, &cart, me, nprocs);
         for _step in 0..cfg2.iterations {
@@ -313,7 +311,7 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                 // Bucket by the next hop.
                 let mut buckets: HashMap<usize, Vec<Particle>> = HashMap::new();
                 for p in homeless.drain(..) {
-                    let owner = st.cart_owner(p.pos);
+                    let owner = cart_owner(&cart, p.pos);
                     let hop = forward_hop(&cart, me, owner);
                     buckets.entry(hop).or_default().push(p);
                 }
@@ -335,7 +333,7 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                     let tag = mpisim::Tag::user(200 + dim as u32 * 2 + u32::from(dir < 0));
                     let (bundle, _) = rank.recv::<Vec<Particle>>(mpisim::Src::Rank(w), tag);
                     for p in bundle {
-                        if st.cart_owner(p.pos) == me {
+                        if cart_owner(&cart, p.pos) == me {
                             st.particles.push(p);
                         } else {
                             homeless.push(p);
@@ -435,14 +433,7 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
         let comm = rank.comm_world();
         let spec = GroupSpec { every: cfg2.alpha_every };
         let (g0, _g1, role) = spec.split(rank, &comm);
-        let rev_role = match role {
-            Role::Producer => Role::Consumer,
-            Role::Consumer => Role::Producer,
-            Role::Bystander => Role::Bystander,
-        };
-        // Wire size of one actual particle at nominal scale.
-        let pb = (cfg2.particle_bytes as f64 * cfg2.nominal_per_rank / cfg2.actual_per_rank as f64)
-            as u64;
+        let pb = cfg2.particle_wire_bytes();
         let fwd_ch = StreamChannel::create(
             rank,
             &comm,
@@ -452,11 +443,10 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
         let rev_ch = StreamChannel::create(
             rank,
             &comm,
-            rev_role,
+            role.reverse(),
             ChannelConfig { element_bytes: pb.max(1), ..ChannelConfig::default() },
         );
-        let dims = pic_dims(g0.size());
-        let cart = CartComm::new(g0.clone(), dims, vec![true; 3]);
+        let cart = Cart::new(pic_dims(g0.size()), vec![true; 3]);
         let nc = fwd_ch.consumers().len();
 
         match role {
@@ -481,7 +471,7 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                         .is_some_and(|ev| ev.elems > 0)
                     {}
                     for p in staged.into_iter().flatten() {
-                        debug_assert_eq!(st.cart_owner(p.pos), me);
+                        debug_assert_eq!(cart_owner(&cart, p.pos), me);
                         st.particles.push(p);
                     }
                     rank.trace_end("comm");
@@ -503,7 +493,7 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                 let mut input: Stream<ToComm> = Stream::attach(fwd_ch);
                 let mut reply: Stream<Vec<Particle>> = Stream::attach(rev_ch);
                 rank.trace_begin("comm");
-                relay_exits(rank, &mut input, &mut reply, |p| PicState::owner_static(&cart, p.pos));
+                relay_exits(rank, &mut input, &mut reply, |p| cart_owner(&cart, p.pos));
                 rank.trace_end("comm");
             }
             Role::Bystander => unreachable!(),
@@ -542,8 +532,7 @@ pub fn run_io_reference(nprocs: usize, cfg: &PicConfig, mode: IoMode) -> PicResu
     let cfg2 = cfg.clone();
     let outcome = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
-        let dims = pic_dims(nprocs);
-        let cart = CartComm::new(comm.clone(), dims, vec![true; 3]);
+        let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
         let me = rank.world_rank();
         let mut st = PicState::new(&cfg2, &cart, me, nprocs);
         pfs2.meta_op(rank.ctx()); // open
@@ -593,8 +582,7 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: cfg2.alpha_every };
         let (g0, _g1, role) = spec.split(rank, &comm);
-        let pb = (cfg2.particle_bytes as f64 * cfg2.nominal_per_rank / cfg2.actual_per_rank as f64)
-            as u64;
+        let pb = cfg2.particle_wire_bytes();
         let ch = StreamChannel::create(
             rank,
             &comm,
@@ -608,8 +596,7 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
         // Optional writer-aggregation stage over the I/O group: one spill
         // channel per block (collective — compute ranks take part in the
         // splits and get no endpoints).
-        let io_ranks: Vec<usize> =
-            (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
+        let io_ranks = spec.members(nprocs).1;
         let wplan = cfg2
             .io_writer_fan_in
             .filter(|_| io_ranks.len() >= 2)
@@ -625,8 +612,7 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
             );
             chans.into_stages().pop().flatten()
         });
-        let dims = pic_dims(g0.size());
-        let cart = CartComm::new(g0.clone(), dims, vec![true; 3]);
+        let cart = Cart::new(pic_dims(g0.size()), vec![true; 3]);
         match role {
             Role::Producer => {
                 let me = g0.rank_of(rank.world_rank()).expect("in G0");
@@ -737,10 +723,8 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
 /// group). Like CG, the fwd/rev pair is an unbounded request/reply cycle.
 pub fn comm_topology(nprocs: usize, cfg: &PicConfig) -> streamcheck::Topology {
     use streamcheck::{ChannelDecl, GroupDecl, Topology};
-    let spec = GroupSpec { every: cfg.alpha_every };
-    let g0: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-    let g1: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
-    let pb = (cfg.particle_bytes as f64 * cfg.nominal_per_rank / cfg.actual_per_rank as f64) as u64;
+    let (g0, g1) = GroupSpec { every: cfg.alpha_every }.members(nprocs);
+    let pb = cfg.particle_wire_bytes();
     let nc = g1.len();
     Topology::new(nprocs)
         .group(GroupDecl::new("compute", g0.clone()))
@@ -773,10 +757,8 @@ pub fn comm_topology(nprocs: usize, cfg: &PicConfig) -> streamcheck::Topology {
 /// certifies it deadlock-free.
 pub fn io_topology(nprocs: usize, cfg: &PicConfig) -> streamcheck::Topology {
     use streamcheck::{ChannelDecl, GroupDecl, Topology};
-    let spec = GroupSpec { every: cfg.alpha_every };
-    let g0: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-    let g1: Vec<usize> = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
-    let pb = (cfg.particle_bytes as f64 * cfg.nominal_per_rank / cfg.actual_per_rank as f64) as u64;
+    let (g0, g1) = GroupSpec { every: cfg.alpha_every }.members(nprocs);
+    let pb = cfg.particle_wire_bytes();
     let mut topo = Topology::new(nprocs)
         .group(GroupDecl::new("compute", g0.clone()))
         .group(GroupDecl::new("io", g1.clone()))
@@ -810,7 +792,7 @@ pub fn io_topology(nprocs: usize, cfg: &PicConfig) -> streamcheck::Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{Comm, NoiseModel};
+    use mpisim::NoiseModel;
 
     fn test_cfg() -> PicConfig {
         PicConfig {
@@ -825,9 +807,7 @@ mod tests {
     }
 
     fn total_initial_particles(cfg: &PicConfig, compute_ranks: usize, world: usize) -> u64 {
-        let dims = dims_create(compute_ranks, 3);
-        let comm = Comm::new(0, (0..compute_ranks).collect());
-        let cart = CartComm::new(comm, dims, vec![true; 3]);
+        let cart = Cart::new(dims_create(compute_ranks, 3), vec![true; 3]);
         (0..compute_ranks).map(|r| PicState::new(cfg, &cart, r, world).particles.len() as u64).sum()
     }
 
@@ -850,9 +830,7 @@ mod tests {
     #[test]
     fn initial_distribution_is_sheet_skewed() {
         let cfg = test_cfg();
-        let dims = dims_create(64, 3);
-        let comm = Comm::new(0, (0..64).collect());
-        let cart = CartComm::new(comm, dims, vec![true; 3]);
+        let cart = Cart::new(dims_create(64, 3), vec![true; 3]);
         let counts: Vec<usize> =
             (0..64).map(|r| PicState::new(&cfg, &cart, r, 64).particles.len()).collect();
         let max = *counts.iter().max().unwrap();
@@ -868,8 +846,7 @@ mod tests {
 
     #[test]
     fn forward_hop_always_makes_progress() {
-        let comm = Comm::new(0, (0..24).collect());
-        let cart = CartComm::new(comm, vec![4, 3, 2], vec![true; 3]);
+        let cart = Cart::new(vec![4, 3, 2], vec![true; 3]);
         for me in 0..24 {
             for owner in 0..24 {
                 let mut at = me;
@@ -933,8 +910,7 @@ mod tests {
         let dec = run_io_decoupled(8, &cfg);
         assert!(dec.bytes_written > 0);
         // Volume ≈ iterations x total particles x per-particle bytes.
-        let pb =
-            (cfg.particle_bytes as f64 * cfg.nominal_per_rank / cfg.actual_per_rank as f64) as u64;
+        let pb = cfg.particle_wire_bytes();
         let initial = total_initial_particles(&cfg, 6, 8);
         let expect = cfg.iterations as u64 * initial * pb;
         let rel = (dec.bytes_written as f64 - expect as f64).abs() / expect as f64;

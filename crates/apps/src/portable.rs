@@ -22,7 +22,7 @@ use crate::mapreduce::{count_words, decoupled_rank, DecoupledShape};
 // ---------------------------------------------------------------------
 
 /// One workload report streamed to the analysis group.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadUpdate {
     pub rank: usize,
     pub step: usize,
@@ -30,6 +30,29 @@ pub struct WorkloadUpdate {
 }
 
 mpistream::wire_struct!(WorkloadUpdate { rank, step, work_units });
+
+/// The work units of compute rank `rank` over `steps` steps of Listing 1
+/// (`steps + 1` values): element `s` is step `s`'s `Calculation()` —
+/// imbalanced across ranks, perturbed each step — and element `s + 1` is
+/// the changed workload step `s` streams to the analysis group.
+pub fn workload(rank: usize, steps: usize) -> Vec<u64> {
+    let mut work = 1_000u64 + (rank as u64 * 37) % 500;
+    let mut out = vec![work];
+    for step in 0..steps {
+        work = work.wrapping_mul(6364136223846793005).wrapping_add(step as u64) % 2_000 + 500;
+        out.push(work);
+    }
+    out
+}
+
+/// Serial oracle for Listing 1: every update the compute ranks `ranks`
+/// stream over `steps` steps, sorted.
+pub fn workload_updates(ranks: impl IntoIterator<Item = usize>, steps: usize) -> Vec<u64> {
+    let mut all: Vec<u64> =
+        ranks.into_iter().flat_map(|r| workload(r, steps).into_iter().skip(1)).collect();
+    all.sort_unstable();
+    all
+}
 
 /// What one rank saw during a portable run: its role, how many elements it
 /// streamed (producers), and the sorted payload values it consumed
@@ -43,15 +66,25 @@ pub struct PortableReport {
     pub received: Vec<u64>,
 }
 
-/// The quickstart program of `examples/quickstart.rs`, generic over the
-/// transport: a computation group alternates `Calculation()` with
-/// streaming workload updates to a small analysis group that folds them
-/// first-come-first-served.
-///
-/// Every streamed `work_units` value is a pure function of `(rank, step)`,
-/// and the channel routes statically (producer `i` feeds consumer
-/// `i % n_consumers`), so each analysis rank's received *multiset* is
-/// identical on every backend.
+/// Everything the callers of [`listing1`] vary.
+#[derive(Clone, Debug)]
+pub struct Listing1Shape {
+    /// Calculation steps per compute rank.
+    pub steps: usize,
+    /// One analysis rank per `every` ranks (the paper's α = 1/`every`).
+    pub every: usize,
+    /// The update channel.
+    pub channel: ChannelConfig,
+    /// Modelled compute seconds per work unit of `Calculation()`.
+    pub secs_per_unit: f64,
+    /// Modelled analysis seconds per work unit of a received update. At 0
+    /// the analysis makes no `compute` call at all (a profiled rank
+    /// records a span even for `compute(0.0)`).
+    pub analysis_secs_per_unit: f64,
+}
+
+/// The quickstart program of `examples/quickstart.rs`: [`listing1`] at
+/// 1e-7 s per work unit over a 1 KiB channel, with a free analysis.
 pub fn quickstart<TP: Transport>(rank: &mut TP, steps: usize, every: usize) -> PortableReport {
     quickstart_with(
         rank,
@@ -71,8 +104,27 @@ pub fn quickstart_with<TP: Transport>(
     every: usize,
     config: ChannelConfig,
 ) -> PortableReport {
+    let shape = Listing1Shape {
+        steps,
+        every,
+        channel: config,
+        secs_per_unit: 1e-7,
+        analysis_secs_per_unit: 0.0,
+    };
+    listing1(rank, &shape)
+}
+
+/// The paper's Listing 1, generic over the transport: a computation group
+/// alternates `Calculation()` with streaming workload updates to a small
+/// analysis group that folds them first-come-first-served.
+///
+/// Every streamed `work_units` value comes from [`workload`], a pure
+/// function of `(rank, step)`, and the channel routes statically
+/// (producer `i` feeds consumer `i % n_consumers`), so each analysis
+/// rank's received *multiset* is identical on every backend.
+pub fn listing1<TP: Transport>(rank: &mut TP, shape: &Listing1Shape) -> PortableReport {
     let comm = rank.world_group();
-    let spec = GroupSpec { every };
+    let spec = GroupSpec { every: shape.every };
     let my_role = spec.role_of(rank.world_rank());
     let mut report = PortableReport::default();
     let received = &mut report.received;
@@ -80,22 +132,22 @@ pub fn quickstart_with<TP: Transport>(
         rank,
         &comm,
         spec,
-        config,
+        shape.channel.clone(),
         // --- computation group ---
         |rank, p| {
             let me = rank.world_rank();
-            let mut work = 1_000u64 + (me as u64 * 37) % 500;
-            for step in 0..steps {
-                // Calculation(): imbalanced work, perturbed each step.
-                rank.compute(work as f64 * 1e-7);
-                work =
-                    work.wrapping_mul(6364136223846793005).wrapping_add(step as u64) % 2_000 + 500;
-                p.stream.isend(rank, WorkloadUpdate { rank: me, step, work_units: work });
+            for (step, work) in workload(me, shape.steps).windows(2).enumerate() {
+                rank.compute(work[0] as f64 * shape.secs_per_unit);
+                // if (hasWorkloadChanges) MPIStream_Isend(...)
+                p.stream.isend(rank, WorkloadUpdate { rank: me, step, work_units: work[1] });
             }
         },
         // --- analysis group ---
         |rank, c| {
-            c.stream.operate(rank, |_rank, update: WorkloadUpdate| {
+            c.stream.operate(rank, |rank, update: WorkloadUpdate| {
+                if shape.analysis_secs_per_unit > 0.0 {
+                    rank.compute(update.work_units as f64 * shape.analysis_secs_per_unit);
+                }
                 received.push(update.work_units);
             });
             received.sort_unstable();
@@ -211,8 +263,7 @@ pub fn mini_mapreduce<TP: Transport>(rank: &mut TP, cfg: &MiniMrConfig) -> Optio
 /// Serial oracle for [`mini_mapreduce`]: the histogram the master must
 /// produce for a world of `nprocs` ranks, independent of any transport.
 pub fn mini_mapreduce_oracle(nprocs: usize, cfg: &MiniMrConfig) -> Vec<u64> {
-    let spec = GroupSpec { every: cfg.every };
-    let nmap = (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).count();
+    let nmap = GroupSpec { every: cfg.every }.members(nprocs).0.len();
     let mut hist = vec![0u64; cfg.vocab];
     for mi in 0..nmap {
         for chunk in 0..cfg.chunks_per_mapper {

@@ -1,22 +1,20 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
 //! 1. stream granularity S (Eq. 4's pipelining-vs-overhead trade-off),
-//! 2. group fraction α across the applications,
-//! 3. producer-side aggregation for the MapReduce master flow,
-//! 4. credit-based flow control (memory bound vs throughput),
-//! 5. adaptive granularity (the paper's stated future work).
+//! 2. group fraction α (MapReduce),
+//! 3. credit-based flow control (memory bound vs throughput).
 //!
 //! `cargo run --release -p bench-harness --bin ablation`.
 
 use bench_harness::{configs, Table};
 use mpisim::{MachineConfig, NoiseModel, World};
-use mpistream::{run_decoupled, AdaptiveGranularity, ChannelConfig, GroupSpec, RoutePolicy};
+use mpistream::{run_decoupled, ChannelConfig, GroupSpec, RoutePolicy};
 use perfmodel::{Beta, Complexity, Scenario};
 
 const P: usize = 128;
 
 /// Synthetic pipeline whose op sizes mirror Eq. 4's regime.
-fn pipeline_time(aggregation: usize, credits: Option<usize>, adaptive: bool) -> f64 {
+fn pipeline_time(aggregation: usize, credits: Option<usize>) -> f64 {
     let machine = MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() };
     let world = World::new(machine).with_seed(11);
     world
@@ -36,19 +34,10 @@ fn pipeline_time(aggregation: usize, credits: Option<usize>, adaptive: bool) -> 
                     replicas: 0,
                     replication_patience: None,
                 },
-                move |rank, pc| {
-                    let mut ctl = AdaptiveGranularity::new(200e-6, 1, 512);
-                    let mut since_flush = 0usize;
+                |rank, pc| {
                     for i in 0..2_000u64 {
                         rank.compute_exact(3e-6);
                         pc.stream.isend(rank, i);
-                        if adaptive {
-                            since_flush += 1;
-                            if since_flush >= ctl.batch() {
-                                ctl.on_flush(rank.now());
-                                since_flush = 0;
-                            }
-                        }
                     }
                 },
                 |rank, cc| {
@@ -77,7 +66,7 @@ fn granularity_sweep() {
         op1_optimization: 1.0,
     };
     for batch in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
-        let sim = pipeline_time(batch, None, false);
+        let sim = pipeline_time(batch, None);
         let model = scn.predict(1.0 / 8.0, (batch * (4 << 10)) as f64);
         println!("batch {batch:>4}: sim {sim:.4}s  model {model:.4}s");
         table.push(batch, vec![sim, model]);
@@ -109,7 +98,7 @@ fn credits_sweep() {
     // Windows must admit at least one aggregated batch (8 elements here).
     for credits in [8usize, 16, 64, 256, 0] {
         let c = if credits == 0 { None } else { Some(credits) };
-        let t = pipeline_time(8, c, false);
+        let t = pipeline_time(8, c);
         let label = if credits == 0 { "unbounded".to_string() } else { credits.to_string() };
         println!("credits {label:>9}: {t:.4}s");
         table.push(credits, vec![t]);
@@ -117,25 +106,8 @@ fn credits_sweep() {
     table.finish("ablation_credits");
 }
 
-fn adaptive_vs_static() {
-    let fixed_fine = pipeline_time(1, None, false);
-    let fixed_coarse = pipeline_time(128, None, false);
-    let adaptive = pipeline_time(1, None, true);
-    println!(
-        "\nAblation 4 — adaptive granularity: fine {fixed_fine:.4}s, \
-         coarse {fixed_coarse:.4}s, adaptive {adaptive:.4}s"
-    );
-    let mut table =
-        Table::new("Ablation 4 — adaptive granularity controller", "variant", &["secs"]);
-    table.push(1, vec![fixed_fine]);
-    table.push(128, vec![fixed_coarse]);
-    table.push(999, vec![adaptive]);
-    table.finish("ablation_adaptive");
-}
-
 fn main() {
     granularity_sweep();
     alpha_sweep();
     credits_sweep();
-    adaptive_vs_static();
 }

@@ -1,48 +1,41 @@
-//! Cartesian process topologies (MPI_Cart_create / MPI_Dims_create).
+//! Cartesian process topologies as pure math (`MPI_Cart_create`'s
+//! coordinates, `MPI_Cart_shift`, `MPI_Dims_create`).
+//!
+//! A [`Cart`] works in *cart-rank* space `0..size`: it holds no
+//! communicator and does no collective, so it serves every backend and
+//! serial oracles alike. A caller maps cart rank `r` to a process through
+//! the group it already holds (`group.ranks()[r]`).
 
-use crate::comm::Comm;
-
-/// A Cartesian view over a communicator: row-major coordinates, optional
-/// periodicity per dimension, neighbour lookup.
+/// A Cartesian grid of `dims.iter().product()` cart ranks: row-major
+/// coordinates (last dimension fastest), optional periodicity per
+/// dimension, neighbour lookup.
 #[derive(Clone, Debug)]
-pub struct CartComm {
-    comm: Comm,
+pub struct Cart {
     dims: Vec<usize>,
     periodic: Vec<bool>,
 }
 
-impl CartComm {
-    /// Impose a Cartesian topology of shape `dims` on `comm`. The product
-    /// of `dims` must equal the communicator size.
-    pub fn new(comm: Comm, dims: Vec<usize>, periodic: Vec<bool>) -> CartComm {
-        assert_eq!(
-            dims.iter().product::<usize>(),
-            comm.size(),
-            "dims {:?} do not tile a communicator of size {}",
-            dims,
-            comm.size()
-        );
+impl Cart {
+    /// A grid of shape `dims`, periodic along dimension `d` iff
+    /// `periodic[d]`.
+    pub fn new(dims: Vec<usize>, periodic: Vec<bool>) -> Cart {
         assert_eq!(dims.len(), periodic.len());
         assert!(dims.iter().all(|&d| d > 0));
-        CartComm { comm, dims, periodic }
-    }
-
-    /// The underlying communicator.
-    pub fn comm(&self) -> &Comm {
-        &self.comm
-    }
-
-    pub fn ndims(&self) -> usize {
-        self.dims.len()
+        Cart { dims, periodic }
     }
 
     pub fn dims(&self) -> &[usize] {
         &self.dims
     }
 
-    /// Coordinates of communicator rank `r` (row-major: last dim fastest).
+    /// Number of cart ranks.
+    pub fn size(&self) -> usize {
+        self.dims.iter().product()
+    }
+
+    /// Coordinates of cart rank `r`.
     pub fn coords(&self, r: usize) -> Vec<usize> {
-        assert!(r < self.comm.size());
+        assert!(r < self.size());
         let mut rem = r;
         let mut out = vec![0; self.dims.len()];
         for d in (0..self.dims.len()).rev() {
@@ -52,7 +45,7 @@ impl CartComm {
         out
     }
 
-    /// Communicator rank at `coords`.
+    /// Cart rank at `coords`.
     pub fn rank_at(&self, coords: &[usize]) -> usize {
         assert_eq!(coords.len(), self.dims.len());
         let mut r = 0;
@@ -63,8 +56,8 @@ impl CartComm {
         r
     }
 
-    /// Neighbour of rank `r` displaced by `disp` along dimension `dim`
-    /// (like MPI_Cart_shift). `None` at a non-periodic boundary.
+    /// Neighbour of cart rank `r` displaced by `disp` along dimension
+    /// `dim` (like `MPI_Cart_shift`). `None` at a non-periodic boundary.
     pub fn shift(&self, r: usize, dim: usize, disp: isize) -> Option<usize> {
         let mut c = self.coords(r);
         let extent = self.dims[dim] as isize;
@@ -81,7 +74,7 @@ impl CartComm {
     }
 
     /// The (dim, direction) neighbour pairs of `r`: up to `2 * ndims`
-    /// entries of `(dim, disp, neighbour_rank)`.
+    /// entries of `(dim, disp, neighbour cart rank)`.
     pub fn neighbors(&self, r: usize) -> Vec<(usize, isize, usize)> {
         let mut out = Vec::with_capacity(2 * self.dims.len());
         for d in 0..self.dims.len() {
@@ -134,13 +127,9 @@ fn prime_factors(mut n: usize) -> Vec<usize> {
 mod tests {
     use super::*;
 
-    fn comm(n: usize) -> Comm {
-        Comm::new(0, (0..n).collect())
-    }
-
     #[test]
     fn coords_roundtrip() {
-        let cart = CartComm::new(comm(24), vec![2, 3, 4], vec![false; 3]);
+        let cart = Cart::new(vec![2, 3, 4], vec![false; 3]);
         for r in 0..24 {
             assert_eq!(cart.rank_at(&cart.coords(r)), r);
         }
@@ -150,7 +139,7 @@ mod tests {
 
     #[test]
     fn shift_respects_boundaries() {
-        let cart = CartComm::new(comm(8), vec![2, 2, 2], vec![false, false, true]);
+        let cart = Cart::new(vec![2, 2, 2], vec![false, false, true]);
         // Non-periodic dim 0.
         assert_eq!(cart.shift(0, 0, -1), None);
         assert_eq!(cart.shift(0, 0, 1), Some(4));
@@ -161,7 +150,7 @@ mod tests {
 
     #[test]
     fn neighbors_in_3d_interior_and_corner() {
-        let cart = CartComm::new(comm(27), vec![3, 3, 3], vec![false; 3]);
+        let cart = Cart::new(vec![3, 3, 3], vec![false; 3]);
         let center = cart.rank_at(&[1, 1, 1]);
         assert_eq!(cart.neighbors(center).len(), 6);
         let corner = cart.rank_at(&[0, 0, 0]);
@@ -170,7 +159,7 @@ mod tests {
 
     #[test]
     fn periodic_size_one_dims_have_no_self_neighbors() {
-        let cart = CartComm::new(comm(4), vec![4, 1], vec![true, true]);
+        let cart = Cart::new(vec![4, 1], vec![true, true]);
         for r in 0..4 {
             let n = cart.neighbors(r);
             assert!(n.iter().all(|&(_, _, nb)| nb != r), "self-loop in {n:?}");

@@ -21,6 +21,18 @@ pub enum Role {
     Bystander,
 }
 
+impl Role {
+    /// This rank's role on a reply channel running the other way
+    /// (producers consume, consumers produce, bystanders stay out).
+    pub fn reverse(self) -> Role {
+        match self {
+            Role::Producer => Role::Consumer,
+            Role::Consumer => Role::Producer,
+            Role::Bystander => Role::Bystander,
+        }
+    }
+}
+
 /// Deterministic assignment of ranks to the compute group vs the
 /// decoupled group.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -53,9 +65,10 @@ impl GroupSpec {
         }
     }
 
-    /// Number of decoupled (consumer) ranks in a world of `n`.
-    pub fn consumers_in(&self, n: usize) -> usize {
-        (0..n).filter(|&r| self.role_of(r) == Role::Consumer).count()
+    /// The world ranks of `0..n` split by role: `(producers, consumers)`,
+    /// each ascending.
+    pub fn members(&self, n: usize) -> (Vec<usize>, Vec<usize>) {
+        (0..n).partition(|&r| self.role_of(r) == Role::Producer)
     }
 
     /// Split `comm` into (producer group, consumer group). Collective over
@@ -125,7 +138,7 @@ mod tests {
                 Role::Consumer,
             ]
         );
-        assert_eq!(s.consumers_in(32), 8);
+        assert_eq!(s.members(32).1.len(), 8);
     }
 
     #[test]

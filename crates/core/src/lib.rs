@@ -50,7 +50,7 @@
 //! });
 //! ```
 
-pub mod adaptive;
+pub mod cart;
 pub mod channel;
 pub mod coll;
 pub mod group;
@@ -62,7 +62,7 @@ pub mod stream;
 pub mod transport;
 pub mod wire;
 
-pub use adaptive::AdaptiveGranularity;
+pub use cart::{dims_create, Cart};
 pub use channel::{ChannelConfig, ConfigError, RoutePolicy, StreamChannel};
 pub use group::{GroupSpec, Role};
 pub use harness::{run_decoupled, try_run_decoupled, ConsumerCtx, ProducerCtx};

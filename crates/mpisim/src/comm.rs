@@ -18,8 +18,8 @@ struct CommMeta {
 impl Comm {
     /// Construct communicator metadata directly. Normal code receives
     /// communicators from [`crate::World`] / [`crate::Rank::split`]; this
-    /// constructor exists for topology math outside a simulation (e.g.
-    /// serial oracles building a [`crate::CartComm`]).
+    /// constructor also builds the metadata-only view of a group a rank
+    /// is not part of.
     pub fn new(id: u16, ranks: Vec<usize>) -> Comm {
         debug_assert!(!ranks.is_empty(), "empty communicator");
         Comm { inner: Arc::new(CommMeta { id, ranks }) }

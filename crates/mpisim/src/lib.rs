@@ -3,9 +3,9 @@
 //! Provides the substrate the paper's evaluation ran on: a cluster of
 //! ranks with a LogGP-style interconnect (per-NIC tx/rx serialization,
 //! per-message software overheads, intra- vs inter-node links), OS noise,
-//! binomial-tree collectives carried by real messages, Cartesian
-//! topologies, and first-come-first-served `AnySource` receives — the
-//! mechanism the decoupling strategy uses to absorb process imbalance.
+//! binomial-tree collectives carried by real messages, and
+//! first-come-first-served `AnySource` receives — the mechanism the
+//! decoupling strategy uses to absorb process imbalance.
 //!
 //! Payloads are real Rust values; *only time is modelled*. An application
 //! run under `mpisim` computes genuine results while its makespan comes
@@ -30,7 +30,6 @@
 //! assert!(out.elapsed_secs() > 0.0);
 //! ```
 
-pub mod cart;
 pub mod check;
 pub mod coll;
 pub mod comm;
@@ -39,7 +38,6 @@ pub mod msg;
 pub mod rank;
 pub mod world;
 
-pub use cart::{dims_create, CartComm};
 pub use check::SanReport;
 pub use coll::{IAllgathervReq, IReduceReq};
 pub use comm::Comm;

@@ -15,9 +15,8 @@ use crate::world::{Shared, SplitState};
 /// Handle through which a rank body talks to the simulated machine.
 ///
 /// Exposes a deliberately MPI-shaped API (`send`/`isend`/`recv`/`probe`
-/// under namespaced [`Tag`]s, collectives in [`crate::coll`], Cartesian
-/// topologies in [`crate::cart`]) so application code reads like the MPI
-/// codes the paper modifies.
+/// under namespaced [`Tag`]s, collectives in [`crate::coll`]) so
+/// application code reads like the MPI codes the paper modifies.
 pub struct Rank<'c> {
     pub(crate) ctx: &'c mut Ctx,
     pub(crate) shared: Arc<Shared>,

@@ -584,10 +584,7 @@ proptest! {
             replication_patience: None,
         };
         let spec = GroupSpec { every };
-        let producers: Vec<usize> =
-            (0..nprocs).filter(|&r| spec.role_of(r) == Role::Producer).collect();
-        let consumers: Vec<usize> =
-            (0..nprocs).filter(|&r| spec.role_of(r) == Role::Consumer).collect();
+        let (producers, consumers) = spec.members(nprocs);
         let topo = Topology::new(nprocs)
             .group(GroupDecl::new("producers", producers.clone()))
             .group(GroupDecl::new("consumers", consumers.clone()))

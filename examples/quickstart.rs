@@ -5,73 +5,32 @@
 //! load-balancing step. Conventionally every process would stop and take
 //! part in three reductions; decoupled, the computation group streams
 //! workload updates to a small analysis group that processes them
-//! on-the-fly, first-come-first-served.
+//! on-the-fly, first-come-first-served. The program itself is
+//! `apps::portable::quickstart`, the same one every backend runs.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use apps::analysis::min_max_median;
+use apps::portable::quickstart;
 use mpisim::{MachineConfig, World};
-use mpistream::{run_decoupled, ChannelConfig, GroupSpec};
-
-/// One workload report streamed to the analysis group. `rank` and `step`
-/// model the real wire payload; this demo's analysis reads only the work.
-#[derive(Clone, Copy, Debug)]
-#[allow(dead_code)]
-struct WorkloadUpdate {
-    rank: usize,
-    step: usize,
-    work_units: u64,
-}
-
-mpistream::wire_struct!(WorkloadUpdate { rank, step, work_units });
 
 fn main() {
     const RANKS: usize = 32;
     const STEPS: usize = 50;
+    const EVERY: usize = 16; // one analysis rank per 16 (α = 6.25 %)
 
     let world = World::new(MachineConfig::default()).with_seed(42);
     let outcome = world.run_expect(RANKS, |rank| {
-        let comm = rank.comm_world();
-        let stats = run_decoupled::<WorkloadUpdate, _, _, _>(
-            rank,
-            &comm,
-            GroupSpec::from_alpha(0.0625), // one analysis rank per 16
-            ChannelConfig { element_bytes: 1 << 10, ..ChannelConfig::default() },
-            // --- computation group ---
-            |rank, p| {
-                let me = rank.world_rank();
-                let mut work = 1_000u64 + (me as u64 * 37) % 500;
-                for step in 0..STEPS {
-                    // Calculation(): imbalanced work, perturbed each step.
-                    rank.compute(work as f64 * 1e-7);
-                    work = work.wrapping_mul(6364136223846793005).wrapping_add(step as u64) % 2_000
-                        + 500;
-                    // if (hasWorkloadChanges) MPIStream_Isend(...)
-                    p.stream.isend(rank, WorkloadUpdate { rank: me, step, work_units: work });
-                }
-            },
-            // --- analysis group ---
-            |rank, c| {
-                let mut samples: Vec<u64> = Vec::new();
-                let n = c.stream.operate(rank, |_rank, update| {
-                    samples.push(update.work_units);
-                });
-                samples.sort_unstable();
-                if !samples.is_empty() {
-                    let min = samples[0];
-                    let max = samples[samples.len() - 1];
-                    let median = samples[samples.len() / 2];
-                    println!(
-                        "analysis rank {:>2}: {n:>5} updates  min={min:<5} \
-                         median={median:<5} max={max:<5}",
-                        rank.world_rank()
-                    );
-                }
-            },
-        );
-        if rank.world_rank() == 0 {
+        let mut report = quickstart(rank, STEPS, EVERY);
+        if !report.received.is_empty() {
+            let d = min_max_median(&mut report.received);
             println!(
-                "rank 0 streamed {} updates in {} messages ({} bytes on the wire)",
-                stats.elements, stats.batches, stats.bytes
+                "analysis rank {:>2}: {:>5} updates  min={:<5} median={:<5} max={:<5}",
+                rank.world_rank(),
+                d.samples,
+                d.min,
+                d.median,
+                d.max
             );
         }
     });

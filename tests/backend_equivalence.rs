@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use apps::portable::{
-    fingerprint, mini_mapreduce, mini_mapreduce_oracle, quickstart, quickstart_with, MiniMrConfig,
-    PortableReport,
+    fingerprint, mini_mapreduce, mini_mapreduce_oracle, quickstart, quickstart_with,
+    workload_updates, MiniMrConfig, PortableReport,
 };
 use mpisim::{MachineConfig, World};
 use mpistream::{ChannelConfig, Group, GroupSpec, Role, StreamChannel, Transport};
@@ -71,6 +71,18 @@ fn quickstart_per_consumer_payloads_match_across_backends() {
     // The workload actually flowed: every producer streamed every step.
     let produced: u64 = sim.values().map(|r| r.sent).sum();
     assert_eq!(produced, (RANKS - RANKS / EVERY) as u64 * STEPS as u64);
+}
+
+#[test]
+fn quickstart_consumers_match_serial_oracle_on_both_backends() {
+    // Listing 1 loses, duplicates and invents nothing: the analysis
+    // group's union is every update the compute ranks' trajectories hold.
+    let oracle = workload_updates(GroupSpec { every: EVERY }.members(RANKS).0, STEPS);
+    for reports in [quickstart_sim(), quickstart_native()] {
+        let mut union: Vec<u64> = reports.into_values().flat_map(|r| r.received).collect();
+        union.sort_unstable();
+        assert_eq!(union, oracle);
+    }
 }
 
 #[test]

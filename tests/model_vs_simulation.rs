@@ -25,7 +25,7 @@ fn simulate_decoupled(
     let world = World::new(machine).with_seed(7);
     let out = world.run_expect(p, move |rank| {
         let comm = rank.comm_world();
-        let n_cons = GroupSpec { every }.consumers_in(p);
+        let n_cons = GroupSpec { every }.members(p).1.len();
         let n_prod = p - n_cons;
         let mine = total_elements.div_ceil(n_prod);
         run_decoupled::<u64, _, _, _>(

@@ -109,7 +109,7 @@ fn native_stream_metrics_are_exact_under_batched_credits() {
     assert!(streams.keys().all(|&(_, ch)| ch == channel), "a single channel in play");
 
     let spec = GroupSpec { every: EVERY };
-    let n_consumers = spec.consumers_in(RANKS) as u64;
+    let n_consumers = spec.members(RANKS).1.len() as u64;
     let producers = RANKS as u64 - n_consumers;
     // STEPS divides by the aggregation factor, so no partial flush at
     // terminate and the batch math below is exact.
