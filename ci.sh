@@ -104,18 +104,35 @@ done
 timeout 180 cargo test -q --release --offline -p integration \
     --test streamprof_trace
 
-echo "== examples over apps, and the committed Fig. 6-8 rows =="
+echo "== examples over apps, and drift gates on the committed sim results =="
 # quickstart is Listing 1 as every backend runs it (apps::portable);
 # alpha_tuning sweeps and fits the same program (about 1 s in release).
-# A simulated run is deterministic, so fig6/7/8 regenerated up to 64
-# ranks must reproduce the first rows of the committed CSVs byte for
-# byte; a change meant to move them regenerates results/fig{6,7,8}_* over
-# their full row range (EXPERIMENTS.md).
+# A simulated run is deterministic, so every committed simulator result
+# that regenerates in seconds is regenerated into target/ci_results and
+# compared byte for byte: the ablations and fig3 whole, fig5-8 up to 64
+# ranks as the first rows of the committed CSVs (a failed write exits
+# non-zero, so no stale file from an earlier run is compared). A change
+# meant to move them regenerates the committed files over their full row
+# range (EXPERIMENTS.md). A simulated world runs one rank at a time, so
+# the runs are pinned to the first allowed CPU: a second CPU only adds
+# cross-CPU wakes (ablation: 12 s pinned, 36 s unpinned on a 2-vCPU host).
+pin=()
+if command -v taskset > /dev/null; then
+    pin=(taskset -c "$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')")
+fi
 timeout 120 cargo run --release --offline -q -p integration --example quickstart > /dev/null
 timeout 120 cargo run --release --offline -q -p integration --example alpha_tuning > /dev/null
-for fig in fig6:fig6_cg fig7:fig7_pic_comm fig8:fig8_pic_io; do
+for bin in ablation fig3; do
+    RESULTS_DIR=target/ci_results timeout 300 "${pin[@]}" \
+        cargo run --release --offline -q -p bench-harness --bin "$bin" > /dev/null
+done
+for f in ablation_granularity ablation_alpha ablation_credits fig3_schedules; do
+    cmp "target/ci_results/$f.csv" "results/$f.csv"
+    cmp "target/ci_results/$f.svg" "results/$f.svg"
+done
+for fig in fig5:fig5_mapreduce fig6:fig6_cg fig7:fig7_pic_comm fig8:fig8_pic_io; do
     csv="${fig#*:}.csv"
-    MAX_PROCS=64 RESULTS_DIR=target/ci_results timeout 300 \
+    MAX_PROCS=64 RESULTS_DIR=target/ci_results timeout 300 "${pin[@]}" \
         cargo run --release --offline -q -p bench-harness --bin "${fig%%:*}" > /dev/null
     head -n "$(wc -l < "target/ci_results/$csv")" "results/$csv" | cmp "target/ci_results/$csv" -
 done
@@ -148,49 +165,6 @@ echo "== native stress battery (reduced iterations, watchdog-bounded) =="
 NATIVE_STRESS_ITERS=1 timeout 300 cargo test -q --release --offline \
     -p native --test native_stress
 
-echo "== native perf smoke (quick gate vs committed baseline) =="
-# Wall-clock throughput of the native backend on the bench scenarios
-# (incast/pingpong/fanin/coll/stream) against the committed quick-mode
-# capture: message and element counts must match exactly, wall time may
-# not exceed NATIVE_BENCH_MAX_RATIO (default 4x) of the baseline's, and
-# the quick baseline's embedded pre-overhaul capture must show a clear
-# incast win (quick-mode bar 1.5x: the small CI incast is spawn-bound).
-# The real acceptance bar — full-workload incast >= 3x over the
-# pre-overhaul backend — is audited from the committed full artifact
-# below, which costs nothing and holds on any host. See DESIGN.md §13.
-# Two guards against the host rather than the code, shared with the
-# engine gate below: --check judges each scenario by the fastest of three
-# runs, and the run is pinned to the first allowed CPU, as
-# benchmark/run.sh pins its workloads. The baselines were captured on a
-# one-core host; given a second CPU the scheduler may split pingpong's
-# two ranks across them, and every hand-off becomes a cross-CPU futex
-# wake (native: 450 ms against the baseline's 21 ms on the 2-vCPU build
-# host, on every run; sim: 23-112 ms against 31 ms from one run to the
-# next, 44-311 ms at the parent commit).
-pin=()
-if command -v taskset > /dev/null; then
-    pin=(taskset -c "$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')")
-fi
-timeout 300 "${pin[@]}" cargo run --release --offline -q -p bench-harness --bin native_bench -- \
-    --quick --check --baseline results/native_quick_baseline.json \
-    --out target/BENCH_native_quick.json
-cargo run --release --offline -q -p bench-harness --bin native_bench -- \
-    --audit results/BENCH_native.json
-
-echo "== engine perf smoke (quick gate vs committed baseline) =="
-# Virtual times and message counts must match the committed quick-mode
-# capture exactly (the timing model is deterministic — drift means a
-# behaviour change); wall time may not exceed ENGINE_BENCH_MAX_RATIO
-# (default 3x) of the baseline's. This also gates the streamprof hooks:
-# with no Profiled wrapper attached they must cost nothing, so the
-# virtual-time capture may not drift. Both this gate and the native one
-# above include the agg_incast scenario (tree_reduce over 512 virtual /
-# 64 real ranks), so the aggregation operators' timing and message
-# counts are pinned by the committed baselines. See DESIGN.md §10, §15.
-"${pin[@]}" cargo run --release --offline -q -p bench-harness --bin engine_bench -- \
-    --quick --check --baseline results/engine_quick_baseline.json \
-    --out target/BENCH_engine_quick.json
-
 echo "== benchmark smoke (benchmark/ builds, runs and checks its outputs) =="
 # benchmark/ is a cargo workspace of its own that path-depends on the
 # crates, so nothing above notices a crate change that breaks its build,
@@ -211,17 +185,17 @@ timeout 900 cargo test -q --release --offline --manifest-path benchmark/Cargo.to
 echo "== extended-scale fig5 smoke (tree aggregation vs flat incast) =="
 # One point of the FIG5_EXTENDED sweep (coarse granularity, 1,024 ranks,
 # fixed seed) — enough to prove the aggregated master drain collapses
-# versus the flat pipeline without paying for the full 16K sweep. The
-# binary prints both drains; the committed 16K artifacts are
-# results/fig5_extended.* and fig5_master_drain.*. Its two worlds run
-# back to back and a simulated world runs one rank at a time, so a
-# second CPU only adds cross-CPU wakes (2-3x the wall time on the
-# 2-vCPU build host): pinned like the two perf gates above. Time-boxed
+# versus the flat pipeline without paying for the full 16K sweep — and
+# its rows of results/fig5_extended.csv and fig5_master_drain.csv must
+# come back byte for byte. Pinned like the drift gates above. Time-boxed
 # because a broken hand-off wedges rather than fails; RESULTS_DIR keeps
 # the partial sweep away from the committed artifacts. See DESIGN.md §15.
 fig5_started=$SECONDS
 FIG5_EXTENDED=1 MAX_PROCS=1024 RESULTS_DIR=target/ci_results timeout 300 "${pin[@]}" \
     cargo run --release --offline -q -p bench-harness --bin fig5
+for csv in fig5_extended.csv fig5_master_drain.csv; do
+    head -n "$(wc -l < "target/ci_results/$csv")" "results/$csv" | cmp "target/ci_results/$csv" -
+done
 echo "extended-scale fig5 smoke: $((SECONDS - fig5_started)) s"
 
 echo "== ci.sh: all green =="

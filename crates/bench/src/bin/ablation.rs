@@ -48,7 +48,7 @@ fn pipeline_time(aggregation: usize, credits: Option<usize>) -> f64 {
         .elapsed_secs()
 }
 
-fn granularity_sweep() {
+fn granularity_sweep() -> std::io::Result<()> {
     let mut table = Table::new(
         "Ablation 1 — stream aggregation (granularity S), synthetic pipeline",
         "batch",
@@ -71,10 +71,10 @@ fn granularity_sweep() {
         println!("batch {batch:>4}: sim {sim:.4}s  model {model:.4}s");
         table.push(batch, vec![sim, model]);
     }
-    table.finish("ablation_granularity");
+    table.finish("ablation_granularity")
 }
 
-fn alpha_sweep() {
+fn alpha_sweep() -> std::io::Result<()> {
     let mut table = Table::new(
         "Ablation 2 — group fraction alpha (MapReduce, P=128), time (s)",
         "every",
@@ -86,10 +86,10 @@ fn alpha_sweep() {
         println!("alpha = 1/{every:>2}: {t:.3}s");
         table.push(every, vec![t]);
     }
-    table.finish("ablation_alpha");
+    table.finish("ablation_alpha")
 }
 
-fn credits_sweep() {
+fn credits_sweep() -> std::io::Result<()> {
     let mut table = Table::new(
         "Ablation 3 — credit window (flow control): time vs memory bound",
         "credits",
@@ -103,11 +103,11 @@ fn credits_sweep() {
         println!("credits {label:>9}: {t:.4}s");
         table.push(credits, vec![t]);
     }
-    table.finish("ablation_credits");
+    table.finish("ablation_credits")
 }
 
-fn main() {
-    granularity_sweep();
-    alpha_sweep();
-    credits_sweep();
+fn main() -> std::io::Result<()> {
+    granularity_sweep()?;
+    alpha_sweep()?;
+    credits_sweep()
 }

@@ -12,7 +12,7 @@ use apps::pic::{run_comm_decoupled_traced, run_comm_reference_traced, PicConfig}
 use bench_harness::write_artifact;
 use streamprof::{Clock, Trace};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let chrome = std::env::args().any(|a| a == "--chrome-trace");
     let cfg = PicConfig {
         actual_per_rank: 256,
@@ -31,9 +31,9 @@ fn main() {
     );
     let g = ref_trace.to_gantt(100);
     println!("{g}");
-    write_artifact("fig2_reference.csv", &ref_trace.to_csv());
+    write_artifact("fig2_reference.csv", &ref_trace.to_csv())?;
     if chrome {
-        write_artifact("fig2_reference.trace.json", &ref_trace.to_chrome_json());
+        write_artifact("fig2_reference.trace.json", &ref_trace.to_chrome_json())?;
     }
 
     let decoupled = run_comm_decoupled_traced(7, &cfg);
@@ -44,9 +44,9 @@ fn main() {
     );
     let g = dec_trace.to_gantt(100);
     println!("{g}");
-    write_artifact("fig2_decoupled.csv", &dec_trace.to_csv());
+    write_artifact("fig2_decoupled.csv", &dec_trace.to_csv())?;
     if chrome {
-        write_artifact("fig2_decoupled.trace.json", &dec_trace.to_chrome_json());
+        write_artifact("fig2_decoupled.trace.json", &dec_trace.to_chrome_json())?;
     }
 
     // The figure's claim: the decoupled run is shorter and its compute
@@ -56,4 +56,5 @@ fn main() {
         reference.outcome.elapsed_secs(),
         decoupled.outcome.elapsed_secs()
     );
+    Ok(())
 }

@@ -77,7 +77,7 @@ fn micro_sim(t_sigma: f64) -> (f64, f64) {
     (conv, dec)
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut table = Table::new(
         "Fig. 3 — schedule comparison vs imbalance (model, ms; sim in ())",
         "sigma_pct",
@@ -107,5 +107,5 @@ fn main() {
             ],
         );
     }
-    table.finish("fig3_schedules");
+    table.finish("fig3_schedules")
 }

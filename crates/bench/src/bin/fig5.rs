@@ -39,7 +39,7 @@ fn coarse(mut cfg: MapReduceConfig) -> MapReduceConfig {
     cfg
 }
 
-fn standard_sweep() {
+fn standard_sweep() -> std::io::Result<()> {
     run_weak_scaling(
         "fig5_mapreduce",
         "Fig. 5 — MapReduce weak scaling, execution time (s)",
@@ -59,10 +59,10 @@ fn standard_sweep() {
                 ),
             }
         },
-    );
+    )
 }
 
-fn extended_sweep() {
+fn extended_sweep() -> std::io::Result<()> {
     let max = max_procs(16_384);
     let procs: Vec<usize> = proc_sweep(max).into_iter().filter(|&p| p >= 1024).collect();
     let mut times = Table::new(
@@ -91,14 +91,14 @@ fn extended_sweep() {
         times.push(p, vec![flat.outcome.elapsed_secs(), tree.outcome.elapsed_secs()]);
         drain.push(p, vec![flat.master_drain_secs, tree.master_drain_secs]);
     }
-    times.finish("fig5_extended");
-    drain.finish("fig5_master_drain");
+    times.finish("fig5_extended")?;
+    drain.finish("fig5_master_drain")
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     if std::env::var("FIG5_EXTENDED").map(|v| v == "1").unwrap_or(false) {
-        extended_sweep();
+        extended_sweep()
     } else {
-        standard_sweep();
+        standard_sweep()
     }
 }

@@ -8,7 +8,7 @@
 use apps::cg::{run_blocking, run_decoupled, run_nonblocking};
 use bench_harness::{configs, full_scale, run_weak_scaling, FigRow};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let iters = if full_scale() { 300 } else { 50 };
     let cfg = configs::fig6(iters);
     run_weak_scaling(
@@ -38,5 +38,5 @@ fn main() {
                 ],
             }
         },
-    );
+    )
 }

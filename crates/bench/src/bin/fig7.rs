@@ -6,7 +6,7 @@
 use apps::pic::{run_comm_decoupled, run_comm_reference};
 use bench_harness::{configs, run_weak_scaling, FigRow};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cfg = configs::fig7();
     run_weak_scaling(
         "fig7_pic_comm",
@@ -24,5 +24,5 @@ fn main() {
                 values: vec![r.op_secs, d.op_secs],
             }
         },
-    );
+    )
 }

@@ -9,7 +9,7 @@
 use apps::pic::{run_io_decoupled, run_io_reference, IoMode, PicConfig};
 use bench_harness::{configs, run_weak_scaling, FigRow};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cfg = configs::fig8();
     let agg_cfg = PicConfig { io_writer_fan_in: Some(4), ..cfg.clone() };
     run_weak_scaling(
@@ -37,5 +37,5 @@ fn main() {
                 values: vec![c.op_secs, s.op_secs, d.op_secs, a.op_secs],
             }
         },
-    );
+    )
 }

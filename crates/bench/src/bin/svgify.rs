@@ -3,9 +3,9 @@
 //!
 //! `cargo run --release -p bench-harness --bin svgify -- fig7_pic_comm ...`
 
-use bench_harness::{plot, results_dir, Table};
+use bench_harness::{plot, results_dir, write_artifact, Table};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let names: Vec<String> = std::env::args().skip(1).collect();
     if names.is_empty() {
         eprintln!("usage: svgify <result-name> [<result-name> ...]");
@@ -41,10 +41,7 @@ fn main() {
                 table.push(x, vals);
             }
         }
-        let svg_path = results_dir().join(format!("{name}.svg"));
-        match std::fs::write(&svg_path, plot::render_svg(&table)) {
-            Ok(()) => println!("wrote {}", svg_path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", svg_path.display()),
-        }
+        write_artifact(&format!("{name}.svg"), &plot::render_svg(&table))?;
     }
+    Ok(())
 }

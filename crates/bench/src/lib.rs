@@ -10,6 +10,7 @@
 //!   iteration counts where applicable.
 
 use std::fmt::Write as _;
+use std::io;
 use std::path::PathBuf;
 
 pub mod plot;
@@ -100,22 +101,12 @@ impl Table {
         out
     }
 
-    /// Write the CSV and an SVG chart under `results/<name>.{csv,svg}`
-    /// (workspace root) and print the table.
-    pub fn finish(&self, name: &str) {
+    /// Print the table and write `<name>.{csv,svg}` with
+    /// [`write_artifact`].
+    pub fn finish(&self, name: &str) -> io::Result<()> {
         print!("{}", self.render());
-        let dir = results_dir();
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join(format!("{name}.csv"));
-        match std::fs::write(&path, self.to_csv()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-        let svg_path = dir.join(format!("{name}.svg"));
-        match std::fs::write(&svg_path, plot::render_svg(self)) {
-            Ok(()) => println!("wrote {}", svg_path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", svg_path.display()),
-        }
+        write_artifact(&format!("{name}.csv"), &self.to_csv())?;
+        write_artifact(&format!("{name}.svg"), &plot::render_svg(self))
     }
 }
 
@@ -136,7 +127,7 @@ pub fn run_weak_scaling(
     columns: &[&str],
     default_max: usize,
     point: impl Fn(usize) -> FigRow + Sync,
-) {
+) -> io::Result<()> {
     let max = max_procs(default_max);
     let mut table = Table::new(title, "procs", columns);
     let rows = desim::sweep::par_map(proc_sweep(max), |p| (p, point(p)));
@@ -144,7 +135,7 @@ pub fn run_weak_scaling(
         println!("P={p}: {}", row.note);
         table.push(p, row.values);
     }
-    table.finish(csv_name);
+    table.finish(csv_name)
 }
 
 /// The workspace root (falls back to CWD).
@@ -170,15 +161,18 @@ pub fn results_dir() -> PathBuf {
     workspace_root().join("results")
 }
 
-/// Write a raw text artifact under `results/`.
-pub fn write_artifact(name: &str, content: &str) {
+/// Write a raw text artifact under [`results_dir`]; the error names the
+/// path. The figure binaries return it from `main`, so a failed write
+/// exits non-zero: CI's drift gates `cmp` these files and must never
+/// read a stale copy left by an earlier run.
+pub fn write_artifact(name: &str, content: &str) -> io::Result<()> {
     let dir = results_dir();
-    let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(name);
-    match std::fs::write(&path, content) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, content)).map_err(|e| {
+        io::Error::new(e.kind(), format!("could not write {}: {e}", path.display()))
+    })?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -202,6 +196,15 @@ mod tests {
         let txt = t.render();
         assert!(txt.contains("demo"));
         assert!(txt.contains("1.0000"));
+    }
+
+    #[test]
+    fn a_failed_write_is_an_error() {
+        // No directory can be created under a regular file, whoever runs
+        // the test.
+        std::env::set_var("RESULTS_DIR", concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out"));
+        let err = Table::new("demo", "procs", &["a"]).finish("demo").unwrap_err();
+        assert!(err.to_string().starts_with("could not write "), "{err}");
     }
 }
 

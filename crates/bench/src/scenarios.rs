@@ -1,27 +1,16 @@
 //! Backend-portable benchmark scenarios.
 //!
 //! Each scenario is a per-rank body written against [`Transport`], so the
-//! exact same communication pattern can be timed on the simulator
-//! (`engine_bench`, which additionally reads kernel event counters) and on
-//! the native thread backend (`native_bench`, which reads the wall clock
-//! only). The companion `*_shape` functions report the world size and the
-//! analytic message/element counts, so harnesses without a message-counting
-//! runtime (the native backend) still emit exact, deterministic totals.
+//! exact same communication pattern runs on every backend. The crate's
+//! `tests/scenarios.rs` runs them on the simulator, pinning each one's
+//! message count and virtual end time exactly, and on the native thread
+//! backend, where each body's own asserts are the check. `benchmark/`'s
+//! `socket_pingpong` workload and its sim pingpong probe time
+//! [`pingpong_rank`].
 
 use mpistream::{
-    plan_tree, tree_reduce, ChannelConfig, Role, RoutePolicy, Src, Stream, StreamChannel, Tag,
-    Transport,
+    tree_reduce, ChannelConfig, Role, RoutePolicy, Src, Stream, StreamChannel, Tag, Transport,
 };
-
-/// World size plus the analytic traffic of one scenario run: `msgs` wire
-/// messages (point-to-point payloads; collective internals excluded) and
-/// `elems` stream elements.
-#[derive(Clone, Copy, Debug)]
-pub struct Shape {
-    pub nprocs: usize,
-    pub msgs: u64,
-    pub elems: u64,
-}
 
 // ---------------------------------------------------------------------
 // incast — the Fig. 5 master pattern
@@ -31,10 +20,6 @@ pub struct Shape {
 /// drains them via `Src::Any`. On the native backend every push lands in
 /// one mailbox — the maximal-contention case the sharded staging queue
 /// exists for.
-pub fn incast_shape(producers: usize, per_producer: u64) -> Shape {
-    Shape { nprocs: producers + 1, msgs: producers as u64 * per_producer, elems: 0 }
-}
-
 pub fn incast_rank<TP: Transport>(rank: &mut TP, producers: usize, per_producer: u64, bytes: u64) {
     let tag = Tag::user(1);
     let me = rank.world_rank();
@@ -56,10 +41,6 @@ pub fn incast_rank<TP: Transport>(rank: &mut TP, producers: usize, per_producer:
 // ---------------------------------------------------------------------
 // pingpong — per-message overhead, near-empty mailbox
 // ---------------------------------------------------------------------
-
-pub fn pingpong_shape(rounds: u64) -> Shape {
-    Shape { nprocs: 2, msgs: 2 * rounds, elems: 0 }
-}
 
 pub fn pingpong_rank<TP: Transport>(rank: &mut TP, rounds: u64) {
     let tag = Tag::user(7);
@@ -85,10 +66,6 @@ pub fn pingpong_rank<TP: Transport>(rank: &mut TP, rounds: u64) {
 /// `wait_for_mail` between passes, while `producers` ranks fan in. Probe
 /// misses and park/wake churn dominate; this is the scenario that caught
 /// the native lost-wakeup race.
-pub fn fanin_shape(producers: usize, per_producer: u64) -> Shape {
-    Shape { nprocs: producers + 1, msgs: producers as u64 * per_producer, elems: 0 }
-}
-
 pub fn fanin_rank<TP: Transport>(
     rank: &mut TP,
     producers: usize,
@@ -126,19 +103,11 @@ pub fn fanin_rank<TP: Transport>(
 
 /// Every rank contributes one partial vector; a fan-in-`fan_in` reduction
 /// tree merges them down to rank 0 instead of `ranks - 1` point-to-point
-/// sends landing in one mailbox (the plain `incast` scenario). `elems`
-/// counts the analytic tree data messages — `ranks - 1` regardless of
-/// fan-in, since every leaf's partial is shipped exactly once. Terms and
-/// the channel-creation collectives are protocol details excluded from
-/// the count, as for `stream`.
-pub fn agg_incast_shape(ranks: usize, fan_in: usize) -> Shape {
-    let leaves: Vec<usize> = (0..ranks).collect();
-    let plan = plan_tree(&leaves, fan_in);
-    Shape { nprocs: ranks, msgs: 0, elems: plan.data_messages() }
-}
-
+/// sends landing in one mailbox (the plain `incast` scenario). Every
+/// leaf's partial is shipped exactly once, whatever the fan-in.
+///
 /// Returns 1 on the tree root (after checking the closed-form sum), 0
-/// elsewhere; the harness sums and asserts exactly one root emerged.
+/// elsewhere; the caller sums and asserts exactly one root emerged.
 pub fn agg_incast_rank<TP: Transport>(rank: &mut TP, fan_in: usize, width: usize) -> u64 {
     let comm = rank.world_group();
     let n = rank.world_size();
@@ -169,14 +138,9 @@ pub fn agg_incast_rank<TP: Transport>(rank: &mut TP, fan_in: usize, width: usize
 // ---------------------------------------------------------------------
 
 /// Every rank runs `iters` rounds of barrier + allreduce + allgatherv over
-/// the world group. `msgs` counts collective operations completed
-/// (3 per rank per round) rather than wire messages, whose count is a
-/// topology implementation detail — gather-all versus binomial tree is
-/// exactly the difference this scenario is meant to time.
-pub fn coll_shape(ranks: usize, iters: u64) -> Shape {
-    Shape { nprocs: ranks, msgs: 3 * ranks as u64 * iters, elems: 0 }
-}
-
+/// the world group. Its wire-message count is a topology detail — the
+/// flat star versus the binomial tree is exactly the difference this
+/// scenario is meant to time.
 pub fn coll_rank<TP: Transport>(rank: &mut TP, iters: u64) {
     let world = rank.world_group();
     let size = rank.world_size() as u64;
@@ -199,12 +163,9 @@ pub fn coll_rank<TP: Transport>(rank: &mut TP, iters: u64) {
 /// ranks. This is the end-to-end number — mailbox, credit returns and
 /// wake-ups all on the critical path. `credit_batch` > 1 exercises the
 /// batched acknowledgement path.
-pub fn stream_shape(producers: usize, consumers: usize, per_producer: u64) -> Shape {
-    Shape { nprocs: producers + consumers, msgs: 0, elems: producers as u64 * per_producer }
-}
-
+///
 /// Returns the number of elements this rank processed (consumers) or 0
-/// (producers); the harness sums and checks conservation.
+/// (producers); the caller sums and checks conservation.
 pub fn stream_rank<TP: Transport>(
     rank: &mut TP,
     producers: usize,

@@ -40,7 +40,8 @@ struct Event {
 }
 
 /// Event-traffic counters of one run — the denominator of the engine's
-/// efficiency metric (events per delivered message, see `engine_bench`).
+/// efficiency metric (events per delivered message, `benchmark/`'s
+/// `desim.events_per_msg`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventStats {
     /// Wake-ups accepted into the heap.

@@ -186,9 +186,12 @@ fn nested_trace_spans_close_lifo() {
         ctx.trace_end("outer");
     });
     let out = sim.run_expect();
-    let totals = out.trace.totals_by_tag();
-    assert_eq!(totals[&(0, "outer")], SimDuration::from_micros(4));
-    assert_eq!(totals[&(0, "inner")], SimDuration::from_micros(2));
+    let total = |tag| -> u64 {
+        let spans = out.trace.spans().iter().filter(|s| s.tag == tag);
+        spans.map(|s| s.end.since(s.start).as_nanos()).sum()
+    };
+    assert_eq!(total("outer"), 4_000);
+    assert_eq!(total("inner"), 2_000);
 }
 
 #[test]

@@ -99,8 +99,9 @@ pub struct NativeOutcome {
 }
 
 /// Default flat-collective threshold: group sizes at or below this use
-/// the star geometry. Set from the `native_bench --coll-sweep`
-/// measurement on the CI host (flat beat the tree at every size up to
+/// the star geometry. Set from a flat-versus-tree sweep of barrier +
+/// allreduce + allgatherv rounds on a one-core host, recorded in
+/// `results/BENCH_native.json` (flat beat the tree at every size up to
 /// 64, ratio 0.41–0.76 — with ranks far outnumbering cores, every tree
 /// level is a forced context switch while the star's hub drains its one
 /// mailbox in arrival order; see DESIGN.md §13). Sizes past the

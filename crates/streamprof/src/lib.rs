@@ -19,9 +19,8 @@
 //! - [`Trace`] — the finished recording: per-rank stall breakdowns
 //!   ([`StallBreakdown`]), per-stream [`StreamMetrics`], and exporters —
 //!   `chrome://tracing` JSON ([`Trace::to_chrome_json`]), CSV, and the
-//!   ASCII Gantt chart (byte-compatible with `desim`'s, so the
-//!   simulator-only renderer is subsumed; [`Trace::from_desim`] adapts an
-//!   existing `desim::Trace`).
+//!   ASCII Gantt chart — the only exporters the workspace has;
+//!   [`Trace::from_desim`] adapts the simulator's `desim::Trace` to them.
 //! - [`mod@fit`] — estimators that recover the paper's Eq. 4 parameters
 //!   (per-element overhead `o`, pipelining fraction β(S), imbalance Tσ)
 //!   from a recorded trace and report the residual against the

@@ -7,6 +7,7 @@ use apps::pic::{
     run_comm_decoupled, run_comm_decoupled_traced, run_comm_reference, run_comm_reference_traced,
     run_io_decoupled, run_io_reference, IoMode, PicConfig,
 };
+use streamprof::{Clock, Trace};
 
 fn main() {
     let cfg = PicConfig { iterations: 6, alpha_every: 8, ..PicConfig::default() };
@@ -56,6 +57,5 @@ fn main() {
 }
 
 fn render(trace: &desim::Trace) -> String {
-    // Re-tag: comp -> C, comm -> M for visual contrast.
-    trace.to_gantt(100).replace('\u{0}', "")
+    Trace::from_desim(trace, Clock::Virtual).to_gantt(100)
 }

@@ -9,6 +9,7 @@ use apps::pic::{
     run_comm_decoupled, run_comm_reference, run_io_decoupled, run_io_reference, IoMode, PicConfig,
 };
 use mpisim::{MachineConfig, NoiseModel};
+use streamprof::{Clock, Trace};
 use workloads::{Corpus, CorpusConfig};
 
 fn quiet_machine() -> MachineConfig {
@@ -137,10 +138,11 @@ fn traces_cover_the_full_makespan_reasonably() {
     assert!(trace.horizon() <= res.outcome.sim.end_time);
     // Compute spans exist on compute ranks (0..5 are producers for
     // every=4? ranks 3 and 7 are consumers) — check one known producer.
-    assert!(trace.for_pid(0).iter().any(|s| s.tag == "comp"));
+    assert!(trace.spans().iter().any(|s| s.pid == 0 && s.tag == "comp"));
     // Gantt and CSV render without panicking.
-    let gantt = trace.to_gantt(60);
+    let adapted = Trace::from_desim(trace, Clock::Virtual);
+    let gantt = adapted.to_gantt(60);
     assert!(gantt.contains('C'));
-    let csv = trace.to_csv();
+    let csv = adapted.to_csv();
     assert!(csv.lines().count() > 1);
 }

@@ -1,21 +1,18 @@
 //! streamprof end-to-end: a golden Chrome trace on the simulator
 //! (byte-compared — the sim is deterministic, so the exporter must be
 //! too), structural validation of the native backend's trace (wall-clock
-//! timings differ run to run, but the shape must not), exporter
-//! equivalence between `desim`'s original trace renderers and the
-//! `streamprof` adapters fig2 now routes through, and the sanitizer
+//! timings differ run to run, but the shape must not), and the sanitizer
 //! still reporting through a `Profiled` wrapper.
 //!
 //! To refresh the golden after an intentional format change:
 //! `STREAMPROF_UPDATE_GOLDEN=1 cargo test -p integration --test streamprof_trace`
 //! (then re-run without the variable to confirm).
 
-use apps::pic::{run_comm_decoupled_traced, PicConfig};
 use apps::portable::{quickstart, quickstart_with};
 use mpisim::{MachineConfig, NoiseModel, World};
 use mpistream::{ChannelConfig, GroupSpec, Role, Src, Stream, StreamChannel, Tag, Transport};
 use native::NativeWorld;
-use streamprof::{validate_chrome, Clock, ProfSink, Profiled, Trace};
+use streamprof::{validate_chrome, Clock, ProfSink, Profiled};
 
 const RANKS: usize = 8;
 const STEPS: usize = 12;
@@ -187,21 +184,4 @@ fn profiled_ranks_keep_the_sanitizer_credit_table() {
         "credit table missing from deadlock report:\n{report}"
     );
     assert!(report.contains("window full"), "window-full marker missing:\n{report}");
-}
-
-#[test]
-fn desim_and_streamprof_exporters_agree_on_fig2_spans() {
-    let cfg = PicConfig {
-        actual_per_rank: 64,
-        iterations: 2,
-        alpha_every: 7,
-        dt: 0.3,
-        ..PicConfig::default()
-    };
-    let run = run_comm_decoupled_traced(7, &cfg);
-    let adapted = Trace::from_desim(&run.outcome.sim.trace, Clock::Virtual);
-    // fig2 renders through the adapter; its CSV and Gantt output must be
-    // byte-identical to what desim's own renderers produced before.
-    assert_eq!(adapted.to_csv(), run.outcome.sim.trace.to_csv());
-    assert_eq!(adapted.to_gantt(100), run.outcome.sim.trace.to_gantt(100));
 }
