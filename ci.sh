@@ -7,18 +7,32 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
-echo "== lint (clippy, warnings are errors) =="
+# Each stage prints its header, and the next header (or the end) prints
+# how many seconds it took.
+stage_name=""
+stage() {
+    if [ -n "$stage_name" ]; then
+        echo "-- $stage_name: $((SECONDS - stage_started)) s"
+    fi
+    stage_name=$1
+    stage_started=$SECONDS
+    if [ -n "$stage_name" ]; then
+        echo "== $stage_name =="
+    fi
+}
+
+stage "lint (clippy, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== docs (rustdoc, warnings are errors) =="
+stage "docs (rustdoc, warnings are errors)"
 # Broken or ambiguous intra-doc links are how a deleted or renamed public
 # item goes unnoticed in the prose that points at it.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== format check =="
+stage "format check"
 cargo fmt --check
 
-echo "== build (release) =="
+stage "build (release)"
 cargo build --release --offline
 # benchmark/ is frozen outside [benchmark] issues, implements `Transport`
 # itself (src/traced.rs) and calls the mailbox, frame and VSR layers
@@ -29,16 +43,16 @@ cargo build --release --offline
 CARGO_TARGET_DIR=benchmark/target cargo build --release --offline \
     --manifest-path benchmark/Cargo.toml
 
-echo "== test suite =="
+stage "test suite"
 cargo test -q --offline
 
-echo "== simulator tests, as the fig binaries build it (no mpisim/check) =="
+stage "simulator tests, as the fig binaries build it (no mpisim/check)"
 # The root run above turns `mpisim/check` on through dev-dependencies, so
 # the simulator's own tests never see the configuration that the fig
 # binaries and benchmark/ build. Selecting the two crates alone does.
 cargo test -q --offline -p desim -p mpisim
 
-echo "== chaos smoke (25 seeds, fixed range, parallel sweep) =="
+stage "chaos smoke (25 seeds, fixed range, parallel sweep)"
 # A deterministic subset of the default 250-seed sweep; the fixed range
 # keeps the smoke run reproducible and fast, and SWEEP_JOBS exercises the
 # parallel sweep dispatcher (fingerprints are byte-identical at any job
@@ -46,7 +60,7 @@ echo "== chaos smoke (25 seeds, fixed range, parallel sweep) =="
 CHAOS_SEED_START=0 CHAOS_SEEDS=25 SWEEP_JOBS="${SWEEP_JOBS:-4}" \
     cargo test -q --offline -p integration --test chaos
 
-echo "== native backend smoke (quickstart + fig5-small on OS threads) =="
+stage "native backend smoke (quickstart + fig5-small on OS threads)"
 # The same portable programs on the native threaded backend, compared
 # against the simulator's per-consumer payload fingerprints. Real threads
 # can deadlock rather than fail, so bound each run with a wall-clock
@@ -56,7 +70,7 @@ timeout 120 cargo run --release --offline -q -p integration \
 timeout 180 cargo test -q --release --offline -p integration \
     --test backend_equivalence
 
-echo "== socket backend smoke (multi-process equivalence over Unix sockets) =="
+stage "socket backend smoke (multi-process equivalence over Unix sockets)"
 # The same portable programs again, this time with one OS *process* per
 # rank and every payload crossing the Wire codec over Unix-domain
 # sockets (DESIGN.md §16). backend_equivalence certifies the socket
@@ -73,7 +87,7 @@ timeout 120 cargo run --release --offline -q -p integration \
     --example quickstart_native -- --backend socket \
     --trace target/quickstart_socket.trace.json
 
-echo "== replica smoke (VSR failover: sim kills + native + 8-process socket) =="
+stage "replica smoke (VSR failover: sim kills + native + 8-process socket)"
 # The viewstamped-replication subsystem (DESIGN.md §17): protocol unit
 # tests, simulator kills at exact element cursors, a native-thread
 # abandonment run and the 8-process socket abort/failover test, plus a
@@ -88,7 +102,7 @@ CHAOS_SEED_START=0 CHAOS_SEEDS=25 SWEEP_JOBS="${SWEEP_JOBS:-4}" \
     timeout 600 cargo test -q --release --offline -p integration \
     --test chaos replicated
 
-echo "== streamprof smoke (chrome traces + golden byte-compare) =="
+stage "streamprof smoke (chrome traces + golden byte-compare)"
 # fig2 rendered through the streamprof adapters (ASCII Gantt must stay
 # byte-identical to the pre-streamprof output) plus Chrome-trace export,
 # written aside and compared with the committed results/fig2_*: a
@@ -104,7 +118,7 @@ done
 timeout 180 cargo test -q --release --offline -p integration \
     --test streamprof_trace
 
-echo "== examples over apps, and drift gates on the committed sim results =="
+stage "examples over apps, and drift gates on the committed sim results"
 # quickstart is Listing 1 as every backend runs it (apps::portable);
 # alpha_tuning sweeps and fits the same program (about 1 s in release).
 # A simulated run is deterministic, so every committed simulator result
@@ -113,17 +127,11 @@ echo "== examples over apps, and drift gates on the committed sim results =="
 # ranks as the first rows of the committed CSVs (a failed write exits
 # non-zero, so no stale file from an earlier run is compared). A change
 # meant to move them regenerates the committed files over their full row
-# range (EXPERIMENTS.md). A simulated world runs one rank at a time, so
-# the runs are pinned to the first allowed CPU: a second CPU only adds
-# cross-CPU wakes (ablation: 12 s pinned, 36 s unpinned on a 2-vCPU host).
-pin=()
-if command -v taskset > /dev/null; then
-    pin=(taskset -c "$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')")
-fi
+# range (EXPERIMENTS.md).
 timeout 120 cargo run --release --offline -q -p integration --example quickstart > /dev/null
 timeout 120 cargo run --release --offline -q -p integration --example alpha_tuning > /dev/null
 for bin in ablation fig3; do
-    RESULTS_DIR=target/ci_results timeout 300 "${pin[@]}" \
+    RESULTS_DIR=target/ci_results timeout 300 \
         cargo run --release --offline -q -p bench-harness --bin "$bin" > /dev/null
 done
 for f in ablation_granularity ablation_alpha ablation_credits fig3_schedules; do
@@ -132,12 +140,12 @@ for f in ablation_granularity ablation_alpha ablation_credits fig3_schedules; do
 done
 for fig in fig5:fig5_mapreduce fig6:fig6_cg fig7:fig7_pic_comm fig8:fig8_pic_io; do
     csv="${fig#*:}.csv"
-    MAX_PROCS=64 RESULTS_DIR=target/ci_results timeout 300 "${pin[@]}" \
+    MAX_PROCS=64 RESULTS_DIR=target/ci_results timeout 300 \
         cargo run --release --offline -q -p bench-harness --bin "${fig%%:*}" > /dev/null
     head -n "$(wc -l < "target/ci_results/$csv")" "results/$csv" | cmp "target/ci_results/$csv" -
 done
 
-echo "== schedcheck model checking (bounded exhaustive interleavings) =="
+stage "schedcheck model checking (bounded exhaustive interleavings)"
 # The native backend's lock-free core — mailbox push/drain, eventcount
 # park, deadline receives, batched credit returns, a small tree
 # collective — re-compiled against schedcheck's shadow primitives
@@ -155,7 +163,7 @@ SCHEDCHECK_PREEMPTIONS=2 RUSTFLAGS='--cfg schedcheck' \
     CARGO_TARGET_DIR=target/schedcheck \
     timeout 600 cargo test -q --release --offline -p native --test schedcheck_models
 
-echo "== native stress battery (reduced iterations, watchdog-bounded) =="
+stage "native stress battery (reduced iterations, watchdog-bounded)"
 # The concurrency battery behind the lock-free mailbox and the tree
 # collectives: MPSC hammering, lost-wakeup polling races, deadline
 # recompute under spurious wakes, a credit-window audit at several ack
@@ -165,7 +173,7 @@ echo "== native stress battery (reduced iterations, watchdog-bounded) =="
 NATIVE_STRESS_ITERS=1 timeout 300 cargo test -q --release --offline \
     -p native --test native_stress
 
-echo "== benchmark smoke (benchmark/ builds, runs and checks its outputs) =="
+stage "benchmark smoke (benchmark/ builds, runs and checks its outputs)"
 # benchmark/ is a cargo workspace of its own that path-depends on the
 # crates, so nothing above notices a crate change that breaks its build,
 # its output checks (digests, golden.json, exact counts) or a probe. The
@@ -182,20 +190,19 @@ timeout 900 bash benchmark/run.sh --quick --trace 1 > /dev/null
 timeout 900 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml \
     -- --skip frame_io_calls_are_four_writes_and_two_reads
 
-echo "== extended-scale fig5 smoke (tree aggregation vs flat incast) =="
+stage "extended-scale fig5 smoke (tree aggregation vs flat incast)"
 # One point of the FIG5_EXTENDED sweep (coarse granularity, 1,024 ranks,
 # fixed seed) — enough to prove the aggregated master drain collapses
 # versus the flat pipeline without paying for the full 16K sweep — and
 # its rows of results/fig5_extended.csv and fig5_master_drain.csv must
-# come back byte for byte. Pinned like the drift gates above. Time-boxed
-# because a broken hand-off wedges rather than fails; RESULTS_DIR keeps
-# the partial sweep away from the committed artifacts. See DESIGN.md §15.
-fig5_started=$SECONDS
-FIG5_EXTENDED=1 MAX_PROCS=1024 RESULTS_DIR=target/ci_results timeout 300 "${pin[@]}" \
+# come back byte for byte. Time-boxed because a broken hand-off wedges
+# rather than fails; RESULTS_DIR keeps the partial sweep away from the
+# committed artifacts. See DESIGN.md §15.
+FIG5_EXTENDED=1 MAX_PROCS=1024 RESULTS_DIR=target/ci_results timeout 300 \
     cargo run --release --offline -q -p bench-harness --bin fig5
 for csv in fig5_extended.csv fig5_master_drain.csv; do
     head -n "$(wc -l < "target/ci_results/$csv")" "results/$csv" | cmp "target/ci_results/$csv" -
 done
-echo "extended-scale fig5 smoke: $((SECONDS - fig5_started)) s"
 
+stage ""
 echo "== ci.sh: all green =="

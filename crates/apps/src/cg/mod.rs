@@ -388,8 +388,8 @@ fn aggregate_faces<TP: Transport>(
 ) {
     // Faces collected so far for one (destination, iteration).
     type FaceSet = Vec<(usize, isize, Vec<f64>)>;
-    let mut pending: std::collections::HashMap<(usize, usize), FaceSet> =
-        std::collections::HashMap::new();
+    let mut pending: std::collections::BTreeMap<(usize, usize), FaceSet> =
+        std::collections::BTreeMap::new();
     while let Some(msg) = faces_in.recv_one(rank) {
         let key = (msg.dest, msg.iter);
         let entry = pending.entry(key).or_default();

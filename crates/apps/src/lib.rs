@@ -14,6 +14,8 @@
 //! virtual-time cost model at paper scale) from **actual** in-memory data
 //! (computed on for real and checked against serial oracles).
 
+#![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
+
 pub mod analysis;
 pub mod cg;
 pub mod mapreduce;

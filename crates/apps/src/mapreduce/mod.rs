@@ -658,7 +658,8 @@ mod tests {
     }
 
     /// A chunk's counts the way `map_file` built them before ISSUE 24:
-    /// hash, collect, sort.
+    /// hash, collect, sort. The sort makes hash order unobservable.
+    #[allow(clippy::disallowed_types)]
     fn count_words_by_hashing(chunk: &[u32]) -> KvChunk {
         let mut partial = std::collections::HashMap::new();
         for &t in chunk {

@@ -31,7 +31,7 @@
 //! the compute/wire/IO cost models at paper scale.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -309,7 +309,7 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                 }
                 rank.trace_begin("comm");
                 // Bucket by the next hop.
-                let mut buckets: HashMap<usize, Vec<Particle>> = HashMap::new();
+                let mut buckets: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
                 for p in homeless.drain(..) {
                     let owner = cart_owner(&cart, p.pos);
                     let hop = forward_hop(&cart, me, owner);
@@ -967,7 +967,7 @@ mod tests {
     fn traced_runs_produce_comp_and_comm_spans() {
         let cfg = PicConfig { iterations: 2, ..test_cfg() };
         let res = run_comm_decoupled_traced(8, &cfg);
-        let tags: std::collections::HashSet<&str> =
+        let tags: std::collections::BTreeSet<&str> =
             res.outcome.sim.trace.spans().iter().map(|s| s.tag).collect();
         assert!(tags.contains("comp"), "tags: {tags:?}");
         assert!(tags.contains("comm"), "tags: {tags:?}");

@@ -293,13 +293,13 @@ mod tests {
     use super::*;
     use mpisim::{MachineConfig, World};
     use parking_lot::Mutex;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
     fn quickstart_consumers_see_every_update_in_sim() {
-        let reports: Arc<Mutex<HashMap<usize, PortableReport>>> =
-            Arc::new(Mutex::new(HashMap::new()));
+        let reports: Arc<Mutex<BTreeMap<usize, PortableReport>>> =
+            Arc::new(Mutex::new(BTreeMap::new()));
         let r2 = reports.clone();
         World::new(MachineConfig::default()).with_seed(7).run_expect(16, move |rank| {
             let rep = quickstart(rank, 10, 8);

@@ -19,7 +19,7 @@
 //! `size-1` exchanges). Either way a reduce plus a broadcast is
 //! `2(size-1)` directed messages.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mpisim::msg::NS_MPISTREAM_COLL;
@@ -120,7 +120,7 @@ fn parent(v: usize, flat: bool) -> usize {
 pub struct CollState {
     /// Per-group collective sequence numbers (identical call order on a
     /// group keeps them in agreement, as MPI requires).
-    seq: HashMap<u64, u32>,
+    seq: BTreeMap<u64, u32>,
     flat_threshold: usize,
 }
 
@@ -130,7 +130,7 @@ impl CollState {
     /// star everywhere. Every rank of a world must pass the same number,
     /// so that the members of a group agree on its shape.
     pub fn new(flat_threshold: usize) -> CollState {
-        CollState { seq: HashMap::new(), flat_threshold }
+        CollState { seq: BTreeMap::new(), flat_threshold }
     }
 
     /// Begin the next collective on `group`, of which world rank `me` is
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn split_ids_dodge_the_reserved_values() {
-        let mut ids = std::collections::HashSet::new();
+        let mut ids = std::collections::BTreeSet::new();
         for parent in [WORLD_ID, 1, split_id(WORLD_ID, 0, 0), META_ID - 1] {
             for seq in 0..40 {
                 for color in [i64::MIN, -1, 0, 1, 2, i64::MAX] {

@@ -50,6 +50,8 @@
 //! });
 //! ```
 
+#![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
+
 pub mod cart;
 pub mod channel;
 pub mod coll;

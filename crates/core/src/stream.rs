@@ -1016,7 +1016,7 @@ mod tests {
     #[test]
     fn mix64_is_a_bijection_probe() {
         // Distinct inputs must map to distinct outputs (sampled).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0..10_000u64 {
             assert!(seen.insert(mix64(k)));
         }

@@ -90,8 +90,8 @@ proptest! {
     ) {
         let nprocs = every * blocks;
         let keys = Arc::new(keys);
-        let owner: Arc<Mutex<std::collections::HashMap<u64, usize>>> =
-            Arc::new(Mutex::new(std::collections::HashMap::new()));
+        let owner: Arc<Mutex<std::collections::BTreeMap<u64, usize>>> =
+            Arc::new(Mutex::new(std::collections::BTreeMap::new()));
         let (own, ks) = (owner.clone(), keys.clone());
         let world = World::new(MachineConfig::default()).with_seed(7);
         world.run_expect(nprocs, move |rank| {

@@ -118,7 +118,7 @@ fn fcfs_absorbs_a_slow_producer() {
 
 #[test]
 fn round_robin_spreads_over_consumers() {
-    let counts = Arc::new(Mutex::new(std::collections::HashMap::new()));
+    let counts = Arc::new(Mutex::new(std::collections::BTreeMap::new()));
     let c2 = counts.clone();
     ideal().run_expect(6, move |rank| {
         let comm = rank.comm_world();
@@ -173,7 +173,7 @@ fn keyed_routing_is_consistent_and_covers_all() {
         );
     });
     let seen = seen.lock();
-    let mut owner: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let mut owner: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
     for &(key, consumer) in seen.iter() {
         let prev = owner.insert(key, consumer);
         if let Some(p) = prev {
@@ -181,7 +181,7 @@ fn keyed_routing_is_consistent_and_covers_all() {
         }
     }
     // Both consumers got some share (64 keys over 2 consumers).
-    let distinct: std::collections::HashSet<usize> = owner.values().copied().collect();
+    let distinct: std::collections::BTreeSet<usize> = owner.values().copied().collect();
     assert_eq!(distinct.len(), 2);
 }
 

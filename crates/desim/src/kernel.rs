@@ -2,14 +2,15 @@
 //!
 //! # Execution model
 //!
-//! Every simulated process is backed by a real OS thread, but **exactly one
-//! simulated process executes at any moment**. Control is handed from one
-//! process to the next by *token passing*: the currently running process,
-//! when it suspends, pops the next event from the heap, advances the virtual
-//! clock to that event's timestamp, unparks the event's owner and then parks
-//! itself. This gives a sequential, fully deterministic simulation (events
-//! at equal timestamps fire in schedule order) while letting process bodies
-//! be written as ordinary imperative Rust.
+//! Every simulated process is a fiber — a stackful coroutine with a stack
+//! of its own (`fiber.rs`) — on the thread that runs the simulation, so
+//! **exactly one simulated process executes at any moment**. The running
+//! process, when it suspends, pops the next event from the heap, advances
+//! the virtual clock to that event's timestamp and switches to the event's
+//! owner; the last process to exit switches back to the runner. This gives
+//! a sequential, fully deterministic simulation (events at equal timestamps
+//! fire in schedule order) while letting process bodies be written as
+//! ordinary imperative Rust.
 //!
 //! # Wake-up semantics
 //!
@@ -20,12 +21,13 @@
 //! This is the same discipline as condition variables.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::fiber::{self, Fiber};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated process (dense, assigned in spawn order).
@@ -53,39 +55,13 @@ pub struct EventStats {
     pub fired: u64,
 }
 
-/// One-slot token used to park/unpark a process thread without the
-/// spurious-wakeup hazards of bare `thread::park`.
-struct Token {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
+/// Membership checks only, once per scheduled event — never iterated, so
+/// hash order cannot leak into simulation behaviour.
+#[allow(clippy::disallowed_types)]
+type PendingSet = std::collections::HashSet<(u64, Pid)>;
 
-impl Token {
-    fn new() -> Self {
-        Token { flag: Mutex::new(false), cv: Condvar::new() }
-    }
-
-    /// Notify *after* the unlock: a wakee that preempts its waker must
-    /// not run straight into a mutex the waker still holds (it would block
-    /// there, and need a second wake-up once the waker unlocks). No wake
-    /// is lost to the gap — the waiter checks the flag under this same
-    /// mutex before every wait, so it either sees `true` or is already
-    /// waiting when the notify comes — and the token outlives the late
-    /// notify: every setter holds an `Arc<Token>` clone or the
-    /// `Arc<Kernel>` that owns `main_token`.
-    fn set(&self) {
-        *self.flag.lock() = true;
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) {
-        let mut f = self.flag.lock();
-        while !*f {
-            self.cv.wait(&mut f);
-        }
-        *f = false;
-    }
-}
+/// [`Sched::running`] while the runner, not a process, holds the CPU.
+const RUNNER: Pid = Pid::MAX;
 
 /// The most recent trace span a process opened (and possibly closed),
 /// remembered even when no trace sink is recording so deadlock reports can
@@ -100,7 +76,9 @@ struct SpanNote {
 
 struct ProcMeta {
     name: String,
-    token: Arc<Token>,
+    /// Boxed so its address survives `procs` growing: a suspended
+    /// process's context is saved there.
+    fiber: Box<Fiber>,
     done: bool,
     /// Set by [`Kernel::kill`]; the process unwinds with [`ProcKill`] at
     /// its next scheduling point.
@@ -118,11 +96,12 @@ struct Sched {
     heap: BinaryHeap<Reverse<Event>>,
     /// `(time, pid)` pairs currently in the heap. A second wake-up for an
     /// identical pair is coalesced away (wake-ups are spurious-tolerant,
-    /// so one delivery is as good as two). Membership checks only — never
-    /// iterated, so its ordering cannot leak into simulation behavior.
-    pending: HashSet<(u64, Pid)>,
+    /// so one delivery is as good as two).
+    pending: PendingSet,
     procs: Vec<ProcMeta>,
     live: usize,
+    /// The process holding the CPU, or [`RUNNER`].
+    running: Pid,
     /// Fault-plan pause windows as `(pid, from_ns, until_ns)`: events for
     /// `pid` inside the window are deferred to `until_ns`.
     pauses: Vec<(Pid, u64, u64)>,
@@ -169,6 +148,22 @@ impl Sched {
         self.heap.push(Reverse(Event { time, seq, pid }));
     }
 
+    /// Record that `to` (a pid or [`RUNNER`]) takes the CPU from `from`,
+    /// and return both fibers for [`Kernel::switch`]. Panics unless `from`
+    /// is the one running: a process may only suspend itself.
+    fn hand_over(&mut self, kernel: &Kernel, from: Pid, to: Pid) -> (*const Fiber, *const Fiber) {
+        assert_eq!(self.running, from, "pid {from} suspended while another process runs");
+        self.running = to;
+        let fiber = |pid: Pid| -> *const Fiber {
+            if pid == RUNNER {
+                &kernel.runner
+            } else {
+                &*self.procs[pid].fiber
+            }
+        };
+        (fiber(from), fiber(to))
+    }
+
     /// If `t` falls inside a pause window of `pid`, the time it resumes.
     fn pause_resume(&self, pid: Pid, t: u64) -> Option<u64> {
         let mut resume: Option<u64> = None;
@@ -187,16 +182,18 @@ pub struct Kernel {
     state: Mutex<Sched>,
     /// Mirror of `Sched::now`, published (Release) at every clock advance
     /// while the state lock is held and read (Acquire) by [`Kernel::now`].
-    /// Only the token-holding process observes it between hand-offs, and the
-    /// token transfer orders the store before the next holder's loads, so
-    /// readers always see the clock of the event that woke them.
+    /// Only the running process observes it between hand-offs, and the
+    /// switch orders the store before the next process's loads, so readers
+    /// always see the clock of the event that woke them.
     now_cache: AtomicU64,
     /// High-water mark of decoupled local clocks (see `Ctx::advance` in lazy
     /// mode): each process raises it to its final local time on exit, so the
     /// outcome's end time covers work that never became heap events. Plain
     /// `fetch_max`; no other state depends on it.
     horizon: AtomicU64,
-    main_token: Token,
+    /// The context of the thread inside `Simulation::run` while a process
+    /// runs.
+    runner: Fiber,
     aborted: AtomicBool,
     abort_reason: Mutex<Option<String>>,
     /// External diagnostic sources appended to deadlock reports (e.g. the
@@ -209,7 +206,7 @@ pub struct Kernel {
 /// when it has nothing to say.
 pub type DiagnosticSource = Arc<dyn Fn() -> Option<String> + Send + Sync>;
 
-/// Panic payload used to unwind parked process threads when the simulation
+/// Panic payload used to unwind suspended processes when the simulation
 /// aborts (deadlock or a sibling process panicked). `Simulation::run`
 /// recognises it and converts it into a single, readable error.
 pub(crate) struct SimAbort;
@@ -220,21 +217,22 @@ pub(crate) struct SimAbort;
 pub(crate) struct ProcKill;
 
 impl Kernel {
-    pub(crate) fn new() -> Arc<Kernel> {
+    pub(crate) fn new(kind: fiber::Kind) -> Arc<Kernel> {
         Arc::new(Kernel {
             state: Mutex::new(Sched {
                 now: 0,
                 seq: 0,
                 heap: BinaryHeap::new(),
-                pending: HashSet::new(),
+                pending: PendingSet::default(),
                 procs: Vec::new(),
                 live: 0,
+                running: RUNNER,
                 pauses: Vec::new(),
                 stats: EventStats::default(),
             }),
             now_cache: AtomicU64::new(0),
             horizon: AtomicU64::new(0),
-            main_token: Token::new(),
+            runner: Fiber::new(kind),
             aborted: AtomicBool::new(false),
             abort_reason: Mutex::new(None),
             diagnostics: Mutex::new(Vec::new()),
@@ -244,10 +242,9 @@ impl Kernel {
     pub(crate) fn register_proc(&self, name: String) -> Pid {
         let mut s = self.state.lock();
         let pid = s.procs.len();
-        let token = Arc::new(Token::new());
         s.procs.push(ProcMeta {
             name,
-            token,
+            fiber: Box::new(Fiber::new(self.runner.kind())),
             done: false,
             killed: false,
             blocked_on: "start",
@@ -257,8 +254,15 @@ impl Kernel {
         pid
     }
 
+    /// Prepare process `pid` to run `body` as a fiber when first switched
+    /// to (see [`fiber::launch`]). The runner owns what this returns and
+    /// drops it after `run_to_completion`.
+    pub(crate) fn launch(&self, pid: Pid, stack_size: usize, body: fiber::Body) -> fiber::Launched {
+        fiber::launch(&self.state.lock().procs[pid].fiber, stack_size, body)
+    }
+
     /// Current virtual time. Lock-free: reads the published clock mirror
-    /// (see `now_cache`), which is exact for the token-holding process.
+    /// (see `now_cache`), which is exact for the running process.
     pub fn now(&self) -> SimTime {
         SimTime(self.now_cache.load(Ordering::Acquire))
     }
@@ -296,14 +300,16 @@ impl Kernel {
     /// Suspend the calling process `me` until some event wakes it.
     ///
     /// The caller transfers control to the owner of the next event in the
-    /// heap. Returns when `me` is next unparked — which may be *spurious*;
-    /// callers must loop on their predicate. `why` is reported if a deadlock
-    /// is detected while `me` is suspended here.
+    /// heap. Returns when `me` is next switched to — which may be
+    /// *spurious*; callers must loop on their predicate. `why` is reported
+    /// if a deadlock is detected while `me` is suspended here. Panics
+    /// unless `me` is the running process and this is the simulation's
+    /// thread.
     pub fn suspend(&self, me: Pid, why: &'static str) {
         self.check_abort();
         // One lock section: record why we block, pop the next event, publish
-        // the clock, and clone both tokens for the hand-off. When our own
-        // wake-up is next we return without ever touching a condvar.
+        // the clock, and pick both fibers for the hand-off. When our own
+        // wake-up is next we return without switching.
         let hand = {
             let mut s = self.state.lock();
             s.procs[me].blocked_on = why;
@@ -313,13 +319,13 @@ impl Kernel {
                     if p == me {
                         None // our own wake-up is the next event: keep running
                     } else {
-                        Some((s.procs[p].token.clone(), s.procs[me].token.clone()))
+                        Some(s.hand_over(self, me, p))
                     }
                 }
                 None => {
                     // No event can ever fire again and `me` is about to
-                    // block: every live process is now parked with nothing
-                    // to wake it.
+                    // block: every live process is now suspended with
+                    // nothing to wake it.
                     drop(s);
                     self.abort(format!(
                         "deadlock: no scheduled events and all processes blocked\n{}",
@@ -328,9 +334,8 @@ impl Kernel {
                 }
             }
         };
-        if let Some((next_token, my_token)) = hand {
-            next_token.set();
-            my_token.wait();
+        if let Some((from, to)) = hand {
+            self.switch(from, to);
             self.check_abort();
             self.check_killed(me);
         }
@@ -346,7 +351,7 @@ impl Kernel {
         enum Step {
             Done,
             Again,
-            Hand(Arc<Token>, Arc<Token>),
+            Hand(*const Fiber, *const Fiber),
             Dead,
         }
         self.check_abort();
@@ -360,7 +365,7 @@ impl Kernel {
                         // First iteration: schedule the wake-up under the
                         // same lock that pops the next event, so the common
                         // case (our own wake-up is next) is one lock round
-                        // trip with zero condvar traffic.
+                        // trip and no switch.
                         let t = s.now + dt.0;
                         s.push_event(t, me);
                         s.procs[me].blocked_on = "advance";
@@ -372,7 +377,8 @@ impl Kernel {
                     Some(p) => {
                         self.now_cache.store(s.now, Ordering::Release);
                         if p != me {
-                            Step::Hand(s.procs[p].token.clone(), s.procs[me].token.clone())
+                            let (from, to) = s.hand_over(self, me, p);
+                            Step::Hand(from, to)
                         } else if s.now >= t {
                             Step::Done
                         } else {
@@ -385,9 +391,8 @@ impl Kernel {
             match step {
                 Step::Done => return,
                 Step::Again => continue,
-                Step::Hand(next_token, my_token) => {
-                    next_token.set();
-                    my_token.wait();
+                Step::Hand(from, to) => {
+                    self.switch(from, to);
                     self.check_abort();
                     self.check_killed(me);
                     if self.now_cache.load(Ordering::Acquire) >= target.unwrap() {
@@ -402,47 +407,61 @@ impl Kernel {
         }
     }
 
-    /// Called by the process wrapper when the body returns. Transfers
-    /// control onwards; when the last process exits, wakes the runner.
-    pub(crate) fn proc_exit(&self, me: Pid) {
-        enum Exit {
-            LastOut,
-            Hand(Arc<Token>),
-            Dead(usize),
-        }
-        let exit = {
-            let mut s = self.state.lock();
-            s.procs[me].done = true;
-            s.live -= 1;
-            if s.live == 0 {
-                Exit::LastOut
-            } else {
-                // Hand the token to the next event's owner, if any.
-                match s.pop_runnable() {
-                    Some(p) => {
-                        self.now_cache.store(s.now, Ordering::Release);
-                        Exit::Hand(s.procs[p].token.clone())
-                    }
-                    None => Exit::Dead(s.live),
+    /// Move the CPU between the fibers [`Sched::hand_over`] picked. Called
+    /// with the `Sched` guard dropped: every fiber runs on this one thread,
+    /// so a guard held into the switch would deadlock the next fiber's
+    /// first lock.
+    fn switch(&self, from: *const Fiber, to: *const Fiber) {
+        // SAFETY: `hand_over` checked that `from` is the running fiber, and
+        // picked `to` off the heap (or the runner), so it is suspended in a
+        // switch or launched and not yet started. Both slots live as long
+        // as `self`: the runner's is a field, and a process's is boxed in
+        // `procs`, which never shrinks. Stacks are freed only after
+        // `run_to_completion` returns, when every fiber has exited.
+        unsafe { fiber::switch(&*from, &*to) }
+    }
+
+    /// Called by the process wrapper as `me` exits, whether its body
+    /// returned, was killed or unwound from an abort. Returns the fiber to
+    /// hand the CPU to: the next event's owner, or the runner when the last
+    /// process exits or the run has aborted.
+    pub(crate) fn proc_exit(&self, me: Pid) -> *const Fiber {
+        let mut s = self.state.lock();
+        s.procs[me].done = true;
+        s.live -= 1;
+        let next = if s.live == 0 || self.aborted.load(Ordering::SeqCst) {
+            RUNNER
+        } else {
+            match s.pop_runnable() {
+                Some(p) => {
+                    self.now_cache.store(s.now, Ordering::Release);
+                    p
+                }
+                None => {
+                    let live = s.live;
+                    drop(s);
+                    self.mark_failed(format!(
+                        "deadlock: process `{}` exited with {} live processes \
+                         blocked and no scheduled events\n{}",
+                        self.proc_name(me),
+                        live,
+                        self.blocked_report()
+                    ));
+                    s = self.state.lock();
+                    RUNNER
                 }
             }
         };
-        match exit {
-            Exit::LastOut => self.main_token.set(),
-            Exit::Hand(token) => token.set(),
-            Exit::Dead(live) => self.abort(format!(
-                "deadlock: process `{}` exited with {} live processes \
-                 blocked and no scheduled events\n{}",
-                self.proc_name(me),
-                live,
-                self.blocked_report()
-            )),
-        }
+        s.hand_over(self, me, next).1
     }
 
-    /// Kick off the simulation: wake the owner of the earliest event, then
-    /// block until all processes have exited (or the simulation aborted).
+    /// Kick off the simulation: switch to the owner of the earliest event,
+    /// and return once every process has exited. After an abort, resume
+    /// each live process once, in pid order, so it unwinds (or, never
+    /// started, drops its body) and runs its destructors before the runner
+    /// frees its stack.
     pub(crate) fn run_to_completion(&self) {
+        self.runner.bind_runner();
         let first = {
             let mut s = self.state.lock();
             if s.live == 0 {
@@ -451,46 +470,37 @@ impl Kernel {
             match s.pop_runnable() {
                 Some(p) => {
                     self.now_cache.store(s.now, Ordering::Release);
-                    Some(s.procs[p].token.clone())
+                    Some(s.hand_over(self, RUNNER, p))
                 }
                 None => None,
             }
         };
         match first {
-            Some(token) => token.set(),
-            None => {
-                // Cannot happen through `Simulation::run` (it schedules a
-                // t=0 activation per process), but fail gracefully: this is
-                // the runner thread, so record the failure without
-                // unwinding through the caller.
-                self.mark_failed(
-                    "simulation started with live processes but no initial events".into(),
+            Some((from, to)) => self.switch(from, to),
+            // Cannot happen through `Simulation::run` (it schedules a t=0
+            // activation per process), but fail gracefully: this is the
+            // runner, so record the failure without unwinding the caller.
+            None => self
+                .mark_failed("simulation started with live processes but no initial events".into()),
+        }
+        for pid in 0..self.num_procs() {
+            let hand = {
+                let mut s = self.state.lock();
+                (!s.procs[pid].done).then(|| s.hand_over(self, RUNNER, pid))
+            };
+            if let Some((from, to)) = hand {
+                debug_assert!(
+                    self.aborted.load(Ordering::SeqCst),
+                    "live process after a clean run"
                 );
-                return;
+                self.switch(from, to);
             }
         }
-        self.main_token.wait();
-    }
-
-    /// Park a process thread until its activation token is set; used for
-    /// the initial t=0 activation of each process.
-    pub(crate) fn entry_wait(&self, pid: Pid) {
-        self.park(pid);
-    }
-
-    fn park(&self, me: Pid) {
-        let token = {
-            let s = self.state.lock();
-            s.procs[me].token.clone()
-        };
-        token.wait();
-        self.check_abort();
-        self.check_killed(me);
     }
 
     /// Mark `victim` for death. It unwinds with `ProcKill` the next time
     /// it is scheduled (a wake-up at the current virtual time is queued so
-    /// a parked victim dies "now" in virtual time); `Simulation::run`
+    /// a suspended victim dies "now" in virtual time); `Simulation::run`
     /// records it as killed rather than failed. Killing an already-exited
     /// process is a no-op. This is the primitive behind
     /// [`FaultPlan::kill`](crate::FaultPlan::kill), exposed for custom
@@ -512,30 +522,17 @@ impl Kernel {
     }
 
     /// Unwind the calling process if it has been killed.
-    fn check_killed(&self, me: Pid) {
+    pub(crate) fn check_killed(&self, me: Pid) {
         if self.state.lock().procs[me].killed {
             std::panic::panic_any(ProcKill);
         }
     }
 
-    /// Mark the simulation aborted, wake every thread so it can unwind, and
-    /// unwind the caller.
+    /// Record `reason`, mark the simulation aborted and unwind the caller.
+    /// The runner resumes every other live process once it gets the CPU
+    /// back, so each unwinds in turn.
     pub(crate) fn abort(&self, reason: String) -> ! {
-        {
-            let mut r = self.abort_reason.lock();
-            if r.is_none() {
-                *r = Some(reason);
-            }
-        }
-        self.aborted.store(true, Ordering::SeqCst);
-        let tokens: Vec<Arc<Token>> = {
-            let s = self.state.lock();
-            s.procs.iter().filter(|p| !p.done).map(|p| p.token.clone()).collect()
-        };
-        for t in tokens {
-            t.set();
-        }
-        self.main_token.set();
+        self.mark_failed(reason);
         std::panic::panic_any(SimAbort);
     }
 
@@ -549,6 +546,9 @@ impl Kernel {
         self.abort_reason.lock().clone()
     }
 
+    /// Record `reason` (the first one wins) and mark the simulation
+    /// aborted: every process unwinds with [`SimAbort`] at its next
+    /// scheduling point.
     pub(crate) fn mark_failed(&self, reason: String) {
         {
             let mut r = self.abort_reason.lock();
@@ -557,14 +557,6 @@ impl Kernel {
             }
         }
         self.aborted.store(true, Ordering::SeqCst);
-        let tokens: Vec<Arc<Token>> = {
-            let s = self.state.lock();
-            s.procs.iter().filter(|p| !p.done).map(|p| p.token.clone()).collect()
-        };
-        for t in tokens {
-            t.set();
-        }
-        self.main_token.set();
     }
 
     /// Remember `pid`'s most recent trace span. Called by

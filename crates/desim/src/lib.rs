@@ -5,15 +5,17 @@
 //! Strategy"* (Peng et al., ICPP 2017).
 //!
 //! Simulated processes are written as ordinary imperative Rust closures and
-//! run on dedicated OS threads, but the kernel executes **exactly one at a
-//! time** in virtual-time order (sequential DES with coroutine-style token
-//! passing). This gives:
+//! run as fibers — stackful coroutines, each on a stack of its own — on the
+//! thread that calls [`Simulation::run`]. The kernel executes **exactly one
+//! at a time** in virtual-time order, handing the CPU from one process to
+//! the next with a user-space stack switch (sequential DES). This gives:
 //!
 //! - **Determinism** — equal-time events fire in schedule order, every
 //!   process has a seed-derived RNG, so a run is a pure function of its
 //!   configuration. Scaling experiments are exactly reproducible.
-//! - **Scale** — thousands of simulated MPI ranks on a single host core;
-//!   virtual time is decoupled from wall time.
+//! - **Scale** — tens of thousands of simulated MPI ranks on a single host
+//!   core, with no OS thread per rank; virtual time is decoupled from wall
+//!   time.
 //! - **Real data** — processes exchange real values through simulated
 //!   communication, so the applications built on top are numerically
 //!   genuine; only *timing* is modelled.
@@ -56,9 +58,11 @@
 //! assert_eq!(out.end_time.as_nanos(), 15_000);
 //! ```
 
+#![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
+
 pub mod fault;
+mod fiber;
 pub mod kernel;
-mod raw_thread;
 pub mod resource;
 pub mod sim;
 pub mod sweep;

@@ -1,4 +1,9 @@
 //! Simulation construction and execution, plus the per-process [`Ctx`].
+//!
+//! [`Simulation::run`] launches every process as a fiber on the calling
+//! thread, lets the kernel switch between them until the last one exits,
+//! and frees their stacks itself. A process's panic is contained in its
+//! fiber and becomes the run's [`SimError`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -8,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::fault::{FaultKind, FaultPlan};
+use crate::fiber;
 use crate::kernel::{EventStats, Kernel, Pid, ProcKill, SimAbort};
-use crate::raw_thread;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Span, Trace, TraceSink};
 
@@ -20,8 +25,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Record tagged spans (see [`Ctx::trace_begin`]).
     pub trace: bool,
-    /// Stack size for process threads. Simulated ranks mostly keep data on
-    /// the heap, so the default is small to allow thousands of processes.
+    /// Stack size of each process's fiber (at least 64 KiB). Simulated
+    /// ranks mostly keep data on the heap, so the default is small to allow
+    /// thousands of processes; a stack is only backed by memory as far as
+    /// it is touched.
     pub stack_size: usize,
     /// Seeded failure schedule (see [`FaultPlan`]). The default empty plan
     /// injects nothing and costs nothing.
@@ -104,8 +111,14 @@ pub struct Simulation {
 
 impl Simulation {
     pub fn new(config: SimConfig) -> Self {
+        Simulation::with_fibers(config, fiber::Kind::HOST)
+    }
+
+    /// A simulation whose processes run as fibers of `kind`; tests use it
+    /// to run the thread fallback on hosts that have stack fibers.
+    pub(crate) fn with_fibers(config: SimConfig, kind: fiber::Kind) -> Self {
         let trace = TraceSink::new(config.trace);
-        Simulation { kernel: Kernel::new(), config, trace, pending: Vec::new() }
+        Simulation { kernel: Kernel::new(kind), config, trace, pending: Vec::new() }
     }
 
     /// Shared kernel handle (usable to pre-build primitives that need it).
@@ -179,81 +192,29 @@ impl Simulation {
         let lazy = config.lazy_time && !config.fault_plan.has_process_faults();
 
         // Every process gets its t=0 activation up front, in pid order: the
-        // heap's FIFO tie-break is what starts bodies in spawn order, so OS
-        // thread creation below need not be ordered — or even finished —
-        // before the simulation starts (an activation token set before its
-        // thread first waits stays set until consumed).
+        // heap's FIFO tie-break is what starts bodies in spawn order.
         for (pid, _, _) in &pending {
             kernel.schedule_at(SimTime::ZERO, *pid);
         }
-
-        // Large worlds create their threads from a small helper pool that
-        // overlaps with the running simulation; small worlds spawn inline.
-        // Worlds at raw-thread scale also switch spawn paths — see
-        // `raw_thread` for the VMA arithmetic that makes 16K+ ranks fit.
-        let raw = raw_thread::use_raw_threads(nprocs);
-        let spawners = spawner_threads(nprocs);
-        let mut handles = Vec::with_capacity(nprocs);
-        let spawner_handles = if spawners <= 1 {
-            for (pid, name, body) in pending {
-                handles.push(spawn_proc_thread(
-                    kernel.clone(),
-                    trace.clone(),
-                    stats.clone(),
-                    config.seed,
-                    nprocs,
-                    config.stack_size,
-                    lazy,
-                    raw,
-                    pid,
-                    name,
-                    body,
-                ));
-            }
-            Vec::new()
-        } else {
-            let chunk_len = nprocs.div_ceil(spawners);
-            let mut rest = pending;
-            let mut spawner_handles = Vec::with_capacity(spawners);
-            while !rest.is_empty() {
-                let tail = rest.split_off(rest.len().min(chunk_len));
-                let chunk = std::mem::replace(&mut rest, tail);
-                let kernel = kernel.clone();
-                let trace = trace.clone();
-                let stats = stats.clone();
-                let seed = config.seed;
-                let stack_size = config.stack_size;
-                spawner_handles.push(std::thread::spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|(pid, name, body)| {
-                            spawn_proc_thread(
-                                kernel.clone(),
-                                trace.clone(),
-                                stats.clone(),
-                                seed,
-                                nprocs,
-                                stack_size,
-                                lazy,
-                                raw,
-                                pid,
-                                name,
-                                body,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            spawner_handles
+        let env = ProcEnv {
+            kernel: kernel.clone(),
+            trace: trace.clone(),
+            stats: stats.clone(),
+            seed: config.seed,
+            nprocs,
+            lazy,
         };
-
+        let launched: Vec<fiber::Launched> = pending
+            .into_iter()
+            .map(|(pid, name, body)| {
+                kernel.launch(pid, config.stack_size, env.clone().process(pid, name, body))
+            })
+            .collect();
+        drop(env);
         kernel.run_to_completion();
-        for sh in spawner_handles {
-            handles.extend(sh.join().expect("spawner thread panicked"));
-        }
-        for h in handles {
-            h.join();
-        }
+        // Every process has exited: free the stacks on this, the runner's,
+        // stack.
+        drop(launched);
         if let Some(reason) = kernel.abort_reason() {
             return Err(SimError(reason));
         }
@@ -280,140 +241,84 @@ impl Simulation {
     }
 }
 
-/// How many helper threads to use for OS-thread creation. Inline spawning
-/// is fine for small worlds; thousand-rank worlds spend most of their
-/// startup in serial `thread::spawn` calls, so those get a pool bounded by
-/// the host's parallelism.
-fn spawner_threads(nprocs: usize) -> usize {
-    if nprocs < 256 {
-        return 1;
-    }
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    cores.min(8).min(nprocs.div_ceil(64)).max(1)
-}
-
-/// One simulated process's backing OS thread, on either spawn path.
-enum ProcHandle {
-    Std(std::thread::JoinHandle<()>),
-    Raw(raw_thread::RawJoinHandle),
-}
-
-impl ProcHandle {
-    fn join(self) {
-        match self {
-            // Std threads that unwound with SimAbort report Err; that is
-            // fine. Raw threads contain their panics internally.
-            ProcHandle::Std(h) => drop(h.join()),
-            ProcHandle::Raw(h) => h.join(),
-        }
-    }
-}
-
-/// Create the OS thread backing one simulated process. The thread parks on
-/// the process token until its t=0 activation (or a later hand-off) wakes
-/// it, so thread creation order is irrelevant to simulation order. `raw`
-/// selects the `pthread_create` path that halves per-thread VMA cost for
-/// huge worlds (see `raw_thread`); the process body is identical on both.
-#[allow(clippy::too_many_arguments)]
-fn spawn_proc_thread(
+/// What every process of one world shares.
+#[derive(Clone)]
+struct ProcEnv {
     kernel: Arc<Kernel>,
     trace: TraceSink,
     stats: Arc<Mutex<Vec<ProcStats>>>,
     seed: u64,
     nprocs: usize,
-    stack_size: usize,
     lazy: bool,
-    raw: bool,
-    pid: Pid,
-    name: String,
-    body: ProcBody,
-) -> ProcHandle {
-    let thread_name = format!("sim-{pid}-{name}");
-    let run = move || {
-        // Wait for our t=0 activation before touching anything.
-        let entry = catch_unwind(AssertUnwindSafe(|| {
-            kernel.entry_wait(pid);
-        }));
-        if let Err(payload) = entry {
-            if payload.downcast_ref::<ProcKill>().is_some() {
-                // Killed before the body ever ran.
-                {
-                    let mut st = stats.lock();
-                    st[pid] = ProcStats {
+}
+
+impl ProcEnv {
+    /// The fiber body of process `pid`: run `body` under `catch_unwind`,
+    /// record the outcome, and return the fiber to hand the CPU to. Panics
+    /// are contained here, so none reaches the fiber's entry frame.
+    fn process(self, pid: Pid, name: String, body: ProcBody) -> fiber::Body {
+        Box::new(move || {
+            let ProcEnv { kernel, trace, stats, seed, nprocs, lazy } = self;
+            // The first switch to us is our t=0 activation, unless the run
+            // aborted (or we were killed) before it.
+            let entry = catch_unwind(AssertUnwindSafe(|| {
+                kernel.check_abort();
+                kernel.check_killed(pid);
+            }));
+            if let Err(payload) = entry {
+                drop(body);
+                if payload.downcast_ref::<ProcKill>().is_some() {
+                    // Killed before the body ever ran.
+                    stats.lock()[pid] = ProcStats {
                         name,
                         busy: SimDuration::ZERO,
                         finished_at: kernel.now(),
                         killed: true,
                     };
                 }
-                kernel.proc_exit(pid);
+                return kernel.proc_exit(pid);
             }
-            return; // aborted (or killed) before start
-        }
-        let mut ctx = Ctx {
-            kernel: kernel.clone(),
-            pid,
-            nprocs,
-            rng: derive_rng(seed, pid),
-            trace,
-            busy: SimDuration::ZERO,
-            open_spans: Vec::new(),
-            lag: 0,
-            lazy,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-        match result {
-            Ok(()) => {
-                // `ctx.now()` includes any unreconciled lazy lead; fold
-                // it into the outcome's end time via the horizon.
-                let finished_at = ctx.now();
-                kernel.raise_horizon(finished_at.0);
-                {
-                    let mut st = stats.lock();
-                    st[pid] = ProcStats { name, busy: ctx.busy, finished_at, killed: false };
+            let mut ctx = Ctx {
+                kernel: kernel.clone(),
+                pid,
+                nprocs,
+                rng: derive_rng(seed, pid),
+                trace,
+                busy: SimDuration::ZERO,
+                open_spans: Vec::new(),
+                lag: 0,
+                lazy,
+            };
+            match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+                Ok(()) => {
+                    // `ctx.now()` includes any unreconciled lazy lead; fold
+                    // it into the outcome's end time via the horizon.
+                    let finished_at = ctx.now();
+                    kernel.raise_horizon(finished_at.0);
+                    stats.lock()[pid] =
+                        ProcStats { name, busy: ctx.busy, finished_at, killed: false };
                 }
-                // May unwind with SimAbort on deadlock; the quiet hook
-                // keeps that silent.
-                kernel.proc_exit(pid);
-            }
-            Err(payload) => {
-                if payload.downcast_ref::<ProcKill>().is_some() {
-                    // Removed by fault injection: a clean (if abrupt)
-                    // exit, not a failure.
-                    {
-                        let mut st = stats.lock();
-                        st[pid] = ProcStats {
+                Err(payload) => {
+                    if payload.downcast_ref::<ProcKill>().is_some() {
+                        // Removed by fault injection: a clean (if abrupt)
+                        // exit, not a failure.
+                        stats.lock()[pid] = ProcStats {
                             name,
                             busy: ctx.busy,
                             finished_at: kernel.now(),
                             killed: true,
                         };
+                    } else if payload.downcast_ref::<SimAbort>().is_none() {
+                        let msg = panic_message(payload.as_ref());
+                        kernel.mark_failed(format!("process {pid} `{name}` panicked: {msg}"));
                     }
-                    kernel.proc_exit(pid);
-                    return;
+                    // Otherwise a simulation-wide abort is in progress.
                 }
-                if payload.downcast_ref::<SimAbort>().is_some() {
-                    // Simulation-wide abort already in progress.
-                    return;
-                }
-                let msg = panic_message(payload.as_ref());
-                kernel.mark_failed(format!("process {pid} `{name}` panicked: {msg}"));
             }
-        }
-    };
-    if raw {
-        return ProcHandle::Raw(
-            raw_thread::spawn(stack_size, Box::new(run))
-                .expect("failed to spawn simulation thread"),
-        );
+            drop(ctx);
+            kernel.proc_exit(pid)
+        })
     }
-    ProcHandle::Std(
-        std::thread::Builder::new()
-            .name(thread_name)
-            .stack_size(stack_size)
-            .spawn(run)
-            .expect("failed to spawn simulation thread"),
-    )
 }
 
 fn derive_rng(seed: u64, pid: Pid) -> StdRng {

@@ -22,8 +22,9 @@ use parking_lot::Mutex;
 ///
 /// Reads `SWEEP_JOBS` (clamped to at least 1); when unset or unparsable,
 /// defaults to the host's available parallelism capped at 8 — sweeps are
-/// CPU-bound, and each simulation already multiplexes its ranks over
-/// dedicated OS threads, so oversubscribing buys nothing.
+/// CPU-bound, and each simulation runs all its ranks as fibers on one
+/// thread, so one worker per core keeps every core busy and more would
+/// only time-slice them.
 pub fn jobs() -> usize {
     match std::env::var("SWEEP_JOBS") {
         Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),

@@ -223,7 +223,7 @@ fn barrier_synchronises_thousand_processes() {
 }
 
 /// The big one: the Fig. 5-8 experiments need 8,192 simulated ranks. Verify
-/// the engine can host that many coroutine threads and push a meaningful
+/// the engine can host that many fibers and push a meaningful
 /// number of events through them.
 #[test]
 fn scales_to_8192_processes() {

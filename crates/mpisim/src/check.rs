@@ -29,7 +29,7 @@
 //!   `Rank::check_credit_issued` hooks.
 
 #[cfg(feature = "check")]
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 #[cfg(feature = "check")]
 use std::sync::Arc;
 
@@ -159,14 +159,14 @@ struct SanInner {
     clocks: Vec<Vec<u64>>,
     reports: Vec<SanReport>,
     /// Deduplication of race reports per (receiver, tag, src pair).
-    seen_races: HashSet<(usize, u64, usize, usize)>,
-    channels: HashMap<u16, ChanMeta>,
+    seen_races: BTreeSet<(usize, u64, usize, usize)>,
+    channels: BTreeMap<u16, ChanMeta>,
     /// Elements in flight (sent, not yet credited) per
     /// `(channel, producer rank, consumer rank)`.
-    inflight: HashMap<(u16, usize, usize), u64>,
+    inflight: BTreeMap<(u16, usize, usize), u64>,
     /// Overruns already reported, so a sustained violation yields one
     /// report per (channel, producer, consumer) rather than one per send.
-    seen_overruns: HashSet<(u16, usize, usize)>,
+    seen_overruns: BTreeSet<(u16, usize, usize)>,
 }
 
 /// Shared state of one run's dynamic pass. Created by
@@ -189,10 +189,10 @@ impl Sanitizer {
             inner: Mutex::new(SanInner {
                 clocks: vec![vec![0; nprocs]; nprocs],
                 reports: Vec::new(),
-                seen_races: HashSet::new(),
-                channels: HashMap::new(),
-                inflight: HashMap::new(),
-                seen_overruns: HashSet::new(),
+                seen_races: BTreeSet::new(),
+                channels: BTreeMap::new(),
+                inflight: BTreeMap::new(),
+                seen_overruns: BTreeSet::new(),
             }),
         }
     }

@@ -30,6 +30,8 @@
 //! assert!(out.elapsed_secs() > 0.0);
 //! ```
 
+#![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
+
 pub mod check;
 pub mod coll;
 pub mod comm;

@@ -65,7 +65,9 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+#[allow(clippy::disallowed_types)] // lookup-only maps: see `MailboxInner`
+use std::collections::HashMap;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use desim::{Ctx, Pid, SimTime};
 use parking_lot::Mutex;
@@ -211,10 +213,13 @@ enum Found {
     Missing,
 }
 
+// The four hash maps are looked up by key on every message and never
+// iterated, except `envs` by `drain_meta`, which sorts by seq before
+// anything observable happens: their order cannot leak.
+#[allow(clippy::disallowed_types)]
 #[derive(Default)]
 struct MailboxInner {
-    /// Live envelopes by arrival seq. Membership lookups only — every
-    /// iteration sorts by seq before anything observable happens.
+    /// Live envelopes by arrival seq.
     envs: HashMap<u64, Envelope>,
     next_seq: u64,
     by_tag: HashMap<Tag, TagIndex>,
@@ -278,6 +283,7 @@ impl MailboxInner {
 
     /// Move every landed `pending` entry of `ti` into `ready`, dropping
     /// tombstones on the way. One-way because virtual time is monotone.
+    #[allow(clippy::disallowed_types)] // `envs` is only looked up here
     fn promote(envs: &HashMap<u64, Envelope>, ti: &mut TagIndex, now: SimTime) {
         while let Some(&Reverse((at, seq))) = ti.pending.peek() {
             if !envs.contains_key(&seq) {

@@ -1,7 +1,7 @@
 //! The per-process MPI-flavoured handle: point-to-point messaging, modelled
 //! compute, communicator management.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ pub struct Rank<'c> {
     pub(crate) shared: Arc<Shared>,
     rank: usize,
     /// Per-communicator sequence numbers for collectives/splits.
-    pub(crate) coll_seq: HashMap<u16, u32>,
+    pub(crate) coll_seq: BTreeMap<u16, u32>,
 }
 
 /// Completion handle for a non-blocking send. The payload is already in
@@ -36,7 +36,7 @@ pub struct SendReq {
 
 impl<'c> Rank<'c> {
     pub(crate) fn new(ctx: &'c mut Ctx, shared: Arc<Shared>, rank: usize) -> Self {
-        Rank { ctx, shared, rank, coll_seq: HashMap::new() }
+        Rank { ctx, shared, rank, coll_seq: BTreeMap::new() }
     }
 
     /// This process's world rank.
@@ -400,7 +400,7 @@ impl<'c> Rank<'c> {
                 entries.sort_by_key(|&(c, k, w)| (c, k, w));
                 (entries, st.last_arrival)
             };
-            let mut result: HashMap<usize, Option<Comm>> = HashMap::new();
+            let mut result: BTreeMap<usize, Option<Comm>> = BTreeMap::new();
             let mut i = 0;
             while i < groups.len() {
                 let color = groups[i].0;

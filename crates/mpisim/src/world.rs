@@ -1,6 +1,6 @@
 //! World construction: spawn `P` simulated ranks and run them.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ pub(crate) struct Shared {
     pub comms: Mutex<Vec<Comm>>,
     /// Rendezvous state for `Rank::split` operations, keyed by
     /// `(parent_comm_id, seq)`.
-    pub splits: Mutex<HashMap<(u16, u32), SplitState>>,
+    pub splits: Mutex<BTreeMap<(u16, u32), SplitState>>,
     pub msgs_sent: AtomicU64,
     pub bytes_sent: AtomicU64,
     pub per_rank_msgs: Vec<AtomicU64>,
@@ -40,7 +40,8 @@ pub(crate) struct Shared {
     /// plan has link faults. The floor keeps per-link delivery availability
     /// monotone even when a fault window's extra delay ends mid-stream, so
     /// the surviving messages still obey non-overtaking.
-    pub link_state: Mutex<HashMap<(usize, usize), (u64, SimTime)>>,
+    #[allow(clippy::disallowed_types)] // looked up per message, never iterated
+    pub link_state: Mutex<std::collections::HashMap<(usize, usize), (u64, SimTime)>>,
     /// Messages lost to link faults.
     pub msgs_dropped: AtomicU64,
     /// The happens-before sanitizer, when this run checks (see
@@ -57,7 +58,7 @@ pub(crate) struct SplitState {
     /// Latest arrival time, for the synchronization release.
     pub last_arrival: desim::SimTime,
     /// Result: world_rank -> comm (None color yields no comm).
-    pub result: Option<HashMap<usize, Option<Comm>>>,
+    pub result: Option<BTreeMap<usize, Option<Comm>>>,
     /// How many members have picked their result up (for GC).
     pub picked: usize,
 }
@@ -181,13 +182,13 @@ impl World {
                 .map(|_| Mutex::new(NicState { tx: LinkClock::new(), rx: LinkClock::new() }))
                 .collect(),
             comms: Mutex::new(Vec::new()),
-            splits: Mutex::new(HashMap::new()),
+            splits: Mutex::new(BTreeMap::new()),
             msgs_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             per_rank_msgs: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
             channel_ids: AtomicU64::new(0),
             fault: self.fault_plan.clone(),
-            link_state: Mutex::new(HashMap::new()),
+            link_state: Mutex::default(),
             msgs_dropped: AtomicU64::new(0),
             #[cfg(feature = "check")]
             sanitizer,
