@@ -23,6 +23,9 @@ stage() {
 
 stage "lint (clippy, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# One build of every crate: a switch is a runtime option or a cfg, never a
+# cargo feature that some dependency edge turns on (DESIGN.md §14).
+if grep -n '^\[features\]' crates/*/Cargo.toml; then echo "no cargo features"; exit 1; fi
 
 stage "docs (rustdoc, warnings are errors)"
 # Broken or ambiguous intra-doc links are how a deleted or renamed public
@@ -39,18 +42,13 @@ cargo build --release --offline
 # directly (src/probes.rs), so a signature drift in the crates breaks its
 # build: find that here, compile only, not at the benchmark smoke near
 # the end. run.sh builds into the same directory, so the smoke reuses
-# this build.
-CARGO_TARGET_DIR=benchmark/target cargo build --release --offline \
+# this build. --locked: benchmark/Cargo.lock is frozen with it, so a
+# manifest edit that would rewrite the lock fails here.
+CARGO_TARGET_DIR=benchmark/target cargo build --release --offline --locked \
     --manifest-path benchmark/Cargo.toml
 
 stage "test suite"
 cargo test -q --offline
-
-stage "simulator tests, as the fig binaries build it (no mpisim/check)"
-# The root run above turns `mpisim/check` on through dev-dependencies, so
-# the simulator's own tests never see the configuration that the fig
-# binaries and benchmark/ build. Selecting the two crates alone does.
-cargo test -q --offline -p desim -p mpisim
 
 stage "chaos smoke (25 seeds, fixed range, parallel sweep)"
 # A deterministic subset of the default 250-seed sweep; the fixed range

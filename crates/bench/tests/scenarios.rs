@@ -7,6 +7,10 @@
 //! the stream protocol or the scenario, never noise. On `NativeWorld` each
 //! scenario runs once and is checked by its own asserts: drained sums,
 //! stream conservation, exactly one tree root.
+//!
+//! `fig5` pins the world `benchmark/`'s `sim_fig5` workload runs (the
+//! published 32-rank point of Fig. 5) to the figures of
+//! `benchmark/golden.json`, so a simulator drift fails `cargo test`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,4 +110,14 @@ fn coll_on_native() {
         sc::coll_rank(rank, 50);
         0
     });
+}
+
+#[test]
+fn fig5() {
+    let cfg = bench_harness::configs::fig5(32, 16);
+    let r = apps::mapreduce::run_decoupled(32, &cfg);
+    assert_eq!(r.outcome.sim.events.fired, 19_401);
+    assert_eq!(r.outcome.msgs_sent, 13_043);
+    assert_eq!(r.outcome.sim.end_time.as_nanos(), 4_616_242_081);
+    assert!(r.histogram == workloads::Corpus::new(cfg.corpus.clone()).serial_histogram());
 }

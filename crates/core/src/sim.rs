@@ -139,7 +139,6 @@ impl<'c> Transport for Rank<'c> {
 
     /// The sanitizer events go to the simulator's checker; the profiling
     /// ones are for a wrapper such as `streamprof::Profiled`.
-    #[cfg(feature = "check")]
     fn observe(&mut self, ev: crate::transport::Event) {
         use crate::transport::Event;
         match ev {

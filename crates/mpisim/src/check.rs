@@ -1,12 +1,10 @@
 //! The happens-before sanitizer — the dynamic pass of `streamcheck`.
 //!
 //! A vector-clock race detector layered into the simulator's send/receive
-//! paths. The report types in this module are always compiled (so outcomes
-//! can carry them unconditionally), but the instrumentation call sites in
-//! [`crate::Rank`] and [`crate::World`] only exist under the `check`
-//! feature, and even then only run when a run opts in with
-//! [`crate::World::with_check`] — the fault-free, check-free hot path pays
-//! nothing.
+//! paths. It is always compiled and runs only when a run opts in with
+//! [`crate::World::with_check`]. A run that does not opt in carries a
+//! `None` sanitizer: each send, receive and stream event pays one test of
+//! it, and the sanitizer schedules no event and changes no simulated time.
 //!
 //! What it detects:
 //!
@@ -28,12 +26,9 @@
 //!   sends and credit grants through the `Rank::check_data_sent` /
 //!   `Rank::check_credit_issued` hooks.
 
-#[cfg(feature = "check")]
 use std::collections::{BTreeMap, BTreeSet};
-#[cfg(feature = "check")]
 use std::sync::Arc;
 
-#[cfg(feature = "check")]
 use parking_lot::Mutex;
 
 use crate::msg::Tag;
@@ -145,14 +140,12 @@ impl std::fmt::Display for SanReport {
 }
 
 /// Stream-channel metadata registered by the stream library's `check` hooks.
-#[cfg(feature = "check")]
 #[derive(Clone, Copy)]
 struct ChanMeta {
     window: Option<u64>,
     credit_tag: Tag,
 }
 
-#[cfg(feature = "check")]
 struct SanInner {
     /// `clocks[r]` is rank `r`'s vector clock; ticked on send, joined and
     /// ticked on receive.
@@ -171,18 +164,15 @@ struct SanInner {
 
 /// Shared state of one run's dynamic pass. Created by
 /// [`crate::World::with_check`]; every instrumented call site funnels here.
-#[cfg(feature = "check")]
 pub(crate) struct Sanitizer {
     inner: Mutex<SanInner>,
 }
 
 /// `a` happens-before-or-equals `b` under vector-clock order.
-#[cfg(feature = "check")]
 fn le(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
-#[cfg(feature = "check")]
 impl Sanitizer {
     pub fn new(nprocs: usize) -> Sanitizer {
         Sanitizer {
@@ -329,7 +319,7 @@ impl Sanitizer {
     }
 }
 
-#[cfg(all(test, feature = "check"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -175,7 +175,6 @@ pub(crate) struct Envelope {
     pub payload: Box<dyn Any + Send>,
     /// Sender's vector clock at send time, stamped by the happens-before
     /// sanitizer (`None` when the run does not check).
-    #[cfg(feature = "check")]
     pub clock: Option<std::sync::Arc<Vec<u64>>>,
 }
 
@@ -591,7 +590,6 @@ impl Mailbox {
     /// matching `tag` — the rival candidates a wildcard receive could
     /// equally have matched. Used by the happens-before sanitizer right
     /// after an `Src::Any` match.
-    #[cfg(feature = "check")]
     pub fn available_rivals(
         &self,
         now: SimTime,
@@ -616,7 +614,6 @@ impl Mailbox {
     /// Drain the queue, returning `(src, tag, bytes, available_at)` of
     /// every parked envelope in arrival order — the sanitizer's orphan
     /// scan at finalize.
-    #[cfg(feature = "check")]
     pub fn drain_meta(&self) -> Vec<(usize, Tag, u64, SimTime)> {
         let mut inner = self.inner.lock();
         let mut metas: Vec<(u64, (usize, Tag, u64, SimTime))> = inner
@@ -656,15 +653,7 @@ mod tests {
     use super::*;
 
     fn mk(src: usize, tag: Tag, bytes: u64, at: u64) -> Envelope {
-        Envelope {
-            src,
-            tag,
-            bytes,
-            available_at: SimTime(at),
-            payload: Box::new(src),
-            #[cfg(feature = "check")]
-            clock: None,
-        }
+        Envelope { src, tag, bytes, available_at: SimTime(at), payload: Box::new(src), clock: None }
     }
 
     #[test]
@@ -940,7 +929,6 @@ mod tests {
                             bytes: id, // bytes double as the identity check
                             available_at: SimTime(at),
                             payload: Box::new(id),
-                            #[cfg(feature = "check")]
                             clock: None,
                         });
                         naive.queue.push_back(naive::Env {

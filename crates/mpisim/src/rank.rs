@@ -162,7 +162,6 @@ impl<'c> Rank<'c> {
         // Happens-before sanitizer: tick this rank's clock and stamp the
         // message. Ticked even if a link fault later drops the message —
         // the send event happened.
-        #[cfg(feature = "check")]
         let clock = self.shared.sanitizer.as_ref().map(|s| s.on_send(self.rank));
 
         // Link-fault layer. Only engaged when the plan has link faults, so
@@ -193,15 +192,7 @@ impl<'c> Rank<'c> {
 
         self.shared.mailboxes[dst].push(
             self.ctx,
-            Envelope {
-                src: self.rank,
-                tag,
-                bytes,
-                available_at,
-                payload: Box::new(value),
-                #[cfg(feature = "check")]
-                clock,
-            },
+            Envelope { src: self.rank, tag, bytes, available_at, payload: Box::new(value), clock },
         );
         SendReq { inject_done }
     }
@@ -236,7 +227,6 @@ impl<'c> Rank<'c> {
     /// (a genuine program error, like a datatype mismatch in MPI).
     pub fn recv<T: Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
         let env = self.shared.mailboxes[self.rank].take(self.ctx, src, tag);
-        #[cfg(feature = "check")]
         self.check_wildcard(src, &env);
         self.unpack(env)
     }
@@ -244,7 +234,6 @@ impl<'c> Rank<'c> {
     /// Non-blocking matched receive: take a message only if available now.
     pub fn try_recv<T: Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
         let env = self.shared.mailboxes[self.rank].try_take(self.ctx.now(), src, tag)?;
-        #[cfg(feature = "check")]
         self.check_wildcard(src, &env);
         Some(self.unpack(env))
     }
@@ -262,7 +251,6 @@ impl<'c> Rank<'c> {
         deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
         let env = self.shared.mailboxes[self.rank].take_deadline(self.ctx, src, tag, deadline)?;
-        #[cfg(feature = "check")]
         self.check_wildcard(src, &env);
         Some(self.unpack(env))
     }
@@ -283,12 +271,11 @@ impl<'c> Rank<'c> {
     /// concurrent rival candidates still in the mailbox. Internal traffic
     /// (collectives, streams) multiplexes over `Src::Any` by design and is
     /// excluded — FCFS nondeterminism there is the mechanism, not a bug.
-    #[cfg(feature = "check")]
     fn check_wildcard(&mut self, src: Src, env: &Envelope) {
+        let Some(san) = self.shared.sanitizer.as_ref() else { return };
         if !matches!(src, Src::Any) || env.tag.0 >> 63 != 0 {
             return;
         }
-        let Some(san) = self.shared.sanitizer.as_ref() else { return };
         let now = self.ctx.now();
         let rivals = self.shared.mailboxes[self.rank].available_rivals(now, env.tag, env.src);
         if !rivals.is_empty() {
@@ -299,7 +286,6 @@ impl<'c> Rank<'c> {
     /// Sanitizer hook: register a stream channel's flow-control parameters
     /// (window in elements, credit tag). Called by the stream library at
     /// channel creation; no-op when the run does not check.
-    #[cfg(feature = "check")]
     pub fn check_register_channel(&mut self, id: u16, window: Option<u64>, credit_tag: Tag) {
         if let Some(san) = self.shared.sanitizer.as_ref() {
             san.register_channel(id, window, credit_tag);
@@ -308,7 +294,6 @@ impl<'c> Rank<'c> {
 
     /// Sanitizer hook: this rank put `elems` stream elements in flight to
     /// world rank `consumer` on channel `id`.
-    #[cfg(feature = "check")]
     pub fn check_data_sent(&mut self, id: u16, consumer: usize, elems: u64) {
         if let Some(san) = self.shared.sanitizer.as_ref() {
             san.data_sent(id, self.rank, consumer, elems, self.ctx.now().0);
@@ -317,7 +302,6 @@ impl<'c> Rank<'c> {
 
     /// Sanitizer hook: this rank granted `elems` credits back to world rank
     /// `producer` on channel `id`.
-    #[cfg(feature = "check")]
     pub fn check_credit_issued(&mut self, id: u16, producer: usize, elems: u64) {
         if let Some(san) = self.shared.sanitizer.as_ref() {
             san.credit_issued(id, self.rank, producer, elems);
@@ -328,7 +312,6 @@ impl<'c> Rank<'c> {
         // Receiver-side CPU overhead per matched message.
         let o = self.shared.config.recv_overhead;
         self.ctx.advance(o);
-        #[cfg(feature = "check")]
         if let Some(san) = self.shared.sanitizer.as_ref() {
             san.on_recv(self.rank, env.clock.as_ref());
         }

@@ -46,7 +46,6 @@ pub(crate) struct Shared {
     pub msgs_dropped: AtomicU64,
     /// The happens-before sanitizer, when this run checks (see
     /// [`World::with_check`] and the [`crate::check`] module).
-    #[cfg(feature = "check")]
     pub sanitizer: Option<Arc<crate::check::Sanitizer>>,
 }
 
@@ -90,9 +89,9 @@ pub struct WorldOutcome {
     pub per_rank_msgs: Vec<u64>,
     /// Messages lost to injected link faults (0 on fault-free runs).
     pub msgs_dropped: u64,
-    /// Findings of the happens-before sanitizer. Always present; empty
-    /// unless the run opted in with [`World::with_check`] (which needs the
-    /// `check` feature) and something was actually wrong.
+    /// Findings of the happens-before sanitizer: empty unless the run
+    /// opted in with [`World::with_check`] and something was actually
+    /// wrong.
     pub san_reports: Vec<crate::check::SanReport>,
 }
 
@@ -152,13 +151,10 @@ impl World {
     /// Enable the happens-before sanitizer for this run: wildcard-receive
     /// race detection, an orphan-message scan at finalize, and stream
     /// credit-window auditing. Findings land in
-    /// [`WorldOutcome::san_reports`] and enrich deadlock reports. Requires
-    /// mpisim's `check` feature; without it this panics rather than
-    /// silently not checking.
+    /// [`WorldOutcome::san_reports`] and enrich deadlock reports. The
+    /// sanitizer only observes: the run's events, messages and simulated
+    /// times are those of the same run without it.
     pub fn with_check(mut self) -> Self {
-        if cfg!(not(feature = "check")) {
-            panic!("World::with_check requires mpisim to be built with the `check` feature");
-        }
         self.check = true;
         self
     }
@@ -171,7 +167,6 @@ impl World {
         F: Fn(&mut Rank) + Send + Sync + 'static,
     {
         assert!(nprocs > 0, "world needs at least one rank");
-        #[cfg(feature = "check")]
         let sanitizer =
             if self.check { Some(Arc::new(crate::check::Sanitizer::new(nprocs))) } else { None };
         let shared = Arc::new(Shared {
@@ -190,7 +185,6 @@ impl World {
             fault: self.fault_plan.clone(),
             link_state: Mutex::default(),
             msgs_dropped: AtomicU64::new(0),
-            #[cfg(feature = "check")]
             sanitizer,
         });
         // Communicator 0 is the world.
@@ -210,7 +204,6 @@ impl World {
         });
         // Deadlock reports include the sanitizer's credit-state table, so a
         // credit-exhaustion hang is diagnosable from the error alone.
-        #[cfg(feature = "check")]
         if let Some(san) = shared.sanitizer.clone() {
             sim.kernel().add_diagnostics(Arc::new(move || san.deadlock_diag()));
         }
@@ -227,7 +220,6 @@ impl World {
         // Orphan scan: anything still parked in a mailbox was never matched
         // by a receive. On faulty runs orphans addressed to (or sent by)
         // killed ranks are expected; callers filter by their fault plan.
-        #[cfg(feature = "check")]
         if let Some(san) = shared.sanitizer.as_ref() {
             for (dst, mb) in shared.mailboxes.iter().enumerate() {
                 for (src, tag, bytes, at) in mb.drain_meta() {
@@ -235,10 +227,7 @@ impl World {
                 }
             }
         }
-        #[cfg(feature = "check")]
         let san_reports = shared.sanitizer.as_ref().map(|s| s.reports()).unwrap_or_default();
-        #[cfg(not(feature = "check"))]
-        let san_reports = Vec::new();
         Ok(WorldOutcome {
             sim: sim_outcome,
             msgs_sent: shared.msgs_sent.load(Ordering::Relaxed),

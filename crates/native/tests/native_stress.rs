@@ -376,7 +376,7 @@ impl CreditLedger {
 
 /// A [`Transport`] wrapper that forwards everything to the wrapped
 /// [`NativeRank`] and routes the sanitizer events into a [`CreditLedger`]
-/// — the native analogue of the simulator's `check` feature.
+/// — the native analogue of the simulator's `World::with_check`.
 struct Audited<'a> {
     inner: &'a mut NativeRank,
     ledger: Arc<CreditLedger>,

@@ -12,8 +12,8 @@
 //!   [`GroupDecl`], [`ChannelDecl`]) and run [`check`], which produces a
 //!   [`Report`] of findings `SC001`–`SC005` and, when the dataflow graph
 //!   is acyclic and error-free, certifies the pipeline deadlock-free.
-//! * **Dynamic** — build `mpisim`/`mpistream` with the `check` feature and
-//!   opt in with `World::with_check()`: a vector-clock happens-before
+//! * **Dynamic** — opt a simulated run in with `World::with_check()`
+//!   (no rebuild; the sanitizer is always compiled): a vector-clock happens-before
 //!   sanitizer flags wildcard-receive races (`SC101`), orphan messages at
 //!   finalize (`SC102`) and credit-protocol violations (`SC103`), and its
 //!   credit table is appended to `desim` deadlock reports.

@@ -1,11 +1,13 @@
-//! Dynamic-pass coverage: the happens-before sanitizer (mpisim built with
-//! the `check` feature, opted in via `World::with_check()`) catches a
-//! constructed wildcard race, stays silent when the candidates are causally
-//! ordered, reports orphaned messages at finalize, reports nothing on a
-//! clean stream pipeline, and annotates credit-exhaustion deadlock reports
-//! with its credit-state table.
+//! Dynamic-pass coverage: the happens-before sanitizer (always compiled,
+//! opted in per run via `World::with_check()`) catches a constructed
+//! wildcard race, stays silent when the candidates are causally ordered,
+//! reports orphaned messages at finalize, reports nothing on a clean stream
+//! pipeline, and annotates credit-exhaustion deadlock reports with its
+//! credit-state table. Off means off (a run without `with_check` reports
+//! nothing), and on only observes (the checked run's events, messages and
+//! end time equal the unchecked run's).
 
-use mpisim::{MachineConfig, SanReport, Src, Tag, World};
+use mpisim::{MachineConfig, Rank, SanReport, Src, Tag, World};
 use mpistream::{ChannelConfig, GroupSpec, Role, Stream, StreamChannel};
 
 const TAG: Tag = Tag::user(7);
@@ -16,17 +18,24 @@ const BATON: Tag = Tag::user(8);
 /// `Src::Any`. The two candidates are causally unordered: whichever the
 /// wildcard picks, the outcome depends on timing — the race SC101 exists
 /// precisely because a rerun with different noise could deliver the other.
+/// The same program run without `with_check` reports nothing.
 #[test]
 fn wildcard_race_is_detected() {
-    let world = World::new(MachineConfig::default()).with_seed(3).with_check();
-    let outcome = world.run_expect(3, |rank| match rank.world_rank() {
-        0 => {
-            rank.compute(1.0); // let both rivals land in the mailbox
-            let _: (u32, _) = rank.recv(Src::Any, TAG);
-            let _: (u32, _) = rank.recv(Src::Any, TAG);
+    fn racy(rank: &mut Rank) {
+        match rank.world_rank() {
+            0 => {
+                rank.compute(1.0); // let both rivals land in the mailbox
+                let _: (u32, _) = rank.recv(Src::Any, TAG);
+                let _: (u32, _) = rank.recv(Src::Any, TAG);
+            }
+            me => rank.send(0, TAG, 64, me as u32),
         }
-        me => rank.send(0, TAG, 64, me as u32),
-    });
+    }
+    let unchecked = World::new(MachineConfig::default()).with_seed(3).run_expect(3, racy);
+    assert!(unchecked.san_reports.is_empty(), "unchecked: {:?}", unchecked.san_reports);
+
+    let world = World::new(MachineConfig::default()).with_seed(3).with_check();
+    let outcome = world.run_expect(3, racy);
     let races: Vec<&SanReport> = outcome
         .san_reports
         .iter()
@@ -88,11 +97,11 @@ fn orphan_message_is_reported_at_finalize() {
 
 /// A healthy credit-windowed stream pipeline produces zero sanitizer
 /// reports: internal wildcard receives, credit traffic and termination are
-/// all recognised as protocol, not defects.
+/// all recognised as protocol, not defects. The checked run and the
+/// unchecked run of the same pipeline are the same simulation.
 #[test]
 fn clean_stream_pipeline_has_zero_reports() {
-    let world = World::new(MachineConfig::default()).with_seed(9).with_check();
-    let outcome = world.run_expect(6, |rank| {
+    fn pipeline(rank: &mut Rank) {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: 3 };
         let role = spec.role_of(rank.world_rank());
@@ -115,12 +124,22 @@ fn clean_stream_pipeline_has_zero_reports() {
             }
             Role::Bystander => unreachable!(),
         }
-    });
-    assert!(
-        outcome.san_reports.is_empty(),
-        "clean pipeline misreported: {:?}",
-        outcome.san_reports
-    );
+    }
+    let world = World::new(MachineConfig::default()).with_seed(9);
+    let unchecked = world.run_expect(6, pipeline);
+    let checked = world.with_check().run_expect(6, pipeline);
+    for outcome in [&unchecked, &checked] {
+        assert!(
+            outcome.san_reports.is_empty(),
+            "clean pipeline misreported: {:?}",
+            outcome.san_reports
+        );
+    }
+    assert_eq!(checked.sim.end_time, unchecked.sim.end_time);
+    assert_eq!(checked.sim.events, unchecked.sim.events);
+    assert_eq!(checked.msgs_sent, unchecked.msgs_sent);
+    assert_eq!(checked.bytes_sent, unchecked.bytes_sent);
+    assert_eq!(checked.per_rank_msgs, unchecked.per_rank_msgs);
 }
 
 /// A producer that exhausts its credit window against a consumer that never
