@@ -118,7 +118,9 @@ timeout 180 cargo test -q --release --offline -p integration \
 
 stage "examples over apps, and drift gates on the committed sim results"
 # quickstart is Listing 1 as every backend runs it (apps::portable);
-# alpha_tuning sweeps and fits the same program (about 1 s in release).
+# alpha_tuning sweeps and fits the same program (about 1 s in release);
+# the other four examples run the figure apps and the static lint (under
+# half a second each in release).
 # A simulated run is deterministic, so every committed simulator result
 # that regenerates in seconds is regenerated into target/ci_results and
 # compared byte for byte: the ablations and fig3 whole, fig5-8 up to 64
@@ -128,6 +130,9 @@ stage "examples over apps, and drift gates on the committed sim results"
 # range (EXPERIMENTS.md).
 timeout 120 cargo run --release --offline -q -p integration --example quickstart > /dev/null
 timeout 120 cargo run --release --offline -q -p integration --example alpha_tuning > /dev/null
+for example in cg_solver mapreduce_wordcount particle_pipeline streamcheck_fig5; do
+    timeout 120 cargo run --release --offline -q -p integration --example "$example" > /dev/null
+done
 for bin in ablation fig3; do
     RESULTS_DIR=target/ci_results timeout 300 \
         cargo run --release --offline -q -p bench-harness --bin "$bin" > /dev/null

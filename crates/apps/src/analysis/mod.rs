@@ -9,11 +9,8 @@
 //! [`listing1`]; this module runs it, and the reference, in simulated
 //! worlds.
 
-use std::sync::Arc;
-
-use mpisim::{MachineConfig, Rank, World, WorldOutcome};
+use mpisim::{MachineConfig, World, WorldOutcome};
 use mpistream::{run_decoupled, ChannelConfig, GroupSpec, Transport};
-use parking_lot::Mutex;
 
 use crate::portable::{listing1, workload, workload_updates, Listing1Shape, WorkloadUpdate};
 
@@ -66,6 +63,11 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
+    /// The simulated world every run of this case study launches.
+    fn world(&self) -> World {
+        World::new(self.machine.clone()).with_seed(self.seed)
+    }
+
     /// This case study as a [`listing1`] run over `element_bytes`
     /// elements. With `analysis_cost`, a consumer's total analysis work
     /// matches one producer's compute work, which gives Eq. 4 a modelled
@@ -99,7 +101,7 @@ pub fn oracle(compute_ranks: usize, steps: usize) -> WorkloadDigest {
 /// medians do not decompose, which is exactly why this pattern hurts).
 pub fn run_reference(nprocs: usize, cfg: &AnalysisConfig) -> AnalysisResult {
     let cfg2 = cfg.clone();
-    let (outcome, digests) = run_world(nprocs, cfg, move |rank| {
+    let (outcome, digests) = cfg.world().run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let mut all: Vec<u64> = Vec::new();
@@ -116,33 +118,15 @@ pub fn run_reference(nprocs: usize, cfg: &AnalysisConfig) -> AnalysisResult {
         }
         (me == 0).then(|| min_max_median(&mut all))
     });
-    let digest = digests.into_iter().flatten().next().expect("rank 0 assembles the digest");
+    let digest = digests.into_iter().next().flatten().expect("rank 0 assembles the digest");
     AnalysisResult { outcome, digest }
-}
-
-/// Run `body` on every rank of one simulated world of this case study;
-/// returns the outcome and every rank's result, in no particular order.
-fn run_world<R: Send + 'static>(
-    nprocs: usize,
-    cfg: &AnalysisConfig,
-    body: impl Fn(&mut Rank) -> R + Send + Sync + 'static,
-) -> (WorldOutcome, Vec<R>) {
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
-    let results = Arc::new(Mutex::new(Vec::new()));
-    let sink = results.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
-        let result = body(rank);
-        sink.lock().push(result);
-    });
-    let results = std::mem::take(&mut *results.lock());
-    (outcome, results)
 }
 
 /// Decoupled implementation: [`listing1`], with the digest taken over
 /// every analysis rank's samples once the world has joined.
 pub fn run_decoupled_analysis(nprocs: usize, cfg: &AnalysisConfig) -> AnalysisResult {
     let shape = cfg.listing1(1 << 10, false);
-    let (outcome, reports) = run_world(nprocs, cfg, move |rank| listing1(rank, &shape));
+    let (outcome, reports) = cfg.world().run_expect(nprocs, move |rank| listing1(rank, &shape));
     let mut all: Vec<u64> = reports.into_iter().flat_map(|r| r.received).collect();
     AnalysisResult { outcome, digest: min_max_median(&mut all) }
 }
@@ -161,7 +145,7 @@ pub fn run_profiled_analysis(
     let sink = streamprof::ProfSink::new(streamprof::Clock::Virtual);
     let s2 = sink.clone();
     let shape = cfg.listing1(element_bytes, true);
-    let (outcome, _) = run_world(nprocs, cfg, move |rank| {
+    let (outcome, _) = cfg.world().run_expect(nprocs, move |rank| {
         listing1(&mut streamprof::Profiled::new(rank, s2.clone()), &shape)
     });
     (outcome.elapsed_secs(), sink.take())
@@ -189,7 +173,7 @@ pub fn run_profiled_combined_analysis(
     let sink = streamprof::ProfSink::new(streamprof::Clock::Virtual);
     let s2 = sink.clone();
     let shape = cfg.listing1(element_bytes, true);
-    let (outcome, per_rank) = run_world(nprocs, cfg, move |rank| {
+    let (outcome, per_rank) = cfg.world().run_expect(nprocs, move |rank| {
         let mut rank = streamprof::Profiled::new(rank, s2.clone());
         let comm = rank.world_group();
         let mut stats = CombinerStats::default();

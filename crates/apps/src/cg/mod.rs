@@ -22,14 +22,12 @@
 pub mod grid;
 
 use std::f64::consts::PI;
-use std::sync::Arc;
 
 use mpisim::{Comm, MachineConfig, Rank, Src, World, WorldOutcome};
 use mpistream::{
     dims_create, prof_scoped, Cart, ChannelConfig, GroupSpec, Role, Stream, StreamChannel,
     Transport,
 };
-use parking_lot::Mutex;
 
 use grid::{Field, Shell};
 
@@ -326,15 +324,13 @@ pub fn run_nonblocking(nprocs: usize, cfg: &CgConfig) -> CgResult {
 
 fn run_reference(nprocs: usize, cfg: &CgConfig, nonblocking: bool) -> CgResult {
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
-    let out: Arc<Mutex<(f64, f64)>> = Arc::new(Mutex::new((f64::NAN, f64::NAN)));
-    let out2 = out.clone();
     let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let (outcome, per_rank) = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let cart = Cart::new(dims_create(nprocs, 3), vec![false; 3]);
         let me = rank.world_rank();
         let mut st = setup_state(&cart, me, cfg2.n_local);
-        let (res, err) = cg_loop(rank, &comm, &mut st, &cfg2, 1.0, cfg2.iterations, {
+        cg_loop(rank, &comm, &mut st, &cfg2, 1.0, cfg2.iterations, {
             let comm = comm.clone();
             let cfg3 = cfg2.clone();
             move |rank, st, _it| {
@@ -344,12 +340,9 @@ fn run_reference(nprocs: usize, cfg: &CgConfig, nonblocking: bool) -> CgResult {
                     halo_blocking(rank, &comm, &cart, st, &cfg3, 1.0);
                 }
             }
-        });
-        if me == 0 {
-            *out2.lock() = (res, err);
-        }
+        })
     });
-    let (residual, solution_error) = *out.lock();
+    let (residual, solution_error) = per_rank[0];
     CgResult { outcome, residual, solution_error }
 }
 
@@ -378,8 +371,9 @@ mpistream::wire_struct!(HaloPacket { iter, faces });
 /// collect the faces of each `(destination, iteration)` pair
 /// first-come-first-served, and reply with one combined packet the moment
 /// the set is complete. `expected[r]` is the number of faces destination
-/// rank `r` is owed per iteration. The simulated and native backends run
-/// this same function.
+/// rank `r` is owed per iteration. It is [`Transport`]-generic, but only
+/// the simulator runs it until the decoupled rank body is ported too
+/// (ROADMAP item 5(a)).
 fn aggregate_faces<TP: Transport>(
     rank: &mut TP,
     faces_in: &mut Stream<FaceMsg>,
@@ -413,10 +407,8 @@ fn aggregate_faces<TP: Transport>(
 pub fn run_decoupled(nprocs: usize, cfg: &CgConfig) -> CgResult {
     assert!(nprocs >= cfg.alpha_every, "need at least alpha_every ranks");
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
-    let out: Arc<Mutex<(f64, f64)>> = Arc::new(Mutex::new((f64::NAN, f64::NAN)));
-    let out2 = out.clone();
     let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let (outcome, per_rank) = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: cfg2.alpha_every };
         let (g0, _g1, role) = spec.split(rank, &comm);
@@ -481,9 +473,7 @@ pub fn run_decoupled(nprocs: usize, cfg: &CgConfig) -> CgResult {
                     }
                 });
                 faces_out.terminate(rank);
-                if me == 0 {
-                    *out2.lock() = (res, err);
-                }
+                (me == 0).then_some((res, err))
             }
             Role::Consumer => {
                 let mut faces_in: Stream<FaceMsg> = Stream::attach(fwd_ch);
@@ -491,11 +481,13 @@ pub fn run_decoupled(nprocs: usize, cfg: &CgConfig) -> CgResult {
                 let expected: Vec<usize> =
                     (0..g0.size()).map(|r| cart.neighbors(r).len()).collect();
                 aggregate_faces(rank, &mut faces_in, &mut halo_out, &expected);
+                None
             }
             Role::Bystander => unreachable!(),
         }
     });
-    let (residual, solution_error) = *out.lock();
+    let (residual, solution_error) =
+        per_rank.into_iter().flatten().next().expect("compute rank 0 reports");
     CgResult { outcome, residual, solution_error }
 }
 

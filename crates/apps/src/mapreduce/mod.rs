@@ -24,7 +24,6 @@ use mpistream::{
     create_tree_channels, plan_tree, prof_scoped, reduce_through, ChannelConfig, Combiner,
     GroupSpec, Role, Stream, StreamChannel, Transport, Wire,
 };
-use parking_lot::Mutex;
 use pfsim::{Pfs, PfsConfig};
 use workloads::{Corpus, CorpusConfig};
 
@@ -167,12 +166,11 @@ fn map_file<'w>(
 pub fn run_reference(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
     let corpus = Arc::new(Corpus::new(cfg.corpus.clone()));
     let pfs = Pfs::new(cfg.pfs.clone());
-    let result: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
 
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
     let cfg2 = cfg.clone();
-    let (corpus2, pfs2, result2) = (corpus, pfs, result.clone());
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let (corpus2, pfs2) = (corpus, pfs);
+    let (outcome, per_rank) = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         // --- map phase: local histogram over my files ---
@@ -205,18 +203,18 @@ pub fn run_reference(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
                 *x += *y;
             }
         });
-        if let Some(summed) = summed {
+        summed.map(|summed| {
             // Root re-expands to a vocabulary-indexed histogram.
-            let vocab = corpus2.vocab();
-            let mut hist = vec![0u64; vocab];
+            let mut hist = vec![0u64; corpus2.vocab()];
             for (k, v) in global_keys.iter().zip(summed) {
                 hist[*k as usize] = v;
             }
-            *result2.lock() = hist;
-        }
+            hist
+        })
     });
 
-    let histogram = result.lock().clone();
+    let histogram =
+        per_rank.into_iter().flatten().next().expect("the root assembles the histogram");
     MapReduceResult { outcome, histogram, map_done_secs: 0.0, master_drain_secs: 0.0 }
 }
 
@@ -496,13 +494,10 @@ fn shape_of(cfg: &MapReduceConfig) -> DecoupledShape {
 pub fn run_decoupled(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
     let corpus = Arc::new(Corpus::new(cfg.corpus.clone()));
     let pfs = Pfs::new(cfg.pfs.clone());
-    let result: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let map_done: Arc<Mutex<f64>> = Arc::new(Mutex::new(0.0));
 
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
     let (cfg2, shape) = (cfg.clone(), shape_of(cfg));
-    let (result2, map_done2) = (result.clone(), map_done.clone());
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let (outcome, per_rank) = world.run_expect(nprocs, move |rank| {
         let mut mapped = false;
         let hist = decoupled_rank(rank, &shape, |rank, mi, nmap, emit| {
             for file in corpus.files_for(mi, nmap) {
@@ -510,23 +505,25 @@ pub fn run_decoupled(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
             }
             mapped = true;
         });
-        if mapped {
-            // Stamp the last-mapper finish time (nothing after the map
-            // stream's `terminate` advanced this rank's clock): everything
-            // after the maximum of these is pipeline flush (the drain tail).
-            let done = Transport::now(rank).as_secs_f64();
-            let mut latest = map_done2.lock();
-            if done > *latest {
-                *latest = done;
-            }
-        }
-        if let Some(hist) = hist {
-            *result2.lock() = hist;
-        }
+        // A mapper's finish time (nothing after the map stream's
+        // `terminate` advanced this rank's clock).
+        let map_done = mapped.then(|| Transport::now(rank).as_secs_f64());
+        (map_done, hist)
     });
 
-    let histogram = result.lock().clone();
-    let map_done_secs = *map_done.lock();
+    // Everything after the last mapper finished is pipeline flush (the
+    // drain tail).
+    let map_done_secs = per_rank.iter().filter_map(|(done, _)| *done).fold(0.0, |latest, done| {
+        if done > latest {
+            done
+        } else {
+            latest
+        }
+    });
+    let histogram = per_rank
+        .into_iter()
+        .find_map(|(_, hist)| hist)
+        .expect("the master assembles the histogram");
     let master_drain_secs = (outcome.elapsed_secs() - map_done_secs).max(0.0);
     MapReduceResult { outcome, histogram, map_done_secs, master_drain_secs }
 }

@@ -32,8 +32,6 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use mpisim::{MachineConfig, Rank, World, WorldOutcome};
 use mpistream::{
@@ -137,6 +135,20 @@ pub struct PicResult {
     /// (equals `outcome.elapsed_secs()`), kept as an explicit field so
     /// harnesses treat every experiment uniformly.
     pub op_secs: f64,
+}
+
+impl PicResult {
+    /// The result of a world whose ranks each returned the particles they
+    /// hold at the end; `pfs` is the filesystem of the I/O experiments.
+    fn new((outcome, particles): (WorldOutcome, Vec<u64>), pfs: Option<&Pfs>) -> PicResult {
+        PicResult {
+            op_secs: outcome.elapsed_secs(),
+            outcome,
+            final_particles: particles.iter().sum(),
+            bytes_written: pfs.map_or(0, Pfs::bytes_written),
+            meta_ops: pfs.map_or(0, Pfs::meta_ops),
+        }
+    }
 }
 
 /// Per-rank particle state on a Cartesian compute decomposition.
@@ -289,10 +301,8 @@ pub fn run_comm_reference_traced(nprocs: usize, cfg: &PicConfig) -> PicResult {
 
 fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicResult {
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed).with_trace(trace);
-    let final_count = Arc::new(AtomicU64::new(0));
-    let fc = final_count.clone();
     let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let run = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
         let me = rank.world_rank();
@@ -345,16 +355,9 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
             }
             st.assert_all_home();
         }
-        fc.fetch_add(st.particles.len() as u64, Ordering::SeqCst);
+        st.particles.len() as u64
     });
-    let op_secs = outcome.elapsed_secs();
-    PicResult {
-        outcome,
-        final_particles: final_count.load(Ordering::SeqCst),
-        bytes_written: 0,
-        meta_ops: 0,
-        op_secs,
-    }
+    PicResult::new(run, None)
 }
 
 /// Messages on the forward (compute → decoupled) channel.
@@ -382,8 +385,9 @@ impl mpistream::Wire for ToComm {
 /// The communication group's relay kernel, generic over the transport:
 /// aggregate each arriving bundle of exits by destination owner and
 /// forward in one pass, in ascending destination order — pure FCFS, no
-/// waiting on any producer. The simulated and native backends run this
-/// same function.
+/// waiting on any producer. It is [`Transport`]-generic, but only the
+/// simulator runs it until the decoupled rank body is ported too (ROADMAP
+/// item 5(a)).
 fn relay_exits<TP: Transport>(
     rank: &mut TP,
     input: &mut Stream<ToComm>,
@@ -426,10 +430,8 @@ pub fn run_comm_decoupled_traced(nprocs: usize, cfg: &PicConfig) -> PicResult {
 fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicResult {
     assert!(nprocs >= cfg.alpha_every);
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed).with_trace(trace);
-    let final_count = Arc::new(AtomicU64::new(0));
-    let fc = final_count.clone();
     let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let run = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: cfg2.alpha_every };
         let (g0, _g1, role) = spec.split(rank, &comm);
@@ -487,7 +489,7 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                 }
                 rank.trace_end("comm");
                 st.assert_all_home();
-                fc.fetch_add(st.particles.len() as u64, Ordering::SeqCst);
+                st.particles.len() as u64
             }
             Role::Consumer => {
                 let mut input: Stream<ToComm> = Stream::attach(fwd_ch);
@@ -495,18 +497,12 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                 rank.trace_begin("comm");
                 relay_exits(rank, &mut input, &mut reply, |p| cart_owner(&cart, p.pos));
                 rank.trace_end("comm");
+                0
             }
             Role::Bystander => unreachable!(),
         }
     });
-    let op_secs = outcome.elapsed_secs();
-    PicResult {
-        outcome,
-        final_particles: final_count.load(Ordering::SeqCst),
-        bytes_written: 0,
-        meta_ops: 0,
-        op_secs,
-    }
+    PicResult::new(run, None)
 }
 
 // ---------------------------------------------------------------------
@@ -527,10 +523,9 @@ pub enum IoMode {
 pub fn run_io_reference(nprocs: usize, cfg: &PicConfig, mode: IoMode) -> PicResult {
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
     let pfs = Pfs::new(cfg.pfs.clone());
-    let final_count = Arc::new(AtomicU64::new(0));
-    let (fc, pfs2) = (final_count.clone(), pfs.clone());
+    let pfs2 = pfs.clone();
     let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let run = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
         let me = rank.world_rank();
@@ -556,16 +551,9 @@ pub fn run_io_reference(nprocs: usize, cfg: &PicConfig, mode: IoMode) -> PicResu
                 }),
             }
         }
-        fc.fetch_add(st.particles.len() as u64, Ordering::SeqCst);
+        st.particles.len() as u64
     });
-    let op_secs = outcome.elapsed_secs();
-    PicResult {
-        outcome,
-        final_particles: final_count.load(Ordering::SeqCst),
-        bytes_written: pfs.bytes_written(),
-        meta_ops: pfs.meta_ops(),
-        op_secs,
-    }
+    PicResult::new(run, Some(&pfs))
 }
 
 /// Decoupled particle I/O: stream particles to the I/O group, which
@@ -575,10 +563,9 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
     assert!(nprocs >= cfg.alpha_every);
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
     let pfs = Pfs::new(cfg.pfs.clone());
-    let final_count = Arc::new(AtomicU64::new(0));
-    let (fc, pfs2) = (final_count.clone(), pfs.clone());
+    let pfs2 = pfs.clone();
     let cfg2 = cfg.clone();
-    let outcome = world.run_expect(nprocs, move |rank| {
+    let run = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: cfg2.alpha_every };
         let (g0, _g1, role) = spec.split(rank, &comm);
@@ -628,7 +615,7 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
                     });
                 }
                 out.terminate(rank);
-                fc.fetch_add(st.particles.len() as u64, Ordering::SeqCst);
+                st.particles.len() as u64
             }
             Role::Consumer => {
                 let mut input: Stream<Particle> = Stream::attach(ch);
@@ -703,18 +690,12 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
                         }
                     }
                 }
+                0
             }
             Role::Bystander => unreachable!(),
         }
     });
-    let op_secs = outcome.elapsed_secs();
-    PicResult {
-        outcome,
-        final_particles: final_count.load(Ordering::SeqCst),
-        bytes_written: pfs.bytes_written(),
-        meta_ops: pfs.meta_ops(),
-        op_secs,
-    }
+    PicResult::new(run, Some(&pfs))
 }
 
 /// Communication topology of [`run_comm_decoupled`] for the `streamcheck`

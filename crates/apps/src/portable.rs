@@ -292,22 +292,14 @@ pub fn fingerprint(values: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use mpisim::{MachineConfig, World};
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     #[test]
     fn quickstart_consumers_see_every_update_in_sim() {
-        let reports: Arc<Mutex<BTreeMap<usize, PortableReport>>> =
-            Arc::new(Mutex::new(BTreeMap::new()));
-        let r2 = reports.clone();
-        World::new(MachineConfig::default()).with_seed(7).run_expect(16, move |rank| {
-            let rep = quickstart(rank, 10, 8);
-            r2.lock().insert(rank.world_rank(), rep);
-        });
-        let reports = reports.lock();
-        let produced: u64 = reports.values().map(|r| r.sent).sum();
-        let consumed: usize = reports.values().map(|r| r.received.len()).sum();
+        let (_, reports) = World::new(MachineConfig::default())
+            .with_seed(7)
+            .run_expect(16, |rank| quickstart(rank, 10, 8));
+        let produced: u64 = reports.iter().map(|r| r.sent).sum();
+        let consumed: usize = reports.iter().map(|r| r.received.len()).sum();
         assert_eq!(produced, 14 * 10); // 14 producers, 10 steps each
         assert_eq!(consumed as u64, produced);
     }
@@ -315,15 +307,14 @@ mod tests {
     #[test]
     fn mini_mapreduce_matches_oracle_in_sim() {
         let cfg = MiniMrConfig::default();
-        let got: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let g2 = got.clone();
         let cfg2 = cfg.clone();
-        World::new(MachineConfig::default()).with_seed(9).run_expect(8, move |rank| {
-            if let Some(hist) = mini_mapreduce(rank, &cfg2) {
-                *g2.lock() = hist;
-            }
-        });
-        assert_eq!(*got.lock(), mini_mapreduce_oracle(8, &cfg));
+        let (_, hists) = World::new(MachineConfig::default())
+            .with_seed(9)
+            .run_expect(8, move |rank| mini_mapreduce(rank, &cfg2));
+        assert_eq!(
+            hists.into_iter().flatten().collect::<Vec<_>>(),
+            [mini_mapreduce_oracle(8, &cfg)]
+        );
     }
 
     #[test]
@@ -333,15 +324,14 @@ mod tests {
         // count merging has no reduction-order sensitivity).
         let cfg =
             MiniMrConfig { combine_every: 4, tree_fan_in: Some(2), ..MiniMrConfig::default() };
-        let got: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let g2 = got.clone();
         let cfg2 = cfg.clone();
-        World::new(MachineConfig::default()).with_seed(11).run_expect(16, move |rank| {
-            if let Some(hist) = mini_mapreduce(rank, &cfg2) {
-                *g2.lock() = hist;
-            }
-        });
-        assert_eq!(*got.lock(), mini_mapreduce_oracle(16, &cfg));
+        let (_, hists) = World::new(MachineConfig::default())
+            .with_seed(11)
+            .run_expect(16, move |rank| mini_mapreduce(rank, &cfg2));
+        assert_eq!(
+            hists.into_iter().flatten().collect::<Vec<_>>(),
+            [mini_mapreduce_oracle(16, &cfg)]
+        );
     }
 
     #[test]

@@ -45,6 +45,7 @@ fn pipeline_time(aggregation: usize, credits: Option<usize>) -> f64 {
                 },
             );
         })
+        .0
         .elapsed_secs()
 }
 

@@ -46,6 +46,7 @@ fn micro_sim(t_sigma: f64) -> (f64, f64) {
             }
             rank.barrier(&comm);
         })
+        .0
         .elapsed_secs();
 
     let world = World::new(machine).with_seed(5);
@@ -73,6 +74,7 @@ fn micro_sim(t_sigma: f64) -> (f64, f64) {
                 },
             );
         })
+        .0
         .elapsed_secs();
     (conv, dec)
 }

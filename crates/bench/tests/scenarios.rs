@@ -12,9 +12,6 @@
 //! published 32-rank point of Fig. 5) to the figures of
 //! `benchmark/golden.json`, so a simulator drift fails `cargo test`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use bench_harness::scenarios as sc;
 use mpisim::{MachineConfig, NoiseModel, World};
 use native::{NativeRank, NativeWorld};
@@ -31,24 +28,17 @@ fn sim(
     nprocs: usize,
     body: impl Fn(&mut mpisim::Rank) -> u64 + Send + Sync + 'static,
 ) -> (u64, u64, u64) {
-    let total = Arc::new(AtomicU64::new(0));
-    let t = total.clone();
-    let out = World::new(MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() })
-        .with_seed(seed)
-        .run_expect(nprocs, move |rank| {
-            t.fetch_add(body(rank), Ordering::Relaxed);
-        });
-    (out.msgs_sent, out.sim.end_time.as_nanos(), total.load(Ordering::Relaxed))
+    let (out, per_rank) =
+        World::new(MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() })
+            .with_seed(seed)
+            .run_expect(nprocs, body);
+    (out.msgs_sent, out.sim.end_time.as_nanos(), per_rank.iter().sum())
 }
 
 /// Run `body` once on `nprocs` native threads: the sum of what the ranks
 /// returned.
 fn native(nprocs: usize, body: impl Fn(&mut NativeRank) -> u64 + Send + Sync) -> u64 {
-    let total = AtomicU64::new(0);
-    NativeWorld::new(nprocs).run(|rank| {
-        total.fetch_add(body(rank), Ordering::Relaxed);
-    });
-    total.into_inner()
+    NativeWorld::new(nprocs).run(body).iter().sum()
 }
 
 #[test]

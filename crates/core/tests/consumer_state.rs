@@ -6,15 +6,12 @@
 //! *before* the state moved from four hash maps to one slot per producer,
 //! so the goldens check "same bytes" instead of asserting it.
 
-use std::sync::Arc;
-
 use desim::SimDuration;
 use mpisim::{MachineConfig, NoiseModel, World};
 use mpistream::{
     ChannelConfig, ConsumerCheckpoint, Role, StepEvent, Stream, StreamChannel, StreamMsg,
     Transport, Wait, Wire,
 };
-use parking_lot::Mutex;
 
 const RANKS: usize = 64;
 const PRODUCERS: [usize; 3] = [3, 17, 40];
@@ -69,9 +66,7 @@ fn step(
 /// reproduces it.
 #[test]
 fn checkpoint_bytes_match_the_parent_commit_golden() {
-    let frames = Arc::new(Mutex::new(Vec::<String>::new()));
-    let f = frames.clone();
-    quiet().run_expect(RANKS, move |rank| {
+    let (_, mut per_rank) = quiet().run_expect(RANKS, |rank| {
         let comm = rank.comm_world();
         let role = role_of(rank.world_rank());
         let ch = StreamChannel::create(rank, &comm, role, config());
@@ -87,6 +82,7 @@ fn checkpoint_bytes_match_the_parent_commit_golden() {
                     }
                 }
                 s.terminate(rank);
+                Vec::new()
             }
             Role::Consumer => {
                 let mut s: Stream<u32> = Stream::attach(ch.clone());
@@ -108,20 +104,21 @@ fn checkpoint_bytes_match_the_parent_commit_golden() {
                 assert_eq!(end.cursors, [(3, 5), (40, 2)]);
                 assert_eq!(end.claims, [(3, 5), (17, 0), (40, 2)]);
 
-                for ckpt in [&mid, &end] {
+                let frames = [&mid, &end].map(|ckpt| {
                     let mut fresh: Stream<u32> = Stream::attach(ch.clone());
                     fresh.restore_consumer(ckpt);
                     assert_eq!(&fresh.consumer_checkpoint(), ckpt);
                     assert_eq!(fresh.all_terminated(), ckpt.claims.len() == PRODUCERS.len());
                     assert_eq!(ConsumerCheckpoint::from_frame(&ckpt.to_frame()).unwrap(), *ckpt);
-                    f.lock().push(hex(&ckpt.to_frame()));
-                }
+                    hex(&ckpt.to_frame())
+                });
                 s.free(rank);
+                frames.to_vec()
             }
-            Role::Bystander => {}
+            Role::Bystander => Vec::new(),
         }
     });
-    let frames = frames.lock();
+    let frames = per_rank.swap_remove(CONSUMER);
     assert_eq!(
         frames[0],
         "010000000000000003000000000000000500000000000000\
@@ -147,9 +144,7 @@ fn checkpoint_bytes_match_the_parent_commit_golden() {
 /// `take_pending_credits` returns the pairs.
 #[test]
 fn held_credits_drain_in_ascending_rank_order_and_skip_zero_entries() {
-    let arrivals = Arc::new(Mutex::new(Vec::<(u64, usize, u64)>::new()));
-    let a = arrivals.clone();
-    quiet().run_expect(RANKS, move |rank| {
+    let (_, per_rank) = quiet().run_expect(RANKS, |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let role = role_of(me);
@@ -169,7 +164,7 @@ fn held_credits_drain_in_ascending_rank_order_and_skip_zero_entries() {
                 (0..n).for_each(|i| s.isend(rank, i));
                 let (acked, _) =
                     Transport::recv::<u64>(rank, mpistream::Src::Rank(CONSUMER), credit_tag);
-                a.lock().push((Transport::now(rank).0, me, acked));
+                let arrival = (Transport::now(rank).0, me, acked);
                 let _ = rank.recv::<u8>(mpisim::Src::Rank(CONSUMER), GO);
                 // 17 goes silent for the second round.
                 if me != 17 {
@@ -177,6 +172,7 @@ fn held_credits_drain_in_ascending_rank_order_and_skip_zero_entries() {
                 }
                 let _ = rank.recv::<u8>(mpisim::Src::Rank(CONSUMER), GO);
                 s.terminate(rank);
+                Some(arrival)
             }
             Role::Consumer => {
                 let mut s: Stream<u32> = Stream::attach(ch);
@@ -198,11 +194,12 @@ fn held_credits_drain_in_ascending_rank_order_and_skip_zero_entries() {
                     rank.send(p, GO, 8, 0u8);
                 }
                 s.operate(rank, |_, _| {});
+                None
             }
-            Role::Bystander => {}
+            Role::Bystander => None,
         }
     });
-    let mut arrivals = arrivals.lock().clone();
+    let mut arrivals: Vec<(u64, usize, u64)> = per_rank.into_iter().flatten().collect();
     arrivals.sort_unstable();
     let in_time_order: Vec<(usize, u64)> = arrivals.iter().map(|&(_, p, n)| (p, n)).collect();
     assert_eq!(in_time_order, [(3, 1), (17, 2), (40, 3)]);
@@ -286,9 +283,7 @@ fn quarantine_drops_until_a_matching_mark() {
 fn drive_script(
     wait: impl Fn(&mpisim::Rank) -> Wait + Send + Sync + 'static,
 ) -> (Vec<StepEvent>, Vec<u32>, usize) {
-    let seen = Arc::new(Mutex::new((Vec::new(), Vec::new(), 0)));
-    let out = seen.clone();
-    quiet().run_expect(RANKS, move |rank| {
+    let (_, per_rank) = quiet().run_expect(RANKS, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let role = role_of(me);
@@ -313,6 +308,7 @@ fn drive_script(
                     at = ms;
                     Transport::send(rank, CONSUMER, ch.data_tag(), 8, msg);
                 }
+                None
             }
             Role::Consumer => {
                 let mut s: Stream<u32> = Stream::attach(ch);
@@ -339,13 +335,12 @@ fn drive_script(
                     (Some(2), Some(1), None)
                 );
                 assert!(!s.all_terminated(), "the quarantined Term was not counted");
-                *out.lock() = (events, folded, empty);
+                Some((events, folded, empty))
             }
-            Role::Bystander => {}
+            Role::Bystander => None,
         }
     });
-    let seen = seen.lock().clone();
-    seen
+    per_rank.into_iter().flatten().next().expect("the consumer reports")
 }
 
 /// The consumer engine is one function: whichever way `step` waits, the

@@ -2,11 +2,8 @@
 //! complete `operate_outcome` with reported loss instead of hanging when a
 //! producer dies, and producers that re-route around a dead consumer.
 
-use std::sync::Arc;
-
 use mpisim::{FaultPlan, MachineConfig, SimDuration, SimTime, World};
 use mpistream::{ChannelConfig, ProducerState, Role, RoutePolicy, Stream, StreamChannel};
-use parking_lot::Mutex;
 
 fn ideal() -> World {
     World::new(MachineConfig::ideal())
@@ -20,11 +17,7 @@ fn ideal() -> World {
 fn consumer_completes_with_reported_loss_after_producer_kill() {
     // Rank 1 dies at 250us, roughly halfway through its 500us send loop.
     let world = ideal().with_fault_plan(FaultPlan::new(7).kill(1, SimTime(250_000)));
-    let got: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let g = got.clone();
-    let outcome_slot = Arc::new(Mutex::new(None));
-    let o = outcome_slot.clone();
-    let out = world.run_expect(3, move |rank| {
+    let run = world.run(3, move |rank| {
         let comm = rank.comm_world();
         let role = if rank.world_rank() < 2 { Role::Producer } else { Role::Consumer };
         let ch = StreamChannel::create(
@@ -48,17 +41,19 @@ fn consumer_completes_with_reported_loss_after_producer_kill() {
                     stream.isend(rank, me << 32 | i);
                 }
                 stream.terminate(rank);
+                None
             }
             Role::Consumer => {
-                let g = g.clone();
-                let outcome = stream.operate_outcome(rank, move |_, v| g.lock().push(v));
-                *o.lock() = Some(outcome);
+                let mut got = Vec::new();
+                let outcome = stream.operate_outcome(rank, |_, v| got.push(v));
+                Some((outcome, got))
             }
             Role::Bystander => unreachable!(),
         }
     });
+    let (out, ranks) = run.expect("the world completes");
     assert_eq!(out.sim.killed, vec![1]);
-    let outcome = outcome_slot.lock().take().expect("consumer finished");
+    let Some(Some((outcome, got))) = &ranks[2] else { panic!("consumer finished") };
     assert!(!outcome.complete());
     assert_eq!(outcome.dead(), vec![1]);
     let r0 = outcome.producers[0];
@@ -77,7 +72,7 @@ fn consumer_completes_with_reported_loss_after_producer_kill() {
         r1.delivered
     );
     assert_eq!(outcome.processed, 100 + r1.delivered);
-    assert_eq!(got.lock().len() as u64, outcome.processed);
+    assert_eq!(got.len() as u64, outcome.processed);
 }
 
 /// Producer-side recovery: under RoundRobin, a producer whose credit
@@ -89,11 +84,7 @@ fn consumer_completes_with_reported_loss_after_producer_kill() {
 fn round_robin_producer_reroutes_around_dead_consumer() {
     // Rank 1 (consumer index 0) dies at 100us.
     let world = ideal().with_fault_plan(FaultPlan::new(3).kill(1, SimTime(100_000)));
-    let outcome_slot = Arc::new(Mutex::new(None));
-    let o = outcome_slot.clone();
-    let stats_slot = Arc::new(Mutex::new(None));
-    let s = stats_slot.clone();
-    let out = world.run_expect(3, move |rank| {
+    let run = world.run(3, move |rank| {
         let comm = rank.comm_world();
         let role = if rank.world_rank() == 0 { Role::Producer } else { Role::Consumer };
         let ch = StreamChannel::create(
@@ -118,21 +109,18 @@ fn round_robin_producer_reroutes_around_dead_consumer() {
                     stream.isend(rank, i);
                 }
                 stream.terminate(rank);
-                *s.lock() = Some(stream.stats());
+                (Some(stream.stats()), None)
             }
-            Role::Consumer => {
-                let outcome = stream.operate_outcome(rank, |_, _| {});
-                if rank.world_rank() == 2 {
-                    *o.lock() = Some(outcome);
-                }
-            }
+            Role::Consumer => (None, Some(stream.operate_outcome(rank, |_, _| {}))),
             Role::Bystander => unreachable!(),
         }
     });
+    let (out, ranks) = run.expect("the world completes");
+    let (Some((Some(stats), _)), Some((_, Some(outcome)))) = (&ranks[0], &ranks[2]) else {
+        panic!("the producer and the surviving consumer finished")
+    };
     assert_eq!(out.sim.killed, vec![1]);
-    let stats = stats_slot.lock().take().expect("producer finished");
     assert_eq!(stats.lost, 0, "RoundRobin re-routes instead of dropping");
-    let outcome = outcome_slot.lock().take().expect("surviving consumer finished");
     // The survivor's view of rank 0 is clean: it terminated, and every
     // element claimed for this consumer arrived.
     assert!(outcome.complete());
@@ -158,11 +146,7 @@ fn round_robin_producer_reroutes_around_dead_consumer() {
 fn static_producer_drops_and_counts_elements_for_dead_consumer() {
     // Rank 1 (consumer index 0, the Static target of producer 0) dies.
     let world = ideal().with_fault_plan(FaultPlan::new(9).kill(1, SimTime(100_000)));
-    let stats_slot = Arc::new(Mutex::new(None));
-    let s = stats_slot.clone();
-    let other_slot = Arc::new(Mutex::new(None));
-    let o = other_slot.clone();
-    world.run_expect(3, move |rank| {
+    let run = world.run(3, move |rank| {
         let comm = rank.comm_world();
         let role = if rank.world_rank() == 0 { Role::Producer } else { Role::Consumer };
         let ch = StreamChannel::create(
@@ -187,26 +171,23 @@ fn static_producer_drops_and_counts_elements_for_dead_consumer() {
                     stream.isend(rank, i);
                 }
                 stream.terminate(rank);
-                *s.lock() = Some(stream.stats());
+                (Some(stream.stats()), None)
             }
-            Role::Consumer => {
-                let outcome = stream.operate_outcome(rank, |_, _| {});
-                if rank.world_rank() == 2 {
-                    *o.lock() = Some(outcome);
-                }
-            }
+            Role::Consumer => (None, Some(stream.operate_outcome(rank, |_, _| {}))),
             Role::Bystander => unreachable!(),
         }
     });
-    let stats = stats_slot.lock().take().expect("producer finished");
+    let (_, ranks) = run.expect("the world completes");
+    let (Some((Some(stats), _)), Some((_, Some(outcome)))) = (&ranks[0], &ranks[2]) else {
+        panic!("the producer and the surviving consumer finished")
+    };
     assert!(stats.lost > 0, "pinned elements for a dead consumer are lost");
     assert_eq!(stats.elements + stats.lost, 200, "every element sent or counted lost");
     // The unrelated consumer is untouched: the producer terminates with a
     // zero claim towards it.
-    let other = other_slot.lock().take().expect("other consumer finished");
-    assert!(other.complete());
-    assert_eq!(other.processed, 0);
-    assert_eq!(other.producers[0].claimed, Some(0));
+    assert!(outcome.complete());
+    assert_eq!(outcome.processed, 0);
+    assert_eq!(outcome.producers[0].claimed, Some(0));
 }
 
 /// Without faults, `operate_outcome` is `operate` plus reporting: all
@@ -215,9 +196,7 @@ fn static_producer_drops_and_counts_elements_for_dead_consumer() {
 #[test]
 fn fault_free_outcome_reports_clean_completion() {
     let world = ideal();
-    let outcome_slot = Arc::new(Mutex::new(None));
-    let o = outcome_slot.clone();
-    world.run_expect(3, move |rank| {
+    let (_, ranks) = world.run_expect(3, move |rank| {
         let comm = rank.comm_world();
         let role = if rank.world_rank() < 2 { Role::Producer } else { Role::Consumer };
         let ch = StreamChannel::create(
@@ -242,15 +221,13 @@ fn fault_free_outcome_reports_clean_completion() {
                     stream.isend(rank, i);
                 }
                 stream.terminate(rank);
+                None
             }
-            Role::Consumer => {
-                let outcome = stream.operate_outcome(rank, |_, _| {});
-                *o.lock() = Some(outcome);
-            }
+            Role::Consumer => Some(stream.operate_outcome(rank, |_, _| {})),
             Role::Bystander => unreachable!(),
         }
     });
-    let outcome = outcome_slot.lock().take().expect("consumer finished");
+    let Some(outcome) = &ranks[2] else { panic!("consumer finished") };
     assert!(outcome.complete());
     assert_eq!(outcome.processed, 100);
     assert_eq!(outcome.dead(), Vec::<usize>::new());
@@ -269,9 +246,7 @@ fn fault_free_outcome_reports_clean_completion() {
 #[test]
 fn producer_killed_before_first_send_reports_zero_delivery() {
     let world = ideal().with_fault_plan(FaultPlan::new(1).kill(0, SimTime(10_000)));
-    let outcome_slot = Arc::new(Mutex::new(None));
-    let o = outcome_slot.clone();
-    world.run_expect(3, move |rank| {
+    let run = world.run(3, move |rank| {
         let comm = rank.comm_world();
         let role = if rank.world_rank() < 2 { Role::Producer } else { Role::Consumer };
         let ch = StreamChannel::create(
@@ -298,15 +273,14 @@ fn producer_killed_before_first_send_reports_zero_delivery() {
                     stream.isend(rank, i);
                 }
                 stream.terminate(rank);
+                None
             }
-            Role::Consumer => {
-                let outcome = stream.operate_outcome(rank, |_, _| {});
-                *o.lock() = Some(outcome);
-            }
+            Role::Consumer => Some(stream.operate_outcome(rank, |_, _| {})),
             Role::Bystander => unreachable!(),
         }
     });
-    let outcome = outcome_slot.lock().take().expect("consumer finished");
+    let (_, ranks) = run.expect("the world completes");
+    let Some(Some(outcome)) = &ranks[2] else { panic!("consumer finished") };
     assert_eq!(outcome.dead(), vec![0]);
     assert_eq!(outcome.producers[0].delivered, 0);
     assert_eq!(outcome.producers[0].claimed, None);

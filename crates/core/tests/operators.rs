@@ -2,14 +2,11 @@
 //! combiners in front of a decoupled channel and full reduction trees
 //! over the simulated machine.
 
-use std::sync::Arc;
-
 use mpisim::{MachineConfig, NoiseModel, World};
 use mpistream::{
     plan_tree, run_decoupled, tree_reduce, ChannelConfig, Combiner, CombinerStats, GroupSpec,
     Transport,
 };
-use parking_lot::Mutex;
 
 fn quiet() -> World {
     World::new(MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() })
@@ -20,11 +17,9 @@ fn combiner_amortizes_messages_and_preserves_sums() {
     // 3 producers push 40 elements each through a combiner that flushes
     // every 8: the consumer must see 3 x 5 pre-reduced elements carrying
     // the exact total.
-    let got = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let g2 = got.clone();
-    quiet().run_expect(4, move |rank| {
+    let (_, per_rank) = quiet().run_expect(4, |rank| {
         let comm = rank.comm_world();
-        let g3 = g2.clone();
+        let mut got = Vec::new();
         run_decoupled::<u64, _, _, _>(
             rank,
             &comm,
@@ -39,12 +34,13 @@ fn combiner_amortizes_messages_and_preserves_sums() {
                 assert_eq!(stats, CombinerStats { folded: 40, emitted: 5 });
                 assert_eq!(stats.fold_factor(), 8.0);
             },
-            move |rank, c| {
-                c.stream.operate(rank, |_, e| g3.lock().push(e));
+            |rank, c| {
+                c.stream.operate(rank, |_, e| got.push(e));
             },
         );
+        got
     });
-    let got = got.lock();
+    let got = per_rank.concat();
     assert_eq!(got.len(), 15);
     assert_eq!(got.iter().sum::<u64>(), 3 * (40 * 41 / 2));
 }
@@ -53,11 +49,9 @@ fn combiner_amortizes_messages_and_preserves_sums() {
 fn combiner_partial_slots_flush_on_finish() {
     // 37 elements at flush_every 8 leaves a 5-element remainder that
     // finish() must still deliver.
-    let got = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let g2 = got.clone();
-    quiet().run_expect(2, move |rank| {
+    let (_, per_rank) = quiet().run_expect(2, |rank| {
         let comm = rank.comm_world();
-        let g3 = g2.clone();
+        let mut got = Vec::new();
         run_decoupled::<u64, _, _, _>(
             rank,
             &comm,
@@ -71,12 +65,13 @@ fn combiner_partial_slots_flush_on_finish() {
                 let stats = comb.finish(rank, p.stream);
                 assert_eq!(stats, CombinerStats { folded: 37, emitted: 5 });
             },
-            move |rank, c| {
-                c.stream.operate(rank, |_, e| g3.lock().push(e));
+            |rank, c| {
+                c.stream.operate(rank, |_, e| got.push(e));
             },
         );
+        got
     });
-    let got = got.lock();
+    let got = per_rank.concat();
     assert_eq!(got.len(), 5);
     assert_eq!(got.iter().sum::<u64>(), 37 * 38 / 2);
 }
@@ -85,11 +80,9 @@ fn combiner_partial_slots_flush_on_finish() {
 fn combiner_keyed_routing_keeps_slots_separate() {
     // Two consumers; producers bucket odd/even keys to different slots.
     // Each consumer's merged elements must carry only its own keys.
-    let got = Arc::new(Mutex::new(Vec::<(usize, u64)>::new()));
-    let g2 = got.clone();
-    quiet().run_expect(6, move |rank| {
+    let (_, per_rank) = quiet().run_expect(6, |rank| {
         let comm = rank.comm_world();
-        let g3 = g2.clone();
+        let mut got = Vec::new();
         run_decoupled::<u64, _, _, _>(
             rank,
             &comm,
@@ -107,14 +100,17 @@ fn combiner_keyed_routing_keeps_slots_separate() {
                 let stats = comb.finish(rank, p.stream);
                 assert_eq!(stats, CombinerStats { folded: 16, emitted: 4 });
             },
-            move |rank, c| {
-                let me = rank.world_rank();
-                let g4 = g3.clone();
-                c.stream.operate(rank, move |_, e| g4.lock().push((me, e)));
+            |rank, c| {
+                c.stream.operate(rank, |_, e| got.push(e));
             },
         );
+        got
     });
-    let got = got.lock();
+    let got: Vec<(usize, u64)> = per_rank
+        .iter()
+        .enumerate()
+        .flat_map(|(me, got)| got.iter().map(move |&e| (me, e)))
+        .collect();
     // 4 producers (ranks 0,1,3,4) x 2 slots x 2 flushes.
     assert_eq!(got.len(), 16);
     // Static routing maps slot i -> consumer i: the odd slot's merged
@@ -135,13 +131,11 @@ fn combiner_keyed_routing_keeps_slots_separate() {
 #[test]
 fn tree_reduce_sums_to_the_root_at_various_shapes() {
     for (n, k) in [(2usize, 2usize), (5, 2), (8, 4), (16, 4), (27, 3), (64, 8)] {
-        let roots = Arc::new(Mutex::new(Vec::<(usize, u64)>::new()));
-        let r2 = roots.clone();
-        quiet().run_expect(n, move |rank| {
+        let (_, per_rank) = quiet().run_expect(n, move |rank| {
             let comm = rank.comm_world();
             let me = rank.world_rank();
             let leaves: Vec<usize> = (0..rank.world_size()).collect();
-            let got = tree_reduce(
+            tree_reduce(
                 rank,
                 &comm,
                 &leaves,
@@ -149,12 +143,10 @@ fn tree_reduce_sums_to_the_root_at_various_shapes() {
                 &ChannelConfig::default(),
                 Some(me as u64 + 1),
                 |_, acc, e| *acc += e,
-            );
-            if let Some(sum) = got {
-                r2.lock().push((me, sum));
-            }
+            )
         });
-        let roots = roots.lock();
+        let roots: Vec<(usize, u64)> =
+            per_rank.into_iter().enumerate().filter_map(|(me, sum)| Some((me, sum?))).collect();
         assert_eq!(roots.len(), 1, "exactly one root at n={n} k={k}");
         let (root, sum) = roots[0];
         assert_eq!(root, 0);
@@ -166,26 +158,16 @@ fn tree_reduce_sums_to_the_root_at_various_shapes() {
 fn tree_reduce_over_sparse_leaves_with_bystanders() {
     // Only odd ranks contribute; even ranks flow through the collective
     // splits with no endpoints and must get None back.
-    let results = Arc::new(Mutex::new(Vec::<(usize, Option<u64>)>::new()));
-    let r2 = results.clone();
-    quiet().run_expect(12, move |rank| {
+    let (_, results) = quiet().run_expect(12, |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let leaves: Vec<usize> = (0..12).filter(|r| r % 2 == 1).collect();
         let partial = leaves.contains(&me).then_some(1u64 << me);
-        let got = tree_reduce(
-            rank,
-            &comm,
-            &leaves,
-            3,
-            &ChannelConfig::default(),
-            partial,
-            |_, acc, e| *acc |= e,
-        );
-        r2.lock().push((me, got));
+        tree_reduce(rank, &comm, &leaves, 3, &ChannelConfig::default(), partial, |_, acc, e| {
+            *acc |= e
+        })
     });
-    let results = results.lock();
-    for &(me, got) in results.iter() {
+    for (me, got) in results.into_iter().enumerate() {
         if me == 1 {
             // Root = first leaf; OR of one-hot partials proves every leaf
             // contributed exactly once.
@@ -202,13 +184,11 @@ fn tree_merge_order_is_deterministic_for_noncommutative_folds() {
     // per-block FCFS drain makes deterministic in the quiet simulator.
     // Two identical runs must agree.
     let run = || {
-        let out = Arc::new(Mutex::new(Vec::<Vec<usize>>::new()));
-        let o2 = out.clone();
-        quiet().run_expect(9, move |rank| {
+        let (_, per_rank) = quiet().run_expect(9, |rank| {
             let comm = rank.comm_world();
             let me = rank.world_rank();
             let leaves: Vec<usize> = (0..9).collect();
-            let got = tree_reduce(
+            tree_reduce(
                 rank,
                 &comm,
                 &leaves,
@@ -216,12 +196,9 @@ fn tree_merge_order_is_deterministic_for_noncommutative_folds() {
                 &ChannelConfig::default(),
                 Some(vec![me]),
                 |_, acc, mut e| acc.append(&mut e),
-            );
-            if let Some(v) = got {
-                o2.lock().push(v);
-            }
+            )
         });
-        let out = out.lock();
+        let out: Vec<Vec<usize>> = per_rank.into_iter().flatten().collect();
         assert_eq!(out.len(), 1);
         out[0].clone()
     };
@@ -237,11 +214,8 @@ fn tree_merge_order_is_deterministic_for_noncommutative_folds() {
 fn merge_can_charge_modelled_compute() {
     // The merge closure receives the transport, so applications can bill
     // virtual seconds per merge; the root's clock must reflect them.
-    let elapsed = Arc::new(Mutex::new(0.0f64));
-    let e2 = elapsed.clone();
-    quiet().run_expect(8, move |rank| {
+    let (_, per_rank) = quiet().run_expect(8, |rank| {
         let comm = rank.comm_world();
-        let me = rank.world_rank();
         let leaves: Vec<usize> = (0..8).collect();
         let got = tree_reduce(
             rank,
@@ -255,14 +229,13 @@ fn merge_can_charge_modelled_compute() {
                 *acc += e;
             },
         );
-        if got.is_some() {
-            assert_eq!(me, 0);
-            *e2.lock() = Transport::now(rank).as_secs_f64();
-        }
+        got.map(|_| Transport::now(rank).as_secs_f64())
     });
     // Root merges once per stage (fan-in 2, depth 3): at least 3 ms of
     // modelled merge time must have accrued on its critical path.
-    assert!(*elapsed.lock() >= 3e-3, "merge compute not billed: {}", *elapsed.lock());
+    assert_eq!(per_rank.iter().filter(|e| e.is_some()).count(), 1, "exactly one root");
+    let elapsed = per_rank[0].expect("rank 0 is the root and reduces");
+    assert!(elapsed >= 3e-3, "merge compute not billed: {elapsed}");
 }
 
 #[test]
@@ -272,13 +245,11 @@ fn plan_message_count_matches_observed_stream_traffic() {
     // message is either merged into an accumulator or seeds an empty
     // one; seeds only happen at non-leaf ranks, which don't exist here —
     // all receivers enter with their own partial).
-    let merges = Arc::new(Mutex::new(0u64));
-    let m2 = merges.clone();
-    quiet().run_expect(13, move |rank| {
+    let (_, per_rank) = quiet().run_expect(13, |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let leaves: Vec<usize> = (0..13).collect();
-        let m3 = m2.clone();
+        let mut merges = 0u64;
         tree_reduce(
             rank,
             &comm,
@@ -286,13 +257,14 @@ fn plan_message_count_matches_observed_stream_traffic() {
             4,
             &ChannelConfig::default(),
             Some(me as u64),
-            move |_, acc, e| {
-                *m3.lock() += 1;
+            |_, acc, e| {
+                merges += 1;
                 *acc += e;
             },
         );
+        merges
     });
     let plan = plan_tree(&(0..13).collect::<Vec<_>>(), 4);
-    assert_eq!(*merges.lock(), plan.data_messages());
+    assert_eq!(per_rank.iter().sum::<u64>(), plan.data_messages());
     assert_eq!(plan.data_messages(), 12);
 }

@@ -4,8 +4,7 @@
 use std::sync::Arc;
 
 use mpisim::{FaultPlan, MachineConfig, SimDuration, World};
-use mpistream::{ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel, StreamStats};
-use parking_lot::Mutex;
+use mpistream::{ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel};
 use proptest::prelude::*;
 
 proptest! {
@@ -27,13 +26,10 @@ proptest! {
         let credits = if credits_raw == 0 { None } else { Some(credits_raw * 16) };
         let route = if round_robin { RoutePolicy::RoundRobin } else { RoutePolicy::Static };
         // Element counts per producer (cycled if fewer entries given).
-        let counts = Arc::new(per_producer);
-        let received: Arc<Mutex<Vec<(usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sent_total = Arc::new(Mutex::new(0u64));
-
-        let (rcv, snt, cnt) = (received.clone(), sent_total.clone(), counts.clone());
+        let cnt = per_producer;
         let world = World::new(MachineConfig::default()).with_seed(42);
-        world.run_expect(nprocs, move |rank| {
+        // Each rank returns (elements sent, elements received).
+        let (_, per_rank) = world.run_expect(nprocs, move |rank| {
             let comm = rank.comm_world();
             let spec = GroupSpec { every };
             let role = spec.role_of(rank.world_rank());
@@ -61,19 +57,22 @@ proptest! {
                         stream.isend(rank, (me, i as u32));
                     }
                     stream.terminate(rank);
-                    *snt.lock() += n as u64;
+                    (n as u64, Vec::new())
                 }
                 Role::Consumer => {
-                    stream.operate(rank, |_, e| rcv.lock().push(e));
+                    let mut got = Vec::new();
+                    stream.operate(rank, |_, e| got.push(e));
+                    (0, got)
                 }
                 Role::Bystander => unreachable!(),
             }
         });
 
-        let got = received.lock();
-        prop_assert_eq!(got.len() as u64, *sent_total.lock());
+        let sent_total: u64 = per_rank.iter().map(|(n, _)| n).sum();
+        let mut dedup: Vec<(usize, u32)> =
+            per_rank.into_iter().flat_map(|(_, got)| got).collect();
+        prop_assert_eq!(dedup.len() as u64, sent_total);
         // No duplicates.
-        let mut dedup: Vec<(usize, u32)> = got.clone();
         dedup.sort_unstable();
         let before = dedup.len();
         dedup.dedup();
@@ -90,11 +89,9 @@ proptest! {
     ) {
         let nprocs = every * blocks;
         let keys = Arc::new(keys);
-        let owner: Arc<Mutex<std::collections::BTreeMap<u64, usize>>> =
-            Arc::new(Mutex::new(std::collections::BTreeMap::new()));
-        let (own, ks) = (owner.clone(), keys.clone());
+        let ks = keys.clone();
         let world = World::new(MachineConfig::default()).with_seed(7);
-        world.run_expect(nprocs, move |rank| {
+        let (_, per_rank) = world.run_expect(nprocs, move |rank| {
             let comm = rank.comm_world();
             let spec = GroupSpec { every };
             let role = spec.role_of(rank.world_rank());
@@ -106,21 +103,25 @@ proptest! {
                         stream.isend_keyed(rank, k, k);
                     }
                     stream.terminate(rank);
+                    Vec::new()
                 }
                 Role::Consumer => {
-                    let me = rank.world_rank();
-                    stream.operate(rank, |_, k| {
-                        let mut map = own.lock();
-                        if let Some(prev) = map.insert(k, me) {
-                            assert_eq!(prev, me, "key {k} split across consumers");
-                        }
-                    });
+                    let mut got = Vec::new();
+                    stream.operate(rank, |_, k| got.push(k));
+                    got
                 }
                 Role::Bystander => unreachable!(),
             }
         });
+        let mut owner = std::collections::BTreeMap::new();
+        for (me, got) in per_rank.into_iter().enumerate() {
+            for k in got {
+                if let Some(prev) = owner.insert(k, me) {
+                    prop_assert_eq!(prev, me, "key {} split across consumers", k);
+                }
+            }
+        }
         // Every key was delivered somewhere.
-        let owner = owner.lock();
         for k in keys.iter() {
             prop_assert!(owner.contains_key(k));
         }
@@ -142,14 +143,11 @@ proptest! {
     ) {
         let nprocs = every * blocks;
         let run = |plan: Option<FaultPlan>, timeout: Option<SimDuration>| {
-            let stats: Arc<Mutex<Vec<(usize, StreamStats)>>> =
-                Arc::new(Mutex::new(Vec::new()));
-            let st = stats.clone();
             let mut world = World::new(MachineConfig::default()).with_seed(99);
             if let Some(p) = plan {
                 world = world.with_fault_plan(p);
             }
-            world.run_expect(nprocs, move |rank| {
+            let (_, stats) = world.run_expect(nprocs, move |rank| {
                 let comm = rank.comm_world();
                 let spec = GroupSpec { every };
                 let role = spec.role_of(rank.world_rank());
@@ -182,11 +180,9 @@ proptest! {
                     }
                     Role::Bystander => unreachable!(),
                 }
-                st.lock().push((rank.world_rank(), stream.stats()));
+                stream.stats()
             });
-            let mut v = stats.lock().clone();
-            v.sort_unstable_by_key(|&(r, _)| r);
-            v
+            stats
         };
         let timeout = if with_timeout { Some(SimDuration::from_secs(1)) } else { None };
         let bare = run(None, None);
@@ -201,10 +197,8 @@ proptest! {
         let nprocs = every * blocks;
         // (world rank, is-producer, producer-group size, consumer-group size).
         type SplitObs = (usize, bool, usize, usize);
-        let seen: Arc<Mutex<Vec<SplitObs>>> = Arc::new(Mutex::new(Vec::new()));
-        let s2 = seen.clone();
         let world = World::new(MachineConfig::ideal());
-        world.run_expect(nprocs, move |rank| {
+        let (_, seen) = world.run_expect(nprocs, move |rank| {
             let comm = rank.comm_world();
             let spec = GroupSpec { every };
             let (producers, consumers, role) = spec.split(rank, &comm);
@@ -215,14 +209,9 @@ proptest! {
                 Role::Consumer => assert!(consumers.contains(me)),
                 Role::Bystander => unreachable!(),
             }
-            s2.lock().push((
-                me,
-                role == Role::Consumer,
-                producers.size(),
-                consumers.size(),
-            ));
+            let obs: SplitObs = (me, role == Role::Consumer, producers.size(), consumers.size());
+            obs
         });
-        let seen = seen.lock();
         let n_consumers = seen.iter().filter(|(_, c, _, _)| *c).count();
         prop_assert_eq!(n_consumers, blocks, "one consumer per block of `every`");
         for &(_, _, np, nc) in seen.iter() {

@@ -1,13 +1,9 @@
 //! Integration tests of the stream library over the simulated machine.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use mpisim::{MachineConfig, NoiseModel, World};
 use mpistream::{
     run_decoupled, ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel, Wait,
 };
-use parking_lot::Mutex;
 
 fn quiet() -> World {
     World::new(MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() })
@@ -20,11 +16,9 @@ fn ideal() -> World {
 #[test]
 fn every_element_is_delivered_exactly_once() {
     // 6 producers, 2 consumers, static routing: full conservation.
-    let got = Arc::new(Mutex::new(Vec::new()));
-    let g2 = got.clone();
-    quiet().run_expect(8, move |rank| {
+    let (_, per_rank) = quiet().run_expect(8, |rank| {
         let comm = rank.comm_world();
-        let g3 = g2.clone();
+        let mut got = Vec::new();
         run_decoupled::<(usize, u32), _, _, _>(
             rank,
             &comm,
@@ -36,12 +30,13 @@ fn every_element_is_delivered_exactly_once() {
                     p.stream.isend(rank, (me, i));
                 }
             },
-            move |rank, c| {
-                c.stream.operate(rank, |_, elem| g3.lock().push(elem));
+            |rank, c| {
+                c.stream.operate(rank, |_, elem| got.push(elem));
             },
         );
+        got
     });
-    let mut got = got.lock().clone();
+    let mut got: Vec<(usize, u32)> = per_rank.concat();
     got.sort_unstable();
     let mut expect: Vec<(usize, u32)> = Vec::new();
     for me in [0usize, 1, 2, 4, 5, 6] {
@@ -55,11 +50,9 @@ fn every_element_is_delivered_exactly_once() {
 
 #[test]
 fn per_producer_order_is_preserved_at_a_consumer() {
-    let got = Arc::new(Mutex::new(Vec::<(usize, u32)>::new()));
-    let g2 = got.clone();
-    quiet().run_expect(4, move |rank| {
+    let (_, per_rank) = quiet().run_expect(4, |rank| {
         let comm = rank.comm_world();
-        let g3 = g2.clone();
+        let mut got = Vec::new();
         run_decoupled::<(usize, u32), _, _, _>(
             rank,
             &comm,
@@ -72,12 +65,14 @@ fn per_producer_order_is_preserved_at_a_consumer() {
                     p.stream.isend(rank, (me, i));
                 }
             },
-            move |rank, c| {
-                c.stream.operate(rank, |_, e| g3.lock().push(e));
+            |rank, c| {
+                c.stream.operate(rank, |_, e| got.push(e));
             },
         );
+        got
     });
-    let got = got.lock();
+    // One consumer (rank 3) saw every element.
+    let got = &per_rank[3];
     for p in 0..3usize {
         let seq: Vec<u32> = got.iter().filter(|(src, _)| *src == p).map(|(_, i)| *i).collect();
         assert_eq!(seq, (0..50).collect::<Vec<_>>(), "producer {p} order broken");
@@ -89,7 +84,7 @@ fn fcfs_absorbs_a_slow_producer() {
     // One producer is 100x slower per element. The consumer must keep
     // processing fast producers' elements meanwhile: the makespan should
     // track the slow producer's finish, not the sum of everyone.
-    let out = quiet().run_expect(5, |rank| {
+    let (out, _) = quiet().run_expect(5, |rank| {
         let comm = rank.comm_world();
         run_decoupled::<u64, _, _, _>(
             rank,
@@ -118,11 +113,9 @@ fn fcfs_absorbs_a_slow_producer() {
 
 #[test]
 fn round_robin_spreads_over_consumers() {
-    let counts = Arc::new(Mutex::new(std::collections::BTreeMap::new()));
-    let c2 = counts.clone();
-    ideal().run_expect(6, move |rank| {
+    let (_, counts) = ideal().run_expect(6, |rank| {
         let comm = rank.comm_world();
-        let c3 = c2.clone();
+        let mut count = None;
         run_decoupled::<u32, _, _, _>(
             rank,
             &comm,
@@ -133,29 +126,20 @@ fn round_robin_spreads_over_consumers() {
                     p.stream.isend(rank, i);
                 }
             },
-            move |rank, c| {
-                let me = rank.world_rank();
-                let n = c.stream.operate(rank, |_, _| {});
-                c3.lock().insert(me, n);
-            },
+            |rank, c| count = Some(c.stream.operate(rank, |_, _| {})),
         );
+        count
     });
-    let counts = counts.lock();
     // 4 producers x 40 elements, round-robin over 2 consumers: 80 each.
-    assert_eq!(counts.len(), 2);
-    for (_, n) in counts.iter() {
-        assert_eq!(*n, 80);
-    }
+    assert_eq!(counts.into_iter().flatten().collect::<Vec<_>>(), [80, 80]);
 }
 
 #[test]
 fn keyed_routing_is_consistent_and_covers_all() {
     // Same key must always reach the same consumer regardless of producer.
-    let seen = Arc::new(Mutex::new(Vec::<(u64, usize)>::new()));
-    let s2 = seen.clone();
-    ideal().run_expect(8, move |rank| {
+    let (_, per_rank) = ideal().run_expect(8, |rank| {
         let comm = rank.comm_world();
-        let s3 = s2.clone();
+        let mut seen = Vec::new();
         run_decoupled::<u64, _, _, _>(
             rank,
             &comm,
@@ -166,15 +150,16 @@ fn keyed_routing_is_consistent_and_covers_all() {
                     p.stream.isend_keyed(rank, key, key);
                 }
             },
-            move |rank, c| {
-                let me = rank.world_rank();
-                c.stream.operate(rank, |_, key| s3.lock().push((key, me)));
+            |rank, c| {
+                c.stream.operate(rank, |_, key| seen.push(key));
             },
         );
+        seen
     });
-    let seen = seen.lock();
     let mut owner: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
-    for &(key, consumer) in seen.iter() {
+    for (consumer, key) in
+        per_rank.iter().enumerate().flat_map(|(r, keys)| keys.iter().map(move |&k| (r, k)))
+    {
         let prev = owner.insert(key, consumer);
         if let Some(p) = prev {
             assert_eq!(p, consumer, "key {key} routed to two consumers");
@@ -188,12 +173,9 @@ fn keyed_routing_is_consistent_and_covers_all() {
 #[test]
 fn aggregation_reduces_message_count_but_not_elements() {
     fn run(aggregation: usize) -> (u64, u64) {
-        let msgs = Arc::new(AtomicU64::new(0));
-        let elems = Arc::new(AtomicU64::new(0));
-        let (m2, e2) = (msgs.clone(), elems.clone());
-        let out = ideal().run_expect(4, move |rank| {
+        let (_, per_rank) = ideal().run_expect(4, move |rank| {
             let comm = rank.comm_world();
-            let (m3, e3) = (m2.clone(), e2.clone());
+            let mut got = (0, 0);
             run_decoupled::<u32, _, _, _>(
                 rank,
                 &comm,
@@ -204,15 +186,14 @@ fn aggregation_reduces_message_count_but_not_elements() {
                         p.stream.isend(rank, i);
                     }
                 },
-                move |rank, c| {
+                |rank, c| {
                     let n = c.stream.operate(rank, |_, _| {});
-                    e3.fetch_add(n, Ordering::SeqCst);
-                    m3.fetch_add(c.stream.stats().batches, Ordering::SeqCst);
+                    got = (c.stream.stats().batches, n);
                 },
             );
+            got
         });
-        let _ = out;
-        (msgs.load(Ordering::SeqCst), elems.load(Ordering::SeqCst))
+        per_rank.iter().fold((0, 0), |(m, e), (dm, de)| (m + dm, e + de))
     }
     let (m1, e1) = run(1);
     let (m10, e10) = run(10);
@@ -224,11 +205,9 @@ fn aggregation_reduces_message_count_but_not_elements() {
 
 #[test]
 fn partial_batches_are_flushed_at_terminate() {
-    let total = Arc::new(AtomicU64::new(0));
-    let t2 = total.clone();
-    ideal().run_expect(2, move |rank| {
+    let (_, per_rank) = ideal().run_expect(2, |rank| {
         let comm = rank.comm_world();
-        let t3 = t2.clone();
+        let mut total = 0;
         run_decoupled::<u32, _, _, _>(
             rank,
             &comm,
@@ -240,12 +219,11 @@ fn partial_batches_are_flushed_at_terminate() {
                     p.stream.isend(rank, i);
                 }
             },
-            move |rank, c| {
-                t3.fetch_add(c.stream.operate(rank, |_, _| {}), Ordering::SeqCst);
-            },
+            |rank, c| total = c.stream.operate(rank, |_, _| {}),
         );
+        total
     });
-    assert_eq!(total.load(Ordering::SeqCst), 70);
+    assert_eq!(per_rank.iter().sum::<u64>(), 70);
 }
 
 #[test]
@@ -253,11 +231,9 @@ fn credit_window_bounds_consumer_queue_memory() {
     // Without credits a fast producer can park the full stream at a slow
     // consumer; with a credit window the consumer's mailbox stays bounded.
     fn run(credits: Option<usize>) -> u64 {
-        let max_queued = Arc::new(AtomicU64::new(0));
-        let m2 = max_queued.clone();
-        quiet().run_expect(2, move |rank| {
+        let (_, per_rank) = quiet().run_expect(2, move |rank| {
             let comm = rank.comm_world();
-            let m3 = m2.clone();
+            let mut max_queued = 0;
             run_decoupled::<[u8; 8], _, _, _>(
                 rank,
                 &comm,
@@ -272,15 +248,16 @@ fn credit_window_bounds_consumer_queue_memory() {
                         p.stream.isend(rank, [0u8; 8]); // fast producer
                     }
                 },
-                move |rank, c| {
+                |rank, c| {
                     c.stream.operate(rank, |rank, _| {
-                        m3.fetch_max(rank.mailbox_bytes(), Ordering::SeqCst);
+                        max_queued = max_queued.max(rank.mailbox_bytes());
                         rank.compute_exact(1e-3); // slow consumer
                     });
                 },
             );
+            max_queued
         });
-        max_queued.load(Ordering::SeqCst)
+        per_rank.into_iter().max().expect("two ranks")
     }
     let unbounded = run(None);
     let bounded = run(Some(4));
@@ -293,13 +270,9 @@ fn credit_window_bounds_consumer_queue_memory() {
 
 #[test]
 fn stats_agree_between_endpoints() {
-    let prod_stats = Arc::new(Mutex::new(Vec::new()));
-    let cons_stats = Arc::new(Mutex::new(Vec::new()));
-    let (p2, c2) = (prod_stats.clone(), cons_stats.clone());
-    quiet().run_expect(4, move |rank| {
+    let (_, stats) = quiet().run_expect(4, |rank| {
         let comm = rank.comm_world();
-        let (p3, c3) = (p2.clone(), c2.clone());
-        let stats = run_decoupled::<u32, _, _, _>(
+        run_decoupled::<u32, _, _, _>(
             rank,
             &comm,
             GroupSpec { every: 4 },
@@ -312,31 +285,23 @@ fn stats_agree_between_endpoints() {
             |rank, c| {
                 c.stream.operate(rank, |_, _| {});
             },
-        );
-        if rank.world_rank() == 3 {
-            c3.lock().push(stats);
-        } else {
-            p3.lock().push(stats);
-        }
+        )
     });
-    let total_sent: u64 =
-        prod_stats.lock().iter().map(|s: &mpistream::StreamStats| s.elements).sum();
-    let total_recv: u64 =
-        cons_stats.lock().iter().map(|s: &mpistream::StreamStats| s.elements).sum();
+    // Ranks 0-2 produce, rank 3 consumes.
+    let (prod_stats, cons_stats) = stats.split_at(3);
+    let total_sent: u64 = prod_stats.iter().map(|s| s.elements).sum();
     assert_eq!(total_sent, 60);
-    assert_eq!(total_recv, 60);
-    let batches_sent: u64 = prod_stats.lock().iter().map(|s| s.batches).sum();
-    let batches_recv: u64 = cons_stats.lock().iter().map(|s| s.batches).sum();
-    assert_eq!(batches_sent, batches_recv);
+    assert_eq!(cons_stats[0].elements, 60);
+    let batches_sent: u64 = prod_stats.iter().map(|s| s.batches).sum();
+    assert_eq!(batches_sent, cons_stats[0].batches);
 }
 
 #[test]
 fn two_channels_coexist_without_crosstalk() {
     // A forward data channel and a reply channel with swapped roles (the
     // CG/PIC pattern). Payload types differ; ids must not collide.
-    let ok = Arc::new(AtomicU64::new(0));
-    let ok2 = ok.clone();
-    quiet().run_expect(4, move |rank| {
+    // `run_expect` returns only once all four ranks finished their arm.
+    quiet().run_expect(4, |rank| {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: 4 };
         let (_prod, _cons, role) = spec.split(rank, &comm);
@@ -352,7 +317,6 @@ fn two_channels_coexist_without_crosstalk() {
                 out.terminate(rank);
                 let n = back.operate(rank, |_, v| assert_eq!(v, -7));
                 assert!(n > 0);
-                ok2.fetch_add(1, Ordering::SeqCst);
             }
             Role::Consumer => {
                 let mut input: Stream<u64> = Stream::attach(fwd);
@@ -363,12 +327,10 @@ fn two_channels_coexist_without_crosstalk() {
                     reply.isend_to(rank, c, -7);
                 }
                 reply.terminate(rank);
-                ok2.fetch_add(1, Ordering::SeqCst);
             }
             Role::Bystander => unreachable!(),
         }
     });
-    assert_eq!(ok.load(Ordering::SeqCst), 4);
 }
 
 #[test]
@@ -461,10 +423,7 @@ fn operate2_multiplexes_two_channels_fcfs() {
     use mpistream::operate2;
     // 3 producers feed one consumer over two channels with different
     // element types and cadences; the consumer drains both FCFS.
-    let got_a = Arc::new(AtomicU64::new(0));
-    let got_b = Arc::new(AtomicU64::new(0));
-    let (ga, gb) = (got_a.clone(), got_b.clone());
-    quiet().run_expect(4, move |rank| {
+    let (_, per_rank) = quiet().run_expect(4, |rank| {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: 4 };
         let role = spec.role_of(rank.world_rank());
@@ -484,20 +443,19 @@ fn operate2_multiplexes_two_channels_fcfs() {
                 }
                 sa.terminate(rank);
                 sb.terminate(rank);
+                None
             }
             Role::Consumer => {
-                let (na, nb) =
+                let counts =
                     operate2(rank, &mut sa, &mut sb, |_, _| {}, |_, s| assert!(s.starts_with('m')));
-                ga.store(na, Ordering::SeqCst);
-                gb.store(nb, Ordering::SeqCst);
                 sa.free(rank);
                 sb.free(rank);
+                Some(counts)
             }
             Role::Bystander => unreachable!(),
         }
     });
-    assert_eq!(got_a.load(Ordering::SeqCst), 60);
-    assert_eq!(got_b.load(Ordering::SeqCst), 30);
+    assert_eq!(per_rank[3], Some((60, 30)));
 }
 
 #[test]
@@ -582,9 +540,7 @@ fn zero_element_producers_terminate_cleanly() {
 /// consumer's accounting.
 #[test]
 fn producer_terminating_before_sending_is_clean() {
-    let got = Arc::new(Mutex::new(Vec::new()));
-    let g = got.clone();
-    ideal().run_expect(3, move |rank| {
+    let (_, per_rank) = ideal().run_expect(3, |rank| {
         let comm = rank.comm_world();
         let role = if rank.world_rank() < 2 { Role::Producer } else { Role::Consumer };
         let ch = StreamChannel::create(rank, &comm, role, ChannelConfig::default());
@@ -602,17 +558,19 @@ fn producer_terminating_before_sending_is_clean() {
                     s.terminate(rank);
                 }
                 s.free(rank);
+                Vec::new()
             }
             Role::Consumer => {
-                let g = g.clone();
-                let n = s.operate(rank, move |_, v| g.lock().push(v));
+                let mut got = Vec::new();
+                let n = s.operate(rank, |_, v| got.push(v));
                 assert_eq!(n, 30);
                 s.free(rank);
+                got
             }
             Role::Bystander => unreachable!(),
         }
     });
-    let mut v = got.lock().clone();
+    let mut v = per_rank.concat();
     v.sort_unstable();
     assert_eq!(v, (0..30).collect::<Vec<_>>());
 }
@@ -749,9 +707,7 @@ fn credit_batch_validation_bounds() {
 #[test]
 fn credit_batching_conserves_elements_on_sim() {
     for batch in [1usize, 3, 7] {
-        let received: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-        let rcv = received.clone();
-        ideal().run_expect(4, move |rank| {
+        let (_, per_rank) = ideal().run_expect(4, move |rank| {
             let comm = rank.comm_world();
             let spec = GroupSpec { every: 2 };
             let role = spec.role_of(rank.world_rank());
@@ -774,14 +730,17 @@ fn credit_batching_conserves_elements_on_sim() {
                         stream.isend(rank, me * 1000 + i);
                     }
                     stream.terminate(rank);
+                    Vec::new()
                 }
                 Role::Consumer => {
-                    stream.operate(rank, |_, e| rcv.lock().push(e));
+                    let mut got = Vec::new();
+                    stream.operate(rank, |_, e| got.push(e));
+                    got
                 }
                 Role::Bystander => unreachable!(),
             }
         });
-        let mut got = received.lock().clone();
+        let mut got = per_rank.concat();
         got.sort_unstable();
         // Producers are world ranks 0 and 2 under every=2.
         let want: Vec<u32> = (0..50u32).chain((0..50u32).map(|i| 2000 + i)).collect();

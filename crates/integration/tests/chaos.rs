@@ -23,11 +23,9 @@
 //! count and invariants are still checked in seed order.
 
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 use mpisim::{FaultPlan, LinkFault, MachineConfig, NoiseModel, SimDuration, SimTime, World};
 use mpistream::{ChannelConfig, ProducerState, Role, RoutePolicy, Stream, StreamChannel};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use replica::{run_replicated, ReplicaRole, ReplicatedProducer};
@@ -170,12 +168,9 @@ fn run_chaos(seed: u64) -> (Schedule, Fingerprint) {
         replicas: 0,
         replication_patience: None,
     };
-    let clean: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-    // Per consumer: (rank, processed, checksum, per-producer reports).
-    type ConsumerLog = Vec<(usize, u64, u64, Vec<(usize, u64, Option<u64>, bool)>)>;
-    let consumer_log: Arc<Mutex<ConsumerLog>> = Arc::new(Mutex::new(Vec::new()));
-    let (cl, co) = (clean.clone(), consumer_log.clone());
-    let out = world.run_expect(nprocs, move |rank| {
+    // A consumer returns (processed, checksum, per-producer reports); a
+    // producer returns `None`, and only if it survived.
+    let run = world.run(nprocs, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let role = if me < n_producers { Role::Producer } else { Role::Consumer };
@@ -188,9 +183,7 @@ fn run_chaos(seed: u64) -> (Schedule, Fingerprint) {
                     stream.isend(rank, (me as u64) << 32 | i);
                 }
                 stream.terminate(rank);
-                // Only survivors reach this line; a killed producer
-                // unwinds out of the loop above.
-                cl.lock().push(me);
+                None
             }
             Role::Consumer => {
                 let mut processed = 0u64;
@@ -204,22 +197,29 @@ fn run_chaos(seed: u64) -> (Schedule, Fingerprint) {
                     .producers
                     .iter()
                     .map(|r| (r.rank, r.delivered, r.claimed, r.state == ProducerState::Dead))
-                    .collect();
-                co.lock().push((me, processed, checksum, reports));
+                    .collect::<Vec<_>>();
+                Some((processed, checksum, reports))
             }
             Role::Bystander => unreachable!(),
         }
     });
-    let mut clean = clean.lock().clone();
-    clean.sort_unstable();
+    let (out, ranks) = run.expect("a killed rank is not a failed simulation");
+    let mut clean = Vec::new();
     let mut reports = Vec::new();
     let mut consumed = Vec::new();
-    for (c, processed, checksum, rs) in consumer_log.lock().iter() {
-        consumed.push((*c, *processed, *checksum));
-        for &(p, delivered, claim, died) in rs {
-            reports.push((*c, p, delivered, claim, died));
+    for (r, ended) in ranks.into_iter().enumerate() {
+        match ended {
+            Some(None) => clean.push(r),
+            Some(Some((processed, checksum, rs))) => {
+                consumed.push((r, processed, checksum));
+                for (p, delivered, claim, died) in rs {
+                    reports.push((r, p, delivered, claim, died));
+                }
+            }
+            None => {}
         }
     }
+    clean.sort_unstable();
     reports.sort_unstable();
     consumed.sort_unstable();
     let mut killed = out.sim.killed.clone();
@@ -428,13 +428,10 @@ fn chaos_unreplicated_consumer_kill_terminates_with_bounded_loss() {
             replicas: 0,
             replication_patience: None,
         };
-        // Per producer: elements dropped on the floor after conviction.
-        let lost: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        // Survivor consumer: (processed, per-producer (delivered, claim, died)).
-        type SurvivorLog = Vec<(u64, Vec<(u64, Option<u64>, bool)>)>;
-        let survived: Arc<Mutex<SurvivorLog>> = Arc::new(Mutex::new(Vec::new()));
-        let (lo, su) = (lost.clone(), survived.clone());
-        let out = world.run_expect(n_producers + n_consumers, move |rank| {
+        // A producer returns the elements it dropped on the floor after
+        // conviction; a consumer returns (processed, per-producer
+        // (delivered, claim, died)).
+        let run = world.run(n_producers + n_consumers, move |rank| {
             let comm = rank.comm_world();
             let me = rank.world_rank();
             let role = if me < n_producers { Role::Producer } else { Role::Consumer };
@@ -447,7 +444,7 @@ fn chaos_unreplicated_consumer_kill_terminates_with_bounded_loss() {
                         stream.isend(rank, (me as u64) << 32 | i);
                     }
                     stream.terminate(rank);
-                    lo.lock().push((me, stream.stats().lost));
+                    (Some(stream.stats().lost), None)
                 }
                 Role::Consumer => {
                     let mut processed = 0u64;
@@ -461,18 +458,20 @@ fn chaos_unreplicated_consumer_kill_terminates_with_bounded_loss() {
                         .producers
                         .iter()
                         .map(|p| (p.delivered, p.claimed, p.state == ProducerState::Dead))
-                        .collect();
-                    su.lock().push((outcome.processed, reports));
+                        .collect::<Vec<_>>();
+                    (None, Some((outcome.processed, reports)))
                 }
                 Role::Bystander => unreachable!(),
             }
         });
+        let (out, ranks) = run.expect("a killed rank is not a failed simulation");
         // The run completed — that is the headline regression — with
         // exactly the planned kill and every producer terminating.
         assert_eq!(out.sim.killed, vec![victim], "{route:?}");
-        let lost = lost.lock().clone();
+        let survivors: Vec<_> = ranks.into_iter().flatten().collect();
+        let lost: Vec<u64> = survivors.iter().filter_map(|(lost, _)| *lost).collect();
+        let survivor: Vec<_> = survivors.into_iter().filter_map(|(_, report)| report).collect();
         assert_eq!(lost.len(), n_producers, "{route:?}: every producer must terminate");
-        let survivor = survived.lock().clone();
         assert_eq!(survivor.len(), 1, "{route:?}: only the surviving consumer reports");
         // No producer died, so the survivor's accounting must balance
         // exactly: everything addressed to it arrived.
@@ -485,7 +484,7 @@ fn chaos_unreplicated_consumer_kill_terminates_with_bounded_loss() {
         // than the injected total.
         let total = per_producer * n_producers as u64;
         assert!(*processed < total, "{route:?}: the victim's elements cannot all survive");
-        let dropped: u64 = lost.iter().map(|&(_, l)| l).sum();
+        let dropped: u64 = lost.iter().sum();
         match route {
             // Producer 1 is pinned to the dead consumer: its tail is
             // dropped and accounted, not silently vanished.
@@ -589,10 +588,7 @@ fn run_replicated_chaos(seed: u64) -> (RepSchedule, RepFingerprint) {
         replicas: 2,
         replication_patience: None,
     };
-    let outcomes: Arc<Mutex<Vec<RepOutcomeRow>>> = Arc::new(Mutex::new(Vec::new()));
-    let finishes: Arc<Mutex<Vec<RepFinishRow>>> = Arc::new(Mutex::new(Vec::new()));
-    let (oc, fin) = (outcomes.clone(), finishes.clone());
-    let out = world.run_expect(nprocs, move |rank| {
+    let run = world.run(nprocs, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let role = if me < n_producers { Role::Producer } else { Role::Consumer };
@@ -605,7 +601,8 @@ fn run_replicated_chaos(seed: u64) -> (RepSchedule, RepFingerprint) {
                     p.push(rank, (me as u64) << 32 | i);
                 }
                 let f = p.finish(rank);
-                fin.lock().push((me, f.sent, f.resent, f.takeovers, f.view));
+                let row: RepFinishRow = (me, f.sent, f.resent, f.takeovers, f.view);
+                (Some(row), None)
             }
             Role::Consumer => {
                 let mut folded = 0u64;
@@ -622,16 +619,19 @@ fn run_replicated_chaos(seed: u64) -> (RepSchedule, RepFingerprint) {
                     ReplicaRole::Standby => 2,
                     ReplicaRole::Died => 3,
                 };
-                oc.lock().push((me, role_code, o.view, o.state, o.commits));
+                let row: RepOutcomeRow = (me, role_code, o.view, o.state, o.commits);
+                (None, Some(row))
             }
             Role::Bystander => unreachable!(),
         }
     });
+    let (out, ranks) = run.expect("a killed rank is not a failed simulation");
     let mut killed = out.sim.killed.clone();
     killed.sort_unstable();
-    let mut outcomes = outcomes.lock().clone();
+    let survivors: Vec<_> = ranks.into_iter().flatten().collect();
+    let mut outcomes: Vec<RepOutcomeRow> = survivors.iter().filter_map(|(_, o)| *o).collect();
     outcomes.sort_unstable();
-    let mut finishes = finishes.lock().clone();
+    let mut finishes: Vec<RepFinishRow> = survivors.iter().filter_map(|(f, _)| *f).collect();
     finishes.sort_unstable();
     (s, RepFingerprint { end_ns: out.sim.end_time.as_nanos(), killed, outcomes, finishes })
 }

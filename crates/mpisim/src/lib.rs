@@ -15,10 +15,9 @@
 //! use mpisim::{MachineConfig, Src, Tag, World};
 //!
 //! let world = World::new(MachineConfig::default());
-//! let out = world.run_expect(4, |rank| {
+//! // The outcome, and what each rank's body returned, in rank order.
+//! let (out, sums) = world.run_expect(4, |rank| {
 //!     let comm = rank.comm_world();
-//!     let sum = rank.allreduce(&comm, 8, rank.world_rank() as u64, |a, b| *a += b);
-//!     assert_eq!(sum, 0 + 1 + 2 + 3);
 //!     if rank.world_rank() == 0 {
 //!         rank.send(1, Tag::user(7), 64, String::from("hello"));
 //!     } else if rank.world_rank() == 1 {
@@ -26,7 +25,9 @@
 //!         assert_eq!(msg, "hello");
 //!         assert_eq!(info.bytes, 64);
 //!     }
+//!     rank.allreduce(&comm, 8, rank.world_rank() as u64, |a, b| *a += b)
 //! });
+//! assert_eq!(sums, [6, 6, 6, 6]);
 //! assert!(out.elapsed_secs() > 0.0);
 //! ```
 

@@ -160,11 +160,21 @@ impl World {
     }
 
     /// Run `body` as an SPMD program on `nprocs` ranks and return the
-    /// outcome. The body receives a [`Rank`] handle; world rank and sizes
-    /// are available on it.
-    pub fn run<F>(&self, nprocs: usize, body: F) -> Result<WorldOutcome, SimError>
+    /// outcome beside what each rank's body returned, in world-rank order.
+    /// The body receives a [`Rank`] handle; world rank and sizes are
+    /// available on it.
+    ///
+    /// This is the tolerant form: the entry of a rank that the fault plan
+    /// killed is `None` (exactly the ranks in `outcome.sim.killed`), every
+    /// other entry is `Some`. A deadlock or a panicking rank is the `Err`.
+    pub fn run<R, F>(
+        &self,
+        nprocs: usize,
+        body: F,
+    ) -> Result<(WorldOutcome, Vec<Option<R>>), SimError>
     where
-        F: Fn(&mut Rank) + Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&mut Rank) -> R + Send + Sync + 'static,
     {
         assert!(nprocs > 0, "world needs at least one rank");
         let sanitizer =
@@ -208,12 +218,16 @@ impl World {
             sim.kernel().add_diagnostics(Arc::new(move || san.deadlock_diag()));
         }
         let body = Arc::new(body);
+        // One slot per rank, filled when its body returns; a killed rank's
+        // body never does.
+        let results: Arc<[Mutex<Option<R>>]> = (0..nprocs).map(|_| Mutex::new(None)).collect();
         for r in 0..nprocs {
             let shared = shared.clone();
             let body = body.clone();
+            let results = results.clone();
             sim.spawn(format!("rank{r}"), move |ctx: &mut Ctx| {
-                let mut rank = Rank::new(ctx, shared, r);
-                body(&mut rank);
+                let result = body(&mut Rank::new(ctx, shared, r));
+                *results[r].lock() = Some(result);
             });
         }
         let sim_outcome = sim.run()?;
@@ -228,24 +242,59 @@ impl World {
             }
         }
         let san_reports = shared.sanitizer.as_ref().map(|s| s.reports()).unwrap_or_default();
-        Ok(WorldOutcome {
+        let outcome = WorldOutcome {
             sim: sim_outcome,
             msgs_sent: shared.msgs_sent.load(Ordering::Relaxed),
             bytes_sent: shared.bytes_sent.load(Ordering::Relaxed),
             per_rank_msgs: shared.per_rank_msgs.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
             msgs_dropped: shared.msgs_dropped.load(Ordering::Relaxed),
             san_reports,
-        })
+        };
+        Ok((outcome, results.iter().map(|slot| slot.lock().take()).collect()))
     }
 
-    /// [`World::run`], panicking on simulation failure.
-    pub fn run_expect<F>(&self, nprocs: usize, body: F) -> WorldOutcome
+    /// [`World::run`] for a run in which every rank must finish: returns
+    /// each rank's result in world-rank order, and panics on simulation
+    /// failure or, naming the rank, if the fault plan killed one. A run
+    /// that kills ranks uses [`World::run`].
+    pub fn run_expect<R, F>(&self, nprocs: usize, body: F) -> (WorldOutcome, Vec<R>)
     where
-        F: Fn(&mut Rank) + Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&mut Rank) -> R + Send + Sync + 'static,
     {
-        match self.run(nprocs, body) {
-            Ok(o) => o,
-            Err(e) => panic!("{e}"),
-        }
+        let (outcome, results) = self.run(nprocs, body).unwrap_or_else(|e| panic!("{e}"));
+        let results = results
+            .into_iter()
+            .enumerate()
+            .map(|(r, v)| v.unwrap_or_else(|| panic!("rank {r} was killed and has no result")))
+            .collect();
+        (outcome, results)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Rank `r` returns only after rank `r + 1` has, so rank 0 finishes
+    /// last, in simulated and in host time alike: a world that collected
+    /// results in completion order would return them reversed. (A longer
+    /// `compute` on lower ranks would not do: with lazy local clocks each
+    /// body runs to its end before the next one starts.)
+    #[test]
+    fn results_come_back_in_rank_order() {
+        const N: usize = 8;
+        let tag = crate::Tag::user(1);
+        let (_, results) = World::new(MachineConfig::ideal()).run_expect(N, move |rank| {
+            let r = rank.world_rank();
+            if r + 1 < N {
+                rank.recv::<()>(crate::Src::Rank(r + 1), tag);
+            }
+            if r > 0 {
+                rank.send(r - 1, tag, 8, ());
+            }
+            r
+        });
+        assert_eq!(results, (0..N).collect::<Vec<_>>());
     }
 }

@@ -1,10 +1,6 @@
 //! Collective correctness and timing-shape tests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use mpisim::{MachineConfig, NoiseModel, Tag, World};
-use parking_lot::Mutex;
 
 fn ideal_world() -> World {
     World::new(MachineConfig::ideal())
@@ -102,18 +98,16 @@ fn allgatherv_gives_everyone_everything() {
 #[test]
 fn barrier_holds_everyone_until_last_arrival() {
     let world = quiet_world();
-    let min_release = Arc::new(AtomicU64::new(u64::MAX));
-    let mr = min_release.clone();
-    world.run_expect(8, move |rank| {
+    let (_, released) = world.run_expect(8, |rank| {
         // Rank r computes r ms; the barrier must not release anyone before
         // the slowest (7 ms) has arrived.
         rank.compute_exact(rank.world_rank() as f64 * 1e-3);
         let comm = rank.comm_world();
         rank.barrier(&comm);
-        mr.fetch_min(rank.now().as_nanos(), Ordering::SeqCst);
+        rank.now().as_nanos()
     });
     assert!(
-        min_release.load(Ordering::SeqCst) >= 7_000_000,
+        released.into_iter().min() >= Some(7_000_000),
         "someone left the barrier before the slowest rank arrived"
     );
 }
@@ -124,7 +118,7 @@ fn allreduce_scales_logarithmically_not_linearly() {
     // 8x the time at P=8 (binomial tree: log2(64)/log2(8) = 2x rounds).
     fn allreduce_time(p: usize) -> f64 {
         let world = quiet_world();
-        let out = world.run_expect(p, |rank| {
+        let (out, _) = world.run_expect(p, |rank| {
             let comm = rank.comm_world();
             for _ in 0..10 {
                 let _ = rank.allreduce(&comm, 8, 1u64, |a, b| *a += b);
@@ -160,7 +154,7 @@ fn ireduce_leaf_sends_overlap_compute() {
     // compute finished; overall time should be close to compute + O(log P)
     // combine, far below compute * 2.
     let world = quiet_world();
-    let out = world.run_expect(16, |rank| {
+    let (out, _) = world.run_expect(16, |rank| {
         let comm = rank.comm_world();
         let req = rank.ireduce_start(&comm, 1 << 20, vec![rank.world_rank() as u64; 1]);
         rank.compute_exact(5e-3);
@@ -255,19 +249,13 @@ fn interleaved_collectives_and_p2p_do_not_cross_talk() {
 fn reduce_is_deterministic_for_floats() {
     // Tree order is fixed, so float reduction is bitwise reproducible.
     fn run() -> f64 {
-        let result = Arc::new(Mutex::new(0.0f64));
-        let r2 = result.clone();
         let world = ideal_world();
-        world.run_expect(13, move |rank| {
+        let (_, sums) = world.run_expect(13, |rank| {
             let comm = rank.comm_world();
             let x = 0.1 * (rank.world_rank() as f64 + 1.0);
-            let s = rank.allreduce(&comm, 8, x, |a, b| *a += b);
-            if rank.world_rank() == 0 {
-                *r2.lock() = s;
-            }
+            rank.allreduce(&comm, 8, x, |a, b| *a += b)
         });
-        let v = *result.lock();
-        v
+        sums[0]
     }
     assert_eq!(run().to_bits(), run().to_bits());
 }

@@ -1,7 +1,6 @@
 //! Fault-injection semantics at the MPI layer: deadline receives, link
 //! drops/delays, killed ranks, and the determinism of all of the above.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mpisim::{
@@ -69,7 +68,7 @@ fn dropped_messages_never_arrive_and_are_counted() {
     // Certain drop on the 0 -> 1 link: the receive must time out.
     let world =
         quiet_world().with_fault_plan(FaultPlan::new(3).link(LinkFault::new(0, 1).drop_prob(1.0)));
-    let out = world.run_expect(2, |rank| {
+    let (out, _) = world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
             rank.send(1, Tag::user(5), 64, 1u64);
             rank.send(1, Tag::user(5), 64, 2u64);
@@ -92,10 +91,9 @@ fn partial_drops_preserve_surviving_payloads_in_order() {
     // 50% drops on 0 -> 1; whatever survives must arrive in send order.
     let world =
         quiet_world().with_fault_plan(FaultPlan::new(11).link(LinkFault::new(0, 1).drop_prob(0.5)));
-    let received = Arc::new(Mutex::new(Vec::new()));
-    let rx = received.clone();
-    let out = world.run_expect(2, move |rank| {
+    let (out, mut per_rank) = world.run_expect(2, |rank| {
         const N: u64 = 64;
+        let mut got = Vec::new();
         if rank.world_rank() == 0 {
             for i in 0..N {
                 rank.send(1, Tag::user(5), 256, i);
@@ -106,11 +104,12 @@ fn partial_drops_preserve_surviving_payloads_in_order() {
                 Tag::user(5),
                 rank.now() + SimDuration::from_millis(5),
             ) {
-                rx.lock().push(v);
+                got.push(v);
             }
         }
+        got
     });
-    let got = received.lock().clone();
+    let got = per_rank.swap_remove(1);
     assert_eq!(got.len() as u64 + out.msgs_dropped, 64);
     assert!(out.msgs_dropped > 10, "seeded 50% drops lost {} of 64", out.msgs_dropped);
     assert!(got.len() > 10, "seeded 50% drops kept {} of 64", got.len());
@@ -119,11 +118,10 @@ fn partial_drops_preserve_surviving_payloads_in_order() {
 
 #[test]
 fn delay_spike_window_slows_messages_without_reordering() {
-    let fault_free = |_: ()| {
-        let world = quiet_world();
-        let times = Arc::new(Mutex::new(Vec::new()));
-        let t = times.clone();
-        world.run_expect(2, move |rank| {
+    // Rank 1's (value, arrival time) of each of 20 messages from rank 0.
+    let arrivals = |plan: FaultPlan| {
+        let (_, mut per_rank) = quiet_world().with_fault_plan(plan).run_expect(2, |rank| {
+            let mut times = Vec::new();
             if rank.world_rank() == 0 {
                 for i in 0..20u64 {
                     rank.compute_exact(1e-5);
@@ -132,41 +130,22 @@ fn delay_spike_window_slows_messages_without_reordering() {
             } else {
                 for _ in 0..20 {
                     let (v, _) = rank.recv::<u64>(Src::Rank(0), Tag::user(5));
-                    t.lock().push((v, rank.now()));
+                    times.push((v, rank.now()));
                 }
             }
+            times
         });
-        let v = times.lock().clone();
-        v
+        per_rank.swap_remove(1)
     };
-    let spiked = {
-        // +1ms on messages whose arrival falls in [50us, 150us).
-        let world = quiet_world().with_fault_plan(
-            FaultPlan::new(5).link(
-                LinkFault::new(0, 1)
-                    .window(SimTime(50_000), SimTime(150_000))
-                    .delay(SimDuration::from_millis(1)),
-            ),
-        );
-        let times = Arc::new(Mutex::new(Vec::new()));
-        let t = times.clone();
-        world.run_expect(2, move |rank| {
-            if rank.world_rank() == 0 {
-                for i in 0..20u64 {
-                    rank.compute_exact(1e-5);
-                    rank.send(1, Tag::user(5), 256, i);
-                }
-            } else {
-                for _ in 0..20 {
-                    let (v, _) = rank.recv::<u64>(Src::Rank(0), Tag::user(5));
-                    t.lock().push((v, rank.now()));
-                }
-            }
-        });
-        let v = times.lock().clone();
-        v
-    };
-    let base = fault_free(());
+    // +1ms on messages whose arrival falls in [50us, 150us).
+    let spiked = arrivals(
+        FaultPlan::new(5).link(
+            LinkFault::new(0, 1)
+                .window(SimTime(50_000), SimTime(150_000))
+                .delay(SimDuration::from_millis(1)),
+        ),
+    );
+    let base = arrivals(FaultPlan::default());
     // Values still arrive in send order (non-overtaking preserved).
     let order: Vec<u64> = spiked.iter().map(|&(v, _)| v).collect();
     assert_eq!(order, (0..20).collect::<Vec<_>>());
@@ -178,9 +157,7 @@ fn delay_spike_window_slows_messages_without_reordering() {
 fn killed_rank_is_reported_and_survivors_finish() {
     let world = World::new(MachineConfig::ideal())
         .with_fault_plan(FaultPlan::new(1).kill(1, SimTime(50_000)));
-    let done = Arc::new(AtomicU64::new(0));
-    let d = done.clone();
-    let out = world.run_expect(3, move |rank| {
+    let run = world.run(3, |rank| {
         if rank.world_rank() == 1 {
             // Would run for 1ms, but dies at 50us.
             for _ in 0..100 {
@@ -188,11 +165,24 @@ fn killed_rank_is_reported_and_survivors_finish() {
             }
         } else {
             rank.compute_exact(1e-4);
-            d.fetch_add(1, Ordering::SeqCst);
         }
+        rank.world_rank()
     });
+    let (out, results) = run.expect("a killed rank is not a failed simulation");
     assert_eq!(out.sim.killed, vec![1]);
-    assert_eq!(done.load(Ordering::SeqCst), 2);
+    // The killed rank has no result; every survivor returned its own.
+    assert_eq!(results, [Some(0), None, Some(2)]);
+}
+
+#[test]
+#[should_panic(expected = "rank 1 was killed")]
+fn run_expect_names_a_killed_rank() {
+    let world = World::new(MachineConfig::ideal())
+        .with_fault_plan(FaultPlan::new(1).kill(1, SimTime(50_000)));
+    world.run_expect(3, |rank| {
+        rank.compute_exact(1e-3);
+        rank.world_rank()
+    });
 }
 
 #[test]
@@ -208,9 +198,11 @@ fn fault_injected_world_replays_bit_identically() {
                         .delay(SimDuration::from_micros(40)),
                 ),
         );
+        // Rank 2 dies mid-loop, so what each rank received is logged as
+        // it happens rather than returned at the end.
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = log.clone();
-        let out = world.run_expect(3, move |rank| {
+        let run = world.run(3, move |rank| {
             let me = rank.world_rank();
             for i in 0..50u64 {
                 rank.compute(1e-6);
@@ -225,6 +217,7 @@ fn fault_injected_world_replays_bit_identically() {
                 }
             }
         });
+        let (out, _) = run.expect("a killed rank is not a failed simulation");
         let events = log.lock().clone();
         (out.sim.end_time, out.sim.killed.clone(), out.msgs_dropped, events)
     };

@@ -1,10 +1,6 @@
 //! Point-to-point semantics and timing-model tests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use mpisim::{MachineConfig, NoiseModel, Src, Tag, World};
-use parking_lot::Mutex;
 
 fn quiet(cfg: MachineConfig) -> MachineConfig {
     MachineConfig { noise: NoiseModel::none(), ..cfg }
@@ -54,10 +50,9 @@ fn any_source_takes_first_available() {
     // Rank 2 waits on AnySource; rank 1 is "late", rank 0 is "early".
     // FCFS must deliver rank 0's message first even though rank 1 has a
     // lower... (both match; availability decides).
-    let got = Arc::new(Mutex::new(Vec::new()));
-    let got2 = got.clone();
     let world = World::new(quiet(MachineConfig::default()));
-    world.run_expect(3, move |rank| {
+    let (_, mut per_rank) = world.run_expect(3, |rank| {
+        let mut got = Vec::new();
         match rank.world_rank() {
             0 => {
                 rank.compute_exact(1e-6);
@@ -70,12 +65,13 @@ fn any_source_takes_first_available() {
             _ => {
                 for _ in 0..2 {
                     let (v, info) = rank.recv::<u64>(Src::Any, Tag::user(5));
-                    got2.lock().push((v, info.src));
+                    got.push((v, info.src));
                 }
             }
         }
+        got
     });
-    assert_eq!(*got.lock(), vec![(0, 0), (1, 1)]);
+    assert_eq!(per_rank.swap_remove(2), vec![(0, 0), (1, 1)]);
 }
 
 #[test]
@@ -89,19 +85,17 @@ fn latency_and_bandwidth_govern_delivery_time() {
         ranks_per_node: 1, // force inter-node
         ..MachineConfig::default()
     });
-    let t_recv = Arc::new(AtomicU64::new(0));
-    let t2 = t_recv.clone();
     let world = World::new(cfg);
-    world.run_expect(2, move |rank| {
+    let (_, finished) = world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
             // 1 MB at 1 GB/s = 1 ms per NIC stage, plus 2 us latency.
             rank.send(1, Tag::user(1), 1_000_000, ());
         } else {
             let (_, _) = rank.recv::<()>(Src::Rank(0), Tag::user(1));
-            t2.store(rank.now().as_nanos(), Ordering::SeqCst);
         }
+        rank.now().as_nanos()
     });
-    let t = t_recv.load(Ordering::SeqCst);
+    let t = finished[1];
     // tx 1ms + latency 2us + rx 1ms = 2.002 ms.
     assert_eq!(t, 2_002_000);
 }
@@ -110,18 +104,16 @@ fn latency_and_bandwidth_govern_delivery_time() {
 fn intra_node_is_faster_than_inter_node() {
     fn transfer_time(ranks_per_node: usize) -> u64 {
         let cfg = quiet(MachineConfig { ranks_per_node, ..MachineConfig::default() });
-        let t = Arc::new(AtomicU64::new(0));
-        let t2 = t.clone();
         let world = World::new(cfg);
-        world.run_expect(2, move |rank| {
+        let (_, finished) = world.run_expect(2, |rank| {
             if rank.world_rank() == 0 {
                 rank.send(1, Tag::user(1), 1 << 20, ());
             } else {
                 let _ = rank.recv::<()>(Src::Rank(0), Tag::user(1));
-                t2.store(rank.now().as_nanos(), Ordering::SeqCst);
             }
+            rank.now().as_nanos()
         });
-        t.load(Ordering::SeqCst)
+        finished[1]
     }
     let same_node = transfer_time(2);
     let cross_node = transfer_time(1);
@@ -139,20 +131,18 @@ fn incast_serializes_on_receiver_nic() {
         ranks_per_node: 1,
         ..MachineConfig::default()
     });
-    let t_done = Arc::new(AtomicU64::new(0));
-    let t2 = t_done.clone();
     let world = World::new(cfg);
-    world.run_expect(N + 1, move |rank| {
+    let (_, finished) = world.run_expect(N + 1, |rank| {
         if rank.world_rank() == 0 {
             for _ in 0..N {
                 let _ = rank.recv::<()>(Src::Any, Tag::user(3));
             }
-            t2.store(rank.now().as_nanos(), Ordering::SeqCst);
         } else {
             rank.send(0, Tag::user(3), 1 << 20, ());
         }
+        rank.now().as_nanos()
     });
-    let t = t_done.load(Ordering::SeqCst) as f64 / 1e9;
+    let t = finished[0] as f64 / 1e9;
     let serial = N as f64 * (1 << 20) as f64 / 10e9;
     assert!(t >= serial, "incast time {t} must cover serial drain {serial}");
     assert!(t < serial * 1.5, "incast time {t} unreasonably above {serial}");
@@ -193,7 +183,7 @@ fn type_mismatch_panics_with_clear_message() {
 #[test]
 fn message_counters_account_traffic() {
     let world = World::new(MachineConfig::ideal());
-    let out = world.run_expect(2, |rank| {
+    let (out, _) = world.run_expect(2, |rank| {
         if rank.world_rank() == 0 {
             for _ in 0..5 {
                 rank.send(1, Tag::user(1), 100, ());
@@ -219,6 +209,7 @@ fn compute_noise_is_deterministic_per_seed_and_perturbs_time() {
                     rank.compute(1e-4);
                 }
             })
+            .0
             .elapsed_secs()
     }
     let a = run(1);

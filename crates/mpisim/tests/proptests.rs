@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use mpisim::{MachineConfig, Src, Tag, World};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 fn ideal() -> World {
@@ -89,19 +88,15 @@ proptest! {
         let expected = Arc::new(expected);
         let expected2 = expected.clone();
         let outgoing = Arc::new(outgoing);
-        let received: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(vec![Vec::new(); N]));
-        let rcv = received.clone();
-        ideal().run_expect(N, move |rank| {
+        let (_, mut got) = ideal().run_expect(N, move |rank| {
             let me = rank.world_rank();
             for &(dst, v) in &outgoing[me] {
                 rank.send(dst, Tag::user(9), 8, v);
             }
-            for _ in 0..expected2[me].len() {
-                let (v, _) = rank.recv::<u64>(Src::Any, Tag::user(9));
-                rcv.lock()[me].push(v);
-            }
+            (0..expected2[me].len())
+                .map(|_| rank.recv::<u64>(Src::Any, Tag::user(9)).0)
+                .collect::<Vec<u64>>()
         });
-        let mut got = received.lock().clone();
         let mut want = (*expected).clone();
         for r in 0..N {
             got[r].sort_unstable();
@@ -117,19 +112,15 @@ proptest! {
         let n = colors.len();
         let colors = Arc::new(colors);
         let colors2 = colors.clone();
-        let seen: Arc<Mutex<Vec<(usize, i64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-        let s2 = seen.clone();
-        ideal().run_expect(n, move |rank| {
+        let (_, sizes) = ideal().run_expect(n, move |rank| {
             let comm = rank.comm_world();
             let me = rank.world_rank();
-            let c = colors2[me];
-            let sub = rank.split(&comm, Some(c), me as i64).unwrap();
+            let sub = rank.split(&comm, Some(colors2[me]), me as i64).unwrap();
             assert!(sub.contains(me));
-            s2.lock().push((me, c, sub.size()));
+            sub.size()
         });
-        let seen = seen.lock();
-        prop_assert_eq!(seen.len(), n);
-        for &(me, c, size) in seen.iter() {
+        for (me, size) in sizes.into_iter().enumerate() {
+            let c = colors[me];
             let expect = colors.iter().filter(|&&x| x == c).count();
             prop_assert_eq!(size, expect, "rank {} color {}", me, c);
         }
@@ -141,23 +132,22 @@ proptest! {
     fn delivery_time_is_monotone_in_size(sizes in prop::collection::vec(1u64..10_000_000, 2..10)) {
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
-        let times: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut times: Vec<(u64, u64)> = Vec::new();
         for &s in &sorted {
-            let t2 = times.clone();
             let world = World::new(MachineConfig {
                 noise: mpisim::NoiseModel::none(),
                 ..MachineConfig::default()
             });
-            world.run_expect(2, move |rank| {
+            let (_, finished) = world.run_expect(2, move |rank| {
                 if rank.world_rank() == 0 {
                     rank.send(1, Tag::user(1), s, ());
                 } else {
                     let _ = rank.recv::<()>(Src::Rank(0), Tag::user(1));
-                    t2.lock().push((s, rank.now().as_nanos()));
                 }
+                rank.now().as_nanos()
             });
+            times.push((s, finished[1]));
         }
-        let times = times.lock();
         for w in times.windows(2) {
             prop_assert!(w[1].1 >= w[0].1, "bigger message arrived earlier: {w:?}");
         }

@@ -54,7 +54,8 @@
 //! use mpistream::{run_decoupled, ChannelConfig, GroupSpec, Transport};
 //! use native::NativeWorld;
 //!
-//! let outcome = NativeWorld::new(8).run(|rank| {
+//! // Each rank returns its endpoint's stream statistics, in rank order.
+//! let stats = NativeWorld::new(8).run(|rank| {
 //!     let world = rank.world_group();
 //!     run_decoupled::<u64, _, _, _>(
 //!         rank,
@@ -71,11 +72,13 @@
 //!             c.stream.operate(rank, |_, _| seen += 1);
 //!             assert_eq!(seen, 30); // 3 producers x 10 elements each
 //!         },
-//!     );
+//!     )
 //! });
-//! assert_eq!(outcome.nprocs, 8);
+//! // Ranks 3 and 7 are the consumers.
+//! assert_eq!((stats[3].elements, stats[7].elements), (30, 30));
 //! ```
 
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,15 +91,6 @@ pub mod sync;
 
 use mailbox::{Env, Mailbox};
 use sync::{thread, Instant};
-
-/// What a native run reports back.
-#[derive(Clone, Copy, Debug)]
-pub struct NativeOutcome {
-    /// Number of ranks (threads) that ran.
-    pub nprocs: usize,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-}
 
 /// Default flat-collective threshold: group sizes at or below this use
 /// the star geometry. Set from a flat-versus-tree sweep of barrier +
@@ -141,26 +135,29 @@ impl NativeWorld {
         self
     }
 
-    /// Run `body` once per rank, each on its own thread, and join them
-    /// all. A panicking rank propagates after every thread has exited —
-    /// peers blocked on the dead rank block the join, so bound native
-    /// runs with an external timeout.
-    pub fn run<F>(&self, body: F) -> NativeOutcome
+    /// Run `body` once per rank, each on its own thread, join them all,
+    /// and return what each rank's body returned, in world-rank order. A
+    /// panicking rank propagates after every thread has exited — peers
+    /// blocked on the dead rank block the join, so bound native runs with
+    /// an external timeout.
+    pub fn run<R, F>(&self, body: F) -> Vec<R>
     where
-        F: Fn(&mut NativeRank) + Send + Sync,
+        R: Send,
+        F: Fn(&mut NativeRank) -> R + Send + Sync,
     {
         let clock = WallClock::start(self.compute_scale);
         let mailboxes: Arc<[Mailbox]> = (0..self.nprocs).map(|_| Mailbox::new()).collect();
-        let start = Instant::now();
         thread::scope(|scope| {
             let body = &body;
             let (nprocs, flat) = (self.nprocs, self.coll_flat_threshold);
-            for r in 0..nprocs {
-                let links = ThreadLinks(Arc::clone(&mailboxes));
-                scope.spawn(move || body(&mut MailboxRank::new(r, nprocs, clock, flat, links)));
-            }
-        });
-        NativeOutcome { nprocs: self.nprocs, elapsed: start.elapsed() }
+            let ranks: Vec<_> = (0..nprocs)
+                .map(|r| {
+                    let links = ThreadLinks(Arc::clone(&mailboxes));
+                    scope.spawn(move || body(&mut MailboxRank::new(r, nprocs, clock, flat, links)))
+                })
+                .collect();
+            ranks.into_iter().map(|rank| rank.join().unwrap_or_else(|p| resume_unwind(p))).collect()
+        })
     }
 }
 
@@ -408,6 +405,20 @@ impl<L: Links> Transport for MailboxRank<L> {
 mod tests {
     use super::*;
     use mpistream::Group;
+
+    /// Rank `r` sleeps `(n - r)` × 5 ms, so rank 0 finishes last: a world
+    /// that collected results in completion order would return them
+    /// reversed.
+    #[test]
+    fn results_come_back_in_rank_order() {
+        const N: usize = 4;
+        let results = NativeWorld::new(N).run(|rank| {
+            let r = rank.world_rank();
+            thread::sleep(Duration::from_millis(5 * (N - r) as u64));
+            r
+        });
+        assert_eq!(results, (0..N).collect::<Vec<_>>());
+    }
 
     #[test]
     fn ping_pong_round_trips() {

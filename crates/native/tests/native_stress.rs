@@ -488,9 +488,8 @@ fn batched_credits_never_overrun_the_window() {
         let nprocs = 6usize;
         let every = 3usize; // producers {0,1,3,4}, consumers {2,5}
         let ledger = Arc::new(CreditLedger::default());
-        let received = Arc::new(Mutex::new(Vec::<u64>::new()));
-        let (l2, r2) = (Arc::clone(&ledger), Arc::clone(&received));
-        with_watchdog("batched_credit_audit", 240, move || {
+        let l2 = Arc::clone(&ledger);
+        let per_rank = with_watchdog("batched_credit_audit", 240, move || {
             NativeWorld::new(nprocs).run(move |rank| {
                 let mut rank = Audited { inner: rank, ledger: Arc::clone(&l2) };
                 let comm = rank.world_group();
@@ -517,17 +516,20 @@ fn batched_credits_never_overrun_the_window() {
                             stream.isend(&mut rank, (me << 32) | i);
                         }
                         stream.terminate(&mut rank);
+                        Vec::new()
                     }
                     Role::Consumer => {
-                        stream.operate(&mut rank, |_, v| r2.lock().unwrap().push(v));
+                        let mut got = Vec::new();
+                        stream.operate(&mut rank, |_, v| got.push(v));
+                        got
                     }
                     Role::Bystander => unreachable!(),
                 }
-            });
+            })
         });
         let violations = ledger.violations.lock().unwrap();
         assert!(violations.is_empty(), "credit_batch {credit_batch}: {violations:?}");
-        let mut got = received.lock().unwrap().clone();
+        let mut got = per_rank.concat();
         got.sort_unstable();
         let mut want: Vec<u64> =
             [0u64, 1, 3, 4].iter().flat_map(|&p| (0..per).map(move |i| (p << 32) | i)).collect();

@@ -5,13 +5,11 @@
 //! and the successor must replay to the exact committed cursor.
 
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 use mpistream::transport::SimDuration;
 use mpistream::{ChannelConfig, Role, RoutePolicy, StreamChannel, Transport};
 use native::NativeWorld;
-use parking_lot::Mutex;
-use replica::{run_replicated, ReplicaOutcome, ReplicaRole, ReplicatedProducer};
+use replica::{run_replicated, ReplicaRole, ReplicatedProducer};
 
 #[inline]
 fn mix64(mut x: u64) -> u64 {
@@ -36,11 +34,9 @@ fn native_voluntary_stop_fails_over_to_standby() {
         replicas: 2,
         replication_patience: None,
     };
-    type OutcomeLog = Arc<Mutex<Vec<(usize, ReplicaOutcome<u64>)>>>;
-    let outcomes: OutcomeLog = Arc::new(Mutex::new(Vec::new()));
-    let sent: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let world = NativeWorld::new(N_PRODUCERS + 3);
-    world.run(|rank| {
+    // Each rank returns (elements it sent, its replica outcome).
+    let ranks = world.run(|rank| {
         let comm = rank.world_group();
         let me = rank.world_rank();
         let role = if me < N_PRODUCERS { Role::Producer } else { Role::Consumer };
@@ -51,7 +47,7 @@ fn native_voluntary_stop_fails_over_to_standby() {
                 for i in 0..PER_PRODUCER {
                     p.push(rank, (me as u64) << 32 | i);
                 }
-                sent.lock().push(p.finish(rank).sent);
+                (p.finish(rank).sent, None)
             }
             Role::Consumer => {
                 let initial_primary = me == N_PRODUCERS;
@@ -66,28 +62,28 @@ fn native_voluntary_stop_fails_over_to_standby() {
                     *acc = acc.wrapping_add(mix64(v));
                     ControlFlow::Continue(())
                 });
-                outcomes.lock().push((me, outcome));
+                (0, Some(outcome))
             }
             Role::Bystander => unreachable!(),
         }
     });
-    let mut outcomes = outcomes.lock().clone();
-    outcomes.sort_by_key(|&(r, _)| r);
+    let sent: u64 = ranks.iter().map(|(sent, _)| sent).sum();
+    let outcomes: Vec<_> = ranks.into_iter().filter_map(|(_, outcome)| outcome).collect();
     assert_eq!(outcomes.len(), 3);
     let expect: u64 = (0..N_PRODUCERS as u64)
         .flat_map(|p| (0..PER_PRODUCER).map(move |i| mix64(p << 32 | i)))
         .fold(0u64, |a, b| a.wrapping_add(b));
-    let (_, dead) = &outcomes[0];
+    let dead = &outcomes[0];
     assert_eq!(dead.role, ReplicaRole::Died);
-    let (_, successor) = &outcomes[1];
+    let successor = &outcomes[1];
     assert_eq!(successor.role, ReplicaRole::Primary);
     assert_eq!(successor.view, 1);
     assert_eq!(
         successor.state, expect,
         "exactly-once violated on the native backend after voluntary stop"
     );
-    let (_, standby) = &outcomes[2];
+    let standby = &outcomes[2];
     assert_eq!(standby.role, ReplicaRole::Standby);
     assert_eq!(standby.state, expect);
-    assert_eq!(sent.lock().iter().sum::<u64>(), N_PRODUCERS as u64 * PER_PRODUCER);
+    assert_eq!(sent, N_PRODUCERS as u64 * PER_PRODUCER);
 }

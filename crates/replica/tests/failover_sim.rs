@@ -9,11 +9,9 @@
 //! (the successor acknowledges elements its predecessor received).
 
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 use mpisim::{FaultPlan, MachineConfig, NoiseModel, SimDuration, SimTime, World};
 use mpistream::{ChannelConfig, Role, RoutePolicy, StreamChannel};
-use parking_lot::Mutex;
 use replica::{run_replicated, ProducerFinish, ReplicaOutcome, ReplicaRole, ReplicatedProducer};
 
 const PER_ELEM_SECS: f64 = 2e-6;
@@ -51,6 +49,28 @@ fn config(replicas: usize) -> ChannelConfig {
     }
 }
 
+/// What a rank of these worlds returns.
+enum Ended {
+    Producer(ProducerFinish),
+    Consumer(ReplicaOutcome<u64>),
+}
+
+/// Every surviving rank's [`Ended`], split by role, in rank order.
+#[allow(clippy::type_complexity)]
+fn by_role(
+    ranks: Vec<Option<Ended>>,
+) -> (Vec<(usize, ReplicaOutcome<u64>)>, Vec<(usize, ProducerFinish)>) {
+    let (mut outcomes, mut finishes) = (Vec::new(), Vec::new());
+    for (r, ended) in ranks.into_iter().enumerate() {
+        match ended {
+            Some(Ended::Producer(f)) => finishes.push((r, f)),
+            Some(Ended::Consumer(o)) => outcomes.push((r, o)),
+            None => {}
+        }
+    }
+    (outcomes, finishes)
+}
+
 /// Run `n_producers + 3` ranks: producers stream `per_producer` elements
 /// each into a 3-member replica group folding the mix64 checksum.
 /// Returns `(killed ranks, consumer outcomes, producer reports)`.
@@ -64,10 +84,7 @@ fn run(
         .with_seed(7)
         .with_fault_plan(plan);
     let nprocs = n_producers + 3;
-    let outcomes: Arc<Mutex<Vec<(usize, ReplicaOutcome<u64>)>>> = Arc::new(Mutex::new(Vec::new()));
-    let finishes: Arc<Mutex<Vec<(usize, ProducerFinish)>>> = Arc::new(Mutex::new(Vec::new()));
-    let (oc, fin) = (outcomes.clone(), finishes.clone());
-    let out = world.run_expect(nprocs, move |rank| {
+    let run = world.run(nprocs, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let role = if me < n_producers { Role::Producer } else { Role::Consumer };
@@ -79,13 +96,7 @@ fn run(
                     rank.compute_exact(PER_ELEM_SECS);
                     p.push(rank, (me as u64) << 32 | i);
                 }
-                // Finish *before* taking the log lock: the receiver of
-                // `lock().push(...)` is evaluated first, and holding a
-                // host-side mutex while blocked inside the simulator
-                // deadlocks the world (the kernel waits on a rank that is
-                // futex-blocked outside its knowledge).
-                let f = p.finish(rank);
-                fin.lock().push((me, f));
+                Ended::Producer(p.finish(rank))
             }
             Role::Consumer => {
                 let mut folded = 0u64;
@@ -97,18 +108,14 @@ fn run(
                     *acc = acc.wrapping_add(mix64(v));
                     ControlFlow::Continue(())
                 });
-                oc.lock().push((me, outcome));
+                Ended::Consumer(outcome)
             }
             Role::Bystander => unreachable!(),
         }
     });
-    let mut killed = out.sim.killed.clone();
-    killed.sort_unstable();
-    let mut outcomes = outcomes.lock().clone();
-    outcomes.sort_by_key(|&(r, _)| r);
-    let mut finishes = finishes.lock().clone();
-    finishes.sort_by_key(|&(r, _)| r);
-    (killed, outcomes, finishes)
+    let (out, ranks) = run.expect("a killed rank is not a failed simulation");
+    let (outcomes, finishes) = by_role(ranks);
+    (out.sim.killed, outcomes, finishes)
 }
 
 #[test]
@@ -281,10 +288,7 @@ fn deposed_alive_reelection_does_not_double_fold() {
     // Stall for 5x the 12ms replication patience: far past the point
     // where the standbys must suspect the (live) primary.
     let stall_secs = 0.060;
-    let outcomes: Arc<Mutex<Vec<(usize, ReplicaOutcome<u64>)>>> = Arc::new(Mutex::new(Vec::new()));
-    let finishes: Arc<Mutex<Vec<(usize, ProducerFinish)>>> = Arc::new(Mutex::new(Vec::new()));
-    let (oc, fin) = (outcomes.clone(), finishes.clone());
-    let out = world.run_expect(nprocs, move |rank| {
+    let (out, ranks) = world.run_expect(nprocs, move |rank| {
         let comm = rank.comm_world();
         let me = rank.world_rank();
         let role = if me < n_producers { Role::Producer } else { Role::Consumer };
@@ -296,8 +300,7 @@ fn deposed_alive_reelection_does_not_double_fold() {
                     rank.compute_exact(PER_ELEM_SECS);
                     p.push(rank, (me as u64) << 32 | i);
                 }
-                let f = p.finish(rank);
-                fin.lock().push((me, f));
+                Ended::Producer(p.finish(rank))
             }
             Role::Consumer => {
                 let mut folded = 0u64;
@@ -313,14 +316,14 @@ fn deposed_alive_reelection_does_not_double_fold() {
                     *acc = acc.wrapping_add(mix64(v));
                     ControlFlow::Continue(())
                 });
-                oc.lock().push((me, outcome));
+                Ended::Consumer(outcome)
             }
             Role::Bystander => unreachable!(),
         }
     });
     assert_eq!(out.sim.killed, Vec::<usize>::new(), "nobody dies — every deposition is spurious");
     let expect = expected_checksum(n_producers, per_producer);
-    let outcomes = outcomes.lock().clone();
+    let (outcomes, finishes) = by_role(ranks.into_iter().map(Some).collect());
     assert_eq!(outcomes.len(), 4, "all four replicas must finish");
     let final_view = outcomes.iter().map(|(_, o)| o.view).max().unwrap();
     assert!(final_view >= 2, "the stalls must force repeated view changes, got {final_view}");
@@ -331,7 +334,6 @@ fn deposed_alive_reelection_does_not_double_fold() {
             "exactly-once violated on rank {r}: stale pre-deposition batches were re-folded"
         );
     }
-    let finishes = finishes.lock().clone();
     let mut takeovers = 0u64;
     for (p, f) in &finishes {
         assert_eq!(f.sent, per_producer, "producer {p}");

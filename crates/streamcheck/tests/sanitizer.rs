@@ -31,11 +31,11 @@ fn wildcard_race_is_detected() {
             me => rank.send(0, TAG, 64, me as u32),
         }
     }
-    let unchecked = World::new(MachineConfig::default()).with_seed(3).run_expect(3, racy);
+    let (unchecked, _) = World::new(MachineConfig::default()).with_seed(3).run_expect(3, racy);
     assert!(unchecked.san_reports.is_empty(), "unchecked: {:?}", unchecked.san_reports);
 
     let world = World::new(MachineConfig::default()).with_seed(3).with_check();
-    let outcome = world.run_expect(3, racy);
+    let (outcome, _) = world.run_expect(3, racy);
     let races: Vec<&SanReport> = outcome
         .san_reports
         .iter()
@@ -58,7 +58,7 @@ fn wildcard_race_is_detected() {
 #[test]
 fn causally_ordered_candidates_are_not_a_race() {
     let world = World::new(MachineConfig::default()).with_seed(3).with_check();
-    let outcome = world.run_expect(3, |rank| match rank.world_rank() {
+    let (outcome, _) = world.run_expect(3, |rank| match rank.world_rank() {
         0 => {
             rank.compute(1.0);
             let _: (u32, _) = rank.recv(Src::Any, TAG);
@@ -81,7 +81,7 @@ fn causally_ordered_candidates_are_not_a_race() {
 #[test]
 fn orphan_message_is_reported_at_finalize() {
     let world = World::new(MachineConfig::default()).with_seed(3).with_check();
-    let outcome = world.run_expect(2, |rank| {
+    let (outcome, _) = world.run_expect(2, |rank| {
         if rank.world_rank() == 1 {
             rank.send(0, TAG, 128, 42u64);
         }
@@ -126,8 +126,8 @@ fn clean_stream_pipeline_has_zero_reports() {
         }
     }
     let world = World::new(MachineConfig::default()).with_seed(9);
-    let unchecked = world.run_expect(6, pipeline);
-    let checked = world.with_check().run_expect(6, pipeline);
+    let (unchecked, _) = world.run_expect(6, pipeline);
+    let (checked, _) = world.with_check().run_expect(6, pipeline);
     for outcome in [&unchecked, &checked] {
         assert!(
             outcome.san_reports.is_empty(),

@@ -3,11 +3,8 @@
 //! topology is each flagged; and (property) randomly-shaped pipelines the
 //! checker certifies deadlock-free do complete in real simulation.
 
-use std::sync::Arc;
-
 use mpisim::{MachineConfig, SimDuration, World};
 use mpistream::{ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use streamcheck::{check, ChannelDecl, Drain, GroupDecl, Report, Routing, Topology};
 
@@ -511,10 +508,8 @@ fn mutation_battery_every_defect_is_flagged() {
 
 #[test]
 fn from_channel_extracts_the_real_configuration() {
-    let decl: Arc<Mutex<Option<ChannelDecl>>> = Arc::new(Mutex::new(None));
-    let out = decl.clone();
     let world = World::new(MachineConfig::default()).with_seed(11);
-    world.run_expect(4, move |rank| {
+    let (_, mut decls) = world.run_expect(4, |rank| {
         let comm = rank.comm_world();
         let spec = GroupSpec { every: 2 };
         let role = spec.role_of(rank.world_rank());
@@ -524,9 +519,7 @@ fn from_channel_extracts_the_real_configuration() {
             ..ChannelConfig::default()
         };
         let ch = StreamChannel::create(rank, &comm, role, cfg);
-        if rank.world_rank() == 0 {
-            *out.lock() = Some(ChannelDecl::from_channel("live", &ch));
-        }
+        let decl = ChannelDecl::from_channel("live", &ch);
         let mut stream: Stream<u64> = Stream::attach(ch);
         match role {
             Role::Producer => {
@@ -538,8 +531,10 @@ fn from_channel_extracts_the_real_configuration() {
             }
             Role::Bystander => unreachable!(),
         }
+        decl
     });
-    let decl = decl.lock().take().expect("rank 0 extracted a declaration");
+    // Rank 0's view of the channel.
+    let decl = decls.swap_remove(0);
     assert_eq!(decl.producers, vec![0, 2]);
     assert_eq!(decl.consumers, vec![1, 3]);
     assert_eq!(decl.config.credits, Some(48));
@@ -593,10 +588,8 @@ proptest! {
         prop_assert!(report.is_clean(), "{}", report.to_text());
         prop_assert!(report.certified_deadlock_free);
 
-        let received = Arc::new(Mutex::new(0u64));
-        let rcv = received.clone();
         let world = World::new(MachineConfig::default()).with_seed(5);
-        world.run_expect(nprocs, move |rank| {
+        let (_, received) = world.run_expect(nprocs, move |rank| {
             let comm = rank.comm_world();
             let role = spec.role_of(rank.world_rank());
             let ch = StreamChannel::create(rank, &comm, role, cfg.clone());
@@ -607,15 +600,12 @@ proptest! {
                         stream.isend(rank, i as u32);
                     }
                     stream.terminate(rank);
+                    0
                 }
-                Role::Consumer => {
-                    let mut local = 0;
-                    stream.operate(rank, |_, _| local += 1);
-                    *rcv.lock() += local;
-                }
+                Role::Consumer => stream.operate(rank, |_, _| {}),
                 Role::Bystander => unreachable!(),
             }
         });
-        prop_assert_eq!(*received.lock(), (producers.len() * per_producer) as u64);
+        prop_assert_eq!(received.iter().sum::<u64>(), (producers.len() * per_producer) as u64);
     }
 }

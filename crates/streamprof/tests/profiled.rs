@@ -126,6 +126,7 @@ fn wrapper_is_transparent_to_program_results() {
     let plain = World::new(machine.clone())
         .with_seed(7)
         .run_expect(RANKS, |rank| program(rank))
+        .0
         .elapsed_secs();
     let sink = ProfSink::new(Clock::Virtual);
     let s2 = sink.clone();
@@ -135,6 +136,7 @@ fn wrapper_is_transparent_to_program_results() {
             let mut rank = Profiled::new(rank, s2.clone());
             program(&mut rank);
         })
+        .0
         .elapsed_secs();
     assert_eq!(plain, profiled, "profiling must not perturb the simulation");
 }

@@ -20,20 +20,17 @@ fn main() {
     const EVERY: usize = 16; // one analysis rank per 16 (α = 6.25 %)
 
     let world = World::new(MachineConfig::default()).with_seed(42);
-    let outcome = world.run_expect(RANKS, |rank| {
-        let mut report = quickstart(rank, STEPS, EVERY);
+    // Each rank's report comes back from the world, in rank order.
+    let (outcome, reports) = world.run_expect(RANKS, |rank| quickstart(rank, STEPS, EVERY));
+    for (rank, mut report) in reports.into_iter().enumerate() {
         if !report.received.is_empty() {
             let d = min_max_median(&mut report.received);
             println!(
-                "analysis rank {:>2}: {:>5} updates  min={:<5} median={:<5} max={:<5}",
-                rank.world_rank(),
-                d.samples,
-                d.min,
-                d.median,
-                d.max
+                "analysis rank {rank:>2}: {:>5} updates  min={:<5} median={:<5} max={:<5}",
+                d.samples, d.min, d.median, d.max
             );
         }
-    });
+    }
 
     println!(
         "\nsimulated makespan: {:.6} s  ({} messages, {} bytes total)",

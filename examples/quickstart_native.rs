@@ -31,21 +31,19 @@
 //! except the timelines come from separate address spaces.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use apps::portable::{fingerprint, quickstart, PortableReport};
 use mpisim::{MachineConfig, World};
 use mpistream::transport::SimTime;
-use mpistream::Transport;
 use native::NativeWorld;
-use parking_lot::Mutex;
 use streamprof::{Clock, ProfSink, Profiled};
 
 const RANKS: usize = 16;
 const STEPS: usize = 50;
 const EVERY: usize = 8; // one analysis rank per 8
 
-type Reports = BTreeMap<usize, PortableReport>;
+/// Every rank's report, in rank order.
+type Reports = Vec<PortableReport>;
 
 fn write_trace(path: &str, sink: ProfSink) {
     let trace = sink.take();
@@ -54,50 +52,33 @@ fn write_trace(path: &str, sink: ProfSink) {
 }
 
 fn run_sim(trace: Option<&str>) -> Reports {
-    let reports: Arc<Mutex<Reports>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = reports.clone();
     let prof = trace.map(|_| ProfSink::new(Clock::Virtual));
     let prof2 = prof.clone();
     let world = World::new(MachineConfig::default()).with_seed(42);
-    let outcome = world.run_expect(RANKS, move |rank| {
-        let me = rank.world_rank();
-        let rep = match &prof2 {
-            Some(p) => quickstart(&mut Profiled::new(rank, p.clone()), STEPS, EVERY),
-            None => quickstart(rank, STEPS, EVERY),
-        };
-        sink.lock().insert(me, rep);
+    let (outcome, reports) = world.run_expect(RANKS, move |rank| match &prof2 {
+        Some(p) => quickstart(&mut Profiled::new(rank, p.clone()), STEPS, EVERY),
+        None => quickstart(rank, STEPS, EVERY),
     });
     println!("sim:    virtual makespan {:.6} s", outcome.elapsed_secs());
     if let (Some(path), Some(p)) = (trace, prof) {
         write_trace(path, p);
     }
-    Arc::try_unwrap(reports).expect("world joined").into_inner()
+    reports
 }
 
 fn run_native(trace: Option<&str>) -> Reports {
-    let reports: Arc<Mutex<Reports>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = reports.clone();
     let prof = trace.map(|_| ProfSink::new(Clock::Wall));
-    let prof2 = prof.clone();
+    let start = std::time::Instant::now();
     // Modelled compute is milliseconds per rank; sleep it at full scale.
-    let world = NativeWorld::new(RANKS);
-    let outcome = world.run(move |rank| {
-        let me = rank.world_rank();
-        let rep = match &prof2 {
-            Some(p) => quickstart(&mut Profiled::new(rank, p.clone()), STEPS, EVERY),
-            None => quickstart(rank, STEPS, EVERY),
-        };
-        sink.lock().insert(me, rep);
+    let reports = NativeWorld::new(RANKS).run(|rank| match &prof {
+        Some(p) => quickstart(&mut Profiled::new(rank, p.clone()), STEPS, EVERY),
+        None => quickstart(rank, STEPS, EVERY),
     });
-    println!(
-        "native: wall-clock {:.6} s on {} threads",
-        outcome.elapsed.as_secs_f64(),
-        outcome.nprocs
-    );
+    println!("native: wall-clock {:.6} s on {RANKS} threads", start.elapsed().as_secs_f64());
     if let (Some(path), Some(p)) = (trace, prof) {
         write_trace(path, p);
     }
-    Arc::try_unwrap(reports).expect("threads joined").into_inner()
+    reports
 }
 
 /// The span categories the portable program can emit. Spans cross the
@@ -120,7 +101,6 @@ fn run_socket(trace: Option<&str>) -> Reports {
     // the same `--backend socket --trace ...` flags and knows to record.
     let tracing = trace.is_some();
     let results = socket::SocketWorld::new("quickstart_native_example", RANKS).run(|rank| {
-        let me = rank.world_rank();
         if tracing {
             let p = ProfSink::new(Clock::Wall);
             let rep = quickstart(&mut Profiled::new(rank, p.clone()), STEPS, EVERY);
@@ -130,10 +110,10 @@ fn run_socket(trace: Option<&str>) -> Reports {
                 .iter()
                 .map(|s| (s.cat.to_string(), s.start.as_nanos(), s.end.as_nanos()))
                 .collect();
-            (me, rep.sent, rep.received, spans)
+            (rep.sent, rep.received, spans)
         } else {
             let rep = quickstart(rank, STEPS, EVERY);
-            (me, rep.sent, rep.received, Vec::new())
+            (rep.sent, rep.received, Vec::new())
         }
     });
     println!(
@@ -145,25 +125,23 @@ fn run_socket(trace: Option<&str>) -> Reports {
         // Merge every rank's wall-clock spans into one sink: same file
         // format as the native trace, timelines from separate processes.
         let merged = ProfSink::new(Clock::Wall);
-        for (me, _, _, spans) in &results {
+        for (me, (_, _, spans)) in results.iter().enumerate() {
             for (cat, s, e) in spans {
-                merged.record_span(*me, intern_cat(cat.clone()), SimTime(*s), SimTime(*e));
+                merged.record_span(me, intern_cat(cat.clone()), SimTime(*s), SimTime(*e));
             }
         }
         write_trace(path, merged);
     }
-    results
-        .into_iter()
-        .map(|(me, sent, received, _)| (me, PortableReport { sent, received }))
-        .collect()
+    results.into_iter().map(|(sent, received, _)| PortableReport { sent, received }).collect()
 }
 
 /// Per-consumer fingerprints: `rank -> (updates consumed, fingerprint)`.
 fn consumer_fingerprints(reports: &Reports) -> BTreeMap<usize, (usize, u64)> {
     reports
         .iter()
+        .enumerate()
         .filter(|(_, rep)| !rep.received.is_empty())
-        .map(|(&r, rep)| (r, (rep.received.len(), fingerprint(&rep.received))))
+        .map(|(r, rep)| (r, (rep.received.len(), fingerprint(&rep.received))))
         .collect()
 }
 

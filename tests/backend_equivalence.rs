@@ -14,9 +14,6 @@
 //! bitwise-different across backends even on fault-free plans
 //! (DESIGN.md §11).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 use apps::portable::{
     fingerprint, mini_mapreduce, mini_mapreduce_oracle, quickstart, quickstart_with,
     workload_updates, MiniMrConfig, PortableReport,
@@ -24,33 +21,45 @@ use apps::portable::{
 use mpisim::{MachineConfig, World};
 use mpistream::{ChannelConfig, Group, GroupSpec, Role, StreamChannel, Transport};
 use native::NativeWorld;
-use parking_lot::Mutex;
 
 const RANKS: usize = 16;
 const STEPS: usize = 25;
 const EVERY: usize = 8;
 
-type Reports = BTreeMap<usize, PortableReport>;
+/// Every rank's report, in rank order.
+type Reports = Vec<PortableReport>;
 
 fn quickstart_sim() -> Reports {
-    let reports: Arc<Mutex<Reports>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = reports.clone();
-    World::new(MachineConfig::default()).with_seed(42).run_expect(RANKS, move |rank| {
-        let rep = quickstart(rank, STEPS, EVERY);
-        sink.lock().insert(rank.world_rank(), rep);
-    });
-    Arc::try_unwrap(reports).expect("world joined").into_inner()
+    World::new(MachineConfig::default())
+        .with_seed(42)
+        .run_expect(RANKS, |rank| quickstart(rank, STEPS, EVERY))
+        .1
 }
 
 fn quickstart_native() -> Reports {
-    let reports: Arc<Mutex<Reports>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = reports.clone();
-    NativeWorld::new(RANKS).with_compute_scale(0.01).run(move |rank| {
-        let me = rank.world_rank();
-        let rep = quickstart(rank, STEPS, EVERY);
-        sink.lock().insert(me, rep);
-    });
-    Arc::try_unwrap(reports).expect("threads joined").into_inner()
+    NativeWorld::new(RANKS).with_compute_scale(0.01).run(|rank| quickstart(rank, STEPS, EVERY))
+}
+
+/// The one histogram among the ranks' [`mini_mapreduce`] results: the
+/// master's.
+fn master_histogram(per_rank: Vec<Option<Vec<u64>>>) -> Vec<u64> {
+    let mut masters: Vec<Vec<u64>> = per_rank.into_iter().flatten().collect();
+    assert_eq!(masters.len(), 1, "exactly one master histogram");
+    masters.remove(0)
+}
+
+fn mini_mapreduce_sim(n: usize, seed: u64, cfg: &MiniMrConfig) -> Vec<u64> {
+    let cfg = cfg.clone();
+    let (_, per_rank) = World::new(MachineConfig::default())
+        .with_seed(seed)
+        .run_expect(n, move |rank| mini_mapreduce(rank, &cfg));
+    master_histogram(per_rank)
+}
+
+fn mini_mapreduce_native(n: usize, cfg: &MiniMrConfig) -> Vec<u64> {
+    master_histogram(
+        NativeWorld::new(n).with_compute_scale(0.01).run(|rank| mini_mapreduce(rank, cfg)),
+    )
 }
 
 #[test]
@@ -59,8 +68,7 @@ fn quickstart_per_consumer_payloads_match_across_backends() {
     let native = quickstart_native();
     assert_eq!(sim.len(), RANKS);
     assert_eq!(native.len(), RANKS);
-    for rank in 0..RANKS {
-        let (s, n) = (&sim[&rank], &native[&rank]);
+    for (rank, (s, n)) in sim.iter().zip(&native).enumerate() {
         assert_eq!(s.sent, n.sent, "rank {rank}: streamed element count differs");
         // `received` is sorted by the portable program: multiset equality.
         assert_eq!(s.received, n.received, "rank {rank}: consumed payload multiset differs");
@@ -69,7 +77,7 @@ fn quickstart_per_consumer_payloads_match_across_backends() {
         }
     }
     // The workload actually flowed: every producer streamed every step.
-    let produced: u64 = sim.values().map(|r| r.sent).sum();
+    let produced: u64 = sim.iter().map(|r| r.sent).sum();
     assert_eq!(produced, (RANKS - RANKS / EVERY) as u64 * STEPS as u64);
 }
 
@@ -79,7 +87,7 @@ fn quickstart_consumers_match_serial_oracle_on_both_backends() {
     // group's union is every update the compute ranks' trajectories hold.
     let oracle = workload_updates(GroupSpec { every: EVERY }.members(RANKS).0, STEPS);
     for reports in [quickstart_sim(), quickstart_native()] {
-        let mut union: Vec<u64> = reports.into_values().flat_map(|r| r.received).collect();
+        let mut union: Vec<u64> = reports.into_iter().flat_map(|r| r.received).collect();
         union.sort_unstable();
         assert_eq!(union, oracle);
     }
@@ -93,24 +101,8 @@ fn mini_mapreduce_histogram_matches_oracle_on_both_backends() {
     let oracle = mini_mapreduce_oracle(N, &cfg);
     assert!(oracle.iter().sum::<u64>() > 0, "oracle must count something");
 
-    let sim_hist: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = sim_hist.clone();
-    let cfg2 = cfg.clone();
-    World::new(MachineConfig::default()).with_seed(7).run_expect(N, move |rank| {
-        if let Some(hist) = mini_mapreduce(rank, &cfg2) {
-            *sink.lock() = hist;
-        }
-    });
-    assert_eq!(*sim_hist.lock(), oracle, "simulator master histogram != oracle");
-
-    let native_hist: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = native_hist.clone();
-    NativeWorld::new(N).with_compute_scale(0.01).run(move |rank| {
-        if let Some(hist) = mini_mapreduce(rank, &cfg) {
-            *sink.lock() = hist;
-        }
-    });
-    assert_eq!(*native_hist.lock(), oracle, "native master histogram != oracle");
+    assert_eq!(mini_mapreduce_sim(N, 7, &cfg), oracle, "simulator master histogram != oracle");
+    assert_eq!(mini_mapreduce_native(N, &cfg), oracle, "native master histogram != oracle");
 }
 
 #[test]
@@ -125,26 +117,12 @@ fn tree_aggregated_mini_mapreduce_matches_oracle_on_both_backends() {
     let oracle = mini_mapreduce_oracle(RANKS, &cfg);
     assert!(oracle.iter().sum::<u64>() > 0, "oracle must count something");
 
-    let sim_hist: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = sim_hist.clone();
-    let cfg2 = cfg.clone();
-    World::new(MachineConfig::default()).with_seed(13).run_expect(RANKS, move |rank| {
-        if let Some(hist) = mini_mapreduce(rank, &cfg2) {
-            *sink.lock() = hist;
-        }
-    });
-    assert_eq!(*sim_hist.lock(), oracle, "simulator tree-aggregated histogram != oracle");
-
-    let native_hist: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = native_hist.clone();
-    NativeWorld::new(RANKS).with_compute_scale(0.01).run(move |rank| {
-        if let Some(hist) = mini_mapreduce(rank, &cfg) {
-            *sink.lock() = hist;
-        }
-    });
-    assert_eq!(*native_hist.lock(), oracle, "native tree-aggregated histogram != oracle");
+    let sim_hist = mini_mapreduce_sim(RANKS, 13, &cfg);
+    assert_eq!(sim_hist, oracle, "simulator tree-aggregated histogram != oracle");
+    let native_hist = mini_mapreduce_native(RANKS, &cfg);
+    assert_eq!(native_hist, oracle, "native tree-aggregated histogram != oracle");
     // Same content, fingerprint-checked as a multiset for good measure.
-    assert_eq!(fingerprint(&sim_hist.lock()), fingerprint(&oracle));
+    assert_eq!(fingerprint(&sim_hist), fingerprint(&oracle));
 }
 
 /// The flow-control regime the batched-credit equivalence tests run
@@ -163,28 +141,13 @@ fn batched_config() -> ChannelConfig {
 
 #[test]
 fn quickstart_with_batched_credits_matches_across_backends() {
-    let run_sim = || {
-        let reports: Arc<Mutex<Reports>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let sink = reports.clone();
-        World::new(MachineConfig::default()).with_seed(43).run_expect(RANKS, move |rank| {
-            let rep = quickstart_with(rank, STEPS, EVERY, batched_config());
-            sink.lock().insert(rank.world_rank(), rep);
-        });
-        Arc::try_unwrap(reports).expect("world joined").into_inner()
-    };
-    let run_native = || {
-        let reports: Arc<Mutex<Reports>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let sink = reports.clone();
-        NativeWorld::new(RANKS).with_compute_scale(0.01).run(move |rank| {
-            let me = rank.world_rank();
-            let rep = quickstart_with(rank, STEPS, EVERY, batched_config());
-            sink.lock().insert(me, rep);
-        });
-        Arc::try_unwrap(reports).expect("threads joined").into_inner()
-    };
-    let (sim, native) = (run_sim(), run_native());
-    for rank in 0..RANKS {
-        let (s, n) = (&sim[&rank], &native[&rank]);
+    let (_, sim) = World::new(MachineConfig::default())
+        .with_seed(43)
+        .run_expect(RANKS, |rank| quickstart_with(rank, STEPS, EVERY, batched_config()));
+    let native = NativeWorld::new(RANKS)
+        .with_compute_scale(0.01)
+        .run(|rank| quickstart_with(rank, STEPS, EVERY, batched_config()));
+    for (rank, (s, n)) in sim.iter().zip(&native).enumerate() {
         assert_eq!(s.sent, n.sent, "rank {rank}: streamed element count differs");
         assert_eq!(s.received, n.received, "rank {rank}: consumed payload multiset differs");
         if !s.received.is_empty() {
@@ -193,7 +156,7 @@ fn quickstart_with_batched_credits_matches_across_backends() {
     }
     // The credited run consumed exactly what the uncredited run would:
     // flow control changes pacing, never content.
-    let produced: u64 = sim.values().map(|r| r.sent).sum();
+    let produced: u64 = sim.iter().map(|r| r.sent).sum();
     assert_eq!(produced, (RANKS - RANKS / EVERY) as u64 * STEPS as u64);
 }
 
@@ -203,24 +166,8 @@ fn mini_mapreduce_with_batched_credits_matches_oracle_on_both_backends() {
     let cfg = MiniMrConfig { credits: Some(8), credit_batch: 4, ..MiniMrConfig::default() };
     let oracle = mini_mapreduce_oracle(N, &cfg);
 
-    let sim_hist: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = sim_hist.clone();
-    let cfg2 = cfg.clone();
-    World::new(MachineConfig::default()).with_seed(11).run_expect(N, move |rank| {
-        if let Some(hist) = mini_mapreduce(rank, &cfg2) {
-            *sink.lock() = hist;
-        }
-    });
-    assert_eq!(*sim_hist.lock(), oracle, "simulator master histogram != oracle");
-
-    let native_hist: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = native_hist.clone();
-    NativeWorld::new(N).with_compute_scale(0.01).run(move |rank| {
-        if let Some(hist) = mini_mapreduce(rank, &cfg) {
-            *sink.lock() = hist;
-        }
-    });
-    assert_eq!(*native_hist.lock(), oracle, "native master histogram != oracle");
+    assert_eq!(mini_mapreduce_sim(N, 11, &cfg), oracle, "simulator master histogram != oracle");
+    assert_eq!(mini_mapreduce_native(N, &cfg), oracle, "native master histogram != oracle");
 }
 
 /// One round of every collective in the Transport subset, observed as a
@@ -262,17 +209,15 @@ fn collective_observations<TP: Transport>(rank: &mut TP, rounds: u64) -> Vec<u64
     obs
 }
 
-type ObsMap = BTreeMap<usize, Vec<u64>>;
 const COLL_ROUNDS: u64 = 5;
 
-fn collectives_sim(nprocs: usize) -> ObsMap {
-    let obs: Arc<Mutex<ObsMap>> = Arc::new(Mutex::new(BTreeMap::new()));
-    let sink = obs.clone();
-    World::new(MachineConfig::default()).with_seed(3).run_expect(nprocs, move |rank| {
-        let o = collective_observations(rank, COLL_ROUNDS);
-        sink.lock().insert(rank.world_rank(), o);
-    });
-    Arc::try_unwrap(obs).expect("world joined").into_inner()
+/// Every rank's [`collective_observations`] on the simulator, in rank
+/// order.
+fn collectives_sim(nprocs: usize) -> Vec<Vec<u64>> {
+    World::new(MachineConfig::default())
+        .with_seed(3)
+        .run_expect(nprocs, |rank| collective_observations(rank, COLL_ROUNDS))
+        .1
 }
 
 #[test]
@@ -283,16 +228,9 @@ fn tree_collectives_agree_across_backends() {
     // binomial tree forced: `mpistream::coll`'s two shapes.
     let trees = NativeWorld::new(RANKS).with_coll_flat_threshold(0);
     for (shape, world) in [("default", NativeWorld::new(RANKS)), ("trees forced", trees)] {
-        let native_obs: Arc<Mutex<ObsMap>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let sink = native_obs.clone();
-        world.run(move |rank| {
-            let me = rank.world_rank();
-            let obs = collective_observations(rank, COLL_ROUNDS);
-            sink.lock().insert(me, obs);
-        });
-        let native = native_obs.lock();
-        for rank in 0..RANKS {
-            assert_eq!(native[&rank], sim[&rank], "native ({shape}) rank {rank} diverges from sim");
+        let native = world.run(|rank| collective_observations(rank, COLL_ROUNDS));
+        for (rank, (n, s)) in native.iter().zip(&sim).enumerate() {
+            assert_eq!(n, s, "native ({shape}) rank {rank} diverges from sim");
         }
     }
 }
@@ -301,16 +239,12 @@ fn tree_collectives_agree_across_backends() {
 fn native_channel_feeds_streamcheck_topology_extraction() {
     // `StreamChannel` is backend-free, so the `streamcheck` static pass
     // ingests a channel created over the native transport unchanged.
-    let decl: Arc<Mutex<Option<streamcheck::ChannelDecl>>> = Arc::new(Mutex::new(None));
-    let sink = decl.clone();
-    NativeWorld::new(6).run(|rank| {
+    let mut decls = NativeWorld::new(6).run(|rank| {
         let comm = rank.world_group();
         let spec = GroupSpec { every: 3 };
         let role = spec.role_of(rank.world_rank());
         let ch = StreamChannel::create(rank, &comm, role, ChannelConfig::default());
-        if rank.world_rank() == 0 {
-            *sink.lock() = Some(streamcheck::ChannelDecl::from_channel("native-ch", &ch));
-        }
+        let decl = streamcheck::ChannelDecl::from_channel("native-ch", &ch);
         // Tear the channel down cleanly so no rank is left waiting.
         match role {
             Role::Producer => {
@@ -323,8 +257,10 @@ fn native_channel_feeds_streamcheck_topology_extraction() {
             }
             Role::Bystander => {}
         }
+        decl
     });
-    let decl = decl.lock().take().expect("rank 0 extracted the declaration");
+    // Rank 0's view of the channel.
+    let decl = decls.swap_remove(0);
     assert_eq!(decl.producers, vec![0, 1, 3, 4]);
     assert_eq!(decl.consumers, vec![2, 5]);
 }
@@ -353,13 +289,12 @@ fn socket_quickstart_matches_sim_and_native() {
     let sim = quickstart_sim();
     let native = quickstart_native();
     assert_eq!(socket.len(), RANKS);
-    for rank in 0..RANKS {
-        let (sent, received) = &socket[rank];
-        assert_eq!(*sent, sim[&rank].sent, "rank {rank}: socket sent count != sim");
-        assert_eq!(received, &sim[&rank].received, "rank {rank}: socket multiset != sim");
-        assert_eq!(received, &native[&rank].received, "rank {rank}: socket multiset != native");
+    for (rank, (sent, received)) in socket.iter().enumerate() {
+        assert_eq!(*sent, sim[rank].sent, "rank {rank}: socket sent count != sim");
+        assert_eq!(received, &sim[rank].received, "rank {rank}: socket multiset != sim");
+        assert_eq!(received, &native[rank].received, "rank {rank}: socket multiset != native");
         if !received.is_empty() {
-            assert_eq!(fingerprint(received), fingerprint(&sim[&rank].received));
+            assert_eq!(fingerprint(received), fingerprint(&sim[rank].received));
         }
     }
     let produced: u64 = socket.iter().map(|(s, _)| s).sum();
@@ -375,7 +310,7 @@ fn socket_collectives_match_sim() {
         .run(|rank| collective_observations(rank, COLL_ROUNDS));
     let sim = collectives_sim(N);
     for (rank, obs) in socket.iter().enumerate() {
-        assert_eq!(*obs, sim[&rank], "rank {rank}: collective observations diverge");
+        assert_eq!(*obs, sim[rank], "rank {rank}: collective observations diverge");
     }
 }
 
@@ -395,14 +330,7 @@ fn socket_mini_mapreduce_matches_oracle_and_sim() {
     assert_eq!(masters.len(), 1, "exactly one master histogram");
     assert_eq!(*masters[0], oracle, "socket master histogram != oracle");
 
-    let sim_hist: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = sim_hist.clone();
-    World::new(MachineConfig::default()).with_seed(7).run_expect(N, move |rank| {
-        if let Some(hist) = mini_mapreduce(rank, &cfg) {
-            *sink.lock() = hist;
-        }
-    });
-    assert_eq!(*masters[0], *sim_hist.lock(), "socket master histogram != sim");
+    assert_eq!(*masters[0], mini_mapreduce_sim(N, 7, &cfg), "socket master histogram != sim");
     assert_eq!(fingerprint(masters[0]), fingerprint(&oracle));
 }
 

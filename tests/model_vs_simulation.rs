@@ -23,7 +23,7 @@ fn simulate_decoupled(
 ) -> f64 {
     let machine = MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() };
     let world = World::new(machine).with_seed(7);
-    let out = world.run_expect(p, move |rank| {
+    let (out, _) = world.run_expect(p, move |rank| {
         let comm = rank.comm_world();
         let n_cons = GroupSpec { every }.members(p).1.len();
         let n_prod = p - n_cons;
@@ -54,7 +54,7 @@ fn simulate_conventional(p: usize, total_elements: usize, op0_cost: f64, op1_cos
     let machine = MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() };
     let world = World::new(machine).with_seed(7);
     let mine = total_elements.div_ceil(p);
-    let out = world.run_expect(p, move |rank| {
+    let (out, _) = world.run_expect(p, move |rank| {
         let comm = rank.comm_world();
         for _ in 0..mine {
             rank.compute_exact(op0_cost);
@@ -152,6 +152,7 @@ fn imbalance_absorption_matches_the_model_qualitatively() {
             }
             rank.barrier(&comm);
         })
+        .0
         .elapsed_secs();
 
     let world = World::new(machine).with_seed(3);
@@ -175,6 +176,7 @@ fn imbalance_absorption_matches_the_model_qualitatively() {
                 },
             );
         })
+        .0
         .elapsed_secs();
 
     // Conventional: 10ms straggler + 4ms Op1 ≈ 14ms. Decoupled: the
