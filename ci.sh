@@ -72,10 +72,16 @@ stage "socket backend smoke (multi-process equivalence over Unix sockets)"
 # The same portable programs again, this time with one OS *process* per
 # rank and every payload crossing the Wire codec over Unix-domain
 # sockets (DESIGN.md §16). backend_equivalence certifies the socket
-# fingerprints against sim and native; recv_deadline_semantics pins the
-# half-read-frame and absolute-deadline contracts; the quickstart run
+# fingerprints against sim and native; the socket crate's own tests pin
+# progress wherever a rank blocks (floods, close barrier, a half frame on
+# a live rank) and one thread per rank process; recv_deadline_semantics
+# pins the half-read-frame and absolute-deadline contracts; the quickstart run
 # exercises the launcher + merged wall-clock trace end to end. Process
 # worlds can wedge rather than fail, so everything is timeout-bounded.
+# A rank process runs one thread, which reads its own links wherever it
+# waits (DESIGN.md §16.3): no reader, acceptor or writer thread may come
+# back beside it.
+if grep -rn 'thread::spawn' crates/socket/src; then echo "no threads in socket ranks"; exit 1; fi
 timeout 300 cargo test -q --release --offline -p socket
 timeout 300 cargo test -q --release --offline -p integration \
     --test backend_equivalence socket_

@@ -30,11 +30,13 @@
 //!
 //! [`MailboxRank`] implements [`Transport`] for this crate and for the
 //! `socket` crate alike. It owns everything the two share: identity, the
-//! [`WallClock`], receive matching and [`Transport::wait_for_mail`] on
-//! the rank's own [`Mailbox`], the collectives, and channel ids. Its
-//! [`Links`] parameter supplies the rest — how a message leaves and how a
-//! received payload becomes a value. Here that is [`ThreadLinks`]: a send
-//! moves the boxed value into the peer's mailbox, nothing is encoded.
+//! [`WallClock`], receive matching on the rank's own [`Mailbox`], the
+//! [`Transport::wait_for_mail`] snapshot, the collectives, and channel
+//! ids. Its [`Links`] parameter supplies the rest — how a message leaves,
+//! how a received payload becomes a value, and how the rank waits for
+//! mail. Here that is [`ThreadLinks`]: a send moves the boxed value into
+//! the peer's mailbox, nothing is encoded, and a receive that finds
+//! nothing parks on the mailbox until a sender's push wakes it.
 //!
 //! Each mailbox mirrors the simulator's PR-3 matching structure — per-tag
 //! ordered index for wildcard matches, per-`(src, tag)` FIFO for directed
@@ -175,6 +177,29 @@ impl Links for ThreadLinks {
         self.0[dst].push(Env { src, tag, bytes, payload: Box::new(v) });
     }
 
+    // The three waits are `#[inline]` so that, in the rank's
+    // monomorphized receive, `until` folds away and a native receive is
+    // one direct `Mailbox` call.
+    #[inline]
+    fn take(&mut self, me: usize, src: Src, tag: Tag, until: Until) -> Option<Env> {
+        let inbox = &self.0[me];
+        match until {
+            Until::Now => inbox.try_take(src, tag),
+            Until::At(deadline) => inbox.take_deadline(src, tag, deadline),
+            Until::Forever => Some(inbox.take(src, tag)),
+        }
+    }
+
+    #[inline]
+    fn probe(&mut self, me: usize, src: Src, tag: Tag) -> Option<MsgInfo> {
+        self.0[me].probe(src, tag)
+    }
+
+    #[inline]
+    fn wait_change(&mut self, me: usize, seen: u64) -> u64 {
+        self.0[me].wait_change(seen)
+    }
+
     fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T {
         *env.payload.downcast::<T>().unwrap_or_else(|_| {
             panic!(
@@ -185,15 +210,26 @@ impl Links for ThreadLinks {
             )
         })
     }
+}
 
-    fn inbox(&self, me: usize) -> &Mailbox {
-        &self.0[me]
-    }
+/// How long a receive may wait for its message.
+#[derive(Clone, Copy, Debug)]
+pub enum Until {
+    /// Not at all: take what has arrived.
+    Now,
+    /// Until this wall-clock instant.
+    At(Instant),
+    /// For as long as it takes.
+    Forever,
 }
 
 /// What a backend hands [`MailboxRank`]: how a message leaves this rank,
-/// how a received payload becomes a value, and where this rank's mail
-/// arrives. Everything else is the rank's, the same for every backend.
+/// how a received payload becomes a value, and how this rank waits for
+/// its mail. Matching is the rank's [`Mailbox`] on every backend; what
+/// differs is who fills it — a sender's `push` on another thread (native,
+/// which parks until then) or the rank itself, reading its links when a
+/// receive misses (socket). Everything else is the rank's, the same for
+/// every backend.
 pub trait Links {
     /// Deliver `v` to world rank `dst` (in range); `info` is what the
     /// receiver will see, its `src` the sending rank.
@@ -202,8 +238,19 @@ pub trait Links {
     /// The value `env` carries, received by world rank `me`.
     fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T;
 
-    /// World rank `me`'s own mailbox.
-    fn inbox(&self, me: usize) -> &Mailbox;
+    /// The first message in world rank `me`'s mailbox that matches
+    /// `(src, tag)`, in arrival order, waiting for one as `until` says:
+    /// `None` only when `until` ran out. [`Mailbox::take`] and its
+    /// siblings are the contract.
+    fn take(&mut self, me: usize, src: Src, tag: Tag, until: Until) -> Option<Env>;
+
+    /// [`Mailbox::probe`] of `me`'s mail: metadata of the first match,
+    /// not consumed, without waiting.
+    fn probe(&mut self, me: usize, src: Src, tag: Tag) -> Option<MsgInfo>;
+
+    /// [`Mailbox::wait_change`] of `me`'s mail: wait until its version
+    /// differs from `seen`, and return the new one.
+    fn wait_change(&mut self, me: usize, seen: u64) -> u64;
 }
 
 /// A rank of a real backend, generic over its [`Links`]: the one
@@ -241,8 +288,10 @@ impl<L: Links> MailboxRank<L> {
         }
     }
 
-    fn inbox(&self) -> &Mailbox {
-        self.links.inbox(self.rank)
+    /// The rank's links, for what a backend does once the body has
+    /// returned.
+    pub fn into_links(self) -> L {
+        self.links
     }
 
     fn unpack<T: Wire + Send + 'static>(&self, env: Env) -> (T, MsgInfo) {
@@ -314,12 +363,12 @@ impl<L: Links> Transport for MailboxRank<L> {
     }
 
     fn recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
-        let env = self.inbox().take(src, tag);
-        self.unpack(env)
+        let env = self.links.take(self.rank, src, tag, Until::Forever);
+        self.unpack(env.expect("a receive without a deadline waits until it matches"))
     }
 
     fn try_recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
-        let env = self.inbox().try_take(src, tag)?;
+        let env = self.links.take(self.rank, src, tag, Until::Now)?;
         Some(self.unpack(env))
     }
 
@@ -329,13 +378,13 @@ impl<L: Links> Transport for MailboxRank<L> {
         tag: Tag,
         deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
-        let until = self.clock.instant(deadline);
-        let env = self.inbox().take_deadline(src, tag, until)?;
+        let until = Until::At(self.clock.instant(deadline));
+        let env = self.links.take(self.rank, src, tag, until)?;
         Some(self.unpack(env))
     }
 
     fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
-        self.inbox().probe(src, tag)
+        self.links.probe(self.rank, src, tag)
     }
 
     fn wait_for_mail(&mut self) {
@@ -347,7 +396,7 @@ impl<L: Links> Transport for MailboxRank<L> {
         // snapshot and this returns immediately instead of parking past a
         // message it never re-examined. Worst case is one spurious
         // re-poll; a lost wake-up is impossible.
-        self.mail_seen = self.inbox().wait_change(self.mail_seen);
+        self.mail_seen = self.links.wait_change(self.rank, self.mail_seen);
     }
 
     fn barrier(&mut self, group: &RankGroup) {

@@ -627,8 +627,10 @@ impl Mailbox {
         }
     }
 
-    /// Current version, as a round-start snapshot (tests only; ranks get
-    /// theirs from `wait_change`, starting from the shared initial 0).
+    /// Current version, as a round-start snapshot. Native ranks get
+    /// theirs from `wait_change`, starting from the shared initial 0; a
+    /// socket rank, the only producer of its own mailbox, reads it here
+    /// instead of parking where no push could wake it.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
     }

@@ -36,6 +36,8 @@ use mpistream::MAX_FRAME_BYTES;
 pub const MAGIC: [u8; 4] = *b"MPWS";
 /// Protocol version byte; bumped on any frame-layout change.
 pub const VERSION: u8 = 1;
+/// Length of the connection preamble: magic, version, sender rank.
+pub(crate) const PREAMBLE_BYTES: usize = 4 + 1 + 4;
 /// Fixed frame header past the length prefix: tag + modelled bytes.
 pub const HEADER_BYTES: usize = 16;
 /// Everything a frame carries in front of its payload: the `u32` length
@@ -113,6 +115,10 @@ pub fn write_frame(w: &mut impl Write, tag: u64, bytes: u64, payload: &[u8]) -> 
     w.write_all(&buf)
 }
 
+fn eof_inside_a_frame() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "link closed inside a frame")
+}
+
 /// `read`, retrying `Interrupted`.
 fn read_some(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     loop {
@@ -123,23 +129,48 @@ fn read_some(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     }
 }
 
+/// A frame larger than the reader's buffer, being read straight into its
+/// own allocation: its header, its payload, and how many payload bytes
+/// have arrived so far.
+struct Big {
+    tag: u64,
+    bytes: u64,
+    payload: Vec<u8>,
+    have: usize,
+}
+
 /// The framing state machine, over a caller-owned buffer of at least
-/// [`FRAME_OVERHEAD`] bytes whose unconsumed bytes are `buf[win]`.
+/// [`FRAME_OVERHEAD`] bytes whose unconsumed bytes are `buf[win]`, and
+/// the frame too large for it that is under way, if any.
 ///
 /// Invariants: `buf[win]` always starts at a frame boundary; every
 /// `read` lands behind it (after the tail has been moved to the front),
 /// and is only issued while the frame at the front is incomplete — so it
 /// always has room, because a frame that does not fit the buffer leaves
-/// through its own allocation first. The length prefix is validated as
-/// soon as its four bytes are in, before any allocation and before
-/// waiting for more bytes. EOF is clean (`Ok(None)`) only with `win`
-/// empty, i.e. when not one byte of a frame has been consumed.
+/// through its own allocation (`big`) first. The length prefix is
+/// validated as soon as its four bytes are in, before any allocation and
+/// before waiting for more bytes. EOF is clean (`Ok(None)`) only with
+/// `win` empty and no `big`, i.e. when not one byte of a frame has been
+/// consumed. Any error from `r` — `WouldBlock` from a non-blocking
+/// source included — leaves all three consistent, so the next call
+/// resumes where this one stopped.
 fn next_frame(
     r: &mut impl Read,
     buf: &mut [u8],
     win: &mut Range<usize>,
+    big: &mut Option<Big>,
 ) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
     loop {
+        if let Some(b) = big {
+            while b.have < b.payload.len() {
+                match read_some(r, &mut b.payload[b.have..])? {
+                    0 => return Err(eof_inside_a_frame()),
+                    n => b.have += n,
+                }
+            }
+            let Big { tag, bytes, payload, .. } = big.take().expect("matched above");
+            return Ok(Some((tag, bytes, payload)));
+        }
         let have = &buf[win.clone()];
         if let Some(prefix) = have.get(..4) {
             let len = u32::from_le_bytes(prefix.try_into().expect("exact slice")) as usize;
@@ -163,11 +194,10 @@ fn next_frame(
                     // what is buffered, the rest comes straight from the
                     // reader.
                     let mut payload = vec![0u8; want];
-                    let (head, rest) = payload.split_at_mut(body.len());
-                    head.copy_from_slice(body);
+                    payload[..body.len()].copy_from_slice(body);
+                    *big = Some(Big { tag, bytes, payload, have: body.len() });
                     *win = 0..0;
-                    r.read_exact(rest)?;
-                    return Ok(Some((tag, bytes, payload)));
+                    continue;
                 }
             }
         }
@@ -180,49 +210,63 @@ fn next_frame(
         }
         let n = read_some(r, &mut buf[win.end..])?;
         if n == 0 {
-            return if at_boundary {
-                Ok(None)
-            } else {
-                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "link closed inside a frame"))
-            };
+            return if at_boundary { Ok(None) } else { Err(eof_inside_a_frame()) };
         }
         win.end += n;
     }
 }
 
-/// Buffered frame reader for one inbound link: owns the reader and a
-/// [`LINK_BUF_BYTES`] buffer (see `next_frame` for its invariants).
+/// Buffered frame reader for one inbound link: owns the reader, a
+/// [`LINK_BUF_BYTES`] buffer and the state of a frame too large for it
+/// (see `next_frame` for the invariants).
 pub struct FrameReader<R> {
     inner: R,
     buf: Box<[u8]>,
     win: Range<usize>,
+    big: Option<Big>,
 }
 
 impl<R: Read> FrameReader<R> {
     /// Wrap `inner`, which must be positioned at a frame boundary.
     pub fn new(inner: R) -> FrameReader<R> {
-        FrameReader { inner, buf: vec![0u8; LINK_BUF_BYTES].into_boxed_slice(), win: 0..0 }
+        let buf = vec![0u8; LINK_BUF_BYTES].into_boxed_slice();
+        FrameReader { inner, buf, win: 0..0, big: None }
     }
 
     /// The next frame as `(tag, modelled bytes, payload)`. `Ok(None)` is
     /// a clean end-of-stream (EOF exactly at a frame boundary); EOF
     /// anywhere inside a frame is an error, as is a length prefix below
-    /// the header size or above [`MAX_FRAME_BYTES`]. After an error the
-    /// link is out of sync and the reader must be dropped.
+    /// the header size or above [`MAX_FRAME_BYTES`]. After such an error
+    /// the link is out of sync and the reader must be dropped. A
+    /// `WouldBlock` from a non-blocking `inner` is not one of them: the
+    /// bytes read so far stay buffered, and the next call carries on
+    /// with the frame it was in.
     pub fn next_frame(&mut self) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
-        next_frame(&mut self.inner, &mut self.buf, &mut self.win)
+        next_frame(&mut self.inner, &mut self.buf, &mut self.win, &mut self.big)
+    }
+
+    /// The wrapped reader.
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// The wrapped reader. Bytes read from it directly never reach the
+    /// frame reader, so read only what comes before the first frame.
+    pub(crate) fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
     }
 }
 
 /// Read one frame without consuming a byte past it (same contract as
-/// [`FrameReader::next_frame`]), for callers that interleave frames with
-/// other reads on `r`. This is the same state machine over a buffer of
+/// [`FrameReader::next_frame`], except that a frame's state lives for
+/// one call only, so `r` must block), for callers that interleave frames
+/// with other reads on `r`. This is the same state machine over a buffer of
 /// exactly [`FRAME_OVERHEAD`] bytes: no `read` into it can reach past
 /// the smallest legal frame, and any payload at all is "larger than the
 /// buffer" and is read straight into its own allocation.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
     let mut prefix = [0u8; FRAME_OVERHEAD];
-    next_frame(r, &mut prefix, &mut (0..0))
+    next_frame(r, &mut prefix, &mut (0..0), &mut None)
 }
 
 /// Write a bare length-prefixed blob (the control-plane result frames).

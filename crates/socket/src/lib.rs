@@ -10,12 +10,12 @@
 //!
 //! A [`SocketRank`] *is* the native backend's rank,
 //! [`native::MailboxRank`], over this crate's [`SocketLinks`]: matching
-//! happens in the exact same [`Mailbox`] (lock-free MPSC staging +
-//! eventcount park, so the schedcheck models of that structure still
-//! apply), on the same clock, with the same collectives and channel ids.
-//! What this crate adds is how a message leaves — encoded into a frame
-//! and written to the peer's socket — and how a received frame is
-//! decoded.
+//! happens in the exact same [`Mailbox`], on the same clock, with the
+//! same collectives and channel ids. What this crate adds is how a
+//! message leaves — encoded into a frame and written to the peer's
+//! socket — how a received frame is decoded, and how the rank waits for
+//! mail: by reading its own links, on its one thread (see
+//! [`SocketLinks`]).
 //!
 //! ## Topology
 //!
@@ -27,13 +27,17 @@
 //!    launcher over `dir/ctl.sock` — so once the launcher releases the
 //!    world (GO), every listener is guaranteed to exist and
 //!    connect-on-first-use cannot race;
-//! 2. runs the body against a [`SocketRank`]; an acceptor thread plus
-//!    one reader thread per inbound link decode frames into the mailbox
-//!    concurrently with the body;
+//! 2. runs the body against a [`SocketRank`] on the process's one
+//!    thread; whenever the body waits in a transport call — a receive
+//!    that misses, a send whose link is full — the rank accepts inbound
+//!    connections and decodes what its inbound links hold into its
+//!    mailbox;
 //! 3. ships its [`Wire`]-encoded result back on the control link and
-//!    parks until the launcher's ALL_DONE — a close barrier: no rank
-//!    exits while a peer might still be writing to it, so teardown
-//!    never manufactures connection-reset errors.
+//!    waits for the launcher's ALL_DONE, still reading its inbound
+//!    links — a close barrier: no rank exits while a peer might still be
+//!    writing to it, so teardown never manufactures connection-reset
+//!    errors, and a peer blocked writing to a finished rank still gets
+//!    its frames out.
 //!
 //! Exactly **one** `SocketWorld::run` per process: in a child, `run`
 //! never returns (the process exits after the body), and a second run
@@ -45,17 +49,20 @@
 
 pub mod frame;
 
+use std::ffi::c_short;
 use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use mpistream::{MsgInfo, Tag, Wire};
+use frame::FrameReader;
+use mpistream::{MsgInfo, Src, Tag, Wire};
 use native::mailbox::{Env, Mailbox};
-use native::{Links, MailboxRank, WallClock};
+use native::sync::Instant;
+use native::{Links, MailboxRank, Until, WallClock};
 
 /// Launch-handshake environment variables.
 const ENV_KEY: &str = "MPISTREAM_SOCKET_KEY";
@@ -148,7 +155,7 @@ impl SocketWorld {
     /// Tolerate rank death: a rank process that vanishes mid-run (kill,
     /// abort, crash) no longer takes the world down with it. Sends to a
     /// dead peer are silently dropped (the peer is remembered as dead —
-    /// no reconnect storms), readers treat a broken inbound link as EOF,
+    /// no reconnect storms), a broken inbound link reads as EOF,
     /// and the launcher reports the dead rank as `None` instead of
     /// panicking. Pair with [`SocketWorld::run_tolerant`]; fault-free
     /// runs behave identically to the strict mode.
@@ -338,7 +345,6 @@ impl SocketWorld {
         let compute_scale: f64 = env_parsed(ENV_SCALE);
 
         // Data listener first, HELLO second — the ordering GO relies on.
-        let mailbox = Arc::new(Mailbox::new());
         let listener = UnixListener::bind(rank_sock(&dir, rank)).expect("bind data listener");
         let mut ctl =
             connect_retry(&dir.join("ctl.sock"), CONNECT_TIMEOUT).expect("connect control socket");
@@ -351,21 +357,12 @@ impl SocketWorld {
         // rank has finished, however long that is.
         ctl.set_read_timeout(None).expect("clear control read timeout");
 
-        {
-            let mailbox = Arc::clone(&mailbox);
-            let tolerant = self.tolerant;
-            std::thread::spawn(move || acceptor_loop(listener, rank, mailbox, tolerant));
-        }
-
-        let links = SocketLinks::new(dir, mailbox, nprocs, self.tolerant);
+        let links = SocketLinks::new(dir, listener, rank, nprocs, self.tolerant);
         let clock = WallClock::start(compute_scale);
-        let result = body(&mut MailboxRank::new(rank, nprocs, clock, COLL_FLAT_THRESHOLD, links));
-        frame::write_blob(&mut ctl, &result.to_frame()).expect("ship result");
-        let mut done = [0u8; 1];
-        ctl.read_exact(&mut done).expect("read ALL_DONE");
-        assert_eq!(done[0], CTL_ALL_DONE, "unexpected control byte");
-        // Reader/acceptor threads die with the process; the close
-        // barrier above guarantees no peer still needs this rank.
+        let mut me = MailboxRank::new(rank, nprocs, clock, COLL_FLAT_THRESHOLD, links);
+        let result = body(&mut me);
+        me.into_links().close(ctl, &result.to_frame());
+        // The close barrier guarantees no peer still needs this rank.
         std::process::exit(0);
     }
 }
@@ -465,62 +462,29 @@ fn connect_retry(path: &Path, total: Duration) -> std::io::Result<UnixStream> {
     }
 }
 
-/// Accept inbound links forever (until process exit), one reader thread
-/// per connection. Readers assemble frames independently of the
-/// consumer, so a recv deadline expiring while a frame is in flight
-/// never corrupts the link — the frame simply lands in the mailbox when
-/// complete.
+/// Decode frames from one blocking inbound link into `mailbox` until
+/// clean EOF, on the calling thread. Malformed traffic from a peer
+/// panics that thread (garbage means a protocol bug, not hostile input —
+/// the codec itself reports it as a typed error first) — except under
+/// `tolerant`, where a broken link (the peer process died mid-frame) is
+/// treated as end-of-stream.
 ///
-/// A link that fails (bad preamble, malformed or mid-frame-truncated
-/// traffic) is fatal to the **process**, not just to its reader thread:
-/// the body would otherwise park forever on frames that can no longer
-/// arrive. The non-zero exit is what the launcher's exit-status poll
-/// reports. Under `tolerant` a broken link is a dead peer and reads as
-/// end-of-stream.
-fn acceptor_loop(listener: UnixListener, rank: usize, mailbox: Arc<Mailbox>, tolerant: bool) {
-    for conn in listener.incoming() {
-        let mut stream = match conn {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let mailbox = Arc::clone(&mailbox);
-        std::thread::spawn(move || {
-            let served = match frame::read_preamble(&mut stream) {
-                Ok(src) => pump_link(stream, src, &mailbox)
-                    .map_err(|e| format!("inbound link from rank {src}: {e}")),
-                Err(e) => Err(format!("connection preamble: {e}")),
-            };
-            match served {
-                Err(why) if !tolerant => {
-                    eprintln!("rank {rank}: {why}");
-                    std::process::exit(1);
-                }
-                _ => {}
-            }
-        });
-    }
-}
-
-/// Push every frame of one inbound link into the mailbox; `Ok(())` is a
-/// clean EOF at a frame boundary.
-fn pump_link(stream: impl Read, src: usize, mailbox: &Mailbox) -> io::Result<()> {
-    let mut frames = frame::FrameReader::new(stream);
-    while let Some((tag, bytes, payload)) = frames.next_frame()? {
-        mailbox.push(Env { src, tag: Tag(tag), bytes, payload: Box::new(payload) });
-    }
-    Ok(())
-}
-
-/// Decode frames from one inbound link into the mailbox until clean
-/// EOF. Malformed traffic from a peer panics the calling thread (the
-/// peers are our own world; garbage means a protocol bug, not hostile
-/// input — the codec itself reports it as a typed error first) — except
-/// under `tolerant`, where a broken link (the peer process died
-/// mid-frame) is treated as end-of-stream.
+/// A [`SocketRank`] does not use this: it reads its own links when a
+/// receive misses (see [`SocketLinks`]). This is the reader-thread hand-off
+/// kept for callers that measure or pin one in isolation — the
+/// benchmark's `socket.reader.handoff_ns` probe and
+/// `tests/recv_deadline_semantics.rs`.
 pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: bool) {
-    match pump_link(stream, src, mailbox) {
-        Err(e) if !tolerant => panic!("reader for link from rank {src}: {e}"),
-        _ => {}
+    let mut frames = FrameReader::new(stream);
+    loop {
+        match frames.next_frame() {
+            Ok(Some((tag, bytes, payload))) => {
+                mailbox.push(Env { src, tag: Tag(tag), bytes, payload: Box::new(payload) });
+            }
+            Ok(None) => return,
+            Err(_) if tolerant => return,
+            Err(e) => panic!("reader for link from rank {src}: {e}"),
+        }
     }
 }
 
@@ -531,15 +495,25 @@ pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: 
 pub type SocketRank = MailboxRank<SocketLinks>;
 
 /// The [`Links`] of a socket rank: framed connections to the other rank
-/// processes, and this process's mailbox, which the reader threads fill.
+/// processes, and this process's mailbox.
+///
+/// A rank process has one thread, the one running the body, and it makes
+/// progress on its own links: a receive that finds nothing in the
+/// mailbox `poll`s the data listener and every inbound link, accepts new
+/// connections, and reads whatever the ready links hold, every complete
+/// frame becoming one mailbox `push`. Wherever the rank can block it
+/// does the same, so no peer waits on a rank that is itself waiting: a
+/// `send` whose link is full, and the close barrier, read inbound links
+/// while they wait. Between transport calls — while the body computes —
+/// nothing is read, and a peer that fills the link meanwhile waits for
+/// the next call.
 pub struct SocketLinks {
     dir: PathBuf,
-    mailbox: Arc<Mailbox>,
-    /// Outbound links, connected on first use (always succeeds: every
-    /// listener was bound before GO).
+    /// The receiving side: listener, inbound links and mailbox.
+    inbound: Inbound,
+    /// Outbound links, non-blocking, connected on first use (always
+    /// succeeds: every listener was bound before GO).
     links: Vec<Option<UnixStream>>,
-    /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
-    tolerant: bool,
     /// Peers observed dead (tolerant mode only): once a connect or a
     /// write to a rank fails it stays marked, so later sends drop
     /// immediately instead of re-dialling a corpse.
@@ -550,30 +524,28 @@ pub struct SocketLinks {
 }
 
 impl SocketLinks {
-    fn new(dir: PathBuf, mailbox: Arc<Mailbox>, nprocs: usize, tolerant: bool) -> SocketLinks {
-        let links = (0..nprocs).map(|_| None).collect();
+    fn new(
+        dir: PathBuf,
+        listener: UnixListener,
+        rank: usize,
+        nprocs: usize,
+        tolerant: bool,
+    ) -> SocketLinks {
+        listener.set_nonblocking(true).expect("nonblocking data listener");
         SocketLinks {
             dir,
-            mailbox,
-            links,
-            tolerant,
+            inbound: Inbound {
+                rank,
+                tolerant,
+                listener,
+                links: Vec::new(),
+                mailbox: Mailbox::new(),
+                fds: Vec::new(),
+            },
+            links: (0..nprocs).map(|_| None).collect(),
             dead: vec![false; nprocs],
             send_buf: Vec::new(),
         }
-    }
-
-    /// Connect-on-first-use outbound link from `me`; `None` means `dst`
-    /// is dead (only possible in death-tolerant mode — strict worlds
-    /// panic).
-    fn link(&mut self, me: usize, dst: usize) -> Option<&mut UnixStream> {
-        if self.links[dst].is_none() && !self.dead[dst] {
-            match self.connect(me, dst) {
-                Ok(s) => self.links[dst] = Some(s),
-                Err(_) if self.tolerant => self.dead[dst] = true,
-                Err(e) => panic!("rank {me}: {e}"),
-            }
-        }
-        self.links[dst].as_mut()
     }
 
     fn connect(&self, me: usize, dst: usize) -> Result<UnixStream, String> {
@@ -581,14 +553,41 @@ impl SocketLinks {
         // refused connect means the peer is gone — fail on the first
         // attempt instead of retrying against a corpse for seconds.
         let path = rank_sock(&self.dir, dst);
-        let connected = if self.tolerant {
+        let connected = if self.inbound.tolerant {
             UnixStream::connect(&path)
         } else {
             connect_retry(&path, CONNECT_TIMEOUT)
         };
         let mut s = connected.map_err(|e| format!("connect to rank {dst}: {e}"))?;
+        // Nine bytes into a fresh connection's empty buffer: this write
+        // cannot block.
         frame::write_preamble(&mut s, me).map_err(|e| format!("preamble to rank {dst}: {e}"))?;
+        s.set_nonblocking(true).map_err(|e| format!("link to rank {dst}: {e}"))?;
         Ok(s)
+    }
+
+    /// The close barrier, after the body returned: ship the result on the
+    /// control link, then wait for the launcher's ALL_DONE — reading
+    /// inbound links all the while, because a peer may still be writing
+    /// to this rank and cannot finish its own body until it has.
+    fn close(mut self, mut ctl: UnixStream, result: &[u8]) {
+        let mut blob = Vec::with_capacity(4 + result.len());
+        frame::write_blob(&mut blob, result).expect("ship result");
+        ctl.set_nonblocking(true).expect("nonblocking control link");
+        self.inbound.write_all(&mut ctl, &blob).expect("ship result");
+        let mut done = [0u8; 1];
+        loop {
+            match ctl.read(&mut done) {
+                Ok(1) => break,
+                Ok(_) => panic!("read ALL_DONE: the launcher closed the control link"),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.inbound.progress(Some((ctl.as_raw_fd(), sys::POLLIN)), Until::Forever);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => panic!("read ALL_DONE: {e}"),
+            }
+        }
+        assert_eq!(done[0], CTL_ALL_DONE, "unexpected control byte");
     }
 }
 
@@ -598,7 +597,8 @@ impl Links for SocketLinks {
         if dst == me {
             // Self-sends still cross the codec — one uniform path, so a
             // payload that cannot round-trip fails loudly everywhere.
-            self.mailbox.push(Env { src: me, tag, bytes, payload: Box::new(v.to_frame()) });
+            let payload = Box::new(v.to_frame());
+            self.inbound.mailbox.push(Env { src: me, tag, bytes, payload });
             return;
         }
         // The encoder writes straight behind the reserved header bytes of
@@ -615,16 +615,60 @@ impl Links for SocketLinks {
             // does it say anything about the peer.
             panic!("rank {me}: send to rank {dst} under tag {tag:?}: {e}");
         }
+        if self.links[dst].is_none() && !self.dead[dst] {
+            match self.connect(me, dst) {
+                Ok(s) => self.links[dst] = Some(s),
+                Err(_) if self.inbound.tolerant => self.dead[dst] = true,
+                Err(e) => panic!("rank {me}: {e}"),
+            }
+        }
         // `None`: tolerant mode and dst is dead — the send is dropped.
-        if let Some(link) = self.link(me, dst) {
-            if let Err(e) = link.write_all(&buf) {
-                assert!(self.tolerant, "rank {me}: send to rank {dst}: {e}");
+        if let Some(link) = &mut self.links[dst] {
+            if let Err(e) = self.inbound.write_all(link, &buf) {
+                assert!(self.inbound.tolerant, "rank {me}: send to rank {dst}: {e}");
                 self.links[dst] = None;
                 self.dead[dst] = true;
             }
         }
         if buf.capacity() <= SEND_BUF_KEEP {
             self.send_buf = buf;
+        }
+    }
+
+    fn take(&mut self, _me: usize, src: Src, tag: Tag, until: Until) -> Option<Env> {
+        loop {
+            if let Some(env) = self.inbound.mailbox.try_take(src, tag) {
+                return Some(env);
+            }
+            // Past the deadline a miss still reads the links once, so a
+            // deadline that has already passed cannot starve them.
+            let until = match until {
+                Until::At(deadline) if Instant::now() >= deadline => Until::Now,
+                until => until,
+            };
+            self.inbound.progress(None, until);
+            if let Until::Now = until {
+                return self.inbound.mailbox.try_take(src, tag);
+            }
+        }
+    }
+
+    fn probe(&mut self, _me: usize, src: Src, tag: Tag) -> Option<MsgInfo> {
+        self.inbound.mailbox.probe(src, tag).or_else(|| {
+            self.inbound.progress(None, Until::Now);
+            self.inbound.mailbox.probe(src, tag)
+        })
+    }
+
+    fn wait_change(&mut self, _me: usize, seen: u64) -> u64 {
+        // This thread is the mailbox's only producer, so parking on it
+        // would sleep forever: read the links until a frame lands.
+        loop {
+            let version = self.inbound.mailbox.version();
+            if version != seen {
+                return version;
+            }
+            self.inbound.progress(None, Until::Forever);
         }
     }
 
@@ -641,9 +685,252 @@ impl Links for SocketLinks {
             )
         })
     }
+}
 
-    fn inbox(&self, _me: usize) -> &Mailbox {
-        &self.mailbox
+/// The receiving side of a socket rank: its data listener, its inbound
+/// links, and its mailbox, which only the rank's own thread fills.
+struct Inbound {
+    rank: usize,
+    /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
+    tolerant: bool,
+    listener: UnixListener,
+    links: Vec<InLink>,
+    mailbox: Mailbox,
+    /// `poll`'s argument, rebuilt on every call; kept for its capacity.
+    fds: Vec<sys::PollFd>,
+}
+
+impl Inbound {
+    /// Wait as `until` says for the listener, an inbound link or `extra`
+    /// (a descriptor and the events wanted on it) to become ready; then
+    /// accept every pending connection and read every ready link dry,
+    /// each complete frame into the mailbox. Returns whether `extra` was
+    /// ready.
+    ///
+    /// A link that fails — bad preamble, malformed frame, cut mid-frame —
+    /// is fatal to the process in strict mode: the frames the body waits
+    /// for can no longer arrive, so the rank prints the error and exits
+    /// non-zero, which the launcher's exit-status poll reports. Under
+    /// `tolerant` a broken link is a dead peer and reads as end-of-stream.
+    fn progress(&mut self, extra: Option<(RawFd, c_short)>, until: Until) -> bool {
+        let timeout_ms = match until {
+            Until::Now => 0,
+            Until::Forever => -1,
+            Until::At(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                left.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
+            }
+        };
+        self.fds.clear();
+        self.fds.extend(extra.map(|(fd, events)| sys::PollFd::new(fd, events)));
+        self.fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
+        for link in &self.links {
+            self.fds.push(sys::PollFd::new(link.frames.get_ref().stream.as_raw_fd(), sys::POLLIN));
+        }
+        if let Err(e) = sys::poll(&mut self.fds, timeout_ms) {
+            panic!("rank {}: poll: {e}", self.rank);
+        }
+        let skip = usize::from(extra.is_some());
+        let extra_ready = extra.is_some() && self.fds[0].revents != 0;
+        if self.fds[skip].revents != 0 {
+            self.accept();
+        }
+        // Links accepted just now have no poll entry: read them at once.
+        let Inbound { rank, tolerant, links, mailbox, fds, .. } = self;
+        let ready = &fds[skip + 1..];
+        let mut i = 0;
+        links.retain_mut(|link| {
+            let is_ready = ready.get(i).is_none_or(|fd| fd.revents != 0);
+            i += 1;
+            if !is_ready {
+                return true;
+            }
+            match link.read_into(mailbox) {
+                Ok(open) => open,
+                Err(_) if *tolerant => false,
+                Err(why) => {
+                    eprintln!("rank {rank}: {why}");
+                    std::process::exit(1);
+                }
+            }
+        });
+        extra_ready
+    }
+
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(true).expect("nonblocking inbound link");
+                    self.links.push(InLink::new(stream));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => panic!("rank {}: accept: {e}", self.rank),
+            }
+        }
+    }
+
+    /// `write_all` on the non-blocking `out`. While the kernel has no
+    /// room, wait for it with [`Inbound::progress`]: two ranks flooding
+    /// each other drain each other's links instead of wedging.
+    fn write_all(&mut self, out: &mut UnixStream, mut buf: &[u8]) -> io::Result<()> {
+        while !buf.is_empty() {
+            match out.write(buf) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => buf = &buf[n..],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.progress(Some((out.as_raw_fd(), sys::POLLOUT)), Until::Forever);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One inbound connection: its preamble, then its frames.
+struct InLink {
+    /// The sending rank, once the whole preamble is in.
+    src: Option<usize>,
+    preamble: [u8; frame::PREAMBLE_BYTES],
+    /// Preamble bytes read so far.
+    have: usize,
+    frames: frame::FrameReader<Armed>,
+}
+
+impl InLink {
+    fn new(stream: UnixStream) -> InLink {
+        let armed = Armed { stream, armed: true };
+        InLink {
+            src: None,
+            preamble: [0; frame::PREAMBLE_BYTES],
+            have: 0,
+            frames: FrameReader::new(armed),
+        }
+    }
+
+    /// Read everything the link holds: the rest of its preamble, then
+    /// every complete frame, each pushed into `mailbox`. A partial frame
+    /// stays in the reader for the next call. `Ok(false)`: the peer
+    /// closed the link at a frame boundary.
+    fn read_into(&mut self, mailbox: &Mailbox) -> Result<bool, String> {
+        self.frames.get_mut().armed = true;
+        let src = match self.src {
+            Some(src) => src,
+            None => match self.read_preamble() {
+                Ok(Some(src)) => src,
+                Ok(None) => return Ok(true),
+                Err(e) => return Err(format!("connection preamble: {e}")),
+            },
+        };
+        loop {
+            match self.frames.next_frame() {
+                Ok(Some((tag, bytes, payload))) => {
+                    mailbox.push(Env { src, tag: Tag(tag), bytes, payload: Box::new(payload) });
+                }
+                Ok(None) => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) => return Err(format!("inbound link from rank {src}: {e}")),
+            }
+        }
+    }
+
+    /// The sender's rank once the preamble is complete; `Ok(None)` while
+    /// part of it is still to come. Reads no byte past it.
+    fn read_preamble(&mut self) -> io::Result<Option<usize>> {
+        while self.have < self.preamble.len() {
+            match self.frames.get_mut().read(&mut self.preamble[self.have..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.have += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let src = frame::read_preamble(&mut &self.preamble[..])?;
+        self.src = Some(src);
+        Ok(Some(src))
+    }
+}
+
+/// An inbound socket as its frame reader sees it: non-blocking, and a
+/// `read` that comes back short means the kernel held nothing more at
+/// that moment, so later reads report `WouldBlock` without a syscall
+/// until `poll` finds the link readable and re-arms it. Reading a ready
+/// link dry thus costs no `read` that returns `EAGAIN`.
+struct Armed {
+    stream: UnixStream,
+    armed: bool,
+}
+
+impl Read for Armed {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.armed {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let got = self.stream.read(buf);
+        match &got {
+            Ok(n) if *n < buf.len() => self.armed = false,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.armed = false,
+            _ => {}
+        }
+        got
+    }
+}
+
+/// `poll(2)`, declared by hand: the one call the progress loop needs that
+/// std does not wrap.
+mod sys {
+    use std::ffi::{c_int, c_short};
+    use std::io;
+    use std::os::fd::RawFd;
+
+    pub const POLLIN: c_short = 0x1;
+    pub const POLLOUT: c_short = 0x4;
+
+    #[repr(C)]
+    pub struct PollFd {
+        fd: RawFd,
+        events: c_short,
+        pub revents: c_short,
+    }
+
+    impl PollFd {
+        pub fn new(fd: RawFd, events: c_short) -> PollFd {
+            PollFd { fd, events, revents: 0 }
+        }
+    }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NFds = std::ffi::c_uint;
+
+    extern "C" {
+        #[link_name = "poll"]
+        fn c_poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+    }
+
+    /// Wait up to `timeout_ms` (`-1`: without limit) until one of `fds`
+    /// is ready; each `revents` says which. A signal ends the wait early
+    /// with nothing ready, which to the caller is a spurious wake.
+    pub fn poll(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<()> {
+        let nfds = NFds::try_from(fds.len()).expect("descriptor count fits nfds_t");
+        // SAFETY: `fds` is a live, exclusively borrowed array of
+        // `fds.len()` `#[repr(C)]` pollfd structs for the whole call, and
+        // the kernel writes only their `revents`.
+        if unsafe { c_poll(fds.as_mut_ptr(), nfds, timeout_ms) } >= 0 {
+            return Ok(());
+        }
+        match io::Error::last_os_error() {
+            e if e.kind() == io::ErrorKind::Interrupted => {
+                fds.iter_mut().for_each(|f| f.revents = 0);
+                Ok(())
+            }
+            e => Err(e),
+        }
     }
 }
 
@@ -662,8 +949,8 @@ mod tests {
             let dir = scratch_dir("oversize");
             std::fs::create_dir_all(&dir).unwrap();
             let peer = UnixListener::bind(rank_sock(&dir, 1)).unwrap();
-            let mailbox = Arc::new(Mailbox::new());
-            let mut links = SocketLinks::new(dir.clone(), mailbox, 2, tolerant);
+            let me = UnixListener::bind(rank_sock(&dir, 0)).unwrap();
+            let mut links = SocketLinks::new(dir.clone(), me, 0, 2, tolerant);
 
             let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, vec![0u8; over]);

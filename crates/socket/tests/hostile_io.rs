@@ -7,8 +7,11 @@
 //! ends exactly between two frames is a clean end-of-stream and one that
 //! ends anywhere else is an error — never a hang, a panic or a short
 //! frame; a bad length prefix is rejected the moment its four bytes are
-//! in, before anything is allocated for it; and a short-writing,
-//! interrupted writer still emits exactly the frame's bytes.
+//! in, before anything is allocated for it; a non-blocking source that
+//! pauses with `WouldBlock` anywhere — inside a frame larger than the
+//! buffer included — loses nothing, because `FrameReader` resumes where
+//! it stopped; and a short-writing, interrupted writer still emits
+//! exactly the frame's bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,6 +86,20 @@ impl Read for HostileSource<'_> {
         buf[..n].copy_from_slice(head);
         self.data = rest;
         Ok(n)
+    }
+}
+
+/// The same source, non-blocking: where the shim would fail a call with
+/// `Interrupted`, it reports `WouldBlock`, which a frame reader does not
+/// retry but hands back to its caller, like a socket with nothing queued.
+struct NonBlocking<'a>(HostileSource<'a>);
+
+impl Read for NonBlocking<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.read(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::Interrupted => io::ErrorKind::WouldBlock.into(),
+            _ => e,
+        })
     }
 }
 
@@ -224,6 +241,22 @@ proptest! {
             prop_assert!(end.is_ok(), "{how}: {end:?}");
             prop_assert!(got == frames, "{how}: decoded frames differ from the ones written");
         }
+    }
+
+    #[test]
+    fn would_block_pauses_never_change_the_frames(seed in any::<u64>(), chop in chop_strategy()) {
+        let frames = frames_from(seed);
+        let (wire, _) = on_the_wire(&frames);
+        let chop = Chop { interrupt_one_in: 3, ..chop };
+        let mut reader = FrameReader::new(NonBlocking(HostileSource::new(&wire, chop)));
+        let (got, end) = drain(|| loop {
+            match reader.next_frame() {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+                other => return other,
+            }
+        });
+        prop_assert!(end.is_ok(), "{end:?}");
+        prop_assert!(got == frames, "a WouldBlock pause changed the decoded frames");
     }
 
     #[test]

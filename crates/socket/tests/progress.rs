@@ -1,0 +1,113 @@
+//! A socket rank makes progress on its own links wherever it can block.
+//!
+//! A rank process has one thread, so nothing reads its inbound links
+//! while it waits — unless the wait itself does. These worlds wedge if
+//! any wait forgets to: ranks that flood each other before receiving
+//! (blocked `send`), a rank whose body returns while a peer is still
+//! writing to it (close barrier), and a deadline that expires mid-frame
+//! (the link's framing state must survive the timeout). Each is a real
+//! process world; the children re-run their test under `--exact`.
+
+use std::io::Write;
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+
+use mpistream::{Src, Tag, Transport, Wire};
+use socket::{frame, SocketWorld};
+
+const FLOOD: usize = 64;
+const CHUNK: usize = 64 << 10;
+const DATA: Tag = Tag::user(1);
+
+/// Message `i` of a flood from rank `src`: recognisable at every byte.
+fn chunk(src: usize, i: usize) -> Vec<u8> {
+    (0..CHUNK).map(|b| (src * 131 + i * 7 + b) as u8).collect()
+}
+
+/// Send [`FLOOD`] chunks to `dst` before receiving anything, then take
+/// as many from `src` and check each. Every link's kernel buffer is far
+/// smaller than the 4 MiB flood, so every rank blocks inside `send`.
+fn flood<TP: Transport>(rank: &mut TP, dst: usize, src: usize) -> usize {
+    let me = rank.world_rank();
+    for i in 0..FLOOD {
+        rank.send(dst, DATA, CHUNK as u64, chunk(me, i));
+    }
+    for i in 0..FLOOD {
+        let (got, _) = rank.recv::<Vec<u8>>(Src::Rank(src), DATA);
+        assert!(got == chunk(src, i), "rank {me}: message {i} from rank {src} is corrupt");
+    }
+    FLOOD
+}
+
+#[test]
+fn two_ranks_flooding_each_other_both_finish() {
+    let got = SocketWorld::for_test("two_ranks_flooding_each_other_both_finish", 2).run(|rank| {
+        let peer = 1 - rank.world_rank();
+        flood(rank, peer, peer)
+    });
+    assert_eq!(got, vec![FLOOD; 2]);
+}
+
+#[test]
+fn a_ring_of_three_floods_finishes() {
+    let got = SocketWorld::for_test("a_ring_of_three_floods_finishes", 3).run(|rank| {
+        let me = rank.world_rank();
+        flood(rank, (me + 1) % 3, (me + 2) % 3)
+    });
+    assert_eq!(got, vec![FLOOD; 3]);
+}
+
+/// Rank 1 writes 2 MiB that rank 0 never receives, and rank 0's body
+/// returns at once: rank 0 must keep reading in its close barrier, or
+/// rank 1 never finishes sending and the launcher never gets its result.
+#[test]
+fn a_peer_still_writing_to_a_finished_rank_finishes() {
+    let got =
+        SocketWorld::for_test("a_peer_still_writing_to_a_finished_rank_finishes", 2).run(|rank| {
+            let me = rank.world_rank();
+            if me == 1 {
+                for i in 0..32 {
+                    rank.send(0, DATA, CHUNK as u64, chunk(me, i));
+                }
+            }
+            me
+        });
+    assert_eq!(got, vec![0, 1]);
+}
+
+/// A deadline that expires while half a frame is in: the receive times
+/// out no earlier than its deadline, and the link's framing survives —
+/// the frame completes later and is delivered, followed by the next one.
+/// Rank 1 dials rank 0 by hand to control exactly which bytes are sent
+/// when; its real link carries the hand-shakes.
+#[test]
+fn a_half_frame_on_a_live_rank_times_out_then_delivers() {
+    const HALF: Tag = Tag::user(42);
+    const SIGNAL: Tag = Tag::user(43);
+    let got = SocketWorld::for_test("a_half_frame_on_a_live_rank_times_out_then_delivers", 2).run(
+        |rank| {
+            if rank.world_rank() == 1 {
+                let dir = PathBuf::from(std::env::var("MPISTREAM_SOCKET_DIR").unwrap());
+                let mut link = UnixStream::connect(dir.join("rank0.sock")).unwrap();
+                frame::write_preamble(&mut link, 1).unwrap();
+                let mut whole = Vec::new();
+                frame::write_frame(&mut whole, HALF.0, 8, &99u64.to_frame()).unwrap();
+                let cut = whole.len() / 2;
+                link.write_all(&whole[..cut]).unwrap();
+                rank.send(0, SIGNAL, 0, ()); // the half frame is on its way
+                rank.recv::<()>(Src::Rank(0), SIGNAL); // rank 0 has timed out
+                link.write_all(&whole[cut..]).unwrap();
+                frame::write_frame(&mut link, HALF.0, 8, &100u64.to_frame()).unwrap();
+                return Vec::new();
+            }
+            rank.recv::<()>(Src::Rank(1), SIGNAL);
+            let deadline = rank.now() + mpistream::transport::SimDuration::from_millis(100);
+            let early = rank.recv_deadline::<u64>(Src::Rank(1), HALF, deadline);
+            assert!(early.is_none(), "half a frame must not be delivered");
+            assert!(rank.now() >= deadline, "timed out before the deadline");
+            rank.send(1, SIGNAL, 0, ());
+            (0..2).map(|_| rank.recv::<u64>(Src::Rank(1), HALF).0).collect()
+        },
+    );
+    assert_eq!(got[0], vec![99, 100]);
+}

@@ -6,13 +6,19 @@
 //!    while a frame is only partially written by the peer. The receive
 //!    must report `Timeout` (i.e. `None`) and leave the link intact —
 //!    the frame simply completes later and is delivered by the next
-//!    receive. Framing is the reader thread's job, so consumer timeouts
-//!    can never desynchronize the byte stream.
-//! 2. **Spurious wakes.** Both native and socket backends park on the
-//!    same mailbox eventcount, which wakes on *every* mailbox change.
-//!    The deadline is absolute: a stream of non-matching arrivals must
-//!    not extend the wait (a per-wake relative recomputation would spin
-//!    forever under steady unrelated traffic).
+//!    receive. The framing state belongs to the link, not to the
+//!    receive, so consumer timeouts can never desynchronize the byte
+//!    stream. The test here drives the standalone `socket::reader_loop`
+//!    (a reader thread feeding a mailbox: the benchmark's hand-off probe,
+//!    which no rank uses); `crates/socket/tests/progress.rs` pins the
+//!    same scenario on a live `SocketRank`, whose one thread reads its
+//!    own links.
+//! 2. **Spurious wakes.** A native rank parks on the mailbox
+//!    eventcount, which wakes on *every* mailbox change; a socket rank's
+//!    `poll` wakes on every readable link. The deadline is absolute: a
+//!    stream of non-matching arrivals must not extend the wait (a
+//!    per-wake relative recomputation would spin forever under steady
+//!    unrelated traffic).
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -67,8 +73,9 @@ fn unframe(env: Env) -> (usize, u64) {
 
 /// The deadline is absolute across spurious wakes: steady non-matching
 /// traffic (each push wakes every parked receiver) must not postpone the
-/// timeout. This is the shared `Mailbox` contract both the native and
-/// socket backends park on — one test pins both.
+/// timeout. This is the `Mailbox` contract native ranks park on; a
+/// socket rank recomputes its `poll` timeout from the same absolute
+/// deadline on every pass instead.
 #[test]
 fn deadline_is_absolute_under_spurious_wakes() {
     let mailbox = Arc::new(Mailbox::new());
