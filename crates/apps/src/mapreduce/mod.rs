@@ -118,18 +118,61 @@ pub struct MapReduceResult {
 /// One chunk's partial counts: its distinct words in ascending order, each
 /// with its number of occurrences. A sort of the chunk's words and a
 /// run-length pass — no hashing, so nothing here depends on a per-process
-/// hash key.
+/// hash key. When every word is below 2¹⁶ (the Fig. 5 vocabulary is
+/// 20,000 words) the sort is a two-pass LSD radix sort, one byte a pass;
+/// otherwise a comparison sort. Both work inside the returned vector.
 pub(crate) fn count_words(tokens: impl IntoIterator<Item = u32>) -> KvChunk {
-    let mut words: Vec<u32> = tokens.into_iter().collect();
-    words.sort_unstable();
-    let mut pairs = KvChunk::with_capacity(words.len());
-    for w in words {
-        match pairs.last_mut() {
-            Some((last, count)) if *last == w => *count += 1,
-            _ => pairs.push((w, 1)),
+    // Each entry starts as `(scratch, word)`; the sort leaves the words in
+    // order in `.1`, and the run-length pass rewrites the front of the
+    // vector into `(word, count)` pairs.
+    let mut pairs: KvChunk = tokens.into_iter().map(|w| (0, w)).collect();
+    let (mut low, mut high, mut max) = ([0u32; 256], [0u32; 256], 0);
+    for &(_, w) in &pairs {
+        low[w as usize % 256] += 1;
+        high[w as usize / 256 % 256] += 1;
+        max = max.max(w);
+    }
+    if max < 1 << 16 {
+        // Stable scatter by the low byte into `.0`, then by the high byte
+        // back into `.1`: each pass reads one field and writes the other.
+        exclusive_prefix_sums(&mut low);
+        exclusive_prefix_sums(&mut high[..=max as usize / 256]);
+        for i in 0..pairs.len() {
+            let w = pairs[i].1;
+            let slot = &mut low[w as usize % 256];
+            pairs[*slot as usize].0 = w;
+            *slot += 1;
+        }
+        for i in 0..pairs.len() {
+            let w = pairs[i].0;
+            let slot = &mut high[w as usize / 256];
+            pairs[*slot as usize].1 = w;
+            *slot += 1;
+        }
+    } else {
+        pairs.sort_unstable_by_key(|&(_, w)| w);
+    }
+    let mut len = 0;
+    for i in 0..pairs.len() {
+        let w = pairs[i].1;
+        if len > 0 && pairs[len - 1].0 == w {
+            pairs[len - 1].1 += 1;
+        } else {
+            pairs[len] = (w, 1);
+            len += 1;
         }
     }
+    pairs.truncate(len);
     pairs
+}
+
+/// Turn a radix pass's digit counts into each digit's first slot in the
+/// digit-sorted order.
+fn exclusive_prefix_sums(counts: &mut [u32]) {
+    let mut total = 0;
+    for c in counts {
+        (*c, total) = (total, total + *c);
+    }
 }
 
 /// The sorted `(word, count)` pairs of a word-indexed count table.
@@ -149,15 +192,16 @@ fn map_file<'w>(
     pfs: &Pfs,
     emit: &mut dyn FnMut(&mut Rank<'w>, KvChunk),
 ) {
-    let tokens = corpus.tokens_of(file);
-    let n_chunks = tokens.len().div_ceil(cfg.chunk_tokens).max(1);
-    let bytes_per_chunk = file.bytes / n_chunks as u64;
+    // Drawn a chunk at a time, straight into the chunk's counts.
+    let mut tokens = corpus.tokens_of(file);
+    let chunks = file.tokens.div_ceil(cfg.chunk_tokens);
+    let bytes_per_chunk = file.bytes / chunks.max(1) as u64;
     let secs_per_chunk = cfg.map_secs_per_gb * bytes_per_chunk as f64 / (1u64 << 30) as f64;
-    for chunk in tokens.chunks(cfg.chunk_tokens) {
+    for _ in 0..chunks {
         // Read this slice of the file, then count its words (really).
         pfs.read_striped(rank.ctx(), bytes_per_chunk);
         rank.compute(secs_per_chunk);
-        emit(rank, count_words(chunk.iter().copied()));
+        emit(rank, count_words(tokens.by_ref().take(cfg.chunk_tokens)));
     }
 }
 
@@ -674,8 +718,20 @@ mod tests {
         assert!(!zipf.len().is_multiple_of(128), "the last chunk is meant to be a short one");
         let all_equal = [7u32; 128];
         let all_distinct: Vec<u32> = (0..128u32).rev().map(|i| i * 7_919 % 20_000).collect();
-        let slices =
-            zipf.chunks(128).chain([&all_equal[..], &all_distinct[..], &[][..], &[u32::MAX][..]]);
+        // One high byte, so the radix sort's second pass moves nothing.
+        let one_high_byte: Vec<u32> = (0..128u32).rev().collect();
+        // Words below 2^16 and just above it: the comparison-sort path.
+        let mixed: Vec<u32> = (0..128u32)
+            .map(|i| [i % 7, 0xffff - i % 3, 0x1_0000 + i % 4, 0x1_0100 - i % 2][i as usize % 4])
+            .collect();
+        let slices = zipf.chunks(128).chain([
+            &all_equal[..],
+            &all_distinct[..],
+            &one_high_byte[..],
+            &mixed[..],
+            &[][..],
+            &[u32::MAX][..],
+        ]);
         for chunk in slices {
             let pairs = count_words(chunk.iter().copied());
             assert_eq!(pairs, count_words_by_hashing(chunk));

@@ -10,7 +10,8 @@
 //!
 //! `fig5` pins the world `benchmark/`'s `sim_fig5` workload runs (the
 //! published 32-rank point of Fig. 5) to the figures of
-//! `benchmark/golden.json`, so a simulator drift fails `cargo test`.
+//! `benchmark/golden.json`, histogram checksum included, so a simulator
+//! or sampler drift fails `cargo test`.
 
 use bench_harness::scenarios as sc;
 use mpisim::{MachineConfig, NoiseModel, World};
@@ -110,4 +111,22 @@ fn fig5() {
     assert_eq!(r.outcome.msgs_sent, 13_043);
     assert_eq!(r.outcome.sim.end_time.as_nanos(), 4_616_242_081);
     assert!(r.histogram == workloads::Corpus::new(cfg.corpus.clone()).serial_histogram());
+    // The serial count draws with the same sampler, so it cannot see a
+    // sampler that draws other words; the golden checksum can.
+    assert_eq!(histogram_checksum(&r.histogram), 6_044_103_405_551_594_950);
+}
+
+/// `benchmark/golden.json`'s `sim_fig5.histogram_checksum`: each word's
+/// count weighted by a splitmix64 hash of the word.
+fn histogram_checksum(h: &[u64]) -> u64 {
+    h.iter()
+        .enumerate()
+        .fold(0u64, |s, (word, &count)| s.wrapping_add(splitmix64(word as u64).wrapping_mul(count)))
+}
+
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }

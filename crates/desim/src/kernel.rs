@@ -56,9 +56,10 @@ pub struct EventStats {
 }
 
 /// Membership checks only, once per scheduled event — never iterated, so
-/// hash order cannot leak into simulation behaviour.
+/// hash order cannot leak into simulation behaviour. Fixed-key hasher
+/// ([`crate::hash`]): the keys are the kernel's own.
 #[allow(clippy::disallowed_types)]
-type PendingSet = std::collections::HashSet<(u64, Pid)>;
+type PendingSet = std::collections::HashSet<(u64, Pid), crate::FixedState>;
 
 /// [`Sched::running`] while the runner, not a process, holds the CPU.
 const RUNNER: Pid = Pid::MAX;

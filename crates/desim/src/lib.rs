@@ -62,6 +62,7 @@
 
 pub mod fault;
 mod fiber;
+pub mod hash;
 pub mod kernel;
 pub mod resource;
 pub mod sim;
@@ -70,6 +71,7 @@ pub mod time;
 pub mod trace;
 
 pub use fault::{FaultAction, FaultKind, FaultPlan, LinkDisposition, LinkFault};
+pub use hash::{FixedHasher, FixedState};
 pub use kernel::{EventStats, Kernel, Pid};
 pub use resource::{FifoServer, LinkClock};
 pub use sim::{Ctx, ProcStats, SimConfig, SimError, SimOutcome, Simulation};

@@ -69,7 +69,7 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
-use desim::{Ctx, Pid, SimTime};
+use desim::{Ctx, FixedState, Pid, SimTime};
 use parking_lot::Mutex;
 
 /// Wire tag. User tags occupy the low 32 bits; library-internal traffic
@@ -214,15 +214,17 @@ enum Found {
 
 // The four hash maps are looked up by key on every message and never
 // iterated, except `envs` by `drain_meta`, which sorts by seq before
-// anything observable happens: their order cannot leak.
+// anything observable happens: their order cannot leak. Their hasher is
+// desim's fixed-key one, not a per-process SipHash: the keys are seqs,
+// tags and ranks the simulator makes itself.
 #[allow(clippy::disallowed_types)]
 #[derive(Default)]
 struct MailboxInner {
     /// Live envelopes by arrival seq.
-    envs: HashMap<u64, Envelope>,
+    envs: HashMap<u64, Envelope, FixedState>,
     next_seq: u64,
-    by_tag: HashMap<Tag, TagIndex>,
-    by_src_tag: HashMap<(usize, Tag), SrcTagIndex>,
+    by_tag: HashMap<Tag, TagIndex, FixedState>,
+    by_src_tag: HashMap<(usize, Tag), SrcTagIndex, FixedState>,
     /// `(available_at, seq)` of possibly-in-flight envelopes, lazily
     /// pruned (landed and tombstoned entries drop during queries/inserts).
     inflight: BinaryHeap<Reverse<(u64, u64)>>,
@@ -247,7 +249,7 @@ struct MailboxInner {
     /// front-is-earliest invariant even when the rx link's gap calendar
     /// (see `desim::LinkClock`) books a later message into an earlier idle
     /// slot. A no-op whenever rx occupancy completes in send order.
-    src_floor: HashMap<usize, u64>,
+    src_floor: HashMap<usize, u64, FixedState>,
 }
 
 impl MailboxInner {
@@ -282,8 +284,8 @@ impl MailboxInner {
 
     /// Move every landed `pending` entry of `ti` into `ready`, dropping
     /// tombstones on the way. One-way because virtual time is monotone.
-    #[allow(clippy::disallowed_types)] // `envs` is only looked up here
-    fn promote(envs: &HashMap<u64, Envelope>, ti: &mut TagIndex, now: SimTime) {
+    #[allow(clippy::disallowed_types)] // `envs` is only looked up here; fixed-key hasher
+    fn promote(envs: &HashMap<u64, Envelope, FixedState>, ti: &mut TagIndex, now: SimTime) {
         while let Some(&Reverse((at, seq))) = ti.pending.peek() {
             if !envs.contains_key(&seq) {
                 ti.pending.pop();

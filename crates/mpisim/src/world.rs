@@ -17,6 +17,11 @@ pub(crate) struct NicState {
     pub rx: LinkClock,
 }
 
+/// [`Shared::link_state`]'s map, keyed by `(src, dst)`.
+#[allow(clippy::disallowed_types)] // looked up per message, never iterated; fixed-key hasher
+pub(crate) type LinkStates =
+    std::collections::HashMap<(usize, usize), (u64, SimTime), desim::FixedState>;
+
 /// State shared by every rank of a world.
 pub(crate) struct Shared {
     pub config: MachineConfig,
@@ -40,8 +45,7 @@ pub(crate) struct Shared {
     /// plan has link faults. The floor keeps per-link delivery availability
     /// monotone even when a fault window's extra delay ends mid-stream, so
     /// the surviving messages still obey non-overtaking.
-    #[allow(clippy::disallowed_types)] // looked up per message, never iterated
-    pub link_state: Mutex<std::collections::HashMap<(usize, usize), (u64, SimTime)>>,
+    pub link_state: Mutex<LinkStates>,
     /// Messages lost to link faults.
     pub msgs_dropped: AtomicU64,
     /// The happens-before sanitizer, when this run checks (see

@@ -20,6 +20,8 @@
 //! communication for the two-phase collective write and the decoupled
 //! I/O-group variant.
 
+#![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 

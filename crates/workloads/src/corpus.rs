@@ -104,10 +104,12 @@ impl Corpus {
     }
 
     /// Deterministically regenerate the token stream of `file` — word ids
-    /// in `0..vocab`. Independent of which rank calls it.
-    pub fn tokens_of(&self, file: &FileSpec) -> Vec<u32> {
+    /// in `0..vocab`. Independent of which rank calls it. Drawn lazily, one
+    /// token per `next`, so a mapper can count a file chunk by chunk
+    /// without holding all of it.
+    pub fn tokens_of(&self, file: &FileSpec) -> impl Iterator<Item = u32> + '_ {
         let mut rng = StdRng::seed_from_u64(self.seed ^ file.id.wrapping_mul(0x9E37_79B9));
-        (0..file.tokens).map(|_| self.zipf.sample(&mut rng) as u32).collect()
+        (0..file.tokens).map(move |_| self.zipf.sample(&mut rng) as u32)
     }
 
     /// Serial oracle: the exact global histogram over every file.
@@ -151,16 +153,14 @@ mod tests {
         let b = small();
         for (fa, fb) in a.files().iter().zip(b.files()) {
             assert_eq!(fa, fb);
-            assert_eq!(a.tokens_of(fa), b.tokens_of(fb));
+            assert!(a.tokens_of(fa).eq(b.tokens_of(fb)));
         }
     }
 
     #[test]
     fn different_files_have_different_streams() {
         let c = small();
-        let t0 = c.tokens_of(&c.files()[0]);
-        let t1 = c.tokens_of(&c.files()[1]);
-        assert_ne!(t0, t1);
+        assert!(c.tokens_of(&c.files()[0]).ne(c.tokens_of(&c.files()[1])));
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!
 //! Everything is deterministic given its seed.
 
+#![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
+
 pub mod corpus;
 pub mod imbalance;
 pub mod particles;
