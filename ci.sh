@@ -68,13 +68,15 @@ timeout 120 cargo run --release --offline -q -p integration \
 timeout 180 cargo test -q --release --offline -p integration \
     --test backend_equivalence
 
-stage "socket backend smoke (multi-process equivalence over Unix sockets)"
+stage "socket backend smoke (multi-process equivalence over shared-memory rings)"
 # The same portable programs again, this time with one OS *process* per
-# rank and every payload crossing the Wire codec over Unix-domain
-# sockets (DESIGN.md §16). backend_equivalence certifies the socket
+# rank and every payload crossing the Wire codec through a shared-memory
+# ring per link, with a Unix-domain socket beside it (DESIGN.md §16). backend_equivalence certifies the socket
 # fingerprints against sim and native; the socket crate's own tests pin
-# progress wherever a rank blocks (floods, close barrier, a half frame on
-# a live rank) and one thread per rank process; recv_deadline_semantics
+# progress wherever a rank blocks (floods, frames larger than a link's
+# ring both ways at once, close barrier, a reader that dies while its
+# writer waits for room, a half frame on a live rank), the ring's byte
+# stream under hostile publishes, and one thread per rank process; recv_deadline_semantics
 # pins the half-read-frame and absolute-deadline contracts; the quickstart run
 # exercises the launcher + merged wall-clock trace end to end. Process
 # worlds can wedge rather than fail, so everything is timeout-bounded.
@@ -157,7 +159,9 @@ done
 stage "schedcheck model checking (bounded exhaustive interleavings)"
 # The native backend's lock-free core — mailbox push/drain, eventcount
 # park, deadline receives, batched credit returns, a small tree
-# collective — re-compiled against schedcheck's shadow primitives
+# collective — and the socket backend's shared-memory ring (publish and
+# claim against park and re-check, restart at the front, ring-full waits
+# both ways) re-compiled against schedcheck's shadow primitives
 # (--cfg schedcheck switches the native::sync facade) and explored
 # exhaustively up to a preemption bound: every clean model must cover
 # >= 1,000 distinct schedules with zero SC201-SC203 violations, and the
@@ -171,6 +175,7 @@ SCHEDCHECK_PREEMPTIONS=2 RUSTFLAGS='--cfg schedcheck' \
 SCHEDCHECK_PREEMPTIONS=2 RUSTFLAGS='--cfg schedcheck' \
     CARGO_TARGET_DIR=target/schedcheck \
     timeout 600 cargo test -q --release --offline -p native --test schedcheck_models
+SCHEDCHECK_PREEMPTIONS=2 RUSTFLAGS='--cfg schedcheck' CARGO_TARGET_DIR=target/schedcheck timeout 600 cargo test -q --release --offline -p socket --test schedcheck_ring
 
 stage "native stress battery (reduced iterations, watchdog-bounded)"
 # The concurrency battery behind the lock-free mailbox and the tree

@@ -17,7 +17,8 @@
 //!   clock.
 //! - `socket::SocketRank` (the `crates/socket` backend) runs them as one
 //!   OS process per rank: payloads cross the [`Wire`] codec as frames
-//!   over Unix-domain sockets and land in that same mailbox.
+//!   through a shared-memory ring per link and land in that same
+//!   mailbox.
 //!
 //! The two real backends implement this trait once, together:
 //! `native::MailboxRank` owns identity, the wall clock, receives and

@@ -18,11 +18,15 @@
 //! backends). The payload is the [`Wire`](mpistream::Wire) encoding of
 //! exactly one value.
 //!
-//! A frame costs **one** `write` to send — the sender builds prefix,
-//! header and payload in one buffer (`begin_frame` / `finish_frame`)
-//! — and, through a [`FrameReader`], far less than one `read` to receive:
-//! each `read` takes whatever the kernel has and every complete frame in
-//! it is parsed out of the reader's buffer.
+//! On a rank's link a frame costs **one copy** into the peer's
+//! shared-memory ring ([`crate::ring`]) to send — the sender builds
+//! prefix, header and payload in one buffer (`begin_frame` /
+//! `finish_frame`) — and, through a [`FrameReader`] over the ring's
+//! reading end, far less than one `read` to receive: each `read` takes
+//! whatever the ring holds and every complete frame in it is parsed out
+//! of the reader's buffer. The preamble travels on the link's socket,
+//! with the ring's descriptor beside it; [`write_frame`] and
+//! [`read_frame`] speak the same format over any `Write` and `Read`.
 //!
 //! All functions here speak `io::Result`: a malformed peer produces an
 //! `InvalidData` error at the reader, never a panic inside the codec.
@@ -34,8 +38,10 @@ use mpistream::MAX_FRAME_BYTES;
 
 /// Connection preamble magic.
 pub const MAGIC: [u8; 4] = *b"MPWS";
-/// Protocol version byte; bumped on any frame-layout change.
-pub const VERSION: u8 = 1;
+/// Protocol version byte; bumped on any change to the link protocol
+/// (2: frames travel through a shared-memory ring whose descriptor
+/// comes with the preamble).
+pub const VERSION: u8 = 2;
 /// Length of the connection preamble: magic, version, sender rank.
 pub(crate) const PREAMBLE_BYTES: usize = 4 + 1 + 4;
 /// Fixed frame header past the length prefix: tag + modelled bytes.
@@ -44,7 +50,7 @@ pub const HEADER_BYTES: usize = 16;
 /// prefix plus the header. Also the size of the smallest legal frame.
 pub const FRAME_OVERHEAD: usize = 4 + HEADER_BYTES;
 /// Capacity of a [`FrameReader`]'s buffer: what one `read` can take from
-/// the kernel, and the largest frame that is parsed out of the buffer
+/// its source, and the largest frame that is parsed out of the buffer
 /// instead of getting its own allocation.
 pub const LINK_BUF_BYTES: usize = 64 << 10;
 
@@ -251,8 +257,8 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// The wrapped reader. Bytes read from it directly never reach the
-    /// frame reader, so read only what comes before the first frame.
-    pub(crate) fn get_mut(&mut self) -> &mut R {
+    /// frame reader.
+    pub fn get_mut(&mut self) -> &mut R {
         &mut self.inner
     }
 }

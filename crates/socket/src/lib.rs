@@ -1,5 +1,6 @@
 //! Multi-process [`Transport`](mpistream::Transport) backend: every rank
-//! a separate OS process, linked by framed Unix-domain sockets.
+//! a separate OS process; every directed link a shared-memory [`ring`]
+//! that carries its frames, with a Unix-domain socket beside it.
 //!
 //! The paper's decoupling strategy assumes compute and data-movement
 //! groups that could live on different nodes; the sim and native
@@ -12,10 +13,20 @@
 //! [`native::MailboxRank`], over this crate's [`SocketLinks`]: matching
 //! happens in the exact same [`Mailbox`], on the same clock, with the
 //! same collectives and channel ids. What this crate adds is how a
-//! message leaves — encoded into a frame and written to the peer's
-//! socket — how a received frame is decoded, and how the rank waits for
-//! mail: by reading its own links, on its one thread (see
-//! [`SocketLinks`]).
+//! message leaves — encoded into a frame and copied into the peer's
+//! ring — how a received frame is decoded, and how the rank waits for
+//! mail: by reading its own rings, on its one thread, and sleeping in
+//! `poll` on their sockets when they are empty (see [`SocketLinks`]).
+//!
+//! ## Links
+//!
+//! A link is dialled on first use: the sender connects to the receiver's
+//! data listener, creates the link's ring (a `memfd`, [`ring::RING_BYTES`]
+//! of data) and sends the preamble with the ring's descriptor beside it
+//! (`SCM_RIGHTS`). From then on the socket carries only one-byte
+//! wake-ups — at most one per park of the side that sleeps, in either
+//! direction — and, when the sender's process goes, EOF. The ring needs
+//! no file and leaves nothing behind when a rank dies.
 //!
 //! ## Topology
 //!
@@ -29,8 +40,8 @@
 //!    connect-on-first-use cannot race;
 //! 2. runs the body against a [`SocketRank`] on the process's one
 //!    thread; whenever the body waits in a transport call — a receive
-//!    that misses, a send whose link is full — the rank accepts inbound
-//!    connections and decodes what its inbound links hold into its
+//!    that misses, a send whose ring is full — the rank accepts inbound
+//!    connections and decodes what its inbound rings hold into its
 //!    mailbox;
 //! 3. ships its [`Wire`]-encoded result back on the control link and
 //!    waits for the launcher's ALL_DONE, still reading its inbound
@@ -48,10 +59,12 @@
 //! reach it before any sim/native comparison work.
 
 pub mod frame;
+pub mod ring;
+mod sys;
 
 use std::ffi::c_short;
 use std::io::{self, Read, Write};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::{AsFd, AsRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -63,6 +76,7 @@ use mpistream::{MsgInfo, Src, Tag, Wire};
 use native::mailbox::{Env, Mailbox};
 use native::sync::Instant;
 use native::{Links, MailboxRank, Until, WallClock};
+use ring::{RingReader, RingWriter};
 
 /// Launch-handshake environment variables.
 const ENV_KEY: &str = "MPISTREAM_SOCKET_KEY";
@@ -91,9 +105,10 @@ const RESULT_POLL: Duration = Duration::from_secs(1);
 const SEND_BUF_KEEP: usize = 1 << 20;
 
 /// The flat threshold this backend hands [`MailboxRank::new`]: the
-/// binomial tree at every size — there is no shared-memory star shortcut
-/// worth taking when every hop is a real socket write, and `O(log n)`
-/// hops is the shape the paper's aggregation analysis assumes.
+/// binomial tree at every size — there is no star shortcut worth taking
+/// when every hop is a frame copied into another process's ring and,
+/// as often as not, a wake-up, and `O(log n)` hops is the shape the
+/// paper's aggregation analysis assumes.
 const COLL_FLAT_THRESHOLD: usize = 0;
 
 /// A socket world: `nprocs` ranks, each its own OS process.
@@ -155,7 +170,8 @@ impl SocketWorld {
     /// Tolerate rank death: a rank process that vanishes mid-run (kill,
     /// abort, crash) no longer takes the world down with it. Sends to a
     /// dead peer are silently dropped (the peer is remembered as dead —
-    /// no reconnect storms), a broken inbound link reads as EOF,
+    /// no reconnect storms; a send waiting for room in a dead peer's
+    /// ring ends at that peer's EOF), a broken inbound link reads as EOF,
     /// and the launcher reports the dead rank as `None` instead of
     /// panicking. Pair with [`SocketWorld::run_tolerant`]; fault-free
     /// runs behave identically to the strict mode.
@@ -494,28 +510,30 @@ pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: 
 /// — works against it.
 pub type SocketRank = MailboxRank<SocketLinks>;
 
-/// The [`Links`] of a socket rank: framed connections to the other rank
-/// processes, and this process's mailbox.
+/// The [`Links`] of a socket rank: a shared-memory [`ring`] per directed
+/// link that carries its frames, a Unix socket beside each that carries
+/// the ring's descriptor, wake-ups and EOF, and this process's mailbox.
 ///
 /// A rank process has one thread, the one running the body, and it makes
 /// progress on its own links: a receive that finds nothing in the
-/// mailbox `poll`s the data listener and every inbound link, accepts new
-/// connections, and reads whatever the ready links hold, every complete
-/// frame becoming one mailbox `push`. Wherever the rank can block it
-/// does the same, so no peer waits on a rank that is itself waiting: a
-/// `send` whose link is full, and the close barrier, read inbound links
-/// while they wait. Between transport calls — while the body computes —
-/// nothing is read, and a peer that fills the link meanwhile waits for
-/// the next call.
+/// mailbox reads every inbound ring, each complete frame becoming one
+/// mailbox `push`, and if they held nothing it parks on them and `poll`s
+/// the data listener and every inbound socket — accepting new
+/// connections, draining wake-ups, noticing EOF. Wherever the rank can
+/// block it does the same, so no peer waits on a rank that is itself
+/// waiting: a `send` whose ring is full, and the close barrier, read
+/// inbound rings while they wait. Between transport calls — while the
+/// body computes — nothing is read, and a peer that fills the ring
+/// meanwhile waits for the next call.
 pub struct SocketLinks {
     dir: PathBuf,
     /// The receiving side: listener, inbound links and mailbox.
     inbound: Inbound,
-    /// Outbound links, non-blocking, connected on first use (always
-    /// succeeds: every listener was bound before GO).
-    links: Vec<Option<UnixStream>>,
+    /// Outbound links, connected on first use (always succeeds: every
+    /// listener was bound before GO).
+    links: Vec<Option<OutLink>>,
     /// Peers observed dead (tolerant mode only): once a connect or a
-    /// write to a rank fails it stays marked, so later sends drop
+    /// send to a rank fails it stays marked, so later sends drop
     /// immediately instead of re-dialling a corpse.
     dead: Vec<bool>,
     /// Where `send` builds its frame; keeps its capacity between sends
@@ -548,7 +566,7 @@ impl SocketLinks {
         }
     }
 
-    fn connect(&self, me: usize, dst: usize) -> Result<UnixStream, String> {
+    fn connect(&self, me: usize, dst: usize) -> Result<OutLink, String> {
         // Every listener was bound before GO, so in tolerant mode a
         // refused connect means the peer is gone — fail on the first
         // attempt instead of retrying against a corpse for seconds.
@@ -558,12 +576,8 @@ impl SocketLinks {
         } else {
             connect_retry(&path, CONNECT_TIMEOUT)
         };
-        let mut s = connected.map_err(|e| format!("connect to rank {dst}: {e}"))?;
-        // Nine bytes into a fresh connection's empty buffer: this write
-        // cannot block.
-        frame::write_preamble(&mut s, me).map_err(|e| format!("preamble to rank {dst}: {e}"))?;
-        s.set_nonblocking(true).map_err(|e| format!("link to rank {dst}: {e}"))?;
-        Ok(s)
+        let sock = connected.map_err(|e| format!("connect to rank {dst}: {e}"))?;
+        OutLink::open(sock, me).map_err(|e| format!("link to rank {dst}: {e}"))
     }
 
     /// The close barrier, after the body returned: ship the result on the
@@ -574,7 +588,7 @@ impl SocketLinks {
         let mut blob = Vec::with_capacity(4 + result.len());
         frame::write_blob(&mut blob, result).expect("ship result");
         ctl.set_nonblocking(true).expect("nonblocking control link");
-        self.inbound.write_all(&mut ctl, &blob).expect("ship result");
+        self.inbound.write_ctl(&mut ctl, &blob).expect("ship result");
         let mut done = [0u8; 1];
         loop {
             match ctl.read(&mut done) {
@@ -602,11 +616,11 @@ impl Links for SocketLinks {
             return;
         }
         // The encoder writes straight behind the reserved header bytes of
-        // the retained buffer, and the finished frame leaves in one write
-        // before `send` returns. Nothing is ever held back for a later
-        // flush: that would be aggregation behind the caller's back, and
-        // would stall a producer's last element for as long as the
-        // application computes between sends.
+        // the retained buffer, and the finished frame is copied into the
+        // peer's ring and published before `send` returns. Nothing is
+        // ever held back for a later flush: that would be aggregation
+        // behind the caller's back, and would stall a producer's last
+        // element for as long as the application computes between sends.
         let mut buf = std::mem::take(&mut self.send_buf);
         frame::begin_frame(&mut buf);
         v.encode(&mut buf);
@@ -617,14 +631,14 @@ impl Links for SocketLinks {
         }
         if self.links[dst].is_none() && !self.dead[dst] {
             match self.connect(me, dst) {
-                Ok(s) => self.links[dst] = Some(s),
+                Ok(link) => self.links[dst] = Some(link),
                 Err(_) if self.inbound.tolerant => self.dead[dst] = true,
                 Err(e) => panic!("rank {me}: {e}"),
             }
         }
         // `None`: tolerant mode and dst is dead — the send is dropped.
         if let Some(link) = &mut self.links[dst] {
-            if let Err(e) = self.inbound.write_all(link, &buf) {
+            if let Err(e) = self.inbound.send_frame(link, &buf) {
                 assert!(self.inbound.tolerant, "rank {me}: send to rank {dst}: {e}");
                 self.links[dst] = None;
                 self.dead[dst] = true;
@@ -701,10 +715,14 @@ struct Inbound {
 }
 
 impl Inbound {
-    /// Wait as `until` says for the listener, an inbound link or `extra`
-    /// (a descriptor and the events wanted on it) to become ready; then
-    /// accept every pending connection and read every ready link dry,
-    /// each complete frame into the mailbox. Returns whether `extra` was
+    /// Every wait of a socket rank, in one place: read the inbound rings;
+    /// if they held no frame, park on each ring and look again (unless
+    /// `until` is [`Until::Now`]); then make exactly one `poll` — over the
+    /// listener, every inbound socket and `extra` (a descriptor and the
+    /// events wanted on it), as long as `until` says, or not at all
+    /// (timeout 0) if a frame was found. Then accept every pending
+    /// connection, take preambles, wake-ups and EOF from the sockets that
+    /// have news, and read the rings again. Returns whether `extra` was
     /// ready.
     ///
     /// A link that fails — bad preamble, malformed frame, cut mid-frame —
@@ -713,7 +731,21 @@ impl Inbound {
     /// non-zero, which the launcher's exit-status poll reports. Under
     /// `tolerant` a broken link is a dead peer and reads as end-of-stream.
     fn progress(&mut self, extra: Option<(RawFd, c_short)>, until: Until) -> bool {
+        let mut found = self.serve(|_| false);
+        let park = !found && !matches!(until, Until::Now);
+        if park {
+            // Raise `reader_parked` on every ring, then look at each
+            // again: a writer publishes before it reads the flag, so
+            // either it rings or this look sees its bytes (ring module
+            // docs).
+            let mut empty = true;
+            for link in &self.links {
+                empty &= link.park();
+            }
+            found = !empty;
+        }
         let timeout_ms = match until {
+            _ if found => 0,
             Until::Now => 0,
             Until::Forever => -1,
             Until::At(deadline) => {
@@ -721,31 +753,45 @@ impl Inbound {
                 left.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
             }
         };
-        self.fds.clear();
-        self.fds.extend(extra.map(|(fd, events)| sys::PollFd::new(fd, events)));
-        self.fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
+        let mut fds = std::mem::take(&mut self.fds);
+        fds.clear();
+        fds.extend(extra.map(|(fd, events)| sys::PollFd::new(fd, events)));
+        fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
         for link in &self.links {
-            self.fds.push(sys::PollFd::new(link.frames.get_ref().stream.as_raw_fd(), sys::POLLIN));
+            fds.push(sys::PollFd::new(link.sock.as_raw_fd(), sys::POLLIN));
         }
-        if let Err(e) = sys::poll(&mut self.fds, timeout_ms) {
+        if let Err(e) = sys::poll(&mut fds, timeout_ms) {
             panic!("rank {}: poll: {e}", self.rank);
         }
+        if park {
+            for link in &self.links {
+                link.unpark();
+            }
+        }
         let skip = usize::from(extra.is_some());
-        let extra_ready = extra.is_some() && self.fds[0].revents != 0;
-        if self.fds[skip].revents != 0 {
+        let extra_ready = extra.is_some() && fds[0].revents != 0;
+        if fds[skip].revents != 0 {
             self.accept();
         }
-        // Links accepted just now have no poll entry: read them at once.
-        let Inbound { rank, tolerant, links, mailbox, fds, .. } = self;
+        // Links accepted just now have no poll entry: look at them at once.
         let ready = &fds[skip + 1..];
+        self.serve(|i| ready.get(i).is_none_or(|fd| fd.revents != 0));
+        self.fds = fds;
+        extra_ready
+    }
+
+    /// Serve every inbound link: its socket first where `news(i)` says it
+    /// has some, then its ring, every complete frame into the mailbox. A
+    /// link that ended cleanly is dropped; one that failed is handled as
+    /// [`Inbound::progress`] says. Returns whether any frame landed.
+    fn serve(&mut self, news: impl Fn(usize) -> bool) -> bool {
+        let Inbound { rank, tolerant, links, mailbox, .. } = self;
+        let before = mailbox.version();
         let mut i = 0;
         links.retain_mut(|link| {
-            let is_ready = ready.get(i).is_none_or(|fd| fd.revents != 0);
+            let served = if news(i) { link.on_socket() } else { Ok(()) };
             i += 1;
-            if !is_ready {
-                return true;
-            }
-            match link.read_into(mailbox) {
+            match served.and_then(|()| link.read_into(mailbox)) {
                 Ok(open) => open,
                 Err(_) if *tolerant => false,
                 Err(why) => {
@@ -754,15 +800,15 @@ impl Inbound {
                 }
             }
         });
-        extra_ready
+        mailbox.version() != before
     }
 
     fn accept(&mut self) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true).expect("nonblocking inbound link");
-                    self.links.push(InLink::new(stream));
+                Ok((sock, _)) => {
+                    sock.set_nonblocking(true).expect("nonblocking inbound link");
+                    self.links.push(InLink::new(sock));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -771,16 +817,38 @@ impl Inbound {
         }
     }
 
-    /// `write_all` on the non-blocking `out`. While the kernel has no
-    /// room, wait for it with [`Inbound::progress`]: two ranks flooding
-    /// each other drain each other's links instead of wedging.
-    fn write_all(&mut self, out: &mut UnixStream, mut buf: &[u8]) -> io::Result<()> {
+    /// Copy `frame` into `out`'s ring and publish it, in pieces if it
+    /// does not fit. While the ring is full, park on it and wait with
+    /// [`Inbound::progress`] for the reader's wake-up on `out`'s socket:
+    /// two ranks flooding each other drain each other instead of
+    /// wedging. An error means the receiving rank has gone.
+    fn send_frame(&mut self, out: &mut OutLink, mut frame: &[u8]) -> io::Result<()> {
+        loop {
+            let n = out.publish(frame)?;
+            frame = &frame[n..];
+            if frame.is_empty() {
+                return Ok(());
+            }
+            let woken = out.ring.park()
+                && self.progress(Some((out.sock.as_raw_fd(), sys::POLLIN)), Until::Forever);
+            out.ring.unpark();
+            if woken {
+                out.drain_wakes()?;
+            }
+        }
+    }
+
+    /// `write_all` on the non-blocking control link. While the kernel has
+    /// no room, wait for it with [`Inbound::progress`]: the launcher may
+    /// be reading another rank's result first, and that rank may be
+    /// waiting for this one to read its ring.
+    fn write_ctl(&mut self, ctl: &mut UnixStream, mut buf: &[u8]) -> io::Result<()> {
         while !buf.is_empty() {
-            match out.write(buf) {
+            match ctl.write(buf) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => buf = &buf[n..],
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.progress(Some((out.as_raw_fd(), sys::POLLOUT)), Until::Forever);
+                    self.progress(Some((ctl.as_raw_fd(), sys::POLLOUT)), Until::Forever);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -790,147 +858,206 @@ impl Inbound {
     }
 }
 
-/// One inbound connection: its preamble, then its frames.
+/// The byte a wake-up carries; only its arrival means anything.
+const WAKE: u8 = 0x57;
+
+/// Send a wake-up on `sock`. A full socket already holds one the peer
+/// has not read, so `WouldBlock` is success.
+fn wake(mut sock: &UnixStream) -> io::Result<()> {
+    loop {
+        match sock.write(&[WAKE]) {
+            Ok(_) => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Read and discard the wake-ups `sock` holds. `Ok(false)`: it is at EOF.
+fn drain(mut sock: &UnixStream) -> io::Result<bool> {
+    let mut sink = [0u8; 64];
+    loop {
+        match sock.read(&mut sink) {
+            Ok(0) => return Ok(false),
+            Ok(n) if n < sink.len() => return Ok(true),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// One outbound link: the ring this rank publishes its frames into, and
+/// the socket that carries wake-ups both ways and, closing, EOF.
+struct OutLink {
+    sock: UnixStream,
+    ring: RingWriter,
+}
+
+impl OutLink {
+    /// Create the link's ring and send the preamble on the freshly
+    /// connected, blocking `sock`, the ring's descriptor riding with it
+    /// (nine bytes into an empty buffer: this cannot block).
+    fn open(sock: UnixStream, me: usize) -> io::Result<OutLink> {
+        let (ring, fd) = ring::create()?;
+        let mut preamble = Vec::with_capacity(frame::PREAMBLE_BYTES);
+        frame::write_preamble(&mut preamble, me)?;
+        sys::send_with_fd(&sock, &preamble, fd.as_fd())?;
+        sock.set_nonblocking(true)?;
+        Ok(OutLink { sock, ring })
+    }
+
+    /// Publish what fits of `bytes`, and send the reader its wake-up if
+    /// this publish claimed it. Returns how many bytes went.
+    fn publish(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        let n = self.ring.publish(bytes);
+        if self.ring.take_wake() {
+            wake(&self.sock)?;
+        }
+        Ok(n)
+    }
+
+    /// Take the wake-ups the reader sent back; an error once the reader
+    /// has gone.
+    fn drain_wakes(&mut self) -> io::Result<()> {
+        if drain(&self.sock)? {
+            return Ok(());
+        }
+        Err(io::Error::new(io::ErrorKind::BrokenPipe, "the receiving rank closed the link"))
+    }
+}
+
+/// An outbound link dialled by hand, for tests that must choose exactly
+/// which bytes a rank receives and when: [`RawLink::dial`] connects to a
+/// rank's data listener as rank `src` and sends the preamble with a
+/// fresh ring, and every write then goes into that ring as it is — a
+/// frame stream or not — waiting while the ring is full.
+#[doc(hidden)]
+pub struct RawLink(OutLink);
+
+impl RawLink {
+    pub fn dial(listener: &Path, src: usize) -> io::Result<RawLink> {
+        OutLink::open(UnixStream::connect(listener)?, src).map(RawLink)
+    }
+}
+
+impl Write for RawLink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        loop {
+            let n = self.0.publish(buf)?;
+            if n > 0 || buf.is_empty() {
+                return Ok(n);
+            }
+            if self.0.ring.park() {
+                sys::poll(&mut [sys::PollFd::new(self.0.sock.as_raw_fd(), sys::POLLIN)], -1)?;
+            }
+            self.0.ring.unpark();
+            self.0.drain_wakes()?;
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One inbound link: its socket, and what it has delivered so far.
 struct InLink {
-    /// The sending rank, once the whole preamble is in.
-    src: Option<usize>,
-    preamble: [u8; frame::PREAMBLE_BYTES],
-    /// Preamble bytes read so far.
-    have: usize,
-    frames: frame::FrameReader<Armed>,
+    sock: UnixStream,
+    state: InState,
+}
+
+enum InState {
+    /// The preamble bytes read so far, and the ring's descriptor once it
+    /// has come with them.
+    Preamble { bytes: [u8; frame::PREAMBLE_BYTES], have: usize, ring: Option<OwnedFd> },
+    /// The preamble is in: the sender, and the frames of its ring.
+    Open { src: usize, frames: FrameReader<RingReader> },
 }
 
 impl InLink {
-    fn new(stream: UnixStream) -> InLink {
-        let armed = Armed { stream, armed: true };
-        InLink {
-            src: None,
-            preamble: [0; frame::PREAMBLE_BYTES],
-            have: 0,
-            frames: FrameReader::new(armed),
+    fn new(sock: UnixStream) -> InLink {
+        let state = InState::Preamble { bytes: [0; frame::PREAMBLE_BYTES], have: 0, ring: None };
+        InLink { sock, state }
+    }
+
+    /// [`RingReader::park`]; a link without a ring yet has nothing to
+    /// read, and its socket will have news when it does.
+    fn park(&self) -> bool {
+        match &self.state {
+            InState::Open { frames, .. } => frames.get_ref().park(),
+            InState::Preamble { .. } => true,
         }
     }
 
-    /// Read everything the link holds: the rest of its preamble, then
-    /// every complete frame, each pushed into `mailbox`. A partial frame
-    /// stays in the reader for the next call. `Ok(false)`: the peer
-    /// closed the link at a frame boundary.
-    fn read_into(&mut self, mailbox: &Mailbox) -> Result<bool, String> {
-        self.frames.get_mut().armed = true;
-        let src = match self.src {
-            Some(src) => src,
-            None => match self.read_preamble() {
-                Ok(Some(src)) => src,
-                Ok(None) => return Ok(true),
-                Err(e) => return Err(format!("connection preamble: {e}")),
-            },
+    fn unpark(&self) {
+        if let InState::Open { frames, .. } = &self.state {
+            frames.get_ref().unpark();
+        }
+    }
+
+    /// The socket has news: the rest of the preamble and the ring's
+    /// descriptor, or wake-ups, or EOF — the writer has gone, after
+    /// publishing everything it sent, so the ring reads as EOF once it is
+    /// drained. A reset is the same news.
+    fn on_socket(&mut self) -> Result<(), String> {
+        let InState::Open { frames, .. } = &mut self.state else {
+            return self.read_preamble().map_err(|e| format!("connection preamble: {e}"));
         };
+        if !drain(&self.sock).unwrap_or(false) {
+            frames.get_mut().close();
+        }
+        Ok(())
+    }
+
+    /// Read every complete frame the ring holds, each pushed into
+    /// `mailbox`, and send the writer its wake-up if a read claimed it. A
+    /// partial frame stays in the reader for the next call. `Ok(false)`:
+    /// the peer closed the link at a frame boundary.
+    fn read_into(&mut self, mailbox: &Mailbox) -> Result<bool, String> {
+        let InState::Open { src, frames } = &mut self.state else { return Ok(true) };
         loop {
-            match self.frames.next_frame() {
+            match frames.next_frame() {
                 Ok(Some((tag, bytes, payload))) => {
-                    mailbox.push(Env { src, tag: Tag(tag), bytes, payload: Box::new(payload) });
+                    let payload = Box::new(payload);
+                    mailbox.push(Env { src: *src, tag: Tag(tag), bytes, payload });
                 }
                 Ok(None) => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(format!("inbound link from rank {src}: {e}")),
             }
         }
+        if frames.get_mut().take_wake() {
+            // A writer that has gone needs no wake; its EOF is news.
+            let _ = wake(&self.sock);
+        }
+        Ok(true)
     }
 
-    /// The sender's rank once the preamble is complete; `Ok(None)` while
-    /// part of it is still to come. Reads no byte past it.
-    fn read_preamble(&mut self) -> io::Result<Option<usize>> {
-        while self.have < self.preamble.len() {
-            match self.frames.get_mut().read(&mut self.preamble[self.have..]) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.have += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+    /// Read the preamble as far as the socket has it; once whole, check
+    /// it, map the ring that came with it and start reading frames.
+    fn read_preamble(&mut self) -> io::Result<()> {
+        let InState::Preamble { bytes, have, ring } = &mut self.state else { return Ok(()) };
+        while *have < bytes.len() {
+            match sys::recv_with_fd(&self.sock, &mut bytes[*have..]) {
+                Ok((0, _)) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok((n, fd)) => {
+                    *have += n;
+                    *ring = fd.or(ring.take());
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) => return Err(e),
             }
         }
-        let src = frame::read_preamble(&mut &self.preamble[..])?;
-        self.src = Some(src);
-        Ok(Some(src))
-    }
-}
-
-/// An inbound socket as its frame reader sees it: non-blocking, and a
-/// `read` that comes back short means the kernel held nothing more at
-/// that moment, so later reads report `WouldBlock` without a syscall
-/// until `poll` finds the link readable and re-arms it. Reading a ready
-/// link dry thus costs no `read` that returns `EAGAIN`.
-struct Armed {
-    stream: UnixStream,
-    armed: bool,
-}
-
-impl Read for Armed {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if !self.armed {
-            return Err(io::ErrorKind::WouldBlock.into());
-        }
-        let got = self.stream.read(buf);
-        match &got {
-            Ok(n) if *n < buf.len() => self.armed = false,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.armed = false,
-            _ => {}
-        }
-        got
-    }
-}
-
-/// `poll(2)`, declared by hand: the one call the progress loop needs that
-/// std does not wrap.
-mod sys {
-    use std::ffi::{c_int, c_short};
-    use std::io;
-    use std::os::fd::RawFd;
-
-    pub const POLLIN: c_short = 0x1;
-    pub const POLLOUT: c_short = 0x4;
-
-    #[repr(C)]
-    pub struct PollFd {
-        fd: RawFd,
-        events: c_short,
-        pub revents: c_short,
-    }
-
-    impl PollFd {
-        pub fn new(fd: RawFd, events: c_short) -> PollFd {
-            PollFd { fd, events, revents: 0 }
-        }
-    }
-
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    type NFds = std::ffi::c_ulong;
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    type NFds = std::ffi::c_uint;
-
-    extern "C" {
-        #[link_name = "poll"]
-        fn c_poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
-    }
-
-    /// Wait up to `timeout_ms` (`-1`: without limit) until one of `fds`
-    /// is ready; each `revents` says which. A signal ends the wait early
-    /// with nothing ready, which to the caller is a spurious wake.
-    pub fn poll(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<()> {
-        let nfds = NFds::try_from(fds.len()).expect("descriptor count fits nfds_t");
-        // SAFETY: `fds` is a live, exclusively borrowed array of
-        // `fds.len()` `#[repr(C)]` pollfd structs for the whole call, and
-        // the kernel writes only their `revents`.
-        if unsafe { c_poll(fds.as_mut_ptr(), nfds, timeout_ms) } >= 0 {
-            return Ok(());
-        }
-        match io::Error::last_os_error() {
-            e if e.kind() == io::ErrorKind::Interrupted => {
-                fds.iter_mut().for_each(|f| f.revents = 0);
-                Ok(())
-            }
-            e => Err(e),
-        }
+        let src = frame::read_preamble(&mut &bytes[..])?;
+        let fd = ring.take().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "preamble without the ring's descriptor")
+        })?;
+        let frames = FrameReader::new(ring::attach(fd)?);
+        self.state = InState::Open { src, frames };
+        Ok(())
     }
 }
 
@@ -967,9 +1094,10 @@ mod tests {
             // goes through.
             assert!(!links.dead[1] && links.links[1].is_none(), "tolerant = {tolerant}");
             links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, 7u64);
-            let (mut conn, _) = peer.accept().unwrap();
-            assert_eq!(frame::read_preamble(&mut conn).unwrap(), 0);
-            assert_eq!(frame::read_frame(&mut conn).unwrap(), Some((tag.0, 8, 7u64.to_frame())));
+            let mut peer = SocketLinks::new(dir.clone(), peer, 1, 2, tolerant);
+            let env = peer.take(1, Src::Rank(0), tag, Until::Forever).expect("the frame");
+            assert_eq!((env.src, env.bytes), (0, 8));
+            assert_eq!(SocketLinks::unpack::<u64>(1, env), 7);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -12,6 +12,13 @@
 //! buffer included — loses nothing, because `FrameReader` resumes where
 //! it stopped; and a short-writing, interrupted writer still emits
 //! exactly the frame's bytes.
+//!
+//! A rank's links carry the same frame stream through a shared-memory
+//! ring (`socket::ring`), so every property that decodes a stream also
+//! runs it through a ring with a `FrameReader` over the reading end:
+//! publishes of seeded size, a reader that sometimes drains the ring
+//! (the writer then restarts at its front) and sometimes lets it wrap,
+//! frames larger than the whole ring, and the writer's EOF at every cut.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,6 +27,7 @@ use std::io::{self, Read, Write};
 use mpistream::MAX_FRAME_BYTES;
 use proptest::prelude::*;
 use socket::frame::{self, FrameReader, FRAME_OVERHEAD, LINK_BUF_BYTES};
+use socket::ring::{self, RING_BYTES};
 
 type Frame = (u64, u64, Vec<u8>);
 
@@ -179,6 +187,44 @@ fn drain(mut next: impl FnMut() -> io::Result<Option<Frame>>) -> (Vec<Frame>, io
     }
 }
 
+/// `data` through a fresh shared-memory ring, the way a link carries it:
+/// the writer publishes pieces of seeded size (at most `chop.max_chunk`
+/// bytes each), and after each the reader takes a seeded number of
+/// frames — none, one, two, or all it can. So the ring sometimes drains
+/// and the writer restarts at its front, sometimes wraps round with
+/// unread bytes in it, and a frame larger than the whole ring crosses
+/// in pieces; a piece that finds the ring full waits for the reader.
+/// Then the writer goes (the link's EOF) and the reader drains the rest.
+fn drain_ring(data: &[u8], chop: Chop) -> (Vec<Frame>, io::Result<()>) {
+    let (mut writer, ring) = ring::local_pair();
+    let mut reader = FrameReader::new(ring);
+    let mut rng = chop.seed;
+    let mut rest = data;
+    let mut got = Vec::new();
+    while !rest.is_empty() {
+        let piece = 1 + splitmix(&mut rng) as usize % chop.max_chunk.min(rest.len());
+        let n = writer.publish(&rest[..piece]);
+        rest = &rest[n..];
+        let frames = match splitmix(&mut rng) % 4 {
+            _ if n == 0 => usize::MAX,
+            3 => usize::MAX,
+            k => k as usize,
+        };
+        for _ in 0..frames {
+            match reader.next_frame() {
+                Ok(Some(frame)) => got.push(frame),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Ok(None) => panic!("end of stream before the writer closed"),
+                Err(e) => return (got, Err(e)),
+            }
+        }
+    }
+    reader.get_mut().close();
+    let (more, end) = drain(|| reader.next_frame());
+    got.extend(more);
+    (got, end)
+}
+
 fn drain_buffered(data: &[u8], chop: Chop) -> (Vec<Frame>, io::Result<()>) {
     let mut reader = FrameReader::new(HostileSource::new(data, chop));
     drain(|| reader.next_frame())
@@ -199,6 +245,7 @@ fn check_cut(wire: &[u8], boundaries: &[usize], frames: &[Frame], cut: usize, ch
     for (how, (got, end)) in [
         ("FrameReader", drain_buffered(&wire[..cut], chop)),
         ("read_frame", drain_unbuffered(&wire[..cut], chop)),
+        ("ring", drain_ring(&wire[..cut], chop)),
     ] {
         assert_eq!(got.len(), whole, "{how}: frames before a cut at {cut}");
         assert!(got.iter().eq(&frames[..whole]), "{how}: frame contents before a cut at {cut}");
@@ -237,6 +284,7 @@ proptest! {
         for (how, (got, end)) in [
             ("FrameReader", drain_buffered(&wire, chop)),
             ("read_frame", drain_unbuffered(&wire, chop)),
+            ("ring", drain_ring(&wire, chop)),
         ] {
             prop_assert!(end.is_ok(), "{how}: {end:?}");
             prop_assert!(got == frames, "{how}: decoded frames differ from the ones written");
@@ -302,6 +350,29 @@ proptest! {
         let chop = Chop { max_chunk: chop.max_chunk.max(1 << 12), ..chop };
         for cut in cuts {
             check_cut(&wire, &boundaries, &frames, cut, chop);
+        }
+    }
+
+    #[test]
+    fn frames_larger_than_the_ring_cross_it_in_pieces(seed in any::<u64>(), chop in chop_strategy()) {
+        // `frames_from`'s sequence with frames one byte over, and twice
+        // and a bit over, a whole ring spliced in; cut around every
+        // multiple of the ring as well as at the end.
+        let mut frames = frames_from(seed);
+        let mut rng = seed;
+        for len in [RING_BYTES - FRAME_OVERHEAD + 1, 2 * RING_BYTES + 77] {
+            let at = splitmix(&mut rng) as usize % (frames.len() + 1);
+            frames.insert(at, (splitmix(&mut rng), splitmix(&mut rng), payload(&mut rng, len)));
+        }
+        let (wire, boundaries) = on_the_wire(&frames);
+        let chop = Chop { max_chunk: chop.max_chunk.max(1 << 12), ..chop };
+        let (got, end) = drain_ring(&wire, chop);
+        prop_assert!(end.is_ok(), "{end:?}");
+        prop_assert!(got == frames, "the ring changed the decoded frames");
+        for lap in (RING_BYTES..wire.len()).step_by(RING_BYTES) {
+            for cut in [lap - 1, lap, lap + 1] {
+                check_cut(&wire, &boundaries, &frames, cut, chop);
+            }
         }
     }
 

@@ -7,12 +7,11 @@
 //! `LaunchGuard` reaps the surviving ranks.
 
 use std::io::Write;
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mpistream::{Src, Tag, Transport};
-use socket::{frame, SocketWorld};
+use socket::{RawLink, SocketWorld};
 
 /// Run `launch` (a `SocketWorld::run` that must fail) and return the
 /// launcher's panic message, asserting it came within ten seconds.
@@ -51,16 +50,17 @@ fn a_malformed_inbound_link_takes_the_whole_rank_down() {
             |rank| {
                 if rank.world_rank() == 1 {
                     // Dial rank 0 by hand: a valid preamble, then a length
-                    // prefix below the header size. The link stays open — it
-                    // is the bad prefix, not an EOF, that must be fatal.
+                    // prefix below the header size in the link's ring. The
+                    // link stays open — it is the bad prefix, not an EOF,
+                    // that must be fatal.
                     let dir = PathBuf::from(std::env::var("MPISTREAM_SOCKET_DIR").unwrap());
-                    let mut link = UnixStream::connect(dir.join("rank0.sock")).unwrap();
-                    frame::write_preamble(&mut link, 1).unwrap();
+                    let mut link = RawLink::dial(&dir.join("rank0.sock"), 1).unwrap();
                     link.write_all(&3u32.to_le_bytes()).unwrap();
                     std::thread::sleep(Duration::from_secs(60));
                 }
-                // Rank 0's body parks here. Its reader thread meets the bad
-                // frame; only taking the process down lets anyone find out.
+                // Rank 0's body parks here, and its progress loop meets the
+                // bad frame; only taking the process down lets anyone find
+                // out.
                 rank.recv::<u64>(Src::Rank(1), Tag::user(2)).0
             },
         );

@@ -1,23 +1,29 @@
 //! A socket rank makes progress on its own links wherever it can block.
 //!
-//! A rank process has one thread, so nothing reads its inbound links
+//! A rank process has one thread, so nothing reads its inbound rings
 //! while it waits — unless the wait itself does. These worlds wedge if
 //! any wait forgets to: ranks that flood each other before receiving
-//! (blocked `send`), a rank whose body returns while a peer is still
-//! writing to it (close barrier), and a deadline that expires mid-frame
-//! (the link's framing state must survive the timeout). Each is a real
-//! process world; the children re-run their test under `--exact`.
+//! (blocked `send`), frames four times a ring's size crossing both ways
+//! at once (published in pieces, each writer woken by the reader that
+//! freed its room), a rank whose body returns while a peer is still
+//! writing to it (close barrier), a reader that dies while its writer
+//! waits for room (death-tolerant: the wait ends on EOF), and a deadline
+//! that expires mid-frame (the link's framing state must survive the
+//! timeout). Each is a real process world; the children re-run their
+//! test under `--exact`.
 
 use std::io::Write;
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use mpistream::{Src, Tag, Transport, Wire};
-use socket::{frame, SocketWorld};
+use socket::{frame, RawLink, SocketWorld};
 
 const FLOOD: usize = 64;
 const CHUNK: usize = 64 << 10;
 const DATA: Tag = Tag::user(1);
+const BIG: usize = 1 << 20;
+const EXCHANGE: usize = 8;
 
 /// Message `i` of a flood from rank `src`: recognisable at every byte.
 fn chunk(src: usize, i: usize) -> Vec<u8> {
@@ -75,11 +81,68 @@ fn a_peer_still_writing_to_a_finished_rank_finishes() {
     assert_eq!(got, vec![0, 1]);
 }
 
+/// Message `i` of an exchange from rank `src`: 1 MiB, four times a
+/// link's ring, recognisable at every byte.
+fn big(src: usize, i: usize) -> Vec<u8> {
+    (0..BIG).map(|b| (src * 131 + i * 7 + b * 3) as u8).collect()
+}
+
+/// Two ranks send each other eight 1 MiB messages before either
+/// receives. No frame fits its ring, so each is published in pieces, and
+/// both writers wait for room at once: each gets it only because its own
+/// wait reads the other's ring and the reader that frees room sends the
+/// wake-up back on the writer's socket. Either piece missing wedges it.
+#[test]
+fn frames_larger_than_the_ring_cross_both_ways_at_once() {
+    let got = SocketWorld::for_test("frames_larger_than_the_ring_cross_both_ways_at_once", 2).run(
+        |rank| {
+            let me = rank.world_rank();
+            let peer = 1 - me;
+            for i in 0..EXCHANGE {
+                rank.send(peer, DATA, BIG as u64, big(me, i));
+            }
+            for i in 0..EXCHANGE {
+                let (got, _) = rank.recv::<Vec<u8>>(Src::Rank(peer), DATA);
+                assert!(got == big(peer, i), "rank {me}: message {i} from rank {peer} is corrupt");
+            }
+            EXCHANGE
+        },
+    );
+    assert_eq!(got, vec![EXCHANGE; 2]);
+}
+
+/// Rank 0 takes one message, so its link from rank 1 is accepted and
+/// mapped, then stops reading and dies while rank 1 is still sending:
+/// rank 1 fills the ring and parks, and no wake-up will ever come. Its
+/// wait must end on the link's EOF instead, mark rank 0 dead and drop
+/// the rest of its sends, so it finishes within a bounded time.
+#[test]
+fn a_writer_whose_reader_dies_with_the_ring_full_finishes() {
+    let started = Instant::now();
+    let got = SocketWorld::for_test("a_writer_whose_reader_dies_with_the_ring_full_finishes", 2)
+        .death_tolerant()
+        .run_tolerant(|rank| {
+            if rank.world_rank() == 0 {
+                rank.recv::<Vec<u8>>(Src::Rank(1), DATA);
+                std::thread::sleep(Duration::from_millis(300));
+                std::process::exit(3);
+            }
+            for i in 0..FLOOD {
+                rank.send(0, DATA, CHUNK as u64, chunk(1, i));
+            }
+            FLOOD
+        });
+    assert_eq!(got, vec![None, Some(FLOOD)]);
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(10), "the writer took {took:?} to finish");
+}
+
 /// A deadline that expires while half a frame is in: the receive times
 /// out no earlier than its deadline, and the link's framing survives —
 /// the frame completes later and is delivered, followed by the next one.
-/// Rank 1 dials rank 0 by hand to control exactly which bytes are sent
-/// when; its real link carries the hand-shakes.
+/// Rank 1 dials rank 0 by hand (a `RawLink`, whose ring takes exactly
+/// the bytes it is given) to control exactly which bytes are sent when;
+/// its real link carries the hand-shakes.
 #[test]
 fn a_half_frame_on_a_live_rank_times_out_then_delivers() {
     const HALF: Tag = Tag::user(42);
@@ -88,8 +151,7 @@ fn a_half_frame_on_a_live_rank_times_out_then_delivers() {
         |rank| {
             if rank.world_rank() == 1 {
                 let dir = PathBuf::from(std::env::var("MPISTREAM_SOCKET_DIR").unwrap());
-                let mut link = UnixStream::connect(dir.join("rank0.sock")).unwrap();
-                frame::write_preamble(&mut link, 1).unwrap();
+                let mut link = RawLink::dial(&dir.join("rank0.sock"), 1).unwrap();
                 let mut whole = Vec::new();
                 frame::write_frame(&mut whole, HALF.0, 8, &99u64.to_frame()).unwrap();
                 let cut = whole.len() / 2;

@@ -25,7 +25,7 @@
 //! is suffixed onto the path (`out.sim.trace.json`, `out.native.trace.json`).
 //!
 //! `--backend socket` runs the same program across real OS processes
-//! (one per rank, Unix-domain sockets between them). Each child records
+//! (one per rank, a shared-memory ring per link between them). Each child records
 //! its own wall-clock spans; the launcher merges every rank's spans into
 //! one Chrome trace, so the file looks exactly like the native one —
 //! except the timelines come from separate address spaces.
