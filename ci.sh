@@ -26,6 +26,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # One build of every crate: a switch is a runtime option or a cfg, never a
 # cargo feature that some dependency edge turns on (DESIGN.md §14).
 if grep -n '^\[features\]' crates/*/Cargo.toml; then echo "no cargo features"; exit 1; fi
+# One hasher: maps keyed by values the program makes itself (tags, ranks,
+# event times) hash with desim::FixedState, defined once.
+if grep -rnE 'impl (std::hash::)?Hasher for' crates/*/src | grep -v '^crates/desim/src/hash.rs:'; then
+    echo "one hasher: use desim::FixedState"; exit 1
+fi
 
 stage "docs (rustdoc, warnings are errors)"
 # Broken or ambiguous intra-doc links are how a deleted or renamed public

@@ -78,5 +78,5 @@ pub use stream::{
     ConsumerCheckpoint, ProducerReport, ProducerState, StepEvent, Stream, StreamMsg, StreamOutcome,
     StreamStats, Wait,
 };
-pub use transport::{prof_scoped, Event, Group, MsgInfo, Src, Tag, TagKind, Transport};
+pub use transport::{index, prof_scoped, Event, Group, MsgInfo, Src, Tag, TagKind, Transport};
 pub use wire::{Wire, WireError, MAX_FRAME_BYTES, MAX_WIRE_ELEMS};

@@ -49,7 +49,8 @@
 pub use desim::{SimDuration, SimTime};
 // The message vocabulary is the simulator's, for every backend: one tag
 // layout (with the whole tag space in `mpisim::msg`), one `Src`, one
-// `MsgInfo`.
+// `MsgInfo`, and one matching index's building blocks.
+pub use mpisim::msg::index;
 pub use mpisim::{MsgInfo, Src, Tag, TagKind};
 
 use crate::wire::Wire;

@@ -1,9 +1,11 @@
-//! One fixed-key multiplicative hasher for the simulator's lookup maps.
+//! One fixed-key multiplicative hasher for the lookup maps of the
+//! simulator and of the native backend's mailbox index (`ci.sh` fails on a
+//! second `Hasher` impl anywhere under `crates/`).
 //!
 //! std's default `RandomState` is SipHash-1-3 under a per-process random
-//! key: DoS-resistant, but several times the cost of the integer keys the
-//! simulator hashes on every event and message (event `(time, pid)`
-//! pairs, mailbox sequence numbers, tags, ranks). None of those keys come
+//! key: DoS-resistant, but several times the cost of the integer keys
+//! hashed on every event and message (event `(time, pid)` pairs, tags,
+//! `(src, tag)` pairs, ranks). None of those keys come
 //! from an adversary, so [`FixedState`] trades the resistance for speed:
 //! each word of the key is added to the state, which is then multiplied by
 //! one odd constant; [`Hasher::finish`] rotates the well-mixed high bits
@@ -96,9 +98,10 @@ mod tests {
     #[test]
     fn sequential_keys_spread_over_buckets() {
         // hashbrown indexes by the low bits: 4,096 consecutive keys (and
-        // the same keys scaled by 1,000, like round nanosecond times) must
-        // fill most of 4,096 buckets, not a stride of them.
-        for scale in [1u64, 1_000, 1 << 20] {
+        // the same keys scaled by 1,000, like round nanosecond times, or
+        // moved to bits 32.., like stream tags that differ only in their
+        // channel) must fill most of 4,096 buckets, not a stride of them.
+        for scale in [1u64, 1_000, 1 << 20, 1 << 32] {
             let mut hit = vec![false; 4_096];
             for k in 0..4_096u64 {
                 hit[(hash_of((k * scale, 7usize)) & 4_095) as usize] = true;

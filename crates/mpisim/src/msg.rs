@@ -22,16 +22,15 @@
 //! yet* and rescanned the entire backlog to compute the earliest
 //! availability — an O(N²) drain. This version maintains:
 //!
-//! - `envs`: live envelopes keyed by a monotonically increasing arrival
-//!   seq (arrival order == seq order). Never iterated on hot paths, and
-//!   any full iteration (orphan drain, index rebuilds) sorts by seq, so
-//!   map ordering never leaks into simulation behavior.
+//! - `envs`: live envelopes in an [`index::Slab`] under consecutive
+//!   arrival seqs (arrival order == seq order), a sliding window with no
+//!   hashing; the orphan drain reads it in seq order.
 //! - `by_tag`: per-`Tag` index with a `ready` set (landed envelopes, by
 //!   seq — `first()` is the FCFS match) and a `pending` min-heap of
 //!   `(available_at, seq)` (earliest landing first). Queries promote
 //!   newly landed entries `pending → ready`; virtual time is monotone, so
 //!   promotion is one-way.
-//! - `by_src_tag`: per-`(src, tag)` arrival-order seq list. Per-link
+//! - `by_src_tag`: per-`(src, tag)` arrival-order [`index::IdQueue`]. Per-link
 //!   delivery is non-overtaking — `MailboxInner::insert` clamps each
 //!   envelope's availability to a per-source floor, covering both the
 //!   gap-calendar `LinkClock` (which can book an out-of-call-order request
@@ -53,7 +52,8 @@
 //! Removals touching a structure that cannot delete in O(1) leave a
 //! tombstone (the seq is simply gone from `envs`); tombstones are dropped
 //! lazily during queries and each structure is rebuilt when more than half
-//! of it is stale, keeping amortized cost O(log n) and memory O(live).
+//! of it is stale, keeping amortized cost O(log n) and memory O(live) in
+//! the indexes, O(span from the oldest live envelope) in `envs`.
 //! Index map entries are garbage-collected when they empty out —
 //! collective tags are unique per call, so the maps would otherwise grow
 //! without bound.
@@ -67,10 +67,14 @@ use std::any::Any;
 use std::cmp::Reverse;
 #[allow(clippy::disallowed_types)] // lookup-only maps: see `MailboxInner`
 use std::collections::HashMap;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use desim::{Ctx, FixedState, Pid, SimTime};
 use parking_lot::Mutex;
+
+pub mod index;
+
+use index::{IdQueue, Slab};
 
 /// Wire tag. User tags occupy the low 32 bits; library-internal traffic
 /// (collectives, streams) sets the top bit and namespaces the rest so it
@@ -192,16 +196,6 @@ struct TagIndex {
     stale: usize,
 }
 
-/// Per-`(src, tag)` index (serves `Src::Rank`). Arrival seqs in order;
-/// per-link non-overtaking delivery makes the front both the FCFS match
-/// and the earliest-available one.
-#[derive(Default)]
-struct SrcTagIndex {
-    seqs: VecDeque<u64>,
-    /// Tombstones currently buried in `seqs` (behind the front).
-    stale: usize,
-}
-
 /// Outcome of a match query.
 enum Found {
     /// This seq is the match, available now.
@@ -212,19 +206,20 @@ enum Found {
     Missing,
 }
 
-// The four hash maps are looked up by key on every message and never
-// iterated, except `envs` by `drain_meta`, which sorts by seq before
-// anything observable happens: their order cannot leak. Their hasher is
-// desim's fixed-key one, not a per-process SipHash: the keys are seqs,
-// tags and ranks the simulator makes itself.
+// The three hash maps are looked up by key on every message and never
+// iterated: their order cannot leak. Their hasher is desim's fixed-key
+// one, not a per-process SipHash: the keys are tags and ranks the
+// simulator makes itself.
 #[allow(clippy::disallowed_types)]
 #[derive(Default)]
 struct MailboxInner {
     /// Live envelopes by arrival seq.
-    envs: HashMap<u64, Envelope, FixedState>,
-    next_seq: u64,
+    envs: Slab<Envelope>,
     by_tag: HashMap<Tag, TagIndex, FixedState>,
-    by_src_tag: HashMap<(usize, Tag), SrcTagIndex, FixedState>,
+    /// Per-`(src, tag)` arrival order (serves `Src::Rank`). Per-link
+    /// non-overtaking delivery makes the front both the FCFS match and
+    /// the earliest-available one.
+    by_src_tag: HashMap<(usize, Tag), IdQueue, FixedState>,
     /// `(available_at, seq)` of possibly-in-flight envelopes, lazily
     /// pruned (landed and tombstoned entries drop during queries/inserts).
     inflight: BinaryHeap<Reverse<(u64, u64)>>,
@@ -259,14 +254,13 @@ impl MailboxInner {
         let floor = self.src_floor.entry(env.src).or_insert(0);
         env.available_at = SimTime(env.available_at.0.max(*floor));
         *floor = env.available_at.0;
-        let at = env.available_at;
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let (at, src, tag) = (env.available_at, env.src, env.tag);
         self.bytes += env.bytes;
-        self.by_tag.entry(env.tag).or_default().pending.push(Reverse((env.available_at.0, seq)));
-        self.by_src_tag.entry((env.src, env.tag)).or_default().seqs.push_back(seq);
-        if env.available_at > now {
-            self.inflight.push(Reverse((env.available_at.0, seq)));
+        let seq = self.envs.insert(env);
+        self.by_tag.entry(tag).or_default().pending.push(Reverse((at.0, seq)));
+        self.by_src_tag.entry((src, tag)).or_default().push(seq);
+        if at > now {
+            self.inflight.push(Reverse((at.0, seq)));
         }
         // The inflight heap is only consumed by `park_until_change`; if
         // nobody calls that, prune here so it tracks O(live) memory.
@@ -274,20 +268,18 @@ impl MailboxInner {
             let keep: Vec<_> = self
                 .inflight
                 .drain()
-                .filter(|&Reverse((at, s))| at > now.0 && self.envs.contains_key(&s))
+                .filter(|&Reverse((at, s))| at > now.0 && self.envs.contains(s))
                 .collect();
             self.inflight = keep.into();
         }
-        self.envs.insert(seq, env);
         at
     }
 
     /// Move every landed `pending` entry of `ti` into `ready`, dropping
     /// tombstones on the way. One-way because virtual time is monotone.
-    #[allow(clippy::disallowed_types)] // `envs` is only looked up here; fixed-key hasher
-    fn promote(envs: &HashMap<u64, Envelope, FixedState>, ti: &mut TagIndex, now: SimTime) {
+    fn promote(envs: &Slab<Envelope>, ti: &mut TagIndex, now: SimTime) {
         while let Some(&Reverse((at, seq))) = ti.pending.peek() {
-            if !envs.contains_key(&seq) {
+            if !envs.contains(seq) {
                 ti.pending.pop();
                 ti.stale -= 1;
             } else if at <= now.0 {
@@ -319,20 +311,17 @@ impl MailboxInner {
                 }
             }
             Src::Rank(r) => {
-                let Some(sti) = self.by_src_tag.get_mut(&(r, tag)) else { return Found::Missing };
-                while let Some(&seq) = sti.seqs.front() {
-                    if let Some(env) = self.envs.get(&seq) {
-                        return if env.available_at <= now {
-                            Found::Ready(seq)
-                        } else {
-                            Found::InFlight(env.available_at)
-                        };
-                    }
-                    sti.seqs.pop_front();
-                    sti.stale -= 1;
+                let Some(q) = self.by_src_tag.get_mut(&(r, tag)) else { return Found::Missing };
+                let Some(seq) = q.front(&self.envs) else {
+                    self.by_src_tag.remove(&(r, tag));
+                    return Found::Missing;
+                };
+                let at = self.envs.get(seq).expect("front is live").available_at;
+                if at <= now {
+                    Found::Ready(seq)
+                } else {
+                    Found::InFlight(at)
                 }
-                self.by_src_tag.remove(&(r, tag));
-                Found::Missing
             }
         }
     }
@@ -340,7 +329,7 @@ impl MailboxInner {
     /// Remove `seq` from every structure (tombstoning where O(1) deletion
     /// is impossible) and return its envelope.
     fn take_seq(&mut self, seq: u64) -> Envelope {
-        let env = self.envs.remove(&seq).expect("seq valid under lock");
+        let env = self.envs.remove(seq).expect("seq valid under lock");
         self.bytes -= env.bytes;
         let mut gc_tag = false;
         if let Some(ti) = self.by_tag.get_mut(&env.tag) {
@@ -348,11 +337,8 @@ impl MailboxInner {
                 ti.stale += 1;
                 if ti.stale * 2 > ti.pending.len() {
                     let envs = &self.envs;
-                    let keep: Vec<_> = ti
-                        .pending
-                        .drain()
-                        .filter(|&Reverse((_, s))| envs.contains_key(&s))
-                        .collect();
+                    let keep: Vec<_> =
+                        ti.pending.drain().filter(|&Reverse((_, s))| envs.contains(s)).collect();
                     ti.pending = keep.into();
                     ti.stale = 0;
                 }
@@ -362,22 +348,12 @@ impl MailboxInner {
         if gc_tag {
             self.by_tag.remove(&env.tag);
         }
-        let mut gc_src_tag = false;
-        if let Some(sti) = self.by_src_tag.get_mut(&(env.src, env.tag)) {
-            if sti.seqs.front() == Some(&seq) {
-                sti.seqs.pop_front();
-            } else {
-                sti.stale += 1;
-                if sti.stale * 2 > sti.seqs.len() {
-                    let envs = &self.envs;
-                    sti.seqs.retain(|s| envs.contains_key(s));
-                    sti.stale = 0;
-                }
+        let key = (env.src, env.tag);
+        if let Some(q) = self.by_src_tag.get_mut(&key) {
+            q.remove(seq, &self.envs);
+            if q.is_empty() {
+                self.by_src_tag.remove(&key);
             }
-            gc_src_tag = sti.seqs.is_empty();
-        }
-        if gc_src_tag {
-            self.by_src_tag.remove(&(env.src, env.tag));
         }
         env
     }
@@ -417,7 +393,7 @@ impl MailboxInner {
     /// Earliest `available_at` strictly after `now` among live envelopes.
     fn next_landing(&mut self, now: SimTime) -> Option<SimTime> {
         while let Some(&Reverse((at, seq))) = self.inflight.peek() {
-            if at <= now.0 || !self.envs.contains_key(&seq) {
+            if at <= now.0 || !self.envs.contains(seq) {
                 self.inflight.pop();
             } else {
                 return Some(SimTime(at));
@@ -580,10 +556,11 @@ impl Mailbox {
     pub fn probe(&self, now: SimTime, src: Src, tag: Tag) -> Option<MsgInfo> {
         let mut inner = self.inner.lock();
         match inner.find(now, src, tag) {
-            Found::Ready(seq) => {
-                let env = &inner.envs[&seq];
-                Some(MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes })
-            }
+            Found::Ready(seq) => inner.envs.get(seq).map(|env| MsgInfo {
+                src: env.src,
+                tag: env.tag,
+                bytes: env.bytes,
+            }),
             _ => None,
         }
     }
@@ -607,7 +584,7 @@ impl Mailbox {
         // linear scan reported rivals in.
         ti.ready
             .iter()
-            .map(|seq| &envs[seq])
+            .map(|&seq| envs.get(seq).expect("ready holds live seqs"))
             .filter(|e| e.src != exclude_src)
             .map(|e| (e.src, e.clock.clone()))
             .collect()
@@ -618,17 +595,11 @@ impl Mailbox {
     /// scan at finalize.
     pub fn drain_meta(&self) -> Vec<(usize, Tag, u64, SimTime)> {
         let mut inner = self.inner.lock();
-        let mut metas: Vec<(u64, (usize, Tag, u64, SimTime))> = inner
-            .envs
-            .drain()
-            .map(|(seq, e)| (seq, (e.src, e.tag, e.bytes, e.available_at)))
-            .collect();
-        metas.sort_unstable_by_key(|&(seq, _)| seq);
         inner.by_tag.clear();
         inner.by_src_tag.clear();
         inner.inflight.clear();
         inner.bytes = 0;
-        metas.into_iter().map(|(_, m)| m).collect()
+        inner.envs.drain().map(|e| (e.src, e.tag, e.bytes, e.available_at)).collect()
     }
 
     /// Total modelled bytes parked in the queue (memory accounting). O(1)

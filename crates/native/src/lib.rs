@@ -38,9 +38,10 @@
 //! the peer's mailbox, nothing is encoded, and a receive that finds
 //! nothing parks on the mailbox until a sender's push wakes it.
 //!
-//! Each mailbox mirrors the simulator's PR-3 matching structure — per-tag
-//! ordered index for wildcard matches, per-`(src, tag)` FIFO for directed
-//! ones — fed through a lock-free MPSC staging stack so N producers never
+//! Each mailbox matches with the simulator's own index pieces
+//! ([`mpistream::index`]) — an arrival-ordered store, a per-tag queue for
+//! wildcard matches, a per-`(src, tag)` FIFO for directed ones — fed
+//! through a lock-free MPSC staging stack so N producers never
 //! serialize on the consumer's index (see [`mailbox`] for the full
 //! design: Treiber staging, an eventcount park protocol that cannot lose
 //! wake-ups, and a version counter snapshotted once per polling round

@@ -1,12 +1,13 @@
 //! Per-rank mailboxes for the native backend.
 //!
-//! The matching structure mirrors the simulator's indexed mailbox
-//! (`mpisim::msg`): envelopes live in a store keyed by arrival sequence,
-//! with a per-tag ordered index for `Src::Any` matching and a
-//! per-`(src, tag)` FIFO for directed receives. The simulator's in-flight
+//! The matching index is built from the simulator's building blocks
+//! ([`mpistream::index`]): envelopes live in a [`Slab`] keyed by arrival
+//! sequence, with one [`IdQueue`] per tag for `Src::Any` matching and one
+//! per `(src, tag)` for directed receives. The simulator's in-flight
 //! machinery (messages whose availability lies in the virtual future) has
 //! no native counterpart — a message is available the moment `push` lands
-//! it — so that whole layer disappears and FCFS order *is* arrival order.
+//! it — so that whole layer is the simulator's alone, and here FCFS order
+//! *is* arrival order.
 //!
 //! ## The MPSC split
 //!
@@ -32,11 +33,11 @@
 //! ## The index, sized for the per-message budget
 //!
 //! Arrival ids are consecutive, so the envelope store is a sliding window
-//! of slots (`Slab`) indexed by `id - base` — no hashing at all on the
-//! store. The per-tag and per-`(src, tag)` orders are plain `VecDeque`s of
-//! ids behind a cheap multiplicative hasher; a take through one order
-//! leaves a tombstone in the other, popped lazily when it reaches the
-//! front and compacted outright when tombstones hit half a queue. And a
+//! of slots indexed by `id - base` — no hashing at all on the store. The
+//! per-tag and per-`(src, tag)` queues sit in maps behind desim's
+//! fixed-key multiplicative hasher; a take through one queue leaves a
+//! tombstone in the other, popped lazily when it reaches the front and
+//! compacted outright when tombstones hit half a queue. And a
 //! receive that misses the index entirely takes its match *straight off
 //! the drain* — the first staged envelope in arrival order that matches is
 //! handed to the caller without ever touching the index, which is the
@@ -113,8 +114,8 @@
 //! bare mailbox from many real threads; it is not a stable API.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::ptr;
 
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
@@ -122,6 +123,8 @@ use crate::sync::boxed;
 use crate::sync::cell::RaceCell;
 use crate::sync::{Condvar, Instant, Mutex};
 
+use desim::FixedState;
+use mpistream::index::{IdQueue, Slab};
 use mpistream::{MsgInfo, Src, Tag};
 
 pub struct Env {
@@ -143,128 +146,49 @@ struct Node {
     next: RaceCell<*mut Node>,
 }
 
-/// Multiplicative hasher for the small integer keys the index uses (tags
-/// and `(src, tag)` pairs). SipHash dominated the per-message profile;
-/// one multiply plus a high-to-low fold is plenty for keys we pick
-/// ourselves. The fold matters: hashbrown derives the bucket from the low
-/// bits, and internal tags that differ only in the channel bits (32..48)
-/// would otherwise collide into one bucket chain.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// The envelope store. Arrival ids are consecutive, so this is a sliding
-/// window over id space: slot `id - base` holds the envelope, `None` once
-/// taken, and the window's fully-consumed prefix is popped as it forms.
-/// No hashing, O(1) everything.
-#[derive(Default)]
-struct Slab {
-    base: u64,
-    slots: VecDeque<Option<Env>>,
-}
-
-impl Slab {
-    fn insert(&mut self, env: Env) -> u64 {
-        let id = self.base + self.slots.len() as u64;
-        self.slots.push_back(Some(env));
-        id
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        id.checked_sub(self.base)
-            .and_then(|i| usize::try_from(i).ok())
-            .and_then(|i| self.slots.get(i))
-            .is_some_and(Option::is_some)
-    }
-
-    fn get(&self, id: u64) -> Option<&Env> {
-        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        self.slots.get(i)?.as_ref()
-    }
-
-    fn remove(&mut self, id: u64) -> Option<Env> {
-        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
-        let env = self.slots.get_mut(i)?.take()?;
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(env)
-    }
-}
-
-/// Arrival-ordered ids for one tag (or one `(src, tag)`). A take through
-/// the *other* index leaves the id here as a tombstone: dead entries are
-/// popped lazily when they surface at the front, and the whole queue is
-/// compacted when they reach half its length, so space stays linear in
-/// the live count even for queues only ever consumed from the other side
-/// (a credit tag drained purely by directed receives, say).
-#[derive(Default)]
-struct TagQueue {
-    q: VecDeque<u64>,
-    dead: usize,
-}
-
-impl TagQueue {
-    /// First id still alive in `slab`, popping the dead prefix.
-    fn front_alive(&mut self, slab: &Slab) -> Option<u64> {
-        while let Some(&id) = self.q.front() {
-            if slab.contains(id) {
-                return Some(id);
-            }
-            self.q.pop_front();
-            self.dead -= 1;
-        }
-        None
-    }
-
-    /// `id` (somewhere in the queue) was taken through the other index.
-    fn note_dead(&mut self, id: u64, slab: &Slab) {
-        if self.q.front() == Some(&id) {
-            self.q.pop_front();
-            return;
-        }
-        self.dead += 1;
-        if self.dead * 2 > self.q.len() {
-            self.q.retain(|&i| slab.contains(i));
-            self.dead = 0;
-        }
-    }
-}
+type Queues<K> = HashMap<K, IdQueue, FixedState>;
 
 /// The match index, with each side materialized only on first use: a
 /// mailbox drained purely by wildcard receives (an incast sink) never
-/// maintains the `(src, tag)` mirror, and one drained purely by directed
+/// maintains the `(src, tag)` side, and one drained purely by directed
 /// receives (a producer waiting on credits, a pingpong turnaround) never
 /// maintains the per-tag side. Building a side on demand is one pass over
 /// the live slab — amortized against never paying for it at all on the
 /// per-message hot path.
 #[derive(Default)]
 struct Inner {
-    slab: Slab,
-    by_tag: Option<FxMap<Tag, TagQueue>>,
-    by_src_tag: Option<FxMap<(usize, Tag), TagQueue>>,
+    slab: Slab<Env>,
+    by_tag: Option<Queues<Tag>>,
+    by_src_tag: Option<Queues<(usize, Tag)>>,
+}
+
+/// One side of the index, built from the live slab.
+fn queues<K: Hash + Eq>(slab: &Slab<Env>, key: impl Fn(&Env) -> K) -> Queues<K> {
+    let mut qs = Queues::default();
+    for (id, env) in slab.iter() {
+        qs.entry(key(env)).or_default().push(id);
+    }
+    qs
+}
+
+/// First live id under `key`; a queue with none left is dropped.
+fn front<K: Hash + Eq>(qs: &mut Queues<K>, key: K, slab: &Slab<Env>) -> Option<u64> {
+    let id = qs.get_mut(&key)?.front(slab);
+    if id.is_none() {
+        qs.remove(&key);
+    }
+    id
+}
+
+/// `id` just left the slab: pop it from, or tombstone it in, `key`'s queue.
+fn forget<K: Hash + Eq>(qs: &mut Option<Queues<K>>, key: K, id: u64, slab: &Slab<Env>) {
+    let Some(qs) = qs else { return };
+    if let Some(q) = qs.get_mut(&key) {
+        q.remove(id, slab);
+        if q.is_empty() {
+            qs.remove(&key);
+        }
+    }
 }
 
 impl Inner {
@@ -272,31 +196,11 @@ impl Inner {
         let (src, tag) = (env.src, env.tag);
         let id = self.slab.insert(env);
         if let Some(bt) = &mut self.by_tag {
-            bt.entry(tag).or_default().q.push_back(id);
+            bt.entry(tag).or_default().push(id);
         }
         if let Some(bst) = &mut self.by_src_tag {
-            bst.entry((src, tag)).or_default().q.push_back(id);
+            bst.entry((src, tag)).or_default().push(id);
         }
-    }
-
-    fn build_by_tag(slab: &Slab) -> FxMap<Tag, TagQueue> {
-        let mut m = FxMap::<Tag, TagQueue>::default();
-        for (i, slot) in slab.slots.iter().enumerate() {
-            if let Some(env) = slot {
-                m.entry(env.tag).or_default().q.push_back(slab.base + i as u64);
-            }
-        }
-        m
-    }
-
-    fn build_by_src_tag(slab: &Slab) -> FxMap<(usize, Tag), TagQueue> {
-        let mut m = FxMap::<(usize, Tag), TagQueue>::default();
-        for (i, slot) in slab.slots.iter().enumerate() {
-            if let Some(env) = slot {
-                m.entry((env.src, env.tag)).or_default().q.push_back(slab.base + i as u64);
-            }
-        }
-        m
     }
 
     /// Id of the first available message matching `(src, tag)`.
@@ -304,69 +208,22 @@ impl Inner {
         let slab = &self.slab;
         match src {
             Src::Any => {
-                let bt = self.by_tag.get_or_insert_with(|| Self::build_by_tag(slab));
-                let tq = bt.get_mut(&tag)?;
-                match tq.front_alive(slab) {
-                    Some(id) => Some(id),
-                    None => {
-                        bt.remove(&tag);
-                        None
-                    }
-                }
+                front(self.by_tag.get_or_insert_with(|| queues(slab, |e| e.tag)), tag, slab)
             }
             Src::Rank(r) => {
-                let bst = self.by_src_tag.get_or_insert_with(|| Self::build_by_src_tag(slab));
-                let tq = bst.get_mut(&(r, tag))?;
-                match tq.front_alive(slab) {
-                    Some(id) => Some(id),
-                    None => {
-                        bst.remove(&(r, tag));
-                        None
-                    }
-                }
+                let bst = self.by_src_tag.get_or_insert_with(|| queues(slab, |e| (e.src, e.tag)));
+                front(bst, (r, tag), slab)
             }
         }
     }
 
+    /// `find` left the id at the front of the matched queue, so `forget`
+    /// pops it there and tombstones it on the other side, if that is built.
     fn take(&mut self, src: Src, tag: Tag) -> Option<Env> {
         let id = self.find(src, tag)?;
         let env = self.slab.remove(id).expect("found id has an envelope");
-        // Pop the matched queue (find materialized it and left `id` at its
-        // front); tombstone or pop the mirror queue if it exists.
-        match src {
-            Src::Any => {
-                let bt = self.by_tag.as_mut().expect("find materialized by_tag");
-                let tq = bt.get_mut(&tag).expect("matched queue exists");
-                tq.q.pop_front();
-                if tq.q.is_empty() {
-                    bt.remove(&tag);
-                }
-                if let Some(bst) = &mut self.by_src_tag {
-                    if let Some(st) = bst.get_mut(&(env.src, tag)) {
-                        st.note_dead(id, &self.slab);
-                        if st.q.is_empty() {
-                            bst.remove(&(env.src, tag));
-                        }
-                    }
-                }
-            }
-            Src::Rank(r) => {
-                let bst = self.by_src_tag.as_mut().expect("find materialized by_src_tag");
-                let tq = bst.get_mut(&(r, tag)).expect("matched queue exists");
-                tq.q.pop_front();
-                if tq.q.is_empty() {
-                    bst.remove(&(r, tag));
-                }
-                if let Some(bt) = &mut self.by_tag {
-                    if let Some(tq) = bt.get_mut(&tag) {
-                        tq.note_dead(id, &self.slab);
-                        if tq.q.is_empty() {
-                            bt.remove(&tag);
-                        }
-                    }
-                }
-            }
-        }
+        forget(&mut self.by_tag, tag, id, &self.slab);
+        forget(&mut self.by_src_tag, (env.src, tag), id, &self.slab);
         Some(env)
     }
 }
@@ -857,5 +714,73 @@ mod tests {
         mb.push(env(1, t, 4));
         assert_eq!(val(mb.take(Src::Any, t)), 3);
         assert_eq!(val(mb.take(Src::Any, t)), 4);
+    }
+
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// A receive's source is `None` for `Src::Any`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push { src: usize, tag: usize },
+        TryTake { src: Option<usize>, tag: usize },
+        Probe { src: Option<usize>, tag: usize },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let src = || (0usize..4).prop_map(|s| (s < 3).then_some(s));
+        prop_oneof![
+            4 => (0usize..3, 0usize..2).prop_map(|(src, tag)| Op::Push { src, tag }),
+            3 => (src(), 0usize..2).prop_map(|(src, tag)| Op::TryTake { src, tag }),
+            1 => (src(), 0usize..2).prop_map(|(src, tag)| Op::Probe { src, tag }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Random pushes, takes and probes, wildcard and directed, against
+        /// a linear scan in arrival order (the simulator's naive reference
+        /// mailbox with every envelope available at once). Pushes between
+        /// takes land some matches straight off the staging drain and
+        /// leave others in the index for a later take.
+        #[test]
+        fn index_matches_a_linear_scan(ops in prop::collection::vec(op_strategy(), 1..150)) {
+            let tags = [Tag::user(1), Tag::internal(2, 0, 7)];
+            let sel = |src: Option<usize>| src.map_or(Src::Any, Src::Rank);
+            // (src, tag, id) in arrival order; `bytes` carries the id.
+            let mut scan: VecDeque<(usize, Tag, u64)> = VecDeque::new();
+            let first = |scan: &VecDeque<(usize, Tag, u64)>, src: Option<usize>, tag: Tag| {
+                scan.iter().position(|&(s, t, _)| t == tag && src.is_none_or(|r| r == s))
+            };
+            let mb = Mailbox::new();
+            for (id, op) in (0u64..).zip(ops) {
+                match op {
+                    Op::Push { src, tag } => {
+                        let tag = tags[tag];
+                        mb.push(Env { src, tag, bytes: id, payload: Box::new(()) });
+                        scan.push_back((src, tag, id));
+                    }
+                    Op::TryTake { src, tag } => {
+                        let want = first(&scan, src, tags[tag]).and_then(|i| scan.remove(i));
+                        let got = mb.try_take(sel(src), tags[tag]).map(|e| (e.src, e.tag, e.bytes));
+                        prop_assert_eq!(got, want);
+                    }
+                    Op::Probe { src, tag } => {
+                        let want = first(&scan, src, tags[tag]).map(|i| scan[i]);
+                        let got = mb.probe(sel(src), tags[tag]).map(|m| (m.src, m.tag, m.bytes));
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+            // What is left drains in arrival order per tag.
+            for tag in tags {
+                while let Some(e) = mb.try_take(Src::Any, tag) {
+                    let i = first(&scan, None, tag).expect("the scan holds it too");
+                    prop_assert_eq!(Some((e.src, e.tag, e.bytes)), scan.remove(i));
+                }
+            }
+            prop_assert!(scan.is_empty());
+        }
     }
 }
