@@ -76,11 +76,13 @@ timeout 180 cargo test -q --release --offline -p integration \
 stage "socket backend smoke (multi-process equivalence over shared-memory rings)"
 # The same portable programs again, this time with one OS *process* per
 # rank and every payload crossing the Wire codec through a shared-memory
-# ring per link, with a Unix-domain socket beside it (DESIGN.md §16). backend_equivalence certifies the socket
+# ring per link, and every wake-up through a futex doorbell in a shared
+# world page (DESIGN.md §16). backend_equivalence certifies the socket
 # fingerprints against sim and native; the socket crate's own tests pin
 # progress wherever a rank blocks (floods, frames larger than a link's
 # ring both ways at once, close barrier, a reader that dies while its
-# writer waits for room, a half frame on a live rank), the ring's byte
+# writer waits for room, a half frame on a live rank, a dial that wakes
+# a rank with no links, a deadline on such a rank), the ring's byte
 # stream under hostile publishes, and one thread per rank process; recv_deadline_semantics
 # pins the half-read-frame and absolute-deadline contracts; the quickstart run
 # exercises the launcher + merged wall-clock trace end to end. Process
@@ -89,6 +91,12 @@ stage "socket backend smoke (multi-process equivalence over shared-memory rings)
 # waits (DESIGN.md §16.3): no reader, acceptor or writer thread may come
 # back beside it.
 if grep -rn 'thread::spawn' crates/socket/src; then echo "no threads in socket ranks"; exit 1; fi
+# Nor may a poll come back: a rank sleeps on its futex doorbell and is
+# woken through shared memory, so past the preamble it makes no socket
+# call per message or per wake. strace is not on every host, and
+# /proc/<pid>/io does not count socket send/recv, so this grep is the
+# structural check.
+if grep -rnE 'poll\(|POLLIN' crates/socket/src; then echo "no poll in socket ranks"; exit 1; fi
 timeout 300 cargo test -q --release --offline -p socket
 timeout 300 cargo test -q --release --offline -p integration \
     --test backend_equivalence socket_
@@ -164,9 +172,10 @@ done
 stage "schedcheck model checking (bounded exhaustive interleavings)"
 # The native backend's lock-free core — mailbox push/drain, eventcount
 # park, deadline receives, batched credit returns, a small tree
-# collective — and the socket backend's shared-memory ring (publish and
-# claim against park and re-check, restart at the front, ring-full waits
-# both ways) re-compiled against schedcheck's shadow primitives
+# collective — and the socket backend's shared-memory ring and futex
+# doorbells (publish and claim against park and re-check, restart at the
+# front, ring-full waits both ways, a dial racing a park, a death mark
+# racing a room wait) re-compiled against schedcheck's shadow primitives
 # (--cfg schedcheck switches the native::sync facade) and explored
 # exhaustively up to a preemption bound: every clean model must cover
 # >= 1,000 distinct schedules with zero SC201-SC203 violations, and the

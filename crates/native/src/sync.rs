@@ -20,6 +20,13 @@
 //! - [`boxed::into_raw`]/[`boxed::from_raw`] mark ownership transfers
 //!   of raw nodes. std mode: the `Box` calls. schedcheck mode: every
 //!   minted pointer must be reclaimed exactly once per execution.
+//!
+//! [`futex`] is the one sleep that is not a `std` type: a word that
+//! other *processes* may wake (the socket backend's doorbells). std
+//! mode: `FUTEX_WAIT`/`FUTEX_WAKE` on an `AtomicU32`. schedcheck mode:
+//! the word carries a shadow `Mutex`/`Condvar` of its own, so a wake
+//! that comes before the wait and does not change the word is lost, as
+//! it is in the kernel.
 
 #[cfg(not(schedcheck))]
 mod imp {
@@ -27,7 +34,62 @@ mod imp {
     pub use std::time::Instant;
 
     pub mod atomic {
-        pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+        pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+    }
+
+    #[cfg(target_os = "linux")]
+    pub mod futex {
+        use std::ffi::{c_int, c_long};
+        use std::time::Duration;
+
+        /// A word to sleep on: a plain `AtomicU32`, which may live in
+        /// memory shared between processes.
+        pub type Word = std::sync::atomic::AtomicU32;
+
+        #[cfg(target_arch = "x86_64")]
+        const SYS_FUTEX: c_long = 202;
+        #[cfg(any(target_arch = "aarch64", target_arch = "riscv64"))]
+        const SYS_FUTEX: c_long = 98;
+        #[cfg(any(target_arch = "x86", target_arch = "arm"))]
+        const SYS_FUTEX: c_long = 240;
+        // Not `FUTEX_PRIVATE_FLAG`: the waker may be another process.
+        const FUTEX_WAIT: c_int = 0;
+        const FUTEX_WAKE: c_int = 1;
+
+        #[repr(C)]
+        struct Timespec {
+            sec: c_long,
+            nsec: c_long,
+        }
+
+        extern "C" {
+            fn syscall(num: c_long, ...) -> c_long;
+        }
+
+        /// Sleep while `word` holds `expected`, until a [`wake`], for at
+        /// most `timeout` (`None`: no limit). Returns at once if the word
+        /// already differs; a signal or a stray wake returns early, so
+        /// the caller looks at its conditions again either way.
+        pub fn wait(word: &Word, expected: u32, timeout: Option<Duration>) {
+            let ts = timeout.map(|t| Timespec {
+                sec: t.as_secs().min(c_long::MAX as u64) as c_long,
+                nsec: t.subsec_nanos() as c_long,
+            });
+            let ts = ts.as_ref().map_or(std::ptr::null(), |t| t as *const Timespec);
+            // SAFETY: `word` is a live, aligned u32 for the whole call and
+            // `ts` is null or points at a live timespec; the kernel only
+            // reads both.
+            unsafe { syscall(SYS_FUTEX, word.as_ptr(), FUTEX_WAIT, expected, ts) };
+        }
+
+        /// Wake the one thread (of any process) sleeping on `word`. Change
+        /// the word first, or a sleeper that has not reached its wait yet
+        /// will not notice.
+        pub fn wake(word: &Word) {
+            // SAFETY: `word` is a live, aligned u32; FUTEX_WAKE reads no
+            // other argument past the count.
+            unsafe { syscall(SYS_FUTEX, word.as_ptr(), FUTEX_WAKE, 1 as c_int) };
+        }
     }
 
     pub mod thread {
@@ -85,6 +147,52 @@ mod imp {
     pub use schedcheck::thread;
     pub use schedcheck::time::Instant;
     pub use schedcheck::{Condvar, Mutex, MutexGuard};
+
+    pub mod futex {
+        use schedcheck::atomic::{AtomicU32, Ordering::SeqCst};
+        use schedcheck::{Condvar, Mutex};
+        use std::time::Duration;
+
+        /// The word and, standing in for the kernel's wait queue, a
+        /// mutex and condvar of its own.
+        pub struct Word {
+            word: AtomicU32,
+            queue: Mutex<()>,
+            woken: Condvar,
+        }
+
+        impl Word {
+            pub const fn new(v: u32) -> Word {
+                Word { word: AtomicU32::new(v), queue: Mutex::new(()), woken: Condvar::new() }
+            }
+        }
+
+        impl std::ops::Deref for Word {
+            type Target = AtomicU32;
+            fn deref(&self) -> &AtomicU32 {
+                &self.word
+            }
+        }
+
+        /// `FUTEX_WAIT`: the compare and the sleep are one step under
+        /// the queue lock, as in the kernel. A timed wait may always
+        /// time out, which also models a stray wake.
+        pub fn wait(word: &Word, expected: u32, timeout: Option<Duration>) {
+            let queue = word.queue.lock().unwrap();
+            if word.word.load(SeqCst) == expected {
+                match timeout {
+                    None => drop(word.woken.wait(queue)),
+                    Some(t) => drop(word.woken.wait_timeout(queue, t)),
+                }
+            }
+        }
+
+        /// `FUTEX_WAKE`: only a sleeper already in the queue is woken.
+        pub fn wake(word: &Word) {
+            drop(word.queue.lock().unwrap());
+            word.woken.notify_all();
+        }
+    }
 }
 
 pub use imp::*;

@@ -40,8 +40,9 @@ use mpistream::MAX_FRAME_BYTES;
 pub const MAGIC: [u8; 4] = *b"MPWS";
 /// Protocol version byte; bumped on any change to the link protocol
 /// (2: frames travel through a shared-memory ring whose descriptor
-/// comes with the preamble).
-pub const VERSION: u8 = 2;
+/// comes with the preamble; 3: wake-ups go through the world page's
+/// futex doorbells, and the socket closes after the preamble).
+pub const VERSION: u8 = 3;
 /// Length of the connection preamble: magic, version, sender rank.
 pub(crate) const PREAMBLE_BYTES: usize = 4 + 1 + 4;
 /// Fixed frame header past the length prefix: tag + modelled bytes.
@@ -249,11 +250,6 @@ impl<R: Read> FrameReader<R> {
     /// with the frame it was in.
     pub fn next_frame(&mut self) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
         next_frame(&mut self.inner, &mut self.buf, &mut self.win, &mut self.big)
-    }
-
-    /// The wrapped reader.
-    pub(crate) fn get_ref(&self) -> &R {
-        &self.inner
     }
 
     /// The wrapped reader. Bytes read from it directly never reach the

@@ -1,6 +1,7 @@
 //! Multi-process [`Transport`](mpistream::Transport) backend: every rank
 //! a separate OS process; every directed link a shared-memory [`ring`]
-//! that carries its frames, with a Unix-domain socket beside it.
+//! that carries its frames; every rank one doorbell in a shared
+//! [`page`].
 //!
 //! The paper's decoupling strategy assumes compute and data-movement
 //! groups that could live on different nodes; the sim and native
@@ -15,18 +16,17 @@
 //! same collectives and channel ids. What this crate adds is how a
 //! message leaves — encoded into a frame and copied into the peer's
 //! ring — how a received frame is decoded, and how the rank waits for
-//! mail: by reading its own rings, on its one thread, and sleeping in
-//! `poll` on their sockets when they are empty (see [`SocketLinks`]).
+//! mail: by reading its own rings, on its one thread, and sleeping on
+//! its futex doorbell when they are empty (see [`SocketLinks`]).
 //!
 //! ## Links
 //!
 //! A link is dialled on first use: the sender connects to the receiver's
 //! data listener, creates the link's ring (a `memfd`, [`ring::RING_BYTES`]
-//! of data) and sends the preamble with the ring's descriptor beside it
-//! (`SCM_RIGHTS`). From then on the socket carries only one-byte
-//! wake-ups — at most one per park of the side that sleeps, in either
-//! direction — and, when the sender's process goes, EOF. The ring needs
-//! no file and leaves nothing behind when a rank dies.
+//! of data), sends the preamble with the ring's descriptor beside it
+//! (`SCM_RIGHTS`), counts the dial in the receiver's slot and closes the
+//! socket, which would carry nothing more. Frames, wake-ups and deaths
+//! all go through shared memory, which leaves nothing behind.
 //!
 //! ## Topology
 //!
@@ -36,19 +36,18 @@
 //!
 //! 1. binds its data listener `dir/rank<r>.sock`, *then* greets the
 //!    launcher over `dir/ctl.sock` — so once the launcher releases the
-//!    world (GO), every listener is guaranteed to exist and
-//!    connect-on-first-use cannot race;
+//!    world (GO, with the world page's descriptor), every listener is
+//!    guaranteed to exist and connect-on-first-use cannot race;
 //! 2. runs the body against a [`SocketRank`] on the process's one
 //!    thread; whenever the body waits in a transport call — a receive
-//!    that misses, a send whose ring is full — the rank accepts inbound
-//!    connections and decodes what its inbound rings hold into its
-//!    mailbox;
+//!    that misses, a send whose ring is full — the rank accepts the
+//!    links its slot says were dialled and decodes what its inbound
+//!    rings hold into its mailbox;
 //! 3. ships its [`Wire`]-encoded result back on the control link and
 //!    waits for the launcher's ALL_DONE, still reading its inbound
 //!    links — a close barrier: no rank exits while a peer might still be
-//!    writing to it, so teardown never manufactures connection-reset
-//!    errors, and a peer blocked writing to a finished rank still gets
-//!    its frames out.
+//!    writing to it, so a peer blocked writing to a finished rank still
+//!    gets its frames out.
 //!
 //! Exactly **one** `SocketWorld::run` per process: in a child, `run`
 //! never returns (the process exits after the body), and a second run
@@ -59,16 +58,17 @@
 //! reach it before any sim/native comparison work.
 
 pub mod frame;
+pub mod page;
 pub mod ring;
 mod sys;
 
-use std::ffi::c_short;
 use std::io::{self, Read, Write};
-use std::os::fd::{AsFd, AsRawFd, OwnedFd, RawFd};
+use std::os::fd::{AsFd, OwnedFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use frame::FrameReader;
@@ -76,6 +76,7 @@ use mpistream::{MsgInfo, Src, Tag, Wire};
 use native::mailbox::{Env, Mailbox};
 use native::sync::Instant;
 use native::{Links, MailboxRank, Until, WallClock};
+use page::{Page, Slot};
 use ring::{RingReader, RingWriter};
 
 /// Launch-handshake environment variables.
@@ -96,8 +97,9 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// While the launcher waits for results it wakes this often to look at
 /// the children's exit statuses, so a rank that died is reported by name
-/// within about a second. Long enough that the launcher costs the ranks
-/// it shares a CPU with nothing.
+/// (or, death-tolerant, marked dead in the world page) within about a
+/// second. Long enough that the launcher costs the ranks it shares a CPU
+/// with nothing.
 const RESULT_POLL: Duration = Duration::from_secs(1);
 /// The per-rank send buffer keeps its capacity between sends unless one
 /// frame grew it past this; then it is released, so a single large
@@ -107,7 +109,7 @@ const SEND_BUF_KEEP: usize = 1 << 20;
 /// The flat threshold this backend hands [`MailboxRank::new`]: the
 /// binomial tree at every size — there is no star shortcut worth taking
 /// when every hop is a frame copied into another process's ring and,
-/// as often as not, a wake-up, and `O(log n)` hops is the shape the
+/// as often as not, a futex wake, and `O(log n)` hops is the shape the
 /// paper's aggregation analysis assumes.
 const COLL_FLAT_THRESHOLD: usize = 0;
 
@@ -168,13 +170,15 @@ impl SocketWorld {
     }
 
     /// Tolerate rank death: a rank process that vanishes mid-run (kill,
-    /// abort, crash) no longer takes the world down with it. Sends to a
-    /// dead peer are silently dropped (the peer is remembered as dead —
-    /// no reconnect storms; a send waiting for room in a dead peer's
-    /// ring ends at that peer's EOF), a broken inbound link reads as EOF,
-    /// and the launcher reports the dead rank as `None` instead of
-    /// panicking. Pair with [`SocketWorld::run_tolerant`]; fault-free
-    /// runs behave identically to the strict mode.
+    /// abort, crash) no longer takes the world down with it. The launcher
+    /// marks it dead in the world page within about a second and wakes
+    /// every rank. Sends to a dead peer are silently dropped (the peer is
+    /// remembered as dead — no reconnect storms; a send waiting for room
+    /// in a dead peer's ring ends at the mark), a dead peer's inbound
+    /// link reads as EOF once drained, and the launcher reports the dead
+    /// rank as `None` instead of panicking. Pair with
+    /// [`SocketWorld::run_tolerant`]; fault-free runs behave identically
+    /// to the strict mode.
     pub fn death_tolerant(mut self) -> SocketWorld {
         self.tolerant = true;
         self
@@ -297,9 +301,11 @@ impl SocketWorld {
         // The handshake bound ends with GO: from here on a silent control
         // link is a rank still running its body, for as long as that
         // takes. A rank that died shows in its exit status instead, which
-        // the launcher looks at every RESULT_POLL.
+        // the launcher looks at every RESULT_POLL. The world page rides
+        // with GO.
+        let (page, page_fd) = Page::create(self.nprocs).expect("create the world page");
         for c in &mut conns {
-            c.write_all(&[CTL_GO]).expect("send GO");
+            sys::send_with_fd(c, &[CTL_GO], page_fd.as_fd()).expect("send GO");
             c.set_read_timeout(Some(RESULT_POLL)).expect("control read timeout");
         }
         // Collect results in rank order, then release everyone at once:
@@ -307,14 +313,13 @@ impl SocketWorld {
         // still be writing to them.
         let mut results = Vec::with_capacity(self.nprocs);
         for (r, conn) in conns.iter_mut().enumerate() {
-            let idle = || {
-                // Tolerant worlds expect deaths: the dead rank's own
-                // link reports it (EOF) when its turn comes.
-                if !self.tolerant {
-                    guard.check_alive("before returning a result");
-                }
+            let idle = || match self.tolerant {
+                false => guard.check_alive("before returning a result"),
+                // Tolerant worlds expect deaths: mark them for the
+                // survivors; the dead rank's own link reports it (EOF).
+                true => guard.mark_dead(&page),
             };
-            match frame::read_blob(&mut Polled { conn, idle }) {
+            match frame::read_blob(&mut Polled { conn, idle, slot: page.slot(r) }) {
                 Ok(blob) => results.push(Some(R::from_frame(&blob).unwrap_or_else(|e| {
                     panic!("rank {r} returned a malformed result frame: {e}")
                 }))),
@@ -331,6 +336,7 @@ impl SocketWorld {
         for (r, c) in conns.iter_mut().enumerate() {
             // A dead rank's control link is gone; releasing it is a no-op.
             let released = c.write_all(&[CTL_ALL_DONE]);
+            page.slot(r).ring();
             if results[r].is_some() {
                 released.expect("send ALL_DONE");
             }
@@ -367,13 +373,15 @@ impl SocketWorld {
         ctl.set_read_timeout(Some(self.handshake_timeout)).expect("control read timeout");
         ctl.write_all(&(rank as u32).to_le_bytes()).expect("send HELLO");
         let mut go = [0u8; 1];
-        ctl.read_exact(&mut go).expect("read GO");
-        assert_eq!(go[0], CTL_GO, "unexpected control byte");
+        let (n, page) = sys::recv_with_fd(&ctl, &mut go).expect("read GO");
+        assert_eq!((n, go[0]), (1, CTL_GO), "unexpected control byte");
+        let page = Page::attach(page.expect("GO without the world page"), nprocs);
+        let page = WORLD_PAGE.get_or_init(|| page.expect("map the world page"));
         // Only the handshake is bounded: ALL_DONE comes when the slowest
         // rank has finished, however long that is.
         ctl.set_read_timeout(None).expect("clear control read timeout");
 
-        let links = SocketLinks::new(dir, listener, rank, nprocs, self.tolerant);
+        let links = SocketLinks::new(dir, listener, rank, nprocs, self.tolerant, page);
         let clock = WallClock::start(compute_scale);
         let mut me = MailboxRank::new(rank, nprocs, clock, COLL_FLAT_THRESHOLD, links);
         let result = body(&mut me);
@@ -382,6 +390,9 @@ impl SocketWorld {
         std::process::exit(0);
     }
 }
+
+/// This rank process's map of the world page, for [`RawLink::dial`].
+static WORLD_PAGE: OnceLock<Page> = OnceLock::new();
 
 /// Kills any still-running children and removes the scratch directory —
 /// on the success path the children vec has been drained first.
@@ -401,14 +412,26 @@ impl LaunchGuard {
             }
         }
     }
+
+    /// Death-tolerant worlds: mark every rank whose process has gone
+    /// dead in the world page, which wakes every rank.
+    fn mark_dead(&mut self, page: &Page) {
+        for (r, c) in self.children.iter_mut().enumerate() {
+            if !page.slot(r).is_dead() && matches!(c.try_wait(), Ok(Some(_))) {
+                page.kill(r);
+            }
+        }
+    }
 }
 
 /// A control link with its read timeout armed: a `read` that times out
 /// calls `idle` and tries again. The `read_exact` above it sees only
 /// bytes, EOF or a real error, so no timeout can fall inside a blob.
+/// Bytes taken ring the rank's `slot`: it may be waiting for room.
 struct Polled<'a, F> {
     conn: &'a mut UnixStream,
     idle: F,
+    slot: &'a Slot,
 }
 
 impl<F: FnMut()> Read for Polled<'_, F> {
@@ -420,7 +443,10 @@ impl<F: FnMut()> Read for Polled<'_, F> {
                 {
                     (self.idle)()
                 }
-                other => return other,
+                other => {
+                    self.slot.ring();
+                    return other;
+                }
             }
         }
     }
@@ -511,20 +537,19 @@ pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: 
 pub type SocketRank = MailboxRank<SocketLinks>;
 
 /// The [`Links`] of a socket rank: a shared-memory [`ring`] per directed
-/// link that carries its frames, a Unix socket beside each that carries
-/// the ring's descriptor, wake-ups and EOF, and this process's mailbox.
+/// link that carries its frames, the rank's doorbell in the world
+/// [`page`], and this process's mailbox.
 ///
 /// A rank process has one thread, the one running the body, and it makes
 /// progress on its own links: a receive that finds nothing in the
 /// mailbox reads every inbound ring, each complete frame becoming one
-/// mailbox `push`, and if they held nothing it parks on them and `poll`s
-/// the data listener and every inbound socket — accepting new
-/// connections, draining wake-ups, noticing EOF. Wherever the rank can
-/// block it does the same, so no peer waits on a rank that is itself
-/// waiting: a `send` whose ring is full, and the close barrier, read
-/// inbound rings while they wait. Between transport calls — while the
-/// body computes — nothing is read, and a peer that fills the ring
-/// meanwhile waits for the next call.
+/// mailbox `push`, and if they held nothing it parks on its bell, looks
+/// again, and sleeps in `FUTEX_WAIT` until someone rings it. Wherever
+/// the rank can block it does the same, so no peer waits on a rank that
+/// is itself waiting: a `send` whose ring is full, and the close
+/// barrier, read inbound rings while they wait. Between transport calls
+/// — while the body computes — nothing is read, and a peer that fills
+/// the ring meanwhile waits for the next call.
 pub struct SocketLinks {
     dir: PathBuf,
     /// The receiving side: listener, inbound links and mailbox.
@@ -548,6 +573,7 @@ impl SocketLinks {
         rank: usize,
         nprocs: usize,
         tolerant: bool,
+        page: &'static Page,
     ) -> SocketLinks {
         listener.set_nonblocking(true).expect("nonblocking data listener");
         SocketLinks {
@@ -555,10 +581,11 @@ impl SocketLinks {
             inbound: Inbound {
                 rank,
                 tolerant,
+                page,
+                dials: 0,
                 listener,
                 links: Vec::new(),
                 mailbox: Mailbox::new(),
-                fds: Vec::new(),
             },
             links: (0..nprocs).map(|_| None).collect(),
             dead: vec![false; nprocs],
@@ -577,31 +604,29 @@ impl SocketLinks {
             connect_retry(&path, CONNECT_TIMEOUT)
         };
         let sock = connected.map_err(|e| format!("connect to rank {dst}: {e}"))?;
-        OutLink::open(sock, me).map_err(|e| format!("link to rank {dst}: {e}"))
+        OutLink::open(sock, me, self.inbound.page.slot(dst))
+            .map_err(|e| format!("link to rank {dst}: {e}"))
     }
 
     /// The close barrier, after the body returned: ship the result on the
     /// control link, then wait for the launcher's ALL_DONE — reading
     /// inbound links all the while, because a peer may still be writing
-    /// to this rank and cannot finish its own body until it has.
-    fn close(mut self, mut ctl: UnixStream, result: &[u8]) {
+    /// to this rank and cannot finish its own body until it has. The
+    /// launcher rings this rank after it takes result bytes and after
+    /// ALL_DONE.
+    fn close(mut self, ctl: UnixStream, result: &[u8]) {
         let mut blob = Vec::with_capacity(4 + result.len());
         frame::write_blob(&mut blob, result).expect("ship result");
         ctl.set_nonblocking(true).expect("nonblocking control link");
-        self.inbound.write_ctl(&mut ctl, &blob).expect("ship result");
-        let mut done = [0u8; 1];
-        loop {
-            match ctl.read(&mut done) {
-                Ok(1) => break,
-                Ok(_) => panic!("read ALL_DONE: the launcher closed the control link"),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.inbound.progress(Some((ctl.as_raw_fd(), sys::POLLIN)), Until::Forever);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => panic!("read ALL_DONE: {e}"),
-            }
+        let mut left = &blob[..];
+        while !left.is_empty() {
+            let n = self.inbound.retry(|| (&ctl).write(left)).expect("ship result");
+            assert!(n > 0, "ship result: the launcher closed the control link");
+            left = &left[n..];
         }
-        assert_eq!(done[0], CTL_ALL_DONE, "unexpected control byte");
+        let mut done = [0u8; 1];
+        let n = self.inbound.retry(|| (&ctl).read(&mut done)).expect("read ALL_DONE");
+        assert_eq!((n, done[0]), (1, CTL_ALL_DONE), "read ALL_DONE: unexpected control bytes");
     }
 }
 
@@ -660,7 +685,7 @@ impl Links for SocketLinks {
                 Until::At(deadline) if Instant::now() >= deadline => Until::Now,
                 until => until,
             };
-            self.inbound.progress(None, until);
+            self.inbound.progress(until, || false);
             if let Until::Now = until {
                 return self.inbound.mailbox.try_take(src, tag);
             }
@@ -669,7 +694,7 @@ impl Links for SocketLinks {
 
     fn probe(&mut self, _me: usize, src: Src, tag: Tag) -> Option<MsgInfo> {
         self.inbound.mailbox.probe(src, tag).or_else(|| {
-            self.inbound.progress(None, Until::Now);
+            self.inbound.progress(Until::Now, || false);
             self.inbound.mailbox.probe(src, tag)
         })
     }
@@ -682,7 +707,7 @@ impl Links for SocketLinks {
             if version != seen {
                 return version;
             }
-            self.inbound.progress(None, Until::Forever);
+            self.inbound.progress(Until::Forever, || false);
         }
     }
 
@@ -702,102 +727,87 @@ impl Links for SocketLinks {
 }
 
 /// The receiving side of a socket rank: its data listener, its inbound
-/// links, and its mailbox, which only the rank's own thread fills.
+/// links, its slot of the world page, and its mailbox, which only the
+/// rank's own thread fills.
 struct Inbound {
     rank: usize,
     /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
     tolerant: bool,
+    page: &'static Page,
+    /// The slot's dial count when the listener was last drained.
+    dials: u32,
     listener: UnixListener,
     links: Vec<InLink>,
     mailbox: Mailbox,
-    /// `poll`'s argument, rebuilt on every call; kept for its capacity.
-    fds: Vec<sys::PollFd>,
 }
 
 impl Inbound {
-    /// Every wait of a socket rank, in one place: read the inbound rings;
-    /// if they held no frame, park on each ring and look again (unless
-    /// `until` is [`Until::Now`]); then make exactly one `poll` — over the
-    /// listener, every inbound socket and `extra` (a descriptor and the
-    /// events wanted on it), as long as `until` says, or not at all
-    /// (timeout 0) if a frame was found. Then accept every pending
-    /// connection, take preambles, wake-ups and EOF from the sockets that
-    /// have news, and read the rings again. Returns whether `extra` was
-    /// ready.
+    /// Every wait of a socket rank, in one place: serve the inbound side
+    /// and look at the caller's condition `ready`; if neither had news
+    /// and `until` allows a wait, park on the rank's bell, look at both
+    /// again, and only if there is still nothing sleep in `FUTEX_WAIT`
+    /// as long as `until` says (the [`page`] module docs). Then serve
+    /// once more. No socket call is made unless a link is being dialled
+    /// or `ready` makes one.
     ///
     /// A link that fails — bad preamble, malformed frame, cut mid-frame —
     /// is fatal to the process in strict mode: the frames the body waits
     /// for can no longer arrive, so the rank prints the error and exits
     /// non-zero, which the launcher's exit-status poll reports. Under
     /// `tolerant` a broken link is a dead peer and reads as end-of-stream.
-    fn progress(&mut self, extra: Option<(RawFd, c_short)>, until: Until) -> bool {
-        let mut found = self.serve(|_| false);
-        let park = !found && !matches!(until, Until::Now);
-        if park {
-            // Raise `reader_parked` on every ring, then look at each
-            // again: a writer publishes before it reads the flag, so
-            // either it rings or this look sees its bytes (ring module
-            // docs).
-            let mut empty = true;
-            for link in &self.links {
-                empty &= link.park();
-            }
-            found = !empty;
+    fn progress(&mut self, until: Until, mut ready: impl FnMut() -> bool) {
+        if self.serve() || ready() || matches!(until, Until::Now) {
+            return;
         }
-        let timeout_ms = match until {
-            _ if found => 0,
-            Until::Now => 0,
-            Until::Forever => -1,
-            Until::At(deadline) => {
-                let left = deadline.saturating_duration_since(Instant::now());
-                left.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
-            }
-        };
-        let mut fds = std::mem::take(&mut self.fds);
-        fds.clear();
-        fds.extend(extra.map(|(fd, events)| sys::PollFd::new(fd, events)));
-        fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
-        for link in &self.links {
-            fds.push(sys::PollFd::new(link.sock.as_raw_fd(), sys::POLLIN));
+        let bell = self.page.slot(self.rank);
+        bell.park();
+        if !self.serve() && !ready() {
+            bell.sleep(match until {
+                Until::At(deadline) => Some(deadline.saturating_duration_since(Instant::now())),
+                _ => None,
+            });
         }
-        if let Err(e) = sys::poll(&mut fds, timeout_ms) {
-            panic!("rank {}: poll: {e}", self.rank);
-        }
-        if park {
-            for link in &self.links {
-                link.unpark();
-            }
-        }
-        let skip = usize::from(extra.is_some());
-        let extra_ready = extra.is_some() && fds[0].revents != 0;
-        if fds[skip].revents != 0 {
-            self.accept();
-        }
-        // Links accepted just now have no poll entry: look at them at once.
-        let ready = &fds[skip + 1..];
-        self.serve(|i| ready.get(i).is_none_or(|fd| fd.revents != 0));
-        self.fds = fds;
-        extra_ready
+        bell.unpark();
+        self.serve();
     }
 
-    /// Serve every inbound link: its socket first where `news(i)` says it
-    /// has some, then its ring, every complete frame into the mailbox. A
-    /// link that ended cleanly is dropped; one that failed is handled as
+    /// Retry the non-blocking `op` (on the control link) until it does
+    /// not block, waiting with [`Inbound::progress`] in between: the
+    /// launcher may be reading another rank's result first, and that rank
+    /// may be waiting for this one to read its ring.
+    fn retry<T>(&mut self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        let blocked = |e: &io::Error| {
+            matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
+        };
+        let mut done = None;
+        while done.is_none() {
+            self.progress(Until::Forever, || {
+                done = Some(op()).filter(|r| !r.as_ref().is_err_and(blocked));
+                done.is_some()
+            });
+        }
+        done.expect("the loop ends with a result")
+    }
+
+    /// Serve the inbound side: if the slot's dial count moved, accept
+    /// every pending connection; then take the preambles still to come
+    /// and read every inbound ring, each frame into the mailbox. A link that
+    /// ended cleanly is dropped; one that failed is handled as
     /// [`Inbound::progress`] says. Returns whether any frame landed.
-    fn serve(&mut self, news: impl Fn(usize) -> bool) -> bool {
-        let Inbound { rank, tolerant, links, mailbox, .. } = self;
+    fn serve(&mut self) -> bool {
+        let dials = self.page.slot(self.rank).dials();
+        if dials != self.dials {
+            self.dials = dials;
+            self.accept();
+        }
+        let Inbound { rank, tolerant, page, links, mailbox, .. } = self;
         let before = mailbox.version();
-        let mut i = 0;
-        links.retain_mut(|link| {
-            let served = if news(i) { link.on_socket() } else { Ok(()) };
-            i += 1;
-            match served.and_then(|()| link.read_into(mailbox)) {
-                Ok(open) => open,
-                Err(_) if *tolerant => false,
-                Err(why) => {
-                    eprintln!("rank {rank}: {why}");
-                    std::process::exit(1);
-                }
+        links.retain_mut(|link| match link.serve(mailbox, page, *tolerant) {
+            Ok(open) => open,
+            Err(_) if *tolerant => false,
+            Err(why) => {
+                eprintln!("rank {rank}: {why}");
+                std::process::exit(1);
             }
         });
         mailbox.version() != before
@@ -808,7 +818,8 @@ impl Inbound {
             match self.listener.accept() {
                 Ok((sock, _)) => {
                     sock.set_nonblocking(true).expect("nonblocking inbound link");
-                    self.links.push(InLink::new(sock));
+                    let bytes = [0; frame::PREAMBLE_BYTES];
+                    self.links.push(InLink::Preamble { sock, bytes, have: 0, ring: None });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -818,143 +829,100 @@ impl Inbound {
     }
 
     /// Copy `frame` into `out`'s ring and publish it, in pieces if it
-    /// does not fit. While the ring is full, park on it and wait with
-    /// [`Inbound::progress`] for the reader's wake-up on `out`'s socket:
-    /// two ranks flooding each other drain each other instead of
-    /// wedging. An error means the receiving rank has gone.
+    /// does not fit. While the ring is full, raise its `writer_parked`
+    /// and wait with [`Inbound::progress`] until the reader frees room
+    /// and rings this rank: two ranks flooding each other drain each
+    /// other instead of wedging. An error means the receiving rank has
+    /// been marked dead.
     fn send_frame(&mut self, out: &mut OutLink, mut frame: &[u8]) -> io::Result<()> {
         loop {
-            let n = out.publish(frame)?;
-            frame = &frame[n..];
+            frame = &frame[out.publish(frame)..];
             if frame.is_empty() {
                 return Ok(());
             }
-            let woken = out.ring.park()
-                && self.progress(Some((out.sock.as_raw_fd(), sys::POLLIN)), Until::Forever);
+            let mut dead = false;
+            self.progress(Until::Forever, || {
+                dead = out.reader.is_dead();
+                dead || !out.ring.park()
+            });
             out.ring.unpark();
-            if woken {
-                out.drain_wakes()?;
+            if dead {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "the receiving rank died"));
             }
-        }
-    }
-
-    /// `write_all` on the non-blocking control link. While the kernel has
-    /// no room, wait for it with [`Inbound::progress`]: the launcher may
-    /// be reading another rank's result first, and that rank may be
-    /// waiting for this one to read its ring.
-    fn write_ctl(&mut self, ctl: &mut UnixStream, mut buf: &[u8]) -> io::Result<()> {
-        while !buf.is_empty() {
-            match ctl.write(buf) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => buf = &buf[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.progress(Some((ctl.as_raw_fd(), sys::POLLOUT)), Until::Forever);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The byte a wake-up carries; only its arrival means anything.
-const WAKE: u8 = 0x57;
-
-/// Send a wake-up on `sock`. A full socket already holds one the peer
-/// has not read, so `WouldBlock` is success.
-fn wake(mut sock: &UnixStream) -> io::Result<()> {
-    loop {
-        match sock.write(&[WAKE]) {
-            Ok(_) => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Read and discard the wake-ups `sock` holds. `Ok(false)`: it is at EOF.
-fn drain(mut sock: &UnixStream) -> io::Result<bool> {
-    let mut sink = [0u8; 64];
-    loop {
-        match sock.read(&mut sink) {
-            Ok(0) => return Ok(false),
-            Ok(n) if n < sink.len() => return Ok(true),
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
 }
 
 /// One outbound link: the ring this rank publishes its frames into, and
-/// the socket that carries wake-ups both ways and, closing, EOF.
+/// the reader's slot, which every publish rings.
 struct OutLink {
-    sock: UnixStream,
     ring: RingWriter,
+    reader: &'static Slot,
 }
 
 impl OutLink {
-    /// Create the link's ring and send the preamble on the freshly
-    /// connected, blocking `sock`, the ring's descriptor riding with it
-    /// (nine bytes into an empty buffer: this cannot block).
-    fn open(sock: UnixStream, me: usize) -> io::Result<OutLink> {
+    /// Create the link's ring, send the preamble on the freshly
+    /// connected, blocking `sock` with the ring's descriptor riding along
+    /// (nine bytes into an empty buffer: this cannot block), and count
+    /// the dial in the reader's slot. The socket then closes; the reader
+    /// still finds the preamble queued on its end.
+    fn open(sock: UnixStream, me: usize, reader: &'static Slot) -> io::Result<OutLink> {
         let (ring, fd) = ring::create()?;
         let mut preamble = Vec::with_capacity(frame::PREAMBLE_BYTES);
         frame::write_preamble(&mut preamble, me)?;
         sys::send_with_fd(&sock, &preamble, fd.as_fd())?;
-        sock.set_nonblocking(true)?;
-        Ok(OutLink { sock, ring })
+        reader.dial();
+        Ok(OutLink { ring, reader })
     }
 
-    /// Publish what fits of `bytes`, and send the reader its wake-up if
-    /// this publish claimed it. Returns how many bytes went.
-    fn publish(&mut self, bytes: &[u8]) -> io::Result<usize> {
+    /// Publish what fits of `bytes` and ring the reader. Returns how many
+    /// bytes went.
+    fn publish(&mut self, bytes: &[u8]) -> usize {
         let n = self.ring.publish(bytes);
-        if self.ring.take_wake() {
-            wake(&self.sock)?;
+        if n > 0 {
+            self.reader.ring();
         }
-        Ok(n)
-    }
-
-    /// Take the wake-ups the reader sent back; an error once the reader
-    /// has gone.
-    fn drain_wakes(&mut self) -> io::Result<()> {
-        if drain(&self.sock)? {
-            return Ok(());
-        }
-        Err(io::Error::new(io::ErrorKind::BrokenPipe, "the receiving rank closed the link"))
+        n
     }
 }
 
 /// An outbound link dialled by hand, for tests that must choose exactly
-/// which bytes a rank receives and when: [`RawLink::dial`] connects to a
-/// rank's data listener as rank `src` and sends the preamble with a
-/// fresh ring, and every write then goes into that ring as it is — a
-/// frame stream or not — waiting while the ring is full.
+/// which bytes a rank receives and when: [`RawLink::dial`], in a rank
+/// process, connects to a rank's data listener as rank `src` and sends
+/// the preamble with a fresh ring, and every write then goes into that
+/// ring as it is, waiting on `src`'s bell while the ring is full.
 #[doc(hidden)]
-pub struct RawLink(OutLink);
+pub struct RawLink {
+    out: OutLink,
+    me: &'static Slot,
+}
 
 impl RawLink {
     pub fn dial(listener: &Path, src: usize) -> io::Result<RawLink> {
-        OutLink::open(UnixStream::connect(listener)?, src).map(RawLink)
+        let page = WORLD_PAGE.get().ok_or_else(|| io::Error::other("not in a socket rank"))?;
+        let dst = listener.file_stem().and_then(|s| s.to_str()?.strip_prefix("rank")?.parse().ok());
+        let dst: usize = dst.ok_or_else(|| io::Error::other("not a rank's data listener"))?;
+        let out = OutLink::open(UnixStream::connect(listener)?, src, page.slot(dst))?;
+        Ok(RawLink { out, me: page.slot(src) })
     }
 }
 
 impl Write for RawLink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         loop {
-            let n = self.0.publish(buf)?;
+            let n = self.out.publish(buf);
             if n > 0 || buf.is_empty() {
                 return Ok(n);
             }
-            if self.0.ring.park() {
-                sys::poll(&mut [sys::PollFd::new(self.0.sock.as_raw_fd(), sys::POLLIN)], -1)?;
+            if self.out.reader.is_dead() {
+                return Err(io::ErrorKind::BrokenPipe.into());
             }
-            self.0.ring.unpark();
-            self.0.drain_wakes()?;
+            self.me.park();
+            if self.out.ring.park() && !self.out.reader.is_dead() {
+                self.me.sleep(None);
+            }
+            self.me.unpark();
+            self.out.ring.unpark();
         }
     }
 
@@ -963,61 +931,35 @@ impl Write for RawLink {
     }
 }
 
-/// One inbound link: its socket, and what it has delivered so far.
-struct InLink {
-    sock: UnixStream,
-    state: InState,
-}
-
-enum InState {
-    /// The preamble bytes read so far, and the ring's descriptor once it
-    /// has come with them.
-    Preamble { bytes: [u8; frame::PREAMBLE_BYTES], have: usize, ring: Option<OwnedFd> },
-    /// The preamble is in: the sender, and the frames of its ring.
+/// One inbound link.
+enum InLink {
+    /// Accepted: the preamble bytes read so far, and the ring's
+    /// descriptor once it has come with them.
+    Preamble {
+        sock: UnixStream,
+        bytes: [u8; frame::PREAMBLE_BYTES],
+        have: usize,
+        ring: Option<OwnedFd>,
+    },
+    /// The preamble is in (and the socket closed): the sender, and the
+    /// frames of its ring.
     Open { src: usize, frames: FrameReader<RingReader> },
 }
 
 impl InLink {
-    fn new(sock: UnixStream) -> InLink {
-        let state = InState::Preamble { bytes: [0; frame::PREAMBLE_BYTES], have: 0, ring: None };
-        InLink { sock, state }
-    }
-
-    /// [`RingReader::park`]; a link without a ring yet has nothing to
-    /// read, and its socket will have news when it does.
-    fn park(&self) -> bool {
-        match &self.state {
-            InState::Open { frames, .. } => frames.get_ref().park(),
-            InState::Preamble { .. } => true,
-        }
-    }
-
-    fn unpark(&self) {
-        if let InState::Open { frames, .. } = &self.state {
-            frames.get_ref().unpark();
-        }
-    }
-
-    /// The socket has news: the rest of the preamble and the ring's
-    /// descriptor, or wake-ups, or EOF — the writer has gone, after
-    /// publishing everything it sent, so the ring reads as EOF once it is
-    /// drained. A reset is the same news.
-    fn on_socket(&mut self) -> Result<(), String> {
-        let InState::Open { frames, .. } = &mut self.state else {
-            return self.read_preamble().map_err(|e| format!("connection preamble: {e}"));
-        };
-        if !drain(&self.sock).unwrap_or(false) {
+    /// Take the preamble if it is still to come (it follows its dial
+    /// within moments); then read every complete frame the ring holds,
+    /// each pushed into `mailbox`, and ring the writer if a read claimed
+    /// its wake. A writer the launcher marked dead published everything
+    /// it ever will: its ring is closed first, so it reads as EOF once
+    /// drained. A partial frame stays in the reader for the next call.
+    /// `Ok(false)`: the link ended at a frame boundary.
+    fn serve(&mut self, mailbox: &Mailbox, page: &Page, tolerant: bool) -> Result<bool, String> {
+        self.read_preamble(page.ranks()).map_err(|e| format!("connection preamble: {e}"))?;
+        let InLink::Open { src, frames } = self else { return Ok(true) };
+        if tolerant && page.slot(*src).is_dead() {
             frames.get_mut().close();
         }
-        Ok(())
-    }
-
-    /// Read every complete frame the ring holds, each pushed into
-    /// `mailbox`, and send the writer its wake-up if a read claimed it. A
-    /// partial frame stays in the reader for the next call. `Ok(false)`:
-    /// the peer closed the link at a frame boundary.
-    fn read_into(&mut self, mailbox: &Mailbox) -> Result<bool, String> {
-        let InState::Open { src, frames } = &mut self.state else { return Ok(true) };
         loop {
             match frames.next_frame() {
                 Ok(Some((tag, bytes, payload))) => {
@@ -1030,18 +972,18 @@ impl InLink {
             }
         }
         if frames.get_mut().take_wake() {
-            // A writer that has gone needs no wake; its EOF is news.
-            let _ = wake(&self.sock);
+            page.slot(*src).ring();
         }
         Ok(true)
     }
 
     /// Read the preamble as far as the socket has it; once whole, check
-    /// it, map the ring that came with it and start reading frames.
-    fn read_preamble(&mut self) -> io::Result<()> {
-        let InState::Preamble { bytes, have, ring } = &mut self.state else { return Ok(()) };
+    /// it (a sender among the world's `ranks`), map the ring that came
+    /// with it and start reading frames.
+    fn read_preamble(&mut self, ranks: usize) -> io::Result<()> {
+        let InLink::Preamble { sock, bytes, have, ring } = self else { return Ok(()) };
         while *have < bytes.len() {
-            match sys::recv_with_fd(&self.sock, &mut bytes[*have..]) {
+            match sys::recv_with_fd(sock, &mut bytes[*have..]) {
                 Ok((0, _)) => return Err(io::ErrorKind::UnexpectedEof.into()),
                 Ok((n, fd)) => {
                     *have += n;
@@ -1052,11 +994,13 @@ impl InLink {
             }
         }
         let src = frame::read_preamble(&mut &bytes[..])?;
+        if src >= ranks {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, format!("sender rank {src}")));
+        }
         let fd = ring.take().ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidData, "preamble without the ring's descriptor")
         })?;
-        let frames = FrameReader::new(ring::attach(fd)?);
-        self.state = InState::Open { src, frames };
+        *self = InLink::Open { src, frames: FrameReader::new(ring::attach(fd)?) };
         Ok(())
     }
 }
@@ -1077,7 +1021,8 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             let peer = UnixListener::bind(rank_sock(&dir, 1)).unwrap();
             let me = UnixListener::bind(rank_sock(&dir, 0)).unwrap();
-            let mut links = SocketLinks::new(dir.clone(), me, 0, 2, tolerant);
+            let page: &'static Page = Box::leak(Box::new(Page::local(2)));
+            let mut links = SocketLinks::new(dir.clone(), me, 0, 2, tolerant, page);
 
             let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, vec![0u8; over]);
@@ -1094,7 +1039,7 @@ mod tests {
             // goes through.
             assert!(!links.dead[1] && links.links[1].is_none(), "tolerant = {tolerant}");
             links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, 7u64);
-            let mut peer = SocketLinks::new(dir.clone(), peer, 1, 2, tolerant);
+            let mut peer = SocketLinks::new(dir.clone(), peer, 1, 2, tolerant, page);
             let env = peer.take(1, Src::Rank(0), tag, Until::Forever).expect("the frame");
             assert_eq!((env.src, env.bytes), (0, 8));
             assert_eq!(SocketLinks::unpack::<u64>(1, env), 7);

@@ -4,9 +4,8 @@
 //! The sending rank creates the ring (a `memfd` of one header page plus
 //! [`RING_BYTES`] of data) and passes its descriptor to the receiving
 //! rank with the connection preamble; both map it. A frame is sent by
-//! copying it into the ring and publishing it, before `send` returns;
-//! the Unix socket beside the ring only carries one-byte wake-ups and
-//! EOF. The bytes in the ring are exactly the frame stream of §16.2, so
+//! copying it into the ring and publishing it, before `send` returns.
+//! The bytes in the ring are exactly the frame stream of §16.2, so
 //! [`RingReader`] is a `Read` that [`FrameReader`](crate::frame::FrameReader)
 //! parses unchanged.
 //!
@@ -32,32 +31,13 @@
 //! that goes with the `head` it loaded. A stream whose reader keeps up
 //! therefore touches the first page or two of the ring, not all of it.
 //!
-//! ## Wake-ups: one per park
+//! ## Wake-ups
 //!
-//! This is the native mailbox's eventcount (`native::mailbox`, "one
-//! wake per park"), carried across processes: the flags live in the
-//! shared header and the wake is a byte on the link's socket.
-//!
-//! - A reader about to block raises `reader_parked` and then looks at
-//!   `head` again ([`RingReader::park`]); only if the ring is still
-//!   empty does it sleep (in `poll`). A writer publishes its `head` and
-//!   then *claims the wake*: if `reader_parked` is up it swaps it back
-//!   to false, and only the writer whose swap returned true owes the
-//!   wake-up byte. All four accesses are `SeqCst`, which closes the
-//!   store-buffering race: either the writer sees the flag or the
-//!   reader's second look sees the bytes — never neither.
-//! - The same holds the other way round for a writer waiting for room:
-//!   it raises `writer_parked` and looks at `tail` again
-//!   ([`RingWriter::park`]); a reader that frees space claims the flag
-//!   and sends the byte back on the same socket.
-//!
-//! Each side clears its own flag when it wakes ([`RingReader::unpark`]),
-//! so a burst of publishes into a reader that is already running rings
-//! nothing. A claimed wake that arrives after the sleeper already woke
-//! for another reason is a spurious wake, never a lost one: the next
-//! park raises the flag again before its own second look.
-//! `crates/socket/tests/schedcheck_ring.rs` checks this source, over
-//! the `native::sync` facade, under `--cfg schedcheck`.
+//! A rank waits for mail on its own bell ([`crate::page`]), which the
+//! writer rings after a publish. Room is the one per-ring wait: a writer
+//! raises `writer_parked` and looks at `tail` again ([`RingWriter::park`])
+//! before it parks on its bell, and a reader that frees space claims the
+//! flag ([`RingReader::take_wake`]) and rings the writer's bell.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -96,7 +76,6 @@ struct Header {
     front: Line<AtomicU64>,
     /// One past the last byte the reader has consumed.
     tail: Line<AtomicU64>,
-    reader_parked: Line<AtomicBool>,
     writer_parked: Line<AtomicBool>,
 }
 
@@ -106,19 +85,12 @@ impl Header {
             head: Line(AtomicU64::new(0)),
             front: Line(AtomicU64::new(0)),
             tail: Line(AtomicU64::new(0)),
-            reader_parked: Line(AtomicBool::new(false)),
             writer_parked: Line(AtomicBool::new(false)),
         }
     }
 }
 
 const _: () = assert!(std::mem::size_of::<Header>() <= DATA_OFFSET);
-
-/// Take the wake a parked peer is owed, if nobody has yet: a load first,
-/// so a publish into a running peer costs no read-modify-write.
-fn claim(parked: &AtomicBool) -> bool {
-    parked.load(SeqCst) && parked.swap(false, SeqCst)
-}
 
 /// Where a ring's memory comes from.
 enum Memory {
@@ -261,14 +233,11 @@ pub struct RingWriter {
     head: u64,
     /// This side's copy of `front`.
     front: u64,
-    /// A publish claimed the parked reader's wake, and it has not been
-    /// taken with [`RingWriter::take_wake`] yet.
-    wake_owed: bool,
 }
 
 impl RingWriter {
     fn new(ring: Arc<Ring>) -> RingWriter {
-        RingWriter { ring, head: 0, front: 0, wake_owed: false }
+        RingWriter { ring, head: 0, front: 0 }
     }
 
     /// Free bytes, given the reader's published `tail`. A `tail` out of
@@ -281,26 +250,8 @@ impl RingWriter {
 
     /// Copy as much of `bytes` as fits into the ring and publish it;
     /// returns how much that was (0 only when the ring is full or
-    /// `bytes` empty). If the reader is parked, the wake it is owed is
-    /// claimed for [`RingWriter::take_wake`].
+    /// `bytes` empty). The caller then rings the reader's slot.
     pub fn publish(&mut self, bytes: &[u8]) -> usize {
-        let n = self.copy_and_publish(bytes);
-        if n > 0 && claim(&self.ring.header().reader_parked.0) {
-            self.wake_owed = true;
-        }
-        n
-    }
-
-    /// Seeded bug for the model checker (`schedcheck_ring.rs`): publish
-    /// and never look at the reader's flag, so a parked reader is never
-    /// woken.
-    #[cfg(schedcheck)]
-    #[doc(hidden)]
-    pub fn publish_without_claiming(&mut self, bytes: &[u8]) -> usize {
-        self.copy_and_publish(bytes)
-    }
-
-    fn copy_and_publish(&mut self, bytes: &[u8]) -> usize {
         if bytes.is_empty() {
             return 0;
         }
@@ -324,12 +275,6 @@ impl RingWriter {
         n
     }
 
-    /// Whether a publish since the last call claimed the parked reader's
-    /// wake; the caller then owes it the wake-up byte.
-    pub fn take_wake(&mut self) -> bool {
-        std::mem::take(&mut self.wake_owed)
-    }
-
     /// Before waiting for room: raise `writer_parked`, then look at the
     /// reader's `tail` again. `true`: the ring is still full, and the
     /// reader that frees space will claim the wake. `false`: room
@@ -350,8 +295,8 @@ impl RingWriter {
 /// The reading end of a ring: a `Read` that hands out the published
 /// bytes, returns `WouldBlock` when there are none, and reports EOF
 /// only once [`RingReader::close`] has been called *and* the ring is
-/// drained — the link's socket has hit EOF, and the writer published
-/// everything before it closed that.
+/// drained — the writer's process has gone, after it published
+/// everything it sent.
 pub struct RingReader {
     ring: Arc<Ring>,
     /// This side's copy of `tail`.
@@ -367,34 +312,15 @@ impl RingReader {
         RingReader { ring, tail: 0, closed: false, wake_owed: false }
     }
 
-    /// Whether the writer has published nothing this end has not read.
-    fn is_empty(&self) -> bool {
-        self.ring.header().head.0.load(SeqCst) == self.tail
-    }
-
     /// The writer has gone: once the ring is drained, reads are EOF.
     pub fn close(&mut self) {
         self.closed = true;
     }
 
     /// Whether a read since the last call claimed the parked writer's
-    /// wake; the caller then owes it the wake-up byte.
+    /// wake; the caller then rings the writer's slot.
     pub fn take_wake(&mut self) -> bool {
         std::mem::take(&mut self.wake_owed)
-    }
-
-    /// Before blocking: raise `reader_parked`, then look at `head` again.
-    /// `true`: still empty, and the next publish will claim the wake.
-    /// `false`: bytes arrived meanwhile; do not sleep. Either way call
-    /// [`RingReader::unpark`] once awake.
-    pub fn park(&self) -> bool {
-        self.ring.header().reader_parked.0.store(true, SeqCst);
-        self.is_empty()
-    }
-
-    /// Lower `reader_parked` after a wait.
-    pub fn unpark(&self) {
-        self.ring.header().reader_parked.0.store(false, SeqCst);
     }
 }
 
@@ -422,7 +348,8 @@ impl Read for RingReader {
         unsafe { self.ring.copy_out(self.tail, &mut buf[..n]) };
         self.tail += n as u64;
         h.tail.0.store(self.tail, SeqCst);
-        if claim(&h.writer_parked.0) {
+        let parked = &h.writer_parked.0;
+        if parked.load(SeqCst) && parked.swap(false, SeqCst) {
             self.wake_owed = true;
         }
         Ok(n)

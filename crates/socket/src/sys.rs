@@ -1,36 +1,14 @@
 //! The few Linux calls the socket backend needs that std does not wrap,
-//! declared by hand: `poll(2)` for the progress loop, `memfd_create(2)`
-//! and `mmap(2)`/`munmap(2)` for a link's shared-memory ring, and
-//! `sendmsg(2)`/`recvmsg(2)` to pass the ring's descriptor with the
-//! connection preamble (`SCM_RIGHTS`). The struct layouts are glibc's on
-//! Linux.
+//! declared by hand: `memfd_create(2)` and `mmap(2)`/`munmap(2)` for the
+//! rings and the world page, and `sendmsg(2)`/`recvmsg(2)` to pass their
+//! descriptors with a preamble or GO (`SCM_RIGHTS`). The struct layouts
+//! are glibc's on Linux. The futex is `native::sync::futex`'s.
 
-use std::ffi::{c_char, c_int, c_long, c_short, c_uint, c_void, CStr};
+use std::ffi::{c_char, c_int, c_long, c_uint, c_void, CStr};
 use std::io;
-use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd, RawFd};
+use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::ptr::{self, NonNull};
-
-pub const POLLIN: c_short = 0x1;
-pub const POLLOUT: c_short = 0x4;
-
-#[repr(C)]
-pub struct PollFd {
-    fd: RawFd,
-    events: c_short,
-    pub revents: c_short,
-}
-
-impl PollFd {
-    pub fn new(fd: RawFd, events: c_short) -> PollFd {
-        PollFd { fd, events, revents: 0 }
-    }
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-type NFds = std::ffi::c_ulong;
-#[cfg(not(any(target_os = "linux", target_os = "android")))]
-type NFds = std::ffi::c_uint;
 
 const MFD_CLOEXEC: c_uint = 0x1;
 const PROT_READ: c_int = 0x1;
@@ -69,8 +47,6 @@ struct CmsgHdr {
 const CMSG_HDR: usize = std::mem::size_of::<CmsgHdr>();
 
 extern "C" {
-    #[link_name = "poll"]
-    fn c_poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
     #[link_name = "memfd_create"]
     fn c_memfd_create(name: *const c_char, flags: c_uint) -> c_int;
     #[link_name = "mmap"]
@@ -88,26 +64,6 @@ extern "C" {
     fn c_sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
     #[link_name = "recvmsg"]
     fn c_recvmsg(fd: c_int, msg: *mut MsgHdr, flags: c_int) -> isize;
-}
-
-/// Wait up to `timeout_ms` (`-1`: without limit) until one of `fds`
-/// is ready; each `revents` says which. A signal ends the wait early
-/// with nothing ready, which to the caller is a spurious wake.
-pub fn poll(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<()> {
-    let nfds = NFds::try_from(fds.len()).expect("descriptor count fits nfds_t");
-    // SAFETY: `fds` is a live, exclusively borrowed array of
-    // `fds.len()` `#[repr(C)]` pollfd structs for the whole call, and
-    // the kernel writes only their `revents`.
-    if unsafe { c_poll(fds.as_mut_ptr(), nfds, timeout_ms) } >= 0 {
-        return Ok(());
-    }
-    match io::Error::last_os_error() {
-        e if e.kind() == io::ErrorKind::Interrupted => {
-            fds.iter_mut().for_each(|f| f.revents = 0);
-            Ok(())
-        }
-        e => Err(e),
-    }
 }
 
 /// An anonymous memory file (close-on-exec), empty until `set_len`.
@@ -149,7 +105,7 @@ pub unsafe fn unmap(at: NonNull<u8>, len: usize) {
 
 /// Send `bytes` and the descriptor `fd` in one `sendmsg` on a blocking
 /// stream socket. `bytes` must be small enough that the kernel takes
-/// it whole (a connection preamble): a short send is an error.
+/// it whole (a connection preamble, GO): a short send is an error.
 pub fn send_with_fd(sock: &UnixStream, bytes: &[u8], fd: BorrowedFd<'_>) -> io::Result<()> {
     let mut control = [0u64; 4];
     let cmsg_len = CMSG_HDR + std::mem::size_of::<c_int>();

@@ -7,10 +7,11 @@
 //! at once (published in pieces, each writer woken by the reader that
 //! freed its room), a rank whose body returns while a peer is still
 //! writing to it (close barrier), a reader that dies while its writer
-//! waits for room (death-tolerant: the wait ends on EOF), and a deadline
+//! waits for room (death-tolerant: the wait ends on EOF), a deadline
 //! that expires mid-frame (the link's framing state must survive the
-//! timeout). Each is a real process world; the children re-run their
-//! test under `--exact`.
+//! timeout), a rank asleep with no link at all that only a dial can wake,
+//! and a deadline on such a rank (the futex timeout). Each is a real
+//! process world; the children re-run their test under `--exact`.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -172,4 +173,40 @@ fn a_half_frame_on_a_live_rank_times_out_then_delivers() {
         },
     );
     assert_eq!(got[0], vec![99, 100]);
+}
+
+/// Rank 0 sleeps in a receive from any source before anyone has dialled
+/// it: no inbound link, nothing to read, so only the dial itself — the
+/// count in its slot and the ring that comes with it — can wake it. Rank
+/// 1 dials 300 ms later and sends.
+#[test]
+fn a_dial_wakes_a_rank_that_has_no_links() {
+    let got = SocketWorld::for_test("a_dial_wakes_a_rank_that_has_no_links", 2).run(|rank| {
+        if rank.world_rank() == 1 {
+            std::thread::sleep(Duration::from_millis(300));
+            rank.send(0, DATA, 8, 7u64);
+            return 0;
+        }
+        rank.recv::<u64>(Src::Any, DATA).0
+    });
+    assert_eq!(got, vec![7, 0]);
+}
+
+/// A deadline on a rank with no links: nothing can ring it, so the wait
+/// ends on the futex timeout, no earlier than the deadline and long
+/// before a wedge.
+#[test]
+fn a_deadline_on_a_rank_with_no_links_times_out() {
+    let got =
+        SocketWorld::for_test("a_deadline_on_a_rank_with_no_links_times_out", 1).run(|rank| {
+            let started = Instant::now();
+            let deadline = rank.now() + mpistream::transport::SimDuration::from_millis(100);
+            let got = rank.recv_deadline::<u64>(Src::Any, DATA, deadline);
+            let took = started.elapsed();
+            assert!(got.is_none(), "nobody sent anything");
+            assert!(took >= Duration::from_millis(100), "timed out after {took:?}");
+            assert!(took < Duration::from_secs(2), "timed out after {took:?}");
+            took.as_millis() as u64
+        });
+    assert!(got[0] >= 100, "{got:?}");
 }
