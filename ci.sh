@@ -97,6 +97,16 @@ if grep -rn 'thread::spawn' crates/socket/src; then echo "no threads in socket r
 # /proc/<pid>/io does not count socket send/recv, so this grep is the
 # structural check.
 if grep -rnE 'poll\(|POLLIN' crates/socket/src; then echo "no poll in socket ranks"; exit 1; fi
+# A socket rank's thread is the only writer of its own mail, so it owns a
+# bare single-threaded `Matcher` and decodes the frame a receive takes
+# where it lies in its link's buffer: no multi-producer `Mailbox`, with its
+# staging nodes and atomics, may come back into a rank. Test modules are
+# left out: they feed a `Mailbox` as the reference the receive must match.
+for f in crates/socket/src/*.rs; do
+    if sed '/^#\[cfg(test)\]$/,$d' "$f" | grep -n 'Mailbox::new'; then
+        echo "no Mailbox in socket ranks ($f)"; exit 1
+    fi
+done
 timeout 300 cargo test -q --release --offline -p socket
 timeout 300 cargo test -q --release --offline -p integration \
     --test backend_equivalence socket_

@@ -30,22 +30,22 @@
 //!
 //! [`MailboxRank`] implements [`Transport`] for this crate and for the
 //! `socket` crate alike. It owns everything the two share: identity, the
-//! [`WallClock`], receive matching on the rank's own [`Mailbox`], the
-//! [`Transport::wait_for_mail`] snapshot, the collectives, and channel
-//! ids. Its [`Links`] parameter supplies the rest — how a message leaves,
-//! how a received payload becomes a value, and how the rank waits for
-//! mail. Here that is [`ThreadLinks`]: a send moves the boxed value into
-//! the peer's mailbox, nothing is encoded, and a receive that finds
-//! nothing parks on the mailbox until a sender's push wakes it.
+//! [`WallClock`], the [`Transport::wait_for_mail`] snapshot, the
+//! collectives, and channel ids. Its [`Links`] parameter supplies the
+//! rest — how a message leaves, how a receive finds its match and turns
+//! it into a value, and how the rank waits for mail. Here that is
+//! [`ThreadLinks`]: a send moves the boxed value into the peer's
+//! [`Mailbox`], nothing is encoded, and a receive that finds nothing
+//! parks on the mailbox until a sender's push wakes it.
 //!
-//! Each mailbox matches with the simulator's own index pieces
-//! ([`mpistream::index`]) — an arrival-ordered store, a per-tag queue for
-//! wildcard matches, a per-`(src, tag)` FIFO for directed ones — fed
-//! through a lock-free MPSC staging stack so N producers never
-//! serialize on the consumer's index (see [`mailbox`] for the full
-//! design: Treiber staging, an eventcount park protocol that cannot lose
-//! wake-ups, and a version counter snapshotted once per polling round
-//! inside `wait_for_mail`).
+//! Both backends match with one index, [`mailbox::Matcher`], built from
+//! the simulator's own pieces ([`mpistream::index`]) — an arrival-ordered
+//! store, a per-tag queue for wildcard matches, a per-`(src, tag)` FIFO
+//! for directed ones. A mailbox feeds its matcher through a lock-free
+//! MPSC staging stack so N producers never serialize on the consumer's
+//! index (see [`mailbox`] for the full design: Treiber staging, an
+//! eventcount park protocol that cannot lose wake-ups, and a version
+//! counter snapshotted once per polling round inside `wait_for_mail`).
 //!
 //! Collectives, `split` and the group type are [`mpistream::coll`]'s,
 //! run over those mailboxes. The backend hands it one number, the flat
@@ -178,17 +178,33 @@ impl Links for ThreadLinks {
         self.0[dst].push(Env { src, tag, bytes, payload: Box::new(v) });
     }
 
-    // The three waits are `#[inline]` so that, in the rank's
-    // monomorphized receive, `until` folds away and a native receive is
-    // one direct `Mailbox` call.
+    // The receive and the two waits are `#[inline]` so that, in the
+    // rank's monomorphized receive, `until` folds away and a native
+    // receive is one direct `Mailbox` call and a downcast.
     #[inline]
-    fn take(&mut self, me: usize, src: Src, tag: Tag, until: Until) -> Option<Env> {
+    fn recv<T: Wire + Send + 'static>(
+        &mut self,
+        me: usize,
+        src: Src,
+        tag: Tag,
+        until: Until,
+    ) -> Option<(T, MsgInfo)> {
         let inbox = &self.0[me];
-        match until {
+        let env = match until {
             Until::Now => inbox.try_take(src, tag),
             Until::At(deadline) => inbox.take_deadline(src, tag, deadline),
             Until::Forever => Some(inbox.take(src, tag)),
-        }
+        }?;
+        let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
+        let v = env.payload.downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "rank {me}: payload type mismatch receiving tag {:?} from {} (expected {})",
+                info.tag,
+                info.src,
+                std::any::type_name::<T>()
+            )
+        });
+        Some((*v, info))
     }
 
     #[inline]
@@ -199,17 +215,6 @@ impl Links for ThreadLinks {
     #[inline]
     fn wait_change(&mut self, me: usize, seen: u64) -> u64 {
         self.0[me].wait_change(seen)
-    }
-
-    fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T {
-        *env.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rank {me}: payload type mismatch receiving tag {:?} from {} (expected {})",
-                env.tag,
-                env.src,
-                std::any::type_name::<T>()
-            )
-        })
     }
 }
 
@@ -225,25 +230,29 @@ pub enum Until {
 }
 
 /// What a backend hands [`MailboxRank`]: how a message leaves this rank,
-/// how a received payload becomes a value, and how this rank waits for
-/// its mail. Matching is the rank's [`Mailbox`] on every backend; what
-/// differs is who fills it — a sender's `push` on another thread (native,
-/// which parks until then) or the rank itself, reading its links when a
-/// receive misses (socket). Everything else is the rank's, the same for
-/// every backend.
+/// how the first match for a receive is found and becomes a value, and
+/// how this rank waits for its mail. Matching follows one index,
+/// [`mailbox::Matcher`], on every backend; what differs is who fills it —
+/// a sender's `push` on another thread into the rank's [`Mailbox`]
+/// (native, which parks until then) or the rank itself, reading its links
+/// when a receive misses (socket). Everything else is the rank's, the
+/// same for every backend.
 pub trait Links {
     /// Deliver `v` to world rank `dst` (in range); `info` is what the
     /// receiver will see, its `src` the sending rank.
     fn send<T: Wire + Send + 'static>(&mut self, dst: usize, info: MsgInfo, v: T);
 
-    /// The value `env` carries, received by world rank `me`.
-    fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T;
-
-    /// The first message in world rank `me`'s mailbox that matches
-    /// `(src, tag)`, in arrival order, waiting for one as `until` says:
-    /// `None` only when `until` ran out. [`Mailbox::take`] and its
-    /// siblings are the contract.
-    fn take(&mut self, me: usize, src: Src, tag: Tag, until: Until) -> Option<Env>;
+    /// The value of the first message for world rank `me` that matches
+    /// `(src, tag)`, in arrival order, with what it says about itself,
+    /// waiting for one as `until` says: `None` only when `until` ran out.
+    /// [`Mailbox::take`] and its siblings are the contract.
+    fn recv<T: Wire + Send + 'static>(
+        &mut self,
+        me: usize,
+        src: Src,
+        tag: Tag,
+        until: Until,
+    ) -> Option<(T, MsgInfo)>;
 
     /// [`Mailbox::probe`] of `me`'s mail: metadata of the first match,
     /// not consumed, without waiting.
@@ -293,11 +302,6 @@ impl<L: Links> MailboxRank<L> {
     /// returned.
     pub fn into_links(self) -> L {
         self.links
-    }
-
-    fn unpack<T: Wire + Send + 'static>(&self, env: Env) -> (T, MsgInfo) {
-        let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
-        (L::unpack(self.rank, env), info)
     }
 }
 
@@ -364,13 +368,12 @@ impl<L: Links> Transport for MailboxRank<L> {
     }
 
     fn recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> (T, MsgInfo) {
-        let env = self.links.take(self.rank, src, tag, Until::Forever);
-        self.unpack(env.expect("a receive without a deadline waits until it matches"))
+        let got = self.links.recv(self.rank, src, tag, Until::Forever);
+        got.expect("a receive without a deadline waits until it matches")
     }
 
     fn try_recv<T: Wire + Send + 'static>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
-        let env = self.links.take(self.rank, src, tag, Until::Now)?;
-        Some(self.unpack(env))
+        self.links.recv(self.rank, src, tag, Until::Now)
     }
 
     fn recv_deadline<T: Wire + Send + 'static>(
@@ -379,9 +382,7 @@ impl<L: Links> Transport for MailboxRank<L> {
         tag: Tag,
         deadline: SimTime,
     ) -> Option<(T, MsgInfo)> {
-        let until = Until::At(self.clock.instant(deadline));
-        let env = self.links.take(self.rank, src, tag, until)?;
-        Some(self.unpack(env))
+        self.links.recv(self.rank, src, tag, Until::At(self.clock.instant(deadline)))
     }
 
     fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {

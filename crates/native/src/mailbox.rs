@@ -1,6 +1,7 @@
-//! Per-rank mailboxes for the native backend.
+//! Per-rank mailboxes for the native backend, and the match index they
+//! and socket ranks share.
 //!
-//! The matching index is built from the simulator's building blocks
+//! The index, [`Matcher`], is built from the simulator's building blocks
 //! ([`mpistream::index`]): envelopes live in a [`Slab`] keyed by arrival
 //! sequence, with one [`IdQueue`] per tag for `Src::Any` matching and one
 //! per `(src, tag)` for directed receives. The simulator's in-flight
@@ -8,6 +9,14 @@
 //! no native counterpart — a message is available the moment `push` lands
 //! it — so that whole layer is the simulator's alone, and here FCFS order
 //! *is* arrival order.
+//!
+//! A `Matcher` is single-threaded: it has one owner, and no atomics or
+//! locks of its own. A [`Mailbox`] wraps one under a mutex that only the
+//! owning rank thread takes, and feeds it from a lock-free staging stack
+//! that any thread may push onto (below). A socket rank needs none of
+//! that: its one thread is the only writer of its own mail, so it owns a
+//! bare `Matcher` and inserts the frames it reads but does not take at
+//! once (`socket::SocketLinks`).
 //!
 //! ## The MPSC split
 //!
@@ -148,18 +157,23 @@ struct Node {
 
 type Queues<K> = HashMap<K, IdQueue, FixedState>;
 
-/// The match index, with each side materialized only on first use: a
-/// mailbox drained purely by wildcard receives (an incast sink) never
-/// maintains the `(src, tag)` side, and one drained purely by directed
-/// receives (a producer waiting on credits, a pingpong turnaround) never
-/// maintains the per-tag side. Building a side on demand is one pass over
-/// the live slab — amortized against never paying for it at all on the
-/// per-message hot path.
+/// The match index of one rank's mail, for a single-threaded owner.
+/// Each side is materialized only on first use: a rank drained purely by
+/// wildcard receives (an incast sink) never maintains the `(src, tag)`
+/// side, and one drained purely by directed receives (a producer waiting
+/// on credits, a pingpong turnaround) never maintains the per-tag side.
+/// Building a side on demand is one pass over the live slab — amortized
+/// against never paying for it at all on the per-message hot path.
+///
+/// A [`Mailbox`] keeps one under its mutex, fed from its staging stack; a
+/// socket rank, the only writer of its own mail, owns one outright.
 #[derive(Default)]
-struct Inner {
+pub struct Matcher {
     slab: Slab<Env>,
     by_tag: Option<Queues<Tag>>,
     by_src_tag: Option<Queues<(usize, Tag)>>,
+    /// Envelopes inserted so far.
+    version: u64,
 }
 
 /// One side of the index, built from the live slab.
@@ -191,8 +205,9 @@ fn forget<K: Hash + Eq>(qs: &mut Option<Queues<K>>, key: K, id: u64, slab: &Slab
     }
 }
 
-impl Inner {
-    fn index(&mut self, env: Env) {
+impl Matcher {
+    /// Index `env` as the youngest envelope.
+    pub fn insert(&mut self, env: Env) {
         let (src, tag) = (env.src, env.tag);
         let id = self.slab.insert(env);
         if let Some(bt) = &mut self.by_tag {
@@ -201,11 +216,15 @@ impl Inner {
         if let Some(bst) = &mut self.by_src_tag {
             bst.entry((src, tag)).or_default().push(id);
         }
+        self.version += 1;
     }
 
-    /// Id of the first available message matching `(src, tag)`.
+    /// Id of the first envelope matching `(src, tag)`.
     fn find(&mut self, src: Src, tag: Tag) -> Option<u64> {
         let slab = &self.slab;
+        if slab.is_empty() {
+            return None;
+        }
         match src {
             Src::Any => {
                 front(self.by_tag.get_or_insert_with(|| queues(slab, |e| e.tag)), tag, slab)
@@ -217,14 +236,29 @@ impl Inner {
         }
     }
 
-    /// `find` left the id at the front of the matched queue, so `forget`
-    /// pops it there and tombstones it on the other side, if that is built.
-    fn take(&mut self, src: Src, tag: Tag) -> Option<Env> {
+    /// Remove and return the first envelope matching `(src, tag)`, in
+    /// insertion order. `find` left its id at the front of the matched
+    /// queue, so `forget` pops it there and tombstones it on the other
+    /// side, if that is built.
+    pub fn take(&mut self, src: Src, tag: Tag) -> Option<Env> {
         let id = self.find(src, tag)?;
         let env = self.slab.remove(id).expect("found id has an envelope");
         forget(&mut self.by_tag, tag, id, &self.slab);
         forget(&mut self.by_src_tag, (env.src, tag), id, &self.slab);
         Some(env)
+    }
+
+    /// Metadata of the first envelope matching `(src, tag)`, left in place.
+    pub fn probe(&mut self, src: Src, tag: Tag) -> Option<MsgInfo> {
+        let id = self.find(src, tag)?;
+        let env = self.slab.get(id).expect("found id has an envelope");
+        Some(MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes })
+    }
+
+    /// How many envelopes have been inserted: it moves on every
+    /// [`Matcher::insert`] and on nothing else.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 }
 
@@ -235,7 +269,7 @@ pub struct Mailbox {
     version: AtomicU64,
     /// The owning consumer's match index. Uncontended by construction —
     /// producers never lock it.
-    inner: Mutex<Inner>,
+    inner: Mutex<Matcher>,
     /// Eventcount state: the consumer raises `parked` under `park`; the
     /// producer that swaps it back to false owes the park its one notify,
     /// issued after passing through `park`.
@@ -266,7 +300,7 @@ impl Mailbox {
         Mailbox {
             stage: AtomicPtr::new(ptr::null_mut()),
             version: AtomicU64::new(0),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Matcher::default()),
             parked: AtomicBool::new(false),
             park: Mutex::new(()),
             cv: Condvar::new(),
@@ -338,24 +372,24 @@ impl Mailbox {
     }
 
     /// Move everything staged into the index.
-    fn drain_into(&self, inner: &mut Inner) {
+    fn drain_into(&self, inner: &mut Matcher) {
         let mut head = self.drain_reversed();
         while !head.is_null() {
             // SAFETY: each node is consumed exactly once.
             let node = unsafe { boxed::from_raw(head) };
             head = node.next.get();
-            inner.index(node.env);
+            inner.insert(node.env);
         }
     }
 
     /// Drain staging, handing the first match for `(src, tag)` straight to
     /// the caller and indexing everything else. Only sound when the index
-    /// holds no match (the caller's `Inner::take` just missed): staged
+    /// holds no match (the caller's `Matcher::take` just missed): staged
     /// envelopes are younger than indexed ones, so the oldest match overall
     /// is the first match in the drained chain. The hot receive path —
     /// waiter already posted, message arrives — thus skips the index
     /// entirely.
-    fn drain_match(&self, inner: &mut Inner, src: Src, tag: Tag) -> Option<Env> {
+    fn drain_match(&self, inner: &mut Matcher, src: Src, tag: Tag) -> Option<Env> {
         let mut head = self.drain_reversed();
         let mut hit: Option<Env> = None;
         while !head.is_null() {
@@ -372,7 +406,7 @@ impl Mailbox {
             if matches {
                 hit = Some(env);
             } else {
-                inner.index(env);
+                inner.insert(env);
             }
         }
         hit
@@ -452,12 +486,9 @@ impl Mailbox {
     /// rank only). Like [`Mailbox::try_take`], never exposes the version.
     pub fn probe(&self, src: Src, tag: Tag) -> Option<MsgInfo> {
         let mut inner = self.inner.lock().unwrap();
-        if inner.find(src, tag).is_none() {
+        inner.probe(src, tag).or_else(|| {
             self.drain_into(&mut inner);
-        }
-        inner.find(src, tag).map(|id| {
-            let env = inner.slab.get(id).expect("found id has an envelope");
-            MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes }
+            inner.probe(src, tag)
         })
     }
 
@@ -485,9 +516,7 @@ impl Mailbox {
     }
 
     /// Current version, as a round-start snapshot. Native ranks get
-    /// theirs from `wait_change`, starting from the shared initial 0; a
-    /// socket rank, the only producer of its own mailbox, reads it here
-    /// instead of parking where no push could wake it.
+    /// theirs from `wait_change`, starting from the shared initial 0.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
     }

@@ -23,14 +23,16 @@
 //! prefix, header and payload in one buffer (`begin_frame` /
 //! `finish_frame`) — and, through a [`FrameReader`] over the ring's
 //! reading end, far less than one `read` to receive: each `read` takes
-//! whatever the ring holds and every complete frame in it is parsed out
-//! of the reader's buffer. The preamble travels on the link's socket,
+//! whatever the ring holds and every complete frame in it is lent out
+//! of the reader's buffer ([`FrameReader::lend_frame`]), where the
+//! receiving rank decodes it. The preamble travels on the link's socket,
 //! with the ring's descriptor beside it; [`write_frame`] and
 //! [`read_frame`] speak the same format over any `Write` and `Read`.
 //!
 //! All functions here speak `io::Result`: a malformed peer produces an
 //! `InvalidData` error at the reader, never a panic inside the codec.
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::ops::Range;
 
@@ -146,6 +148,11 @@ struct Big {
     have: usize,
 }
 
+/// One frame as the state machine hands it out: tag, modelled byte
+/// count, and the payload — borrowed from the buffer it was parsed out
+/// of, or the frame's own allocation when it was larger than the buffer.
+pub type LentFrame<'a> = (u64, u64, Cow<'a, [u8]>);
+
 /// The framing state machine, over a caller-owned buffer of at least
 /// [`FRAME_OVERHEAD`] bytes whose unconsumed bytes are `buf[win]`, and
 /// the frame too large for it that is under way, if any.
@@ -160,13 +167,14 @@ struct Big {
 /// `win` empty and no `big`, i.e. when not one byte of a frame has been
 /// consumed. Any error from `r` — `WouldBlock` from a non-blocking
 /// source included — leaves all three consistent, so the next call
-/// resumes where this one stopped.
-fn next_frame(
+/// resumes where this one stopped. A frame that fits the buffer is lent
+/// in place: its bytes stay valid until the next call.
+fn next_frame<'a>(
     r: &mut impl Read,
-    buf: &mut [u8],
+    buf: &'a mut [u8],
     win: &mut Range<usize>,
     big: &mut Option<Big>,
-) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
+) -> io::Result<Option<LentFrame<'a>>> {
     loop {
         if let Some(b) = big {
             while b.have < b.payload.len() {
@@ -176,7 +184,7 @@ fn next_frame(
                 }
             }
             let Big { tag, bytes, payload, .. } = big.take().expect("matched above");
-            return Ok(Some((tag, bytes, payload)));
+            return Ok(Some((tag, bytes, Cow::Owned(payload))));
         }
         let have = &buf[win.clone()];
         if let Some(prefix) = have.get(..4) {
@@ -190,11 +198,11 @@ fn next_frame(
                 let tag = u64::from_le_bytes(have[4..12].try_into().expect("exact slice"));
                 let bytes = u64::from_le_bytes(have[12..20].try_into().expect("exact slice"));
                 let want = len - HEADER_BYTES;
-                if let Some(payload) = body.get(..want) {
-                    // Whole frame buffered: the payload's one copy.
-                    let payload = payload.to_vec();
-                    win.start += FRAME_OVERHEAD + want;
-                    return Ok(Some((tag, bytes, payload)));
+                if body.len() >= want {
+                    // Whole frame buffered: lent where it lies.
+                    let at = win.start + FRAME_OVERHEAD;
+                    win.start = at + want;
+                    return Ok(Some((tag, bytes, Cow::Borrowed(&buf[at..at + want]))));
                 }
                 if FRAME_OVERHEAD + want > buf.len() {
                     // Larger than the buffer: an exact allocation takes
@@ -223,6 +231,12 @@ fn next_frame(
     }
 }
 
+/// A lent frame's payload as its own `Vec`: a copy when it was lent from
+/// the buffer, the frame's allocation when it had one.
+fn owned((tag, bytes, payload): LentFrame<'_>) -> (u64, u64, Vec<u8>) {
+    (tag, bytes, payload.into_owned())
+}
+
 /// Buffered frame reader for one inbound link: owns the reader, a
 /// [`LINK_BUF_BYTES`] buffer and the state of a frame too large for it
 /// (see `next_frame` for the invariants).
@@ -240,16 +254,25 @@ impl<R: Read> FrameReader<R> {
         FrameReader { inner, buf, win: 0..0, big: None }
     }
 
-    /// The next frame as `(tag, modelled bytes, payload)`. `Ok(None)` is
-    /// a clean end-of-stream (EOF exactly at a frame boundary); EOF
-    /// anywhere inside a frame is an error, as is a length prefix below
-    /// the header size or above [`MAX_FRAME_BYTES`]. After such an error
-    /// the link is out of sync and the reader must be dropped. A
-    /// `WouldBlock` from a non-blocking `inner` is not one of them: the
-    /// bytes read so far stay buffered, and the next call carries on
-    /// with the frame it was in.
-    pub fn next_frame(&mut self) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
+    /// The next frame, lent: a frame of up to [`LINK_BUF_BYTES`] is a
+    /// slice of the reader's buffer, valid until the next call, and
+    /// nothing is allocated or copied for it; a larger one comes in the
+    /// allocation it was read into. `Ok(None)` is a clean end-of-stream
+    /// (EOF exactly at a frame boundary); EOF anywhere inside a frame is
+    /// an error, as is a length prefix below the header size or above
+    /// [`MAX_FRAME_BYTES`]. After such an error the link is out of sync
+    /// and the reader must be dropped. A `WouldBlock` from a
+    /// non-blocking `inner` is not one of them: the bytes read so far
+    /// stay buffered, and the next call carries on with the frame it was
+    /// in.
+    pub fn lend_frame(&mut self) -> io::Result<Option<LentFrame<'_>>> {
         next_frame(&mut self.inner, &mut self.buf, &mut self.win, &mut self.big)
+    }
+
+    /// [`FrameReader::lend_frame`], with the payload in a `Vec` of its
+    /// own.
+    pub fn next_frame(&mut self) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
+        Ok(self.lend_frame()?.map(owned))
     }
 
     /// The wrapped reader. Bytes read from it directly never reach the
@@ -268,7 +291,7 @@ impl<R: Read> FrameReader<R> {
 /// buffer" and is read straight into its own allocation.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u64, u64, Vec<u8>)>> {
     let mut prefix = [0u8; FRAME_OVERHEAD];
-    next_frame(r, &mut prefix, &mut (0..0), &mut None)
+    Ok(next_frame(r, &mut prefix, &mut (0..0), &mut None)?.map(owned))
 }
 
 /// Write a bare length-prefixed blob (the control-plane result frames).

@@ -11,13 +11,15 @@
 //! rendezvous, [`mpistream::coll`]'s binomial trees.
 //!
 //! A [`SocketRank`] *is* the native backend's rank,
-//! [`native::MailboxRank`], over this crate's [`SocketLinks`]: matching
-//! happens in the exact same [`Mailbox`], on the same clock, with the
-//! same collectives and channel ids. What this crate adds is how a
+//! [`native::MailboxRank`], over this crate's [`SocketLinks`]: the same
+//! clock, collectives and channel ids, and matching on the same index,
+//! [`Matcher`] — owned outright by the rank's one thread instead of
+//! kept in a multi-producer [`Mailbox`]. What this crate adds is how a
 //! message leaves — encoded into a frame and copied into the peer's
-//! ring — how a received frame is decoded, and how the rank waits for
-//! mail: by reading its own rings, on its one thread, and sleeping on
-//! its futex doorbell when they are empty (see [`SocketLinks`]).
+//! ring — how a receive finds its frame and decodes it where it lies in
+//! the link's buffer, and how the rank waits for mail: by reading its own
+//! rings, on its one thread, and sleeping on its futex doorbell when they
+//! are empty (see [`SocketLinks`]).
 //!
 //! ## Links
 //!
@@ -41,8 +43,7 @@
 //! 2. runs the body against a [`SocketRank`] on the process's one
 //!    thread; whenever the body waits in a transport call — a receive
 //!    that misses, a send whose ring is full — the rank accepts the
-//!    links its slot says were dialled and decodes what its inbound
-//!    rings hold into its mailbox;
+//!    links its slot says were dialled and reads its inbound rings;
 //! 3. ships its [`Wire`]-encoded result back on the control link and
 //!    waits for the launcher's ALL_DONE, still reading its inbound
 //!    links — a close barrier: no rank exits while a peer might still be
@@ -62,6 +63,7 @@ pub mod page;
 pub mod ring;
 mod sys;
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsFd, OwnedFd};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -73,7 +75,7 @@ use std::time::Duration;
 
 use frame::FrameReader;
 use mpistream::{MsgInfo, Src, Tag, Wire};
-use native::mailbox::{Env, Mailbox};
+use native::mailbox::{Env, Mailbox, Matcher};
 use native::sync::Instant;
 use native::{Links, MailboxRank, Until, WallClock};
 use page::{Page, Slot};
@@ -538,21 +540,22 @@ pub type SocketRank = MailboxRank<SocketLinks>;
 
 /// The [`Links`] of a socket rank: a shared-memory [`ring`] per directed
 /// link that carries its frames, the rank's doorbell in the world
-/// [`page`], and this process's mailbox.
+/// [`page`], and this process's [`Matcher`].
 ///
 /// A rank process has one thread, the one running the body, and it makes
-/// progress on its own links: a receive that finds nothing in the
-/// mailbox reads every inbound ring, each complete frame becoming one
-/// mailbox `push`, and if they held nothing it parks on its bell, looks
-/// again, and sleeps in `FUTEX_WAIT` until someone rings it. Wherever
-/// the rank can block it does the same, so no peer waits on a rank that
-/// is itself waiting: a `send` whose ring is full, and the close
-/// barrier, read inbound rings while they wait. Between transport calls
-/// — while the body computes — nothing is read, and a peer that fills
-/// the ring meanwhile waits for the next call.
+/// progress on its own links. A receive looks in the matcher first, then
+/// reads its inbound rings up to the first frame that matches and
+/// decodes that frame where it lies in the link's buffer; the frames it
+/// passes over go into the matcher. If nothing matched it parks on its
+/// bell, looks again, and sleeps in `FUTEX_WAIT` until someone rings it.
+/// Wherever the rank can block it does the same, so no peer waits on a
+/// rank that is itself waiting: a `send` whose ring is full, and the
+/// close barrier, read every inbound ring while they wait. Between
+/// transport calls — while the body computes — nothing is read, and a
+/// peer that fills the ring meanwhile waits for the next call.
 pub struct SocketLinks {
     dir: PathBuf,
-    /// The receiving side: listener, inbound links and mailbox.
+    /// The receiving side: listener, inbound links and matcher.
     inbound: Inbound,
     /// Outbound links, connected on first use (always succeeds: every
     /// listener was bound before GO).
@@ -585,7 +588,8 @@ impl SocketLinks {
                 dials: 0,
                 listener,
                 links: Vec::new(),
-                mailbox: Mailbox::new(),
+                next: 0,
+                matcher: Matcher::default(),
             },
             links: (0..nprocs).map(|_| None).collect(),
             dead: vec![false; nprocs],
@@ -637,7 +641,7 @@ impl Links for SocketLinks {
             // Self-sends still cross the codec — one uniform path, so a
             // payload that cannot round-trip fails loudly everywhere.
             let payload = Box::new(v.to_frame());
-            self.inbound.mailbox.push(Env { src: me, tag, bytes, payload });
+            self.inbound.matcher.insert(Env { src: me, tag, bytes, payload });
             return;
         }
         // The encoder writes straight behind the reserved header bytes of
@@ -674,61 +678,53 @@ impl Links for SocketLinks {
         }
     }
 
-    fn take(&mut self, _me: usize, src: Src, tag: Tag, until: Until) -> Option<Env> {
-        loop {
-            if let Some(env) = self.inbound.mailbox.try_take(src, tag) {
-                return Some(env);
-            }
-            // Past the deadline a miss still reads the links once, so a
-            // deadline that has already passed cannot starve them.
-            let until = match until {
-                Until::At(deadline) if Instant::now() >= deadline => Until::Now,
-                until => until,
-            };
-            self.inbound.progress(until, || false);
-            if let Until::Now = until {
-                return self.inbound.mailbox.try_take(src, tag);
-            }
-        }
+    fn recv<T: Wire + Send + 'static>(
+        &mut self,
+        _me: usize,
+        src: Src,
+        tag: Tag,
+        until: Until,
+    ) -> Option<(T, MsgInfo)> {
+        self.inbound.progress(until, |inbound| inbound.recv(src, tag))
     }
 
     fn probe(&mut self, _me: usize, src: Src, tag: Tag) -> Option<MsgInfo> {
-        self.inbound.mailbox.probe(src, tag).or_else(|| {
-            self.inbound.progress(Until::Now, || false);
-            self.inbound.mailbox.probe(src, tag)
+        let inbound = &mut self.inbound;
+        inbound.matcher.probe(src, tag).or_else(|| {
+            inbound.serve();
+            inbound.matcher.probe(src, tag)
         })
     }
 
     fn wait_change(&mut self, _me: usize, seen: u64) -> u64 {
-        // This thread is the mailbox's only producer, so parking on it
-        // would sleep forever: read the links until a frame lands.
-        loop {
-            let version = self.inbound.mailbox.version();
-            if version != seen {
-                return version;
-            }
-            self.inbound.progress(Until::Forever, || false);
-        }
-    }
-
-    fn unpack<T: Wire + Send + 'static>(me: usize, env: Env) -> T {
-        let buf = env.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
-            panic!("rank {me}: non-frame payload in a socket mailbox (tag {:?})", env.tag)
+        // This thread is the only writer of its own mail, so the version
+        // moves only when it reads a frame it does not take at once.
+        let changed = |inbound: &Inbound| Some(inbound.matcher.version()).filter(|&v| v != seen);
+        let version = self.inbound.progress(Until::Forever, |inbound| {
+            changed(inbound).or_else(|| {
+                inbound.serve();
+                changed(inbound)
+            })
         });
-        T::from_frame(&buf).unwrap_or_else(|e| {
-            panic!(
-                "rank {me}: malformed {} frame from rank {} under tag {:?}: {e}",
-                std::any::type_name::<T>(),
-                env.src,
-                env.tag
-            )
-        })
+        version.expect("a wait without a deadline ends with a change")
     }
 }
 
+/// The value a frame carries, decoded for world rank `me`.
+fn decode<T: Wire>(me: usize, info: MsgInfo, payload: &[u8]) -> T {
+    T::from_frame(payload).unwrap_or_else(|e| {
+        panic!(
+            "rank {me}: malformed {} frame from rank {} under tag {:?}: {e}",
+            std::any::type_name::<T>(),
+            info.src,
+            info.tag
+        )
+    })
+}
+
 /// The receiving side of a socket rank: its data listener, its inbound
-/// links, its slot of the world page, and its mailbox, which only the
-/// rank's own thread fills.
+/// links, its slot of the world page, and its matcher, which holds the
+/// frames this rank's own thread has read but not yet taken.
 struct Inbound {
     rank: usize,
     /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
@@ -738,79 +734,123 @@ struct Inbound {
     dials: u32,
     listener: UnixListener,
     links: Vec<InLink>,
-    mailbox: Mailbox,
+    /// Where the next scan of `links` starts: just past the link whose
+    /// frame the last one took, so a wildcard receive cannot starve a
+    /// link behind one that is never empty.
+    next: usize,
+    matcher: Matcher,
 }
 
 impl Inbound {
-    /// Every wait of a socket rank, in one place: serve the inbound side
-    /// and look at the caller's condition `ready`; if neither had news
-    /// and `until` allows a wait, park on the rank's bell, look at both
-    /// again, and only if there is still nothing sleep in `FUTEX_WAIT`
-    /// as long as `until` says (the [`page`] module docs). Then serve
-    /// once more. No socket call is made unless a link is being dialled
-    /// or `ready` makes one.
+    /// Every wait of a socket rank, in one place: `look`, and if it
+    /// found nothing and `until` allows a wait, park on the rank's bell,
+    /// look again, and only if there is still nothing sleep in
+    /// `FUTEX_WAIT` as long as `until` says (the [`page`] module docs);
+    /// then round again. `None` only when `until` ran out. Past a
+    /// deadline the first look still happens, so a deadline that has
+    /// already passed cannot starve the links.
     ///
-    /// A link that fails — bad preamble, malformed frame, cut mid-frame —
-    /// is fatal to the process in strict mode: the frames the body waits
+    /// A look that finds nothing must have read every link to its end —
+    /// a receive that misses has, and every other wait serves the links
+    /// itself — so a rank never sleeps with a frame unread, and two
+    /// ranks that flood each other drain each other instead of wedging.
+    /// No socket call is made unless a link is being dialled or `look`
+    /// makes one.
+    fn progress<R>(
+        &mut self,
+        until: Until,
+        mut look: impl FnMut(&mut Inbound) -> Option<R>,
+    ) -> Option<R> {
+        loop {
+            if let Some(found) = look(self) {
+                return Some(found);
+            }
+            let timeout = match until {
+                Until::Now => return None,
+                Until::At(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    Some(left)
+                }
+                Until::Forever => None,
+            };
+            let bell = self.page.slot(self.rank);
+            bell.park();
+            let found = look(self);
+            if found.is_none() {
+                bell.sleep(timeout);
+            }
+            bell.unpark();
+            if found.is_some() {
+                return found;
+            }
+        }
+    }
+
+    /// The first message that matches `(src, tag)`, decoded: from the
+    /// matcher if it holds one — its frames are older than anything
+    /// still on their links, so per-`(src, tag)` order holds — and else
+    /// from the links, decoded where it lies in its reader's buffer.
+    fn recv<T: Wire>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
+        let me = self.rank;
+        if let Some(env) = self.matcher.take(src, tag) {
+            let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
+            let payload =
+                env.payload.downcast::<Vec<u8>>().expect("a socket rank's mail is frames");
+            return Some((decode(me, info, &payload), info));
+        }
+        self.read(|info, payload| {
+            let from = match src {
+                Src::Any => true,
+                Src::Rank(r) => r == info.src,
+            };
+            let wanted = info.tag == tag && from;
+            wanted.then(|| (decode(me, info, payload), info))
+        })
+    }
+
+    /// Read every link to its end, each frame into the matcher.
+    fn serve(&mut self) {
+        self.read(|_, _| None::<()>);
+    }
+
+    /// Read the links, starting at `next`, until `pick` takes a frame;
+    /// every frame it passes over goes into the matcher. `None`: `pick`
+    /// took nothing, and every link has been read to its end. If the
+    /// slot's dial count moved, the pending connections are accepted
+    /// first. A link that ended cleanly is dropped; one that failed is
+    /// fatal to the process in strict mode — the frames the body waits
     /// for can no longer arrive, so the rank prints the error and exits
-    /// non-zero, which the launcher's exit-status poll reports. Under
-    /// `tolerant` a broken link is a dead peer and reads as end-of-stream.
-    fn progress(&mut self, until: Until, mut ready: impl FnMut() -> bool) {
-        if self.serve() || ready() || matches!(until, Until::Now) {
-            return;
-        }
-        let bell = self.page.slot(self.rank);
-        bell.park();
-        if !self.serve() && !ready() {
-            bell.sleep(match until {
-                Until::At(deadline) => Some(deadline.saturating_duration_since(Instant::now())),
-                _ => None,
-            });
-        }
-        bell.unpark();
-        self.serve();
-    }
-
-    /// Retry the non-blocking `op` (on the control link) until it does
-    /// not block, waiting with [`Inbound::progress`] in between: the
-    /// launcher may be reading another rank's result first, and that rank
-    /// may be waiting for this one to read its ring.
-    fn retry<T>(&mut self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-        let blocked = |e: &io::Error| {
-            matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
-        };
-        let mut done = None;
-        while done.is_none() {
-            self.progress(Until::Forever, || {
-                done = Some(op()).filter(|r| !r.as_ref().is_err_and(blocked));
-                done.is_some()
-            });
-        }
-        done.expect("the loop ends with a result")
-    }
-
-    /// Serve the inbound side: if the slot's dial count moved, accept
-    /// every pending connection; then take the preambles still to come
-    /// and read every inbound ring, each frame into the mailbox. A link that
-    /// ended cleanly is dropped; one that failed is handled as
-    /// [`Inbound::progress`] says. Returns whether any frame landed.
-    fn serve(&mut self) -> bool {
+    /// non-zero, which the launcher's exit-status poll reports — and
+    /// under `tolerant` a dead peer that reads as end-of-stream.
+    fn read<R>(&mut self, mut pick: impl FnMut(MsgInfo, &[u8]) -> Option<R>) -> Option<R> {
         let dials = self.page.slot(self.rank).dials();
         if dials != self.dials {
             self.dials = dials;
             self.accept();
         }
-        let Inbound { rank, tolerant, page, links, mailbox, .. } = self;
-        let before = mailbox.version();
-        links.retain_mut(|link| match link.serve(mailbox, page, *tolerant) {
-            Ok(open) => open,
-            Err(_) if *tolerant => false,
-            Err(why) => {
-                eprintln!("rank {rank}: {why}");
-                std::process::exit(1);
+        let Inbound { rank, tolerant, page, links, next, matcher, .. } = self;
+        let mut at = *next;
+        for _ in 0..links.len() {
+            at %= links.len();
+            let (state, found) = links[at].read(matcher, page, *tolerant, &mut pick);
+            match state {
+                Ok(true) => at += 1,
+                Ok(false) => drop(links.remove(at)),
+                Err(_) if *tolerant => drop(links.remove(at)),
+                Err(why) => {
+                    eprintln!("rank {rank}: {why}");
+                    std::process::exit(1);
+                }
             }
-        });
-        mailbox.version() != before
+            if found.is_some() {
+                *next = at;
+                return found;
+            }
+        }
+        None
     }
 
     fn accept(&mut self) {
@@ -828,25 +868,40 @@ impl Inbound {
         }
     }
 
+    /// Retry the non-blocking `op` (on the control link) until it does
+    /// not block, serving the links in between: the launcher may be
+    /// reading another rank's result first, and that rank may be waiting
+    /// for this one to read its ring.
+    fn retry<T>(&mut self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        let blocked = |e: &io::Error| {
+            matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
+        };
+        let done = self.progress(Until::Forever, |inbound| {
+            inbound.serve();
+            Some(op()).filter(|r| !r.as_ref().is_err_and(blocked))
+        });
+        done.expect("a wait without a deadline ends with a result")
+    }
+
     /// Copy `frame` into `out`'s ring and publish it, in pieces if it
     /// does not fit. While the ring is full, raise its `writer_parked`
-    /// and wait with [`Inbound::progress`] until the reader frees room
-    /// and rings this rank: two ranks flooding each other drain each
-    /// other instead of wedging. An error means the receiving rank has
-    /// been marked dead.
+    /// and wait with [`Inbound::progress`], serving the links, until the
+    /// reader frees room and rings this rank: two ranks flooding each
+    /// other drain each other instead of wedging. An error means the
+    /// receiving rank has been marked dead.
     fn send_frame(&mut self, out: &mut OutLink, mut frame: &[u8]) -> io::Result<()> {
         loop {
             frame = &frame[out.publish(frame)..];
             if frame.is_empty() {
                 return Ok(());
             }
-            let mut dead = false;
-            self.progress(Until::Forever, || {
-                dead = out.reader.is_dead();
-                dead || !out.ring.park()
+            let dead = self.progress(Until::Forever, |inbound| {
+                inbound.serve();
+                let dead = out.reader.is_dead();
+                (dead || !out.ring.park()).then_some(dead)
             });
             out.ring.unpark();
-            if dead {
+            if dead.expect("a wait without a deadline ends with room or a death") {
                 return Err(io::Error::new(io::ErrorKind::BrokenPipe, "the receiving rank died"));
             }
         }
@@ -948,33 +1003,58 @@ enum InLink {
 
 impl InLink {
     /// Take the preamble if it is still to come (it follows its dial
-    /// within moments); then read every complete frame the ring holds,
-    /// each pushed into `mailbox`, and ring the writer if a read claimed
-    /// its wake. A writer the launcher marked dead published everything
-    /// it ever will: its ring is closed first, so it reads as EOF once
-    /// drained. A partial frame stays in the reader for the next call.
-    /// `Ok(false)`: the link ended at a frame boundary.
-    fn serve(&mut self, mailbox: &Mailbox, page: &Page, tolerant: bool) -> Result<bool, String> {
-        self.read_preamble(page.ranks()).map_err(|e| format!("connection preamble: {e}"))?;
-        let InLink::Open { src, frames } = self else { return Ok(true) };
-        if tolerant && page.slot(*src).is_dead() {
+    /// within moments); then read the ring's frames until `pick` takes
+    /// one, lent where it lies, each frame it passes over going into
+    /// `matcher`, and ring the writer if a read claimed its wake. A frame
+    /// larger than the reader's buffer does not stop the read: the frames
+    /// behind it go into `matcher` in the same pass, so each receive of
+    /// such frames frees as much ring room as there is, not one frame's
+    /// worth with a wake of the writer each. A writer the launcher marked
+    /// dead published everything it ever will: its ring is closed first,
+    /// so it reads as EOF once drained. A partial frame stays in the
+    /// reader for the next call. The state is `Ok(false)` when the link
+    /// ended at a frame boundary.
+    fn read<R>(
+        &mut self,
+        matcher: &mut Matcher,
+        page: &Page,
+        tolerant: bool,
+        pick: &mut impl FnMut(MsgInfo, &[u8]) -> Option<R>,
+    ) -> (Result<bool, String>, Option<R>) {
+        if let Err(e) = self.read_preamble(page.ranks()) {
+            return (Err(format!("connection preamble: {e}")), None);
+        }
+        let InLink::Open { src, frames } = self else { return (Ok(true), None) };
+        let src = *src;
+        if tolerant && page.slot(src).is_dead() {
             frames.get_mut().close();
         }
-        loop {
-            match frames.next_frame() {
+        let mut found = None;
+        let state = loop {
+            match frames.lend_frame() {
                 Ok(Some((tag, bytes, payload))) => {
-                    let payload = Box::new(payload);
-                    mailbox.push(Env { src: *src, tag: Tag(tag), bytes, payload });
+                    let info = MsgInfo { src, tag: Tag(tag), bytes };
+                    if found.is_none() {
+                        found = pick(info, &payload);
+                        if found.is_some() {
+                            match payload {
+                                Cow::Borrowed(_) => break Ok(true),
+                                Cow::Owned(_) => continue,
+                            }
+                        }
+                    }
+                    let payload = Box::new(payload.into_owned());
+                    matcher.insert(Env { src, tag: Tag(tag), bytes, payload });
                 }
-                Ok(None) => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(format!("inbound link from rank {src}: {e}")),
+                Ok(None) => break Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(true),
+                Err(e) => break Err(format!("inbound link from rank {src}: {e}")),
             }
-        }
+        };
         if frames.get_mut().take_wake() {
-            page.slot(*src).ring();
+            page.slot(src).ring();
         }
-        Ok(true)
+        (state, found)
     }
 
     /// Read the preamble as far as the socket has it; once whole, check
@@ -1040,11 +1120,149 @@ mod tests {
             assert!(!links.dead[1] && links.links[1].is_none(), "tolerant = {tolerant}");
             links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, 7u64);
             let mut peer = SocketLinks::new(dir.clone(), peer, 1, 2, tolerant, page);
-            let env = peer.take(1, Src::Rank(0), tag, Until::Forever).expect("the frame");
-            assert_eq!((env.src, env.bytes), (0, 8));
-            assert_eq!(SocketLinks::unpack::<u64>(1, env), 7);
+            let (v, info) =
+                peer.recv::<u64>(1, Src::Rank(0), tag, Until::Forever).expect("the frame");
+            assert_eq!((info.src, info.bytes), (0, 8));
+            assert_eq!(v, 7);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// `n` ranks' links in this process, over a page on the heap: every
+    /// listener is bound before any rank is built, as GO guarantees.
+    fn local_world(key: &str, n: usize, tolerant: bool) -> (PathBuf, Vec<SocketLinks>) {
+        let dir = scratch_dir(key);
+        std::fs::create_dir_all(&dir).unwrap();
+        let listeners: Vec<_> =
+            (0..n).map(|r| UnixListener::bind(rank_sock(&dir, r)).unwrap()).collect();
+        let page: &'static Page = Box::leak(Box::new(Page::local(n)));
+        let ranks = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(r, l)| SocketLinks::new(dir.clone(), l, r, n, tolerant, page))
+            .collect();
+        (dir, ranks)
+    }
+
+    /// Send `v` from `src` to rank 0, and push the same message into
+    /// `reference`: each link's frames reach it in the order the link
+    /// carries them.
+    fn send_both<T: Wire + Clone + Send + 'static>(
+        ranks: &mut [SocketLinks],
+        reference: &Mailbox,
+        src: usize,
+        tag: Tag,
+        v: T,
+    ) {
+        ranks[src].send(0, MsgInfo { src, tag, bytes: 8 }, v.clone());
+        reference.push(Env { src, tag, bytes: 8, payload: Box::new(v) });
+    }
+
+    /// Rank 0's typed receive, without waiting, checked against the
+    /// native `Mailbox` fed the same frames: a directed receive gets
+    /// exactly what the mailbox's does, and a wildcard one, which may
+    /// pick either link, gets its source's oldest frame under `tag`.
+    fn recv_checked<T>(rank: &mut SocketLinks, reference: &Mailbox, src: Src, tag: Tag) -> Option<T>
+    where
+        T: Wire + PartialEq + std::fmt::Debug + Send + 'static,
+    {
+        let got = rank.recv::<T>(0, src, tag, Until::Now);
+        let from = got.as_ref().map_or(src, |(_, info)| Src::Rank(info.src));
+        let want = reference.try_take(from, tag).map(|env| (env.src, env.bytes, env.payload));
+        let want = want.map(|(s, bytes, v)| (*v.downcast::<T>().unwrap(), s, bytes));
+        let got = got.map(|(v, info)| (v, info.src, info.bytes));
+        assert_eq!(got, want, "receive from {src:?} under {tag:?}");
+        got.map(|(v, _, _)| v)
+    }
+
+    /// Frames read on the way to a match and frames lent where they lie
+    /// come out in the order the mailbox gives them: directed receives
+    /// taken out of turn, a frame larger than the reader's buffer, and a
+    /// wildcard drain at the end.
+    #[test]
+    fn typed_receive_matches_a_mailbox_fed_the_same_frames() {
+        let (dir, mut ranks) = local_world("receive-order", 3, false);
+        let reference = Mailbox::new();
+        let (a, b, big) = (Tag::user(1), Tag::user(2), Tag::user(3));
+        let large = vec![7u8; frame::LINK_BUF_BYTES + 100];
+        for (tag, v) in [(a, 100u64), (b, 101), (a, 102)] {
+            send_both(&mut ranks, &reference, 1, tag, v);
+        }
+        send_both(&mut ranks, &reference, 1, big, large.clone());
+        for (tag, v) in [(a, 103u64), (b, 104)] {
+            send_both(&mut ranks, &reference, 1, tag, v);
+        }
+        for (tag, v) in [(b, 200u64), (a, 201), (b, 202), (a, 203)] {
+            send_both(&mut ranks, &reference, 2, tag, v);
+        }
+        let me = &mut ranks[0];
+        let passed_over = |me: &SocketLinks| me.inbound.matcher.version();
+
+        // The large frame is taken past three frames, and the two behind
+        // it on its link are read in the same pass: all five wait in the
+        // matcher.
+        assert_eq!(recv_checked(me, &reference, Src::Rank(1), big), Some(large));
+        assert_eq!(passed_over(me), 5);
+        // Lent where it lies: nothing passed over.
+        assert_eq!(recv_checked(me, &reference, Src::Rank(2), b), Some(200u64));
+        assert_eq!(passed_over(me), 5);
+        assert_eq!(recv_checked(me, &reference, Src::Rank(2), b), Some(202u64));
+        assert_eq!(passed_over(me), 6, "201 was passed over");
+        // From the matcher, which holds the oldest of each link.
+        assert_eq!(recv_checked(me, &reference, Src::Rank(1), b), Some(101u64));
+        assert_eq!(recv_checked(me, &reference, Src::Rank(2), a), Some(201u64));
+        for tag in [a, b] {
+            while recv_checked::<u64>(me, &reference, Src::Any, tag).is_some() {}
+        }
+        assert_eq!(passed_over(me), 6, "203 was lent");
+        assert!(reference.try_take(Src::Any, big).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Death-tolerant: a writer marked dead has published everything it
+    /// ever will. Its frames are all delivered, in order, and then its
+    /// link reads as the end of the stream and is dropped.
+    #[test]
+    fn a_dead_writers_frames_arrive_before_its_link_closes() {
+        let (dir, mut ranks) = local_world("dead-writer", 2, true);
+        let reference = Mailbox::new();
+        let (a, b) = (Tag::user(1), Tag::user(2));
+        for (tag, v) in [(a, 1u64), (a, 2), (b, 3), (a, 4)] {
+            send_both(&mut ranks, &reference, 1, tag, v);
+        }
+        ranks[0].inbound.page.kill(1);
+        let me = &mut ranks[0];
+        assert_eq!(recv_checked(me, &reference, Src::Rank(1), b), Some(3u64));
+        assert_eq!(me.inbound.links.len(), 1, "one frame is still unread");
+        for v in [1u64, 2, 4] {
+            assert_eq!(recv_checked(me, &reference, Src::Rank(1), a), Some(v));
+        }
+        assert_eq!(recv_checked::<u64>(me, &reference, Src::Any, a), None);
+        assert!(me.inbound.links.is_empty(), "the dead writer's link is dropped at its end");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two links that are never empty: successive wildcard receives take
+    /// from both, because each scan starts past the link the last one
+    /// took from.
+    #[test]
+    fn wildcard_receives_take_from_every_busy_link() {
+        let (dir, mut ranks) = local_world("wildcard-fair", 3, false);
+        let reference = Mailbox::new();
+        let tag = Tag::user(1);
+        for i in 0..8u64 {
+            send_both(&mut ranks, &reference, 1, tag, 100 + i);
+            send_both(&mut ranks, &reference, 2, tag, 200 + i);
+        }
+        let me = &mut ranks[0];
+        let picks: Vec<u64> = (0..8)
+            .map(|_| recv_checked::<u64>(me, &reference, Src::Any, tag).expect("a frame") / 100)
+            .collect();
+        for pair in picks.windows(2) {
+            assert_ne!(pair[0], pair[1], "one link starved the other: sources {picks:?}");
+        }
+        assert_eq!(me.inbound.matcher.version(), 0, "every frame was lent");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     // Real multi-process smokes: each spawns its world as child

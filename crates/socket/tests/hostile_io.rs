@@ -11,7 +11,9 @@
 //! pauses with `WouldBlock` anywhere — inside a frame larger than the
 //! buffer included — loses nothing, because `FrameReader` resumes where
 //! it stopped; and a short-writing, interrupted writer still emits
-//! exactly the frame's bytes.
+//! exactly the frame's bytes. The two decoding properties run through
+//! `FrameReader::lend_frame` as well, whose frames that fit the buffer
+//! are lent where they lie without a single allocation.
 //!
 //! A rank's links carry the same frame stream through a shared-memory
 //! ring (`socket::ring`), so every property that decodes a stream also
@@ -21,6 +23,7 @@
 //! frames larger than the whole ring, and the writer's EOF at every cut.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::io::{self, Read, Write};
 
@@ -230,6 +233,17 @@ fn drain_buffered(data: &[u8], chop: Chop) -> (Vec<Frame>, io::Result<()>) {
     drain(|| reader.next_frame())
 }
 
+/// The lending API, call after call: each lent frame copied out before
+/// the next call, which is as long as its bytes are valid.
+fn lent(reader: &mut FrameReader<impl Read>) -> io::Result<Option<Frame>> {
+    Ok(reader.lend_frame()?.map(|(tag, bytes, payload)| (tag, bytes, payload.into_owned())))
+}
+
+fn drain_lent(data: &[u8], chop: Chop) -> (Vec<Frame>, io::Result<()>) {
+    let mut reader = FrameReader::new(HostileSource::new(data, chop));
+    drain(|| lent(&mut reader))
+}
+
 /// `read_frame` call after call on one source: also proves it never
 /// consumes a byte past the frame it returns.
 fn drain_unbuffered(data: &[u8], chop: Chop) -> (Vec<Frame>, io::Result<()>) {
@@ -305,6 +319,31 @@ proptest! {
         });
         prop_assert!(end.is_ok(), "{end:?}");
         prop_assert!(got == frames, "a WouldBlock pause changed the decoded frames");
+    }
+
+    #[test]
+    fn chunking_never_changes_the_lent_frames(seed in any::<u64>(), chop in chop_strategy()) {
+        let frames = frames_from(seed);
+        let (wire, _) = on_the_wire(&frames);
+        let (got, end) = drain_lent(&wire, chop);
+        prop_assert!(end.is_ok(), "{end:?}");
+        prop_assert!(got == frames, "lent frames differ from the ones written");
+    }
+
+    #[test]
+    fn would_block_pauses_never_change_the_lent_frames(seed in any::<u64>(), chop in chop_strategy()) {
+        let frames = frames_from(seed);
+        let (wire, _) = on_the_wire(&frames);
+        let chop = Chop { interrupt_one_in: 3, ..chop };
+        let mut reader = FrameReader::new(NonBlocking(HostileSource::new(&wire, chop)));
+        let (got, end) = drain(|| loop {
+            match lent(&mut reader) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+                other => return other,
+            }
+        });
+        prop_assert!(end.is_ok(), "{end:?}");
+        prop_assert!(got == frames, "a WouldBlock pause changed the lent frames");
     }
 
     #[test]
@@ -488,4 +527,30 @@ fn the_smallest_and_the_largest_legal_prefix_are_accepted() {
     let (got, end) = drain_buffered(&max, Chop::GREEDY);
     assert!(got.is_empty());
     assert_eq!(end.err().map(|e| e.kind()), Some(io::ErrorKind::UnexpectedEof));
+}
+
+/// A frame that fits the reader's buffer is lent where it lies: no
+/// allocation at all, however many such frames a read brought in. One
+/// larger than the buffer comes in the allocation it was read into.
+#[test]
+fn lending_a_frame_in_the_buffer_allocates_nothing() {
+    let small: Vec<Frame> =
+        (0..64u64).map(|i| (i, 8, vec![i as u8; (i as usize * 37) % 900])).collect();
+    let large: Frame = (99, 8, vec![3; LINK_BUF_BYTES]);
+    let (wire, _) = on_the_wire(&[&small[..], std::slice::from_ref(&large)].concat());
+    let mut reader = FrameReader::new(&wire[..]);
+    LARGEST_REQUEST.with(|c| c.set(0));
+    for want in &small {
+        let (tag, bytes, payload) = reader.lend_frame().unwrap().expect("a small frame");
+        assert!(matches!(payload, Cow::Borrowed(_)), "frame {tag} was not lent in place");
+        assert!((tag, bytes, &payload[..]) == (want.0, want.1, &want.2[..]));
+    }
+    assert_eq!(LARGEST_REQUEST.with(Cell::get), 0, "lending in-buffer frames allocated");
+    let (tag, bytes, payload) = reader.lend_frame().unwrap().expect("the large frame");
+    assert!(
+        matches!(payload, Cow::Owned(_)),
+        "a frame larger than the buffer has its own allocation"
+    );
+    assert!((tag, bytes, payload.into_owned()) == large);
+    assert!(reader.lend_frame().unwrap().is_none());
 }
