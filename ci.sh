@@ -31,6 +31,14 @@ if grep -n '^\[features\]' crates/*/Cargo.toml; then echo "no cargo features"; e
 if grep -rnE 'impl (std::hash::)?Hasher for' crates/*/src | grep -v '^crates/desim/src/hash.rs:'; then
     echo "one hasher: use desim::FixedState"; exit 1
 fi
+# One wait protocol: a rank thread of either real backend sleeps on a
+# futex bell (native::sync::futex::Bell, DESIGN.md §13), so no condition
+# variable may come back into the native crate outside its test modules.
+for f in crates/native/src/*.rs; do
+    if sed '/^#\[cfg(test)\]$/,$d' "$f" | grep -n 'Condvar'; then
+        echo "one wait protocol: no Condvar in native ($f)"; exit 1
+    fi
+done
 
 stage "docs (rustdoc, warnings are errors)"
 # Broken or ambiguous intra-doc links are how a deleted or renamed public
@@ -180,10 +188,10 @@ for fig in fig5:fig5_mapreduce fig6:fig6_cg fig7:fig7_pic_comm fig8:fig8_pic_io;
 done
 
 stage "schedcheck model checking (bounded exhaustive interleavings)"
-# The native backend's lock-free core — mailbox push/drain, eventcount
-# park, deadline receives, batched credit returns, a small tree
-# collective — and the socket backend's shared-memory ring and futex
-# doorbells (publish and claim against park and re-check, restart at the
+# The native backend's lock-free core — mailbox push/drain, the futex
+# bell's park, typed values passed over on the way to a directed match,
+# deadline receives, batched credit returns, a small tree collective —
+# and the socket backend's shared-memory ring and futex doorbells (publish and claim against park and re-check, restart at the
 # front, ring-full waits both ways, a dial racing a park, a death mark
 # racing a room wait) re-compiled against schedcheck's shadow primitives
 # (--cfg schedcheck switches the native::sync facade) and explored

@@ -13,8 +13,8 @@
 //!   `operate2` all work unchanged; the cross-backend equivalence suite
 //!   checks that fault-free payload sets match the simulator exactly.
 //! - **Real concurrency, wall-clock time.** [`Transport::now`] is
-//!   nanoseconds since [`NativeWorld::run`] began; deadline receives park
-//!   on a condvar with a wall-clock timeout. `compute(secs)` sleeps
+//!   nanoseconds since [`NativeWorld::run`] began; deadline receives
+//!   sleep on a futex with a wall-clock timeout. `compute(secs)` sleeps
 //!   `secs × compute_scale` — it models occupancy, it does not simulate a
 //!   machine.
 //! - **No determinism.** FCFS arrival order depends on OS scheduling.
@@ -34,18 +34,23 @@
 //! collectives, and channel ids. Its [`Links`] parameter supplies the
 //! rest — how a message leaves, how a receive finds its match and turns
 //! it into a value, and how the rank waits for mail. Here that is
-//! [`ThreadLinks`]: a send moves the boxed value into the peer's
-//! [`Mailbox`], nothing is encoded, and a receive that finds nothing
-//! parks on the mailbox until a sender's push wakes it.
+//! [`ThreadLinks`]: a send stages the value itself, in one allocation
+//! with its header, on the peer's [`mailbox::Inbox`]; nothing is encoded
+//! or boxed. The rank owns its side of its own mail, a
+//! [`mailbox::Receiver`], so a receive takes no lock: it reads the staged
+//! messages in arrival order up to the first match and moves the value
+//! out of its node, and if nothing matches it sleeps on the inbox's
+//! futex bell until a sender rings it.
 //!
 //! Both backends match with one index, [`mailbox::Matcher`], built from
 //! the simulator's own pieces ([`mpistream::index`]) — an arrival-ordered
 //! store, a per-tag queue for wildcard matches, a per-`(src, tag)` FIFO
-//! for directed ones. A mailbox feeds its matcher through a lock-free
-//! MPSC staging stack so N producers never serialize on the consumer's
-//! index (see [`mailbox`] for the full design: Treiber staging, an
-//! eventcount park protocol that cannot lose wake-ups, and a version
-//! counter snapshotted once per polling round inside `wait_for_mail`).
+//! for directed ones — and sleep on one bell type,
+//! [`sync::futex::Bell`]. The matcher holds only the messages a receive
+//! passed over; N producers stage onto a lock-free stack and never touch
+//! it (see [`mailbox`] for the full design: the node layout, the drained
+//! chain, the bell protocol that cannot lose a wake, and the version a
+//! rank snapshots once per polling round inside `wait_for_mail`).
 //!
 //! Collectives, `split` and the group type are [`mpistream::coll`]'s,
 //! run over those mailboxes. The backend hands it one number, the flat
@@ -92,7 +97,7 @@ use mpistream::{MsgInfo, Src, Tag, Transport, Wire};
 pub mod mailbox;
 pub mod sync;
 
-use mailbox::{Env, Mailbox};
+use mailbox::{Inbox, Receiver};
 use sync::{thread, Instant};
 
 /// Default flat-collective threshold: group sizes at or below this use
@@ -149,13 +154,14 @@ impl NativeWorld {
         F: Fn(&mut NativeRank) -> R + Send + Sync,
     {
         let clock = WallClock::start(self.compute_scale);
-        let mailboxes: Arc<[Mailbox]> = (0..self.nprocs).map(|_| Mailbox::new()).collect();
+        let inboxes: Arc<[Inbox]> = (0..self.nprocs).map(|_| Inbox::new()).collect();
         thread::scope(|scope| {
             let body = &body;
             let (nprocs, flat) = (self.nprocs, self.coll_flat_threshold);
             let ranks: Vec<_> = (0..nprocs)
                 .map(|r| {
-                    let links = ThreadLinks(Arc::clone(&mailboxes));
+                    let links =
+                        ThreadLinks { inboxes: Arc::clone(&inboxes), rx: Receiver::default() };
                     scope.spawn(move || body(&mut MailboxRank::new(r, nprocs, clock, flat, links)))
                 })
                 .collect();
@@ -168,19 +174,24 @@ impl NativeWorld {
 /// the body.
 pub type NativeRank = MailboxRank<ThreadLinks>;
 
-/// The [`Links`] of a native rank: every mailbox of the world, shared by
-/// its threads.
-pub struct ThreadLinks(Arc<[Mailbox]>);
+/// The [`Links`] of a native rank: every rank's [`Inbox`], shared by the
+/// world's threads, and the [`Receiver`] of this rank's own.
+pub struct ThreadLinks {
+    /// Every rank's [`Inbox`], indexed by world rank.
+    inboxes: Arc<[Inbox]>,
+    /// This rank's side of its own mail: nobody else touches it.
+    rx: Receiver,
+}
 
 impl Links for ThreadLinks {
+    #[inline]
     fn send<T: Wire + Send + 'static>(&mut self, dst: usize, info: MsgInfo, v: T) {
-        let MsgInfo { src, tag, bytes } = info;
-        self.0[dst].push(Env { src, tag, bytes, payload: Box::new(v) });
+        self.inboxes[dst].send(info, v);
     }
 
     // The receive and the two waits are `#[inline]` so that, in the
     // rank's monomorphized receive, `until` folds away and a native
-    // receive is one direct `Mailbox` call and a downcast.
+    // receive is one direct `Receiver` call and a type check.
     #[inline]
     fn recv<T: Wire + Send + 'static>(
         &mut self,
@@ -189,32 +200,25 @@ impl Links for ThreadLinks {
         tag: Tag,
         until: Until,
     ) -> Option<(T, MsgInfo)> {
-        let inbox = &self.0[me];
-        let env = match until {
-            Until::Now => inbox.try_take(src, tag),
-            Until::At(deadline) => inbox.take_deadline(src, tag, deadline),
-            Until::Forever => Some(inbox.take(src, tag)),
-        }?;
-        let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
-        let v = env.payload.downcast::<T>().unwrap_or_else(|_| {
+        let taken = self.rx.recv(&self.inboxes[me], src, tag, until)?;
+        Some(taken.downcast::<T>().unwrap_or_else(|info| {
             panic!(
                 "rank {me}: payload type mismatch receiving tag {:?} from {} (expected {})",
                 info.tag,
                 info.src,
                 std::any::type_name::<T>()
             )
-        });
-        Some((*v, info))
+        }))
     }
 
     #[inline]
     fn probe(&mut self, me: usize, src: Src, tag: Tag) -> Option<MsgInfo> {
-        self.0[me].probe(src, tag)
+        self.rx.probe(&self.inboxes[me], src, tag)
     }
 
     #[inline]
     fn wait_change(&mut self, me: usize, seen: u64) -> u64 {
-        self.0[me].wait_change(seen)
+        self.rx.wait_change(&self.inboxes[me], seen)
     }
 }
 
@@ -232,11 +236,12 @@ pub enum Until {
 /// What a backend hands [`MailboxRank`]: how a message leaves this rank,
 /// how the first match for a receive is found and becomes a value, and
 /// how this rank waits for its mail. Matching follows one index,
-/// [`mailbox::Matcher`], on every backend; what differs is who fills it —
-/// a sender's `push` on another thread into the rank's [`Mailbox`]
-/// (native, which parks until then) or the rank itself, reading its links
-/// when a receive misses (socket). Everything else is the rank's, the
-/// same for every backend.
+/// [`mailbox::Matcher`], on every backend; what differs is where the
+/// messages wait before a receive reaches them — staged by senders on
+/// other threads onto the rank's [`mailbox::Inbox`] (native) or on the
+/// rank's inbound links (socket) — and a receive on either reads them in
+/// arrival order up to its first match, indexing the ones it passes
+/// over. Everything else is the rank's, the same for every backend.
 pub trait Links {
     /// Deliver `v` to world rank `dst` (in range); `info` is what the
     /// receiver will see, its `src` the sending rank.
@@ -245,7 +250,7 @@ pub trait Links {
     /// The value of the first message for world rank `me` that matches
     /// `(src, tag)`, in arrival order, with what it says about itself,
     /// waiting for one as `until` says: `None` only when `until` ran out.
-    /// [`Mailbox::take`] and its siblings are the contract.
+    /// [`Receiver::recv`] is the contract.
     fn recv<T: Wire + Send + 'static>(
         &mut self,
         me: usize,
@@ -254,11 +259,11 @@ pub trait Links {
         until: Until,
     ) -> Option<(T, MsgInfo)>;
 
-    /// [`Mailbox::probe`] of `me`'s mail: metadata of the first match,
+    /// [`Receiver::probe`] of `me`'s mail: metadata of the first match,
     /// not consumed, without waiting.
     fn probe(&mut self, me: usize, src: Src, tag: Tag) -> Option<MsgInfo>;
 
-    /// [`Mailbox::wait_change`] of `me`'s mail: wait until its version
+    /// [`Receiver::wait_change`] of `me`'s mail: wait until its version
     /// differs from `seen`, and return the new one.
     fn wait_change(&mut self, me: usize, seen: u64) -> u64;
 }

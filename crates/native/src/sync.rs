@@ -21,16 +21,18 @@
 //!   of raw nodes. std mode: the `Box` calls. schedcheck mode: every
 //!   minted pointer must be reclaimed exactly once per execution.
 //!
-//! [`futex`] is the one sleep that is not a `std` type: a word that
-//! other *processes* may wake (the socket backend's doorbells). std
-//! mode: `FUTEX_WAIT`/`FUTEX_WAKE` on an `AtomicU32`. schedcheck mode:
-//! the word carries a shadow `Mutex`/`Condvar` of its own, so a wake
-//! that comes before the wait and does not change the word is lost, as
-//! it is in the kernel.
+//! [`futex::Bell`] is the one sleep, and it is not a `std` type: a word
+//! that another thread or another *process* rings. A native rank sleeps
+//! on its mailbox's bell, a socket rank on its slot of the world page;
+//! both keep the protocol in the type's docs. std mode: `FUTEX_WAIT`/
+//! `FUTEX_WAKE` on an `AtomicU32` (a short nap off Linux). schedcheck
+//! mode: `schedcheck::futex`, whose word carries a shadow wait queue of
+//! its own, so a wake that comes before the wait and does not change the
+//! word is lost, as it is in the kernel.
 
 #[cfg(not(schedcheck))]
 mod imp {
-    pub use std::sync::{Condvar, Mutex, MutexGuard};
+    pub use std::sync::{Mutex, MutexGuard};
     pub use std::time::Instant;
 
     pub mod atomic {
@@ -38,7 +40,7 @@ mod imp {
     }
 
     #[cfg(target_os = "linux")]
-    pub mod futex {
+    pub(super) mod futex {
         use std::ffi::{c_int, c_long};
         use std::time::Duration;
 
@@ -52,9 +54,20 @@ mod imp {
         const SYS_FUTEX: c_long = 98;
         #[cfg(any(target_arch = "x86", target_arch = "arm"))]
         const SYS_FUTEX: c_long = 240;
-        // Not `FUTEX_PRIVATE_FLAG`: the waker may be another process.
         const FUTEX_WAIT: c_int = 0;
         const FUTEX_WAKE: c_int = 1;
+        /// The kernel keys the futex by address alone, not by the page
+        /// behind it: cheaper, and only threads of this process can meet
+        /// there.
+        const FUTEX_PRIVATE_FLAG: c_int = 128;
+
+        fn op(op: c_int, shared: bool) -> c_int {
+            if shared {
+                op
+            } else {
+                op | FUTEX_PRIVATE_FLAG
+            }
+        }
 
         #[repr(C)]
         struct Timespec {
@@ -69,8 +82,9 @@ mod imp {
         /// Sleep while `word` holds `expected`, until a [`wake`], for at
         /// most `timeout` (`None`: no limit). Returns at once if the word
         /// already differs; a signal or a stray wake returns early, so
-        /// the caller looks at its conditions again either way.
-        pub fn wait(word: &Word, expected: u32, timeout: Option<Duration>) {
+        /// the caller looks at its conditions again either way. `shared`:
+        /// the waker may be another process, and must say so too.
+        pub fn wait(word: &Word, expected: u32, timeout: Option<Duration>, shared: bool) {
             let ts = timeout.map(|t| Timespec {
                 sec: t.as_secs().min(c_long::MAX as u64) as c_long,
                 nsec: t.subsec_nanos() as c_long,
@@ -79,17 +93,38 @@ mod imp {
             // SAFETY: `word` is a live, aligned u32 for the whole call and
             // `ts` is null or points at a live timespec; the kernel only
             // reads both.
-            unsafe { syscall(SYS_FUTEX, word.as_ptr(), FUTEX_WAIT, expected, ts) };
+            unsafe { syscall(SYS_FUTEX, word.as_ptr(), op(FUTEX_WAIT, shared), expected, ts) };
         }
 
         /// Wake the one thread (of any process) sleeping on `word`. Change
         /// the word first, or a sleeper that has not reached its wait yet
         /// will not notice.
-        pub fn wake(word: &Word) {
+        pub fn wake(word: &Word, shared: bool) {
             // SAFETY: `word` is a live, aligned u32; FUTEX_WAKE reads no
             // other argument past the count.
-            unsafe { syscall(SYS_FUTEX, word.as_ptr(), FUTEX_WAKE, 1 as c_int) };
+            unsafe { syscall(SYS_FUTEX, word.as_ptr(), op(FUTEX_WAKE, shared), 1 as c_int) };
         }
+    }
+
+    /// Elsewhere a wait is a short nap and a wake does nothing: every
+    /// sleeper looks at its conditions again when it returns, so this is
+    /// slower, never wrong.
+    #[cfg(not(target_os = "linux"))]
+    pub(super) mod futex {
+        use std::sync::atomic::Ordering::SeqCst;
+        use std::time::Duration;
+
+        pub type Word = std::sync::atomic::AtomicU32;
+
+        const NAP: Duration = Duration::from_micros(50);
+
+        pub fn wait(word: &Word, expected: u32, timeout: Option<Duration>, _: bool) {
+            if word.load(SeqCst) == expected {
+                std::thread::sleep(timeout.map_or(NAP, |t| t.min(NAP)));
+            }
+        }
+
+        pub fn wake(_: &Word, _: bool) {}
     }
 
     pub mod thread {
@@ -146,53 +181,162 @@ mod imp {
     pub use schedcheck::cell;
     pub use schedcheck::thread;
     pub use schedcheck::time::Instant;
-    pub use schedcheck::{Condvar, Mutex, MutexGuard};
+    pub use schedcheck::{Mutex, MutexGuard};
 
-    pub mod futex {
-        use schedcheck::atomic::{AtomicU32, Ordering::SeqCst};
-        use schedcheck::{Condvar, Mutex};
+    /// The kernel's queue is one, shared or not.
+    pub(super) mod futex {
         use std::time::Duration;
 
-        /// The word and, standing in for the kernel's wait queue, a
-        /// mutex and condvar of its own.
-        pub struct Word {
-            word: AtomicU32,
-            queue: Mutex<()>,
-            woken: Condvar,
+        pub use schedcheck::futex::Word;
+
+        pub fn wait(word: &Word, expected: u32, timeout: Option<Duration>, _: bool) {
+            schedcheck::futex::wait(word, expected, timeout);
         }
 
-        impl Word {
-            pub const fn new(v: u32) -> Word {
-                Word { word: AtomicU32::new(v), queue: Mutex::new(()), woken: Condvar::new() }
-            }
-        }
-
-        impl std::ops::Deref for Word {
-            type Target = AtomicU32;
-            fn deref(&self) -> &AtomicU32 {
-                &self.word
-            }
-        }
-
-        /// `FUTEX_WAIT`: the compare and the sleep are one step under
-        /// the queue lock, as in the kernel. A timed wait may always
-        /// time out, which also models a stray wake.
-        pub fn wait(word: &Word, expected: u32, timeout: Option<Duration>) {
-            let queue = word.queue.lock().unwrap();
-            if word.word.load(SeqCst) == expected {
-                match timeout {
-                    None => drop(word.woken.wait(queue)),
-                    Some(t) => drop(word.woken.wait_timeout(queue, t)),
-                }
-            }
-        }
-
-        /// `FUTEX_WAKE`: only a sleeper already in the queue is woken.
-        pub fn wake(word: &Word) {
-            drop(word.queue.lock().unwrap());
-            word.woken.notify_all();
+        pub fn wake(word: &Word, _: bool) {
+            schedcheck::futex::wake(word);
         }
     }
 }
 
 pub use imp::*;
+
+/// The one way a thread of either real backend sleeps until another
+/// thread — or another process — wakes it.
+pub mod futex {
+    use std::time::Duration;
+
+    use super::atomic::Ordering::SeqCst;
+    use super::imp::futex::{wait, wake, Word};
+    use super::Instant;
+    use crate::Until;
+
+    /// The word of a bell whose owner is about to sleep, or asleep, and
+    /// whose wake nobody has claimed yet.
+    const RAISED: u32 = 1;
+
+    /// One sleeper's doorbell: a futex word that is `RAISED` from
+    /// [`Bell::raise`] until a ringer claims it. All-zero bytes are a
+    /// lowered bell that other processes may ring, so a page of them may
+    /// be shared between processes as it is; [`Bell::in_process`] makes
+    /// one that only threads of this process ring, which the kernel
+    /// finds by address alone (`FUTEX_PRIVATE_FLAG`).
+    ///
+    /// **The protocol.** The owner, about to sleep, raises the bell,
+    /// looks again at everything a ringer could have made true, and only
+    /// if nothing is sleeps ([`Bell::sleep`]), then lowers it. A ringer
+    /// makes its condition true first and then rings ([`Bell::ring`]): a
+    /// load and, if the bell is raised, a swap back to 0; only the ringer
+    /// whose swap returned `RAISED` issues `FUTEX_WAKE`. Every access is
+    /// `SeqCst`, so either the ringer sees the bell raised or the owner's
+    /// second look sees the condition; and because the claim changes the
+    /// word the owner sleeps on, a wake that lands before its
+    /// `FUTEX_WAIT` still ends it. One wake per raise, however many ring.
+    #[repr(C)]
+    pub struct Bell {
+        word: Word,
+        /// Only threads of this process ring it.
+        private: bool,
+    }
+
+    impl Default for Bell {
+        fn default() -> Bell {
+            Bell::new()
+        }
+    }
+
+    impl Bell {
+        /// A bell that threads of any process may ring.
+        pub const fn new() -> Bell {
+            Bell { word: Word::new(0), private: false }
+        }
+
+        /// A bell that only threads of this process ring.
+        pub const fn in_process() -> Bell {
+            Bell { word: Word::new(0), private: true }
+        }
+
+        /// Every wait of a rank of either real backend, by the protocol:
+        /// `look`, and if it found nothing and `until` allows a wait,
+        /// raise the bell, look again, and only if there is still nothing
+        /// sleep for as long as `until` says; lower the bell, and round
+        /// again. `None` only when `until` ran out; past a deadline the
+        /// first look still happens, and the time left is recomputed from
+        /// the absolute deadline on every round, so a stray wake neither
+        /// extends nor truncates the wait. A look that finds nothing must
+        /// have looked at everything a ringer rings for.
+        #[inline]
+        pub fn wait<R>(&self, until: Until, mut look: impl FnMut() -> Option<R>) -> Option<R> {
+            loop {
+                if let Some(found) = look() {
+                    return Some(found);
+                }
+                let timeout = match until {
+                    Until::Now => return None,
+                    Until::At(deadline) => {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            return None;
+                        }
+                        Some(left)
+                    }
+                    Until::Forever => None,
+                };
+                self.raise();
+                let found = look();
+                if found.is_none() {
+                    self.sleep(timeout);
+                }
+                self.lower();
+                if found.is_some() {
+                    return found;
+                }
+            }
+        }
+
+        /// Raise the bell, then look again at every condition a ringer
+        /// could make true: [`Bell::sleep`] only if none is, then
+        /// [`Bell::lower`].
+        pub fn raise(&self) {
+            self.word.store(RAISED, SeqCst);
+        }
+
+        /// Sleep until a ringer claims the bell, or `timeout` passes
+        /// (`None`: no limit). Returns at once if it was claimed already,
+        /// and may return early; the owner looks again either way.
+        pub fn sleep(&self, timeout: Option<Duration>) {
+            wait(&self.word, RAISED, timeout, !self.private);
+        }
+
+        /// Lower the bell after a raise, whether or not the owner slept.
+        pub fn lower(&self) {
+            self.word.store(0, SeqCst);
+        }
+
+        /// Wake the owner if the bell is raised and nobody has claimed
+        /// the wake yet; a load first, so ringing a running owner costs
+        /// no read-modify-write. Returns whether this call woke it.
+        #[inline]
+        pub fn ring(&self) -> bool {
+            let claimed = self.claim();
+            if claimed {
+                wake(&self.word, !self.private);
+            }
+            claimed
+        }
+
+        /// Take the raised bell's one wake, without delivering it: what a
+        /// ringer that forgets its `FUTEX_WAKE` does (the models' seeded
+        /// bug).
+        #[inline]
+        pub(crate) fn claim(&self) -> bool {
+            self.word.load(SeqCst) == RAISED && self.word.swap(0, SeqCst) == RAISED
+        }
+
+        /// Whether the bell is raised and unclaimed.
+        #[cfg(test)]
+        pub(crate) fn is_raised(&self) -> bool {
+            self.word.load(SeqCst) == RAISED
+        }
+    }
+}

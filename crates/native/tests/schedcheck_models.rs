@@ -18,10 +18,10 @@
 
 use std::sync::Arc;
 
-use mpistream::{Src, Tag, Transport};
-use native::mailbox::{Env, Mailbox};
+use mpistream::{MsgInfo, Src, Tag, Transport};
+use native::mailbox::{Env, Inbox, Mailbox, Receiver};
 use native::sync::Instant;
-use native::NativeWorld;
+use native::{NativeWorld, Until};
 use schedcheck::{codes, Checker, Outcome};
 
 fn env(src: usize, tag: Tag, v: u32) -> Env {
@@ -108,8 +108,8 @@ fn mpsc_push_and_reverse_drain_is_clean() {
 /// SC202 deadlock: the producer is finished, nobody will ever notify).
 #[test]
 fn eventcount_park_vs_concurrent_push_is_clean() {
-    // Bound 3: with one wake per park most pushes are a CAS, an add and a
-    // swap, and bound 2 exhausts this model at 919 schedules.
+    // Bound 3: with one wake per park most pushes are a CAS and a load of
+    // the bell, and bound 2 exhausts this model below 1,000 schedules.
     let out = checker_with(4_000, 3).model(|| {
         let mb = Arc::new(Mailbox::new());
         let (ta, tb) = (Tag::user(1), Tag::user(2));
@@ -135,9 +135,9 @@ fn eventcount_park_vs_concurrent_push_is_clean() {
 // 2b. One wake per park: the claim, when the claimed wake is for nothing
 // ---------------------------------------------------------------------
 
-/// `push` wakes a parked consumer once per park: the producer that swaps
-/// `parked` back to false owes the notify, every other push into that
-/// park returns after its CAS. The interleavings this adds are the ones
+/// `push` wakes a parked consumer once per park: the producer whose swap
+/// claims the raised bell owes the `FUTEX_WAKE`, every other push into
+/// that park returns after its CAS and a load of the bell. The interleavings this adds are the ones
 /// where the claimed wake is for an envelope the consumer does *not*
 /// want: it wakes (or never slept), finds only `tag_a`, and parks again
 /// while the `tag_b` push is somewhere between its CAS and its swap — or
@@ -169,8 +169,8 @@ fn wake_claimed_for_a_non_matching_envelope_is_clean() {
 
 /// The same race through the other park: a `wait_for_mail`-style round
 /// (`try_take`, then `wait_change` on the snapshot the previous wait
-/// returned) shares `parked` with `take`, with `version` in place of the
-/// staging head as the re-checked condition.
+/// returned) sleeps on the same bell as `take`, and serves the staging
+/// stack into the matcher before it compares `version`.
 #[test]
 fn wake_claimed_for_a_non_matching_envelope_is_clean_through_wait_change() {
     let out = checker(4_000).model(|| {
@@ -198,6 +198,43 @@ fn wake_claimed_for_a_non_matching_envelope_is_clean_through_wait_change() {
         assert_eq!(got, 9);
         p1.join().unwrap();
         p2.join().unwrap();
+    });
+    assert_clean_and_explored(&out);
+}
+
+// ---------------------------------------------------------------------
+// 2c. Read up to the first match: typed values passed over
+// ---------------------------------------------------------------------
+
+/// A native rank's receive, on a bare `Inbox` and `Receiver`: the
+/// producer sends typed values (each in a node of its own) on two tags,
+/// and the consumer takes them in the opposite order with directed,
+/// blocking receives, parking whenever its next one has not arrived.
+/// Each receive walks the staged nodes up to its match, so a value for
+/// the other tag is passed over into the matcher (and boxed on the way)
+/// or left on the drained chain behind the match. Under every schedule
+/// the values arrive right, no wake is lost, and every node — taken,
+/// indexed or drained — is freed exactly once.
+#[test]
+fn typed_values_taken_in_reverse_order_are_clean() {
+    let out = checker_with(6_000, 3).model(|| {
+        let inbox = Arc::new(Inbox::new());
+        let (ta, tb) = (Tag::user(1), Tag::user(2));
+        let p = {
+            let inbox = Arc::clone(&inbox);
+            schedcheck::thread::spawn(move || {
+                for (tag, v) in [(ta, 1u32), (tb, 2), (ta, 3), (tb, 4)] {
+                    inbox.send(MsgInfo { src: 0, tag, bytes: 4 }, v);
+                }
+            })
+        };
+        let mut rx = Receiver::default();
+        let mut take = |tag| {
+            let taken = rx.recv(&inbox, Src::Rank(0), tag, Until::Forever).unwrap();
+            taken.downcast::<u32>().expect("a u32").0
+        };
+        assert_eq!([take(tb), take(ta), take(tb), take(ta)], [2, 1, 4, 3]);
+        p.join().unwrap();
     });
     assert_clean_and_explored(&out);
 }
@@ -447,10 +484,10 @@ fn mail_seen_poll_absorption_bug_is_caught() {
     assert_eq!(replayed.code, v.code);
 }
 
-/// The claim's own failure mode, seeded: a producer that clears `parked`
-/// — taking on the park's one wake — and then never notifies. The
-/// *other* producer, which is correct, reads the cleared flag and rightly
-/// returns without a notify of its own, so the consumer sleeps on a
+/// The claim's own failure mode, seeded: a producer that claims the
+/// raised bell — taking on the park's one wake — and then never issues
+/// its `FUTEX_WAKE`. The *other* producer, which is correct, reads the
+/// lowered bell and rightly returns without a wake of its own, so the consumer sleeps on a
 /// staged `tag_b` envelope with nobody left to wake it. The checker must
 /// report the lost wakeup (SC202) within a handful of schedules, with a
 /// trace that replays.
@@ -462,7 +499,7 @@ fn claimed_wake_that_is_never_delivered_is_caught() {
         let p1 = {
             let mb = Arc::clone(&mb);
             schedcheck::thread::spawn(move || {
-                // BUG: swaps `parked` to false, skips lock + notify.
+                // BUG: claims the bell, skips the FUTEX_WAKE.
                 mb.push_claiming_the_wake_without_notifying(env(0, ta, 1));
             })
         };

@@ -36,6 +36,7 @@
 
 mod clock;
 mod exec;
+pub mod futex;
 mod shadow;
 
 pub use shadow::atomic;

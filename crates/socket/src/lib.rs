@@ -76,7 +76,6 @@ use std::time::Duration;
 use frame::FrameReader;
 use mpistream::{MsgInfo, Src, Tag, Wire};
 use native::mailbox::{Env, Mailbox, Matcher};
-use native::sync::Instant;
 use native::{Links, MailboxRank, Until, WallClock};
 use page::{Page, Slot};
 use ring::{RingReader, RingWriter};
@@ -742,16 +741,11 @@ struct Inbound {
 }
 
 impl Inbound {
-    /// Every wait of a socket rank, in one place: `look`, and if it
-    /// found nothing and `until` allows a wait, park on the rank's bell,
-    /// look again, and only if there is still nothing sleep in
-    /// `FUTEX_WAIT` as long as `until` says (the [`page`] module docs);
-    /// then round again. `None` only when `until` ran out. Past a
-    /// deadline the first look still happens, so a deadline that has
-    /// already passed cannot starve the links.
-    ///
-    /// A look that finds nothing must have read every link to its end —
-    /// a receive that misses has, and every other wait serves the links
+    /// Every wait of a socket rank, in one place:
+    /// [`Bell::wait`](native::sync::futex::Bell::wait) on the
+    /// rank's bell in the world [`page`], with `look` as its look. A
+    /// look that finds nothing must have read every link to its end — a
+    /// receive that misses has, and every other wait serves the links
     /// itself — so a rank never sleeps with a frame unread, and two
     /// ranks that flood each other drain each other instead of wedging.
     /// No socket call is made unless a link is being dialled or `look`
@@ -761,32 +755,8 @@ impl Inbound {
         until: Until,
         mut look: impl FnMut(&mut Inbound) -> Option<R>,
     ) -> Option<R> {
-        loop {
-            if let Some(found) = look(self) {
-                return Some(found);
-            }
-            let timeout = match until {
-                Until::Now => return None,
-                Until::At(deadline) => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return None;
-                    }
-                    Some(left)
-                }
-                Until::Forever => None,
-            };
-            let bell = self.page.slot(self.rank);
-            bell.park();
-            let found = look(self);
-            if found.is_none() {
-                bell.sleep(timeout);
-            }
-            bell.unpark();
-            if found.is_some() {
-                return found;
-            }
-        }
+        let bell = self.page.slot(self.rank).bell();
+        bell.wait(until, || look(self))
     }
 
     /// The first message that matches `(src, tag)`, decoded: from the

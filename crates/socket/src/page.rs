@@ -2,18 +2,16 @@
 //! §16.3). The launcher creates it (a `memfd` of one cache-line [`Slot`]
 //! per rank, all zero) and hands its descriptor to every rank with GO.
 //!
-//! **One wake per park, on one word.** A rank about to sleep raises its
-//! bell to `PARKED` ([`Slot::park`]), looks again at everything that
-//! could wake it — its inbound rings, its `dials`, the `dead` marks it
-//! cares about, the condition it waits for — and only if nothing changed
-//! sleeps in `FUTEX_WAIT` while the bell is still `PARKED`. A waker
-//! makes its condition true, then claims the wake ([`Slot::ring`]): a
-//! load of the bell and, if it is `PARKED`, a swap back to 0; only the
-//! waker whose swap returned `PARKED` calls `FUTEX_WAKE`. All accesses
-//! are `SeqCst`, so either the waker sees the bell raised or the
-//! sleeper's second look sees the condition; and since the claim changes
-//! the word the sleeper waits on, a wake that lands before the
-//! `FUTEX_WAIT` still ends it. `tests/schedcheck_ring.rs` checks this.
+//! **One wake per park, on one word.** A slot's bell is a
+//! [`native::sync::futex::Bell`], the same type a native rank's mailbox
+//! sleeps on, with the protocol in its docs. A rank about to sleep
+//! raises it ([`Slot::park`]), looks again at everything that could wake
+//! it — its inbound rings, its `dials`, the `dead` marks it cares about,
+//! the condition it waits for — and only if nothing changed sleeps in
+//! `FUTEX_WAIT` while the bell is still raised. A waker makes its
+//! condition true, then claims the wake ([`Slot::ring`]); only the waker
+//! whose claim succeeded calls `FUTEX_WAKE`. `tests/schedcheck_ring.rs`
+//! checks this.
 
 use std::fs::File;
 use std::io;
@@ -22,53 +20,57 @@ use std::ptr::NonNull;
 use std::time::Duration;
 
 use native::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
-use native::sync::futex::{self, Word};
+use native::sync::futex::Bell;
 
 use crate::sys;
-
-/// The bell of a rank that is about to sleep or asleep, unclaimed.
-const PARKED: u32 = 1;
 
 /// One rank's doorbell, on a cache line of its own.
 #[repr(C, align(64))]
 pub struct Slot {
-    /// The futex word: `PARKED` from [`Slot::park`] until claimed.
-    bell: Word,
+    /// Raised from [`Slot::park`] until claimed.
+    bell: Bell,
     /// Links dialled to this rank, each counted after its preamble went.
     dials: AtomicU32,
     /// The launcher saw this rank's process go (death-tolerant worlds).
     dead: AtomicBool,
 }
 
+// The launcher sizes the page by it, and a rank's doorbell keeps a cache
+// line of its own.
+#[cfg(not(schedcheck))]
+const _: () = assert!(std::mem::size_of::<Slot>() == 64);
+
 impl Slot {
     fn new() -> Slot {
-        Slot { bell: Word::new(0), dials: AtomicU32::new(0), dead: AtomicBool::new(false) }
+        Slot { bell: Bell::new(), dials: AtomicU32::new(0), dead: AtomicBool::new(false) }
+    }
+
+    /// The rank's bell, for [`Bell::wait`].
+    pub fn bell(&self) -> &Bell {
+        &self.bell
     }
 
     /// Raise the bell, then look again at every condition a waker could
     /// make true: [`Slot::sleep`] only if none is, then [`Slot::unpark`].
     pub fn park(&self) {
-        self.bell.store(PARKED, SeqCst);
+        self.bell.raise();
     }
 
     /// Sleep until a waker claims the bell, or `timeout` passes (`None`:
     /// no limit). Returns at once if the bell was already claimed.
     pub fn sleep(&self, timeout: Option<Duration>) {
-        futex::wait(&self.bell, PARKED, timeout);
+        self.bell.sleep(timeout);
     }
 
     /// Lower the bell after a park, whether or not the rank slept.
     pub fn unpark(&self) {
-        self.bell.store(0, SeqCst);
+        self.bell.lower();
     }
 
     /// Wake this rank if it is parked and nobody has claimed the wake
-    /// yet; a load first, so ringing a running rank costs no
-    /// read-modify-write.
+    /// yet.
     pub fn ring(&self) {
-        if self.bell.load(SeqCst) == PARKED && self.bell.swap(0, SeqCst) == PARKED {
-            futex::wake(&self.bell);
-        }
+        self.bell.ring();
     }
 
     /// A link to this rank was dialled and its preamble sent.
@@ -121,7 +123,8 @@ impl Page {
         }
         let at = sys::map_shared(file.as_fd(), page_bytes(ranks))?;
         // Page-aligned and `ranks` slots long; every field is a std
-        // atomic, for which all-zero bytes are valid.
+        // atomic or a bell, for which all-zero bytes are valid (a bell
+        // other processes may ring).
         Ok(Page { slots: NonNull::slice_from_raw_parts(at.cast(), ranks), mapped: true })
     }
 
