@@ -193,14 +193,18 @@ stage "schedcheck model checking (bounded exhaustive interleavings)"
 # deadline receives, batched credit returns, a small tree collective —
 # and the socket backend's shared-memory ring and futex doorbells (publish and claim against park and re-check, restart at the
 # front, ring-full waits both ways, a dial racing a park, a death mark
-# racing a room wait) re-compiled against schedcheck's shadow primitives
+# racing a room wait, a frame waited for in the ring) re-compiled against schedcheck's shadow primitives
 # (--cfg schedcheck switches the native::sync facade) and explored
 # exhaustively up to a preemption bound: every clean model must cover
 # >= 1,000 distinct schedules with zero SC201-SC203 violations, and the
 # seeded known-bad tests (including PR 6's real lost-wakeup bug,
 # reintroduced locally) must be caught with replayable traces. The
 # separate target dir keeps the cfg'd build from thrashing the normal
-# cache. See DESIGN.md §14.
+# cache. See DESIGN.md §14. Every target of the two crates that use the
+# facade is built under the cfg first, models or not, so a test that
+# names std's type where the facade's is meant fails here.
+RUSTFLAGS='--cfg schedcheck' CARGO_TARGET_DIR=target/schedcheck \
+    cargo build -q --release --offline -p native -p socket --all-targets
 SCHEDCHECK_PREEMPTIONS=2 RUSTFLAGS='--cfg schedcheck' \
     CARGO_TARGET_DIR=target/schedcheck \
     timeout 600 cargo test -q --release --offline -p schedcheck

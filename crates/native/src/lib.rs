@@ -86,6 +86,10 @@
 //! assert_eq!((stats[3].elements, stats[7].elements), (30, 30));
 //! ```
 
+// Every `unsafe` block says why it is sound: the staged nodes are
+// type-erased allocations handed between threads.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::Duration;

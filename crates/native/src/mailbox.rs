@@ -463,6 +463,8 @@ pub struct Inbox {
 // one side at a time (its producer until the CAS lands, then the staging
 // stack, then the receiver that drained it). Every value staged is `Send`.
 unsafe impl Send for Inbox {}
+// SAFETY: as above; shared access goes through the atomic head (a CAS to
+// push, a swap to drain) and the bell, both safe from any thread.
 unsafe impl Sync for Inbox {}
 
 impl Default for Inbox {
@@ -531,6 +533,7 @@ impl Inbox {
         while !head.is_null() {
             // SAFETY: the swap gave us exclusive ownership of the chain.
             let next = unsafe { (*head).next.get() };
+            // SAFETY: as above: `head` is a live node of that chain.
             unsafe { (*head).next.set(prev) };
             prev = head;
             head = next;

@@ -169,6 +169,7 @@ mod imp {
         /// Same contract as [`Box::from_raw`].
         #[inline]
         pub unsafe fn from_raw<T>(p: *mut T) -> Box<T> {
+            // SAFETY: the caller's contract, which is `Box::from_raw`'s.
             unsafe { Box::from_raw(p) }
         }
     }

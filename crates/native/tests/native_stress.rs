@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mpistream::coll::RankGroup;
 use mpistream::transport::SimTime;
@@ -29,6 +29,9 @@ use mpistream::{
     Tag, Transport, Wire,
 };
 use native::mailbox::{Env, Mailbox};
+// The clock `Mailbox::take_deadline` takes: std's, or the model checker's
+// under `--cfg schedcheck`.
+use native::sync::Instant;
 use native::{NativeRank, NativeWorld};
 use proptest::prelude::*;
 
@@ -55,7 +58,7 @@ fn with_watchdog<R>(label: &'static str, secs: u64, f: impl FnOnce() -> R) -> R 
     let done = Arc::new(AtomicBool::new(false));
     let d2 = Arc::clone(&done);
     std::thread::spawn(move || {
-        let start = Instant::now();
+        let start = std::time::Instant::now();
         while !d2.load(Ordering::Acquire) {
             if start.elapsed() > Duration::from_secs(secs) {
                 eprintln!("watchdog: `{label}` exceeded {secs}s — lost wake-up or deadlock");

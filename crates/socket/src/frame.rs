@@ -22,12 +22,16 @@
 //! shared-memory ring ([`crate::ring`]) to send — the sender builds
 //! prefix, header and payload in one buffer (`begin_frame` /
 //! `finish_frame`) — and, through a [`FrameReader`] over the ring's
-//! reading end, far less than one `read` to receive: each `read` takes
-//! whatever the ring holds and every complete frame in it is lent out
-//! of the reader's buffer ([`FrameReader::lend_frame`]), where the
-//! receiving rank decodes it. The preamble travels on the link's socket,
-//! with the ring's descriptor beside it; [`write_frame`] and
-//! [`read_frame`] speak the same format over any `Write` and `Read`.
+//! reading end, at most one to receive
+//! ([`FrameReader::lend_frame`]). At a frame boundary the reader looks
+//! at the ring first: a frame too large for its buffer but not for the
+//! ring is waited for in the ring and, once whole, lent where it lies
+//! there, with no copy at all. Anything else is a refill: the ring's
+//! bytes, up to the buffer's size, are copied into the buffer, and every
+//! complete frame in it is lent from there, where the receiving rank
+//! decodes it. The preamble travels on the link's socket, with the
+//! ring's descriptor beside it; [`write_frame`] and [`read_frame`] speak
+//! the same format over any `Write` and `Read`.
 //!
 //! All functions here speak `io::Result`: a malformed peer produces an
 //! `InvalidData` error at the reader, never a panic inside the codec.
@@ -35,8 +39,11 @@
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
 use std::ops::Range;
+use std::os::unix::net::UnixStream;
 
 use mpistream::MAX_FRAME_BYTES;
+
+use crate::ring::{RingReader, RING_BYTES};
 
 /// Connection preamble magic.
 pub const MAGIC: [u8; 4] = *b"MPWS";
@@ -53,8 +60,10 @@ pub const HEADER_BYTES: usize = 16;
 /// prefix plus the header. Also the size of the smallest legal frame.
 pub const FRAME_OVERHEAD: usize = 4 + HEADER_BYTES;
 /// Capacity of a [`FrameReader`]'s buffer: what one `read` can take from
-/// its source, and the largest frame that is parsed out of the buffer
-/// instead of getting its own allocation.
+/// its source, and the largest frame that is parsed out of the buffer.
+/// A larger frame from a ring is lent where it lies in the ring, if it
+/// fits the ring; from any other source, or larger than the ring, it
+/// gets its own allocation.
 pub const LINK_BUF_BYTES: usize = 64 << 10;
 
 fn invalid(msg: String) -> io::Error {
@@ -138,6 +147,49 @@ fn read_some(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     }
 }
 
+/// The length a frame's four-byte prefix declares, checked against the
+/// header size and [`MAX_FRAME_BYTES`].
+#[inline]
+fn frame_len(prefix: &[u8]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix.try_into().expect("a four-byte prefix")) as usize;
+    if !(HEADER_BYTES..=MAX_FRAME_BYTES).contains(&len) {
+        return Err(invalid(format!(
+            "frame length {len} outside [{HEADER_BYTES}, {MAX_FRAME_BYTES}]"
+        )));
+    }
+    Ok(len)
+}
+
+/// Tag and modelled byte count of the frame whose first
+/// [`FRAME_OVERHEAD`] bytes `frame` starts with.
+#[inline]
+fn header(frame: &[u8]) -> (u64, u64) {
+    let tag = u64::from_le_bytes(frame[4..12].try_into().expect("exact slice"));
+    let bytes = u64::from_le_bytes(frame[12..20].try_into().expect("exact slice"));
+    (tag, bytes)
+}
+
+/// What a [`FrameReader`] reads from. Any `Read` serves as it is
+/// (`impl Source for T {}`); a shared-memory ring also lends its unread
+/// bytes, so a frame too large for the reader's buffer is parsed where
+/// it lies in the ring.
+pub trait Source: Read {
+    /// The ring this source is, if it is one.
+    fn ring(&mut self) -> Option<&mut RingReader> {
+        None
+    }
+}
+
+impl Source for RingReader {
+    fn ring(&mut self) -> Option<&mut RingReader> {
+        Some(self)
+    }
+}
+
+impl Source for UnixStream {}
+
+impl Source for &[u8] {}
+
 /// A frame larger than the reader's buffer, being read straight into its
 /// own allocation: its header, its payload, and how many payload bytes
 /// have arrived so far.
@@ -188,15 +240,9 @@ fn next_frame<'a>(
         }
         let have = &buf[win.clone()];
         if let Some(prefix) = have.get(..4) {
-            let len = u32::from_le_bytes(prefix.try_into().expect("exact slice")) as usize;
-            if !(HEADER_BYTES..=MAX_FRAME_BYTES).contains(&len) {
-                return Err(invalid(format!(
-                    "frame length {len} outside [{HEADER_BYTES}, {MAX_FRAME_BYTES}]"
-                )));
-            }
+            let len = frame_len(prefix)?;
             if let Some(body) = have.get(FRAME_OVERHEAD..) {
-                let tag = u64::from_le_bytes(have[4..12].try_into().expect("exact slice"));
-                let bytes = u64::from_le_bytes(have[12..20].try_into().expect("exact slice"));
+                let (tag, bytes) = header(have);
                 let want = len - HEADER_BYTES;
                 if body.len() >= want {
                     // Whole frame buffered: lent where it lies.
@@ -237,9 +283,58 @@ fn owned((tag, bytes, payload): LentFrame<'_>) -> (u64, u64, Vec<u8>) {
     (tag, bytes, payload.into_owned())
 }
 
-/// Buffered frame reader for one inbound link: owns the reader, a
+/// What a ring holds at a frame boundary, as [`ring_front`] finds it.
+enum Front {
+    /// A frame larger than the buffer but not than the ring, whole in the
+    /// ring: `len` bytes, length prefix and header included.
+    Whole { tag: u64, bytes: u64, len: usize },
+    /// The first `n` bytes the ring held, copied into the buffer.
+    Buffered(usize),
+    /// The ring is closed and drained.
+    End,
+}
+
+/// At a frame boundary on a ring: release everything consumed before,
+/// then look at the frame at the front where it lies, from one load of
+/// the ring's `head`. A frame larger than `buf` but not than the ring is
+/// lent from the ring once it is whole, and until then waited for there
+/// (`WouldBlock`), as is a length prefix not yet whole: every byte
+/// before it has been released, so the writer has room for the rest.
+/// Anything else is a refill, copied into `buf` as a `read` would copy
+/// it. A closed ring is not a wait: a partial frame in it is
+/// `UnexpectedEof`. The length prefix, tag and byte count are read into
+/// locals once; the caller cuts the frame from the ring by `len` alone.
+#[inline]
+fn ring_front(ring: &mut RingReader, buf: &mut [u8]) -> io::Result<Front> {
+    ring.release();
+    let closed = ring.is_closed();
+    let have = ring.lend()?;
+    let partial = || if closed { eof_inside_a_frame() } else { io::ErrorKind::WouldBlock.into() };
+    let Some(prefix) = have.get(..4) else {
+        return if have.is_empty() { Ok(Front::End) } else { Err(partial()) };
+    };
+    let len = 4 + frame_len(prefix)?;
+    if len <= buf.len() || len > RING_BYTES {
+        let n = have.len().min(buf.len());
+        buf[..n].copy_from_slice(&have[..n]);
+        ring.consume(n);
+        ring.release();
+        return Ok(Front::Buffered(n));
+    }
+    if have.len() < len {
+        return Err(partial());
+    }
+    let (tag, bytes) = header(have);
+    Ok(Front::Whole { tag, bytes, len })
+}
+
+/// Buffered frame reader for one inbound link: owns the source, a
 /// [`LINK_BUF_BYTES`] buffer and the state of a frame too large for it
-/// (see `next_frame` for the invariants).
+/// (see `next_frame` for the invariants). At a frame boundary on a ring
+/// it looks at the ring first (`ring_front`): a frame too large for the
+/// buffer but not for the ring is lent from the ring, and its bytes go
+/// back to the writer when the next call starts or
+/// [`RingReader::take_wake`] is called, whichever comes first.
 pub struct FrameReader<R> {
     inner: R,
     buf: Box<[u8]>,
@@ -247,7 +342,7 @@ pub struct FrameReader<R> {
     big: Option<Big>,
 }
 
-impl<R: Read> FrameReader<R> {
+impl<R: Source> FrameReader<R> {
     /// Wrap `inner`, which must be positioned at a frame boundary.
     pub fn new(inner: R) -> FrameReader<R> {
         let buf = vec![0u8; LINK_BUF_BYTES].into_boxed_slice();
@@ -256,8 +351,10 @@ impl<R: Read> FrameReader<R> {
 
     /// The next frame, lent: a frame of up to [`LINK_BUF_BYTES`] is a
     /// slice of the reader's buffer, valid until the next call, and
-    /// nothing is allocated or copied for it; a larger one comes in the
-    /// allocation it was read into. `Ok(None)` is a clean end-of-stream
+    /// nothing is allocated or copied for it; so is a larger one that
+    /// starts a refill from a ring and fits it, as a slice of the ring;
+    /// any other comes in the allocation it was read into. `Ok(None)` is
+    /// a clean end-of-stream
     /// (EOF exactly at a frame boundary); EOF anywhere inside a frame is
     /// an error, as is a length prefix below the header size or above
     /// [`MAX_FRAME_BYTES`]. After such an error the link is out of sync
@@ -266,6 +363,18 @@ impl<R: Read> FrameReader<R> {
     /// stay buffered, and the next call carries on with the frame it was
     /// in.
     pub fn lend_frame(&mut self) -> io::Result<Option<LentFrame<'_>>> {
+        if self.win.is_empty() && self.big.is_none() {
+            if let Some(ring) = self.inner.ring() {
+                match ring_front(ring, &mut self.buf)? {
+                    Front::Whole { tag, bytes, len } => {
+                        let frame = self.inner.ring().expect("a ring above").consume(len);
+                        return Ok(Some((tag, bytes, Cow::Borrowed(&frame[FRAME_OVERHEAD..]))));
+                    }
+                    Front::Buffered(n) => self.win = 0..n,
+                    Front::End => return Ok(None),
+                }
+            }
+        }
         next_frame(&mut self.inner, &mut self.buf, &mut self.win, &mut self.big)
     }
 

@@ -58,6 +58,10 @@
 //! and put the socket run *first* in the fn so re-executed children
 //! reach it before any sim/native comparison work.
 
+// Every `unsafe` block says why it is sound: the rings and the world page
+// are shared memory another process writes.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod frame;
 pub mod page;
 pub mod ring;
@@ -544,9 +548,10 @@ pub type SocketRank = MailboxRank<SocketLinks>;
 /// A rank process has one thread, the one running the body, and it makes
 /// progress on its own links. A receive looks in the matcher first, then
 /// reads its inbound rings up to the first frame that matches and
-/// decodes that frame where it lies in the link's buffer; the frames it
-/// passes over go into the matcher. If nothing matched it parks on its
-/// bell, looks again, and sleeps in `FUTEX_WAIT` until someone rings it.
+/// decodes that frame where it lies, in the link's buffer or, for a frame
+/// larger than the buffer, in the ring itself; the frames it passes over
+/// go into the matcher. If nothing matched it parks on its bell, looks
+/// again, and sleeps in `FUTEX_WAIT` until someone rings it.
 /// Wherever the rank can block it does the same, so no peer waits on a
 /// rank that is itself waiting: a `send` whose ring is full, and the
 /// close barrier, read every inbound ring while they wait. Between
@@ -974,16 +979,19 @@ enum InLink {
 impl InLink {
     /// Take the preamble if it is still to come (it follows its dial
     /// within moments); then read the ring's frames until `pick` takes
-    /// one, lent where it lies, each frame it passes over going into
-    /// `matcher`, and ring the writer if a read claimed its wake. A frame
-    /// larger than the reader's buffer does not stop the read: the frames
-    /// behind it go into `matcher` in the same pass, so each receive of
-    /// such frames frees as much ring room as there is, not one frame's
-    /// worth with a wake of the writer each. A writer the launcher marked
-    /// dead published everything it ever will: its ring is closed first,
-    /// so it reads as EOF once drained. A partial frame stays in the
-    /// reader for the next call. The state is `Ok(false)` when the link
-    /// ended at a frame boundary.
+    /// one, lent where it lies — in the reader's buffer or, when it is
+    /// too large for that, in the ring — each frame it passes over going
+    /// into `matcher`; then release what was lent and ring the writer if
+    /// a release claimed its wake. A frame that came in its own
+    /// allocation (larger than the ring, or begun in the buffer behind
+    /// smaller frames) does not stop the read: the frames behind it go
+    /// into `matcher` in the same pass, so each receive of such frames
+    /// frees as much ring room as there is, not one frame's worth with a
+    /// wake of the writer each. A writer the
+    /// launcher marked dead published everything it ever will: its ring
+    /// is closed first, so it reads as EOF once drained. A partial frame
+    /// stays in the reader, or in the ring, for the next call. The state
+    /// is `Ok(false)` when the link ended at a frame boundary.
     fn read<R>(
         &mut self,
         matcher: &mut Matcher,

@@ -5,9 +5,21 @@
 //! [`RING_BYTES`] of data) and passes its descriptor to the receiving
 //! rank with the connection preamble; both map it. A frame is sent by
 //! copying it into the ring and publishing it, before `send` returns.
-//! The bytes in the ring are exactly the frame stream of §16.2, so
-//! [`RingReader`] is a `Read` that [`FrameReader`](crate::frame::FrameReader)
-//! parses unchanged.
+//! The bytes in the ring are exactly the frame stream of §16.2, which
+//! [`FrameReader`](crate::frame::FrameReader) parses: copied out, as from
+//! any `Read`, or where they lie, through `RingReader::lend`.
+//!
+//! ## The mirror
+//!
+//! Each side maps the data area twice, back to back (the file once, and
+//! its data area again right behind it), so the [`RING_BYTES`] from any
+//! offset in it are one run of memory, and the reader lends any
+//! published bytes as one slice, wherever they wrap. (The writer still
+//! copies a piece that wraps in two parts: see `Ring::copy_in`.) A ring
+//! with both ends in one process ([`local_pair`]: tests and the model
+//! checker) keeps its header on the heap, where shadow atomics can live,
+//! and mirrors a private `memfd` for its data area, so both kinds run
+//! the same code.
 //!
 //! ## Positions
 //!
@@ -25,9 +37,9 @@
 //! that position as `front`, then publishes bytes behind it. The reader
 //! loads `front` after `head` and jumps its `tail` forward to it; the
 //! gap was never written. The writer restarts only when everything it
-//! published has been read, so no read can be under way in the gap or
-//! anywhere else, and a second restart needs the reader to have
-//! consumed past the first — so the `front` a reader loads is the one
+//! published has been read and released, so no read can be under way
+//! in the gap or anywhere else, and a second restart needs the reader
+//! to have consumed past the first — so the `front` a reader loads is the one
 //! that goes with the `head` it loaded. A stream whose reader keeps up
 //! therefore touches the first page or two of the ring, not all of it.
 //!
@@ -36,8 +48,12 @@
 //! A rank waits for mail on its own bell ([`crate::page`]), which the
 //! writer rings after a publish. Room is the one per-ring wait: a writer
 //! raises `writer_parked` and looks at `tail` again ([`RingWriter::park`])
-//! before it parks on its bell, and a reader that frees space claims the
-//! flag ([`RingReader::take_wake`]) and rings the writer's bell.
+//! before it parks on its bell, and a reader that frees space
+//! (`RingReader::release`) claims the flag and, told so by
+//! [`RingReader::take_wake`], rings the writer's bell. Bytes the reader
+//! has consumed but still lends out are not free space until their
+//! release, so a reader that waits for the rest of a frame in the ring
+//! releases everything before it first.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -52,7 +68,8 @@ use crate::sys;
 /// Capacity of every ring's data area: a constant, not a setting, about
 /// the size of a Unix socket's default send buffer (208 KiB), so a link
 /// holds as much in flight as a socket would. A frame larger than the
-/// free space is published in pieces.
+/// free space is published in pieces; one of at most this size can be
+/// whole in the ring, and is read where it lies.
 pub const RING_BYTES: usize = 256 << 10;
 const RING: u64 = RING_BYTES as u64;
 /// The header has the shared file's first page to itself; the data area
@@ -92,20 +109,18 @@ impl Header {
 
 const _: () = assert!(std::mem::size_of::<Header>() <= DATA_OFFSET);
 
-/// Where a ring's memory comes from.
-enum Memory {
-    /// A `MAP_SHARED` mapping of the link's `memfd`, [`MAP_BYTES`] long.
-    Mapped(NonNull<u8>),
-    /// Both ends in one process (tests and models): a heap header and a
-    /// heap data area, reclaimed on drop.
-    Local(*mut Header, *mut [u8]),
-}
-
-/// One ring as this process sees it.
+/// One ring as this process sees it. The data area is mapped twice,
+/// back to back (`sys::map_mirrored`), so the [`RING_BYTES`] from any
+/// offset in it are one run of memory: the reader lends any published
+/// bytes as one slice.
 struct Ring {
     header: NonNull<Header>,
     data: NonNull<u8>,
-    memory: Memory,
+    /// The mapping to undo on drop: where it starts, and its length.
+    mapping: (NonNull<u8>, usize),
+    /// A local ring's header, leaked from a `Box`; `None` when the
+    /// header lies in the mapping.
+    heap_header: Option<NonNull<Header>>,
 }
 
 // SAFETY: the header is atomics only, and the data area is shared
@@ -116,23 +131,33 @@ unsafe impl Send for Ring {}
 unsafe impl Sync for Ring {}
 
 impl Ring {
-    /// Map a ring's shared file. Only a std build maps one: the shadow
-    /// atomics of a `--cfg schedcheck` build are not valid as shared
-    /// bytes, and the models use [`local_pair`].
+    /// Map a ring's shared file, its data area mirrored. Only a std build
+    /// maps one: the shadow atomics of a `--cfg schedcheck` build are not
+    /// valid as shared bytes, and the models use [`local_pair`].
     fn map(fd: BorrowedFd<'_>) -> io::Result<Ring> {
-        let at = sys::map_shared(fd, MAP_BYTES)?;
-        // SAFETY: the mapping is page-aligned and MAP_BYTES long, so the
-        // header and the data area both lie inside it; every header field
-        // is a std atomic for which all-zero bytes are a valid value.
+        let at = sys::map_mirrored(fd, MAP_BYTES, RING_BYTES)?;
+        // SAFETY: the mapping is page-aligned and `MAP_BYTES` long before
+        // its mirror, so the header and the data area both lie inside it;
+        // every header field is a std atomic for which all-zero bytes are
+        // a valid value.
         let data = unsafe { at.add(DATA_OFFSET) };
-        Ok(Ring { header: at.cast(), data, memory: Memory::Mapped(at) })
+        Ok(Ring {
+            header: at.cast(),
+            data,
+            mapping: (at, MAP_BYTES + RING_BYTES),
+            heap_header: None,
+        })
     }
 
-    fn local() -> Ring {
+    /// Both ends in one process: the header on the heap, where shadow
+    /// atomics can live, and the data area in a private `memfd`, mirrored
+    /// like a shared one.
+    fn local() -> io::Result<Ring> {
+        let file = File::from(sys::memfd(c"mpistream-local-ring")?);
+        file.set_len(RING_BYTES as u64)?;
+        let data = sys::map_mirrored(file.as_fd(), RING_BYTES, RING_BYTES)?;
         let header = NonNull::from(Box::leak(Box::new(Header::new())));
-        let data = NonNull::from(Box::leak(vec![0u8; RING_BYTES].into_boxed_slice()));
-        let memory = Memory::Local(header.as_ptr(), data.as_ptr());
-        Ring { header, data: data.cast(), memory }
+        Ok(Ring { header, data, mapping: (data, 2 * RING_BYTES), heap_header: Some(header) })
     }
 
     fn header(&self) -> &Header {
@@ -141,55 +166,65 @@ impl Ring {
         unsafe { self.header.as_ref() }
     }
 
-    /// Copy `src` into the data area from position `at` on, wrapping.
-    /// Positions come from another process, so the bound that keeps the
-    /// copy inside the data area is checked here, whatever they say.
+    /// Where the `len` bytes from position `at` on start in the data
+    /// area. Positions come from another process, so the bound that keeps
+    /// those bytes inside the mapping is checked here, whatever they say.
+    fn span(&self, at: u64, len: usize) -> *mut u8 {
+        assert!(len <= RING_BYTES, "a span larger than the ring");
+        // SAFETY: the offset is below `RING_BYTES`, and the data area is
+        // followed by its mirror, so `[offset, offset + len)` lies inside
+        // the mapping.
+        unsafe { self.data.as_ptr().add((at % RING) as usize) }
+    }
+
+    /// Copy `src` into the data area from position `at` on, wrapping:
+    /// what runs past the end goes to the front. (One copy through the
+    /// mirror would do, but it measured ≈ 8 % slower on `socket_fine`,
+    /// whose frames never wrap, in five interleaved rounds — although it
+    /// makes one `memcpy` call per frame where this makes two; the cause
+    /// is not known. The reader lends through the mirror.)
     ///
     /// # Safety
     /// Only the writer calls this, and only on positions the reader is
     /// not reading: `[at, at + src.len())` is free space.
     unsafe fn copy_in(&self, at: u64, src: &[u8]) {
-        assert!(src.len() <= RING_BYTES, "a copy larger than the ring");
-        let off = (at % RING) as usize;
-        let first = src.len().min(RING_BYTES - off);
-        // SAFETY: `first` bytes from `off`, then the rest (at most `off`,
-        // since the whole is at most the ring) from 0: both inside the
-        // data area. The caller guarantees nobody reads them meanwhile.
+        let to = self.span(at, src.len());
+        let first = src.len().min(RING_BYTES - (at % RING) as usize);
+        // SAFETY: `first` bytes from `to`, then the rest (fewer than
+        // `RING_BYTES - first`) from the data area's start: `span` bounds
+        // the length, so both lie inside it. The caller guarantees nobody
+        // reads them meanwhile.
         unsafe {
-            let data = self.data.as_ptr();
-            std::ptr::copy_nonoverlapping(src.as_ptr(), data.add(off), first);
-            std::ptr::copy_nonoverlapping(src.as_ptr().add(first), data, src.len() - first);
+            std::ptr::copy_nonoverlapping(src.as_ptr(), to, first);
+            std::ptr::copy_nonoverlapping(
+                src.as_ptr().add(first),
+                self.data.as_ptr(),
+                src.len() - first,
+            );
         }
     }
 
-    /// Copy bytes from position `at` on into `dst`, wrapping.
+    /// The `len` bytes from position `at` on, as one slice.
     ///
     /// # Safety
-    /// Only the reader calls this, and only on published, unread bytes.
-    unsafe fn copy_out(&self, at: u64, dst: &mut [u8]) {
-        assert!(dst.len() <= RING_BYTES, "a copy larger than the ring");
-        let off = (at % RING) as usize;
-        let first = dst.len().min(RING_BYTES - off);
-        // SAFETY: as in `copy_in`, with the roles swapped.
-        unsafe {
-            let data = self.data.as_ptr();
-            std::ptr::copy_nonoverlapping(data.add(off), dst.as_mut_ptr(), first);
-            std::ptr::copy_nonoverlapping(data, dst.as_mut_ptr().add(first), dst.len() - first);
-        }
+    /// Only the reader calls this, and only on published bytes it has not
+    /// released: the writer does not touch them while the slice lives.
+    unsafe fn bytes(&self, at: u64, len: usize) -> &[u8] {
+        // SAFETY: `span` bounds the range inside the mapping, which lives
+        // as long as `self`; the caller guarantees the bytes stay put.
+        unsafe { std::slice::from_raw_parts(self.span(at, len), len) }
     }
 }
 
 impl Drop for Ring {
     fn drop(&mut self) {
-        match self.memory {
-            // SAFETY: the mapping `map` made; the last reference to it
-            // goes with `self`.
-            Memory::Mapped(at) => unsafe { sys::unmap(at, MAP_BYTES) },
-            // SAFETY: the two boxes `local` leaked, reclaimed once.
-            Memory::Local(header, data) => unsafe {
-                drop(Box::from_raw(header));
-                drop(Box::from_raw(data));
-            },
+        let (at, len) = self.mapping;
+        // SAFETY: the mapping `map` or `local` made; the last reference
+        // to it goes with `self`.
+        unsafe { sys::unmap(at, len) };
+        if let Some(header) = self.heap_header {
+            // SAFETY: the box `local` leaked, reclaimed once.
+            drop(unsafe { Box::from_raw(header.as_ptr()) });
         }
     }
 }
@@ -217,12 +252,12 @@ pub(crate) fn attach(fd: OwnedFd) -> io::Result<RingReader> {
     Ok(RingReader::new(Arc::new(Ring::map(file.as_fd())?)))
 }
 
-/// Both ends of a fresh ring in this process, on the heap: for tests,
-/// and for the model checker, whose shadow atomics cannot live in a
-/// shared mapping.
+/// Both ends of a fresh ring in this process, its header on the heap:
+/// for tests, and for the model checker, whose shadow atomics cannot
+/// live in a shared mapping.
 #[doc(hidden)]
 pub fn local_pair() -> (RingWriter, RingReader) {
-    let ring = Arc::new(Ring::local());
+    let ring = Arc::new(Ring::local().expect("map a local ring"));
     (RingWriter::new(Arc::clone(&ring)), RingReader::new(ring))
 }
 
@@ -292,24 +327,33 @@ impl RingWriter {
     }
 }
 
-/// The reading end of a ring: a `Read` that hands out the published
-/// bytes, returns `WouldBlock` when there are none, and reports EOF
-/// only once [`RingReader::close`] has been called *and* the ring is
-/// drained — the writer's process has gone, after it published
-/// everything it sent.
+/// The reading end of a ring. It lends the published bytes where they
+/// lie (`RingReader::lend`), marks a prefix of them read
+/// (`RingReader::consume`) and hands that back to the writer
+/// (`RingReader::release`); as a `Read` it does all three, copying
+/// out. No bytes are `WouldBlock`, and EOF comes only once
+/// [`RingReader::close`] has been called *and* the ring is drained —
+/// the writer's process has gone, after it published everything it
+/// sent.
 pub struct RingReader {
     ring: Arc<Ring>,
-    /// This side's copy of `tail`.
+    /// This side's copy of `tail`: one past the last byte consumed.
     tail: u64,
+    /// The `tail` last stored in the header. The bytes from here to
+    /// `tail` are consumed but may still be lent out: the writer keeps
+    /// off them until `RingReader::release`.
+    released: u64,
+    /// `head` as the last `RingReader::lend` loaded it.
+    head: u64,
     closed: bool,
-    /// A read claimed the parked writer's wake, and it has not been taken
-    /// with [`RingReader::take_wake`] yet.
+    /// A release claimed the parked writer's wake, and it has not been
+    /// taken with [`RingReader::take_wake`] yet.
     wake_owed: bool,
 }
 
 impl RingReader {
     fn new(ring: Arc<Ring>) -> RingReader {
-        RingReader { ring, tail: 0, closed: false, wake_owed: false }
+        RingReader { ring, tail: 0, released: 0, head: 0, closed: false, wake_owed: false }
     }
 
     /// The writer has gone: once the ring is drained, reads are EOF.
@@ -317,41 +361,84 @@ impl RingReader {
         self.closed = true;
     }
 
-    /// Whether a read since the last call claimed the parked writer's
-    /// wake; the caller then rings the writer's slot.
+    /// Whether [`RingReader::close`] has been called.
+    #[inline]
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// The published, unconsumed bytes, as one slice, from one load of
+    /// the writer's `head`: `WouldBlock` if there are none, and empty
+    /// only at EOF. They stay valid until the next call.
+    #[inline]
+    pub(crate) fn lend(&mut self) -> io::Result<&[u8]> {
+        let h = self.ring.header();
+        let head = h.head.0.load(SeqCst);
+        if head == self.tail {
+            return if self.closed { Ok(&[]) } else { Err(io::ErrorKind::WouldBlock.into()) };
+        }
+        // A restart at the front: the gap up to it was never written. It
+        // lies behind `head`, so there is still at least a byte to read.
+        let tail = self.tail.max(h.front.0.load(SeqCst));
+        let unread =
+            head.checked_sub(tail).filter(|u| (1..=RING).contains(u)).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidData, "ring positions out of order")
+            })?;
+        (self.tail, self.head) = (tail, head);
+        // SAFETY: `[tail, head)` is published (the `head` load above) and
+        // not released to the writer (that takes a `tail` store, which
+        // needs `&mut self`, so not while the slice lives).
+        Ok(unsafe { self.ring.bytes(tail, unread as usize) })
+    }
+
+    /// Mark the first `n` bytes of the last `RingReader::lend` read, and
+    /// return them: they stay where they are, unreleased, until
+    /// `RingReader::release`.
+    #[inline]
+    pub(crate) fn consume(&mut self, n: usize) -> &[u8] {
+        let at = self.tail;
+        assert!(self.head - at >= n as u64, "consumed more than was lent");
+        self.tail += n as u64;
+        // SAFETY: as in `lend`: published (the assert) and not released.
+        unsafe { self.ring.bytes(at, n) }
+    }
+
+    /// Hand every consumed byte back to the writer: store `tail`, and
+    /// claim the wake of a writer parked for room.
+    #[inline]
+    pub(crate) fn release(&mut self) {
+        if self.released == self.tail {
+            return;
+        }
+        self.released = self.tail;
+        let h = self.ring.header();
+        h.tail.0.store(self.tail, SeqCst);
+        let parked = &h.writer_parked.0;
+        if parked.load(SeqCst) && parked.swap(false, SeqCst) {
+            self.wake_owed = true;
+        }
+    }
+
+    /// Release what has been consumed, then say whether a release since
+    /// the last call claimed the parked writer's wake; the caller then
+    /// rings the writer's slot.
+    #[inline]
     pub fn take_wake(&mut self) -> bool {
+        self.release();
         std::mem::take(&mut self.wake_owed)
     }
 }
 
 impl Read for RingReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let h = self.ring.header();
-        let head = h.head.0.load(SeqCst);
-        if head == self.tail || buf.is_empty() {
-            return if self.closed || buf.is_empty() {
-                Ok(0)
-            } else {
-                Err(io::ErrorKind::WouldBlock.into())
-            };
+        if buf.is_empty() {
+            return Ok(0);
         }
-        // A restart at the front: the gap up to it was never written. It
-        // lies behind `head`, so there is still at least a byte to read.
-        self.tail = self.tail.max(h.front.0.load(SeqCst));
-        let unread = head.checked_sub(self.tail);
-        let unread = unread.filter(|u| (1..=RING).contains(u)).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "ring positions out of order")
-        })?;
-        let n = (unread as usize).min(buf.len());
-        // SAFETY: `[tail, tail + n)` is published (the `head` load above)
-        // and not yet released to the writer (the `tail` store below).
-        unsafe { self.ring.copy_out(self.tail, &mut buf[..n]) };
-        self.tail += n as u64;
-        h.tail.0.store(self.tail, SeqCst);
-        let parked = &h.writer_parked.0;
-        if parked.load(SeqCst) && parked.swap(false, SeqCst) {
-            self.wake_owed = true;
-        }
+        let have = self.lend()?;
+        let n = have.len().min(buf.len());
+        buf[..n].copy_from_slice(&have[..n]);
+        self.consume(n);
+        self.release();
         Ok(n)
     }
 }

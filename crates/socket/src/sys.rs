@@ -1,6 +1,6 @@
 //! The few Linux calls the socket backend needs that std does not wrap,
 //! declared by hand: `memfd_create(2)` and `mmap(2)`/`munmap(2)` for the
-//! rings and the world page, and `sendmsg(2)`/`recvmsg(2)` to pass their
+//! rings (their data areas mapped twice, back to back) and the world page, and `sendmsg(2)`/`recvmsg(2)` to pass their
 //! descriptors with a preamble or GO (`SCM_RIGHTS`). The struct layouts
 //! are glibc's on Linux. The futex is `native::sync::futex`'s.
 
@@ -14,6 +14,7 @@ const MFD_CLOEXEC: c_uint = 0x1;
 const PROT_READ: c_int = 0x1;
 const PROT_WRITE: c_int = 0x2;
 const MAP_SHARED: c_int = 0x1;
+const MAP_FIXED: c_int = 0x10;
 const SOL_SOCKET: c_int = 1;
 const SCM_RIGHTS: c_int = 1;
 const MSG_NOSIGNAL: c_int = 0x4000;
@@ -92,10 +93,44 @@ pub fn map_shared(fd: BorrowedFd<'_>, len: usize) -> io::Result<NonNull<u8>> {
     NonNull::new(at.cast()).ok_or_else(|| io::Error::other("mmap returned null"))
 }
 
-/// Undo [`map_shared`].
+/// Map `fd` like [`map_shared`], `len` bytes long, with its last
+/// `mirror` bytes mapped a second time right behind them: the file's
+/// `[len - mirror, len)` appears twice in a row, so any run of at most
+/// `mirror` bytes that starts in the first copy is one slice. Both
+/// `len` and `len - mirror` must be multiples of the page size. Undo
+/// with [`unmap`] over `len + mirror` bytes.
+pub fn map_mirrored(fd: BorrowedFd<'_>, len: usize, mirror: usize) -> io::Result<NonNull<u8>> {
+    assert!(mirror <= len, "a mirror longer than the mapping");
+    // One mapping of the whole length reserves the address range; its
+    // last `mirror` bytes lie past the end of the file and are replaced
+    // before anything can touch them.
+    let at = map_shared(fd, len + mirror)?;
+    // SAFETY: `MAP_FIXED` over the tail of the mapping just made, which
+    // nothing refers into yet; failure is `MAP_FAILED`, checked below.
+    let tail = unsafe {
+        c_mmap(
+            at.as_ptr().add(len).cast(),
+            mirror,
+            PROT_READ | PROT_WRITE,
+            MAP_SHARED | MAP_FIXED,
+            fd.as_raw_fd(),
+            (len - mirror) as c_long,
+        )
+    };
+    if tail as isize == -1 {
+        let e = io::Error::last_os_error();
+        // SAFETY: the mapping made above, not handed out.
+        unsafe { unmap(at, len + mirror) };
+        return Err(e);
+    }
+    Ok(at)
+}
+
+/// Undo [`map_shared`] or [`map_mirrored`].
 ///
 /// # Safety
-/// `at` and `len` are a live mapping from [`map_shared`], and nothing
+/// `at` and `len` are a live mapping from [`map_shared`] (or
+/// [`map_mirrored`], with the mirror counted in `len`), and nothing
 /// refers into it any more.
 pub unsafe fn unmap(at: NonNull<u8>, len: usize) {
     // SAFETY: the caller's contract. A failure would leave the mapping

@@ -29,7 +29,7 @@ use std::io::{self, Read, Write};
 
 use mpistream::MAX_FRAME_BYTES;
 use proptest::prelude::*;
-use socket::frame::{self, FrameReader, FRAME_OVERHEAD, LINK_BUF_BYTES};
+use socket::frame::{self, FrameReader, Source, FRAME_OVERHEAD, LINK_BUF_BYTES};
 use socket::ring::{self, RING_BYTES};
 
 type Frame = (u64, u64, Vec<u8>);
@@ -100,6 +100,8 @@ impl Read for HostileSource<'_> {
     }
 }
 
+impl Source for HostileSource<'_> {}
+
 /// The same source, non-blocking: where the shim would fail a call with
 /// `Interrupted`, it reports `WouldBlock`, which a frame reader does not
 /// retry but hands back to its caller, like a socket with nothing queued.
@@ -113,6 +115,8 @@ impl Read for NonBlocking<'_> {
         })
     }
 }
+
+impl Source for NonBlocking<'_> {}
 
 /// Accepts hostilely: short writes and `Interrupted`.
 struct HostileSink {
@@ -138,18 +142,21 @@ fn payload(rng: &mut u64, len: usize) -> Vec<u8> {
 
 /// Payload sizes around everything the reader branches on: empty, tiny,
 /// a few KiB, exactly filling the link buffer and one byte more (the
-/// first frame that gets its own allocation), and over twice the buffer.
-const LANDMARKS: [usize; 6] = [
+/// first frame too large for it: lent from a ring, its own allocation
+/// from any other source), over twice the buffer, and exactly filling a
+/// ring (the largest frame a ring lends).
+const LANDMARKS: [usize; 7] = [
     0,
     1,
     LINK_BUF_BYTES - FRAME_OVERHEAD - 1,
     LINK_BUF_BYTES - FRAME_OVERHEAD,
     LINK_BUF_BYTES - FRAME_OVERHEAD + 1,
     2 * LINK_BUF_BYTES + 123,
+    RING_BYTES - FRAME_OVERHEAD,
 ];
 
 /// A frame sequence from `seed`: every landmark size plus runs of small
-/// and medium frames, in seeded order. With ~330 KiB per sequence any
+/// and medium frames, in seeded order. With ~590 KiB per sequence any
 /// chunking leaves partial frames in the buffer at most refills, and the
 /// larger-than-buffer frames arrive with any amount already buffered.
 fn frames_from(seed: u64) -> Vec<Frame> {
@@ -235,7 +242,7 @@ fn drain_buffered(data: &[u8], chop: Chop) -> (Vec<Frame>, io::Result<()>) {
 
 /// The lending API, call after call: each lent frame copied out before
 /// the next call, which is as long as its bytes are valid.
-fn lent(reader: &mut FrameReader<impl Read>) -> io::Result<Option<Frame>> {
+fn lent(reader: &mut FrameReader<impl Source>) -> io::Result<Option<Frame>> {
     Ok(reader.lend_frame()?.map(|(tag, bytes, payload)| (tag, bytes, payload.into_owned())))
 }
 
@@ -491,6 +498,8 @@ impl Read for ThenSilence<'_> {
     }
 }
 
+impl Source for ThenSilence<'_> {}
+
 #[test]
 fn bad_length_prefixes_are_rejected_before_any_allocation() {
     let bad = (0..frame::HEADER_BYTES as u32).chain([MAX_FRAME_BYTES as u32 + 1, u32::MAX]);
@@ -553,4 +562,112 @@ fn lending_a_frame_in_the_buffer_allocates_nothing() {
     );
     assert!((tag, bytes, payload.into_owned()) == large);
     assert!(reader.lend_frame().unwrap().is_none());
+}
+
+// ---------------------------------------------------------------------
+// Frames between the buffer and the ring: decoded where they lie
+// ---------------------------------------------------------------------
+
+/// Frame sizes (prefix and header included) from one byte over the
+/// reader's buffer to the whole ring: every one is too large for the
+/// buffer and fits the ring.
+const BETWEEN: [usize; 5] =
+    [LINK_BUF_BYTES + 1, LINK_BUF_BYTES + 21, 100_003, RING_BYTES / 2 + 9, RING_BYTES];
+
+/// A frame of `len` bytes on the wire, its payload seeded.
+fn frame_of(len: usize, seed: u64) -> Frame {
+    let mut rng = seed;
+    (splitmix(&mut rng), splitmix(&mut rng), payload(&mut rng, len - FRAME_OVERHEAD))
+}
+
+/// The next frame from a ring reader, which must be lent from the ring.
+fn lent_from_ring(reader: &mut FrameReader<ring::RingReader>, want: &Frame) {
+    let (tag, bytes, payload) = reader.lend_frame().expect("a whole frame").expect("not EOF");
+    assert!(matches!(payload, Cow::Borrowed(_)), "a {}-byte payload was not lent", want.2.len());
+    assert!((tag, bytes, &payload[..]) == (want.0, want.1, &want.2[..]), "lent frame differs");
+}
+
+/// A frame too large for the reader's buffer but not for the ring is lent
+/// from the ring where it lies, with nothing allocated for it — also
+/// where it straddles the end of the data area, at its length prefix, its
+/// header or its payload. While it is not yet whole the reader waits for
+/// it in the ring (`WouldBlock`), having released the frame before it, so
+/// the writer has room for the rest.
+#[test]
+fn frames_between_the_buffer_and_the_ring_are_lent_where_they_lie() {
+    // A lead frame, itself lent, puts the writer `lead` bytes into the
+    // data area; the frame under test follows it and crosses the end
+    // `RING_BYTES - lead` bytes in: in its prefix, in its header, and
+    // half-way through.
+    for (k, &len) in BETWEEN.iter().enumerate() {
+        for (j, lead) in
+            [RING_BYTES - 2, RING_BYTES - 9, RING_BYTES - len / 2].into_iter().enumerate()
+        {
+            let lead_frame = frame_of(lead, (k * 8 + j) as u64);
+            let frame = frame_of(len, (k * 8 + j) as u64 + 100);
+            let (wire, _) = on_the_wire(&[lead_frame.clone(), frame.clone()]);
+            let (mut writer, ring) = ring::local_pair();
+            let mut reader = FrameReader::new(ring);
+            LARGEST_REQUEST.with(|c| c.set(0));
+            let first = writer.publish(&wire);
+            assert!(first < wire.len(), "the pair must not fit the ring at once");
+            lent_from_ring(&mut reader, &lead_frame);
+            let mut sent = first;
+            while sent < wire.len() {
+                let kind = reader.lend_frame().err().map(|e| e.kind());
+                assert_eq!(kind, Some(io::ErrorKind::WouldBlock), "a partial frame is waited for");
+                let n = writer.publish(&wire[sent..]);
+                assert!(n > 0, "the reader released the lead frame: the rest fits");
+                sent += n;
+            }
+            lent_from_ring(&mut reader, &frame);
+            assert_eq!(LARGEST_REQUEST.with(Cell::get), 0, "lending from the ring allocated");
+            let kind = reader.lend_frame().err().map(|e| e.kind());
+            assert_eq!(kind, Some(io::ErrorKind::WouldBlock), "nothing more on a live ring");
+            reader.get_mut().close();
+            assert!(reader.lend_frame().unwrap().is_none(), "a drained closed ring is EOF");
+        }
+    }
+}
+
+/// A writer that dies inside such a frame: the reader gets exactly the
+/// whole frames before the cut, then `UnexpectedEof` — never a
+/// `WouldBlock` that would wait for bytes that cannot come.
+#[test]
+fn a_writer_closed_inside_a_frame_lent_from_the_ring_is_eof() {
+    let frames: Vec<Frame> =
+        BETWEEN.iter().enumerate().map(|(i, &len)| frame_of(len, i as u64)).collect();
+    for (i, f) in frames.iter().enumerate() {
+        let start = (RING_BYTES / 3) * (i % 3);
+        let before = frame_of(start.max(LINK_BUF_BYTES + 1), i as u64 + 50);
+        let (wire, boundaries) = on_the_wire(&[before.clone(), f.clone()]);
+        let at = boundaries[1];
+        for cut in [
+            at + 1,
+            at + 3,
+            at + 4,
+            at + FRAME_OVERHEAD - 1,
+            at + FRAME_OVERHEAD + 1,
+            wire.len() - 1,
+        ] {
+            let (mut writer, ring) = ring::local_pair();
+            let mut reader = FrameReader::new(ring);
+            let mut sent = 0;
+            let mut got = Vec::new();
+            let end = loop {
+                sent += writer.publish(&wire[sent..cut]);
+                if sent == cut {
+                    reader.get_mut().close();
+                }
+                match lent(&mut reader) {
+                    Ok(Some(frame)) => got.push(frame),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock && sent < cut => {}
+                    other => break other,
+                }
+            };
+            assert!(got == [before.clone()], "cut at {cut}: the whole frame before it");
+            let kind = end.err().map(|e| e.kind());
+            assert_eq!(kind, Some(io::ErrorKind::UnexpectedEof), "cut at {cut} of frame {i}");
+        }
+    }
 }

@@ -22,10 +22,12 @@
 //! replays.
 #![cfg(schedcheck)]
 
+use std::borrow::Cow;
 use std::io::{self, Read};
 use std::sync::Arc;
 
 use schedcheck::{codes, Checker, Outcome};
+use socket::frame::{self, FrameReader};
 use socket::page::{Page, Slot};
 use socket::ring::{self, RingReader, RingWriter, RING_BYTES};
 
@@ -292,6 +294,82 @@ fn a_death_mark_racing_a_room_wait_is_clean() {
         launcher.join().unwrap();
     });
     assert_clean_and_explored(&out);
+}
+
+// ---------------------------------------------------------------------
+// 6. A frame lent from the ring, waited for there
+// ---------------------------------------------------------------------
+
+/// The reader has a lent frame in hand (half the ring) when the writer
+/// starts on the next, three quarters of the ring: more than the free
+/// space. The writer publishes it in quarter-ring pieces and waits for
+/// room; the reader waits for the frame to be whole in the ring, never
+/// copying a piece out, and lends it from there. Only the reader's
+/// release of the frame before, when it starts waiting, makes room for
+/// the last piece, so that release must claim the writer's wake: a
+/// schedule where both sleep is an SC202.
+#[test]
+fn a_frame_waited_for_in_the_ring_is_clean() {
+    // Bound 3: bound 2 exhausts this model at 298 schedules.
+    let out = checker(4_000, 3).model(|| {
+        let page = Arc::new(Page::local(2));
+        let (mut writer, ring) = ring::local_pair();
+        let mut reader = FrameReader::new(ring);
+        let lead = frame_bytes(RING_BYTES / 2, 1);
+        let next = frame_bytes(RING_BYTES / 4 * 3, 2);
+        assert_eq!(writer.publish(&lead), lead.len());
+        let w = {
+            let page = Arc::clone(&page);
+            let next = next.clone();
+            schedcheck::thread::spawn(move || {
+                let (me, reader) = (page.slot(1), page.slot(0));
+                let mut sent = 0;
+                while sent < next.len() {
+                    wait(me, || {
+                        let piece = (next.len() - sent).min(RING_BYTES / 4);
+                        let n = writer.publish(&next[sent..sent + piece]);
+                        if n > 0 {
+                            reader.ring();
+                        }
+                        sent += n;
+                        n > 0 || (sent < next.len() && !writer.park())
+                    });
+                    writer.unpark();
+                }
+            })
+        };
+        let (me, peer) = (page.slot(0), page.slot(1));
+        let (tag, _, payload) = reader.lend_frame().expect("whole").expect("live");
+        assert!(tag == 1 && matches!(payload, Cow::Borrowed(_)), "the lead frame is lent");
+        let mut done = false;
+        while !done {
+            wait(me, || {
+                done = match reader.lend_frame() {
+                    Ok(Some((tag, _, payload))) => {
+                        assert!(matches!(payload, Cow::Borrowed(_)), "lent from the ring");
+                        assert!(tag == 2 && payload[..] == next[frame::FRAME_OVERHEAD..]);
+                        true
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
+                    other => panic!("frame read: {:?}", other.map(|f| f.map(|f| f.0))),
+                };
+                if reader.get_mut().take_wake() {
+                    peer.ring();
+                }
+                done
+            });
+        }
+        w.join().unwrap();
+    });
+    assert_clean_and_explored(&out);
+}
+
+/// A frame of `len` bytes on the wire, tag `tag`, payload recognisable.
+fn frame_bytes(len: usize, tag: u64) -> Vec<u8> {
+    let payload: Vec<u8> = (0..len - frame::FRAME_OVERHEAD).map(byte).collect();
+    let mut wire = Vec::new();
+    frame::write_frame(&mut wire, tag, 0, &payload).expect("write to memory");
+    wire
 }
 
 // ---------------------------------------------------------------------
