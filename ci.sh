@@ -84,14 +84,15 @@ timeout 180 cargo test -q --release --offline -p integration \
 stage "socket backend smoke (multi-process equivalence over shared-memory rings)"
 # The same portable programs again, this time with one OS *process* per
 # rank and every payload crossing the Wire codec through a shared-memory
-# ring per link, and every wake-up through a futex doorbell in a shared
-# world page (DESIGN.md §16). backend_equivalence certifies the socket
+# ring per link, and every wake-up through a futex doorbell, all in the
+# launcher's one world file (DESIGN.md §16). backend_equivalence certifies the socket
 # fingerprints against sim and native; the socket crate's own tests pin
 # progress wherever a rank blocks (floods, frames larger than a link's
 # ring both ways at once, close barrier, a reader that dies while its
-# writer waits for room, a half frame on a live rank, a dial that wakes
-# a rank with no links, a deadline on such a rank), the ring's byte
-# stream under hostile publishes, and one thread per rank process; recv_deadline_semantics
+# writer waits for room, a half frame on a live rank, a newly opened
+# ring that wakes a rank with no links, a deadline on such a rank), the
+# ring's byte stream under hostile publishes, one writer per ring, and
+# one thread and one socket per rank process; recv_deadline_semantics
 # pins the half-read-frame and absolute-deadline contracts; the quickstart run
 # exercises the launcher + merged wall-clock trace end to end. Process
 # worlds can wedge rather than fail, so everything is timeout-bounded.
@@ -100,11 +101,22 @@ stage "socket backend smoke (multi-process equivalence over shared-memory rings)
 # back beside it.
 if grep -rn 'thread::spawn' crates/socket/src; then echo "no threads in socket ranks"; exit 1; fi
 # Nor may a poll come back: a rank sleeps on its futex doorbell and is
-# woken through shared memory, so past the preamble it makes no socket
-# call per message or per wake. strace is not on every host, and
-# /proc/<pid>/io does not count socket send/recv, so this grep is the
-# structural check.
+# woken through shared memory, so past GO it makes no socket call per
+# message or per wake. strace is not on every host, and /proc/<pid>/io
+# does not count socket send/recv, so this grep is the structural check.
 if grep -rnE 'poll\(|POLLIN' crates/socket/src; then echo "no poll in socket ranks"; exit 1; fi
+# Nor may a link be dialled again: every ring lies in the world file the
+# launcher sends with GO, so the launcher's control socket is the one
+# listener, and GO the one descriptor that crosses a socket.
+nontest_socket_src() {
+    for f in crates/socket/src/*.rs; do sed '/^#\[cfg(test)\]$/,$d' "$f"; done
+}
+if [ "$(nontest_socket_src | grep -c 'UnixListener::bind')" -ne 1 ]; then
+    echo "one listener in a socket world: the launcher's control socket"; exit 1
+fi
+if nontest_socket_src | grep 'send_with_fd(' | grep -v 'fn send_with_fd(' | grep -v 'CTL_GO'; then
+    echo "only GO carries a descriptor"; exit 1
+fi
 # A socket rank's thread is the only writer of its own mail, so it owns a
 # bare single-threaded `Matcher` and decodes the frame a receive takes
 # where it lies in its link's buffer: no multi-producer `Mailbox`, with its
@@ -192,7 +204,7 @@ stage "schedcheck model checking (bounded exhaustive interleavings)"
 # bell's park, typed values passed over on the way to a directed match,
 # deadline receives, batched credit returns, a small tree collective —
 # and the socket backend's shared-memory ring and futex doorbells (publish and claim against park and re-check, restart at the
-# front, ring-full waits both ways, a dial racing a park, a death mark
+# front, ring-full waits both ways, a newly opened ring racing a park, a death mark
 # racing a room wait, a frame waited for in the ring) re-compiled against schedcheck's shadow primitives
 # (--cfg schedcheck switches the native::sync facade) and explored
 # exhaustively up to a preemption bound: every clean model must cover

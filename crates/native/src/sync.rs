@@ -23,7 +23,7 @@
 //!
 //! [`futex::Bell`] is the one sleep, and it is not a `std` type: a word
 //! that another thread or another *process* rings. A native rank sleeps
-//! on its mailbox's bell, a socket rank on its slot of the world page;
+//! on its mailbox's bell, a socket rank on its slot of the world file;
 //! both keep the protocol in the type's docs. std mode: `FUTEX_WAIT`/
 //! `FUTEX_WAKE` on an `AtomicU32` (a short nap off Linux). schedcheck
 //! mode: `schedcheck::futex`, whose word carries a shadow wait queue of

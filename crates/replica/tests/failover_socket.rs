@@ -6,7 +6,7 @@
 //! elect a successor across the process boundary, and the survivors
 //! must fold every payload exactly once.
 //!
-//! Runs under [`SocketWorld::death_tolerant`]: the launcher reports the
+//! Runs under [`SocketWorld::run_tolerant`]: the launcher reports the
 //! aborted rank as `None` instead of tearing the world down, and sends
 //! to the corpse are dropped instead of crashing the sender.
 
@@ -39,7 +39,6 @@ fn socket_primary_abort_fails_over_across_processes() {
         "socket_primary_abort_fails_over_across_processes",
         N_PRODUCERS + N_REPLICAS,
     )
-    .death_tolerant()
     .run_tolerant(|rank| {
         let comm = rank.world_group();
         let me = rank.world_rank();

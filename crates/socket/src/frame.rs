@@ -1,11 +1,9 @@
-//! The framed connection protocol (DESIGN.md §16).
+//! The frame format of a link (DESIGN.md §16).
 //!
-//! Every directed link starts with a **preamble** identifying the
-//! protocol and the sender, then carries a sequence of self-delimiting
-//! **frames**:
+//! Every directed link carries a sequence of self-delimiting **frames**;
+//! its sender is known from the ring it travels in (`crate::page`):
 //!
 //! ```text
-//! preamble:  [ MAGIC "MPWS" : 4B ][ VERSION : u8 ][ src rank : u32 LE ]
 //! frame:     [ len : u32 LE ][ tag : u64 LE ][ bytes : u64 LE ][ payload ]
 //! ```
 //!
@@ -29,9 +27,8 @@
 //! there, with no copy at all. Anything else is a refill: the ring's
 //! bytes, up to the buffer's size, are copied into the buffer, and every
 //! complete frame in it is lent from there, where the receiving rank
-//! decodes it. The preamble travels on the link's socket, with the
-//! ring's descriptor beside it; [`write_frame`] and [`read_frame`] speak
-//! the same format over any `Write` and `Read`.
+//! decodes it. [`write_frame`] and [`read_frame`] speak the same format
+//! over any `Write` and `Read`.
 //!
 //! All functions here speak `io::Result`: a malformed peer produces an
 //! `InvalidData` error at the reader, never a panic inside the codec.
@@ -45,15 +42,6 @@ use mpistream::MAX_FRAME_BYTES;
 
 use crate::ring::{RingReader, RING_BYTES};
 
-/// Connection preamble magic.
-pub const MAGIC: [u8; 4] = *b"MPWS";
-/// Protocol version byte; bumped on any change to the link protocol
-/// (2: frames travel through a shared-memory ring whose descriptor
-/// comes with the preamble; 3: wake-ups go through the world page's
-/// futex doorbells, and the socket closes after the preamble).
-pub const VERSION: u8 = 3;
-/// Length of the connection preamble: magic, version, sender rank.
-pub(crate) const PREAMBLE_BYTES: usize = 4 + 1 + 4;
 /// Fixed frame header past the length prefix: tag + modelled bytes.
 pub const HEADER_BYTES: usize = 16;
 /// Everything a frame carries in front of its payload: the `u32` length
@@ -68,32 +56,6 @@ pub const LINK_BUF_BYTES: usize = 64 << 10;
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Write the connection preamble for a link whose sender is world rank
-/// `src`.
-pub fn write_preamble(w: &mut impl Write, src: usize) -> io::Result<()> {
-    w.write_all(&MAGIC)?;
-    w.write_all(&[VERSION])?;
-    w.write_all(&(src as u32).to_le_bytes())
-}
-
-/// Read and validate a connection preamble; returns the sender's world
-/// rank.
-pub fn read_preamble(r: &mut impl Read) -> io::Result<usize> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(invalid(format!("bad connection magic {magic:02x?}")));
-    }
-    let mut ver = [0u8; 1];
-    r.read_exact(&mut ver)?;
-    if ver[0] != VERSION {
-        return Err(invalid(format!("protocol version {} (expected {VERSION})", ver[0])));
-    }
-    let mut src = [0u8; 4];
-    r.read_exact(&mut src)?;
-    Ok(u32::from_le_bytes(src) as usize)
 }
 
 /// Start a frame in `buf`: clear it and reserve the [`FRAME_OVERHEAD`]
@@ -432,11 +394,9 @@ mod tests {
     #[test]
     fn frame_round_trips_through_a_buffer() {
         let mut buf = Vec::new();
-        write_preamble(&mut buf, 7).unwrap();
         write_frame(&mut buf, 0xABCD, 64, &[1, 2, 3]).unwrap();
         write_frame(&mut buf, 9, 0, &[]).unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_preamble(&mut r).unwrap(), 7);
         assert_eq!(read_frame(&mut r).unwrap(), Some((0xABCD, 64, vec![1, 2, 3])));
         assert_eq!(read_frame(&mut r).unwrap(), Some((9, 0, vec![])));
         assert_eq!(read_frame(&mut r).unwrap(), None); // clean EOF
@@ -453,17 +413,5 @@ mod tests {
         assert!(read_frame(&mut &huge[..]).is_err());
         let tiny = 3u32.to_le_bytes(); // below the header size
         assert!(read_frame(&mut &tiny[..]).is_err());
-    }
-
-    #[test]
-    fn bad_preamble_is_rejected() {
-        let mut buf = Vec::new();
-        write_preamble(&mut buf, 1).unwrap();
-        buf[0] = b'X';
-        assert!(read_preamble(&mut &buf[..]).is_err());
-        let mut buf2 = Vec::new();
-        write_preamble(&mut buf2, 1).unwrap();
-        buf2[4] = VERSION + 1;
-        assert!(read_preamble(&mut &buf2[..]).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Multi-process [`Transport`](mpistream::Transport) backend: every rank
 //! a separate OS process; every directed link a shared-memory [`ring`]
-//! that carries its frames; every rank one doorbell in a shared
-//! [`page`].
+//! that carries its frames; every rank one doorbell; all of them in one
+//! world file ([`page`]).
 //!
 //! The paper's decoupling strategy assumes compute and data-movement
 //! groups that could live on different nodes; the sim and native
@@ -23,12 +23,13 @@
 //!
 //! ## Links
 //!
-//! A link is dialled on first use: the sender connects to the receiver's
-//! data listener, creates the link's ring (a `memfd`, [`ring::RING_BYTES`]
-//! of data), sends the preamble with the ring's descriptor beside it
-//! (`SCM_RIGHTS`), counts the dial in the receiver's slot and closes the
-//! socket, which would carry nothing more. Frames, wake-ups and deaths
-//! all go through shared memory, which leaves nothing behind.
+//! Every link's ring is already in the world file, which every rank maps
+//! at GO, so nothing is dialled: a sender's first send to a rank maps
+//! that pair's data area, claims the ring's header as its one writer,
+//! counts the link in the receiver's slot and rings it; the receiver,
+//! seeing the count move, maps the data areas of the newly opened
+//! headers in its row. Frames, wake-ups and deaths all go through the
+//! file.
 //!
 //! ## Topology
 //!
@@ -36,14 +37,12 @@
 //! current binary once per rank (`fork`/`exec` with a
 //! `MPISTREAM_SOCKET_*` env handshake). Each child:
 //!
-//! 1. binds its data listener `dir/rank<r>.sock`, *then* greets the
-//!    launcher over `dir/ctl.sock` — so once the launcher releases the
-//!    world (GO, with the world page's descriptor), every listener is
-//!    guaranteed to exist and connect-on-first-use cannot race;
+//! 1. greets the launcher over `dir/ctl.sock`, the one socket of the
+//!    world, and waits for GO, which brings the world file's descriptor;
 //! 2. runs the body against a [`SocketRank`] on the process's one
 //!    thread; whenever the body waits in a transport call — a receive
-//!    that misses, a send whose ring is full — the rank accepts the
-//!    links its slot says were dialled and reads its inbound rings;
+//!    that misses, a send whose ring is full — the rank maps the rings
+//!    its slot says were opened and reads its inbound rings;
 //! 3. ships its [`Wire`]-encoded result back on the control link and
 //!    waits for the launcher's ALL_DONE, still reading its inbound
 //!    links — a close barrier: no rank exits while a peer might still be
@@ -58,8 +57,8 @@
 //! and put the socket run *first* in the fn so re-executed children
 //! reach it before any sim/native comparison work.
 
-// Every `unsafe` block says why it is sound: the rings and the world page
-// are shared memory another process writes.
+// Every `unsafe` block says why it is sound: the world file is shared
+// memory another process writes.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod frame;
@@ -69,12 +68,12 @@ mod sys;
 
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
-use std::os::fd::{AsFd, OwnedFd};
+use std::os::fd::AsFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use frame::FrameReader;
@@ -95,14 +94,13 @@ const ENV_SCALE: &str = "MPISTREAM_SOCKET_SCALE";
 const CTL_GO: u8 = 0x47;
 const CTL_ALL_DONE: u8 = 0x44;
 
-/// How long the launch handshake (HELLO, GO) and first-use data connects
-/// may take before the run is declared wedged. The handshake bound does
-/// not cover the body: how long a world runs is the caller's business.
+/// How long the launch handshake (connect, HELLO, GO) may take before
+/// the run is declared wedged. The handshake bound does not cover the body: how long a world
+/// runs is the caller's business.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// While the launcher waits for results it wakes this often to look at
 /// the children's exit statuses, so a rank that died is reported by name
-/// (or, death-tolerant, marked dead in the world page) within about a
+/// (or, death-tolerant, marked dead in the world file) within about a
 /// second. Long enough that the launcher costs the ranks it shares a CPU
 /// with nothing.
 const RESULT_POLL: Duration = Duration::from_secs(1);
@@ -127,8 +125,6 @@ pub struct SocketWorld {
     /// `Some`: explicit child argv (libtest filter args, see
     /// [`SocketWorld::for_test`]).
     child_args: Option<Vec<String>>,
-    /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
-    tolerant: bool,
     /// Bound on the launch handshake; [`HANDSHAKE_TIMEOUT`] outside this
     /// crate's own tests.
     handshake_timeout: Duration,
@@ -145,7 +141,6 @@ impl SocketWorld {
             nprocs,
             compute_scale: 1.0,
             child_args: None,
-            tolerant: false,
             handshake_timeout: HANDSHAKE_TIMEOUT,
         }
     }
@@ -174,21 +169,6 @@ impl SocketWorld {
         self
     }
 
-    /// Tolerate rank death: a rank process that vanishes mid-run (kill,
-    /// abort, crash) no longer takes the world down with it. The launcher
-    /// marks it dead in the world page within about a second and wakes
-    /// every rank. Sends to a dead peer are silently dropped (the peer is
-    /// remembered as dead — no reconnect storms; a send waiting for room
-    /// in a dead peer's ring ends at the mark), a dead peer's inbound
-    /// link reads as EOF once drained, and the launcher reports the dead
-    /// rank as `None` instead of panicking. Pair with
-    /// [`SocketWorld::run_tolerant`]; fault-free runs behave identically
-    /// to the strict mode.
-    pub fn death_tolerant(mut self) -> SocketWorld {
-        self.tolerant = true;
-        self
-    }
-
     /// Shrink the handshake bound, so a test can outlast it in seconds.
     #[cfg(test)]
     fn with_handshake_timeout(mut self, bound: Duration) -> SocketWorld {
@@ -209,30 +189,36 @@ impl SocketWorld {
         R: Wire,
         F: FnOnce(&mut SocketRank) -> R,
     {
-        assert!(
-            !self.tolerant,
-            "a death-tolerant world must use run_tolerant: a dead rank has no result, \
-             so the launcher returns Vec<Option<R>>"
-        );
-        self.run_tolerant(body)
+        self.launch(false, body)
             .into_iter()
             .map(|r| r.expect("strict launcher panics before recording a dead rank"))
             .collect()
     }
 
-    /// Like [`SocketWorld::run`], but for a [death-tolerant]
-    /// world: ranks that die mid-run come back as `None`, every
-    /// surviving rank's result as `Some`.
-    ///
-    /// [death-tolerant]: SocketWorld::death_tolerant
+    /// Like [`SocketWorld::run`], but death-tolerant: a rank process that
+    /// vanishes mid-run (kill, abort, crash) no longer takes the world
+    /// down with it. The launcher marks it dead in the world file within
+    /// about a second and wakes every rank. Sends to a dead peer are
+    /// dropped (a send waiting for room in a dead peer's ring ends at the
+    /// mark), a dead peer's inbound link reads as EOF once drained, and
+    /// the dead rank comes back as `None`, every surviving rank's result
+    /// as `Some`. Fault-free runs behave identically to the strict mode.
     pub fn run_tolerant<R, F>(&self, body: F) -> Vec<Option<R>>
     where
         R: Wire,
         F: FnOnce(&mut SocketRank) -> R,
     {
+        self.launch(true, body)
+    }
+
+    fn launch<R, F>(&self, tolerant: bool, body: F) -> Vec<Option<R>>
+    where
+        R: Wire,
+        F: FnOnce(&mut SocketRank) -> R,
+    {
         match std::env::var(ENV_KEY) {
-            Err(_) => self.run_launcher(scratch_dir(&self.key)),
-            Ok(k) if k == self.key => self.run_child(body),
+            Err(_) => self.run_launcher(scratch_dir(&self.key), tolerant),
+            Ok(k) if k == self.key => self.run_child(tolerant, body),
             Ok(k) => panic!(
                 "this process was launched as a rank of socket world {k:?} but reached \
                  SocketWorld::run for {:?} first — keep exactly one SocketWorld::run per \
@@ -242,11 +228,11 @@ impl SocketWorld {
         }
     }
 
-    fn run_launcher<R: Wire>(&self, dir: PathBuf) -> Vec<Option<R>> {
+    fn run_launcher<R: Wire>(&self, dir: PathBuf, tolerant: bool) -> Vec<Option<R>> {
         // A launcher that was killed leaves its directory behind, and once
         // the kernel reuses its pid `bind` would fail here on the stale
-        // `ctl.sock`, or in rank N on `rankN.sock`. No live world can own
-        // the path: its launcher would have this pid.
+        // `ctl.sock`. No live world can own the path: its launcher would
+        // have this pid.
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create socket scratch dir");
         let listener = UnixListener::bind(dir.join("ctl.sock")).expect("bind control socket");
@@ -269,8 +255,7 @@ impl SocketWorld {
             guard.children.push(child);
         }
 
-        // Accept one HELLO per rank; each child binds its data listener
-        // before greeting, so past this loop every listener exists.
+        // Accept one HELLO per rank.
         let deadline = std::time::Instant::now() + self.handshake_timeout;
         let mut conns: Vec<Option<UnixStream>> = (0..self.nprocs).map(|_| None).collect();
         let mut accepted = 0;
@@ -306,9 +291,9 @@ impl SocketWorld {
         // The handshake bound ends with GO: from here on a silent control
         // link is a rank still running its body, for as long as that
         // takes. A rank that died shows in its exit status instead, which
-        // the launcher looks at every RESULT_POLL. The world page rides
+        // the launcher looks at every RESULT_POLL. The world file rides
         // with GO.
-        let (page, page_fd) = Page::create(self.nprocs).expect("create the world page");
+        let (page, page_fd) = Page::create(self.nprocs).expect("create the world file");
         for c in &mut conns {
             sys::send_with_fd(c, &[CTL_GO], page_fd.as_fd()).expect("send GO");
             c.set_read_timeout(Some(RESULT_POLL)).expect("control read timeout");
@@ -318,7 +303,7 @@ impl SocketWorld {
         // still be writing to them.
         let mut results = Vec::with_capacity(self.nprocs);
         for (r, conn) in conns.iter_mut().enumerate() {
-            let idle = || match self.tolerant {
+            let idle = || match tolerant {
                 false => guard.check_alive("before returning a result"),
                 // Tolerant worlds expect deaths: mark them for the
                 // survivors; the dead rank's own link reports it (EOF).
@@ -328,7 +313,7 @@ impl SocketWorld {
                 Ok(blob) => results.push(Some(R::from_frame(&blob).unwrap_or_else(|e| {
                     panic!("rank {r} returned a malformed result frame: {e}")
                 }))),
-                Err(_) if self.tolerant => results.push(None),
+                Err(_) if tolerant => results.push(None),
                 Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
                     // A rank's end of the link closes only when its
                     // process goes; the exit status follows at once.
@@ -356,7 +341,7 @@ impl SocketWorld {
         results
     }
 
-    fn run_child<R, F>(&self, body: F) -> !
+    fn run_child<R, F>(&self, tolerant: bool, body: F) -> !
     where
         R: Wire,
         F: FnOnce(&mut SocketRank) -> R,
@@ -371,22 +356,20 @@ impl SocketWorld {
         let dir = PathBuf::from(std::env::var(ENV_DIR).expect("socket dir env"));
         let compute_scale: f64 = env_parsed(ENV_SCALE);
 
-        // Data listener first, HELLO second — the ordering GO relies on.
-        let listener = UnixListener::bind(rank_sock(&dir, rank)).expect("bind data listener");
-        let mut ctl =
-            connect_retry(&dir.join("ctl.sock"), CONNECT_TIMEOUT).expect("connect control socket");
+        let mut ctl = connect_retry(&dir.join("ctl.sock"), self.handshake_timeout)
+            .expect("connect control socket");
         ctl.set_read_timeout(Some(self.handshake_timeout)).expect("control read timeout");
         ctl.write_all(&(rank as u32).to_le_bytes()).expect("send HELLO");
         let mut go = [0u8; 1];
         let (n, page) = sys::recv_with_fd(&ctl, &mut go).expect("read GO");
         assert_eq!((n, go[0]), (1, CTL_GO), "unexpected control byte");
-        let page = Page::attach(page.expect("GO without the world page"), nprocs);
-        let page = WORLD_PAGE.get_or_init(|| page.expect("map the world page"));
+        let page = Page::attach(page.expect("GO without the world file"), nprocs);
+        let page = WORLD_PAGE.get_or_init(|| Arc::new(page.expect("map the world file")));
         // Only the handshake is bounded: ALL_DONE comes when the slowest
         // rank has finished, however long that is.
         ctl.set_read_timeout(None).expect("clear control read timeout");
 
-        let links = SocketLinks::new(dir, listener, rank, nprocs, self.tolerant, page);
+        let links = SocketLinks::new(Arc::clone(page), rank, tolerant);
         let clock = WallClock::start(compute_scale);
         let mut me = MailboxRank::new(rank, nprocs, clock, COLL_FLAT_THRESHOLD, links);
         let result = body(&mut me);
@@ -396,8 +379,8 @@ impl SocketWorld {
     }
 }
 
-/// This rank process's map of the world page, for [`RawLink::dial`].
-static WORLD_PAGE: OnceLock<Page> = OnceLock::new();
+/// This rank process's map of the world file, for [`RawLink::open`].
+static WORLD_PAGE: OnceLock<Arc<Page>> = OnceLock::new();
 
 /// Kills any still-running children and removes the scratch directory —
 /// on the success path the children vec has been drained first.
@@ -419,7 +402,7 @@ impl LaunchGuard {
     }
 
     /// Death-tolerant worlds: mark every rank whose process has gone
-    /// dead in the world page, which wakes every rank.
+    /// dead in the world file, which wakes every rank.
     fn mark_dead(&mut self, page: &Page) {
         for (r, c) in self.children.iter_mut().enumerate() {
             if !page.slot(r).is_dead() && matches!(c.try_wait(), Ok(Some(_))) {
@@ -475,10 +458,6 @@ where
         .unwrap_or_else(|_| panic!("{name} not set in rank process"))
         .parse()
         .unwrap_or_else(|e| panic!("{name} unparseable: {e:?}"))
-}
-
-fn rank_sock(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(format!("rank{rank}.sock"))
 }
 
 /// Per-run scratch directory under the system temp dir. Keyed by pid +
@@ -542,8 +521,8 @@ pub fn reader_loop(stream: UnixStream, src: usize, mailbox: &Mailbox, tolerant: 
 pub type SocketRank = MailboxRank<SocketLinks>;
 
 /// The [`Links`] of a socket rank: a shared-memory [`ring`] per directed
-/// link that carries its frames, the rank's doorbell in the world
-/// [`page`], and this process's [`Matcher`].
+/// link that carries its frames, the rank's doorbell, both in the world
+/// file ([`page`]), and this process's [`Matcher`].
 ///
 /// A rank process has one thread, the one running the body, and it makes
 /// progress on its own links. A receive looks in the matcher first, then
@@ -558,62 +537,34 @@ pub type SocketRank = MailboxRank<SocketLinks>;
 /// transport calls — while the body computes — nothing is read, and a
 /// peer that fills the ring meanwhile waits for the next call.
 pub struct SocketLinks {
-    dir: PathBuf,
-    /// The receiving side: listener, inbound links and matcher.
+    /// The world file: every rank's slot and every link's ring.
+    page: Arc<Page>,
+    /// The receiving side: inbound links and matcher.
     inbound: Inbound,
-    /// Outbound links, connected on first use (always succeeds: every
-    /// listener was bound before GO).
+    /// Outbound links, opened on first use.
     links: Vec<Option<OutLink>>,
-    /// Peers observed dead (tolerant mode only): once a connect or a
-    /// send to a rank fails it stays marked, so later sends drop
-    /// immediately instead of re-dialling a corpse.
-    dead: Vec<bool>,
     /// Where `send` builds its frame; keeps its capacity between sends
     /// (up to [`SEND_BUF_KEEP`]).
     send_buf: Vec<u8>,
 }
 
 impl SocketLinks {
-    fn new(
-        dir: PathBuf,
-        listener: UnixListener,
-        rank: usize,
-        nprocs: usize,
-        tolerant: bool,
-        page: &'static Page,
-    ) -> SocketLinks {
-        listener.set_nonblocking(true).expect("nonblocking data listener");
+    fn new(page: Arc<Page>, rank: usize, tolerant: bool) -> SocketLinks {
+        let nprocs = page.ranks();
         SocketLinks {
-            dir,
             inbound: Inbound {
                 rank,
                 tolerant,
-                page,
                 dials: 0,
-                listener,
+                opened: vec![false; nprocs],
                 links: Vec::new(),
                 next: 0,
                 matcher: Matcher::default(),
             },
             links: (0..nprocs).map(|_| None).collect(),
-            dead: vec![false; nprocs],
             send_buf: Vec::new(),
+            page,
         }
-    }
-
-    fn connect(&self, me: usize, dst: usize) -> Result<OutLink, String> {
-        // Every listener was bound before GO, so in tolerant mode a
-        // refused connect means the peer is gone — fail on the first
-        // attempt instead of retrying against a corpse for seconds.
-        let path = rank_sock(&self.dir, dst);
-        let connected = if self.inbound.tolerant {
-            UnixStream::connect(&path)
-        } else {
-            connect_retry(&path, CONNECT_TIMEOUT)
-        };
-        let sock = connected.map_err(|e| format!("connect to rank {dst}: {e}"))?;
-        OutLink::open(sock, me, self.inbound.page.slot(dst))
-            .map_err(|e| format!("link to rank {dst}: {e}"))
     }
 
     /// The close barrier, after the body returned: ship the result on the
@@ -622,18 +573,19 @@ impl SocketLinks {
     /// to this rank and cannot finish its own body until it has. The
     /// launcher rings this rank after it takes result bytes and after
     /// ALL_DONE.
-    fn close(mut self, ctl: UnixStream, result: &[u8]) {
+    fn close(self, ctl: UnixStream, result: &[u8]) {
+        let SocketLinks { page, mut inbound, .. } = self;
         let mut blob = Vec::with_capacity(4 + result.len());
         frame::write_blob(&mut blob, result).expect("ship result");
         ctl.set_nonblocking(true).expect("nonblocking control link");
         let mut left = &blob[..];
         while !left.is_empty() {
-            let n = self.inbound.retry(|| (&ctl).write(left)).expect("ship result");
+            let n = inbound.retry(&page, || (&ctl).write(left)).expect("ship result");
             assert!(n > 0, "ship result: the launcher closed the control link");
             left = &left[n..];
         }
         let mut done = [0u8; 1];
-        let n = self.inbound.retry(|| (&ctl).read(&mut done)).expect("read ALL_DONE");
+        let n = inbound.retry(&page, || (&ctl).read(&mut done)).expect("read ALL_DONE");
         assert_eq!((n, done[0]), (1, CTL_ALL_DONE), "read ALL_DONE: unexpected control bytes");
     }
 }
@@ -662,19 +614,16 @@ impl Links for SocketLinks {
             // does it say anything about the peer.
             panic!("rank {me}: send to rank {dst} under tag {tag:?}: {e}");
         }
-        if self.links[dst].is_none() && !self.dead[dst] {
-            match self.connect(me, dst) {
-                Ok(link) => self.links[dst] = Some(link),
-                Err(_) if self.inbound.tolerant => self.dead[dst] = true,
-                Err(e) => panic!("rank {me}: {e}"),
-            }
-        }
-        // `None`: tolerant mode and dst is dead — the send is dropped.
-        if let Some(link) = &mut self.links[dst] {
-            if let Err(e) = self.inbound.send_frame(link, &buf) {
-                assert!(self.inbound.tolerant, "rank {me}: send to rank {dst}: {e}");
-                self.links[dst] = None;
-                self.dead[dst] = true;
+        // A rank the launcher marked dead (death-tolerant worlds only)
+        // takes nothing more: the send is dropped.
+        let SocketLinks { page, inbound, links, .. } = self;
+        if !page.slot(dst).is_dead() {
+            let link = links[dst].get_or_insert_with(|| {
+                OutLink::open(page, dst, me)
+                    .unwrap_or_else(|e| panic!("rank {me}: link to rank {dst}: {e}"))
+            });
+            if let Err(e) = inbound.send_frame(page, link, &buf) {
+                assert!(inbound.tolerant, "rank {me}: send to rank {dst}: {e}");
             }
         }
         if buf.capacity() <= SEND_BUF_KEEP {
@@ -689,13 +638,14 @@ impl Links for SocketLinks {
         tag: Tag,
         until: Until,
     ) -> Option<(T, MsgInfo)> {
-        self.inbound.progress(until, |inbound| inbound.recv(src, tag))
+        let SocketLinks { page, inbound, .. } = self;
+        inbound.progress(page, until, |inbound| inbound.recv(page, src, tag))
     }
 
     fn probe(&mut self, _me: usize, src: Src, tag: Tag) -> Option<MsgInfo> {
-        let inbound = &mut self.inbound;
+        let SocketLinks { page, inbound, .. } = self;
         inbound.matcher.probe(src, tag).or_else(|| {
-            inbound.serve();
+            inbound.serve(page);
             inbound.matcher.probe(src, tag)
         })
     }
@@ -703,10 +653,11 @@ impl Links for SocketLinks {
     fn wait_change(&mut self, _me: usize, seen: u64) -> u64 {
         // This thread is the only writer of its own mail, so the version
         // moves only when it reads a frame it does not take at once.
+        let SocketLinks { page, inbound, .. } = self;
         let changed = |inbound: &Inbound| Some(inbound.matcher.version()).filter(|&v| v != seen);
-        let version = self.inbound.progress(Until::Forever, |inbound| {
+        let version = inbound.progress(page, Until::Forever, |inbound| {
             changed(inbound).or_else(|| {
-                inbound.serve();
+                inbound.serve(page);
                 changed(inbound)
             })
         });
@@ -726,17 +677,17 @@ fn decode<T: Wire>(me: usize, info: MsgInfo, payload: &[u8]) -> T {
     })
 }
 
-/// The receiving side of a socket rank: its data listener, its inbound
-/// links, its slot of the world page, and its matcher, which holds the
-/// frames this rank's own thread has read but not yet taken.
+/// The receiving side of a socket rank: its inbound links, and its
+/// matcher, which holds the frames this rank's own thread has read but
+/// not yet taken. Its methods take the world file they read.
 struct Inbound {
     rank: usize,
-    /// Death-tolerant mode (see [`SocketWorld::death_tolerant`]).
+    /// Death-tolerant mode (see [`SocketWorld::run_tolerant`]).
     tolerant: bool,
-    page: &'static Page,
-    /// The slot's dial count when the listener was last drained.
+    /// The slot's dial count when the row of headers was last looked at.
     dials: u32,
-    listener: UnixListener,
+    /// The senders whose rings are mapped (or were, until they ended).
+    opened: Vec<bool>,
     links: Vec<InLink>,
     /// Where the next scan of `links` starts: just past the link whose
     /// frame the last one took, so a wildcard receive cannot starve a
@@ -748,27 +699,26 @@ struct Inbound {
 impl Inbound {
     /// Every wait of a socket rank, in one place:
     /// [`Bell::wait`](native::sync::futex::Bell::wait) on the
-    /// rank's bell in the world [`page`], with `look` as its look. A
+    /// rank's bell in the world file, with `look` as its look. A
     /// look that finds nothing must have read every link to its end — a
     /// receive that misses has, and every other wait serves the links
     /// itself — so a rank never sleeps with a frame unread, and two
     /// ranks that flood each other drain each other instead of wedging.
-    /// No socket call is made unless a link is being dialled or `look`
-    /// makes one.
+    /// No socket call is made unless `look` makes one.
     fn progress<R>(
         &mut self,
+        page: &Page,
         until: Until,
         mut look: impl FnMut(&mut Inbound) -> Option<R>,
     ) -> Option<R> {
-        let bell = self.page.slot(self.rank).bell();
-        bell.wait(until, || look(self))
+        page.slot(self.rank).bell().wait(until, || look(self))
     }
 
     /// The first message that matches `(src, tag)`, decoded: from the
     /// matcher if it holds one — its frames are older than anything
     /// still on their links, so per-`(src, tag)` order holds — and else
     /// from the links, decoded where it lies in its reader's buffer.
-    fn recv<T: Wire>(&mut self, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
+    fn recv<T: Wire>(&mut self, page: &Arc<Page>, src: Src, tag: Tag) -> Option<(T, MsgInfo)> {
         let me = self.rank;
         if let Some(env) = self.matcher.take(src, tag) {
             let info = MsgInfo { src: env.src, tag: env.tag, bytes: env.bytes };
@@ -776,7 +726,7 @@ impl Inbound {
                 env.payload.downcast::<Vec<u8>>().expect("a socket rank's mail is frames");
             return Some((decode(me, info, &payload), info));
         }
-        self.read(|info, payload| {
+        self.read(page, |info, payload| {
             let from = match src {
                 Src::Any => true,
                 Src::Rank(r) => r == info.src,
@@ -787,26 +737,30 @@ impl Inbound {
     }
 
     /// Read every link to its end, each frame into the matcher.
-    fn serve(&mut self) {
-        self.read(|_, _| None::<()>);
+    fn serve(&mut self, page: &Arc<Page>) {
+        self.read(page, |_, _| None::<()>);
     }
 
     /// Read the links, starting at `next`, until `pick` takes a frame;
     /// every frame it passes over goes into the matcher. `None`: `pick`
     /// took nothing, and every link has been read to its end. If the
-    /// slot's dial count moved, the pending connections are accepted
-    /// first. A link that ended cleanly is dropped; one that failed is
+    /// slot's dial count moved, the newly opened rings are mapped first.
+    /// A link that ended cleanly is dropped; one that failed is
     /// fatal to the process in strict mode — the frames the body waits
     /// for can no longer arrive, so the rank prints the error and exits
     /// non-zero, which the launcher's exit-status poll reports — and
     /// under `tolerant` a dead peer that reads as end-of-stream.
-    fn read<R>(&mut self, mut pick: impl FnMut(MsgInfo, &[u8]) -> Option<R>) -> Option<R> {
-        let dials = self.page.slot(self.rank).dials();
+    fn read<R>(
+        &mut self,
+        page: &Arc<Page>,
+        mut pick: impl FnMut(MsgInfo, &[u8]) -> Option<R>,
+    ) -> Option<R> {
+        let dials = page.slot(self.rank).dials();
         if dials != self.dials {
             self.dials = dials;
-            self.accept();
+            self.open_links(page);
         }
-        let Inbound { rank, tolerant, page, links, next, matcher, .. } = self;
+        let Inbound { rank, tolerant, links, next, matcher, .. } = self;
         let mut at = *next;
         for _ in 0..links.len() {
             at %= links.len();
@@ -828,17 +782,17 @@ impl Inbound {
         None
     }
 
-    fn accept(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((sock, _)) => {
-                    sock.set_nonblocking(true).expect("nonblocking inbound link");
-                    let bytes = [0; frame::PREAMBLE_BYTES];
-                    self.links.push(InLink::Preamble { sock, bytes, have: 0, ring: None });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => panic!("rank {}: accept: {e}", self.rank),
+    /// Map the ring of every sender whose header in this rank's row has
+    /// been opened since the last look. A header is marked open before
+    /// the dial that announces it is counted, so none is missed.
+    fn open_links(&mut self, page: &Arc<Page>) {
+        let me = self.rank;
+        for src in 0..page.ranks() {
+            if !self.opened[src] && page.header(me, src).is_open() {
+                let ring = RingReader::open(page, me, src)
+                    .unwrap_or_else(|e| panic!("rank {me}: map the ring from rank {src}: {e}"));
+                self.opened[src] = true;
+                self.links.push(InLink { src, frames: FrameReader::new(ring) });
             }
         }
     }
@@ -847,112 +801,118 @@ impl Inbound {
     /// not block, serving the links in between: the launcher may be
     /// reading another rank's result first, and that rank may be waiting
     /// for this one to read its ring.
-    fn retry<T>(&mut self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    fn retry<T>(
+        &mut self,
+        page: &Arc<Page>,
+        mut op: impl FnMut() -> io::Result<T>,
+    ) -> io::Result<T> {
         let blocked = |e: &io::Error| {
             matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
         };
-        let done = self.progress(Until::Forever, |inbound| {
-            inbound.serve();
+        let done = self.progress(page, Until::Forever, |inbound| {
+            inbound.serve(page);
             Some(op()).filter(|r| !r.as_ref().is_err_and(blocked))
         });
         done.expect("a wait without a deadline ends with a result")
     }
 
     /// Copy `frame` into `out`'s ring and publish it, in pieces if it
-    /// does not fit. While the ring is full, raise its `writer_parked`
-    /// and wait with [`Inbound::progress`], serving the links, until the
-    /// reader frees room and rings this rank: two ranks flooding each
-    /// other drain each other instead of wedging. An error means the
-    /// receiving rank has been marked dead.
-    fn send_frame(&mut self, out: &mut OutLink, mut frame: &[u8]) -> io::Result<()> {
+    /// does not fit, serving the links while the ring is full: two ranks
+    /// flooding each other drain each other instead of wedging. An error
+    /// means the receiving rank has been marked dead.
+    fn send_frame(
+        &mut self,
+        page: &Arc<Page>,
+        out: &mut OutLink,
+        mut frame: &[u8],
+    ) -> io::Result<()> {
         loop {
-            frame = &frame[out.publish(frame)..];
+            frame = &frame[out.publish(page, frame)..];
             if frame.is_empty() {
                 return Ok(());
             }
-            let dead = self.progress(Until::Forever, |inbound| {
-                inbound.serve();
-                let dead = out.reader.is_dead();
-                (dead || !out.ring.park()).then_some(dead)
-            });
-            out.ring.unpark();
-            if dead.expect("a wait without a deadline ends with room or a death") {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "the receiving rank died"));
-            }
+            out.wait_room(page, self.rank, || self.serve(page))?;
         }
     }
 }
 
 /// One outbound link: the ring this rank publishes its frames into, and
-/// the reader's slot, which every publish rings.
+/// the reader, whose slot every publish rings.
 struct OutLink {
     ring: RingWriter,
-    reader: &'static Slot,
+    dst: usize,
 }
 
 impl OutLink {
-    /// Create the link's ring, send the preamble on the freshly
-    /// connected, blocking `sock` with the ring's descriptor riding along
-    /// (nine bytes into an empty buffer: this cannot block), and count
-    /// the dial in the reader's slot. The socket then closes; the reader
-    /// still finds the preamble queued on its end.
-    fn open(sock: UnixStream, me: usize, reader: &'static Slot) -> io::Result<OutLink> {
-        let (ring, fd) = ring::create()?;
-        let mut preamble = Vec::with_capacity(frame::PREAMBLE_BYTES);
-        frame::write_preamble(&mut preamble, me)?;
-        sys::send_with_fd(&sock, &preamble, fd.as_fd())?;
-        reader.dial();
-        Ok(OutLink { ring, reader })
+    /// Claim the ring from `src` to `dst` in `page` and map it, then count
+    /// the link in `dst`'s slot, which rings it.
+    fn open(page: &Arc<Page>, dst: usize, src: usize) -> io::Result<OutLink> {
+        let ring = RingWriter::open(page, dst, src)?;
+        page.slot(dst).dial();
+        Ok(OutLink { ring, dst })
     }
 
     /// Publish what fits of `bytes` and ring the reader. Returns how many
     /// bytes went.
-    fn publish(&mut self, bytes: &[u8]) -> usize {
+    fn publish(&mut self, page: &Page, bytes: &[u8]) -> usize {
         let n = self.ring.publish(bytes);
         if n > 0 {
-            self.reader.ring();
+            page.slot(self.dst).ring();
         }
         n
     }
+
+    /// Wait on rank `me`'s bell until the ring has room, calling `serve`
+    /// at every look: raise the ring's `writer_parked` and look at its
+    /// `tail` again, so the reader that frees room rings `me`. An error
+    /// means the reader has been marked dead.
+    fn wait_room(&self, page: &Page, me: usize, mut serve: impl FnMut()) -> io::Result<()> {
+        let reader = page.slot(self.dst);
+        let dead = page.slot(me).bell().wait(Until::Forever, || {
+            serve();
+            let dead = reader.is_dead();
+            (dead || !self.ring.park()).then_some(dead)
+        });
+        self.ring.unpark();
+        match dead.expect("a wait without a deadline ends with room or a death") {
+            true => Err(io::Error::new(io::ErrorKind::BrokenPipe, "the receiving rank died")),
+            false => Ok(()),
+        }
+    }
 }
 
-/// An outbound link dialled by hand, for tests that must choose exactly
-/// which bytes a rank receives and when: [`RawLink::dial`], in a rank
-/// process, connects to a rank's data listener as rank `src` and sends
-/// the preamble with a fresh ring, and every write then goes into that
-/// ring as it is, waiting on `src`'s bell while the ring is full.
+/// An outbound link opened by hand, for tests that must choose exactly
+/// which bytes a rank receives and when: [`RawLink::open`], in a rank
+/// process, claims the ring from rank `src` to rank `dst`, and every
+/// write then goes into that ring as it is, waiting on `src`'s bell
+/// while the ring is full. A ring has one writer: a `RawLink` is refused
+/// on a ring the rank's own links hold, and they on one it holds.
 #[doc(hidden)]
 pub struct RawLink {
     out: OutLink,
-    me: &'static Slot,
+    page: Arc<Page>,
+    src: usize,
 }
 
 impl RawLink {
-    pub fn dial(listener: &Path, src: usize) -> io::Result<RawLink> {
+    pub fn open(dst: usize, src: usize) -> io::Result<RawLink> {
         let page = WORLD_PAGE.get().ok_or_else(|| io::Error::other("not in a socket rank"))?;
-        let dst = listener.file_stem().and_then(|s| s.to_str()?.strip_prefix("rank")?.parse().ok());
-        let dst: usize = dst.ok_or_else(|| io::Error::other("not a rank's data listener"))?;
-        let out = OutLink::open(UnixStream::connect(listener)?, src, page.slot(dst))?;
-        Ok(RawLink { out, me: page.slot(src) })
+        RawLink::open_in(page, dst, src)
+    }
+
+    fn open_in(page: &Arc<Page>, dst: usize, src: usize) -> io::Result<RawLink> {
+        Ok(RawLink { out: OutLink::open(page, dst, src)?, page: Arc::clone(page), src })
     }
 }
 
 impl Write for RawLink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         loop {
-            let n = self.out.publish(buf);
+            let n = self.out.publish(&self.page, buf);
             if n > 0 || buf.is_empty() {
                 return Ok(n);
             }
-            if self.out.reader.is_dead() {
-                return Err(io::ErrorKind::BrokenPipe.into());
-            }
-            self.me.park();
-            if self.out.ring.park() && !self.out.reader.is_dead() {
-                self.me.sleep(None);
-            }
-            self.me.unpark();
-            self.out.ring.unpark();
+            self.out.wait_room(&self.page, self.src, || {})?;
         }
     }
 
@@ -961,37 +921,27 @@ impl Write for RawLink {
     }
 }
 
-/// One inbound link.
-enum InLink {
-    /// Accepted: the preamble bytes read so far, and the ring's
-    /// descriptor once it has come with them.
-    Preamble {
-        sock: UnixStream,
-        bytes: [u8; frame::PREAMBLE_BYTES],
-        have: usize,
-        ring: Option<OwnedFd>,
-    },
-    /// The preamble is in (and the socket closed): the sender, and the
-    /// frames of its ring.
-    Open { src: usize, frames: FrameReader<RingReader> },
+/// One inbound link: the sender, and the frames of its ring.
+struct InLink {
+    src: usize,
+    frames: FrameReader<RingReader>,
 }
 
 impl InLink {
-    /// Take the preamble if it is still to come (it follows its dial
-    /// within moments); then read the ring's frames until `pick` takes
-    /// one, lent where it lies — in the reader's buffer or, when it is
-    /// too large for that, in the ring — each frame it passes over going
-    /// into `matcher`; then release what was lent and ring the writer if
-    /// a release claimed its wake. A frame that came in its own
-    /// allocation (larger than the ring, or begun in the buffer behind
-    /// smaller frames) does not stop the read: the frames behind it go
-    /// into `matcher` in the same pass, so each receive of such frames
-    /// frees as much ring room as there is, not one frame's worth with a
-    /// wake of the writer each. A writer the
-    /// launcher marked dead published everything it ever will: its ring
-    /// is closed first, so it reads as EOF once drained. A partial frame
-    /// stays in the reader, or in the ring, for the next call. The state
-    /// is `Ok(false)` when the link ended at a frame boundary.
+    /// Read the ring's frames until `pick` takes one, lent where it lies
+    /// — in the reader's buffer or, when it is too large for that, in
+    /// the ring — each frame it passes over going into `matcher`; then
+    /// release what was lent and ring the writer if a release claimed
+    /// its wake. A frame that came in its own allocation (larger than
+    /// the ring, or begun in the buffer behind smaller frames) does not
+    /// stop the read: the frames behind it go into `matcher` in the same
+    /// pass, so each receive of such frames frees as much ring room as
+    /// there is, not one frame's worth with a wake of the writer each. A
+    /// writer the launcher marked dead published everything it ever
+    /// will: its ring is closed first, so it reads as EOF once drained.
+    /// A partial frame stays in the reader, or in the ring, for the next
+    /// call. The state is `Ok(false)` when the link ended at a frame
+    /// boundary.
     fn read<R>(
         &mut self,
         matcher: &mut Matcher,
@@ -999,10 +949,7 @@ impl InLink {
         tolerant: bool,
         pick: &mut impl FnMut(MsgInfo, &[u8]) -> Option<R>,
     ) -> (Result<bool, String>, Option<R>) {
-        if let Err(e) = self.read_preamble(page.ranks()) {
-            return (Err(format!("connection preamble: {e}")), None);
-        }
-        let InLink::Open { src, frames } = self else { return (Ok(true), None) };
+        let InLink { src, frames } = self;
         let src = *src;
         if tolerant && page.slot(src).is_dead() {
             frames.get_mut().close();
@@ -1034,33 +981,6 @@ impl InLink {
         }
         (state, found)
     }
-
-    /// Read the preamble as far as the socket has it; once whole, check
-    /// it (a sender among the world's `ranks`), map the ring that came
-    /// with it and start reading frames.
-    fn read_preamble(&mut self, ranks: usize) -> io::Result<()> {
-        let InLink::Preamble { sock, bytes, have, ring } = self else { return Ok(()) };
-        while *have < bytes.len() {
-            match sys::recv_with_fd(sock, &mut bytes[*have..]) {
-                Ok((0, _)) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok((n, fd)) => {
-                    *have += n;
-                    *ring = fd.or(ring.take());
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
-        let src = frame::read_preamble(&mut &bytes[..])?;
-        if src >= ranks {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, format!("sender rank {src}")));
-        }
-        let fd = ring.take().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "preamble without the ring's descriptor")
-        })?;
-        *self = InLink::Open { src, frames: FrameReader::new(ring::attach(fd)?) };
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1075,13 +995,8 @@ mod tests {
         let over = mpistream::MAX_FRAME_BYTES - frame::HEADER_BYTES - 8 + 1;
         let tag = Tag::user(9);
         for tolerant in [false, true] {
-            let dir = scratch_dir("oversize");
-            std::fs::create_dir_all(&dir).unwrap();
-            let peer = UnixListener::bind(rank_sock(&dir, 1)).unwrap();
-            let me = UnixListener::bind(rank_sock(&dir, 0)).unwrap();
-            let page: &'static Page = Box::leak(Box::new(Page::local(2)));
-            let mut links = SocketLinks::new(dir.clone(), me, 0, 2, tolerant, page);
-
+            let mut ranks = local_world(2, tolerant);
+            let links = &mut ranks[0];
             let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, vec![0u8; over]);
             }));
@@ -1093,33 +1008,42 @@ mod tests {
             }
 
             // It was found before any I/O and says nothing about the
-            // peer: not marked dead, not even dialled, and the next send
-            // goes through.
-            assert!(!links.dead[1] && links.links[1].is_none(), "tolerant = {tolerant}");
+            // peer: not marked dead, its ring not even opened, and the
+            // next send goes through.
+            let untouched = !links.page.slot(1).is_dead() && links.links[1].is_none();
+            assert!(untouched, "tolerant = {tolerant}");
             links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, 7u64);
-            let mut peer = SocketLinks::new(dir.clone(), peer, 1, 2, tolerant, page);
             let (v, info) =
-                peer.recv::<u64>(1, Src::Rank(0), tag, Until::Forever).expect("the frame");
+                ranks[1].recv::<u64>(1, Src::Rank(0), tag, Until::Forever).expect("the frame");
             assert_eq!((info.src, info.bytes), (0, 8));
             assert_eq!(v, 7);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
-    /// `n` ranks' links in this process, over a page on the heap: every
-    /// listener is bound before any rank is built, as GO guarantees.
-    fn local_world(key: &str, n: usize, tolerant: bool) -> (PathBuf, Vec<SocketLinks>) {
-        let dir = scratch_dir(key);
-        std::fs::create_dir_all(&dir).unwrap();
-        let listeners: Vec<_> =
-            (0..n).map(|r| UnixListener::bind(rank_sock(&dir, r)).unwrap()).collect();
-        let page: &'static Page = Box::leak(Box::new(Page::local(n)));
-        let ranks = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(r, l)| SocketLinks::new(dir.clone(), l, r, n, tolerant, page))
-            .collect();
-        (dir, ranks)
+    /// `n` ranks' links in this process, over one world on the heap.
+    fn local_world(n: usize, tolerant: bool) -> Vec<SocketLinks> {
+        let page = Arc::new(Page::local(n));
+        (0..n).map(|r| SocketLinks::new(Arc::clone(&page), r, tolerant)).collect()
+    }
+
+    /// One writer per ring: a `RawLink` is refused on a ring the rank's
+    /// own links hold, and a send on a ring a `RawLink` holds.
+    #[test]
+    fn a_ring_has_one_writer() {
+        let mut ranks = local_world(3, false);
+        let page = Arc::clone(&ranks[0].page);
+        let info = |src| MsgInfo { src, tag: Tag::user(1), bytes: 8 };
+        ranks[1].send(0, info(1), 1u64);
+        let refused = RawLink::open_in(&page, 0, 1).err().expect("rank 1's links hold the ring");
+        assert_eq!(refused.kind(), io::ErrorKind::AlreadyExists);
+
+        let _raw = RawLink::open_in(&page, 0, 2).expect("nobody holds the ring from rank 2");
+        let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ranks[2].send(0, info(2), 2u64);
+        }));
+        let panic = sent.expect_err("a RawLink holds the ring from rank 2");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(msg.contains("already has a writer"), "{msg}");
     }
 
     /// Send `v` from `src` to rank 0, and push the same message into
@@ -1159,7 +1083,7 @@ mod tests {
     /// wildcard drain at the end.
     #[test]
     fn typed_receive_matches_a_mailbox_fed_the_same_frames() {
-        let (dir, mut ranks) = local_world("receive-order", 3, false);
+        let mut ranks = local_world(3, false);
         let reference = Mailbox::new();
         let (a, b, big) = (Tag::user(1), Tag::user(2), Tag::user(3));
         let large = vec![7u8; frame::LINK_BUF_BYTES + 100];
@@ -1194,7 +1118,6 @@ mod tests {
         }
         assert_eq!(passed_over(me), 6, "203 was lent");
         assert!(reference.try_take(Src::Any, big).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Death-tolerant: a writer marked dead has published everything it
@@ -1202,13 +1125,13 @@ mod tests {
     /// link reads as the end of the stream and is dropped.
     #[test]
     fn a_dead_writers_frames_arrive_before_its_link_closes() {
-        let (dir, mut ranks) = local_world("dead-writer", 2, true);
+        let mut ranks = local_world(2, true);
         let reference = Mailbox::new();
         let (a, b) = (Tag::user(1), Tag::user(2));
         for (tag, v) in [(a, 1u64), (a, 2), (b, 3), (a, 4)] {
             send_both(&mut ranks, &reference, 1, tag, v);
         }
-        ranks[0].inbound.page.kill(1);
+        ranks[0].page.kill(1);
         let me = &mut ranks[0];
         assert_eq!(recv_checked(me, &reference, Src::Rank(1), b), Some(3u64));
         assert_eq!(me.inbound.links.len(), 1, "one frame is still unread");
@@ -1217,7 +1140,6 @@ mod tests {
         }
         assert_eq!(recv_checked::<u64>(me, &reference, Src::Any, a), None);
         assert!(me.inbound.links.is_empty(), "the dead writer's link is dropped at its end");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Two links that are never empty: successive wildcard receives take
@@ -1225,7 +1147,7 @@ mod tests {
     /// took from.
     #[test]
     fn wildcard_receives_take_from_every_busy_link() {
-        let (dir, mut ranks) = local_world("wildcard-fair", 3, false);
+        let mut ranks = local_world(3, false);
         let reference = Mailbox::new();
         let tag = Tag::user(1);
         for i in 0..8u64 {
@@ -1240,7 +1162,6 @@ mod tests {
             assert_ne!(pair[0], pair[1], "one link starved the other: sources {picks:?}");
         }
         assert_eq!(me.inbound.matcher.version(), 0, "every frame was lent");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     // Real multi-process smokes: each spawns its world as child
@@ -1293,10 +1214,9 @@ mod tests {
         let dir = scratch_dir(&world.key);
         std::fs::create_dir_all(&dir).unwrap();
         drop(UnixListener::bind(dir.join("ctl.sock")).unwrap());
-        drop(UnixListener::bind(rank_sock(&dir, 0)).unwrap());
         UnixListener::bind(dir.join("ctl.sock")).expect_err("the stale path is still in the way");
 
-        let ranks: Vec<Option<usize>> = world.run_launcher(dir.clone());
+        let ranks: Vec<Option<usize>> = world.run_launcher(dir.clone(), false);
         assert_eq!(ranks, vec![Some(0), Some(1)]);
         assert!(!dir.exists(), "the launcher removes its scratch dir");
     }

@@ -1,41 +1,56 @@
-//! The world page: one doorbell per rank in shared memory (DESIGN.md
-//! §16.3). The launcher creates it (a `memfd` of one cache-line [`Slot`]
-//! per rank, all zero) and hands its descriptor to every rank with GO.
+//! The world file: one doorbell per rank and one ring per ordered pair
+//! of ranks, in one shared-memory segment (DESIGN.md §16.3). The launcher
+//! creates it (a `memfd`, all zero) and hands its descriptor to every
+//! rank with GO. For `n` ranks it holds, in order:
+//!
+//! 1. `n` cache-line [`Slot`]s, one per rank;
+//! 2. `n × n` ring headers, indexed `[dst][src]`, so a rank's inbound
+//!    headers lie together;
+//! 3. from the next page boundary on, `n × n` data areas of
+//!    [`RING_BYTES`], in the same order.
+//!
+//! A rank maps the first two parts whole, and a ring's data area only
+//! once it writes or reads that ring. The file is sparse: only pages that
+//! are touched cost memory, so the 64 MiB that 16 ranks reserve are
+//! mostly address space.
 //!
 //! **One wake per park, on one word.** A slot's bell is a
 //! [`native::sync::futex::Bell`], the same type a native rank's mailbox
-//! sleeps on, with the protocol in its docs. A rank about to sleep
-//! raises it ([`Slot::park`]), looks again at everything that could wake
-//! it — its inbound rings, its `dials`, the `dead` marks it cares about,
-//! the condition it waits for — and only if nothing changed sleeps in
-//! `FUTEX_WAIT` while the bell is still raised. A waker makes its
-//! condition true, then claims the wake ([`Slot::ring`]); only the waker
-//! whose claim succeeded calls `FUTEX_WAKE`. `tests/schedcheck_ring.rs`
-//! checks this.
+//! sleeps on, with the protocol in its docs. A rank waits in
+//! [`Bell::wait`]: it raises the bell, looks again at everything that
+//! could wake it — its inbound rings, its `dials`, the `dead` marks it
+//! cares about, the condition it waits for — and only if nothing changed
+//! sleeps in `FUTEX_WAIT` while the bell is still raised. A waker makes
+//! its condition true, then claims the wake ([`Slot::ring`]); only the
+//! waker whose claim succeeded calls `FUTEX_WAKE`.
+//! `tests/schedcheck_ring.rs` checks this.
 
 use std::fs::File;
 use std::io;
 use std::os::fd::{AsFd, OwnedFd};
 use std::ptr::NonNull;
-use std::time::Duration;
 
 use native::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
 use native::sync::futex::Bell;
 
+use crate::ring::{Header, RING_BYTES};
 use crate::sys;
+
+/// The unit the file's parts are mapped in.
+const PAGE_BYTES: usize = 4096;
 
 /// One rank's doorbell, on a cache line of its own.
 #[repr(C, align(64))]
 pub struct Slot {
-    /// Raised from [`Slot::park`] until claimed.
+    /// Raised from [`Bell::raise`] until claimed.
     bell: Bell,
-    /// Links dialled to this rank, each counted after its preamble went.
+    /// Rings opened to this rank, each counted once its header is open.
     dials: AtomicU32,
     /// The launcher saw this rank's process go (death-tolerant worlds).
     dead: AtomicBool,
 }
 
-// The launcher sizes the page by it, and a rank's doorbell keeps a cache
+// The launcher sizes the file by it, and a rank's doorbell keeps a cache
 // line of its own.
 #[cfg(not(schedcheck))]
 const _: () = assert!(std::mem::size_of::<Slot>() == 64);
@@ -50,30 +65,13 @@ impl Slot {
         &self.bell
     }
 
-    /// Raise the bell, then look again at every condition a waker could
-    /// make true: [`Slot::sleep`] only if none is, then [`Slot::unpark`].
-    pub fn park(&self) {
-        self.bell.raise();
-    }
-
-    /// Sleep until a waker claims the bell, or `timeout` passes (`None`:
-    /// no limit). Returns at once if the bell was already claimed.
-    pub fn sleep(&self, timeout: Option<Duration>) {
-        self.bell.sleep(timeout);
-    }
-
-    /// Lower the bell after a park, whether or not the rank slept.
-    pub fn unpark(&self) {
-        self.bell.lower();
-    }
-
     /// Wake this rank if it is parked and nobody has claimed the wake
     /// yet.
     pub fn ring(&self) {
         self.bell.ring();
     }
 
-    /// A link to this rank was dialled and its preamble sent.
+    /// A ring to this rank was opened: its header is marked open.
     pub fn dial(&self) {
         self.dials.fetch_add(1, SeqCst);
         self.ring();
@@ -88,52 +86,83 @@ impl Slot {
     }
 }
 
-/// Every rank's [`Slot`], as this process sees them.
+/// The world file as this process sees it: every rank's [`Slot`], every
+/// ring's header, and the file its data areas are mapped from.
 pub struct Page {
     slots: NonNull<[Slot]>,
-    /// `MAP_SHARED` memory (else a heap slice: tests and models).
+    headers: NonNull<[Header]>,
+    file: File,
+    /// Where the data areas start in `file`.
+    data_at: usize,
+    /// `MAP_SHARED` memory (else heap slices: tests and models).
     mapped: bool,
 }
 
-// SAFETY: the slots are atomics only.
+// SAFETY: the slots and headers are atomics only, and the file is only
+// ever mapped.
 unsafe impl Send for Page {}
 // SAFETY: as above.
 unsafe impl Sync for Page {}
 
-fn page_bytes(ranks: usize) -> usize {
-    ranks * std::mem::size_of::<Slot>()
+/// The slots and the headers, rounded up to whole pages.
+fn front_bytes(ranks: usize) -> usize {
+    let slots = ranks * std::mem::size_of::<Slot>();
+    (slots + ranks * ranks * std::mem::size_of::<Header>()).next_multiple_of(PAGE_BYTES)
+}
+
+fn data_bytes(ranks: usize) -> usize {
+    let rings = ranks.checked_mul(ranks).and_then(|n| n.checked_mul(RING_BYTES));
+    rings.expect("a world file that fits the address space")
 }
 
 impl Page {
-    /// A fresh page for `ranks` ranks, and the descriptor to hand them.
+    /// A fresh world file for `ranks` ranks, and the descriptor to hand
+    /// them.
     pub(crate) fn create(ranks: usize) -> io::Result<(Page, OwnedFd)> {
         let file = File::from(sys::memfd(c"mpistream-world")?);
-        file.set_len(page_bytes(ranks) as u64)?;
+        file.set_len((front_bytes(ranks) + data_bytes(ranks)) as u64)?;
         Ok((Page::attach(file.try_clone()?.into(), ranks)?, file.into()))
     }
 
-    /// Map the page behind `fd`, which the launcher made with
-    /// [`Page::create`]; a file of any other size is refused.
+    /// Map the front of the world file behind `fd`, which the launcher
+    /// made with [`Page::create`]; a file of any other size is refused,
+    /// so no ring can be mapped past its end.
     pub(crate) fn attach(fd: OwnedFd, ranks: usize) -> io::Result<Page> {
         let file = File::from(fd);
         let len = file.metadata()?.len();
-        if len != page_bytes(ranks) as u64 {
-            let msg = format!("world page of {len} bytes for {ranks} ranks");
+        let front = front_bytes(ranks);
+        if len != (front + data_bytes(ranks)) as u64 {
+            let msg = format!("world file of {len} bytes for {ranks} ranks");
             return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }
-        let at = sys::map_shared(file.as_fd(), page_bytes(ranks))?;
-        // Page-aligned and `ranks` slots long; every field is a std
+        let at = sys::map_shared(file.as_fd(), front)?;
+        // Page-aligned and `front` bytes long: `ranks` slots, then
+        // `ranks²` headers, both 64-byte aligned; every field is a std
         // atomic or a bell, for which all-zero bytes are valid (a bell
-        // other processes may ring).
-        Ok(Page { slots: NonNull::slice_from_raw_parts(at.cast(), ranks), mapped: true })
+        // other processes may ring, a ring nobody has opened).
+        let slots = NonNull::slice_from_raw_parts(at.cast(), ranks);
+        // SAFETY: the headers start inside the mapping (above).
+        let headers = unsafe { at.add(ranks * std::mem::size_of::<Slot>()) };
+        let headers = NonNull::slice_from_raw_parts(headers.cast(), ranks * ranks);
+        Ok(Page { slots, headers, file, data_at: front, mapped: true })
     }
 
-    /// A page on the heap, for tests and for the model checker, whose
-    /// shadow atomics cannot live in a shared mapping.
+    /// A world on the heap, for tests and for the model checker, whose
+    /// shadow atomics cannot live in a shared mapping; the data areas are
+    /// a private `memfd`, mapped like the shared file's.
     #[doc(hidden)]
     pub fn local(ranks: usize) -> Page {
+        let file = File::from(sys::memfd(c"mpistream-local-world").expect("a local world file"));
+        file.set_len(data_bytes(ranks) as u64).expect("size the local world file");
         let slots: Box<[Slot]> = (0..ranks).map(|_| Slot::new()).collect();
-        Page { slots: NonNull::from(Box::leak(slots)), mapped: false }
+        let headers: Box<[Header]> = (0..ranks * ranks).map(|_| Header::new()).collect();
+        Page {
+            slots: NonNull::from(Box::leak(slots)),
+            headers: NonNull::from(Box::leak(headers)),
+            file,
+            data_at: 0,
+            mapped: false,
+        }
     }
 
     pub fn ranks(&self) -> usize {
@@ -144,6 +173,28 @@ impl Page {
         // SAFETY: valid for the life of `self` (see `attach` and `local`),
         // and only ever shared.
         unsafe { &self.slots.as_ref()[rank] }
+    }
+
+    /// The index of the ring from `src` to `dst` among the headers and
+    /// the data areas.
+    fn pair(&self, dst: usize, src: usize) -> usize {
+        let ranks = self.ranks();
+        assert!(dst < ranks && src < ranks, "no ring from rank {src} to rank {dst}");
+        dst * ranks + src
+    }
+
+    /// The header of the ring from `src` to `dst`.
+    pub(crate) fn header(&self, dst: usize, src: usize) -> &Header {
+        // SAFETY: as in `slot`.
+        unsafe { &self.headers.as_ref()[self.pair(dst, src)] }
+    }
+
+    /// Map the data area of the ring from `src` to `dst`, mirrored
+    /// (`sys::map_mirrored`); undo with `sys::unmap` over twice
+    /// [`RING_BYTES`].
+    pub(crate) fn map_ring(&self, dst: usize, src: usize) -> io::Result<NonNull<u8>> {
+        let at = self.data_at + self.pair(dst, src) * RING_BYTES;
+        sys::map_mirrored(self.file.as_fd(), at, RING_BYTES)
     }
 
     /// Mark `rank` dead and wake every rank, so whoever waits on it —
@@ -159,10 +210,13 @@ impl Drop for Page {
         if self.mapped {
             // SAFETY: the mapping `attach` made; the last reference to it
             // goes with `self`.
-            unsafe { sys::unmap(self.slots.cast(), page_bytes(self.slots.len())) }
+            unsafe { sys::unmap(self.slots.cast(), front_bytes(self.ranks())) }
         } else {
-            // SAFETY: the slice `local` leaked, reclaimed once.
-            drop(unsafe { Box::from_raw(self.slots.as_ptr()) });
+            // SAFETY: the slices `local` leaked, reclaimed once.
+            unsafe {
+                drop(Box::from_raw(self.slots.as_ptr()));
+                drop(Box::from_raw(self.headers.as_ptr()));
+            }
         }
     }
 }

@@ -1,25 +1,30 @@
 //! The data path of one directed socket link: a single-producer,
 //! single-consumer byte ring in shared memory (DESIGN.md §16.3).
 //!
-//! The sending rank creates the ring (a `memfd` of one header page plus
-//! [`RING_BYTES`] of data) and passes its descriptor to the receiving
-//! rank with the connection preamble; both map it. A frame is sent by
-//! copying it into the ring and publishing it, before `send` returns.
-//! The bytes in the ring are exactly the frame stream of §16.2, which
+//! Every ring of a world lies in the world file ([`crate::page`]): its
+//! header among the file's headers, its [`RING_BYTES`] of data in a
+//! data area of its own. The sender opens the ring on its first send to
+//! a rank ([`RingWriter`]'s `open` claims the header and maps the data
+//! area), and the receiver maps the same data area once it sees the
+//! header open. A frame is sent by copying it into the ring and
+//! publishing it, before `send` returns. The bytes in the ring are
+//! exactly the frame stream of §16.2, which
 //! [`FrameReader`](crate::frame::FrameReader) parses: copied out, as from
 //! any `Read`, or where they lie, through `RingReader::lend`.
 //!
+//! **One writer per ring.** A writer claims its ring by swapping the
+//! header's `open` flag; a second claim is an error, not a second writer.
+//!
 //! ## The mirror
 //!
-//! Each side maps the data area twice, back to back (the file once, and
-//! its data area again right behind it), so the [`RING_BYTES`] from any
-//! offset in it are one run of memory, and the reader lends any
-//! published bytes as one slice, wherever they wrap. (The writer still
-//! copies a piece that wraps in two parts: see `Ring::copy_in`.) A ring
-//! with both ends in one process ([`local_pair`]: tests and the model
-//! checker) keeps its header on the heap, where shadow atomics can live,
-//! and mirrors a private `memfd` for its data area, so both kinds run
-//! the same code.
+//! Each side maps the data area twice, back to back, so the
+//! [`RING_BYTES`] from any offset in it are one run of memory, and the
+//! reader lends any published bytes as one slice, wherever they wrap.
+//! (The writer still copies a piece that wraps in two parts: see
+//! `Ring::copy_in`.) A ring with both ends in one process ([`local_pair`]:
+//! tests and the model checker) lies in a [`Page::local`], whose headers
+//! are on the heap, where shadow atomics can live, and whose data areas
+//! are a private `memfd`, so both kinds run the same code.
 //!
 //! ## Positions
 //!
@@ -55,14 +60,13 @@
 //! release, so a reader that waits for the rest of a frame in the ring
 //! releases everything before it first.
 
-use std::fs::File;
 use std::io::{self, Read};
-use std::os::fd::{AsFd, BorrowedFd, OwnedFd};
 use std::ptr::NonNull;
 use std::sync::Arc;
 
 use native::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 
+use crate::page::Page;
 use crate::sys;
 
 /// Capacity of every ring's data area: a constant, not a setting, about
@@ -72,19 +76,15 @@ use crate::sys;
 /// whole in the ring, and is read where it lies.
 pub const RING_BYTES: usize = 256 << 10;
 const RING: u64 = RING_BYTES as u64;
-/// The header has the shared file's first page to itself; the data area
-/// follows it.
-const DATA_OFFSET: usize = 4096;
-const MAP_BYTES: usize = DATA_OFFSET + RING_BYTES;
 
 /// A header field on a cache line of its own.
 #[repr(C, align(64))]
 struct Line<T>(T);
 
-/// The ring's shared header. In a fresh `memfd` every byte is zero,
-/// which is exactly its initial state: empty, nobody parked.
+/// A ring's shared header. In a fresh world file every byte is zero,
+/// which is exactly its initial state: not open, empty, nobody parked.
 #[repr(C)]
-struct Header {
+pub(crate) struct Header {
     /// One past the last byte the writer has published.
     head: Line<AtomicU64>,
     /// Where the writer last restarted at the front (a multiple of
@@ -94,75 +94,56 @@ struct Header {
     /// One past the last byte the reader has consumed.
     tail: Line<AtomicU64>,
     writer_parked: Line<AtomicBool>,
+    /// Claimed by the ring's one writer.
+    open: Line<AtomicBool>,
 }
 
 impl Header {
-    fn new() -> Header {
+    pub(crate) fn new() -> Header {
         Header {
             head: Line(AtomicU64::new(0)),
             front: Line(AtomicU64::new(0)),
             tail: Line(AtomicU64::new(0)),
             writer_parked: Line(AtomicBool::new(false)),
+            open: Line(AtomicBool::new(false)),
         }
+    }
+
+    /// Whether a writer has claimed the ring.
+    pub(crate) fn is_open(&self) -> bool {
+        self.open.0.load(SeqCst)
     }
 }
 
-const _: () = assert!(std::mem::size_of::<Header>() <= DATA_OFFSET);
-
-/// One ring as this process sees it. The data area is mapped twice,
-/// back to back (`sys::map_mirrored`), so the [`RING_BYTES`] from any
-/// offset in it are one run of memory: the reader lends any published
-/// bytes as one slice.
+/// One ring as this process sees it: its header in the world file's
+/// front, and its data area mapped twice, back to back
+/// (`sys::map_mirrored`), so the [`RING_BYTES`] from any offset in it are
+/// one run of memory: the reader lends any published bytes as one slice.
 struct Ring {
     header: NonNull<Header>,
     data: NonNull<u8>,
-    /// The mapping to undo on drop: where it starts, and its length.
-    mapping: (NonNull<u8>, usize),
-    /// A local ring's header, leaked from a `Box`; `None` when the
-    /// header lies in the mapping.
-    heap_header: Option<NonNull<Header>>,
+    /// Keeps the header alive.
+    _page: Arc<Page>,
 }
 
-// SAFETY: the header is atomics only, and the data area is shared
-// between exactly one writer and one reader, whose byte ranges the
-// position protocol keeps apart (module docs).
+// SAFETY: the header is atomics only, the data area is shared between
+// exactly one writer and one reader, whose byte ranges the position
+// protocol keeps apart (module docs), and the page is `Send + Sync`.
 unsafe impl Send for Ring {}
 // SAFETY: as above.
 unsafe impl Sync for Ring {}
 
 impl Ring {
-    /// Map a ring's shared file, its data area mirrored. Only a std build
-    /// maps one: the shadow atomics of a `--cfg schedcheck` build are not
-    /// valid as shared bytes, and the models use [`local_pair`].
-    fn map(fd: BorrowedFd<'_>) -> io::Result<Ring> {
-        let at = sys::map_mirrored(fd, MAP_BYTES, RING_BYTES)?;
-        // SAFETY: the mapping is page-aligned and `MAP_BYTES` long before
-        // its mirror, so the header and the data area both lie inside it;
-        // every header field is a std atomic for which all-zero bytes are
-        // a valid value.
-        let data = unsafe { at.add(DATA_OFFSET) };
-        Ok(Ring {
-            header: at.cast(),
-            data,
-            mapping: (at, MAP_BYTES + RING_BYTES),
-            heap_header: None,
-        })
-    }
-
-    /// Both ends in one process: the header on the heap, where shadow
-    /// atomics can live, and the data area in a private `memfd`, mirrored
-    /// like a shared one.
-    fn local() -> io::Result<Ring> {
-        let file = File::from(sys::memfd(c"mpistream-local-ring")?);
-        file.set_len(RING_BYTES as u64)?;
-        let data = sys::map_mirrored(file.as_fd(), RING_BYTES, RING_BYTES)?;
-        let header = NonNull::from(Box::leak(Box::new(Header::new())));
-        Ok(Ring { header, data, mapping: (data, 2 * RING_BYTES), heap_header: Some(header) })
+    /// Map the ring from `src` to `dst` of `page`.
+    fn open(page: &Arc<Page>, dst: usize, src: usize) -> io::Result<Ring> {
+        let data = page.map_ring(dst, src)?;
+        let header = NonNull::from(page.header(dst, src));
+        Ok(Ring { header, data, _page: Arc::clone(page) })
     }
 
     fn header(&self) -> &Header {
-        // SAFETY: valid for the life of `self` (see `map` and `local`),
-        // and only ever shared.
+        // SAFETY: the page `self` holds keeps it valid, and it is only
+        // ever shared.
         unsafe { self.header.as_ref() }
     }
 
@@ -218,52 +199,25 @@ impl Ring {
 
 impl Drop for Ring {
     fn drop(&mut self) {
-        let (at, len) = self.mapping;
-        // SAFETY: the mapping `map` or `local` made; the last reference
-        // to it goes with `self`.
-        unsafe { sys::unmap(at, len) };
-        if let Some(header) = self.heap_header {
-            // SAFETY: the box `local` leaked, reclaimed once.
-            drop(unsafe { Box::from_raw(header.as_ptr()) });
-        }
+        // SAFETY: the mapping `open` made; the last reference to it goes
+        // with `self`.
+        unsafe { sys::unmap(self.data, 2 * RING_BYTES) };
     }
 }
 
-/// A fresh ring's writing end, and the descriptor to hand the reader.
-pub(crate) fn create() -> io::Result<(RingWriter, OwnedFd)> {
-    let file = File::from(sys::memfd(c"mpistream-link")?);
-    file.set_len(MAP_BYTES as u64)?;
-    let ring = Ring::map(file.as_fd())?;
-    Ok((RingWriter::new(Arc::new(ring)), file.into()))
-}
-
-/// The reading end of the ring behind `fd`, which a peer created with
-/// [`create`]. A file of any other size is refused before it is mapped,
-/// so no access can run past its end.
-pub(crate) fn attach(fd: OwnedFd) -> io::Result<RingReader> {
-    let file = File::from(fd);
-    let len = file.metadata()?.len();
-    if len != MAP_BYTES as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("ring of {len} bytes (expected {MAP_BYTES})"),
-        ));
-    }
-    Ok(RingReader::new(Arc::new(Ring::map(file.as_fd())?)))
-}
-
-/// Both ends of a fresh ring in this process, its header on the heap:
-/// for tests, and for the model checker, whose shadow atomics cannot
-/// live in a shared mapping.
+/// Both ends of a fresh ring in this process, in a world of one rank on
+/// the heap: for tests, and for the model checker, whose shadow atomics
+/// cannot live in a shared mapping.
 #[doc(hidden)]
 pub fn local_pair() -> (RingWriter, RingReader) {
-    let ring = Arc::new(Ring::local().expect("map a local ring"));
-    (RingWriter::new(Arc::clone(&ring)), RingReader::new(ring))
+    let page = Arc::new(Page::local(1));
+    let writer = RingWriter::open(&page, 0, 0).expect("map a local ring");
+    (writer, RingReader::open(&page, 0, 0).expect("map a local ring"))
 }
 
 /// The writing end of a ring.
 pub struct RingWriter {
-    ring: Arc<Ring>,
+    ring: Ring,
     /// This side's copy of `head`.
     head: u64,
     /// This side's copy of `front`.
@@ -271,8 +225,14 @@ pub struct RingWriter {
 }
 
 impl RingWriter {
-    fn new(ring: Arc<Ring>) -> RingWriter {
-        RingWriter { ring, head: 0, front: 0 }
+    /// Claim the ring from `src` to `dst` of `page` as its one writer,
+    /// and map it. A ring that already has a writer is refused.
+    pub(crate) fn open(page: &Arc<Page>, dst: usize, src: usize) -> io::Result<RingWriter> {
+        if page.header(dst, src).open.0.swap(true, SeqCst) {
+            let msg = format!("the ring from rank {src} to rank {dst} already has a writer");
+            return Err(io::Error::new(io::ErrorKind::AlreadyExists, msg));
+        }
+        Ok(RingWriter { ring: Ring::open(page, dst, src)?, head: 0, front: 0 })
     }
 
     /// Free bytes, given the reader's published `tail`. A `tail` out of
@@ -336,7 +296,7 @@ impl RingWriter {
 /// the writer's process has gone, after it published everything it
 /// sent.
 pub struct RingReader {
-    ring: Arc<Ring>,
+    ring: Ring,
     /// This side's copy of `tail`: one past the last byte consumed.
     tail: u64,
     /// The `tail` last stored in the header. The bytes from here to
@@ -352,8 +312,10 @@ pub struct RingReader {
 }
 
 impl RingReader {
-    fn new(ring: Arc<Ring>) -> RingReader {
-        RingReader { ring, tail: 0, released: 0, head: 0, closed: false, wake_owed: false }
+    /// Map the ring from `src` to `dst` of `page` to read it.
+    pub(crate) fn open(page: &Arc<Page>, dst: usize, src: usize) -> io::Result<RingReader> {
+        let ring = Ring::open(page, dst, src)?;
+        Ok(RingReader { ring, tail: 0, released: 0, head: 0, closed: false, wake_owed: false })
     }
 
     /// The writer has gone: once the ring is drained, reads are EOF.

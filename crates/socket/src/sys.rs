@@ -1,8 +1,9 @@
 //! The few Linux calls the socket backend needs that std does not wrap,
 //! declared by hand: `memfd_create(2)` and `mmap(2)`/`munmap(2)` for the
-//! rings (their data areas mapped twice, back to back) and the world page, and `sendmsg(2)`/`recvmsg(2)` to pass their
-//! descriptors with a preamble or GO (`SCM_RIGHTS`). The struct layouts
-//! are glibc's on Linux. The futex is `native::sync::futex`'s.
+//! world file (its front mapped once, each ring's data area twice, back
+//! to back), and `sendmsg(2)`/`recvmsg(2)` to pass its descriptor with
+//! GO (`SCM_RIGHTS`). The struct layouts are glibc's on Linux. The futex
+//! is `native::sync::futex`'s.
 
 use std::ffi::{c_char, c_int, c_long, c_uint, c_void, CStr};
 use std::io;
@@ -79,48 +80,53 @@ pub fn memfd(name: &CStr) -> io::Result<OwnedFd> {
     Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
-/// Map the first `len` bytes of `fd` read-write and shared: stores
-/// through the mapping are seen by every process that maps the file.
-pub fn map_shared(fd: BorrowedFd<'_>, len: usize) -> io::Result<NonNull<u8>> {
+/// Map `len` bytes of `fd` from `offset` on read-write and shared, at
+/// `at` (`MAP_FIXED`) unless it is null, else where the kernel chooses:
+/// stores through the mapping are seen by every process that maps the
+/// file.
+///
+/// # Safety
+/// A non-null `at` starts `len` bytes of a mapping the caller owns and
+/// nothing refers into.
+unsafe fn map(
+    at: *mut c_void,
+    fd: BorrowedFd<'_>,
+    offset: usize,
+    len: usize,
+) -> io::Result<NonNull<u8>> {
+    let flags = if at.is_null() { MAP_SHARED } else { MAP_SHARED | MAP_FIXED };
+    let prot = PROT_READ | PROT_WRITE;
     // SAFETY: a fresh mapping chosen by the kernel aliases no Rust
-    // object; failure is `MAP_FAILED`, checked below.
-    let at = unsafe {
-        c_mmap(ptr::null_mut(), len, PROT_READ | PROT_WRITE, MAP_SHARED, fd.as_raw_fd(), 0)
-    };
+    // object, and a fixed one replaces only what the caller owns (the
+    // contract above); failure is `MAP_FAILED`, checked below.
+    let at = unsafe { c_mmap(at, len, prot, flags, fd.as_raw_fd(), offset as c_long) };
     if at as isize == -1 {
         return Err(io::Error::last_os_error());
     }
     NonNull::new(at.cast()).ok_or_else(|| io::Error::other("mmap returned null"))
 }
 
-/// Map `fd` like [`map_shared`], `len` bytes long, with its last
-/// `mirror` bytes mapped a second time right behind them: the file's
-/// `[len - mirror, len)` appears twice in a row, so any run of at most
-/// `mirror` bytes that starts in the first copy is one slice. Both
-/// `len` and `len - mirror` must be multiples of the page size. Undo
-/// with [`unmap`] over `len + mirror` bytes.
-pub fn map_mirrored(fd: BorrowedFd<'_>, len: usize, mirror: usize) -> io::Result<NonNull<u8>> {
-    assert!(mirror <= len, "a mirror longer than the mapping");
-    // One mapping of the whole length reserves the address range; its
-    // last `mirror` bytes lie past the end of the file and are replaced
-    // before anything can touch them.
-    let at = map_shared(fd, len + mirror)?;
-    // SAFETY: `MAP_FIXED` over the tail of the mapping just made, which
-    // nothing refers into yet; failure is `MAP_FAILED`, checked below.
-    let tail = unsafe {
-        c_mmap(
-            at.as_ptr().add(len).cast(),
-            mirror,
-            PROT_READ | PROT_WRITE,
-            MAP_SHARED | MAP_FIXED,
-            fd.as_raw_fd(),
-            (len - mirror) as c_long,
-        )
-    };
-    if tail as isize == -1 {
-        let e = io::Error::last_os_error();
+/// Map the first `len` bytes of `fd` read-write and shared.
+pub fn map_shared(fd: BorrowedFd<'_>, len: usize) -> io::Result<NonNull<u8>> {
+    // SAFETY: no address: the kernel chooses a fresh range.
+    unsafe { map(ptr::null_mut(), fd, 0, len) }
+}
+
+/// Map the `len` bytes of `fd` from `offset` on twice, back to back: any
+/// run of at most `len` bytes that starts in the first copy is one
+/// slice. `offset` and `len` must be multiples of the page size. Undo
+/// with [`unmap`] over `2 * len` bytes.
+pub fn map_mirrored(fd: BorrowedFd<'_>, offset: usize, len: usize) -> io::Result<NonNull<u8>> {
+    // One mapping of twice the length reserves the address range; its
+    // second half is replaced before anything can touch it.
+    // SAFETY: no address: the kernel chooses a fresh range.
+    let at = unsafe { map(ptr::null_mut(), fd, offset, 2 * len)? };
+    // SAFETY: the second half of the mapping just made, which is `len`
+    // bytes long and not handed out.
+    let mirrored = unsafe { map(at.as_ptr().add(len).cast(), fd, offset, len) };
+    if let Err(e) = mirrored {
         // SAFETY: the mapping made above, not handed out.
-        unsafe { unmap(at, len + mirror) };
+        unsafe { unmap(at, 2 * len) };
         return Err(e);
     }
     Ok(at)
@@ -140,7 +146,7 @@ pub unsafe fn unmap(at: NonNull<u8>, len: usize) {
 
 /// Send `bytes` and the descriptor `fd` in one `sendmsg` on a blocking
 /// stream socket. `bytes` must be small enough that the kernel takes
-/// it whole (a connection preamble, GO): a short send is an error.
+/// it whole (GO): a short send is an error.
 pub fn send_with_fd(sock: &UnixStream, bytes: &[u8], fd: BorrowedFd<'_>) -> io::Result<()> {
     let mut control = [0u64; 4];
     let cmsg_len = CMSG_HDR + std::mem::size_of::<c_int>();
@@ -171,7 +177,7 @@ pub fn send_with_fd(sock: &UnixStream, bytes: &[u8], fd: BorrowedFd<'_>) -> io::
             return if sent as usize == bytes.len() {
                 Ok(())
             } else {
-                Err(io::Error::new(io::ErrorKind::WriteZero, "short preamble send"))
+                Err(io::Error::new(io::ErrorKind::WriteZero, "short send"))
             };
         }
         let e = io::Error::last_os_error();

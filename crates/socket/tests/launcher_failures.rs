@@ -7,7 +7,6 @@
 //! `LaunchGuard` reaps the surviving ranks.
 
 use std::io::Write;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mpistream::{Src, Tag, Transport};
@@ -49,12 +48,11 @@ fn a_malformed_inbound_link_takes_the_whole_rank_down() {
         SocketWorld::for_test("a_malformed_inbound_link_takes_the_whole_rank_down", 2).run(
             |rank| {
                 if rank.world_rank() == 1 {
-                    // Dial rank 0 by hand: a valid preamble, then a length
-                    // prefix below the header size in the link's ring. The
-                    // link stays open — it is the bad prefix, not an EOF,
-                    // that must be fatal.
-                    let dir = PathBuf::from(std::env::var("MPISTREAM_SOCKET_DIR").unwrap());
-                    let mut link = RawLink::dial(&dir.join("rank0.sock"), 1).unwrap();
+                    // Open the ring to rank 0 by hand and write a length
+                    // prefix below the header size into it. The link stays
+                    // open — it is the bad prefix, not an EOF, that must be
+                    // fatal.
+                    let mut link = RawLink::open(0, 1).unwrap();
                     link.write_all(&3u32.to_le_bytes()).unwrap();
                     std::thread::sleep(Duration::from_secs(60));
                 }

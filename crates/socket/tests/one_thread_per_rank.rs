@@ -1,7 +1,9 @@
-//! A rank process runs one thread: the one that runs its body, which
-//! also reads the rank's inbound links. Pinned after a 4-rank all-to-all,
-//! so every rank has accepted and read three inbound links and dialled
-//! three outbound ones.
+//! A rank process runs one thread, the one that runs its body, which
+//! also reads the rank's inbound links, and holds one socket, its
+//! control link to the launcher: every link's ring is in the world file,
+//! so nothing is dialled. Pinned after a 4-rank all-to-all, so every rank
+//! has opened three outbound rings and mapped and read three inbound
+//! ones.
 //!
 //! This file has its own `main` (`harness = false`): the launcher is this
 //! process, and the rank processes re-run it with the same arguments.
@@ -16,6 +18,17 @@ fn threads() -> usize {
     line["Threads:".len()..].trim().parse().expect("a thread count")
 }
 
+/// How many of this process's descriptors from 3 on are sockets.
+fn sockets() -> usize {
+    let fds = std::fs::read_dir("/proc/self/fd").expect("procfs");
+    let fds = fds.filter_map(|e| {
+        let e = e.ok()?;
+        let fd: u32 = e.file_name().to_str()?.parse().ok()?;
+        Some((fd, std::fs::read_link(e.path()).ok()?))
+    });
+    fds.filter(|(fd, to)| *fd >= 3 && to.to_string_lossy().starts_with("socket:")).count()
+}
+
 fn main() {
     let tag = Tag::user(1);
     let got = SocketWorld::new("one_thread_per_rank", 4).run(|rank| {
@@ -27,8 +40,8 @@ fn main() {
         for peer in peers() {
             assert_eq!(rank.recv::<u64>(Src::Rank(peer), tag).0, peer as u64);
         }
-        threads()
+        (threads() as u64, sockets() as u64)
     });
-    assert_eq!(got, vec![1; 4], "threads per rank process");
-    println!("one_thread_per_rank: every rank process ran on 1 thread");
+    assert_eq!(got, vec![(1, 1); 4], "(threads, sockets) per rank process");
+    println!("one_thread_per_rank: every rank process ran on 1 thread with 1 socket");
 }

@@ -7,14 +7,14 @@
 //! at once (published in pieces, each writer woken by the reader that
 //! freed its room), a rank whose body returns while a peer is still
 //! writing to it (close barrier), a reader that dies while its writer
-//! waits for room (death-tolerant: the wait ends on EOF), a deadline
-//! that expires mid-frame (the link's framing state must survive the
-//! timeout), a rank asleep with no link at all that only a dial can wake,
-//! and a deadline on such a rank (the futex timeout). Each is a real
-//! process world; the children re-run their test under `--exact`.
+//! waits for room (death-tolerant: the wait ends at the launcher's dead
+//! mark), a deadline that expires mid-frame (the link's framing state
+//! must survive the timeout), a rank asleep with no link at all that
+//! only a newly opened ring can wake, and a deadline on such a rank (the
+//! futex timeout). Each is a real process world; the children re-run
+//! their test under `--exact`.
 
 use std::io::Write;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mpistream::{Src, Tag, Transport, Wire};
@@ -112,16 +112,15 @@ fn frames_larger_than_the_ring_cross_both_ways_at_once() {
     assert_eq!(got, vec![EXCHANGE; 2]);
 }
 
-/// Rank 0 takes one message, so its link from rank 1 is accepted and
-/// mapped, then stops reading and dies while rank 1 is still sending:
-/// rank 1 fills the ring and parks, and no wake-up will ever come. Its
-/// wait must end on the link's EOF instead, mark rank 0 dead and drop
-/// the rest of its sends, so it finishes within a bounded time.
+/// Rank 0 takes one message, so its link from rank 1 is mapped, then
+/// stops reading and dies while rank 1 is still sending: rank 1 fills
+/// the ring and parks, and no reader will ever free room. Its wait must
+/// end at the launcher's dead mark instead, and the rest of its sends
+/// must be dropped, so it finishes within a bounded time.
 #[test]
 fn a_writer_whose_reader_dies_with_the_ring_full_finishes() {
     let started = Instant::now();
     let got = SocketWorld::for_test("a_writer_whose_reader_dies_with_the_ring_full_finishes", 2)
-        .death_tolerant()
         .run_tolerant(|rank| {
             if rank.world_rank() == 0 {
                 rank.recv::<Vec<u8>>(Src::Rank(1), DATA);
@@ -141,44 +140,49 @@ fn a_writer_whose_reader_dies_with_the_ring_full_finishes() {
 /// A deadline that expires while half a frame is in: the receive times
 /// out no earlier than its deadline, and the link's framing survives —
 /// the frame completes later and is delivered, followed by the next one.
-/// Rank 1 dials rank 0 by hand (a `RawLink`, whose ring takes exactly
-/// the bytes it is given) to control exactly which bytes are sent when;
-/// its real link carries the hand-shakes.
+/// Rank 2 writes to rank 0 by hand (a `RawLink`, whose ring takes
+/// exactly the bytes it is given) to control exactly which bytes are
+/// sent when. That ring is its only one to rank 0, so its hand-shake
+/// reaches rank 0 through rank 1; rank 0's answer comes back directly.
 #[test]
 fn a_half_frame_on_a_live_rank_times_out_then_delivers() {
     const HALF: Tag = Tag::user(42);
     const SIGNAL: Tag = Tag::user(43);
-    let got = SocketWorld::for_test("a_half_frame_on_a_live_rank_times_out_then_delivers", 2).run(
+    let got = SocketWorld::for_test("a_half_frame_on_a_live_rank_times_out_then_delivers", 3).run(
         |rank| {
-            if rank.world_rank() == 1 {
-                let dir = PathBuf::from(std::env::var("MPISTREAM_SOCKET_DIR").unwrap());
-                let mut link = RawLink::dial(&dir.join("rank0.sock"), 1).unwrap();
+            if rank.world_rank() == 2 {
+                let mut link = RawLink::open(0, 2).unwrap();
                 let mut whole = Vec::new();
                 frame::write_frame(&mut whole, HALF.0, 8, &99u64.to_frame()).unwrap();
                 let cut = whole.len() / 2;
                 link.write_all(&whole[..cut]).unwrap();
-                rank.send(0, SIGNAL, 0, ()); // the half frame is on its way
+                rank.send(1, SIGNAL, 0, ()); // the half frame is on its way
                 rank.recv::<()>(Src::Rank(0), SIGNAL); // rank 0 has timed out
                 link.write_all(&whole[cut..]).unwrap();
                 frame::write_frame(&mut link, HALF.0, 8, &100u64.to_frame()).unwrap();
                 return Vec::new();
             }
+            if rank.world_rank() == 1 {
+                rank.recv::<()>(Src::Rank(2), SIGNAL);
+                rank.send(0, SIGNAL, 0, ());
+                return Vec::new();
+            }
             rank.recv::<()>(Src::Rank(1), SIGNAL);
             let deadline = rank.now() + mpistream::transport::SimDuration::from_millis(100);
-            let early = rank.recv_deadline::<u64>(Src::Rank(1), HALF, deadline);
+            let early = rank.recv_deadline::<u64>(Src::Rank(2), HALF, deadline);
             assert!(early.is_none(), "half a frame must not be delivered");
             assert!(rank.now() >= deadline, "timed out before the deadline");
-            rank.send(1, SIGNAL, 0, ());
-            (0..2).map(|_| rank.recv::<u64>(Src::Rank(1), HALF).0).collect()
+            rank.send(2, SIGNAL, 0, ());
+            (0..2).map(|_| rank.recv::<u64>(Src::Rank(2), HALF).0).collect()
         },
     );
     assert_eq!(got[0], vec![99, 100]);
 }
 
-/// Rank 0 sleeps in a receive from any source before anyone has dialled
-/// it: no inbound link, nothing to read, so only the dial itself — the
-/// count in its slot and the ring that comes with it — can wake it. Rank
-/// 1 dials 300 ms later and sends.
+/// Rank 0 sleeps in a receive from any source before any ring to it is
+/// open: no inbound link, nothing to read, so only the dial itself — the
+/// count in its slot and the ring of its bell that comes with it — can
+/// wake it. Rank 1 opens its ring 300 ms later and sends.
 #[test]
 fn a_dial_wakes_a_rank_that_has_no_links() {
     let got = SocketWorld::for_test("a_dial_wakes_a_rank_that_has_no_links", 2).run(|rank| {

@@ -1,5 +1,5 @@
 //! Model tests for a socket link's shared-memory ring (`socket::ring`)
-//! and the world page's doorbells (`socket::page`), driven by the
+//! and the world file's doorbells (`socket::page`), driven by the
 //! `schedcheck` bounded model checker. Compiled (and meaningful) only
 //! under `RUSTFLAGS='--cfg schedcheck'`, where the `native::sync` facade
 //! both are written against routes every position, flag and bell access
@@ -55,15 +55,15 @@ fn assert_clean_and_explored(out: &Outcome) {
 /// A rank's wait, by the rule of `Inbound::progress`: `look` serves what
 /// the rank waits on and says whether anything moved; if nothing did,
 /// raise the bell, look again, and sleep only if there is still nothing.
-fn wait(bell: &Slot, mut look: impl FnMut() -> bool) {
+fn wait(slot: &Slot, mut look: impl FnMut() -> bool) {
     if look() {
         return;
     }
-    bell.park();
+    slot.bell().raise();
     if !look() {
-        bell.sleep(None);
+        slot.bell().sleep(None);
     }
-    bell.unpark();
+    slot.bell().lower();
 }
 
 /// Byte `i` of a stream: recognisable at every position.
@@ -229,9 +229,9 @@ fn exchange(mut out: RingWriter, mut inn: RingReader, len: usize, me: &Slot, pee
 // ---------------------------------------------------------------------
 
 /// Rank 0 waits on its bell for two things: rank 1's bytes on a link it
-/// already has, and a link that rank 2 dials (the dial count in rank 0's
-/// slot, then a ring). Rank 0 takes the new link only once it has seen
-/// the count move, as `Inbound::serve` accepts only then. The dial is
+/// already has, and a ring that rank 2 opens to it (the dial count in
+/// rank 0's slot, then a ring of its bell). Rank 0 maps the new link only
+/// once it has seen the count move, as `Inbound::serve` does. The dial is
 /// the only thing that rings for it: when rank 1's bytes come first,
 /// only the dial's own ring can wake rank 0 for the link.
 #[test]
