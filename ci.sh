@@ -101,21 +101,19 @@ stage "socket backend smoke (multi-process equivalence over shared-memory rings)
 # back beside it.
 if grep -rn 'thread::spawn' crates/socket/src; then echo "no threads in socket ranks"; exit 1; fi
 # Nor may a poll come back: a rank sleeps on its futex doorbell and is
-# woken through shared memory, so past GO it makes no socket call per
+# woken through shared memory, so it makes no socket call per
 # message or per wake. strace is not on every host, and /proc/<pid>/io
 # does not count socket send/recv, so this grep is the structural check.
 if grep -rnE 'poll\(|POLLIN' crates/socket/src; then echo "no poll in socket ranks"; exit 1; fi
-# Nor may a link be dialled again: every ring lies in the world file the
-# launcher sends with GO, so the launcher's control socket is the one
-# listener, and GO the one descriptor that crosses a socket.
+# Nor may a link be dialled, or a start-up rendezvous come back: every
+# ring lies in the world file, and each rank inherits that file and its
+# control link (its end of a socketpair) at spawn. So no listener, no
+# descriptor sent over a socket, and no scratch directory.
 nontest_socket_src() {
     for f in crates/socket/src/*.rs; do sed '/^#\[cfg(test)\]$/,$d' "$f"; done
 }
-if [ "$(nontest_socket_src | grep -c 'UnixListener::bind')" -ne 1 ]; then
-    echo "one listener in a socket world: the launcher's control socket"; exit 1
-fi
-if nontest_socket_src | grep 'send_with_fd(' | grep -v 'fn send_with_fd(' | grep -v 'CTL_GO'; then
-    echo "only GO carries a descriptor"; exit 1
+if nontest_socket_src | grep -nE 'UnixListener|sendmsg|recvmsg|SCM_RIGHTS|temp_dir'; then
+    echo "no listener, descriptor passing or scratch directory in a socket world"; exit 1
 fi
 # A socket rank's thread is the only writer of its own mail, so it owns a
 # bare single-threaded `Matcher` and decodes the frame a receive takes

@@ -50,6 +50,9 @@
 //! });
 //! ```
 
+// Every `unsafe` block says why it is sound: the `Wire` codec reads a
+// plain-old-data slice as bytes.
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
 
 pub mod cart;

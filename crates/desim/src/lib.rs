@@ -58,6 +58,9 @@
 //! assert_eq!(out.end_time.as_nanos(), 15_000);
 //! ```
 
+// Every `unsafe` block says why it is sound: fibers switch stacks by hand
+// on `mmap`ed memory.
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(clippy::disallowed_types)] // see clippy.toml: determinism as a lint
 
 pub mod fault;

@@ -24,21 +24,25 @@
 //! ## Links
 //!
 //! Every link's ring is already in the world file, which every rank maps
-//! at GO, so nothing is dialled: a sender's first send to a rank maps
-//! that pair's data area, claims the ring's header as its one writer,
-//! counts the link in the receiver's slot and rings it; the receiver,
-//! seeing the count move, maps the data areas of the newly opened
-//! headers in its row. Frames, wake-ups and deaths all go through the
-//! file.
+//! when it starts, so nothing is dialled: a sender's first send to a rank
+//! maps that pair's data area, claims the ring's header as its one
+//! writer, counts the link in the receiver's slot and rings it; the
+//! receiver, seeing the count move, maps the data areas of the newly
+//! opened headers in its row. Frames, wake-ups and deaths all go through
+//! the file.
 //!
 //! ## Topology
 //!
-//! A [`SocketWorld::run`] in the **launcher** process re-executes the
-//! current binary once per rank (`fork`/`exec` with a
-//! `MPISTREAM_SOCKET_*` env handshake). Each child:
+//! A [`SocketWorld::run`] in the **launcher** process creates the world
+//! file, then re-executes the current binary once per rank (`fork`/`exec`,
+//! `MPISTREAM_SOCKET_*` in the environment). Each child inherits exactly
+//! two descriptors, named by `MPISTREAM_SOCKET_FDS`: its end of a
+//! `socketpair`, its control link to the launcher and the one socket it
+//! holds, and the world file. There is no rendezvous and no start
+//! barrier: a rank that sends before its peer has started writes into the
+//! peer's ring, which the peer reads when it gets there. Each child:
 //!
-//! 1. greets the launcher over `dir/ctl.sock`, the one socket of the
-//!    world, and waits for GO, which brings the world file's descriptor;
+//! 1. maps the world file;
 //! 2. runs the body against a [`SocketRank`] on the process's one
 //!    thread; whenever the body waits in a transport call — a receive
 //!    that misses, a send whose ring is full — the rank maps the rings
@@ -68,11 +72,10 @@ mod sys;
 
 use std::borrow::Cow;
 use std::io::{self, Read, Write};
-use std::os::fd::AsFd;
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::os::unix::process::CommandExt;
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -83,21 +86,17 @@ use native::{Links, MailboxRank, Until, WallClock};
 use page::{Page, Slot};
 use ring::{RingReader, RingWriter};
 
-/// Launch-handshake environment variables.
+/// What a rank process is told at spawn, beside its two descriptors.
 const ENV_KEY: &str = "MPISTREAM_SOCKET_KEY";
 const ENV_RANK: &str = "MPISTREAM_SOCKET_RANK";
 const ENV_WORLD: &str = "MPISTREAM_SOCKET_WORLD";
-const ENV_DIR: &str = "MPISTREAM_SOCKET_DIR";
+/// The control link's and the world file's descriptor numbers, `ctl,file`.
+const ENV_FDS: &str = "MPISTREAM_SOCKET_FDS";
 const ENV_SCALE: &str = "MPISTREAM_SOCKET_SCALE";
 
-/// Control-plane bytes.
-const CTL_GO: u8 = 0x47;
+/// The launcher's release of the close barrier.
 const CTL_ALL_DONE: u8 = 0x44;
 
-/// How long the launch handshake (connect, HELLO, GO) may take before
-/// the run is declared wedged. The handshake bound does not cover the body: how long a world
-/// runs is the caller's business.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
 /// While the launcher waits for results it wakes this often to look at
 /// the children's exit statuses, so a rank that died is reported by name
 /// (or, death-tolerant, marked dead in the world file) within about a
@@ -125,9 +124,6 @@ pub struct SocketWorld {
     /// `Some`: explicit child argv (libtest filter args, see
     /// [`SocketWorld::for_test`]).
     child_args: Option<Vec<String>>,
-    /// Bound on the launch handshake; [`HANDSHAKE_TIMEOUT`] outside this
-    /// crate's own tests.
-    handshake_timeout: Duration,
 }
 
 impl SocketWorld {
@@ -136,13 +132,7 @@ impl SocketWorld {
     /// binary with its original arguments.
     pub fn new(key: &str, nprocs: usize) -> SocketWorld {
         assert!(nprocs > 0, "a world needs at least one rank");
-        SocketWorld {
-            key: key.to_string(),
-            nprocs,
-            compute_scale: 1.0,
-            child_args: None,
-            handshake_timeout: HANDSHAKE_TIMEOUT,
-        }
+        SocketWorld { key: key.to_string(), nprocs, compute_scale: 1.0, child_args: None }
     }
 
     /// A world for use inside `#[test]` fns under the libtest harness:
@@ -162,17 +152,10 @@ impl SocketWorld {
     }
 
     /// Wall-clock seconds slept per modelled compute second (default
-    /// 1.0), forwarded to every child through the env handshake.
+    /// 1.0), forwarded to every child in its environment.
     pub fn with_compute_scale(mut self, scale: f64) -> SocketWorld {
         assert!(scale.is_finite() && scale >= 0.0, "compute_scale must be finite and >= 0");
         self.compute_scale = scale;
-        self
-    }
-
-    /// Shrink the handshake bound, so a test can outlast it in seconds.
-    #[cfg(test)]
-    fn with_handshake_timeout(mut self, bound: Duration) -> SocketWorld {
-        self.handshake_timeout = bound;
         self
     }
 
@@ -217,7 +200,7 @@ impl SocketWorld {
         F: FnOnce(&mut SocketRank) -> R,
     {
         match std::env::var(ENV_KEY) {
-            Err(_) => self.run_launcher(scratch_dir(&self.key), tolerant),
+            Err(_) => self.run_launcher(tolerant),
             Ok(k) if k == self.key => self.run_child(tolerant, body),
             Ok(k) => panic!(
                 "this process was launched as a rank of socket world {k:?} but reached \
@@ -228,83 +211,52 @@ impl SocketWorld {
         }
     }
 
-    fn run_launcher<R: Wire>(&self, dir: PathBuf, tolerant: bool) -> Vec<Option<R>> {
-        // A launcher that was killed leaves its directory behind, and once
-        // the kernel reuses its pid `bind` would fail here on the stale
-        // `ctl.sock`. No live world can own the path: its launcher would
-        // have this pid.
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create socket scratch dir");
-        let listener = UnixListener::bind(dir.join("ctl.sock")).expect("bind control socket");
-        listener.set_nonblocking(true).expect("nonblocking control listener");
-
+    fn run_launcher<R: Wire>(&self, tolerant: bool) -> Vec<Option<R>> {
+        // Each child inherits its wiring at spawn: its end of a control
+        // link and the world file, the only descriptors it is given
+        // beside stdio.
+        let page = Page::create(self.nprocs).expect("create the world file");
         let exe = std::env::current_exe().expect("resolve current executable");
         let args: Vec<String> =
             self.child_args.clone().unwrap_or_else(|| std::env::args().skip(1).collect());
-        let mut guard = LaunchGuard { children: Vec::new(), dir: dir.clone() };
+        let mut guard = LaunchGuard { children: Vec::new() };
+        let mut conns = Vec::with_capacity(self.nprocs);
         for r in 0..self.nprocs {
-            let child = Command::new(&exe)
-                .args(&args)
+            let (conn, theirs) = UnixStream::pair().expect("create a control link");
+            let fds = [theirs.as_raw_fd(), page.fd().as_raw_fd()];
+            let mut cmd = Command::new(&exe);
+            cmd.args(&args)
                 .env(ENV_KEY, &self.key)
                 .env(ENV_RANK, r.to_string())
                 .env(ENV_WORLD, self.nprocs.to_string())
-                .env(ENV_DIR, &dir)
-                .env(ENV_SCALE, self.compute_scale.to_string())
-                .spawn()
-                .expect("spawn rank process");
-            guard.children.push(child);
+                .env(ENV_FDS, format!("{},{}", fds[0], fds[1]))
+                .env(ENV_SCALE, self.compute_scale.to_string());
+            // SAFETY: the hook runs in the forked child before `exec` and
+            // only calls `fcntl`, which is async-signal-safe and allocates
+            // nothing. The two descriptors are open until `spawn` returns,
+            // and only the child's copies lose their close-on-exec flag:
+            // a sibling world's child must not inherit this rank's link,
+            // or it would hide the rank's EOF.
+            unsafe { cmd.pre_exec(move || fds.iter().try_for_each(|&fd| sys::cloexec(fd, false))) };
+            guard.children.push(cmd.spawn().expect("spawn rank process"));
+            // The launcher keeps no copy of the child's end, so the link
+            // reads EOF as soon as the rank process goes.
+            drop(theirs);
+            // How long a world runs is the caller's business: a silent
+            // control link is a rank still running its body. A rank that
+            // died shows in its exit status instead, which the launcher
+            // looks at every RESULT_POLL.
+            conn.set_read_timeout(Some(RESULT_POLL)).expect("control read timeout");
+            conns.push(conn);
         }
 
-        // Accept one HELLO per rank.
-        let deadline = std::time::Instant::now() + self.handshake_timeout;
-        let mut conns: Vec<Option<UnixStream>> = (0..self.nprocs).map(|_| None).collect();
-        let mut accepted = 0;
-        while accepted < self.nprocs {
-            match listener.accept() {
-                Ok((mut s, _)) => {
-                    s.set_nonblocking(false).expect("blocking control conn");
-                    s.set_read_timeout(Some(self.handshake_timeout)).expect("control read timeout");
-                    let mut hello = [0u8; 4];
-                    s.read_exact(&mut hello).expect("read HELLO");
-                    let r = u32::from_le_bytes(hello) as usize;
-                    assert!(r < self.nprocs, "HELLO from out-of-range rank {r}");
-                    assert!(conns[r].is_none(), "duplicate HELLO from rank {r}");
-                    conns[r] = Some(s);
-                    accepted += 1;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    guard.check_alive("during the handshake");
-                    assert!(
-                        std::time::Instant::now() < deadline,
-                        "socket world {:?}: timed out waiting for rank handshakes \
-                         ({accepted}/{} arrived)",
-                        self.key,
-                        self.nprocs
-                    );
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => panic!("control accept failed: {e}"),
-            }
-        }
-        let mut conns: Vec<UnixStream> = conns.into_iter().map(|c| c.expect("all ranks")).collect();
-
-        // The handshake bound ends with GO: from here on a silent control
-        // link is a rank still running its body, for as long as that
-        // takes. A rank that died shows in its exit status instead, which
-        // the launcher looks at every RESULT_POLL. The world file rides
-        // with GO.
-        let (page, page_fd) = Page::create(self.nprocs).expect("create the world file");
-        for c in &mut conns {
-            sys::send_with_fd(c, &[CTL_GO], page_fd.as_fd()).expect("send GO");
-            c.set_read_timeout(Some(RESULT_POLL)).expect("control read timeout");
-        }
         // Collect results in rank order, then release everyone at once:
         // the ALL_DONE close barrier keeps ranks alive until no peer can
         // still be writing to them.
         let mut results = Vec::with_capacity(self.nprocs);
         for (r, conn) in conns.iter_mut().enumerate() {
             let idle = || match tolerant {
-                false => guard.check_alive("before returning a result"),
+                false => guard.check_alive(),
                 // Tolerant worlds expect deaths: mark them for the
                 // survivors; the dead rank's own link reports it (EOF).
                 true => guard.mark_dead(&page),
@@ -337,7 +289,6 @@ impl SocketWorld {
                 assert!(status.success(), "rank {r} exited with {status}");
             }
         }
-        drop(guard); // removes the scratch dir
         results
     }
 
@@ -353,21 +304,12 @@ impl SocketWorld {
             "world size mismatch: launched with {nprocs} ranks, call site says {}",
             self.nprocs
         );
-        let dir = PathBuf::from(std::env::var(ENV_DIR).expect("socket dir env"));
         let compute_scale: f64 = env_parsed(ENV_SCALE);
-
-        let mut ctl = connect_retry(&dir.join("ctl.sock"), self.handshake_timeout)
-            .expect("connect control socket");
-        ctl.set_read_timeout(Some(self.handshake_timeout)).expect("control read timeout");
-        ctl.write_all(&(rank as u32).to_le_bytes()).expect("send HELLO");
-        let mut go = [0u8; 1];
-        let (n, page) = sys::recv_with_fd(&ctl, &mut go).expect("read GO");
-        assert_eq!((n, go[0]), (1, CTL_GO), "unexpected control byte");
-        let page = Page::attach(page.expect("GO without the world file"), nprocs);
+        let fds: String = env_parsed(ENV_FDS);
+        let (ctl, page) = fds.split_once(',').unwrap_or_else(|| panic!("{ENV_FDS}: {fds:?}"));
+        let ctl = UnixStream::from(inherited(ctl));
+        let page = Page::attach(inherited(page), nprocs);
         let page = WORLD_PAGE.get_or_init(|| Arc::new(page.expect("map the world file")));
-        // Only the handshake is bounded: ALL_DONE comes when the slowest
-        // rank has finished, however long that is.
-        ctl.set_read_timeout(None).expect("clear control read timeout");
 
         let links = SocketLinks::new(Arc::clone(page), rank, tolerant);
         let clock = WallClock::start(compute_scale);
@@ -382,21 +324,20 @@ impl SocketWorld {
 /// This rank process's map of the world file, for [`RawLink::open`].
 static WORLD_PAGE: OnceLock<Arc<Page>> = OnceLock::new();
 
-/// Kills any still-running children and removes the scratch directory —
-/// on the success path the children vec has been drained first.
+/// Kills any still-running children — on the success path the children
+/// vec has been drained first.
 struct LaunchGuard {
     children: Vec<Child>,
-    dir: PathBuf,
 }
 
 impl LaunchGuard {
     /// Fail fast, naming the rank, if a child has already exited: no rank
     /// exits before the launcher's ALL_DONE, so an early exit — whatever
     /// its status — is a death.
-    fn check_alive(&mut self, phase: &str) {
+    fn check_alive(&mut self) {
         for (r, c) in self.children.iter_mut().enumerate() {
             if let Ok(Some(status)) = c.try_wait() {
-                panic!("rank {r} exited with {status} {phase}");
+                panic!("rank {r} exited with {status} before returning a result");
             }
         }
     }
@@ -446,7 +387,6 @@ impl Drop for LaunchGuard {
             let _ = c.kill();
             let _ = c.wait();
         }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -460,32 +400,16 @@ where
         .unwrap_or_else(|e| panic!("{name} unparseable: {e:?}"))
 }
 
-/// Per-run scratch directory under the system temp dir. Keyed by pid +
-/// a process-wide counter (several sequential worlds in one launcher) +
-/// a hash of the world key, kept short for the Unix socket path limit.
-fn scratch_dir(key: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-    }
-    std::env::temp_dir().join(format!("mpws-{}-{n}-{h:08x}", std::process::id()))
-}
-
-fn connect_retry(path: &Path, total: Duration) -> std::io::Result<UnixStream> {
-    let deadline = std::time::Instant::now() + total;
-    loop {
-        match UnixStream::connect(path) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if std::time::Instant::now() >= deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
+/// Take ownership of one of the two descriptors the launcher left open in
+/// this rank process (`MPISTREAM_SOCKET_FDS`), and close it on `exec`
+/// again.
+fn inherited(fd: &str) -> OwnedFd {
+    let fd: RawFd = fd.parse().unwrap_or_else(|e| panic!("{ENV_FDS} unparseable: {e:?}"));
+    sys::cloexec(fd, true).unwrap_or_else(|e| panic!("{ENV_FDS}: descriptor {fd}: {e}"));
+    // SAFETY: `fd` is open (`fcntl` just succeeded on it), the launcher
+    // gave it to this process alone, and `run_child`, which never
+    // returns, takes each of the two once.
+    unsafe { OwnedFd::from_raw_fd(fd) }
 }
 
 /// Decode frames from one blocking inbound link into `mailbox` until
@@ -1204,38 +1128,19 @@ mod tests {
     }
 
     #[test]
-    fn launcher_clears_a_stale_scratch_dir() {
-        let world = SocketWorld::for_test("tests::launcher_clears_a_stale_scratch_dir", 2);
-        if std::env::var(ENV_KEY).is_ok() {
-            world.run(|rank| rank.world_rank()); // a rank process: never returns
-        }
-        // What a killed launcher leaves: dropping a listener closes it
-        // but does not unlink its path.
-        let dir = scratch_dir(&world.key);
-        std::fs::create_dir_all(&dir).unwrap();
-        drop(UnixListener::bind(dir.join("ctl.sock")).unwrap());
-        UnixListener::bind(dir.join("ctl.sock")).expect_err("the stale path is still in the way");
-
-        let ranks: Vec<Option<usize>> = world.run_launcher(dir.clone(), false);
-        assert_eq!(ranks, vec![Some(0), Some(1)]);
-        assert!(!dir.exists(), "the launcher removes its scratch dir");
-    }
-
-    #[test]
-    fn body_may_outlast_the_handshake_timeout() {
-        // The control-link read timeout bounds HELLO and GO only. Rank 0
-        // keeps the launcher waiting for its result, and rank 1 waiting
-        // for ALL_DONE, for twice the handshake bound: neither wait may
-        // be mistaken for a death.
-        let bound = Duration::from_secs(1);
-        let ranks = SocketWorld::for_test("tests::body_may_outlast_the_handshake_timeout", 2)
-            .with_handshake_timeout(bound)
-            .run(|rank| {
-                if rank.world_rank() == 0 {
-                    std::thread::sleep(2 * bound);
-                }
-                rank.world_rank()
-            });
+    fn a_body_longer_than_the_result_poll_is_not_a_death() {
+        // Rank 0 keeps the launcher waiting for its result, and rank 1
+        // waiting for ALL_DONE, through two and a half result polls: a
+        // silent control link is a rank at work, and neither wait may be
+        // mistaken for a death.
+        let ranks =
+            SocketWorld::for_test("tests::a_body_longer_than_the_result_poll_is_not_a_death", 2)
+                .run(|rank| {
+                    if rank.world_rank() == 0 {
+                        std::thread::sleep(RESULT_POLL * 5 / 2);
+                    }
+                    rank.world_rank()
+                });
         assert_eq!(ranks, vec![0, 1]);
     }
 }

@@ -1,7 +1,7 @@
 //! The world file: one doorbell per rank and one ring per ordered pair
 //! of ranks, in one shared-memory segment (DESIGN.md §16.3). The launcher
-//! creates it (a `memfd`, all zero) and hands its descriptor to every
-//! rank with GO. For `n` ranks it holds, in order:
+//! creates it (a `memfd`, all zero) before it spawns a rank, and every
+//! rank inherits its descriptor. For `n` ranks it holds, in order:
 //!
 //! 1. `n` cache-line [`Slot`]s, one per rank;
 //! 2. `n × n` ring headers, indexed `[dst][src]`, so a rank's inbound
@@ -27,7 +27,7 @@
 
 use std::fs::File;
 use std::io;
-use std::os::fd::{AsFd, OwnedFd};
+use std::os::fd::{AsFd, BorrowedFd, OwnedFd};
 use std::ptr::NonNull;
 
 use native::sync::atomic::{AtomicBool, AtomicU32, Ordering::SeqCst};
@@ -116,12 +116,17 @@ fn data_bytes(ranks: usize) -> usize {
 }
 
 impl Page {
-    /// A fresh world file for `ranks` ranks, and the descriptor to hand
-    /// them.
-    pub(crate) fn create(ranks: usize) -> io::Result<(Page, OwnedFd)> {
+    /// A fresh world file for `ranks` ranks; its descriptor
+    /// ([`Page::fd`]) is what the ranks inherit.
+    pub(crate) fn create(ranks: usize) -> io::Result<Page> {
         let file = File::from(sys::memfd(c"mpistream-world")?);
         file.set_len((front_bytes(ranks) + data_bytes(ranks)) as u64)?;
-        Ok((Page::attach(file.try_clone()?.into(), ranks)?, file.into()))
+        Page::attach(file.into(), ranks)
+    }
+
+    /// The world file's descriptor.
+    pub(crate) fn fd(&self) -> BorrowedFd<'_> {
+        self.file.as_fd()
     }
 
     /// Map the front of the world file behind `fd`, which the launcher

@@ -65,3 +65,15 @@ fn a_malformed_inbound_link_takes_the_whole_rank_down() {
     });
     assert!(msg.contains("rank 0"), "launcher said: {msg}");
 }
+
+/// A child that exits 0 without ever reaching `SocketWorld::run` — here
+/// its libtest filter names no test, so it runs none — is a death at
+/// start-up, reported in the launcher's result wait with the rank's name.
+#[test]
+fn a_child_that_never_reaches_the_world_is_named() {
+    let msg = failure_of(|| {
+        SocketWorld::for_test("no_such_test", 2).run(|rank| rank.world_rank());
+    });
+    let named = msg.contains("rank 0") || msg.contains("rank 1");
+    assert!(named && msg.contains("exit"), "launcher said: {msg}");
+}
