@@ -88,9 +88,10 @@ stage "socket backend smoke (multi-process equivalence over shared-memory rings)
 # launcher's one world file (DESIGN.md §16). backend_equivalence certifies the socket
 # fingerprints against sim and native; the socket crate's own tests pin
 # progress wherever a rank blocks (floods, frames larger than a link's
-# ring both ways at once, close barrier, a reader that dies while its
-# writer waits for room, a half frame on a live rank, a newly opened
-# ring that wakes a rank with no links, a deadline on such a rank), the
+# ring both ways at once, a rank that returns while a peer still writes
+# to it, a reader that dies while its writer waits for room, a half
+# frame on a live rank, a newly opened ring that wakes a rank with no
+# links, a deadline on such a rank), the
 # ring's byte stream under hostile publishes, one writer per ring, and
 # one thread and one socket per rank process; recv_deadline_semantics
 # pins the half-read-frame and absolute-deadline contracts; the quickstart run
@@ -114,6 +115,13 @@ nontest_socket_src() {
 }
 if nontest_socket_src | grep -nE 'UnixListener|sendmsg|recvmsg|SCM_RIGHTS|temp_dir'; then
     echo "no listener, descriptor passing or scratch directory in a socket world"; exit 1
+fi
+# Nor may a close barrier come back: a rank whose body returns leaves the
+# world (its mark in the world file ends every wait on it), writes its
+# result on its control link once, blocking, and exits. Nothing is sent
+# back to release it, and the control link is never made non-blocking.
+if nontest_socket_src | grep -nE 'ALL_DONE|set_nonblocking'; then
+    echo "no close barrier: a socket rank that returns leaves the world"; exit 1
 fi
 # A socket rank's thread is the only writer of its own mail, so it owns a
 # bare single-threaded `Matcher` and decodes the frame a receive takes
@@ -202,8 +210,8 @@ stage "schedcheck model checking (bounded exhaustive interleavings)"
 # bell's park, typed values passed over on the way to a directed match,
 # deadline receives, batched credit returns, a small tree collective —
 # and the socket backend's shared-memory ring and futex doorbells (publish and claim against park and re-check, restart at the
-# front, ring-full waits both ways, a newly opened ring racing a park, a death mark
-# racing a room wait, a frame waited for in the ring) re-compiled against schedcheck's shadow primitives
+# front, ring-full waits both ways, a newly opened ring racing a park, a gone mark
+# (a death or a departure) racing a room wait, a frame waited for in the ring) re-compiled against schedcheck's shadow primitives
 # (--cfg schedcheck switches the native::sync facade) and explored
 # exhaustively up to a preemption bound: every clean model must cover
 # >= 1,000 distinct schedules with zero SC201-SC203 violations, and the

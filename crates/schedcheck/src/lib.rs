@@ -34,6 +34,10 @@
 //! matter). Model code must be deterministic apart from shadow-sync
 //! state — no real time, no hash-order-dependent branching.
 
+// Every `unsafe` block and impl says why it is sound: a shadow primitive
+// hands out its cell's contents to threads the checker runs.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod clock;
 mod exec;
 pub mod futex;

@@ -60,8 +60,11 @@ pub mod atomic {
                 v: UnsafeCell<$t>,
             }
 
-            // Matches std: atomics are freely shared.
+            // SAFETY: matches std, whose atomics are freely shared: `v`
+            // is only touched inside `exec::sync_op`'s grant, under the
+            // execution's lock, one thread at a time.
             unsafe impl Send for $name {}
+            // SAFETY: as for `Send`.
             unsafe impl Sync for $name {}
 
             impl $name {
@@ -76,6 +79,8 @@ pub mod atomic {
                         |st, tid| {
                             let id = oid(&self.id, st);
                             st.atomic_load_effects(id, tid, ord);
+                            // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                            // access to `v`, and nothing borrows it past this closure.
                             unsafe { *self.v.get() }
                         },
                     )
@@ -88,6 +93,8 @@ pub mod atomic {
                         |st, tid| {
                             let id = oid(&self.id, st);
                             st.atomic_store_effects(id, tid, ord);
+                            // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                            // access to `v`, and nothing borrows it past this closure.
                             unsafe { *self.v.get() = val };
                         },
                     )
@@ -100,6 +107,8 @@ pub mod atomic {
                         |st, tid| {
                             let id = oid(&self.id, st);
                             st.atomic_rmw_effects(id, tid, ord);
+                            // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                            // access to `v`, and nothing borrows it past this closure.
                             let slot = unsafe { &mut *self.v.get() };
                             std::mem::replace(slot, val)
                         },
@@ -118,6 +127,8 @@ pub mod atomic {
                         |_, _| Status::AtPoint,
                         |st, tid| {
                             let id = oid(&self.id, st);
+                            // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                            // access to `v`, and nothing borrows it past this closure.
                             let slot = unsafe { &mut *self.v.get() };
                             if *slot == current {
                                 st.atomic_rmw_effects(id, tid, success);
@@ -159,6 +170,8 @@ pub mod atomic {
                         |st, tid| {
                             let id = oid(&self.id, st);
                             st.atomic_rmw_effects(id, tid, ord);
+                            // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                            // access to `v`, and nothing borrows it past this closure.
                             let slot = unsafe { &mut *self.v.get() };
                             let old = *slot;
                             *slot = old.wrapping_add(val);
@@ -174,6 +187,8 @@ pub mod atomic {
                         |st, tid| {
                             let id = oid(&self.id, st);
                             st.atomic_rmw_effects(id, tid, ord);
+                            // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                            // access to `v`, and nothing borrows it past this closure.
                             let slot = unsafe { &mut *self.v.get() };
                             let old = *slot;
                             *slot = old.wrapping_sub(val);
@@ -194,8 +209,11 @@ pub mod atomic {
         v: UnsafeCell<*mut T>,
     }
 
-    // Matches std: `AtomicPtr<T>` is Send + Sync for all `T`.
+    // SAFETY: matches std, where `AtomicPtr<T>` is Send + Sync for all
+    // `T`: it shares the pointer, never the pointee, and `v` is only
+    // touched under the execution's lock.
     unsafe impl<T> Send for AtomicPtr<T> {}
+    // SAFETY: as for `Send`.
     unsafe impl<T> Sync for AtomicPtr<T> {}
 
     impl<T> AtomicPtr<T> {
@@ -210,6 +228,8 @@ pub mod atomic {
                 |st, tid| {
                     let id = oid(&self.id, st);
                     st.atomic_load_effects(id, tid, ord);
+                    // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                    // access to `v`, and nothing borrows it past this closure.
                     unsafe { *self.v.get() }
                 },
             )
@@ -222,6 +242,8 @@ pub mod atomic {
                 |st, tid| {
                     let id = oid(&self.id, st);
                     st.atomic_store_effects(id, tid, ord);
+                    // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                    // access to `v`, and nothing borrows it past this closure.
                     unsafe { *self.v.get() = p };
                 },
             )
@@ -234,6 +256,8 @@ pub mod atomic {
                 |st, tid| {
                     let id = oid(&self.id, st);
                     st.atomic_rmw_effects(id, tid, ord);
+                    // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                    // access to `v`, and nothing borrows it past this closure.
                     let slot = unsafe { &mut *self.v.get() };
                     std::mem::replace(slot, p)
                 },
@@ -252,6 +276,8 @@ pub mod atomic {
                 |_, _| Status::AtPoint,
                 |st, tid| {
                     let id = oid(&self.id, st);
+                    // SAFETY: under the execution's lock (`exec::sync_op`): the one
+                    // access to `v`, and nothing borrows it past this closure.
                     let slot = unsafe { &mut *self.v.get() };
                     if std::ptr::eq(*slot, current) {
                         st.atomic_rmw_effects(id, tid, success);
@@ -286,7 +312,10 @@ pub struct Mutex<T> {
     data: UnsafeCell<T>,
 }
 
+// SAFETY: as std's `Mutex`: `data` is reached only through a guard, and
+// the model grants the lock to one thread at a time (`held_by`).
 unsafe impl<T: Send> Send for Mutex<T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T: Send> Sync for Mutex<T> {}
 
 pub struct MutexGuard<'a, T> {
@@ -322,12 +351,16 @@ impl<T> Mutex<T> {
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
+        // SAFETY: this thread holds the model lock for the guard's
+        // lifetime, which bounds the borrow.
         unsafe { &*self.m.data.get() }
     }
 }
 
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`, and the guard is borrowed mutably, so
+        // this is the one reference.
         unsafe { &mut *self.m.data.get() }
     }
 }
@@ -699,7 +732,11 @@ pub mod cell {
         v: UnsafeCell<T>,
     }
 
+    // SAFETY: every access to `v` runs inside `exec::direct_op`, under
+    // the execution's lock, so none overlaps another in fact; the vector
+    // clocks report the ones the program left unordered.
     unsafe impl<T: Send> Send for RaceCell<T> {}
+    // SAFETY: as for `Send`.
     unsafe impl<T: Send> Sync for RaceCell<T> {}
 
     impl<T: Copy> RaceCell<T> {
@@ -713,6 +750,8 @@ pub mod cell {
                     let id = oid(&self.id, st);
                     st.cell_read(id, tid, "RaceCell");
                 }
+                // SAFETY: under the execution's lock (`exec::direct_op`): the one
+                // access to `v`, and nothing borrows it past this closure.
                 unsafe { *self.v.get() }
             })
         }
@@ -723,6 +762,8 @@ pub mod cell {
                     let id = oid(&self.id, st);
                     st.cell_write(id, tid, "RaceCell");
                 }
+                // SAFETY: under the execution's lock (`exec::direct_op`): the one
+                // access to `v`, and nothing borrows it past this closure.
                 unsafe { *self.v.get() = val };
             })
         }
@@ -777,6 +818,7 @@ pub mod boxed {
                 }
             });
         }
+        // SAFETY: the caller upholds `Box::from_raw`'s contract.
         unsafe { Box::from_raw(p) }
     }
 }

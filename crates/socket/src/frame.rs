@@ -52,6 +52,15 @@ pub const FRAME_OVERHEAD: usize = 4 + HEADER_BYTES;
 /// A larger frame from a ring is lent where it lies in the ring, if it
 /// fits the ring; from any other source, or larger than the ring, it
 /// gets its own allocation.
+///
+/// A smaller frame is copied out of the ring into this buffer, not lent
+/// where it lies, for the ring's memory: a refill releases the ring's
+/// bytes at once, so a reader that keeps up leaves the ring empty and
+/// its writer restarts at the front, on the ring's first page or two.
+/// Frames lent in place hold their bytes until taken, so `tail` lags
+/// `head`, the writer never finds the ring empty and walks all of it: a
+/// variant that lent every frame held `socket_fine`'s throughput but
+/// raised its peak RSS from 3.31 to 3.55 MiB (DESIGN.md §16.2).
 pub const LINK_BUF_BYTES: usize = 64 << 10;
 
 fn invalid(msg: String) -> io::Error {

@@ -18,7 +18,7 @@
 //! [`native::sync::futex::Bell`], the same type a native rank's mailbox
 //! sleeps on, with the protocol in its docs. A rank waits in
 //! [`Bell::wait`]: it raises the bell, looks again at everything that
-//! could wake it — its inbound rings, its `dials`, the `dead` marks it
+//! could wake it — its inbound rings, its `dials`, the `gone` marks it
 //! cares about, the condition it waits for — and only if nothing changed
 //! sleeps in `FUTEX_WAIT` while the bell is still raised. A waker makes
 //! its condition true, then claims the wake ([`Slot::ring`]); only the
@@ -39,15 +39,17 @@ use crate::sys;
 /// The unit the file's parts are mapped in.
 const PAGE_BYTES: usize = 4096;
 
-/// One rank's doorbell, on a cache line of its own.
+/// One rank's doorbell, its dial count and the mark of its end, on a
+/// cache line of its own.
 #[repr(C, align(64))]
 pub struct Slot {
     /// Raised from [`Bell::raise`] until claimed.
     bell: Bell,
     /// Rings opened to this rank, each counted once its header is open.
     dials: AtomicU32,
-    /// The launcher saw this rank's process go (death-tolerant worlds).
-    dead: AtomicBool,
+    /// This rank has left the world ([`Page::leave`]): its body returned,
+    /// or, in a death-tolerant world, the launcher saw its process go.
+    gone: AtomicBool,
 }
 
 // The launcher sizes the file by it, and a rank's doorbell keeps a cache
@@ -57,7 +59,7 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 64);
 
 impl Slot {
     fn new() -> Slot {
-        Slot { bell: Bell::new(), dials: AtomicU32::new(0), dead: AtomicBool::new(false) }
+        Slot { bell: Bell::new(), dials: AtomicU32::new(0), gone: AtomicBool::new(false) }
     }
 
     /// The rank's bell, for [`Bell::wait`].
@@ -81,8 +83,11 @@ impl Slot {
         self.dials.load(SeqCst)
     }
 
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(SeqCst)
+    /// The one record of a rank's end, whether it returned or died:
+    /// everything it will ever publish is in its rings, and it frees no
+    /// more room in the rings to it.
+    pub fn is_gone(&self) -> bool {
+        self.gone.load(SeqCst)
     }
 }
 
@@ -202,10 +207,13 @@ impl Page {
         sys::map_mirrored(self.file.as_fd(), at, RING_BYTES)
     }
 
-    /// Mark `rank` dead and wake every rank, so whoever waits on it —
-    /// for its frames or for room in its ring — looks again.
-    pub fn kill(&self, rank: usize) {
-        self.slot(rank).dead.store(true, SeqCst);
+    /// Mark `rank` gone and wake every rank, so whoever waits on it —
+    /// for its frames or for room in its ring — looks again. A rank
+    /// leaves itself once its body returns, before it ships its result;
+    /// the launcher of a death-tolerant world marks a rank whose process
+    /// went without leaving.
+    pub fn leave(&self, rank: usize) {
+        self.slot(rank).gone.store(true, SeqCst);
         (0..self.ranks()).for_each(|r| self.slot(r).ring());
     }
 }

@@ -6,7 +6,9 @@
 //! mapped and read three inbound ones. The launcher, once `run` has
 //! returned, holds no more sockets and no more `memfd`s than before it:
 //! the children's ends of their control links and the world file are
-//! closed.
+//! closed. Nor has it any child process left, running or a zombie: a
+//! rank exits as soon as its result is on its link, often before the
+//! launcher reads it, and the launcher reaps every one.
 //!
 //! This file has its own `main` (`harness = false`): the launcher is this
 //! process, and the rank processes re-run it with the same arguments.
@@ -31,6 +33,14 @@ fn descriptors(prefix: &str) -> usize {
         Some((fd, std::fs::read_link(e.path()).ok()?))
     });
     fds.filter(|(fd, to)| *fd >= 3 && to.to_string_lossy().starts_with(prefix)).count()
+}
+
+/// The child processes of every thread of this process that have not
+/// been reaped, running or not: `/proc/self/task/*/children`.
+fn children() -> String {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let children = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("children"));
+    tasks.map(|t| children(t.expect("a task")).expect("a children file")).collect()
 }
 
 fn sockets() -> usize {
@@ -58,8 +68,9 @@ fn main() {
     });
     assert_eq!(got, vec![(1, 1, 1); 4], "(threads, sockets, world files) per rank process");
     assert_eq!((sockets(), memfds("")), before, "(sockets, memfds) the launcher holds");
+    assert_eq!(children().trim(), "", "child processes the launcher left behind");
     println!(
         "one_thread_per_rank: every rank process ran on 1 thread with 1 socket and 1 world \
-         file, and the launcher closed its links and the file"
+         file, and the launcher closed its links and the file and reaped every rank"
     );
 }

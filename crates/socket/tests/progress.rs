@@ -6,9 +6,10 @@
 //! (blocked `send`), frames four times a ring's size crossing both ways
 //! at once (published in pieces, each writer woken by the reader that
 //! freed its room), a rank whose body returns while a peer is still
-//! writing to it (close barrier), a reader that dies while its writer
-//! waits for room (death-tolerant: the wait ends at the launcher's dead
-//! mark), a deadline that expires mid-frame (the link's framing state
+//! writing to it (it leaves the world, and the writer's wait for room
+//! ends at its mark), a reader that dies while its writer waits for
+//! room (death-tolerant: the wait ends at the mark the launcher sets), a
+//! deadline that expires mid-frame (the link's framing state
 //! must survive the timeout), a rank asleep with no link at all that
 //! only a newly opened ring can wake, and a deadline on such a rank (the
 //! futex timeout). Each is a real process world; the children re-run
@@ -65,8 +66,10 @@ fn a_ring_of_three_floods_finishes() {
 }
 
 /// Rank 1 writes 2 MiB that rank 0 never receives, and rank 0's body
-/// returns at once: rank 0 must keep reading in its close barrier, or
-/// rank 1 never finishes sending and the launcher never gets its result.
+/// returns at once: rank 0 leaves the world instead of reading, so rank
+/// 1's wait for room in its ring must end at rank 0's mark and the rest
+/// of its sends be dropped, or rank 1 never finishes sending and the
+/// launcher never gets its result.
 #[test]
 fn a_peer_still_writing_to_a_finished_rank_finishes() {
     let got =
@@ -115,7 +118,7 @@ fn frames_larger_than_the_ring_cross_both_ways_at_once() {
 /// Rank 0 takes one message, so its link from rank 1 is mapped, then
 /// stops reading and dies while rank 1 is still sending: rank 1 fills
 /// the ring and parks, and no reader will ever free room. Its wait must
-/// end at the launcher's dead mark instead, and the rest of its sends
+/// end at the mark the launcher sets instead, and the rest of its sends
 /// must be dropped, so it finishes within a bounded time.
 #[test]
 fn a_writer_whose_reader_dies_with_the_ring_full_finishes() {

@@ -270,10 +270,12 @@ fn a_dial_racing_a_park_is_clean() {
 // ---------------------------------------------------------------------
 
 /// Rank 1 has filled rank 0's ring and waits for room that will never
-/// come: rank 0 has died. The launcher marks it dead and rings every
-/// bell (`Page::kill`). Whatever the interleaving, either the writer's
-/// second look sees the mark or the launcher's ring claims its bell —
-/// the wait ends, with the ring still full.
+/// come: rank 0 has left the world, by returning (it marks itself) or by
+/// dying (the launcher marks it). Either way one call marks it gone and
+/// rings every bell (`Page::leave`), so this model covers both.
+/// Whatever the interleaving, either the writer's second look sees the
+/// mark or the leaver's ring claims its bell — the wait ends, with the
+/// ring still full.
 #[test]
 fn a_death_mark_racing_a_room_wait_is_clean() {
     // Bound 5: bound 4 exhausts this model at 974 schedules.
@@ -283,11 +285,11 @@ fn a_death_mark_racing_a_room_wait_is_clean() {
         assert_eq!(writer.publish(&vec![0; RING_BYTES]), RING_BYTES);
         let launcher = {
             let page = Arc::clone(&page);
-            schedcheck::thread::spawn(move || page.kill(0))
+            schedcheck::thread::spawn(move || page.leave(0))
         };
         let (me, reader) = (page.slot(1), page.slot(0));
-        while !reader.is_dead() {
-            wait(me, || reader.is_dead() || writer.publish(&[1]) > 0 || !writer.park());
+        while !reader.is_gone() {
+            wait(me, || reader.is_gone() || writer.publish(&[1]) > 0 || !writer.park());
             writer.unpark();
         }
         assert_eq!(writer.publish(&[1]), 0, "nobody freed room");
