@@ -39,6 +39,19 @@ for f in crates/native/src/*.rs; do
         echo "one wait protocol: no Condvar in native ($f)"; exit 1
     fi
 done
+# One span API: a program marks a span with `prof_scoped` or
+# `observe(Event::Begin/End)`, which every backend takes, and the
+# simulator's adapter turns those into desim's span calls (DESIGN.md §12).
+# So outside desim and its test modules, that route in
+# crates/core/src/sim.rs is the only caller of them.
+span_calls() {
+    find crates -path crates/desim -prune -o -path '*/src/*.rs' -exec awk '
+        /^#\[cfg\(test\)\]$/ { nextfile }
+        /trace_begin|trace_end|\.traced\(/ { print FILENAME ":" FNR ": " $0 }' {} +
+}
+if span_calls | grep -vE '^crates/core/src/sim\.rs:[0-9]+: +Event::(Begin|End)\(tag\) => self\.ctx\(\)\.trace_(begin|end)\(tag\),$'; then
+    echo "one span API: open spans with prof_scoped or observe(Event::Begin/End)"; exit 1
+fi
 
 stage "docs (rustdoc, warnings are errors)"
 # Broken or ambiguous intra-doc links are how a deleted or renamed public

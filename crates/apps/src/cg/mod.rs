@@ -13,7 +13,8 @@
 //! - [`run_nonblocking`] — halo exchange overlaps the inner stencil;
 //! - [`run_decoupled`] — boundary values stream to a decoupled group that
 //!   aggregates all six neighbour faces per rank and streams one combined
-//!   packet back (§IV-C of the paper), overlapping the inner stencil.
+//!   packet back (§IV-C of the paper), overlapping the inner stencil. Its
+//!   rank body, [`decoupled_rank`], runs on any [`Transport`].
 //!
 //! The math is real: all variants converge on the same global grid and are
 //! verified against a serial oracle and the manufactured solution
@@ -25,8 +26,8 @@ use std::f64::consts::PI;
 
 use mpisim::{Comm, MachineConfig, Rank, Src, World, WorldOutcome};
 use mpistream::{
-    dims_create, prof_scoped, Cart, ChannelConfig, GroupSpec, Role, Stream, StreamChannel,
-    Transport,
+    dims_create, prof_scoped, Cart, ChannelConfig, Event, Group, GroupSpec, Role, Stream,
+    StreamChannel, Transport,
 };
 
 use grid::{Field, Shell};
@@ -196,28 +197,30 @@ pub fn serial_solve(n_global_per_dim: usize, iterations: usize) -> (f64, f64) {
 
 /// The shared CG iteration skeleton: `exchange` must fill `p`'s halos and
 /// apply the stencil into `q` (charging its own compute); the rest of the
-/// iteration (dots, updates, allreduces) is identical across variants.
-fn cg_loop(
-    rank: &mut Rank,
-    comm: &Comm,
+/// iteration (dots, updates, allreduces over `comm`) is identical across
+/// variants.
+fn cg_loop<TP: Transport>(
+    rank: &mut TP,
+    comm: &TP::Group,
     st: &mut CgState,
     cfg: &CgConfig,
     scale: f64,
-    iterations: usize,
-    mut exchange_and_stencil: impl FnMut(&mut Rank, &mut CgState, usize),
+    mut exchange_and_stencil: impl FnMut(&mut TP, &mut CgState, usize),
 ) -> (f64, f64) {
     let mut rr = rank.allreduce(comm, 8, st.rr, |a, b| *a += b);
     let b_norm2 = rank.allreduce(comm, 8, st.b_norm2, |a, b| *a += b);
-    for it in 0..iterations {
+    for it in 0..cfg.iterations {
         exchange_and_stencil(rank, st, it);
-        rank.traced("comp", |rank| rank.compute(cfg.vector_secs(scale)));
+        prof_scoped(rank, "comp", |rank| rank.compute(cfg.vector_secs(scale)));
         let pq_local = st.p.dot(&st.q);
-        let pq = rank.traced("comm", |rank| rank.allreduce(comm, 8, pq_local, |a, b| *a += b));
+        let pq =
+            prof_scoped(rank, "comm", |rank| rank.allreduce(comm, 8, pq_local, |a, b| *a += b));
         let alpha = rr / pq;
         st.x.axpy(alpha, &st.p);
         st.r.axpy(-alpha, &st.q);
         let rr_local = st.r.dot(&st.r);
-        let rr_new = rank.traced("comm", |rank| rank.allreduce(comm, 8, rr_local, |a, b| *a += b));
+        let rr_new =
+            prof_scoped(rank, "comm", |rank| rank.allreduce(comm, 8, rr_local, |a, b| *a += b));
         let beta = rr_new / rr;
         rr = rr_new;
         st.p.xpby(&st.r, beta);
@@ -233,17 +236,10 @@ fn cg_loop(
 /// algorithm's `P` rounds, even though only six partners carry data. The
 /// payload itself still moves point-to-point so the numerics are real.
 /// `cart` is laid over `comm`'s ranks.
-fn halo_blocking(
-    rank: &mut Rank,
-    comm: &Comm,
-    cart: &Cart,
-    st: &mut CgState,
-    cfg: &CgConfig,
-    scale: f64,
-) {
+fn halo_blocking(rank: &mut Rank, comm: &Comm, cart: &Cart, st: &mut CgState, cfg: &CgConfig) {
     let me = comm.rank_of(rank.world_rank()).expect("member");
-    let face_bytes = cfg.face_bytes(scale);
-    rank.trace_begin("comm");
+    let face_bytes = cfg.face_bytes(1.0);
+    rank.observe(Event::Begin("comm"));
     // Blocking MPI_Alltoallv: enter together (a collective is a
     // synchronization point) ...
     rank.barrier(comm);
@@ -267,44 +263,37 @@ fn halo_blocking(
         st.p.set_halo(dim, dir, &face);
     }
     rank.wait_send_all(reqs);
-    rank.trace_end("comm");
-    rank.traced("comp", |rank| rank.compute(cfg.stencil_secs(scale)));
+    rank.observe(Event::End("comm"));
+    prof_scoped(rank, "comp", |rank| rank.compute(cfg.stencil_secs(1.0)));
     st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::All);
 }
 
 /// Non-blocking variant: post the sends, apply the inner stencil while
 /// faces are in flight, then complete the boundary.
-fn halo_nonblocking(
-    rank: &mut Rank,
-    comm: &Comm,
-    cart: &Cart,
-    st: &mut CgState,
-    cfg: &CgConfig,
-    scale: f64,
-) {
+fn halo_nonblocking(rank: &mut Rank, comm: &Comm, cart: &Cart, st: &mut CgState, cfg: &CgConfig) {
     let me = comm.rank_of(rank.world_rank()).expect("member");
-    let face_bytes = cfg.face_bytes(scale);
-    rank.trace_begin("comm");
+    let face_bytes = cfg.face_bytes(1.0);
+    rank.observe(Event::Begin("comm"));
     let mut reqs = Vec::new();
     for (dim, dir, nb) in cart.neighbors(me) {
         let face = st.p.extract_face(dim, dir);
         let w = comm.world_rank(nb);
         reqs.push(rank.isend(w, halo_tag(dim, dir), face_bytes, face));
     }
-    rank.trace_end("comm");
+    rank.observe(Event::End("comm"));
     // Overlap: inner stencil while the halos travel.
     let bf = cfg.boundary_fraction();
-    rank.traced("comp", |rank| rank.compute(cfg.stencil_secs(scale) * (1.0 - bf)));
+    prof_scoped(rank, "comp", |rank| rank.compute(cfg.stencil_secs(1.0) * (1.0 - bf)));
     st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::Inner);
-    rank.trace_begin("comm");
+    rank.observe(Event::Begin("comm"));
     for (dim, dir, nb) in cart.neighbors(me) {
         let w = comm.world_rank(nb);
         let (face, _) = rank.recv::<Vec<f64>>(Src::Rank(w), halo_tag(dim, -dir));
         st.p.set_halo(dim, dir, &face);
     }
     rank.wait_send_all(reqs);
-    rank.trace_end("comm");
-    rank.traced("comp", |rank| rank.compute(cfg.stencil_secs(scale) * bf));
+    rank.observe(Event::End("comm"));
+    prof_scoped(rank, "comp", |rank| rank.compute(cfg.stencil_secs(1.0) * bf));
     st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::Boundary);
 }
 
@@ -330,15 +319,11 @@ fn run_reference(nprocs: usize, cfg: &CgConfig, nonblocking: bool) -> CgResult {
         let cart = Cart::new(dims_create(nprocs, 3), vec![false; 3]);
         let me = rank.world_rank();
         let mut st = setup_state(&cart, me, cfg2.n_local);
-        cg_loop(rank, &comm, &mut st, &cfg2, 1.0, cfg2.iterations, {
-            let comm = comm.clone();
-            let cfg3 = cfg2.clone();
-            move |rank, st, _it| {
-                if nonblocking {
-                    halo_nonblocking(rank, &comm, &cart, st, &cfg3, 1.0);
-                } else {
-                    halo_blocking(rank, &comm, &cart, st, &cfg3, 1.0);
-                }
+        cg_loop(rank, &comm, &mut st, &cfg2, 1.0, |rank, st, _it| {
+            if nonblocking {
+                halo_nonblocking(rank, &comm, &cart, st, &cfg2);
+            } else {
+                halo_blocking(rank, &comm, &cart, st, &cfg2);
             }
         })
     });
@@ -371,9 +356,7 @@ mpistream::wire_struct!(HaloPacket { iter, faces });
 /// collect the faces of each `(destination, iteration)` pair
 /// first-come-first-served, and reply with one combined packet the moment
 /// the set is complete. `expected[r]` is the number of faces destination
-/// rank `r` is owed per iteration. It is [`Transport`]-generic, but only
-/// the simulator runs it until the decoupled rank body is ported too
-/// (ROADMAP item 5(a)).
+/// rank `r` is owed per iteration.
 fn aggregate_faces<TP: Transport>(
     rank: &mut TP,
     faces_in: &mut Stream<FaceMsg>,
@@ -401,94 +384,96 @@ fn aggregate_faces<TP: Transport>(
     halo_out.terminate(rank);
 }
 
-/// Run the decoupled variant: compute ranks stream their faces (routed by
-/// *destination*) to the boundary group, which aggregates the up-to-six
-/// faces of each destination and streams one combined packet back.
+/// Run the decoupled variant on the simulator: every rank runs
+/// [`decoupled_rank`].
 pub fn run_decoupled(nprocs: usize, cfg: &CgConfig) -> CgResult {
-    assert!(nprocs >= cfg.alpha_every, "need at least alpha_every ranks");
     let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
     let cfg2 = cfg.clone();
-    let (outcome, per_rank) = world.run_expect(nprocs, move |rank| {
-        let comm = rank.comm_world();
-        let spec = GroupSpec { every: cfg2.alpha_every };
-        let (g0, _g1, role) = spec.split(rank, &comm);
-        // The compute group owns the whole grid: each member's share of
-        // the nominal workload is inflated by P / |G0| (Eq. 2's 1/(1-α)).
-        let scale = nprocs as f64 / g0.size() as f64;
-        let face_bytes = cfg2.face_bytes(scale);
-        // G0 produces faces, G1 consumes them and replies.
-        let fwd_ch = StreamChannel::create(
-            rank,
-            &comm,
-            role,
-            ChannelConfig { element_bytes: face_bytes, ..ChannelConfig::default() },
-        );
-        let rev_ch = StreamChannel::create(
-            rank,
-            &comm,
-            role.reverse(),
-            ChannelConfig { element_bytes: face_bytes * 6, ..ChannelConfig::default() },
-        );
-        let cart = Cart::new(dims_create(g0.size(), 3), vec![false; 3]);
-
-        match role {
-            Role::Producer => {
-                let me = g0.rank_of(rank.world_rank()).expect("in G0");
-                let nc = fwd_ch.consumers().len();
-                let mut faces_out: Stream<FaceMsg> = Stream::attach(fwd_ch);
-                let mut halo_in: Stream<HaloPacket> = Stream::attach(rev_ch);
-                let mut st = setup_state(&cart, me, cfg2.n_local);
-                let bf = cfg2.boundary_fraction();
-                let cart2 = cart.clone();
-                let cfg3 = cfg2.clone();
-                let fo = &mut faces_out;
-                let hi = &mut halo_in;
-                let (res, err) = cg_loop(rank, &g0, &mut st, &cfg2, scale, cfg2.iterations, {
-                    let cart = cart2;
-                    move |rank, st, it| {
-                        // Stream each face to the consumer that aggregates
-                        // for the *destination* rank.
-                        rank.trace_begin("comm");
-                        for (dim, dir, nb) in cart.neighbors(me) {
-                            let values = st.p.extract_face(dim, dir);
-                            let msg = FaceMsg { dest: nb, iter: it, dim, dir: -dir, values };
-                            fo.isend_to(rank, nb % nc, msg);
-                        }
-                        rank.trace_end("comm");
-                        // Overlap the inner stencil with the round trip.
-                        rank.traced("comp", |rank| {
-                            rank.compute(cfg3.stencil_secs(scale) * (1.0 - bf))
-                        });
-                        st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::Inner);
-                        // One combined packet per iteration comes back.
-                        rank.trace_begin("comm");
-                        let packet = hi.recv_one(rank).expect("halo packet for every iteration");
-                        assert_eq!(packet.iter, it, "iteration-ordered replies");
-                        for (dim, dir, values) in packet.faces {
-                            st.p.set_halo(dim, dir, &values);
-                        }
-                        rank.trace_end("comm");
-                        rank.traced("comp", |rank| rank.compute(cfg3.stencil_secs(scale) * bf));
-                        st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::Boundary);
-                    }
-                });
-                faces_out.terminate(rank);
-                (me == 0).then_some((res, err))
-            }
-            Role::Consumer => {
-                let mut faces_in: Stream<FaceMsg> = Stream::attach(fwd_ch);
-                let mut halo_out: Stream<HaloPacket> = Stream::attach(rev_ch);
-                let expected: Vec<usize> =
-                    (0..g0.size()).map(|r| cart.neighbors(r).len()).collect();
-                aggregate_faces(rank, &mut faces_in, &mut halo_out, &expected);
-                None
-            }
-            Role::Bystander => unreachable!(),
-        }
-    });
+    let (outcome, per_rank) =
+        world.run_expect(nprocs, move |rank| decoupled_rank(rank, nprocs, &cfg2));
     let (residual, solution_error) =
         per_rank.into_iter().flatten().next().expect("compute rank 0 reports");
     CgResult { outcome, residual, solution_error }
+}
+
+/// One rank of the decoupled variant, on any transport: compute ranks
+/// stream their faces (routed by *destination*) to the boundary group,
+/// which aggregates the up-to-six faces of each destination and streams
+/// one combined packet back. Compute rank 0 returns `Some((final relative
+/// ‖r‖², max-norm solution error))`, every other rank `None`.
+pub fn decoupled_rank<TP: Transport>(
+    rank: &mut TP,
+    nprocs: usize,
+    cfg: &CgConfig,
+) -> Option<(f64, f64)> {
+    assert!(nprocs >= cfg.alpha_every, "need at least alpha_every ranks");
+    let comm = rank.world_group();
+    let (g0, _g1, role) = GroupSpec { every: cfg.alpha_every }.split(rank, &comm);
+    // The compute group owns the whole grid: each member's share of the
+    // nominal workload is inflated by P / |G0| (Eq. 2's 1/(1-α)).
+    let scale = nprocs as f64 / g0.size() as f64;
+    let face_bytes = cfg.face_bytes(scale);
+    // G0 produces faces, G1 consumes them and replies.
+    let fwd_ch = StreamChannel::create(
+        rank,
+        &comm,
+        role,
+        ChannelConfig { element_bytes: face_bytes, ..ChannelConfig::default() },
+    );
+    let rev_ch = StreamChannel::create(
+        rank,
+        &comm,
+        role.reverse(),
+        ChannelConfig { element_bytes: face_bytes * 6, ..ChannelConfig::default() },
+    );
+    let cart = Cart::new(dims_create(g0.size(), 3), vec![false; 3]);
+
+    match role {
+        Role::Producer => {
+            let me = g0.rank_of(rank.world_rank()).expect("in G0");
+            let nc = fwd_ch.consumers().len();
+            let mut faces_out: Stream<FaceMsg> = Stream::attach(fwd_ch);
+            let mut halo_in: Stream<HaloPacket> = Stream::attach(rev_ch);
+            let mut st = setup_state(&cart, me, cfg.n_local);
+            let bf = cfg.boundary_fraction();
+            let (res, err) = cg_loop(rank, &g0, &mut st, cfg, scale, |rank, st, it| {
+                // Stream each face to the consumer that aggregates for the
+                // *destination* rank.
+                rank.observe(Event::Begin("comm"));
+                for (dim, dir, nb) in cart.neighbors(me) {
+                    let values = st.p.extract_face(dim, dir);
+                    let msg = FaceMsg { dest: nb, iter: it, dim, dir: -dir, values };
+                    faces_out.isend_to(rank, nb % nc, msg);
+                }
+                rank.observe(Event::End("comm"));
+                // Overlap the inner stencil with the round trip.
+                prof_scoped(rank, "comp", |rank| {
+                    rank.compute(cfg.stencil_secs(scale) * (1.0 - bf))
+                });
+                st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::Inner);
+                // One combined packet per iteration comes back.
+                rank.observe(Event::Begin("comm"));
+                let packet = halo_in.recv_one(rank).expect("halo packet for every iteration");
+                assert_eq!(packet.iter, it, "iteration-ordered replies");
+                for (dim, dir, values) in packet.faces {
+                    st.p.set_halo(dim, dir, &values);
+                }
+                rank.observe(Event::End("comm"));
+                prof_scoped(rank, "comp", |rank| rank.compute(cfg.stencil_secs(scale) * bf));
+                st.p.laplacian_into(&mut st.q, st.inv_h2, Shell::Boundary);
+            });
+            faces_out.terminate(rank);
+            (me == 0).then_some((res, err))
+        }
+        Role::Consumer => {
+            let mut faces_in: Stream<FaceMsg> = Stream::attach(fwd_ch);
+            let mut halo_out: Stream<HaloPacket> = Stream::attach(rev_ch);
+            let expected: Vec<usize> = (0..g0.size()).map(|r| cart.neighbors(r).len()).collect();
+            aggregate_faces(rank, &mut faces_in, &mut halo_out, &expected);
+            None
+        }
+        Role::Bystander => unreachable!(),
+    }
 }
 
 /// The decoupled solver's communication topology for the `streamcheck`

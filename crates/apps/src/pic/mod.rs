@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use mpisim::{MachineConfig, Rank, World, WorldOutcome};
 use mpistream::{
     create_tree_channels, dims_create, operate2, plan_stage, prof_scoped, Cart, ChannelConfig,
-    GroupSpec, Role, Stream, StreamChannel, Transport, TreePlan, Wait,
+    Event, GroupSpec, Role, Stream, StreamChannel, Transport, TreePlan, Wait,
 };
 use pfsim::{Pfs, PfsConfig};
 use workloads::particles::{advance, Particle, ParticleConfig};
@@ -205,7 +205,7 @@ impl PicState {
     fn mover(&mut self, rank: &mut Rank, cfg: &PicConfig) -> Vec<Particle> {
         let swing = workloads::lognormal(1.0, cfg.mover_step_cv, rank.rng());
         let secs = self.nominal_count() * cfg.mover_flops_per_particle / cfg.flop_rate * swing;
-        rank.traced("comp", |rank| rank.compute(secs));
+        prof_scoped(rank, "comp", |rank| rank.compute(secs));
         let dt = cfg.dt;
         let pcfg = cfg.particle.clone();
         let rng = rank.rng();
@@ -311,13 +311,13 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
             let mut homeless = st.mover(rank, &cfg2);
             // Rounds of one-hop forwarding until the world is quiet.
             loop {
-                let travelling = rank.traced("comm", |rank| {
+                let travelling = prof_scoped(rank, "comm", |rank| {
                     rank.allreduce(&comm, 8, homeless.len() as u64, |a, b| *a += b)
                 });
                 if travelling == 0 {
                     break;
                 }
-                rank.trace_begin("comm");
+                rank.observe(Event::Begin("comm"));
                 // Bucket by the next hop.
                 let mut buckets: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
                 for p in homeless.drain(..) {
@@ -351,7 +351,7 @@ fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                     }
                 }
                 rank.wait_send_all(reqs);
-                rank.trace_end("comm");
+                rank.observe(Event::End("comm"));
             }
             st.assert_all_home();
         }
@@ -385,9 +385,7 @@ impl mpistream::Wire for ToComm {
 /// The communication group's relay kernel, generic over the transport:
 /// aggregate each arriving bundle of exits by destination owner and
 /// forward in one pass, in ascending destination order — pure FCFS, no
-/// waiting on any producer. It is [`Transport`]-generic, but only the
-/// simulator runs it until the decoupled rank body is ported too (ROADMAP
-/// item 5(a)).
+/// waiting on any producer.
 fn relay_exits<TP: Transport>(
     rank: &mut TP,
     input: &mut Stream<ToComm>,
@@ -395,17 +393,15 @@ fn relay_exits<TP: Transport>(
     owner_of: impl Fn(&Particle) -> usize,
 ) {
     while let Some(ToComm::Exits { particles }) = input.recv_one(rank) {
-        prof_scoped(rank, "relay", |rank| {
-            let mut by_dest: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
-            for p in particles {
-                by_dest.entry(owner_of(&p)).or_default().push(p);
-            }
-            // Small aggregation cost per forwarded bundle.
-            rank.compute(1e-6 * by_dest.len().max(1) as f64);
-            for (dest, bundle) in by_dest {
-                reply.isend_to(rank, dest, bundle);
-            }
-        });
+        let mut by_dest: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
+        for p in particles {
+            by_dest.entry(owner_of(&p)).or_default().push(p);
+        }
+        // Small aggregation cost per forwarded bundle.
+        rank.compute(1e-6 * by_dest.len().max(1) as f64);
+        for (dest, bundle) in by_dest {
+            reply.isend_to(rank, dest, bundle);
+        }
     }
     reply.terminate(rank);
 }
@@ -459,7 +455,7 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                 let mut st = PicState::new(&cfg2, &cart, me, nprocs);
                 for _step in 0..cfg2.iterations {
                     let exiting = st.mover(rank, &cfg2);
-                    rank.trace_begin("comm");
+                    rank.observe(Event::Begin("comm"));
                     if !exiting.is_empty() {
                         out.isend_to(rank, me % nc, ToComm::Exits { particles: exiting });
                     }
@@ -476,27 +472,27 @@ fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicR
                         debug_assert_eq!(cart_owner(&cart, p.pos), me);
                         st.particles.push(p);
                     }
-                    rank.trace_end("comm");
+                    rank.observe(Event::End("comm"));
                 }
                 out.terminate(rank);
                 // Final drain: everything still in flight, for exact
                 // conservation at shutdown.
-                rank.trace_begin("comm");
+                rank.observe(Event::Begin("comm"));
                 let mut staged: Vec<Vec<Particle>> = Vec::new();
                 back.operate(rank, |_, bundle| staged.push(bundle));
                 for p in staged.into_iter().flatten() {
                     st.particles.push(p);
                 }
-                rank.trace_end("comm");
+                rank.observe(Event::End("comm"));
                 st.assert_all_home();
                 st.particles.len() as u64
             }
             Role::Consumer => {
                 let mut input: Stream<ToComm> = Stream::attach(fwd_ch);
                 let mut reply: Stream<Vec<Particle>> = Stream::attach(rev_ch);
-                rank.trace_begin("comm");
+                rank.observe(Event::Begin("comm"));
                 relay_exits(rank, &mut input, &mut reply, |p| cart_owner(&cart, p.pos));
-                rank.trace_end("comm");
+                rank.observe(Event::End("comm"));
                 0
             }
             Role::Bystander => unreachable!(),
@@ -538,7 +534,7 @@ pub fn run_io_reference(nprocs: usize, cfg: &PicConfig, mode: IoMode) -> PicResu
             st.particles.extend(exiting);
             let bytes = st.bytes_of(&cfg2, st.particles.len());
             match mode {
-                IoMode::Collective => rank.traced("io", |rank| {
+                IoMode::Collective => prof_scoped(rank, "io", |rank| {
                     // Everyone agrees on displacements, redefines the file
                     // view (metadata), writes its block, synchronizes.
                     let _counts = rank.allgatherv(&comm, 8, st.particles.len() as u64);
@@ -546,7 +542,7 @@ pub fn run_io_reference(nprocs: usize, cfg: &PicConfig, mode: IoMode) -> PicResu
                     pfs2.write_striped(rank.ctx(), bytes);
                     rank.barrier(&comm);
                 }),
-                IoMode::Shared => rank.traced("io", |rank| {
+                IoMode::Shared => prof_scoped(rank, "io", |rank| {
                     pfs2.write_shared(rank.ctx(), bytes);
                 }),
             }
@@ -608,7 +604,7 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
                 for _step in 0..cfg2.iterations {
                     let exiting = st.mover(rank, &cfg2);
                     st.particles.extend(exiting);
-                    rank.traced("io", |rank| {
+                    prof_scoped(rank, "io", |rank| {
                         for p in st.particles.clone() {
                             out.isend(rank, p);
                         }
@@ -648,7 +644,7 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
                         let buffered = Cell::new(0u64);
                         let flush_if_full = |rank: &mut Rank, buffered: &Cell<u64>| {
                             if buffered.get() >= flush_at {
-                                rank.traced("io", |rank| {
+                                prof_scoped(rank, "io", |rank| {
                                     pfs2.write_striped(rank.ctx(), buffered.get());
                                 });
                                 buffered.set(0);
@@ -679,7 +675,7 @@ pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
                         input.operate(rank, |rank, _p| {
                             buffered += pb;
                             if buffered >= flush_at {
-                                rank.traced("io", |rank| {
+                                prof_scoped(rank, "io", |rank| {
                                     pfs2.write_striped(rank.ctx(), buffered);
                                 });
                                 buffered = 0;

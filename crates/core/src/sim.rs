@@ -137,11 +137,15 @@ impl<'c> Transport for Rank<'c> {
         Rank::alloc_channel_id(self)
     }
 
-    /// The sanitizer events go to the simulator's checker; the profiling
-    /// ones are for a wrapper such as `streamprof::Profiled`.
+    /// Spans go to the simulator's trace (recorded in a traced world, and
+    /// noted for deadlock reports in any), the sanitizer events to its
+    /// checker; the counters are for a wrapper such as
+    /// `streamprof::Profiled`.
     fn observe(&mut self, ev: crate::transport::Event) {
         use crate::transport::Event;
         match ev {
+            Event::Begin(tag) => self.ctx().trace_begin(tag),
+            Event::End(tag) => self.ctx().trace_end(tag),
             Event::RegisterChannel { id, window, credit_tag } => {
                 self.check_register_channel(id, window, credit_tag)
             }

@@ -35,8 +35,8 @@
 //! [`Transport::observe`], which the stream runtime calls with an
 //! [`Event`] at each point a sanitizer or profiler may care about. It is
 //! a no-op unless a backend or wrapper overrides it: the simulator routes
-//! the sanitizer events to its checker, `streamprof::Profiled` records
-//! spans and counters.
+//! the sanitizer events to its checker and the spans to its trace,
+//! `streamprof::Profiled` records spans and counters.
 //!
 //! The trait deliberately exposes the *semantics* the backends share and
 //! nothing any of them is forced to fake: time is a monotone [`SimTime`]
@@ -262,7 +262,8 @@ pub enum Event {
 }
 
 /// Run `f` under a named profiling span: [`Event::Begin`] and
-/// [`Event::End`] around the call. Free on unprofiled backends; under a
+/// [`Event::End`] around the call. Free on the real backends unless
+/// profiled; the simulator records it in a traced world; under a
 /// profiler the span lands on this rank's timeline.
 pub fn prof_scoped<TP: Transport, R>(
     rank: &mut TP,

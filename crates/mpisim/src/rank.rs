@@ -98,22 +98,6 @@ impl<'c> Rank<'c> {
         self.ctx.advance(SimDuration::from_secs_f64(secs));
     }
 
-    /// Record a trace span around `f` (see `desim::trace`).
-    pub fn traced<R>(&mut self, tag: &'static str, f: impl FnOnce(&mut Rank) -> R) -> R {
-        self.ctx.trace_begin(tag);
-        let r = f(self);
-        self.ctx.trace_end(tag);
-        r
-    }
-
-    pub fn trace_begin(&mut self, tag: &'static str) {
-        self.ctx.trace_begin(tag);
-    }
-
-    pub fn trace_end(&mut self, tag: &'static str) {
-        self.ctx.trace_end(tag);
-    }
-
     // ------------------------------------------------------------------
     // Point-to-point: the `mpistream::Transport` vocabulary, so a concrete
     // `Rank` and a generic stream program call the same names with the

@@ -306,12 +306,6 @@ impl<L: Links> MailboxRank<L> {
             links,
         }
     }
-
-    /// The rank's links, for what a backend does once the body has
-    /// returned.
-    pub fn into_links(self) -> L {
-        self.links
-    }
 }
 
 /// The clock of a real-backend rank: [`Transport::now`] reads nanoseconds

@@ -33,8 +33,9 @@ fn chunk(src: usize, i: usize) -> Vec<u8> {
 }
 
 /// Send [`FLOOD`] chunks to `dst` before receiving anything, then take
-/// as many from `src` and check each. Every link's kernel buffer is far
-/// smaller than the 4 MiB flood, so every rank blocks inside `send`.
+/// as many from `src` and check each. Every link is a 256 KiB
+/// shared-memory ring, far smaller than the 4 MiB flood, so every rank
+/// blocks inside `send` when its ring fills.
 fn flood<TP: Transport>(rank: &mut TP, dst: usize, src: usize) -> usize {
     let me = rank.world_rank();
     for i in 0..FLOOD {

@@ -12,13 +12,15 @@
 //! tree each combine in their own order, an implementation detail with
 //! no cross-backend agreement, so an f64 sum can legally be
 //! bitwise-different across backends even on fault-free plans
-//! (DESIGN.md §11).
+//! (DESIGN.md §11). The one float program here, Fig. 6's decoupled CG,
+//! is compared with a relative tolerance for that reason.
 
+use apps::cg::{decoupled_rank, CgConfig};
 use apps::portable::{
     fingerprint, mini_mapreduce, mini_mapreduce_oracle, quickstart, quickstart_with,
     workload_updates, MiniMrConfig, PortableReport,
 };
-use mpisim::{MachineConfig, World};
+use mpisim::{MachineConfig, NoiseModel, World};
 use mpistream::{ChannelConfig, Group, GroupSpec, Role, StreamChannel, Transport};
 use native::NativeWorld;
 
@@ -123,6 +125,59 @@ fn tree_aggregated_mini_mapreduce_matches_oracle_on_both_backends() {
     assert_eq!(native_hist, oracle, "native tree-aggregated histogram != oracle");
     // Same content, fingerprint-checked as a multiset for good measure.
     assert_eq!(fingerprint(&sim_hist), fingerprint(&oracle));
+}
+
+/// Fig. 6's decoupled CG in miniature, the shape `apps::cg`'s own tests
+/// run: 8 ranks (6 compute, 2 boundary), a 6³ block per compute rank, 40
+/// iterations.
+const CG_RANKS: usize = 8;
+
+fn cg_cfg() -> CgConfig {
+    CgConfig {
+        machine: MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() },
+        n_local: 6,
+        iterations: 40,
+        alpha_every: 4,
+        ..CgConfig::default()
+    }
+}
+
+/// Compute rank 0's `(residual, solution error)`: the one report among
+/// the ranks' [`decoupled_rank`] results.
+fn cg_report(per_rank: Vec<Option<(f64, f64)>>) -> (f64, f64) {
+    let mut reports: Vec<(f64, f64)> = per_rank.into_iter().flatten().collect();
+    assert_eq!(reports.len(), 1, "exactly one CG report");
+    reports.remove(0)
+}
+
+fn cg_decoupled_sim() -> (f64, f64) {
+    let cfg = cg_cfg();
+    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
+    let (_, per_rank) =
+        world.run_expect(CG_RANKS, move |rank| decoupled_rank(rank, CG_RANKS, &cfg));
+    let report = cg_report(per_rank);
+    assert!(report.0 < 1e-8, "sim: decoupled CG must converge, residual {}", report.0);
+    report
+}
+
+/// `got` converged and its solution error agrees with the simulator's to
+/// a relative 1e-6: the backends reduce the dot products in different
+/// orders. The residuals are not compared: 40 iterations take them to
+/// round-off (≈ 1e-40), where the reduction order alone moves them by
+/// tens of percent.
+fn assert_cg_matches_sim(backend: &str, got: (f64, f64), sim: (f64, f64)) {
+    assert!(got.0 < 1e-8, "{backend}: decoupled CG must converge, residual {}", got.0);
+    let rel = (got.1 - sim.1).abs() / sim.1;
+    assert!(rel < 1e-6, "{backend}: solution error {} vs sim {}", got.1, sim.1);
+}
+
+#[test]
+fn decoupled_cg_matches_sim_on_native() {
+    let cfg = cg_cfg();
+    let native = NativeWorld::new(CG_RANKS)
+        .with_compute_scale(0.01)
+        .run(|rank| decoupled_rank(rank, CG_RANKS, &cfg));
+    assert_cg_matches_sim("native", cg_report(native), cg_decoupled_sim());
 }
 
 /// The flow-control regime the batched-credit equivalence tests run
@@ -332,6 +387,15 @@ fn socket_mini_mapreduce_matches_oracle_and_sim() {
 
     assert_eq!(*masters[0], mini_mapreduce_sim(N, 7, &cfg), "socket master histogram != sim");
     assert_eq!(fingerprint(masters[0]), fingerprint(&oracle));
+}
+
+#[test]
+fn socket_decoupled_cg_matches_sim() {
+    let cfg = cg_cfg();
+    let socket = socket::SocketWorld::for_test("socket_decoupled_cg_matches_sim", CG_RANKS)
+        .with_compute_scale(0.01)
+        .run(|rank| decoupled_rank(rank, CG_RANKS, &cfg));
+    assert_cg_matches_sim("socket", cg_report(socket), cg_decoupled_sim());
 }
 
 #[test]
