@@ -84,11 +84,12 @@ stage "chaos smoke (25 seeds, fixed range, parallel sweep)"
 CHAOS_SEED_START=0 CHAOS_SEEDS=25 SWEEP_JOBS="${SWEEP_JOBS:-4}" \
     cargo test -q --offline -p integration --test chaos
 
-stage "native backend smoke (quickstart + fig5-small on OS threads)"
+stage "native backend smoke (Listing 1, Fig. 5 MapReduce, Fig. 6 CG, Figs. 2/7/8 PIC, collectives on OS threads)"
 # The same portable programs on the native threaded backend, compared
-# against the simulator's per-consumer payload fingerprints. Real threads
-# can deadlock rather than fail, so bound each run with a wall-clock
-# timeout. See DESIGN.md §11.
+# against the simulator: per-consumer payload fingerprints, the MapReduce
+# histogram, CG's solution error, PIC's particle totals and file-system
+# counts, and every collective's result. Real threads can deadlock rather
+# than fail, so bound each run with a wall-clock timeout. See DESIGN.md §11.
 timeout 120 cargo run --release --offline -q -p integration \
     --example quickstart_native -- --backend both
 timeout 180 cargo test -q --release --offline -p integration \
@@ -99,7 +100,8 @@ stage "socket backend smoke (multi-process equivalence over shared-memory rings)
 # rank and every payload crossing the Wire codec through a shared-memory
 # ring per link, and every wake-up through a futex doorbell, all in the
 # launcher's one world file (DESIGN.md §16). backend_equivalence certifies the socket
-# fingerprints against sim and native; the socket crate's own tests pin
+# fingerprints against sim and native, and Fig. 6's CG and Figs. 2/7/8's
+# PIC (particle totals, file-system counts) against sim; the socket crate's own tests pin
 # progress wherever a rank blocks (floods, frames larger than a link's
 # ring both ways at once, a rank that returns while a peer still writes
 # to it, a reader that dies while its writer waits for room, a half

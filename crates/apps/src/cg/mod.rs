@@ -102,8 +102,9 @@ pub struct CgResult {
     pub outcome: WorldOutcome,
     /// Final squared residual ‖r‖².
     pub residual: f64,
-    /// Max-norm error against the manufactured solution (only meaningful
-    /// when the global grid is cubic; `NaN` otherwise).
+    /// Max-norm error against the manufactured solution: finite on every
+    /// global grid, and once CG has converged, that grid's discretisation
+    /// error.
     pub solution_error: f64,
 }
 
@@ -572,13 +573,18 @@ mod tests {
     #[test]
     fn decoupled_matches_reference_on_same_grid() {
         // Reference on 6 ranks == decoupled's G0 (8 ranks, every=4 -> 6
-        // compute ranks): identical global grid, so identical residuals up
-        // to reduction order.
+        // compute ranks): identical global grid, so both converge to the
+        // same solution. The residuals are not compared: 40 iterations take
+        // them to round-off (≈ 1e-40), where the reduction order alone
+        // moves them by tens of percent.
         let cfg = test_cfg();
         let reference = run_blocking(6, &cfg);
         let decoupled = run_decoupled(8, &cfg);
-        let rel = (reference.residual - decoupled.residual).abs() / reference.residual.max(1e-300);
-        assert!(rel < 1e-6, "ref {} vs dec {}", reference.residual, decoupled.residual);
+        for (name, r) in [("ref", &reference), ("dec", &decoupled)] {
+            assert!(r.residual < 1e-8, "{name} must converge, residual {}", r.residual);
+        }
+        let (e_ref, e_dec) = (reference.solution_error, decoupled.solution_error);
+        assert!((e_ref - e_dec).abs() / e_ref < 1e-6, "ref {e_ref} vs dec {e_dec}");
     }
 
     #[test]

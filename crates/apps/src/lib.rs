@@ -1,7 +1,11 @@
 //! # apps — the paper's evaluated applications
 //!
 //! Each case study of the evaluation section, in both its reference and
-//! decoupled form, running on the simulated machine with *real* data:
+//! decoupled form, with *real* data. Each `run_*` launches a case study
+//! on the simulated machine; every decoupled form is a rank body generic
+//! over [`mpistream::Transport`], so the native and socket backends run
+//! it too, while the references are the paper's MPI baselines and stay
+//! on the simulator:
 //!
 //! - [`mapreduce`] — word histogram over a Zipf corpus (Fig. 5);
 //! - [`cg`] — conjugate-gradient Poisson solver with halo exchange

@@ -29,6 +29,11 @@
 //! Particles are real (positions and velocities are advanced and
 //! ownership is asserted); the *nominal* particle count per rank drives
 //! the compute/wire/IO cost models at paper scale.
+//!
+//! The decoupled rank bodies, [`comm_decoupled_rank`] and
+//! [`io_decoupled_rank`], run on any [`Transport`]; the references are the
+//! paper's MPI baselines and stay on the simulator's `mpisim::Rank`. Each
+//! `run_*` launches one body on every rank of [`PicConfig::world`].
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -36,9 +41,11 @@ use std::collections::BTreeMap;
 use mpisim::{MachineConfig, Rank, World, WorldOutcome};
 use mpistream::{
     create_tree_channels, dims_create, operate2, plan_stage, prof_scoped, Cart, ChannelConfig,
-    Event, GroupSpec, Role, Stream, StreamChannel, Transport, TreePlan, Wait,
+    Event, Group, GroupSpec, Role, Stream, StreamChannel, Transport, TreePlan, Wait,
 };
 use pfsim::{Pfs, PfsConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use workloads::particles::{advance, Particle, ParticleConfig};
 
 /// Tunables of the PIC experiments.
@@ -113,6 +120,12 @@ impl Default for PicConfig {
 }
 
 impl PicConfig {
+    /// The simulated world every run of this case study launches; Fig. 2
+    /// traces it with `.with_trace(true)`.
+    pub fn world(&self) -> World {
+        World::new(self.machine.clone()).with_seed(self.seed)
+    }
+
     /// Modelled wire/disk bytes of one actual particle: `particle_bytes`
     /// times the nominal particles it stands for.
     pub fn particle_wire_bytes(&self) -> u64 {
@@ -160,6 +173,10 @@ struct PicState {
     particles: Vec<Particle>,
     /// Nominal particles represented by one actual particle.
     scale: f64,
+    /// The mover's own random stream (per-step swing and particle kicks),
+    /// seeded from `cfg.seed` and the compute rank: no backend's draws,
+    /// such as the simulator's compute noise, interleave with it.
+    rng: StdRng,
 }
 
 impl PicState {
@@ -187,7 +204,11 @@ impl PicState {
         let frac = (hi[0] - lo[0]) * (hi[2] - lo[2]) * cfg.particle.mass_in(lo[1], hi[1]);
         let n_actual = (total_actual * frac).round() as usize;
         let particles = cfg.particle.generate(me, n_actual, lo, hi);
-        PicState { cart: cart.clone(), me, lo, hi, particles, scale: total_nominal / total_actual }
+        // Another multiplier than `ParticleConfig::generate`'s, so the
+        // mover's stream is not the generator's.
+        let rng = StdRng::seed_from_u64(cfg.seed ^ (me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let scale = total_nominal / total_actual;
+        PicState { cart: cart.clone(), me, lo, hi, particles, scale, rng }
     }
 
     /// Nominal particle count currently represented by this rank.
@@ -202,26 +223,16 @@ impl PicState {
 
     /// Advance all particles one step (charging the nominal mover cost)
     /// and split off the ones that left the subdomain.
-    fn mover(&mut self, rank: &mut Rank, cfg: &PicConfig) -> Vec<Particle> {
-        let swing = workloads::lognormal(1.0, cfg.mover_step_cv, rank.rng());
+    fn mover<TP: Transport>(&mut self, rank: &mut TP, cfg: &PicConfig) -> Vec<Particle> {
+        let swing = workloads::lognormal(1.0, cfg.mover_step_cv, &mut self.rng);
         let secs = self.nominal_count() * cfg.mover_flops_per_particle / cfg.flop_rate * swing;
         prof_scoped(rank, "comp", |rank| rank.compute(secs));
-        let dt = cfg.dt;
-        let pcfg = cfg.particle.clone();
-        let rng = rank.rng();
         for p in self.particles.iter_mut() {
-            *p = advance(p, dt, &pcfg, rng);
+            *p = advance(p, cfg.dt, &cfg.particle, &mut self.rng);
         }
-        let me = self.me;
-        let mut exiting = Vec::new();
-        let mut kept = Vec::with_capacity(self.particles.len());
-        for p in self.particles.drain(..) {
-            if cart_owner(&self.cart, p.pos) == me {
-                kept.push(p);
-            } else {
-                exiting.push(p);
-            }
-        }
+        let (kept, exiting) = std::mem::take(&mut self.particles)
+            .into_iter()
+            .partition(|p| cart_owner(&self.cart, p.pos) == self.me);
         self.particles = kept;
         exiting
     }
@@ -289,216 +300,165 @@ pub(crate) fn pic_dims(n: usize) -> Vec<usize> {
 // ---------------------------------------------------------------------
 
 /// Reference: iterative 6-neighbour forwarding with a global termination
-/// check per round.
+/// check per round. Every rank runs [`comm_reference_rank`].
 pub fn run_comm_reference(nprocs: usize, cfg: &PicConfig) -> PicResult {
-    run_comm_reference_inner(nprocs, cfg, false)
+    let cfg = cfg.clone();
+    PicResult::new(
+        cfg.world().run_expect(nprocs, move |r| comm_reference_rank(r, nprocs, &cfg)),
+        None,
+    )
 }
 
-/// Trace-enabled reference run (Fig. 2, top panel).
-pub fn run_comm_reference_traced(nprocs: usize, cfg: &PicConfig) -> PicResult {
-    run_comm_reference_inner(nprocs, cfg, true)
-}
-
-fn run_comm_reference_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicResult {
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed).with_trace(trace);
-    let cfg2 = cfg.clone();
-    let run = world.run_expect(nprocs, move |rank| {
-        let comm = rank.comm_world();
-        let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
-        let me = rank.world_rank();
-        let mut st = PicState::new(&cfg2, &cart, me, nprocs);
-        for _step in 0..cfg2.iterations {
-            let mut homeless = st.mover(rank, &cfg2);
-            // Rounds of one-hop forwarding until the world is quiet.
-            loop {
-                let travelling = prof_scoped(rank, "comm", |rank| {
-                    rank.allreduce(&comm, 8, homeless.len() as u64, |a, b| *a += b)
-                });
-                if travelling == 0 {
-                    break;
-                }
-                rank.observe(Event::Begin("comm"));
-                // Bucket by the next hop.
-                let mut buckets: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
-                for p in homeless.drain(..) {
-                    let owner = cart_owner(&cart, p.pos);
-                    let hop = forward_hop(&cart, me, owner);
-                    buckets.entry(hop).or_default().push(p);
-                }
-                // Exchange with all six neighbours (empty bundles too, so
-                // receive counts stay deterministic).
-                let neighbours = cart.neighbors(me);
-                let mut reqs = Vec::new();
-                for &(dim, dir, nb) in &neighbours {
-                    let w = comm.world_rank(nb);
-                    let bundle = buckets.remove(&nb).unwrap_or_default();
-                    let bytes = st.bytes_of(&cfg2, bundle.len());
-                    let tag = mpisim::Tag::user(200 + dim as u32 * 2 + u32::from(dir > 0));
-                    reqs.push(rank.isend(w, tag, bytes, bundle));
-                }
-                debug_assert!(buckets.is_empty(), "every hop must be a neighbour");
-                for &(dim, dir, nb) in &neighbours {
-                    let w = comm.world_rank(nb);
-                    // Our (dim, dir) send matches their (dim, -dir) recv.
-                    let tag = mpisim::Tag::user(200 + dim as u32 * 2 + u32::from(dir < 0));
-                    let (bundle, _) = rank.recv::<Vec<Particle>>(mpisim::Src::Rank(w), tag);
-                    for p in bundle {
-                        if cart_owner(&cart, p.pos) == me {
-                            st.particles.push(p);
-                        } else {
-                            homeless.push(p);
-                        }
+/// One rank of the reference: each step, rounds of one-hop forwarding
+/// through the six Cartesian neighbours until an allreduce finds no
+/// particle travelling. Returns the particles the rank holds at the end.
+pub fn comm_reference_rank(rank: &mut Rank, nprocs: usize, cfg: &PicConfig) -> u64 {
+    let comm = rank.comm_world();
+    let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
+    let me = rank.world_rank();
+    let mut st = PicState::new(cfg, &cart, me, nprocs);
+    for _step in 0..cfg.iterations {
+        let mut homeless = st.mover(rank, cfg);
+        // Rounds of one-hop forwarding until the world is quiet.
+        loop {
+            let travelling = prof_scoped(rank, "comm", |rank| {
+                rank.allreduce(&comm, 8, homeless.len() as u64, |a, b| *a += b)
+            });
+            if travelling == 0 {
+                break;
+            }
+            rank.observe(Event::Begin("comm"));
+            // Bucket by the next hop.
+            let mut buckets: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
+            for p in homeless.drain(..) {
+                let owner = cart_owner(&cart, p.pos);
+                let hop = forward_hop(&cart, me, owner);
+                buckets.entry(hop).or_default().push(p);
+            }
+            // Exchange with all six neighbours (empty bundles too, so
+            // receive counts stay deterministic).
+            let neighbours = cart.neighbors(me);
+            let mut reqs = Vec::new();
+            for &(dim, dir, nb) in &neighbours {
+                let w = comm.world_rank(nb);
+                let bundle = buckets.remove(&nb).unwrap_or_default();
+                let bytes = st.bytes_of(cfg, bundle.len());
+                let tag = mpisim::Tag::user(200 + dim as u32 * 2 + u32::from(dir > 0));
+                reqs.push(rank.isend(w, tag, bytes, bundle));
+            }
+            debug_assert!(buckets.is_empty(), "every hop must be a neighbour");
+            for &(dim, dir, nb) in &neighbours {
+                let w = comm.world_rank(nb);
+                // Our (dim, dir) send matches their (dim, -dir) recv.
+                let tag = mpisim::Tag::user(200 + dim as u32 * 2 + u32::from(dir < 0));
+                let (bundle, _) = rank.recv::<Vec<Particle>>(mpisim::Src::Rank(w), tag);
+                for p in bundle {
+                    if cart_owner(&cart, p.pos) == me {
+                        st.particles.push(p);
+                    } else {
+                        homeless.push(p);
                     }
                 }
-                rank.wait_send_all(reqs);
-                rank.observe(Event::End("comm"));
             }
-            st.assert_all_home();
+            rank.wait_send_all(reqs);
+            rank.observe(Event::End("comm"));
         }
-        st.particles.len() as u64
-    });
-    PicResult::new(run, None)
-}
-
-/// Messages on the forward (compute → decoupled) channel.
-enum ToComm {
-    Exits { particles: Vec<Particle> },
-}
-
-impl mpistream::Wire for ToComm {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ToComm::Exits { particles } => {
-                out.push(0);
-                particles.encode(out);
-            }
-        }
+        st.assert_all_home();
     }
-    fn decode(input: &mut &[u8]) -> Result<Self, mpistream::WireError> {
-        match u8::decode(input)? {
-            0 => Ok(ToComm::Exits { particles: mpistream::Wire::decode(input)? }),
-            got => Err(mpistream::WireError::BadDiscriminant { got }),
-        }
-    }
+    st.particles.len() as u64
 }
 
-/// The communication group's relay kernel, generic over the transport:
-/// aggregate each arriving bundle of exits by destination owner and
-/// forward in one pass, in ascending destination order — pure FCFS, no
-/// waiting on any producer.
-fn relay_exits<TP: Transport>(
-    rank: &mut TP,
-    input: &mut Stream<ToComm>,
-    reply: &mut Stream<Vec<Particle>>,
-    owner_of: impl Fn(&Particle) -> usize,
-) {
-    while let Some(ToComm::Exits { particles }) = input.recv_one(rank) {
-        let mut by_dest: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
-        for p in particles {
-            by_dest.entry(owner_of(&p)).or_default().push(p);
-        }
-        // Small aggregation cost per forwarded bundle.
-        rank.compute(1e-6 * by_dest.len().max(1) as f64);
-        for (dest, bundle) in by_dest {
-            reply.isend_to(rank, dest, bundle);
-        }
-    }
-    reply.terminate(rank);
+/// Decoupled: stream exiting particles to the communication group.
+/// Every rank runs [`comm_decoupled_rank`].
+pub fn run_comm_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
+    let cfg = cfg.clone();
+    PicResult::new(
+        cfg.world().run_expect(nprocs, move |r| comm_decoupled_rank(r, nprocs, &cfg)),
+        None,
+    )
 }
 
-/// Decoupled: stream exiting particles to the communication group; each
-/// arriving bundle is aggregated by destination and forwarded in one pass
-/// (max two hops per particle, no collectives). The compute ranks are
+/// One rank of the decoupled variant, on any transport: compute ranks
+/// stream exiting particles to the communication group, which aggregates
+/// each arriving bundle by destination and forwards it in one pass (max
+/// two hops per particle, no collectives). The compute ranks are
 /// **free-running**: they inject exits, opportunistically merge whatever
 /// arrivals have already landed, and keep computing — the continuous
 /// compute timeline of the paper's Fig. 2 (bottom). In-flight particles
 /// join their owner a step later (the FCFS weak consistency the dataflow
 /// model embraces); a full drain at the end restores exact conservation.
-pub fn run_comm_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
-    run_comm_decoupled_inner(nprocs, cfg, false)
-}
-
-/// Trace-enabled decoupled run (Fig. 2, bottom panel).
-pub fn run_comm_decoupled_traced(nprocs: usize, cfg: &PicConfig) -> PicResult {
-    run_comm_decoupled_inner(nprocs, cfg, true)
-}
-
-fn run_comm_decoupled_inner(nprocs: usize, cfg: &PicConfig, trace: bool) -> PicResult {
+/// A compute rank returns the particles it holds at the end, a relay 0.
+pub fn comm_decoupled_rank<TP: Transport>(rank: &mut TP, nprocs: usize, cfg: &PicConfig) -> u64 {
     assert!(nprocs >= cfg.alpha_every);
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed).with_trace(trace);
-    let cfg2 = cfg.clone();
-    let run = world.run_expect(nprocs, move |rank| {
-        let comm = rank.comm_world();
-        let spec = GroupSpec { every: cfg2.alpha_every };
-        let (g0, _g1, role) = spec.split(rank, &comm);
-        let pb = cfg2.particle_wire_bytes();
-        let fwd_ch = StreamChannel::create(
-            rank,
-            &comm,
-            role,
-            ChannelConfig { element_bytes: pb.max(1), ..ChannelConfig::default() },
-        );
-        let rev_ch = StreamChannel::create(
-            rank,
-            &comm,
-            role.reverse(),
-            ChannelConfig { element_bytes: pb.max(1), ..ChannelConfig::default() },
-        );
-        let cart = Cart::new(pic_dims(g0.size()), vec![true; 3]);
-        let nc = fwd_ch.consumers().len();
+    let comm = rank.world_group();
+    let spec = GroupSpec { every: cfg.alpha_every };
+    let (g0, _g1, role) = spec.split(rank, &comm);
+    let config = ChannelConfig {
+        element_bytes: cfg.particle_wire_bytes().max(1),
+        ..ChannelConfig::default()
+    };
+    let fwd_ch = StreamChannel::create(rank, &comm, role, config.clone());
+    let rev_ch = StreamChannel::create(rank, &comm, role.reverse(), config);
+    let cart = Cart::new(pic_dims(g0.size()), vec![true; 3]);
+    let nc = fwd_ch.consumers().len();
 
-        match role {
-            Role::Producer => {
-                let me = g0.rank_of(rank.world_rank()).expect("in G0");
-                let mut out: Stream<ToComm> = Stream::attach(fwd_ch);
-                let mut back: Stream<Vec<Particle>> = Stream::attach(rev_ch);
-                let mut st = PicState::new(&cfg2, &cart, me, nprocs);
-                for _step in 0..cfg2.iterations {
-                    let exiting = st.mover(rank, &cfg2);
-                    rank.observe(Event::Begin("comm"));
-                    if !exiting.is_empty() {
-                        out.isend_to(rank, me % nc, ToComm::Exits { particles: exiting });
-                    }
-                    // Opportunistic, non-blocking merge of whatever
-                    // arrivals already landed; stragglers join later.
-                    let mut staged: Vec<Vec<Particle>> = Vec::new();
-                    // Stops on an empty poll *and* on a `Term`, which
-                    // carries no elements.
-                    while back
-                        .step(rank, Wait::Poll, |_, bundle| staged.push(bundle))
-                        .is_some_and(|ev| ev.elems > 0)
-                    {}
-                    for p in staged.into_iter().flatten() {
-                        debug_assert_eq!(cart_owner(&cart, p.pos), me);
-                        st.particles.push(p);
-                    }
-                    rank.observe(Event::End("comm"));
-                }
-                out.terminate(rank);
-                // Final drain: everything still in flight, for exact
-                // conservation at shutdown.
+    match role {
+        Role::Producer => {
+            let me = g0.rank_of(rank.world_rank()).expect("in G0");
+            let mut out: Stream<Vec<Particle>> = Stream::attach(fwd_ch);
+            let mut back: Stream<Vec<Particle>> = Stream::attach(rev_ch);
+            let mut st = PicState::new(cfg, &cart, me, nprocs);
+            for _step in 0..cfg.iterations {
+                let exiting = st.mover(rank, cfg);
                 rank.observe(Event::Begin("comm"));
-                let mut staged: Vec<Vec<Particle>> = Vec::new();
-                back.operate(rank, |_, bundle| staged.push(bundle));
-                for p in staged.into_iter().flatten() {
-                    st.particles.push(p);
+                if !exiting.is_empty() {
+                    out.isend_to(rank, me % nc, exiting);
                 }
+                // Opportunistic, non-blocking merge of whatever arrivals
+                // already landed; stragglers join later. Stops on an
+                // empty poll *and* on a `Term`, which carries no elements.
+                while back
+                    .step(rank, Wait::Poll, |_, bundle| {
+                        debug_assert!(bundle.iter().all(|p| cart_owner(&cart, p.pos) == me));
+                        st.particles.extend(bundle);
+                    })
+                    .is_some_and(|ev| ev.elems > 0)
+                {}
                 rank.observe(Event::End("comm"));
-                st.assert_all_home();
-                st.particles.len() as u64
             }
-            Role::Consumer => {
-                let mut input: Stream<ToComm> = Stream::attach(fwd_ch);
-                let mut reply: Stream<Vec<Particle>> = Stream::attach(rev_ch);
-                rank.observe(Event::Begin("comm"));
-                relay_exits(rank, &mut input, &mut reply, |p| cart_owner(&cart, p.pos));
-                rank.observe(Event::End("comm"));
-                0
-            }
-            Role::Bystander => unreachable!(),
+            out.terminate(rank);
+            // Final drain: everything still in flight, for exact
+            // conservation at shutdown.
+            prof_scoped(rank, "comm", |rank| {
+                back.operate(rank, |_, bundle| st.particles.extend(bundle));
+            });
+            st.assert_all_home();
+            st.particles.len() as u64
         }
-    });
-    PicResult::new(run, None)
+        Role::Consumer => {
+            // Relay: aggregate each arriving bundle of exits by
+            // destination owner and forward in one pass, in ascending
+            // destination order — pure FCFS, no waiting on any producer.
+            let mut input: Stream<Vec<Particle>> = Stream::attach(fwd_ch);
+            let mut reply: Stream<Vec<Particle>> = Stream::attach(rev_ch);
+            prof_scoped(rank, "comm", |rank| {
+                while let Some(exits) = input.recv_one(rank) {
+                    let mut by_dest: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
+                    for p in exits {
+                        by_dest.entry(cart_owner(&cart, p.pos)).or_default().push(p);
+                    }
+                    // Small aggregation cost per forwarded bundle.
+                    rank.compute(1e-6 * by_dest.len().max(1) as f64);
+                    for (dest, bundle) in by_dest {
+                        reply.isend_to(rank, dest, bundle);
+                    }
+                }
+                reply.terminate(rank);
+            });
+            0
+        }
+        Role::Bystander => unreachable!(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -517,181 +477,188 @@ pub enum IoMode {
 
 /// Reference particle I/O (collective or shared), dumping every step.
 pub fn run_io_reference(nprocs: usize, cfg: &PicConfig, mode: IoMode) -> PicResult {
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
     let pfs = Pfs::new(cfg.pfs.clone());
-    let pfs2 = pfs.clone();
-    let cfg2 = cfg.clone();
-    let run = world.run_expect(nprocs, move |rank| {
-        let comm = rank.comm_world();
-        let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
-        let me = rank.world_rank();
-        let mut st = PicState::new(&cfg2, &cart, me, nprocs);
-        pfs2.meta_op(rank.ctx()); // open
-        for _step in 0..cfg2.iterations {
-            // The I/O experiment isolates mover + dump: migrating
-            // particles stay local (ownership is irrelevant to I/O time).
-            let exiting = st.mover(rank, &cfg2);
-            st.particles.extend(exiting);
-            let bytes = st.bytes_of(&cfg2, st.particles.len());
-            match mode {
-                IoMode::Collective => prof_scoped(rank, "io", |rank| {
-                    // Everyone agrees on displacements, redefines the file
-                    // view (metadata), writes its block, synchronizes.
-                    let _counts = rank.allgatherv(&comm, 8, st.particles.len() as u64);
-                    pfs2.meta_op(rank.ctx());
-                    pfs2.write_striped(rank.ctx(), bytes);
-                    rank.barrier(&comm);
-                }),
-                IoMode::Shared => prof_scoped(rank, "io", |rank| {
-                    pfs2.write_shared(rank.ctx(), bytes);
-                }),
-            }
+    let (cfg, fs) = (cfg.clone(), pfs.clone());
+    let run =
+        cfg.world().run_expect(nprocs, move |r| io_reference_rank(r, nprocs, &cfg, mode, &fs));
+    PicResult::new(run, Some(&pfs))
+}
+
+/// One rank of the reference particle I/O. Returns the particles it
+/// holds at the end.
+fn io_reference_rank(
+    rank: &mut Rank,
+    nprocs: usize,
+    cfg: &PicConfig,
+    mode: IoMode,
+    pfs: &Pfs,
+) -> u64 {
+    let comm = rank.comm_world();
+    let cart = Cart::new(pic_dims(nprocs), vec![true; 3]);
+    let mut st = PicState::new(cfg, &cart, rank.world_rank(), nprocs);
+    pfs.meta_op(rank.ctx()); // open
+    for _step in 0..cfg.iterations {
+        // The I/O experiment isolates mover + dump: migrating particles
+        // stay local (ownership is irrelevant to I/O time).
+        let exiting = st.mover(rank, cfg);
+        st.particles.extend(exiting);
+        let bytes = st.bytes_of(cfg, st.particles.len());
+        match mode {
+            IoMode::Collective => prof_scoped(rank, "io", |rank| {
+                // Everyone agrees on displacements, redefines the file
+                // view (metadata), writes its block, synchronizes.
+                let _counts = rank.allgatherv(&comm, 8, st.particles.len() as u64);
+                pfs.meta_op(rank.ctx());
+                pfs.write_striped(rank.ctx(), bytes);
+                rank.barrier(&comm);
+            }),
+            IoMode::Shared => prof_scoped(rank, "io", |rank| pfs.write_shared(rank.ctx(), bytes)),
         }
-        st.particles.len() as u64
+    }
+    st.particles.len() as u64
+}
+
+/// What the decoupled I/O group does to a file system: open the file
+/// (one serialized metadata operation) or write bytes to it. The
+/// simulator's launcher maps these onto `pfsim`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FsOp {
+    Open,
+    Write(u64),
+}
+
+/// Decoupled particle I/O on `pfsim`: every rank runs
+/// [`io_decoupled_rank`].
+pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
+    let pfs = Pfs::new(cfg.pfs.clone());
+    let (cfg, fs) = (cfg.clone(), pfs.clone());
+    let run = cfg.world().run_expect(nprocs, move |r| {
+        io_decoupled_rank(r, nprocs, &cfg, &|rank, op| match op {
+            FsOp::Open => fs.meta_op(rank.ctx()),
+            FsOp::Write(bytes) => {
+                fs.write_striped(rank.ctx(), bytes);
+            }
+        })
     });
     PicResult::new(run, Some(&pfs))
 }
 
-/// Decoupled particle I/O: stream particles to the I/O group, which
-/// buffers up to `io_buffer_bytes` and flushes large striped writes,
-/// overlapping the compute group's next steps.
-pub fn run_io_decoupled(nprocs: usize, cfg: &PicConfig) -> PicResult {
+/// One rank of the decoupled particle I/O, on any transport and file
+/// system `fs`: compute ranks stream their particles to the I/O group,
+/// which buffers up to `io_buffer_bytes` and flushes large writes,
+/// overlapping the compute group's next steps. A compute rank returns
+/// the particles it holds at the end, an I/O rank 0.
+pub fn io_decoupled_rank<TP: Transport>(
+    rank: &mut TP,
+    nprocs: usize,
+    cfg: &PicConfig,
+    fs: &impl Fn(&mut TP, FsOp),
+) -> u64 {
     assert!(nprocs >= cfg.alpha_every);
-    let world = World::new(cfg.machine.clone()).with_seed(cfg.seed);
-    let pfs = Pfs::new(cfg.pfs.clone());
-    let pfs2 = pfs.clone();
-    let cfg2 = cfg.clone();
-    let run = world.run_expect(nprocs, move |rank| {
-        let comm = rank.comm_world();
-        let spec = GroupSpec { every: cfg2.alpha_every };
-        let (g0, _g1, role) = spec.split(rank, &comm);
-        let pb = cfg2.particle_wire_bytes();
-        let ch = StreamChannel::create(
+    let comm = rank.world_group();
+    let spec = GroupSpec { every: cfg.alpha_every };
+    let (g0, _g1, role) = spec.split(rank, &comm);
+    let pb = cfg.particle_wire_bytes();
+    let ch = StreamChannel::create(
+        rank,
+        &comm,
+        role,
+        ChannelConfig {
+            element_bytes: pb.max(1),
+            aggregation: 64, // coalesce particles into wire messages
+            ..ChannelConfig::default()
+        },
+    );
+    // Optional writer-aggregation stage over the I/O group: one spill
+    // channel per block (collective — compute ranks take part in the
+    // splits and get no endpoints).
+    let io_ranks = spec.members(nprocs).1;
+    let wplan = cfg
+        .io_writer_fan_in
+        .filter(|_| io_ranks.len() >= 2)
+        .map(|k| TreePlan::single_stage(&io_ranks, k));
+    let spill_at = (cfg.io_buffer_bytes / cfg.io_writer_fan_in.unwrap_or(1).max(1) as u64).max(1);
+    let spill_ch = wplan.as_ref().and_then(|plan| {
+        let chans = create_tree_channels(
             rank,
             &comm,
-            role,
-            ChannelConfig {
-                element_bytes: pb.max(1),
-                aggregation: 64, // coalesce particles into wire messages
-                ..ChannelConfig::default()
-            },
+            plan,
+            &ChannelConfig { element_bytes: spill_at, ..ChannelConfig::default() },
         );
-        // Optional writer-aggregation stage over the I/O group: one spill
-        // channel per block (collective — compute ranks take part in the
-        // splits and get no endpoints).
-        let io_ranks = spec.members(nprocs).1;
-        let wplan = cfg2
-            .io_writer_fan_in
-            .filter(|_| io_ranks.len() >= 2)
-            .map(|k| TreePlan::single_stage(&io_ranks, k));
-        let spill_at =
-            (cfg2.io_buffer_bytes / cfg2.io_writer_fan_in.unwrap_or(1).max(1) as u64).max(1);
-        let spill_ch = wplan.as_ref().and_then(|plan| {
-            let chans = create_tree_channels(
-                rank,
-                &comm,
-                plan,
-                &ChannelConfig { element_bytes: spill_at, ..ChannelConfig::default() },
-            );
-            chans.into_stages().pop().flatten()
-        });
-        let cart = Cart::new(pic_dims(g0.size()), vec![true; 3]);
-        match role {
-            Role::Producer => {
-                let me = g0.rank_of(rank.world_rank()).expect("in G0");
-                let mut out: Stream<Particle> = Stream::attach(ch);
-                let mut st = PicState::new(&cfg2, &cart, me, nprocs);
-                for _step in 0..cfg2.iterations {
-                    let exiting = st.mover(rank, &cfg2);
-                    st.particles.extend(exiting);
-                    prof_scoped(rank, "io", |rank| {
-                        for p in st.particles.clone() {
-                            out.isend(rank, p);
+        chans.into_stages().pop().flatten()
+    });
+    let cart = Cart::new(pic_dims(g0.size()), vec![true; 3]);
+    let flush_at = cfg.io_buffer_bytes;
+    match role {
+        Role::Producer => {
+            let me = g0.rank_of(rank.world_rank()).expect("in G0");
+            let mut out: Stream<Particle> = Stream::attach(ch);
+            let mut st = PicState::new(cfg, &cart, me, nprocs);
+            for _step in 0..cfg.iterations {
+                let exiting = st.mover(rank, cfg);
+                st.particles.extend(exiting);
+                prof_scoped(rank, "io", |rank| {
+                    for &p in &st.particles {
+                        out.isend(rank, p);
+                    }
+                });
+            }
+            out.terminate(rank);
+            st.particles.len() as u64
+        }
+        Role::Consumer => {
+            let mut input: Stream<Particle> = Stream::attach(ch);
+            match spill_ch {
+                Some(sc) if sc.role() == Role::Producer => {
+                    // Forwarder: buffer my particle share and spill byte
+                    // bundles to my block's writer — never touches the
+                    // file system (no open, no metadata).
+                    let mut spill: Stream<u64> = Stream::attach(sc);
+                    let mut buffered: u64 = 0;
+                    input.operate(rank, |rank, _p| {
+                        buffered += pb;
+                        if buffered >= spill_at {
+                            spill.isend_to(rank, 0, buffered);
+                            buffered = 0;
                         }
                     });
+                    if buffered > 0 {
+                        spill.isend_to(rank, 0, buffered);
+                    }
+                    spill.terminate(rank);
                 }
-                out.terminate(rank);
-                st.particles.len() as u64
-            }
-            Role::Consumer => {
-                let mut input: Stream<Particle> = Stream::attach(ch);
-                let flush_at = cfg2.io_buffer_bytes;
-                match spill_ch {
-                    Some(sc) if sc.role() == Role::Producer => {
-                        // Forwarder: buffer my particle share and spill
-                        // byte bundles to my block's writer — never touches
-                        // the filesystem (no open, no metadata).
-                        let mut spill: Stream<u64> = Stream::attach(sc);
-                        let mut buffered: u64 = 0;
-                        input.operate(rank, |rank, _p| {
-                            buffered += pb;
-                            if buffered >= spill_at {
-                                spill.isend_to(rank, 0, buffered);
-                                buffered = 0;
-                            }
-                        });
-                        if buffered > 0 {
-                            spill.isend_to(rank, 0, buffered);
+                spills => {
+                    // Writer: in the flat shape (the paper) every io rank,
+                    // with writer blocks one per block, which multiplexes
+                    // its own particle share and the forwarders' spills
+                    // FCFS. It opens the file once and flushes large
+                    // striped writes past the buffer threshold.
+                    fs(rank, FsOp::Open);
+                    let buffered = Cell::new(0u64);
+                    let add = |rank: &mut TP, bytes: u64| {
+                        buffered.set(buffered.get() + bytes);
+                        if buffered.get() >= flush_at {
+                            prof_scoped(rank, "io", |rank| fs(rank, FsOp::Write(buffered.take())));
                         }
-                        spill.terminate(rank);
-                    }
-                    Some(sc) => {
-                        // Writer: multiplex my own particle share and the
-                        // forwarders' spills FCFS; flush large striped
-                        // writes past the buffer threshold.
-                        let mut spills: Stream<u64> = Stream::attach(sc);
-                        pfs2.meta_op(rank.ctx()); // open once per block
-                        let buffered = Cell::new(0u64);
-                        let flush_if_full = |rank: &mut Rank, buffered: &Cell<u64>| {
-                            if buffered.get() >= flush_at {
-                                prof_scoped(rank, "io", |rank| {
-                                    pfs2.write_striped(rank.ctx(), buffered.get());
-                                });
-                                buffered.set(0);
-                            }
-                        };
-                        operate2(
-                            rank,
-                            &mut input,
-                            &mut spills,
-                            |rank, _p: Particle| {
-                                buffered.set(buffered.get() + pb);
-                                flush_if_full(rank, &buffered);
-                            },
-                            |rank, bytes: u64| {
-                                buffered.set(buffered.get() + bytes);
-                                flush_if_full(rank, &buffered);
-                            },
-                        );
-                        if buffered.get() > 0 {
-                            pfs2.write_striped(rank.ctx(), buffered.get());
+                    };
+                    match spills {
+                        Some(sc) => {
+                            let mut spills = Stream::attach(sc);
+                            operate2(rank, &mut input, &mut spills, |rank, _p| add(rank, pb), add);
+                        }
+                        None => {
+                            input.operate(rank, |rank, _p| add(rank, pb));
                         }
                     }
-                    None => {
-                        // Flat shape (the paper): every io rank opens and
-                        // writes its own buffer.
-                        pfs2.meta_op(rank.ctx()); // open once
-                        let mut buffered: u64 = 0;
-                        input.operate(rank, |rank, _p| {
-                            buffered += pb;
-                            if buffered >= flush_at {
-                                prof_scoped(rank, "io", |rank| {
-                                    pfs2.write_striped(rank.ctx(), buffered);
-                                });
-                                buffered = 0;
-                            }
-                        });
-                        if buffered > 0 {
-                            pfs2.write_striped(rank.ctx(), buffered);
-                        }
+                    if buffered.get() > 0 {
+                        fs(rank, FsOp::Write(buffered.get()));
                     }
                 }
-                0
             }
-            Role::Bystander => unreachable!(),
+            0
         }
-    });
-    PicResult::new(run, Some(&pfs))
+        Role::Bystander => unreachable!(),
+    }
 }
 
 /// Communication topology of [`run_comm_decoupled`] for the `streamcheck`
@@ -943,9 +910,12 @@ mod tests {
     #[test]
     fn traced_runs_produce_comp_and_comm_spans() {
         let cfg = PicConfig { iterations: 2, ..test_cfg() };
-        let res = run_comm_decoupled_traced(8, &cfg);
+        let (outcome, _) = cfg
+            .world()
+            .with_trace(true)
+            .run_expect(8, move |rank| comm_decoupled_rank(rank, 8, &cfg));
         let tags: std::collections::BTreeSet<&str> =
-            res.outcome.sim.trace.spans().iter().map(|s| s.tag).collect();
+            outcome.sim.trace.spans().iter().map(|s| s.tag).collect();
         assert!(tags.contains("comp"), "tags: {tags:?}");
         assert!(tags.contains("comm"), "tags: {tags:?}");
     }

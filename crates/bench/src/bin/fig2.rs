@@ -8,7 +8,7 @@
 //! `fig2_{reference,decoupled}.trace.json` — Chrome-trace files openable
 //! in `chrome://tracing` / Perfetto.
 
-use apps::pic::{run_comm_decoupled_traced, run_comm_reference_traced, PicConfig};
+use apps::pic::{comm_decoupled_rank, comm_reference_rank, PicConfig};
 use bench_harness::write_artifact;
 use streamprof::{Clock, Trace};
 
@@ -22,12 +22,14 @@ fn main() -> std::io::Result<()> {
         ..PicConfig::default()
     };
 
-    let reference = run_comm_reference_traced(7, &cfg);
-    let ref_trace = Trace::from_desim(&reference.outcome.sim.trace, Clock::Virtual);
+    let traced = cfg.world().with_trace(true);
+    let c = cfg.clone();
+    let (reference, _) = traced.run_expect(7, move |rank| comm_reference_rank(rank, 7, &c));
+    let ref_trace = Trace::from_desim(&reference.sim.trace, Clock::Virtual);
     println!(
         "reference implementation ({} steps, makespan {:.3}s):",
         cfg.iterations,
-        reference.outcome.elapsed_secs()
+        reference.elapsed_secs()
     );
     let g = ref_trace.to_gantt(100);
     println!("{g}");
@@ -36,11 +38,11 @@ fn main() -> std::io::Result<()> {
         write_artifact("fig2_reference.trace.json", &ref_trace.to_chrome_json())?;
     }
 
-    let decoupled = run_comm_decoupled_traced(7, &cfg);
-    let dec_trace = Trace::from_desim(&decoupled.outcome.sim.trace, Clock::Virtual);
+    let (decoupled, _) = traced.run_expect(7, move |rank| comm_decoupled_rank(rank, 7, &cfg));
+    let dec_trace = Trace::from_desim(&decoupled.sim.trace, Clock::Virtual);
     println!(
         "decoupled implementation (makespan {:.3}s; P6 = communication group):",
-        decoupled.outcome.elapsed_secs()
+        decoupled.elapsed_secs()
     );
     let g = dec_trace.to_gantt(100);
     println!("{g}");
@@ -53,8 +55,8 @@ fn main() -> std::io::Result<()> {
     // ranks spend a larger fraction of the timeline computing.
     println!(
         "makespan: reference {:.3}s vs decoupled {:.3}s",
-        reference.outcome.elapsed_secs(),
-        decoupled.outcome.elapsed_secs()
+        reference.elapsed_secs(),
+        decoupled.elapsed_secs()
     );
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! spill blocks: one file open per block instead of per I/O rank).
 //!
 //! `cargo run --release -p bench-harness --bin fig8` (env: MAX_PROCS;
-//! the committed artifact extends past the paper's 8,192 to 16,384).
+//! the committed artifact stops at 4,096, below the paper's 8,192).
 
 use apps::pic::{run_io_decoupled, run_io_reference, IoMode, PicConfig};
 use bench_harness::{configs, run_weak_scaling, FigRow};

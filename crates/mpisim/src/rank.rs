@@ -80,11 +80,6 @@ impl<'c> Rank<'c> {
         self.ctx.exit_killed()
     }
 
-    /// Deterministic per-rank RNG.
-    pub fn rng(&mut self) -> &mut rand::rngs::StdRng {
-        self.ctx.rng()
-    }
-
     /// Spend `secs` of modelled compute, perturbed by the machine's OS
     /// noise model.
     pub fn compute(&mut self, secs: f64) {

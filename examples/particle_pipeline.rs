@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example particle_pipeline`
 
 use apps::pic::{
-    run_comm_decoupled, run_comm_decoupled_traced, run_comm_reference, run_comm_reference_traced,
+    comm_decoupled_rank, comm_reference_rank, run_comm_decoupled, run_comm_reference,
     run_io_decoupled, run_io_reference, IoMode, PicConfig,
 };
 use streamprof::{Clock, Trace};
@@ -50,10 +50,12 @@ fn main() {
     // The Fig. 2 timelines: 7 ranks, compute (C) vs communication (M).
     println!("\n== execution timelines (Fig. 2; C = compute, M = comm, . = idle) ==");
     let tcfg = PicConfig { iterations: 3, alpha_every: 7, actual_per_rank: 128, ..cfg };
-    let tr = run_comm_reference_traced(7, &tcfg);
-    println!("reference:\n{}", render(&tr.outcome.sim.trace));
-    let td = run_comm_decoupled_traced(7, &tcfg);
-    println!("decoupled (rank 6 is the communication group):\n{}", render(&td.outcome.sim.trace));
+    let traced = tcfg.world().with_trace(true);
+    let c = tcfg.clone();
+    let (tr, _) = traced.run_expect(7, move |rank| comm_reference_rank(rank, 7, &c));
+    println!("reference:\n{}", render(&tr.sim.trace));
+    let (td, _) = traced.run_expect(7, move |rank| comm_decoupled_rank(rank, 7, &tcfg));
+    println!("decoupled (rank 6 is the communication group):\n{}", render(&td.sim.trace));
 }
 
 fn render(trace: &desim::Trace) -> String {

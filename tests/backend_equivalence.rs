@@ -15,7 +15,12 @@
 //! (DESIGN.md §11). The one float program here, Fig. 6's decoupled CG,
 //! is compared with a relative tolerance for that reason.
 
+use std::cell::Cell;
+
 use apps::cg::{decoupled_rank, CgConfig};
+use apps::pic::{
+    comm_decoupled_rank, io_decoupled_rank, run_comm_decoupled, run_io_decoupled, FsOp, PicConfig,
+};
 use apps::portable::{
     fingerprint, mini_mapreduce, mini_mapreduce_oracle, quickstart, quickstart_with,
     workload_updates, MiniMrConfig, PortableReport,
@@ -178,6 +183,113 @@ fn decoupled_cg_matches_sim_on_native() {
         .with_compute_scale(0.01)
         .run(|rank| decoupled_rank(rank, CG_RANKS, &cfg));
     assert_cg_matches_sim("native", cg_report(native), cg_decoupled_sim());
+}
+
+/// Figs. 2, 7 and 8's decoupled PIC in miniature, the shape `apps::pic`'s
+/// own tests run: 8 ranks for the particle exchange (6 compute, 2 relay),
+/// 16 for the particle I/O (12 compute, 4 I/O).
+const PIC_RANKS: usize = 8;
+const PIC_IO_RANKS: usize = 16;
+
+fn pic_cfg() -> PicConfig {
+    PicConfig {
+        machine: MachineConfig { noise: NoiseModel::none(), ..MachineConfig::default() },
+        actual_per_rank: 64,
+        iterations: 4,
+        alpha_every: 4,
+        dt: 0.3,
+        io_buffer_bytes: 64 << 20,
+        ..PicConfig::default()
+    }
+}
+
+/// The compute ranks' final particle counts of a decoupled exchange
+/// (relays return 0) add up to the simulator's total and to the particles
+/// generated, which a run of zero steps returns unmoved. Every compute
+/// rank has already asserted each of its particles home:
+/// [`comm_decoupled_rank`] panics otherwise.
+fn assert_pic_comm_conserves(backend: &str, per_rank: Vec<u64>) {
+    let generated = run_comm_decoupled(PIC_RANKS, &PicConfig { iterations: 0, ..pic_cfg() });
+    let sim = run_comm_decoupled(PIC_RANKS, &pic_cfg());
+    assert!(generated.final_particles > 0, "the compute ranks must hold particles");
+    assert_eq!(sim.final_particles, generated.final_particles, "sim loses or invents particles");
+    assert_eq!(per_rank.iter().sum::<u64>(), sim.final_particles, "{backend}: particle total");
+}
+
+#[test]
+fn decoupled_pic_comm_conserves_particles_on_native() {
+    let cfg = pic_cfg();
+    let native = NativeWorld::new(PIC_RANKS)
+        .with_compute_scale(0.01)
+        .run(|rank| comm_decoupled_rank(rank, PIC_RANKS, &cfg));
+    assert_pic_comm_conserves("native", native);
+}
+
+#[test]
+fn socket_decoupled_pic_comm_conserves_particles() {
+    let cfg = pic_cfg();
+    let socket =
+        socket::SocketWorld::for_test("socket_decoupled_pic_comm_conserves_particles", PIC_RANKS)
+            .with_compute_scale(0.01)
+            .run(|rank| comm_decoupled_rank(rank, PIC_RANKS, &cfg));
+    assert_pic_comm_conserves("socket", socket);
+}
+
+/// One rank of the decoupled particle I/O over a file system fake that
+/// counts: `[particles held, bytes written, files opened]`.
+fn pic_io_counted<TP: Transport>(rank: &mut TP, cfg: &PicConfig) -> [u64; 3] {
+    let (written, opened) = (Cell::new(0), Cell::new(0));
+    let held = io_decoupled_rank(rank, PIC_IO_RANKS, cfg, &|_: &mut TP, op| match op {
+        FsOp::Open => opened.set(opened.get() + 1),
+        FsOp::Write(bytes) => written.set(written.get() + bytes),
+    });
+    [held, written.get(), opened.get()]
+}
+
+/// Summed over the ranks, the fake counted exactly what the simulator's
+/// `pfsim` did in the same program.
+fn assert_pic_io_matches_sim(backend: &str, cfg: &PicConfig, per_rank: Vec<[u64; 3]>) {
+    let sum = |i: usize| per_rank.iter().map(|r| r[i]).sum::<u64>();
+    let sim = run_io_decoupled(PIC_IO_RANKS, cfg);
+    assert!(sim.bytes_written > 0, "the I/O group must write");
+    assert_eq!(sum(0), sim.final_particles, "{backend}: particles held");
+    assert_eq!(sum(1), sim.bytes_written, "{backend}: bytes written");
+    assert_eq!(sum(2), sim.meta_ops, "{backend}: files opened");
+}
+
+/// The I/O group flat (every I/O rank opens and writes), then aggregated
+/// into one writer block of four.
+fn pic_io_shapes() -> [PicConfig; 2] {
+    [pic_cfg(), PicConfig { io_writer_fan_in: Some(4), ..pic_cfg() }]
+}
+
+#[test]
+fn decoupled_pic_io_matches_sim_on_native() {
+    for cfg in pic_io_shapes() {
+        let native = NativeWorld::new(PIC_IO_RANKS)
+            .with_compute_scale(0.01)
+            .run(|rank| pic_io_counted(rank, &cfg));
+        assert_pic_io_matches_sim("native", &cfg, native);
+    }
+}
+
+#[test]
+fn socket_decoupled_pic_io_matches_sim() {
+    let [cfg, _] = pic_io_shapes();
+    let socket = socket::SocketWorld::for_test("socket_decoupled_pic_io_matches_sim", PIC_IO_RANKS)
+        .with_compute_scale(0.01)
+        .run(|rank| pic_io_counted(rank, &cfg));
+    assert_pic_io_matches_sim("socket", &cfg, socket);
+}
+
+#[test]
+fn socket_aggregated_pic_io_matches_sim() {
+    let [_, cfg] = pic_io_shapes();
+    let socket =
+        socket::SocketWorld::for_test("socket_aggregated_pic_io_matches_sim", PIC_IO_RANKS)
+            .with_compute_scale(0.01)
+            .run(|rank| pic_io_counted(rank, &cfg));
+    assert_pic_io_matches_sim("socket", &cfg, socket);
 }
 
 /// The flow-control regime the batched-credit equivalence tests run

@@ -123,7 +123,7 @@ fn message_accounting_is_consistent_per_rank() {
 
 #[test]
 fn traces_cover_the_full_makespan_reasonably() {
-    use apps::pic::run_comm_decoupled_traced;
+    use apps::pic::comm_decoupled_rank;
     let cfg = PicConfig {
         machine: quiet_machine(),
         actual_per_rank: 64,
@@ -131,11 +131,12 @@ fn traces_cover_the_full_makespan_reasonably() {
         alpha_every: 4,
         ..PicConfig::default()
     };
-    let res = run_comm_decoupled_traced(8, &cfg);
-    let trace = &res.outcome.sim.trace;
+    let (outcome, _) =
+        cfg.world().with_trace(true).run_expect(8, move |rank| comm_decoupled_rank(rank, 8, &cfg));
+    let trace = &outcome.sim.trace;
     assert!(!trace.is_empty());
     // The trace horizon is within the run's makespan.
-    assert!(trace.horizon() <= res.outcome.sim.end_time);
+    assert!(trace.horizon() <= outcome.sim.end_time);
     // Compute spans exist on compute ranks (0..5 are producers for
     // every=4? ranks 3 and 7 are consumers) — check one known producer.
     assert!(trace.spans().iter().any(|s| s.pid == 0 && s.tag == "comp"));
