@@ -106,7 +106,8 @@ stage "socket backend smoke (multi-process equivalence over shared-memory rings)
 # ring both ways at once, a rank that returns while a peer still writes
 # to it, a reader that dies while its writer waits for room, a half
 # frame on a live rank, a newly opened ring that wakes a rank with no
-# links, a deadline on such a rank), the
+# links, a deadline on such a rank), the send path at the ring's edges
+# (every size delivered, the ring's bytes exactly `write_frame`'s), the
 # ring's byte stream under hostile publishes, one writer per ring, and
 # one thread and one socket per rank process; recv_deadline_semantics
 # pins the half-read-frame and absolute-deadline contracts; the quickstart run
@@ -148,6 +149,13 @@ for f in crates/socket/src/*.rs; do
         echo "no Mailbox in socket ranks ($f)"; exit 1
     fi
 done
+# Nor may a send buffer come back: `send` encodes each frame straight
+# into the peer's ring behind its header and publishes it once (DESIGN.md
+# §16.3), so the payload is copied once on its way out, not into a
+# per-rank buffer first and from there into the ring.
+if grep -rnE 'send_buf|SEND_BUF_KEEP|begin_frame|finish_frame' crates/socket/src; then
+    echo "one copy per send: no send buffer in socket ranks"; exit 1
+fi
 timeout 300 cargo test -q --release --offline -p socket
 timeout 300 cargo test -q --release --offline -p integration \
     --test backend_equivalence socket_
@@ -226,7 +234,8 @@ stage "schedcheck model checking (bounded exhaustive interleavings)"
 # deadline receives, batched credit returns, a small tree collective —
 # and the socket backend's shared-memory ring and futex doorbells (publish and claim against park and re-check, restart at the
 # front, ring-full waits both ways, a newly opened ring racing a park, a gone mark
-# (a death or a departure) racing a room wait, a frame waited for in the ring) re-compiled against schedcheck's shadow primitives
+# (a death or a departure) racing a room wait, a frame waited for in the ring,
+# unpublished writes against a concurrent release) re-compiled against schedcheck's shadow primitives
 # (--cfg schedcheck switches the native::sync facade) and explored
 # exhaustively up to a preemption bound: every clean model must cover
 # >= 1,000 distinct schedules with zero SC201-SC203 violations, and the

@@ -82,4 +82,4 @@ pub use stream::{
     StreamStats, Wait,
 };
 pub use transport::{index, prof_scoped, Event, Group, MsgInfo, Src, Tag, TagKind, Transport};
-pub use wire::{Wire, WireError, MAX_FRAME_BYTES, MAX_WIRE_ELEMS};
+pub use wire::{Wire, WireError, WireOut, MAX_FRAME_BYTES, MAX_WIRE_ELEMS};

@@ -18,7 +18,7 @@
 use crate::channel::{RoutePolicy, StreamChannel};
 use crate::group::Role;
 use crate::transport::{Event, MsgInfo, SimTime, Src, Transport};
-use crate::wire::{Wire, WireError};
+use crate::wire::{Wire, WireError, WireOut};
 
 /// Wire format of one stream message: the enum that actually crosses the
 /// transport, with a defined [`Wire`] encoding (discriminant byte `0` for
@@ -43,18 +43,18 @@ pub enum StreamMsg<T> {
 }
 
 impl<T: Wire> Wire for StreamMsg<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         match self {
             StreamMsg::Data(batch) => {
-                out.push(0);
+                out.put(&[0]);
                 batch.encode(out);
             }
             StreamMsg::Term { sent } => {
-                out.push(1);
+                out.put(&[1]);
                 sent.encode(out);
             }
             StreamMsg::Mark(mark) => {
-                out.push(2);
+                out.put(&[2]);
                 mark.encode(out);
             }
         }

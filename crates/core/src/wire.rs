@@ -11,6 +11,16 @@
 //! encodes on `send` and decodes on `recv`, so the payload's memory
 //! representation never leaks onto the wire.
 //!
+//! An encoder writes into any [`WireOut`], a sink with one method,
+//! `put(&[u8])`. A `Vec<u8>` is one ([`Wire::to_frame`]); the socket
+//! backend's sink writes each `put` straight into the peer's
+//! shared-memory ring, behind the frame header, so a send copies the
+//! payload once. That sink must know the frame's length before its first
+//! byte, which is [`Wire::wire_len`]: the same encoder run into a sink
+//! that only counts. The fixed-width numbers `put` a whole sequence at
+//! once, so on them, and on every `Vec` or `StreamMsg` of them, the count
+//! costs a few additions; `to_frame` uses it to allocate once.
+//!
 //! ## Encoding rules (DESIGN.md §16)
 //!
 //! - All integers are **little-endian, fixed width**. `usize`/`isize`
@@ -94,24 +104,50 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Where an encoding goes: a sink that takes the bytes of a value in
+/// order. A `Vec<u8>` appends them; the socket backend's sink writes them
+/// straight into the peer's ring; [`Wire::wire_len`]'s only counts them.
+pub trait WireOut {
+    /// Take the next `bytes` of the encoding.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl WireOut for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The sink of [`Wire::wire_len`]: counts, stores nothing.
+struct Count(usize);
+
+impl WireOut for Count {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// A payload type with a defined wire representation.
 ///
 /// The bound every [`Transport`](crate::Transport) payload carries:
 /// in-memory backends never invoke it, the socket backend calls
-/// [`Wire::encode`] at `send` and [`Wire::decode`] at `recv`.
+/// [`Wire::wire_len`] and [`Wire::encode`] at `send` and [`Wire::decode`]
+/// at `recv`.
 pub trait Wire: Sized {
-    /// Append this value's encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// Put this value's encoding into `out`.
+    fn encode<O: WireOut>(&self, out: &mut O);
 
     /// Decode one value from the front of `input`, advancing it past the
     /// consumed bytes. Must never panic on malformed input.
     fn decode(input: &mut &[u8]) -> Result<Self, WireError>;
 
-    /// Append the encodings of `items`, in order and with no framing —
-    /// the body of a `Vec<Self>` or `[Self; N]`. Overridden by the
-    /// fixed-width numbers to reserve once and convert as a block; an
-    /// override must produce exactly the bytes of this loop.
-    fn encode_seq(items: &[Self], out: &mut Vec<u8>) {
+    /// Put the encodings of `items`, in order and with no framing — the
+    /// body of a `Vec<Self>` or `[Self; N]`. Overridden by the fixed-width
+    /// numbers to convert as a block, one `put`; an override must produce
+    /// exactly the bytes of this loop.
+    fn encode_seq<O: WireOut>(items: &[Self], out: &mut O) {
         for v in items {
             v.encode(out);
         }
@@ -132,9 +168,22 @@ pub trait Wire: Sized {
         Ok(v)
     }
 
-    /// Encode into a fresh frame body.
+    /// The length of this value's encoding: the encoder run into a sink
+    /// that only counts. A value whose encoding is a few `put`s — a
+    /// number, a `Vec` of numbers, a `StreamMsg` of them — costs a few
+    /// additions, whatever its size. The socket backend sizes a frame by
+    /// it before the first byte goes into the ring, so an `encode` must
+    /// put exactly this many bytes: one that puts a different count
+    /// each time it runs is the sender's panic there.
+    fn wire_len(&self) -> usize {
+        let mut n = Count(0);
+        self.encode(&mut n);
+        n.0
+    }
+
+    /// Encode into a fresh frame body, allocated once at its exact size.
     fn to_frame(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wire_len());
         self.encode(&mut out);
         out
     }
@@ -171,9 +220,10 @@ fn take_len(input: &mut &[u8]) -> Result<usize, WireError> {
     Ok(len as usize)
 }
 
-// Fixed-width numbers. Sequences of them convert as one block: a single
-// reservation and a copy on little-endian hosts, a byte swap elsewhere —
-// the format stays little-endian either way.
+// Fixed-width numbers. Sequences of them convert as one block: the
+// elements' own bytes in one `put` on little-endian hosts, one `put` per
+// element's `to_le_bytes` elsewhere — the format stays little-endian
+// either way. One `put` is also what makes `wire_len` O(1) on them.
 //
 // Encoding is the one `unsafe` block of the codec, and a measured one.
 // The best safe form (`extend` over `flat_map(to_le_bytes)`: exact
@@ -189,8 +239,8 @@ macro_rules! impl_wire_num {
     ($($t:ty),*) => {$(
         impl Wire for $t {
             #[inline]
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn encode<O: WireOut>(&self, out: &mut O) {
+                out.put(&self.to_le_bytes());
             }
             #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -198,7 +248,8 @@ macro_rules! impl_wire_num {
                 let b = take_bytes(input, W)?;
                 Ok(<$t>::from_le_bytes(b.try_into().expect("exact slice")))
             }
-            fn encode_seq(items: &[Self], out: &mut Vec<u8>) {
+            #[inline]
+            fn encode_seq<O: WireOut>(items: &[Self], out: &mut O) {
                 if cfg!(target_endian = "little") {
                     // SAFETY: `items` is a live, initialised `&[$t]`, so
                     // the `size_of_val(items)` bytes from its first
@@ -215,9 +266,11 @@ macro_rules! impl_wire_num {
                             std::mem::size_of_val(items),
                         )
                     };
-                    out.extend_from_slice(bytes);
+                    out.put(bytes);
                 } else {
-                    out.extend(items.iter().flat_map(|v| v.to_le_bytes()));
+                    for v in items {
+                        out.put(&v.to_le_bytes());
+                    }
                 }
             }
             fn decode_seq(input: &mut &[u8], len: usize) -> Result<Vec<Self>, WireError> {
@@ -241,7 +294,7 @@ impl_wire_num!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 // depend on the host's pointer width; decode checks the range.
 impl Wire for usize {
     #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         (*self as u64).encode(out);
     }
     #[inline]
@@ -252,7 +305,7 @@ impl Wire for usize {
 
 impl Wire for isize {
     #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         (*self as i64).encode(out);
     }
     #[inline]
@@ -263,8 +316,8 @@ impl Wire for isize {
 
 impl Wire for bool {
     #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
+    fn encode<O: WireOut>(&self, out: &mut O) {
+        out.put(&[*self as u8]);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -278,7 +331,7 @@ impl Wire for bool {
 
 impl Wire for () {
     #[inline]
-    fn encode(&self, _out: &mut Vec<u8>) {}
+    fn encode<O: WireOut>(&self, _out: &mut O) {}
     #[inline]
     fn decode(_input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(())
@@ -286,7 +339,7 @@ impl Wire for () {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         (self.len() as u64).encode(out);
         T::encode_seq(self, out);
     }
@@ -297,9 +350,9 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 impl Wire for String {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         (self.len() as u64).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        out.put(self.as_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = take_len(input)?;
@@ -309,11 +362,11 @@ impl Wire for String {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         match self {
-            None => out.push(0),
+            None => out.put(&[0]),
             Some(v) => {
-                out.push(1);
+                out.put(&[1]);
                 v.encode(out);
             }
         }
@@ -328,7 +381,7 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl<T: Wire, const N: usize> Wire for [T; N] {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         T::encode_seq(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -340,7 +393,7 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
 macro_rules! impl_wire_tuple {
     ($(($($name:ident : $idx:tt),+)),+ $(,)?) => {$(
         impl<$($name: Wire),+> Wire for ($($name,)+) {
-            fn encode(&self, out: &mut Vec<u8>) {
+            fn encode<O: WireOut>(&self, out: &mut O) {
                 $(self.$idx.encode(out);)+
             }
             fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -374,7 +427,7 @@ impl_wire_tuple!(
 macro_rules! wire_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::wire::Wire for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
+            fn encode<O: $crate::wire::WireOut>(&self, out: &mut O) {
                 $( $crate::wire::Wire::encode(&self.$field, out); )+
             }
             fn decode(
@@ -390,8 +443,11 @@ macro_rules! wire_struct {
 mod tests {
     use super::*;
 
+    /// Round trip, and the length invariant: `wire_len` counts exactly
+    /// the bytes `encode` puts.
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_frame();
+        assert_eq!(v.wire_len(), bytes.len(), "wire_len of {v:?}");
         assert_eq!(T::from_frame(&bytes).unwrap(), v);
     }
 

@@ -16,10 +16,22 @@ use std::cell::Cell;
 use mpistream::{ConsumerCheckpoint, StreamMsg, Wire, WireError, MAX_WIRE_ELEMS};
 use proptest::prelude::*;
 
+/// Round trip, and the length invariant every sender relies on:
+/// `wire_len` counts exactly the bytes `encode` puts.
 fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
     let bytes = v.to_frame();
+    prop_assert_eq!(v.wire_len(), bytes.len(), "wire_len of {:?}", v);
     let back = T::from_frame(&bytes);
     prop_assert_eq!(back.as_ref().ok(), Some(v), "decode failed: {:?}", back.as_ref().err());
+}
+
+/// [`roundtrip`] for a `StreamMsg`, which has no `PartialEq`: the
+/// decoded message must encode to the same bytes.
+fn stream_msg_roundtrip<T: Wire>(m: &StreamMsg<T>) {
+    let bytes = m.to_frame();
+    prop_assert_eq!(m.wire_len(), bytes.len());
+    let back = StreamMsg::<T>::from_frame(&bytes);
+    prop_assert_eq!(back.map(|b| b.to_frame()), Ok(bytes));
 }
 
 /// Decoding any strict prefix of a valid frame must fail with a typed
@@ -95,6 +107,29 @@ proptest! {
         let p = ([1.0f64, -2.5, 3.25], [0.5f64, 0.0, -0.125]);
         roundtrip(&p);
         total_on_prefixes(&faces);
+    }
+
+    #[test]
+    fn stream_messages_round_trip(
+        v in prop::collection::vec(any::<u64>(), 0..64),
+        blobs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 0..8),
+        n in any::<u64>(),
+    ) {
+        stream_msg_roundtrip(&StreamMsg::Data(v));
+        stream_msg_roundtrip(&StreamMsg::Data(blobs));
+        stream_msg_roundtrip(&StreamMsg::<u32>::Term { sent: n });
+        stream_msg_roundtrip(&StreamMsg::<f64>::Mark(n));
+    }
+
+    #[test]
+    fn consumer_checkpoints_round_trip(
+        cursors in prop::collection::vec((any::<u64>(), any::<u64>()), 0..8),
+        claims in prop::collection::vec((any::<u64>(), any::<u64>()), 0..8),
+        elements in any::<u64>(),
+        batches in any::<u64>(),
+        bytes in any::<u64>(),
+    ) {
+        roundtrip(&ConsumerCheckpoint { cursors, claims, elements, batches, bytes });
     }
 
     #[test]
@@ -382,14 +417,16 @@ fn golden_frames_are_byte_identical_to_the_element_wise_format() {
 
 thread_local! {
     /// Largest single allocation this thread has requested since the
-    /// last reset. Plain `Cell`, const-initialised and without a
-    /// destructor, so the allocator may touch it at any time.
+    /// last reset, and how many it has requested. Plain `Cell`s,
+    /// const-initialised and without a destructor, so the allocator may
+    /// touch them at any time.
     static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator, noting each thread's largest request (the
-/// default `alloc_zeroed` and `realloc` go through `alloc`, so every
-/// request is seen).
+/// The system allocator, noting each thread's largest request and
+/// counting them (the default `alloc_zeroed` and `realloc` go through
+/// `alloc`, so every request is seen).
 struct NotingAllocator;
 
 // SAFETY: both methods forward unchanged to `System`, which upholds the
@@ -398,6 +435,7 @@ struct NotingAllocator;
 unsafe impl GlobalAlloc for NotingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = LARGEST_REQUEST.try_with(|c| c.set(c.get().max(layout.size())));
+        let _ = REQUESTS.try_with(|c| c.set(c.get() + 1));
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -438,4 +476,20 @@ fn corrupt_count_reserves_no_more_than_the_frame_could_hold() {
     let got = Vec::<f64>::from_frame(&numbers);
     assert!(matches!(got, Err(WireError::Truncated { .. })));
     assert_eq!(LARGEST_REQUEST.with(Cell::get), 0, "a failed block decode allocated");
+}
+
+#[test]
+fn to_frame_allocates_once() {
+    // One `socket_bulk` element: `to_frame` sizes the frame with
+    // `wire_len` first, so the growth reallocations are gone.
+    fn once<T: Wire>(v: &T) {
+        let len = v.wire_len();
+        REQUESTS.with(|c| c.set(0));
+        let frame = v.to_frame();
+        let what = std::any::type_name::<T>();
+        assert_eq!(REQUESTS.with(Cell::get), 1, "allocator requests of one {what} to_frame");
+        assert_eq!((frame.len(), frame.capacity()), (len, len), "{what}");
+    }
+    once(&StreamMsg::Data(vec![(0..8192).map(f64::from).collect::<Vec<f64>>()]));
+    once(&StreamMsg::Data(vec![7u64]));
 }

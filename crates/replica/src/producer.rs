@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use mpistream::transport::{SimDuration, Src, Transport};
-use mpistream::wire::{Wire, WireError};
+use mpistream::wire::{Wire, WireError, WireOut};
 use mpistream::{Role, StreamChannel, StreamMsg};
 
 /// Messages from the replica group's primary to the producers, on the
@@ -70,15 +70,15 @@ pub struct CreditMsg {
 mpistream::wire_struct!(CreditMsg { view, acked });
 
 impl Wire for TakeoverMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         match self {
             TakeoverMsg::Announce { view, cursors } => {
-                out.push(0);
+                out.put(&[0]);
                 view.encode(out);
                 cursors.encode(out);
             }
             TakeoverMsg::TermAck { view } => {
-                out.push(1);
+                out.put(&[1]);
                 view.encode(out);
             }
         }

@@ -54,7 +54,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mpistream::wire::{Wire, WireError};
+use mpistream::wire::{Wire, WireError, WireOut};
 
 /// Replica status (the paper's `status` field).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,33 +179,33 @@ pub enum VsrMsg {
 }
 
 impl Wire for VsrMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<O: WireOut>(&self, out: &mut O) {
         match self {
             VsrMsg::Prepare { view, op_num, commit_num, state } => {
-                out.push(0);
+                out.put(&[0]);
                 view.encode(out);
                 op_num.encode(out);
                 commit_num.encode(out);
                 state.encode(out);
             }
             VsrMsg::PrepareOk { view, op_num, from } => {
-                out.push(1);
+                out.put(&[1]);
                 view.encode(out);
                 op_num.encode(out);
                 from.encode(out);
             }
             VsrMsg::Commit { view, commit_num } => {
-                out.push(2);
+                out.put(&[2]);
                 view.encode(out);
                 commit_num.encode(out);
             }
             VsrMsg::StartViewChange { view, from } => {
-                out.push(3);
+                out.put(&[3]);
                 view.encode(out);
                 from.encode(out);
             }
             VsrMsg::DoViewChange { view, last_normal, snapshot, commit_num, from } => {
-                out.push(4);
+                out.put(&[4]);
                 view.encode(out);
                 last_normal.encode(out);
                 snapshot.encode(out);
@@ -213,25 +213,25 @@ impl Wire for VsrMsg {
                 from.encode(out);
             }
             VsrMsg::StartView { view, snapshot, commit_num } => {
-                out.push(5);
+                out.put(&[5]);
                 view.encode(out);
                 snapshot.encode(out);
                 commit_num.encode(out);
             }
             VsrMsg::Recovery { from, nonce } => {
-                out.push(6);
+                out.put(&[6]);
                 from.encode(out);
                 nonce.encode(out);
             }
             VsrMsg::RecoveryResponse { view, nonce, from, primary } => {
-                out.push(7);
+                out.put(&[7]);
                 view.encode(out);
                 nonce.encode(out);
                 from.encode(out);
                 primary.encode(out);
             }
             VsrMsg::Shutdown { view } => {
-                out.push(8);
+                out.put(&[8]);
                 view.encode(out);
             }
         }

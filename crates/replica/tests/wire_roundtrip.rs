@@ -1,5 +1,6 @@
 //! Property tests of the replication wire protocol: every [`VsrMsg`] and
-//! [`TakeoverMsg`] round-trips through the `Wire` codec, and every
+//! [`TakeoverMsg`] round-trips through the `Wire` codec, its `wire_len`
+//! counting exactly the bytes it encodes to, and every
 //! malformed frame — truncations at each byte offset, trailing garbage,
 //! bad discriminants, oversized length prefixes — decodes to a typed
 //! [`WireError`], never a panic and never an attacker-sized allocation.
@@ -8,8 +9,11 @@ use mpistream::{Wire, WireError, MAX_WIRE_ELEMS};
 use proptest::prelude::*;
 use replica::{CreditMsg, RepState, Snapshot, TakeoverMsg, VsrMsg};
 
+/// Round trip, and the length invariant: `wire_len` counts exactly the
+/// bytes `encode` puts (the socket backend sizes a frame by it).
 fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
     let bytes = v.to_frame();
+    prop_assert_eq!(v.wire_len(), bytes.len(), "wire_len of {:?}", v);
     let back = T::from_frame(&bytes);
     prop_assert_eq!(back.as_ref().ok(), Some(v), "decode failed: {:?}", back.as_ref().err());
 }

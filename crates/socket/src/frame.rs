@@ -16,12 +16,13 @@
 //! backends). The payload is the [`Wire`](mpistream::Wire) encoding of
 //! exactly one value.
 //!
-//! On a rank's link a frame costs **one copy** into the peer's
-//! shared-memory ring ([`crate::ring`]) to send — the sender builds
-//! prefix, header and payload in one buffer (`begin_frame` /
-//! `finish_frame`) — and, through a [`FrameReader`] over the ring's
-//! reading end, at most one to receive
-//! ([`FrameReader::lend_frame`]). At a frame boundary the reader looks
+//! On a rank's link a frame costs **one copy** to send: the sender sizes
+//! the payload ([`Wire::wire_len`](mpistream::Wire::wire_len)), then
+//! writes `frame_head` and the payload's encoding straight into the
+//! peer's shared-memory ring ([`crate::ring`]), where the reader will
+//! find them, and publishes the whole frame once. Through a
+//! [`FrameReader`] over the ring's reading end it costs at most one copy
+//! to receive ([`FrameReader::lend_frame`]). At a frame boundary the reader looks
 //! at the ring first: a frame too large for its buffer but not for the
 //! ring is waited for in the ring and, once whole, lent where it lies
 //! there, with no copy at all. Anything else is a refill: the ring's
@@ -67,29 +68,24 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Start a frame in `buf`: clear it and reserve the [`FRAME_OVERHEAD`]
-/// bytes in front of the payload, which the caller then appends (the
-/// [`Wire`](mpistream::Wire) encoder writes straight behind them).
-pub(crate) fn begin_frame(buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.resize(FRAME_OVERHEAD, 0);
-}
-
-/// Finish the frame started by [`begin_frame`]: check the size cap and
-/// patch length prefix, tag and modelled byte count in place. Afterwards
-/// `buf` is the frame exactly as it goes on the wire, ready for one
-/// `write_all`. An oversize payload is `InvalidData` — reported before
-/// the caller has written anything anywhere.
-pub(crate) fn finish_frame(buf: &mut [u8], tag: u64, bytes: u64) -> io::Result<()> {
-    assert!(buf.len() >= FRAME_OVERHEAD, "finish_frame on a buffer begin_frame did not start");
-    let len = buf.len() - 4;
+/// The [`FRAME_OVERHEAD`] bytes in front of a payload of `payload_len`
+/// bytes: length prefix, tag and modelled byte count. A payload that
+/// would take the frame past [`MAX_FRAME_BYTES`] is `InvalidData`, found
+/// before anything is written anywhere.
+pub(crate) fn frame_head(
+    payload_len: usize,
+    tag: u64,
+    bytes: u64,
+) -> io::Result<[u8; FRAME_OVERHEAD]> {
+    let len = HEADER_BYTES + payload_len;
     if len > MAX_FRAME_BYTES {
         return Err(invalid(format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} cap")));
     }
-    buf[0..4].copy_from_slice(&(len as u32).to_le_bytes());
-    buf[4..12].copy_from_slice(&tag.to_le_bytes());
-    buf[12..20].copy_from_slice(&bytes.to_le_bytes());
-    Ok(())
+    let mut head = [0u8; FRAME_OVERHEAD];
+    head[0..4].copy_from_slice(&(len as u32).to_le_bytes());
+    head[4..12].copy_from_slice(&tag.to_le_bytes());
+    head[12..20].copy_from_slice(&bytes.to_le_bytes());
+    Ok(head)
 }
 
 /// Write one frame: tag, modelled byte count, encoded payload — as one
@@ -97,10 +93,10 @@ pub(crate) fn finish_frame(buf: &mut [u8], tag: u64, bytes: u64) -> io::Result<(
 /// single `write` call (short writes and `Interrupted` are `write_all`'s
 /// to retry). The size cap is checked before anything is written.
 pub fn write_frame(w: &mut impl Write, tag: u64, bytes: u64, payload: &[u8]) -> io::Result<()> {
+    let head = frame_head(payload.len(), tag, bytes)?;
     let mut buf = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    begin_frame(&mut buf);
+    buf.extend_from_slice(&head);
     buf.extend_from_slice(payload);
-    finish_frame(&mut buf, tag, bytes)?;
     w.write_all(&buf)
 }
 

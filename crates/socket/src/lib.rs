@@ -15,11 +15,11 @@
 //! clock, collectives and channel ids, and matching on the same index,
 //! [`Matcher`] — owned outright by the rank's one thread instead of
 //! kept in a multi-producer [`Mailbox`]. What this crate adds is how a
-//! message leaves — encoded into a frame and copied into the peer's
-//! ring — how a receive finds its frame and decodes it where it lies in
-//! the link's buffer, and how the rank waits for mail: by reading its own
-//! rings, on its one thread, and sleeping on its futex doorbell when they
-//! are empty (see [`SocketLinks`]).
+//! message leaves — encoded straight into the peer's ring, behind its
+//! frame header — how a receive finds its frame and decodes it where it
+//! lies in the link's buffer, and how the rank waits for mail: by
+//! reading its own rings, on its one thread, and sleeping on its futex
+//! doorbell when they are empty (see [`SocketLinks`]).
 //!
 //! ## Links
 //!
@@ -79,8 +79,8 @@ use std::process::{Child, Command};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use frame::FrameReader;
-use mpistream::{MsgInfo, Src, Tag, Wire};
+use frame::{FrameReader, FRAME_OVERHEAD};
+use mpistream::{MsgInfo, Src, Tag, Wire, WireOut};
 use native::mailbox::{Env, Mailbox, Matcher};
 use native::{Links, MailboxRank, Until, WallClock};
 use page::Page;
@@ -100,10 +100,6 @@ const ENV_SCALE: &str = "MPISTREAM_SOCKET_SCALE";
 /// second. Long enough that the launcher costs the ranks it shares a CPU
 /// with nothing.
 const RESULT_POLL: Duration = Duration::from_secs(1);
-/// The per-rank send buffer keeps its capacity between sends unless one
-/// frame grew it past this; then it is released, so a single large
-/// message does not pin its memory for the life of the rank.
-const SEND_BUF_KEEP: usize = 1 << 20;
 
 /// The flat threshold this backend hands [`MailboxRank::new`]: the
 /// binomial tree at every size — there is no star shortcut worth taking
@@ -459,9 +455,6 @@ pub struct SocketLinks {
     inbound: Inbound,
     /// Outbound links, opened on first use.
     links: Vec<Option<OutLink>>,
-    /// Where `send` builds its frame; keeps its capacity between sends
-    /// (up to [`SEND_BUF_KEEP`]).
-    send_buf: Vec<u8>,
 }
 
 impl SocketLinks {
@@ -477,7 +470,6 @@ impl SocketLinks {
                 matcher: Matcher::default(),
             },
             links: (0..nprocs).map(|_| None).collect(),
-            send_buf: Vec::new(),
             page,
         }
     }
@@ -493,34 +485,46 @@ impl Links for SocketLinks {
             self.inbound.matcher.insert(Env { src: me, tag, bytes, payload });
             return;
         }
-        // The encoder writes straight behind the reserved header bytes of
-        // the retained buffer, and the finished frame is copied into the
-        // peer's ring and published before `send` returns. Nothing is
-        // ever held back for a later flush: that would be aggregation
-        // behind the caller's back, and would stall a producer's last
-        // element for as long as the application computes between sends.
-        let mut buf = std::mem::take(&mut self.send_buf);
-        frame::begin_frame(&mut buf);
-        v.encode(&mut buf);
-        if let Err(e) = frame::finish_frame(&mut buf, tag.0, bytes) {
-            // The caller's error, found before any I/O: in neither mode
-            // does it say anything about the peer.
-            panic!("rank {me}: send to rank {dst} under tag {tag:?}: {e}");
-        }
+        // The frame's length is known before its first byte moves, so an
+        // oversize payload is the caller's error, found before any I/O:
+        // in neither mode does it say anything about the peer.
+        let len = v.wire_len();
+        let head = frame::frame_head(len, tag.0, bytes)
+            .unwrap_or_else(|e| panic!("rank {me}: send to rank {dst} under tag {tag:?}: {e}"));
         // A rank that has left the world takes nothing more: the send is
         // dropped, or what is left of it if `dst` left while it waited
-        // for room (the error).
-        let SocketLinks { page, inbound, links, .. } = self;
-        if !page.slot(dst).is_gone() {
-            let link = links[dst].get_or_insert_with(|| {
-                OutLink::open(page, dst, me)
-                    .unwrap_or_else(|e| panic!("rank {me}: link to rank {dst}: {e}"))
-            });
-            let _ = inbound.send_frame(page, link, &buf);
+        // for room.
+        let SocketLinks { page, inbound, links } = self;
+        if page.slot(dst).is_gone() {
+            return;
         }
-        if buf.capacity() <= SEND_BUF_KEEP {
-            self.send_buf = buf;
+        let link = links[dst].get_or_insert_with(|| {
+            OutLink::open(page, dst, me)
+                .unwrap_or_else(|e| panic!("rank {me}: link to rank {dst}: {e}"))
+        });
+        // Header and encoding go straight into the peer's ring, and the
+        // frame is published once, before `send` returns. Nothing is ever
+        // held back for a later flush: that would be aggregation behind
+        // the caller's back, and would stall a producer's last element
+        // for as long as the application computes between sends.
+        let start = link.ring.start();
+        let end = start + (FRAME_OVERHEAD + len) as u64;
+        let limit = link.ring.limit().min(end);
+        let mut out = RingOut { link, page, inbound, at: start, limit, end, over: 0, gone: false };
+        out.put(&head);
+        v.encode(&mut out);
+        let RingOut { link, at, over, gone, .. } = out;
+        if gone {
+            return;
         }
+        let encoded = (at - start) as usize + over - FRAME_OVERHEAD;
+        assert!(
+            encoded == len,
+            "rank {me}: send to rank {dst} under tag {tag:?}: {} encoded {encoded} bytes, but \
+             its wire_len said {len}",
+            std::any::type_name::<T>()
+        );
+        link.publish_to(page, at);
     }
 
     fn recv<T: Wire + Send + 'static>(
@@ -684,25 +688,16 @@ impl Inbound {
             }
         }
     }
+}
 
-    /// Copy `frame` into `out`'s ring and publish it, in pieces if it
-    /// does not fit, serving the links while the ring is full: two ranks
-    /// flooding each other drain each other instead of wedging. An error
-    /// means the receiving rank has left the world.
-    fn send_frame(
-        &mut self,
-        page: &Arc<Page>,
-        out: &mut OutLink,
-        mut frame: &[u8],
-    ) -> io::Result<()> {
-        loop {
-            frame = &frame[out.publish(page, frame)..];
-            if frame.is_empty() {
-                return Ok(());
-            }
-            out.wait_room(page, self.rank, || self.serve(page))?;
-        }
-    }
+/// The links of `n` ranks in this process, over one world on the heap,
+/// and that world: for tests that drive a rank's send and receive paths
+/// without processes (with a thread per rank where a send must wait for
+/// a reader).
+#[doc(hidden)]
+pub fn local_world(n: usize) -> (Arc<Page>, Vec<SocketLinks>) {
+    let page = Arc::new(Page::local(n));
+    (Arc::clone(&page), (0..n).map(|r| SocketLinks::new(Arc::clone(&page), r)).collect())
 }
 
 /// One outbound link: the ring this rank publishes its frames into, and
@@ -731,6 +726,14 @@ impl OutLink {
         n
     }
 
+    /// Publish what is written up to `at`, and ring the reader if that
+    /// was anything.
+    fn publish_to(&mut self, page: &Page, at: u64) {
+        if self.ring.publish_to(at) {
+            page.slot(self.dst).ring();
+        }
+    }
+
     /// Wait on rank `me`'s bell until the ring has room, calling `serve`
     /// at every look: raise the ring's `writer_parked` and look at its
     /// `tail` again, so the reader that frees room rings `me`. An error
@@ -746,6 +749,89 @@ impl OutLink {
         match gone.expect("a wait without a deadline ends with room or a departure") {
             true => Err(io::Error::new(io::ErrorKind::BrokenPipe, "the receiving rank has gone")),
             false => Ok(()),
+        }
+    }
+}
+
+/// The sink `send` encodes into: the frame's bytes go straight into
+/// its link's ring from `at` on, unpublished until `send` publishes the
+/// whole frame. `limit` is where the free space ended at the last look,
+/// or the frame's `end` if that comes first, so a `put` under it is one
+/// copy, with no look at the reader's `tail`.
+///
+/// A `put` past `limit` takes [`RingOut::put_slow`]. Past `end` the
+/// encoder has put more than its `wire_len` said: from there on nothing
+/// is written, only counted in `over`, so `send` can name the mismatch
+/// before it publishes a byte of the frame. Otherwise the ring is full:
+/// what is written is published, the reader rung, and the rank waits for
+/// room on its bell, serving its inbound links as every wait of a socket
+/// rank does (DESIGN.md §16.3), so two ranks flooding each other drain
+/// each other. That wait has no deadline (`Until::Forever`): a reader
+/// that neither reads nor leaves holds its writer for good (ROADMAP
+/// 6(c)). A frame published in pieces that way is the one case where an
+/// encoder that puts fewer bytes than it said leaves a part of its frame
+/// in the ring before `send` panics. If the reader leaves the world while
+/// the rank waits (`gone`), the rest of the frame is dropped.
+struct RingOut<'a> {
+    link: &'a mut OutLink,
+    page: &'a Arc<Page>,
+    inbound: &'a mut Inbound,
+    /// Where the next byte goes.
+    at: u64,
+    /// How far a `put` may write without a look at the ring.
+    limit: u64,
+    /// One past the frame's last byte, by its `wire_len`.
+    end: u64,
+    /// Bytes put past `end`, counted and not written.
+    over: usize,
+    /// The reader left the world while this frame waited for room.
+    gone: bool,
+}
+
+impl WireOut for RingOut<'_> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        let to = self.at + bytes.len() as u64;
+        if to <= self.limit {
+            self.link.ring.put_at(self.at, bytes);
+            self.at = to;
+        } else {
+            self.put_slow(bytes);
+        }
+    }
+}
+
+impl RingOut<'_> {
+    /// A `put` that does not fit under `limit`: see [`RingOut`].
+    #[inline(never)]
+    fn put_slow(&mut self, mut bytes: &[u8]) {
+        if self.gone || self.over > 0 || self.at + bytes.len() as u64 > self.end {
+            // Every later `put` comes here too, and goes nowhere.
+            self.over += bytes.len();
+            self.limit = 0;
+            return;
+        }
+        loop {
+            let n = bytes.len().min(self.limit.saturating_sub(self.at) as usize);
+            if n > 0 {
+                self.link.ring.put_at(self.at, &bytes[..n]);
+                self.at += n as u64;
+                bytes = &bytes[n..];
+            }
+            if bytes.is_empty() {
+                return;
+            }
+            self.limit = self.link.ring.limit().min(self.end);
+            if self.limit <= self.at {
+                let RingOut { link, page, inbound, at, .. } = self;
+                link.publish_to(page, *at);
+                if link.wait_room(page, inbound.rank, || inbound.serve(page)).is_err() {
+                    self.gone = true;
+                    self.limit = 0;
+                    return;
+                }
+                self.limit = self.link.ring.limit().min(self.end);
+            }
         }
     }
 }
@@ -868,7 +954,7 @@ mod tests {
         // header are added. Never touched, so it costs no memory itself.
         let over = mpistream::MAX_FRAME_BYTES - frame::HEADER_BYTES - 8 + 1;
         let tag = Tag::user(9);
-        let mut ranks = local_world(2);
+        let (_, mut ranks) = local_world(2);
         let links = &mut ranks[0];
         let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             links.send(1, MsgInfo { src: 0, tag, bytes: 8 }, vec![0u8; over]);
@@ -892,18 +978,58 @@ mod tests {
         assert_eq!(v, 7);
     }
 
-    /// `n` ranks' links in this process, over one world on the heap.
-    fn local_world(n: usize) -> Vec<SocketLinks> {
-        let page = Arc::new(Page::local(n));
-        (0..n).map(|r| SocketLinks::new(Arc::clone(&page), r)).collect()
+    /// A payload whose encoding is `lens[0]` bytes the first time it is
+    /// encoded (the `wire_len` count) and `lens[1]` every time after.
+    struct Liar {
+        lens: [usize; 2],
+        encoded: std::cell::Cell<usize>,
+    }
+
+    impl Wire for Liar {
+        fn encode<O: WireOut>(&self, out: &mut O) {
+            let n = self.lens[self.encoded.get().min(1)];
+            self.encoded.set(self.encoded.get() + 1);
+            out.put(&vec![0xA5; n]);
+        }
+        fn decode(_: &mut &[u8]) -> Result<Self, mpistream::WireError> {
+            unreachable!("a Liar is never received")
+        }
+    }
+
+    /// An encoder that puts more or fewer bytes than its `wire_len` said
+    /// is the sender's panic, naming the type, and the peer's ring holds
+    /// no published byte of that frame — even when the surplus is larger
+    /// than the ring. The link goes on working.
+    #[test]
+    fn an_encoding_that_disagrees_with_wire_len_is_the_senders_panic() {
+        let (page, mut ranks) = local_world(2);
+        let tag = Tag::user(4);
+        let info = MsgInfo { src: 0, tag, bytes: 8 };
+        for lens in [[8, 16], [16, 8], [8, 2 * ring::RING_BYTES]] {
+            let links = &mut ranks[0];
+            let liar = Liar { lens, encoded: std::cell::Cell::new(0) };
+            let sent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                links.send(1, info, liar);
+            }));
+            let panic = sent.expect_err("a wire_len mismatch must panic");
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+            for needle in ["rank 0", "rank 1", "Liar", &format!("its wire_len said {}", lens[0])] {
+                assert!(msg.contains(needle), "panic {msg:?} does not name {needle:?}");
+            }
+            let mut peek = RingReader::open(&page, 1, 0).expect("map the ring");
+            let err = peek.read(&mut [0u8; 64]).expect_err("nothing published");
+            assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "{lens:?}");
+        }
+        ranks[0].send(1, info, 7u64);
+        let (v, _) = ranks[1].recv::<u64>(1, Src::Rank(0), tag, Until::Forever).expect("a frame");
+        assert_eq!(v, 7);
     }
 
     /// One writer per ring: a `RawLink` is refused on a ring the rank's
     /// own links hold, and a send on a ring a `RawLink` holds.
     #[test]
     fn a_ring_has_one_writer() {
-        let mut ranks = local_world(3);
-        let page = Arc::clone(&ranks[0].page);
+        let (page, mut ranks) = local_world(3);
         let info = |src| MsgInfo { src, tag: Tag::user(1), bytes: 8 };
         ranks[1].send(0, info(1), 1u64);
         let refused = RawLink::open_in(&page, 0, 1).err().expect("rank 1's links hold the ring");
@@ -955,7 +1081,7 @@ mod tests {
     /// wildcard drain at the end.
     #[test]
     fn typed_receive_matches_a_mailbox_fed_the_same_frames() {
-        let mut ranks = local_world(3);
+        let (_, mut ranks) = local_world(3);
         let reference = Mailbox::new();
         let (a, b, big) = (Tag::user(1), Tag::user(2), Tag::user(3));
         let large = vec![7u8; frame::LINK_BUF_BYTES + 100];
@@ -997,7 +1123,7 @@ mod tests {
     /// and then its link reads as the end of the stream and is dropped.
     #[test]
     fn a_dead_writers_frames_arrive_before_its_link_closes() {
-        let mut ranks = local_world(2);
+        let (_, mut ranks) = local_world(2);
         let reference = Mailbox::new();
         let (a, b) = (Tag::user(1), Tag::user(2));
         for (tag, v) in [(a, 1u64), (a, 2), (b, 3), (a, 4)] {
@@ -1019,7 +1145,7 @@ mod tests {
     /// took from.
     #[test]
     fn wildcard_receives_take_from_every_busy_link() {
-        let mut ranks = local_world(3);
+        let (_, mut ranks) = local_world(3);
         let reference = Mailbox::new();
         let tag = Tag::user(1);
         for i in 0..8u64 {

@@ -6,8 +6,9 @@
 //! data area of its own. The sender opens the ring on its first send to
 //! a rank ([`RingWriter`]'s `open` claims the header and maps the data
 //! area), and the receiver maps the same data area once it sees the
-//! header open. A frame is sent by copying it into the ring and
-//! publishing it, before `send` returns. The bytes in the ring are
+//! header open. A frame is sent by writing it into the ring where it
+//! will be read (the encoder writes there, behind the frame header) and
+//! publishing it once, before `send` returns. The bytes in the ring are
 //! exactly the frame stream of §16.2, which
 //! [`FrameReader`](crate::frame::FrameReader) parses: copied out, as from
 //! any `Read`, or where they lie, through `RingReader::lend`.
@@ -19,9 +20,9 @@
 //!
 //! Each side maps the data area twice, back to back, so the
 //! [`RING_BYTES`] from any offset in it are one run of memory, and the
-//! reader lends any published bytes as one slice, wherever they wrap.
-//! (The writer still copies a piece that wraps in two parts: see
-//! `Ring::copy_in`.) A ring with both ends in one process ([`local_pair`]:
+//! reader lends any published bytes as one slice, wherever they wrap;
+//! the writer copies any piece in with one copy through it too. A ring
+//! with both ends in one process ([`local_pair`]:
 //! tests and the model checker) lies in a [`Page::local`], whose headers
 //! are on the heap, where shadow atomics can live, and whose data areas
 //! are a private `memfd`, so both kinds run the same code.
@@ -158,31 +159,17 @@ impl Ring {
         unsafe { self.data.as_ptr().add((at % RING) as usize) }
     }
 
-    /// Copy `src` into the data area from position `at` on, wrapping:
-    /// what runs past the end goes to the front. (One copy through the
-    /// mirror would do, but it measured ≈ 8 % slower on `socket_fine`,
-    /// whose frames never wrap, in five interleaved rounds — although it
-    /// makes one `memcpy` call per frame where this makes two; the cause
-    /// is not known. The reader lends through the mirror.)
+    /// Copy `src` into the data area from position `at` on: one copy,
+    /// through the mirror wherever it wraps.
     ///
     /// # Safety
     /// Only the writer calls this, and only on positions the reader is
     /// not reading: `[at, at + src.len())` is free space.
+    #[inline]
     unsafe fn copy_in(&self, at: u64, src: &[u8]) {
-        let to = self.span(at, src.len());
-        let first = src.len().min(RING_BYTES - (at % RING) as usize);
-        // SAFETY: `first` bytes from `to`, then the rest (fewer than
-        // `RING_BYTES - first`) from the data area's start: `span` bounds
-        // the length, so both lie inside it. The caller guarantees nobody
-        // reads them meanwhile.
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), to, first);
-            std::ptr::copy_nonoverlapping(
-                src.as_ptr().add(first),
-                self.data.as_ptr(),
-                src.len() - first,
-            );
-        }
+        // SAFETY: `span` bounds the range inside the mapping, and the
+        // caller guarantees nobody reads it meanwhile.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.span(at, src.len()), src.len()) };
     }
 
     /// The `len` bytes from position `at` on, as one slice.
@@ -216,12 +203,22 @@ pub fn local_pair() -> (RingWriter, RingReader) {
 }
 
 /// The writing end of a ring.
+///
+/// A frame is written in place and published once: [`RingWriter::start`]
+/// gives the position it starts at, [`RingWriter::limit`] how far the
+/// free space reaches, [`RingWriter::put_at`] copies bytes in under that
+/// limit, and [`RingWriter::publish_to`] hands everything up to a
+/// position to the reader. Bytes written but not published are the
+/// writer's alone: the reader stops at `head`. [`RingWriter::publish`]
+/// is the four in a row, for a frame that is already in one buffer.
 pub struct RingWriter {
     ring: Ring,
     /// This side's copy of `head`.
     head: u64,
     /// This side's copy of `front`.
     front: u64,
+    /// The last [`RingWriter::limit`]: no write reaches past it.
+    limit: u64,
 }
 
 impl RingWriter {
@@ -232,7 +229,7 @@ impl RingWriter {
             let msg = format!("the ring from rank {src} to rank {dst} already has a writer");
             return Err(io::Error::new(io::ErrorKind::AlreadyExists, msg));
         }
-        Ok(RingWriter { ring: Ring::open(page, dst, src)?, head: 0, front: 0 })
+        Ok(RingWriter { ring: Ring::open(page, dst, src)?, head: 0, front: 0, limit: 0 })
     }
 
     /// Free bytes, given the reader's published `tail`. A `tail` out of
@@ -243,6 +240,59 @@ impl RingWriter {
         RING_BYTES - unread as usize
     }
 
+    /// Begin a frame, with everything written so far published: restart
+    /// at the front if the ring is empty away from offset 0 (module
+    /// docs). Returns the position the frame starts at, `head`.
+    pub fn start(&mut self) -> u64 {
+        let h = self.ring.header();
+        if h.tail.0.load(SeqCst).max(self.front) == self.head && !self.head.is_multiple_of(RING) {
+            self.front = self.head.next_multiple_of(RING);
+            self.head = self.front;
+            h.front.0.store(self.front, SeqCst);
+        }
+        self.head
+    }
+
+    /// One load of the reader's `tail`: the position the free space
+    /// reaches, `head` when the ring is full. A `tail` out of order reads
+    /// as a full ring.
+    #[inline]
+    pub fn limit(&mut self) -> u64 {
+        self.limit = self.head + self.free(self.ring.header().tail.0.load(SeqCst)) as u64;
+        self.limit
+    }
+
+    /// Copy `bytes` into the ring from position `at` on, unpublished:
+    /// one copy, through the mirror wherever it wraps. The bytes must lie
+    /// between `head` and the last [`RingWriter::limit`].
+    #[inline]
+    pub fn put_at(&mut self, at: u64, bytes: &[u8]) {
+        assert!(
+            self.head <= at && at + bytes.len() as u64 <= self.limit,
+            "a write outside the free space"
+        );
+        // SAFETY: `[at, at + len)` lies in `[head, limit)`, free space:
+        // `limit` came from a `tail` the reader published, and its `tail`
+        // only grows.
+        unsafe { self.ring.copy_in(at, bytes) };
+    }
+
+    /// Publish everything written up to position `at`, from `head` on.
+    /// Returns whether that was anything; if so, the caller then rings
+    /// the reader's slot. (`at` may lie past the last
+    /// [`RingWriter::limit`] when the reader's `tail` has gone out of
+    /// order since the bytes were written: they were free space then.)
+    #[inline]
+    pub fn publish_to(&mut self, at: u64) -> bool {
+        assert!(self.head <= at && at - self.head <= RING, "a publish of more than the ring");
+        if at == self.head {
+            return false;
+        }
+        self.head = at;
+        self.ring.header().head.0.store(at, SeqCst);
+        true
+    }
+
     /// Copy as much of `bytes` as fits into the ring and publish it;
     /// returns how much that was (0 only when the ring is full or
     /// `bytes` empty). The caller then rings the reader's slot.
@@ -250,28 +300,16 @@ impl RingWriter {
         if bytes.is_empty() {
             return 0;
         }
-        let h = self.ring.header();
-        let tail = h.tail.0.load(SeqCst);
-        if tail.max(self.front) == self.head && !self.head.is_multiple_of(RING) {
-            // Empty: restart at the front (module docs).
-            self.front = self.head.next_multiple_of(RING);
-            self.head = self.front;
-            h.front.0.store(self.front, SeqCst);
-        }
-        let n = self.free(tail).min(bytes.len());
-        if n == 0 {
-            return 0;
-        }
-        // SAFETY: `[head, head + n)` is free: the reader has published a
-        // `tail` at most `RING_BYTES - n` behind it.
-        unsafe { self.ring.copy_in(self.head, &bytes[..n]) };
-        self.head += n as u64;
-        h.head.0.store(self.head, SeqCst);
+        let at = self.start();
+        let n = bytes.len().min((self.limit() - at) as usize);
+        self.put_at(at, &bytes[..n]);
+        self.publish_to(at + n as u64);
         n
     }
 
-    /// Before waiting for room: raise `writer_parked`, then look at the
-    /// reader's `tail` again. `true`: the ring is still full, and the
+    /// Before waiting for room, with everything written published: raise
+    /// `writer_parked`, then look at the reader's `tail` again. `true`:
+    /// the ring is still full, and the
     /// reader that frees space will claim the wake. `false`: room
     /// appeared meanwhile; do not sleep. Either way call
     /// [`RingWriter::unpark`] once awake.
@@ -312,8 +350,11 @@ pub struct RingReader {
 }
 
 impl RingReader {
-    /// Map the ring from `src` to `dst` of `page` to read it.
-    pub(crate) fn open(page: &Arc<Page>, dst: usize, src: usize) -> io::Result<RingReader> {
+    /// Map the ring from `src` to `dst` of `page` to read it. A ring has
+    /// one reader, the receiving rank's links; outside this crate this is
+    /// for tests that read a ring's bytes as they are.
+    #[doc(hidden)]
+    pub fn open(page: &Arc<Page>, dst: usize, src: usize) -> io::Result<RingReader> {
         let ring = Ring::open(page, dst, src)?;
         Ok(RingReader { ring, tail: 0, released: 0, head: 0, closed: false, wake_owed: false })
     }

@@ -15,7 +15,9 @@
 //! `FUTEX_WAIT`/`FUTEX_WAKE` are shadowed, by a mutex and condvar that
 //! go with each bell (`native::sync::futex`). What the models supply is
 //! the rank around them: a thread waits by the rule of
-//! `Inbound::progress` ([`wait`]). Each clean model must explore ≥ 1,000
+//! `Inbound::progress` ([`wait`]), and a writer writes a frame the way
+//! a rank's `send` does, unpublished until it is whole or the ring is
+//! full (model 7). Each clean model must explore ≥ 1,000
 //! distinct schedules at a preemption bound ≥ 2 with no violation; the
 //! seeded mutant — a writer that publishes and never claims the reader's
 //! bell — must be caught as a lost wake-up (SC202) with a trace that
@@ -350,6 +352,103 @@ fn a_frame_waited_for_in_the_ring_is_clean() {
                     Ok(Some((tag, _, payload))) => {
                         assert!(matches!(payload, Cow::Borrowed(_)), "lent from the ring");
                         assert!(tag == 2 && payload[..] == next[frame::FRAME_OVERHEAD..]);
+                        true
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
+                    other => panic!("frame read: {:?}", other.map(|f| f.map(|f| f.0))),
+                };
+                if reader.get_mut().take_wake() {
+                    peer.ring();
+                }
+                done
+            });
+        }
+        w.join().unwrap();
+    });
+    assert_clean_and_explored(&out);
+}
+
+// ---------------------------------------------------------------------
+// 7. Unpublished writes against a concurrent release
+// ---------------------------------------------------------------------
+
+/// How a rank's `send` writes a frame: from [`RingWriter::start`] on,
+/// with `put_at`s under [`RingWriter::limit`], publishing only when the
+/// ring is full (then it waits for room) and once at the end. The reader
+/// holds a lent frame of three quarters of the ring when the writer
+/// begins the next, half the ring, in eighth-ring pieces, each under a
+/// fresh `limit()`: more than the free space. The reader checks its lent
+/// frame, looks at its slot (a point where the writer may run), checks
+/// it again, then releases it and waits for the next frame in the ring,
+/// while the writer has written bytes it has not published. Under every
+/// schedule the lent frame is intact when the reader lets it go — the
+/// writer never wrote on unreleased bytes — and the next frame, lent from
+/// the ring, is exactly the one written: the reader never lent a byte
+/// the writer had not published.
+#[test]
+fn unpublished_writes_against_a_concurrent_release_are_clean() {
+    const PIECE: usize = RING_BYTES / 8;
+    let out = checker(4_000, 3).model(|| {
+        let page = Arc::new(Page::local(2));
+        let (mut writer, ring) = ring::local_pair();
+        let mut reader = FrameReader::new(ring);
+        let lead = frame_bytes(RING_BYTES / 4 * 3, 1);
+        let next = frame_bytes(RING_BYTES / 2, 2);
+        assert_eq!(writer.publish(&lead), lead.len());
+        let w = {
+            let page = Arc::clone(&page);
+            let next = next.clone();
+            schedcheck::thread::spawn(move || {
+                let (me, reader) = (page.slot(1), page.slot(0));
+                let mut at = writer.start();
+                let mut sent = 0;
+                while sent < next.len() {
+                    wait(me, || {
+                        let mut moved = false;
+                        loop {
+                            let room = writer.limit().saturating_sub(at) as usize;
+                            let n = room.min(next.len() - sent).min(PIECE);
+                            if n == 0 {
+                                break;
+                            }
+                            writer.put_at(at, &next[sent..sent + n]);
+                            (at, sent, moved) = (at + n as u64, sent + n, true);
+                        }
+                        if sent == next.len() {
+                            return true;
+                        }
+                        // Full: publish what is written, then park.
+                        if writer.publish_to(at) {
+                            reader.ring();
+                        }
+                        moved || !writer.park()
+                    });
+                    writer.unpark();
+                }
+                if writer.publish_to(at) {
+                    reader.ring();
+                }
+            })
+        };
+        let (me, peer) = (page.slot(0), page.slot(1));
+        {
+            let (tag, _, held) = reader.lend_frame().expect("whole").expect("live");
+            assert!(tag == 1 && matches!(held, Cow::Borrowed(_)), "the lead frame is lent");
+            assert!(held[..] == lead[frame::FRAME_OVERHEAD..], "the lead frame as published");
+            let _ = me.dials();
+            assert!(held[..] == lead[frame::FRAME_OVERHEAD..], "a write on a lent frame");
+        }
+        let mut done = false;
+        while !done {
+            wait(me, || {
+                done = match reader.lend_frame() {
+                    Ok(Some((tag, _, payload))) => {
+                        assert!(matches!(payload, Cow::Borrowed(_)), "lent from the ring");
+                        assert!(tag == 2, "the next frame");
+                        assert!(
+                            payload[..] == next[frame::FRAME_OVERHEAD..],
+                            "an unpublished byte"
+                        );
                         true
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
