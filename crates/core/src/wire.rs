@@ -19,7 +19,10 @@
 //! byte, which is [`Wire::wire_len`]: the same encoder run into a sink
 //! that only counts. The fixed-width numbers `put` a whole sequence at
 //! once, so on them, and on every `Vec` or `StreamMsg` of them, the count
-//! costs a few additions; `to_frame` uses it to allocate once.
+//! costs a few additions. Anything encoded element by element (a
+//! `wire_struct!` type, a tuple, a `String` inside a `Vec`) is counted
+//! element by element too: for those the count is a second encoder pass,
+//! with additions in place of stores.
 //!
 //! ## Encoding rules (DESIGN.md §16)
 //!
@@ -171,7 +174,8 @@ pub trait Wire: Sized {
     /// The length of this value's encoding: the encoder run into a sink
     /// that only counts. A value whose encoding is a few `put`s — a
     /// number, a `Vec` of numbers, a `StreamMsg` of them — costs a few
-    /// additions, whatever its size. The socket backend sizes a frame by
+    /// additions, whatever its size; a sequence encoded element by
+    /// element costs one addition per `put` of its elements. The socket backend sizes a frame by
     /// it before the first byte goes into the ring, so an `encode` must
     /// put exactly this many bytes: one that puts a different count
     /// each time it runs is the sender's panic there.
@@ -181,9 +185,9 @@ pub trait Wire: Sized {
         n.0
     }
 
-    /// Encode into a fresh frame body, allocated once at its exact size.
+    /// Encode into a fresh frame body.
     fn to_frame(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
+        let mut out = Vec::new();
         self.encode(&mut out);
         out
     }

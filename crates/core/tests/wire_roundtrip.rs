@@ -417,16 +417,14 @@ fn golden_frames_are_byte_identical_to_the_element_wise_format() {
 
 thread_local! {
     /// Largest single allocation this thread has requested since the
-    /// last reset, and how many it has requested. Plain `Cell`s,
-    /// const-initialised and without a destructor, so the allocator may
-    /// touch them at any time.
+    /// last reset. Plain `Cell`, const-initialised and without a
+    /// destructor, so the allocator may touch it at any time.
     static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
-    static REQUESTS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator, noting each thread's largest request and
-/// counting them (the default `alloc_zeroed` and `realloc` go through
-/// `alloc`, so every request is seen).
+/// The system allocator, noting each thread's largest request (the
+/// default `alloc_zeroed` and `realloc` go through `alloc`, so every
+/// request is seen).
 struct NotingAllocator;
 
 // SAFETY: both methods forward unchanged to `System`, which upholds the
@@ -435,7 +433,6 @@ struct NotingAllocator;
 unsafe impl GlobalAlloc for NotingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = LARGEST_REQUEST.try_with(|c| c.set(c.get().max(layout.size())));
-        let _ = REQUESTS.try_with(|c| c.set(c.get() + 1));
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -476,20 +473,4 @@ fn corrupt_count_reserves_no_more_than_the_frame_could_hold() {
     let got = Vec::<f64>::from_frame(&numbers);
     assert!(matches!(got, Err(WireError::Truncated { .. })));
     assert_eq!(LARGEST_REQUEST.with(Cell::get), 0, "a failed block decode allocated");
-}
-
-#[test]
-fn to_frame_allocates_once() {
-    // One `socket_bulk` element: `to_frame` sizes the frame with
-    // `wire_len` first, so the growth reallocations are gone.
-    fn once<T: Wire>(v: &T) {
-        let len = v.wire_len();
-        REQUESTS.with(|c| c.set(0));
-        let frame = v.to_frame();
-        let what = std::any::type_name::<T>();
-        assert_eq!(REQUESTS.with(Cell::get), 1, "allocator requests of one {what} to_frame");
-        assert_eq!((frame.len(), frame.capacity()), (len, len), "{what}");
-    }
-    once(&StreamMsg::Data(vec![(0..8192).map(f64::from).collect::<Vec<f64>>()]));
-    once(&StreamMsg::Data(vec![7u64]));
 }

@@ -507,9 +507,9 @@ impl Links for SocketLinks {
         // held back for a later flush: that would be aggregation behind
         // the caller's back, and would stall a producer's last element
         // for as long as the application computes between sends.
-        let start = link.ring.start();
+        let (start, limit) = link.ring.start();
         let end = start + (FRAME_OVERHEAD + len) as u64;
-        let limit = link.ring.limit().min(end);
+        let limit = limit.min(end);
         let mut out = RingOut { link, page, inbound, at: start, limit, end, over: 0, gone: false };
         out.put(&head);
         v.encode(&mut out);

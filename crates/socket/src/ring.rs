@@ -205,9 +205,9 @@ pub fn local_pair() -> (RingWriter, RingReader) {
 /// The writing end of a ring.
 ///
 /// A frame is written in place and published once: [`RingWriter::start`]
-/// gives the position it starts at, [`RingWriter::limit`] how far the
-/// free space reaches, [`RingWriter::put_at`] copies bytes in under that
-/// limit, and [`RingWriter::publish_to`] hands everything up to a
+/// gives the position it starts at and how far the free space reaches,
+/// [`RingWriter::limit`] looks again at how far it reaches,
+/// [`RingWriter::put_at`] copies bytes in under that limit, and [`RingWriter::publish_to`] hands everything up to a
 /// position to the reader. Bytes written but not published are the
 /// writer's alone: the reader stops at `head`. [`RingWriter::publish`]
 /// is the four in a row, for a frame that is already in one buffer.
@@ -217,7 +217,8 @@ pub struct RingWriter {
     head: u64,
     /// This side's copy of `front`.
     front: u64,
-    /// The last [`RingWriter::limit`]: no write reaches past it.
+    /// The last limit [`RingWriter::start`] or [`RingWriter::limit`]
+    /// gave: no write reaches past it.
     limit: u64,
 }
 
@@ -242,18 +243,23 @@ impl RingWriter {
 
     /// Begin a frame, with everything written so far published: restart
     /// at the front if the ring is empty away from offset 0 (module
-    /// docs). Returns the position the frame starts at, `head`.
-    pub fn start(&mut self) -> u64 {
+    /// docs). Returns the position the frame starts at, `head`, and the
+    /// position the free space reaches, both from one load of `tail`.
+    #[inline]
+    pub fn start(&mut self) -> (u64, u64) {
         let h = self.ring.header();
-        if h.tail.0.load(SeqCst).max(self.front) == self.head && !self.head.is_multiple_of(RING) {
+        let tail = h.tail.0.load(SeqCst);
+        if tail.max(self.front) == self.head && !self.head.is_multiple_of(RING) {
             self.front = self.head.next_multiple_of(RING);
             self.head = self.front;
             h.front.0.store(self.front, SeqCst);
         }
-        self.head
+        self.limit = self.head + self.free(tail) as u64;
+        (self.head, self.limit)
     }
 
-    /// One load of the reader's `tail`: the position the free space
+    /// One more load of the reader's `tail`, for a frame that outgrew
+    /// the limit [`RingWriter::start`] gave: the position the free space
     /// reaches, `head` when the ring is full. A `tail` out of order reads
     /// as a full ring.
     #[inline]
@@ -264,7 +270,7 @@ impl RingWriter {
 
     /// Copy `bytes` into the ring from position `at` on, unpublished:
     /// one copy, through the mirror wherever it wraps. The bytes must lie
-    /// between `head` and the last [`RingWriter::limit`].
+    /// between `head` and the last limit.
     #[inline]
     pub fn put_at(&mut self, at: u64, bytes: &[u8]) {
         assert!(
@@ -300,8 +306,8 @@ impl RingWriter {
         if bytes.is_empty() {
             return 0;
         }
-        let at = self.start();
-        let n = bytes.len().min((self.limit() - at) as usize);
+        let (at, limit) = self.start();
+        let n = bytes.len().min((limit - at) as usize);
         self.put_at(at, &bytes[..n]);
         self.publish_to(at + n as u64);
         n

@@ -400,7 +400,7 @@ fn unpublished_writes_against_a_concurrent_release_are_clean() {
             let next = next.clone();
             schedcheck::thread::spawn(move || {
                 let (me, reader) = (page.slot(1), page.slot(0));
-                let mut at = writer.start();
+                let (mut at, _) = writer.start();
                 let mut sent = 0;
                 while sent < next.len() {
                     wait(me, || {
