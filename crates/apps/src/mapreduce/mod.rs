@@ -266,6 +266,26 @@ pub fn run_reference(nprocs: usize, cfg: &MapReduceConfig) -> MapReduceResult {
 /// pairs.
 pub type KvChunk = Vec<(u32, u32)>;
 
+/// Partition one map chunk among `nc` local reducers: part `i` holds the
+/// pairs whose word `w % nc == i`, in the chunk's word order. With one
+/// reducer the chunk itself is the only part, moved, not copied;
+/// otherwise a counting pass sizes each part exactly and one pass fills
+/// them, so no part grows.
+pub fn split_by_reducer(pairs: KvChunk, nc: usize) -> Vec<KvChunk> {
+    if nc == 1 {
+        return vec![pairs];
+    }
+    let mut sizes = vec![0usize; nc];
+    for &(w, _) in &pairs {
+        sizes[w as usize % nc] += 1;
+    }
+    let mut parts: Vec<KvChunk> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (w, c) in pairs {
+        parts[w as usize % nc].push((w, c));
+    }
+    parts
+}
+
 /// A folded histogram shard climbing the reduction tree (sorted by word).
 pub(crate) type Shard = Vec<(u32, u64)>;
 
@@ -448,11 +468,7 @@ pub fn decoupled_rank<TP: Transport>(
             let mut comb =
                 (shape.combine_every > 1).then(|| Combiner::new(&stream, shape.combine_every));
             map(rank, mi, map_ranks.len(), &mut |rank, pairs| {
-                let mut by_consumer: Vec<KvChunk> = vec![Vec::new(); nc];
-                for (w, c) in pairs {
-                    by_consumer[w as usize % nc].push((w, c));
-                }
-                for (ci, part) in by_consumer.into_iter().enumerate() {
+                for (ci, part) in split_by_reducer(pairs, nc).into_iter().enumerate() {
                     if part.is_empty() {
                         continue;
                     }
@@ -637,6 +653,7 @@ pub fn topology(nprocs: usize, cfg: &MapReduceConfig) -> streamcheck::Topology {
 mod tests {
     use super::*;
     use mpisim::NoiseModel;
+    use proptest::prelude::*;
 
     fn small_cfg(n_files: usize) -> MapReduceConfig {
         MapReduceConfig {
@@ -738,6 +755,52 @@ mod tests {
             assert_eq!(pairs.iter().map(|&(_, c)| c as usize).sum::<usize>(), chunk.len());
         }
         assert_eq!(count_words(all_equal), vec![(7, 128)]);
+    }
+
+    /// How the mapper partitioned a chunk before `split_by_reducer`: one
+    /// growing part per reducer, pair by pair.
+    fn split_pair_by_pair(pairs: KvChunk, nc: usize) -> Vec<KvChunk> {
+        let mut by_consumer: Vec<KvChunk> = vec![Vec::new(); nc];
+        for (w, c) in pairs {
+            by_consumer[w as usize % nc].push((w, c));
+        }
+        by_consumer
+    }
+
+    /// A map chunk as `count_words` emits it: distinct words, ascending.
+    fn sorted_chunk() -> impl Strategy<Value = KvChunk> {
+        prop::collection::vec((any::<u32>(), 1u32..1_000), 0..200).prop_map(|mut pairs| {
+            pairs.sort_unstable();
+            pairs.dedup_by_key(|&mut (w, _)| w);
+            pairs
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn split_by_reducer_partitions_by_word(
+            pairs in prop_oneof![1 => Just(KvChunk::new()), 9 => sorted_chunk()],
+        ) {
+            for nc in [1usize, 2, 3, 7, 16] {
+                let old = split_pair_by_pair(pairs.clone(), nc);
+                let input = pairs.clone();
+                let at = input.as_ptr();
+                let parts = split_by_reducer(input, nc);
+                if nc == 1 {
+                    prop_assert_eq!(parts[0].as_ptr(), at, "one reducer gets the chunk itself");
+                }
+                prop_assert_eq!(&parts, &old, "nc = {}", nc);
+                for (i, part) in parts.iter().enumerate() {
+                    prop_assert!(part.iter().all(|&(w, _)| w as usize % nc == i));
+                    prop_assert!(part.windows(2).all(|p| p[0].0 < p[1].0), "part {} unsorted", i);
+                }
+                let mut all = parts.concat();
+                all.sort_unstable();
+                prop_assert_eq!(&all, &pairs, "the parts are a permutation of the chunk");
+            }
+        }
     }
 
     #[test]

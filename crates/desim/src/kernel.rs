@@ -66,13 +66,14 @@ const RUNNER: Pid = Pid::MAX;
 
 /// The most recent trace span a process opened (and possibly closed),
 /// remembered even when no trace sink is recording so deadlock reports can
-/// show where each process last was without re-running under trace.
+/// show where each process last was without re-running under trace. The
+/// process's [`crate::Ctx`] keeps it and hands it over each time it blocks.
 #[derive(Clone, Copy)]
-struct SpanNote {
-    tag: &'static str,
-    start: u64,
+pub(crate) struct SpanNote {
+    pub(crate) tag: &'static str,
+    pub(crate) start: u64,
     /// `None` while the span is still open.
-    end: Option<u64>,
+    pub(crate) end: Option<u64>,
 }
 
 struct ProcMeta {
@@ -87,7 +88,8 @@ struct ProcMeta {
     /// Human-readable description of what the process is blocked on,
     /// reported on deadlock.
     blocked_on: &'static str,
-    /// Most recent trace span, for deadlock diagnosis.
+    /// Most recent trace span as of the process's last block, for
+    /// deadlock diagnosis.
     last_span: Option<SpanNote>,
 }
 
@@ -131,6 +133,17 @@ impl Sched {
             self.now = ev.time;
             self.stats.fired += 1;
             return Some(ev.pid);
+        }
+    }
+
+    /// Record why `me` blocks and, if given, its most recent trace span.
+    /// A deadlock is found only while every live process is blocked, so
+    /// the report reads each one's span as of its block.
+    fn block(&mut self, me: Pid, why: &'static str, span: Option<SpanNote>) {
+        let p = &mut self.procs[me];
+        p.blocked_on = why;
+        if span.is_some() {
+            p.last_span = span;
         }
     }
 
@@ -307,13 +320,19 @@ impl Kernel {
     /// unless `me` is the running process and this is the simulation's
     /// thread.
     pub fn suspend(&self, me: Pid, why: &'static str) {
+        self.suspend_noting(me, why, None);
+    }
+
+    /// [`Kernel::suspend`], handing over `span`, the caller's most recent
+    /// trace span (kept when `None`), in the lock section the block takes.
+    pub(crate) fn suspend_noting(&self, me: Pid, why: &'static str, span: Option<SpanNote>) {
         self.check_abort();
         // One lock section: record why we block, pop the next event, publish
         // the clock, and pick both fibers for the hand-off. When our own
         // wake-up is next we return without switching.
         let hand = {
             let mut s = self.state.lock();
-            s.procs[me].blocked_on = why;
+            s.block(me, why, span);
             match s.pop_runnable() {
                 Some(p) => {
                     self.now_cache.store(s.now, Ordering::Release);
@@ -346,6 +365,12 @@ impl Kernel {
     /// Advance the calling process's local time by `dt` (a "compute" step).
     /// Other processes run during the interval.
     pub fn advance(&self, me: Pid, dt: SimDuration) {
+        self.advance_noting(me, dt, None);
+    }
+
+    /// [`Kernel::advance`], handing over `span` as
+    /// [`Kernel::suspend_noting`] does.
+    pub(crate) fn advance_noting(&self, me: Pid, dt: SimDuration, span: Option<SpanNote>) {
         if dt == SimDuration::ZERO {
             return;
         }
@@ -369,7 +394,7 @@ impl Kernel {
                         // trip and no switch.
                         let t = s.now + dt.0;
                         s.push_event(t, me);
-                        s.procs[me].blocked_on = "advance";
+                        s.block(me, "advance", span);
                         target = Some(t);
                         t
                     }
@@ -558,14 +583,6 @@ impl Kernel {
             }
         }
         self.aborted.store(true, Ordering::SeqCst);
-    }
-
-    /// Remember `pid`'s most recent trace span. Called by
-    /// [`crate::Ctx::trace_begin`]/[`crate::Ctx::trace_end`] whether or not a
-    /// trace sink is recording, so deadlock reports can show where each
-    /// process last was without re-running under trace.
-    pub(crate) fn note_span(&self, pid: Pid, tag: &'static str, start: u64, end: Option<u64>) {
-        self.state.lock().procs[pid].last_span = Some(SpanNote { tag, start, end });
     }
 
     /// Register a diagnostic source whose output is appended to deadlock

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fiber;
-use crate::kernel::{EventStats, Kernel, Pid, ProcKill, SimAbort};
+use crate::kernel::{EventStats, Kernel, Pid, ProcKill, SimAbort, SpanNote};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Span, Trace, TraceSink};
 
@@ -286,6 +286,7 @@ impl ProcEnv {
                 trace,
                 busy: SimDuration::ZERO,
                 open_spans: Vec::new(),
+                last_span: None,
                 lag: 0,
                 lazy,
             };
@@ -370,6 +371,10 @@ pub struct Ctx {
     trace: TraceSink,
     busy: SimDuration,
     open_spans: Vec<(&'static str, SimTime)>,
+    /// The most recent span opened or closed, handed to the kernel each
+    /// time this process blocks (for deadlock reports): a span itself
+    /// takes no lock.
+    last_span: Option<SpanNote>,
     /// Local lead over the kernel clock accumulated by `advance` in lazy
     /// mode ("decoupled local clock"): this process is at `kernel.now() +
     /// lag` while the heap never saw the intermediate steps. Always zero in
@@ -407,7 +412,7 @@ impl Ctx {
             // ahead locally. Reconciled at the next `suspend`.
             self.lag += dt.0;
         } else {
-            self.kernel.advance(self.pid, dt);
+            self.kernel.advance_noting(self.pid, dt, self.last_span);
         }
     }
 
@@ -429,7 +434,7 @@ impl Ctx {
     pub fn commit_lag(&mut self) {
         if self.lag > 0 {
             let lead = std::mem::take(&mut self.lag);
-            self.kernel.advance(self.pid, SimDuration(lead));
+            self.kernel.advance_noting(self.pid, SimDuration(lead), self.last_span);
         }
     }
 
@@ -437,7 +442,7 @@ impl Ctx {
     /// callers loop on their predicate. `why` shows up in deadlock reports.
     pub fn suspend(&mut self, why: &'static str) {
         if self.lag == 0 {
-            self.kernel.suspend(self.pid, why);
+            self.kernel.suspend_noting(self.pid, why, self.last_span);
             return;
         }
         // Reconcile the lazy lead commit-free: waiting and computing overlap
@@ -449,7 +454,7 @@ impl Ctx {
         // first: that would deliver (and swallow) the very wake-up events
         // this suspension is waiting for.
         let local = self.kernel.now().0 + self.lag;
-        self.kernel.suspend(self.pid, why);
+        self.kernel.suspend_noting(self.pid, why, self.last_span);
         self.lag = local.saturating_sub(self.kernel.now().0);
     }
 
@@ -486,13 +491,13 @@ impl Ctx {
     /// Open a trace span tagged `tag`. Nestable; close with
     /// [`Ctx::trace_end`] in LIFO order.
     ///
-    /// Span begin/end times are always noted to the kernel (so deadlock
-    /// reports can show each process's most recent span); the span is
-    /// *recorded* only when the simulation runs with `SimConfig::trace`.
+    /// The most recent span is always noted (deadlock reports show each
+    /// blocked process's); the span is *recorded* only when the simulation
+    /// runs with `SimConfig::trace`.
     pub fn trace_begin(&mut self, tag: &'static str) {
         let now = self.now();
         self.open_spans.push((tag, now));
-        self.kernel.note_span(self.pid, tag, now.0, None);
+        self.last_span = Some(SpanNote { tag, start: now.0, end: None });
     }
 
     /// Close the innermost open span with tag `tag` and record it.
@@ -504,7 +509,7 @@ impl Ctx {
             .unwrap_or_else(|| panic!("trace_end(\"{tag}\") without matching trace_begin"));
         let (_, start) = self.open_spans.remove(idx);
         let now = self.now();
-        self.kernel.note_span(self.pid, tag, start.0, Some(now.0));
+        self.last_span = Some(SpanNote { tag, start: start.0, end: Some(now.0) });
         if self.trace.enabled() {
             self.trace.record(Span { pid: self.pid, tag, start, end: now });
         }

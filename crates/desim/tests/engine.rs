@@ -94,6 +94,45 @@ fn deadlock_with_partner_processes_is_detected() {
 }
 
 #[test]
+fn deadlock_report_names_each_blocked_process_last_span() {
+    // No trace sink records here: a span is noted in its process's context
+    // and reaches the kernel when the process next blocks, so the report
+    // shows the span current at each process's last block.
+    let report = |lazy: bool| {
+        let mut sim = Simulation::new(SimConfig { lazy_time: lazy, ..SimConfig::default() });
+        sim.spawn("open", |ctx| {
+            ctx.advance(SimDuration::from_millis(1));
+            ctx.trace_begin("comm");
+            ctx.advance(SimDuration::from_millis(2));
+            ctx.suspend("waiting in comm");
+        });
+        sim.spawn("closed", |ctx| {
+            // Blocks once inside the span (in `advance`), then after it.
+            ctx.traced("comp", |ctx| ctx.advance(SimDuration::from_millis(4)));
+            ctx.advance(SimDuration::from_millis(1));
+            ctx.suspend("waiting after comp");
+        });
+        sim.spawn("spanless", |ctx| ctx.suspend("waiting"));
+        sim.run().unwrap_err().0
+    };
+    for lazy in [false, true] {
+        let err = report(lazy);
+        let lines: Vec<&str> = err.lines().filter(|l| l.contains("blocked on")).collect();
+        assert_eq!(
+            lines,
+            [
+                "  pid 0 `open` blocked on: waiting in comm \
+                 [last span: comm (open since 0.001000)]",
+                "  pid 1 `closed` blocked on: waiting after comp \
+                 [last span: comp (0.000000 .. 0.004000)]",
+                "  pid 2 `spanless` blocked on: waiting [last span: none]",
+            ],
+            "lazy_time: {lazy}; report:\n{err}"
+        );
+    }
+}
+
+#[test]
 fn process_panic_fails_the_simulation_with_message() {
     let mut sim = Simulation::new(SimConfig::default());
     sim.spawn("ok", |ctx| {
