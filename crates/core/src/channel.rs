@@ -189,34 +189,43 @@ impl std::error::Error for ConfigError {}
 
 impl ChannelConfig {
     /// Check the configuration for values that hang or misbehave at
-    /// runtime. Called by [`StreamChannel::create`]; also usable up front
-    /// (and by `streamcheck`'s static pass) without building a channel.
+    /// runtime: the first of [`ChannelConfig::violations`]. Called by
+    /// [`StreamChannel::create`]; also usable up front without building a
+    /// channel.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.violations().into_iter().next().map_or(Ok(()), Err)
+    }
+
+    /// Every rule the configuration breaks, in a fixed order (the order
+    /// [`ChannelConfig::validate`] reports the first of). A rule is
+    /// checked only where it is defined: the credit-batch margin only when
+    /// the window holds at least one batch. `streamcheck`'s static pass
+    /// reports exactly these.
+    pub fn violations(&self) -> Vec<ConfigError> {
+        let mut found = Vec::new();
         if self.element_bytes == 0 {
-            return Err(ConfigError::ZeroGranularity);
+            found.push(ConfigError::ZeroGranularity);
         }
         if self.aggregation == 0 {
-            return Err(ConfigError::ZeroAggregation);
+            found.push(ConfigError::ZeroAggregation);
         }
         match self.credits {
-            Some(0) => return Err(ConfigError::ZeroCreditWindow),
-            Some(c) if c < self.aggregation => {
-                return Err(ConfigError::CreditWindowBelowBatch {
-                    credits: c,
-                    aggregation: self.aggregation,
-                });
-            }
+            Some(0) => found.push(ConfigError::ZeroCreditWindow),
+            Some(c) if c < self.aggregation => found.push(ConfigError::CreditWindowBelowBatch {
+                credits: c,
+                aggregation: self.aggregation,
+            }),
             _ => {}
         }
         if self.failure_timeout == Some(SimDuration::ZERO) {
-            return Err(ConfigError::ZeroFailureTimeout);
+            found.push(ConfigError::ZeroFailureTimeout);
         }
         if self.credit_batch == 0 {
-            return Err(ConfigError::ZeroCreditBatch);
+            found.push(ConfigError::ZeroCreditBatch);
         }
-        if let Some(c) = self.credits {
+        if let Some(c) = self.credits.filter(|&c| self.aggregation > 0 && c >= self.aggregation) {
             if self.credit_batch > c - self.aggregation + 1 {
-                return Err(ConfigError::CreditBatchAboveWindow {
+                found.push(ConfigError::CreditBatchAboveWindow {
                     batch: self.credit_batch,
                     credits: c,
                     aggregation: self.aggregation,
@@ -224,17 +233,17 @@ impl ChannelConfig {
             }
         }
         if self.replication_patience == Some(SimDuration::ZERO) {
-            return Err(ConfigError::ZeroReplicationPatience);
+            found.push(ConfigError::ZeroReplicationPatience);
         }
         if self.replicas > 0 {
             if self.route == RoutePolicy::RoundRobin {
-                return Err(ConfigError::ReplicationNeedsStaticRoute);
+                found.push(ConfigError::ReplicationNeedsStaticRoute);
             }
             if self.effective_replication_patience().is_none() {
-                return Err(ConfigError::ReplicationWithoutTimeout);
+                found.push(ConfigError::ReplicationWithoutTimeout);
             }
         }
-        Ok(())
+        found
     }
 
     /// The standbys' failover patience: `replication_patience` when set,

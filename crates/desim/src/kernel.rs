@@ -17,7 +17,7 @@
 //! An event is nothing more than "wake process *p* at time *t*". A process
 //! may be woken spuriously (e.g. a stale wake-up scheduled by a sender whose
 //! message the process already consumed), so **every blocking primitive must
-//! re-check its predicate in a loop** after [`Kernel::suspend`] returns.
+//! re-check its predicate in a loop** after [`Ctx::suspend`](crate::Ctx::suspend) returns.
 //! This is the same discipline as condition variables.
 
 use std::cmp::Reverse;
@@ -316,16 +316,12 @@ impl Kernel {
     /// The caller transfers control to the owner of the next event in the
     /// heap. Returns when `me` is next switched to — which may be
     /// *spurious*; callers must loop on their predicate. `why` is reported
-    /// if a deadlock is detected while `me` is suspended here. Panics
+    /// if a deadlock is detected while `me` is suspended here, beside
+    /// `span`, the caller's most recent trace span (kept when `None`),
+    /// which is handed over in the lock section the block takes. Panics
     /// unless `me` is the running process and this is the simulation's
     /// thread.
-    pub fn suspend(&self, me: Pid, why: &'static str) {
-        self.suspend_noting(me, why, None);
-    }
-
-    /// [`Kernel::suspend`], handing over `span`, the caller's most recent
-    /// trace span (kept when `None`), in the lock section the block takes.
-    pub(crate) fn suspend_noting(&self, me: Pid, why: &'static str, span: Option<SpanNote>) {
+    pub(crate) fn suspend(&self, me: Pid, why: &'static str, span: Option<SpanNote>) {
         self.check_abort();
         // One lock section: record why we block, pop the next event, publish
         // the clock, and pick both fibers for the hand-off. When our own
@@ -362,15 +358,10 @@ impl Kernel {
         self.check_abort();
     }
 
-    /// Advance the calling process's local time by `dt` (a "compute" step).
-    /// Other processes run during the interval.
-    pub fn advance(&self, me: Pid, dt: SimDuration) {
-        self.advance_noting(me, dt, None);
-    }
-
-    /// [`Kernel::advance`], handing over `span` as
-    /// [`Kernel::suspend_noting`] does.
-    pub(crate) fn advance_noting(&self, me: Pid, dt: SimDuration, span: Option<SpanNote>) {
+    /// Advance the calling process's local time by `dt` (a "compute" step),
+    /// handing over `span` as [`Kernel::suspend`] does. Other processes
+    /// run during the interval.
+    pub(crate) fn advance(&self, me: Pid, dt: SimDuration, span: Option<SpanNote>) {
         if dt == SimDuration::ZERO {
             return;
         }

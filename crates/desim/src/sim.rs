@@ -412,7 +412,7 @@ impl Ctx {
             // ahead locally. Reconciled at the next `suspend`.
             self.lag += dt.0;
         } else {
-            self.kernel.advance_noting(self.pid, dt, self.last_span);
+            self.kernel.advance(self.pid, dt, self.last_span);
         }
     }
 
@@ -434,7 +434,7 @@ impl Ctx {
     pub fn commit_lag(&mut self) {
         if self.lag > 0 {
             let lead = std::mem::take(&mut self.lag);
-            self.kernel.advance_noting(self.pid, SimDuration(lead), self.last_span);
+            self.kernel.advance(self.pid, SimDuration(lead), self.last_span);
         }
     }
 
@@ -442,7 +442,7 @@ impl Ctx {
     /// callers loop on their predicate. `why` shows up in deadlock reports.
     pub fn suspend(&mut self, why: &'static str) {
         if self.lag == 0 {
-            self.kernel.suspend_noting(self.pid, why, self.last_span);
+            self.kernel.suspend(self.pid, why, self.last_span);
             return;
         }
         // Reconcile the lazy lead commit-free: waiting and computing overlap
@@ -454,7 +454,7 @@ impl Ctx {
         // first: that would deliver (and swallow) the very wake-up events
         // this suspension is waiting for.
         let local = self.kernel.now().0 + self.lag;
-        self.kernel.suspend_noting(self.pid, why, self.last_span);
+        self.kernel.suspend(self.pid, why, self.last_span);
         self.lag = local.saturating_sub(self.kernel.now().0);
     }
 

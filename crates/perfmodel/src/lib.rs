@@ -371,90 +371,3 @@ mod tests {
         assert!(f.decoupled < f.nonblocking, "decoupling additionally pipelines");
     }
 }
-
-/// Calibration utilities: fit the β(S) pipelining curve of Eq. 4 to
-/// measured `(granularity, time)` sweeps, so the model can be anchored to
-/// simulator (or real-machine) observations.
-pub mod fit {
-    use super::{Beta, Scenario};
-
-    /// Sum of squared relative errors of the model against measurements
-    /// at fixed α.
-    pub fn sse(scn: &Scenario, alpha: f64, data: &[(f64, f64)]) -> f64 {
-        data.iter()
-            .map(|&(s, t)| {
-                let m = scn.predict(alpha, s);
-                let e = (m - t) / t.max(1e-12);
-                e * e
-            })
-            .sum()
-    }
-
-    /// Grid-search `(beta_min, s0)` minimising [`sse`] over a measured
-    /// granularity sweep. Returns the fitted curve and its residual.
-    pub fn fit_beta(scn: &Scenario, alpha: f64, data: &[(f64, f64)]) -> (Beta, f64) {
-        assert!(!data.is_empty(), "need at least one measurement");
-        let mut best = (scn.beta, f64::INFINITY);
-        for ib in 0..=20 {
-            let beta_min = ib as f64 / 20.0;
-            for is in 0..=40 {
-                // s0 from 1 byte to 1 GB, log-spaced.
-                let s0 = 10f64.powf(is as f64 * 9.0 / 40.0);
-                let candidate = Beta::new(beta_min, s0);
-                let mut test = scn.clone();
-                test.beta = candidate;
-                let err = sse(&test, alpha, data);
-                if err < best.1 {
-                    best = (candidate, err);
-                }
-            }
-        }
-        best
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use crate::{Complexity, Scenario};
-
-        fn scenario(beta: Beta) -> Scenario {
-            Scenario {
-                t_w0: 1.0,
-                t_w1: 0.5,
-                complexity: Complexity::Divisible,
-                t_sigma: 0.05,
-                data_d: 1 << 28,
-                overhead_o: 2e-6,
-                p: 64,
-                beta,
-                op1_optimization: 4.0,
-            }
-        }
-
-        #[test]
-        fn fit_recovers_the_generating_curve() {
-            let truth = Beta::new(0.15, 1e5);
-            let scn = scenario(truth);
-            // Synthesise noiseless measurements from the true model.
-            let data: Vec<(f64, f64)> = (0..12)
-                .map(|i| {
-                    let s = 10f64.powf(2.0 + i as f64 * 0.5);
-                    (s, scn.predict(0.125, s))
-                })
-                .collect();
-            // Start the fit from a wrong curve.
-            let start = scenario(Beta::new(0.9, 1e2));
-            let (fitted, err) = fit_beta(&start, 0.125, &data);
-            assert!(err < 1e-3, "residual {err}");
-            assert!((fitted.beta_min - truth.beta_min).abs() <= 0.05, "{fitted:?}");
-        }
-
-        #[test]
-        fn sse_is_zero_on_perfect_model() {
-            let scn = scenario(Beta::new(0.2, 1e4));
-            let data: Vec<(f64, f64)> =
-                (1..5).map(|i| (1e3 * i as f64, scn.predict(0.25, 1e3 * i as f64))).collect();
-            assert!(sse(&scn, 0.25, &data) < 1e-20);
-        }
-    }
-}

@@ -160,13 +160,8 @@ where
         .iter()
         .position(|&w| w == rank.world_rank())
         .expect("run_replicated on a rank outside the channel's consumer group");
-    let patience = channel
-        .config()
-        .effective_replication_patience()
-        .expect("replicated config validated at channel creation");
-    // Heartbeat / retransmission cadence: a backup must miss four
-    // consecutive primary messages before it suspects a death.
-    let tick = SimDuration((patience.0 / 4).max(1));
+    // Heartbeat / retransmission cadence: the tick.
+    let (patience, tick) = crate::patience_and_tick(channel);
     let repl_tag = channel.repl_tag();
     let takeover_tag = channel.takeover_tag();
 

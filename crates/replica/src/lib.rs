@@ -39,3 +39,19 @@ pub mod vsr;
 pub use consumer::{run_replicated, RepState, ReplicaOutcome, ReplicaRole};
 pub use producer::{CreditMsg, ProducerFinish, ReplicatedProducer, TakeoverMsg};
 pub use vsr::{Effect, Snapshot, Status, VsrCore, VsrMsg};
+
+use mpistream::transport::SimDuration;
+use mpistream::StreamChannel;
+
+/// A replicated channel's failover patience, and the tick every wait of
+/// its protocol is bounded by: a quarter of the patience, so a standby
+/// must miss four consecutive primary messages before it suspects a
+/// death, and a producer polls for takeover announcements well within
+/// any failover.
+fn patience_and_tick(channel: &StreamChannel) -> (SimDuration, SimDuration) {
+    let patience = channel
+        .config()
+        .effective_replication_patience()
+        .expect("replicated config validated at channel creation");
+    (patience, SimDuration((patience.0 / 4).max(1)))
+}

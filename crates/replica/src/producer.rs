@@ -152,7 +152,7 @@ impl<T: Wire + Clone + Send + 'static> ReplicatedProducer<T> {
 
     /// World rank of the primary of the current view.
     pub fn primary(&self) -> usize {
-        self.group[(self.view % self.group.len() as u64) as usize]
+        self.group[crate::vsr::primary_index(self.view, self.group.len())]
     }
 
     /// The current view as this producer knows it.
@@ -160,16 +160,9 @@ impl<T: Wire + Clone + Send + 'static> ReplicatedProducer<T> {
         self.view
     }
 
-    /// How long to block per wait tick: a quarter of the group's
-    /// failover patience, so takeover announcements are polled well
-    /// within any failover.
+    /// How long to block per wait: the replica group's tick.
     fn tick(&self) -> SimDuration {
-        let patience = self
-            .channel
-            .config()
-            .effective_replication_patience()
-            .expect("replicated config validated at channel creation");
-        SimDuration((patience.0 / 4).max(1))
+        crate::patience_and_tick(&self.channel).1
     }
 
     /// Inject one element (the replicated analogue of `Stream::isend`).

@@ -318,6 +318,12 @@ pub enum Effect {
     Finished,
 }
 
+/// Group index of the primary of `view` in a group of `n`: each view
+/// change hands the primary role to the next member, in group order.
+pub(crate) fn primary_index(view: u64, n: usize) -> usize {
+    (view % n as u64) as usize
+}
+
 /// One replica's protocol state. See the [module docs](self) for the
 /// protocol; `crate::consumer` for the transport-facing driver.
 #[derive(Clone, Debug)]
@@ -381,7 +387,7 @@ impl VsrCore {
 
     /// Group index of the primary of `view`.
     pub fn primary_of(&self, view: u64) -> usize {
-        (view % self.n as u64) as usize
+        primary_index(view, self.n)
     }
 
     /// Whether this replica is the current, functioning primary.

@@ -10,7 +10,7 @@
 //!
 //! * **Static** — declare the topology as plain data ([`Topology`],
 //!   [`GroupDecl`], [`ChannelDecl`]) and run [`check`], which produces a
-//!   [`Report`] of findings `SC001`–`SC005` and, when the dataflow graph
+//!   [`Report`] of findings `SC001`–`SC007` and, when the dataflow graph
 //!   is acyclic and error-free, certifies the pipeline deadlock-free.
 //! * **Dynamic** — opt a simulated run in with `World::with_check()`
 //!   (no rebuild; the sanitizer is always compiled): a vector-clock happens-before

@@ -9,9 +9,9 @@
 //! | SC002 | dataflow cycles: a cycle whose every edge is credit-bounded can fill and deadlock (error); a cycle with an unbounded edge cannot credit-deadlock but is not memory-bounded (info) |
 //! | SC003 | termination reachability: every consumer eventually hears `Term` from every producer under the drain discipline |
 //! | SC004 | routing totality: keyed maps cover their key domain and stay in range; endpoint sets non-empty |
-//! | SC005 | config validity: zero granularity / aggregation / credit window / timeout, window below one batch, t/2t patience hierarchy |
-//! | SC006 | batched credit flush fits the window's stall margin: `credit_batch ≤ credits - aggregation + 1`, or a stalled producer waits forever for a flush that never triggers |
-//! | SC007 | replica-group sanity: the consumer list carries `replicas + 1` ranks, replication patience sits above the t/2t hierarchy, a replicated channel routes `Static` (one logical consumer), and a group too small to out-vote one death is flagged |
+//! | SC005 | config validity: the value rules of `ChannelConfig::violations` (zero granularity / aggregation / credit window / timeout / credit batch, window below one batch), t/2t patience hierarchy |
+//! | SC006 | `ChannelConfig::violations`' credit-batch rule: the batched credit flush fits the window's stall margin, or a stalled producer waits forever for a flush that never triggers |
+//! | SC007 | replica-group sanity: `ChannelConfig::violations`' replication rules, the consumer list carries `replicas + 1` ranks, replication patience sits above the t/2t hierarchy, an effective routing stays `Static` (one logical consumer), and a group too small to out-vote one death is flagged |
 //!
 //! The dynamic sanitizer's findings use the same namespace one hundred up:
 //! SC101 wildcard race, SC102 orphan message, SC103 credit overrun (see
@@ -21,9 +21,9 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use mpistream::ConfigError;
+use mpistream::{ConfigError, RoutePolicy};
 
-use crate::topology::{ChannelDecl, Drain, Routing, Topology};
+use crate::topology::{ChannelDecl, Drain, Routing, SimDuration, Topology};
 
 /// How bad a finding is. Only [`Severity::Error`] findings make a report
 /// unclean: warnings are completing-but-lossy behaviours, infos are
@@ -146,7 +146,6 @@ pub fn check(topo: &Topology) -> Report {
     lint_groups(topo, &mut findings);
     for ch in &topo.channels {
         lint_config(ch, &mut findings);
-        lint_credit_batch(ch, &mut findings);
         lint_replication(ch, &mut findings);
         lint_routing(ch, &mut findings);
         lint_termination(ch, &mut findings);
@@ -218,46 +217,29 @@ fn lint_groups(topo: &Topology, findings: &mut Vec<Finding>) {
     }
 }
 
-/// SC005: per-channel configuration lints — the typed construction-time
-/// checks plus the t/2t failure-timeout hierarchy.
+/// SC005–SC007's configuration findings: one per rule the channel's
+/// config breaks ([`ChannelConfig::violations`](mpistream::ChannelConfig::violations)),
+/// in its own words, plus SC005's t/2t patience hierarchy, which needs the
+/// declared consumer patience.
 fn lint_config(ch: &ChannelDecl, findings: &mut Vec<Finding>) {
-    if let Err(e) = ch.config.validate() {
-        let message = match e {
-            ConfigError::ZeroGranularity => {
-                "element_bytes is 0: zero stream granularity".to_string()
-            }
-            ConfigError::ZeroAggregation => "aggregation is 0".to_string(),
-            ConfigError::ZeroCreditWindow => {
-                "credit window is 0: the first send can never be admitted".to_string()
-            }
-            ConfigError::CreditWindowBelowBatch { credits, aggregation } => format!(
-                "credit window ({credits}) is smaller than one aggregated batch \
-                 ({aggregation} elements): the producer stalls permanently"
-            ),
-            ConfigError::ZeroFailureTimeout => {
-                "failure_timeout is 0: every peer is declared dead instantly".to_string()
-            }
-            ConfigError::ZeroCreditBatch => {
-                "credit_batch is 0: accumulated credit is never acknowledged".to_string()
-            }
-            // Promoted to its own lint (SC006, `lint_credit_batch`): it
-            // is a relation between tuning knobs, not a degenerate value,
-            // and is checked from the fields directly so it fires even
-            // when validate() short-circuits on an earlier error.
-            ConfigError::CreditBatchAboveWindow { .. } => return,
-            // Replica-group sanity has its own lint (SC007,
-            // `lint_replication`), checked from the fields directly for
-            // the same short-circuit reason.
+    for e in ch.config.violations() {
+        // No `_` arm: a new rule must be given its code here.
+        let code = match e {
+            // A relation between three healthy-looking knobs, not a
+            // degenerate value: its own code.
+            ConfigError::CreditBatchAboveWindow { .. } => "SC006",
             ConfigError::ReplicationNeedsStaticRoute
             | ConfigError::ReplicationWithoutTimeout
-            | ConfigError::ZeroReplicationPatience => return,
+            | ConfigError::ZeroReplicationPatience => "SC007",
+            ConfigError::ZeroGranularity
+            | ConfigError::ZeroAggregation
+            | ConfigError::ZeroCreditWindow
+            | ConfigError::CreditWindowBelowBatch { .. }
+            | ConfigError::ZeroFailureTimeout
+            | ConfigError::ZeroCreditBatch => "SC005",
         };
-        findings.push(Finding {
-            code: "SC005",
-            severity: Severity::Error,
-            subject: ch.name.clone(),
-            message,
-        });
+        let (subject, message) = (ch.name.clone(), e.to_string());
+        findings.push(Finding { code, severity: Severity::Error, subject, message });
     }
     if let (Some(t), Some(p)) = (ch.config.failure_timeout, ch.consumer_patience) {
         if p < t + t {
@@ -275,53 +257,21 @@ fn lint_config(ch: &ChannelDecl, findings: &mut Vec<Finding>) {
     }
 }
 
-/// SC006: the batched credit flush must fit inside the credit window's
-/// stall margin. A producer can stall with as few as
-/// `credits - aggregation + 1` elements outstanding, all of which the
-/// consumer may already have processed; if the accumulation threshold
-/// `credit_batch` lies above that, the acknowledgement never flushes and
-/// the stream deadlocks. Unlike the SC005 value checks this is a
-/// relation between three healthy-looking knobs, so it gets its own
-/// code — and it is computed from the fields directly (not from
-/// `validate()`, which short-circuits on the first error), so topology
-/// extraction flags it even in configs with other defects.
-fn lint_credit_batch(ch: &ChannelDecl, findings: &mut Vec<Finding>) {
-    let Some(credits) = ch.config.credits else {
-        return; // no credit flow at all: credit_batch is ignored
-    };
-    let (batch, aggregation) = (ch.config.credit_batch, ch.config.aggregation);
-    if credits == 0 || aggregation == 0 || batch == 0 || credits < aggregation {
-        return; // degenerate values are SC005's findings, not a relation
-    }
-    let margin = credits - aggregation + 1;
-    if batch > margin {
-        findings.push(Finding {
-            code: "SC006",
-            severity: Severity::Error,
-            subject: ch.name.clone(),
-            message: format!(
-                "credit_batch ({batch}) exceeds the credit window's stall margin \
-                 ({credits} - {aggregation} + 1 = {margin}): a producer blocked on the \
-                 window could wait forever for a credit flush"
-            ),
-        });
-    }
-}
-
-/// SC007: replica-group configuration sanity (`crates/replica`). A
-/// replicated channel's consumer list *is* its Viewstamped Replication
-/// group — `consumers[0]` the view-0 primary, the rest standbys — so the
-/// declared membership, the routing, and the failover patience all have
-/// hard constraints:
+/// SC007: the replica-group checks a [`ChannelConfig`](mpistream::ChannelConfig)
+/// cannot make on its own (`crates/replica`; the config's own replication
+/// rules are [`lint_config`]'s). A replicated channel's consumer list *is*
+/// its Viewstamped Replication group — `consumers[0]` the view-0 primary,
+/// the rest standbys — so:
 ///
 /// - the consumer list must carry exactly `replicas + 1` ranks;
-/// - routing must be [`Routing::Static`]: the group is one *logical*
-///   consumer, so round-robin spreading (and keyed partitioning across
-///   it) would split state that is supposed to be one replicated whole;
+/// - an effective routing that overrides a configured Static route must
+///   stay [`Routing::Static`]: the group is one *logical* consumer, so
+///   spreading (or keyed partitioning) across it would split state that
+///   is supposed to be one replicated whole;
 /// - the standbys' failover patience must sit at or above twice the
-///   consumer's `2t` producer patience (the `t`/`2t`/patience hierarchy:
-///   replica failover is the slowest, most deliberate detector), and
-///   some timeout must exist at all;
+///   consumer's declared (default `2t`) producer patience (the
+///   `t`/`2t`/patience hierarchy: replica failover is the slowest, most
+///   deliberate detector);
 /// - a group of fewer than three replicas cannot form a majority without
 ///   the victim, so it cannot actually survive a death (warning — it
 ///   still replicates, it just cannot fail over).
@@ -343,7 +293,7 @@ fn lint_replication(ch: &ChannelDecl, findings: &mut Vec<Finding>) {
             ),
         });
     }
-    if ch.routing != Routing::Static {
+    if ch.config.route == RoutePolicy::Static && ch.routing != Routing::Static {
         findings.push(Finding {
             code: "SC007",
             severity: Severity::Error,
@@ -353,32 +303,22 @@ fn lint_replication(ch: &ChannelDecl, findings: &mut Vec<Finding>) {
                 .into(),
         });
     }
-    match ch.config.effective_replication_patience() {
-        None => findings.push(Finding {
-            code: "SC007",
-            severity: Severity::Error,
-            subject: ch.name.clone(),
-            message: "replicated channel has neither replication_patience nor \
-                 failure_timeout: a dead primary would never be suspected"
-                .into(),
-        }),
-        Some(patience) => {
-            if let Some(t) = ch.config.failure_timeout {
-                let consumer_patience = ch.consumer_patience.unwrap_or(t + t);
-                if patience < consumer_patience + consumer_patience {
-                    findings.push(Finding {
-                        code: "SC007",
-                        severity: Severity::Error,
-                        subject: ch.name.clone(),
-                        message: format!(
-                            "replication patience ({patience}) sits below twice the consumer \
-                             patience ({consumer_patience}): a standby could depose a primary \
-                             that is legitimately waiting out the t/2t failure-detection \
-                             hierarchy"
-                        ),
-                    });
-                }
-            }
+    // A zero patience, or none at all, is already one of the config's rules.
+    let patience = ch.config.effective_replication_patience().filter(|&p| p > SimDuration::ZERO);
+    if let (Some(patience), Some(t)) = (patience, ch.config.failure_timeout) {
+        let consumer_patience = ch.consumer_patience.unwrap_or(t + t);
+        if patience < consumer_patience + consumer_patience {
+            findings.push(Finding {
+                code: "SC007",
+                severity: Severity::Error,
+                subject: ch.name.clone(),
+                message: format!(
+                    "replication patience ({patience}) sits below twice the consumer \
+                     patience ({consumer_patience}): a standby could depose a primary \
+                     that is legitimately waiting out the t/2t failure-detection \
+                     hierarchy"
+                ),
+            });
         }
     }
     if replicas + 1 < 3 {

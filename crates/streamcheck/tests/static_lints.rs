@@ -4,7 +4,7 @@
 //! checker certifies deadlock-free do complete in real simulation.
 
 use mpisim::{MachineConfig, SimDuration, World};
-use mpistream::{ChannelConfig, GroupSpec, Role, RoutePolicy, Stream, StreamChannel};
+use mpistream::{ChannelConfig, ConfigError, GroupSpec, Role, RoutePolicy, Stream, StreamChannel};
 use proptest::prelude::*;
 use streamcheck::{check, ChannelDecl, Drain, GroupDecl, Report, Routing, Topology};
 
@@ -255,8 +255,8 @@ fn sc006_credit_batch_above_stall_margin_is_error() {
     assert!(check(&topo).is_clean(), "{}", check(&topo).to_text());
 }
 
-/// `validate()` short-circuits on its first error; the SC006 relation is
-/// computed from the fields directly, so both must be reported at once.
+/// Every rule a config breaks is reported, not only `validate()`'s first:
+/// the SC006 relation beside an SC005 value error.
 #[test]
 fn sc006_fires_alongside_other_config_errors() {
     let config = ChannelConfig {
@@ -271,6 +271,23 @@ fn sc006_fires_alongside_other_config_errors() {
     let report = check(&topo);
     assert_eq!(errors_with(&report, "SC005"), 1, "{}", report.to_text());
     assert_eq!(errors_with(&report, "SC006"), 1, "{}", report.to_text());
+}
+
+/// A config rule broken does not hide the t/2t patience finding.
+#[test]
+fn sc005_patience_finding_survives_a_credit_batch_error() {
+    let config = ChannelConfig {
+        credits: Some(8),
+        aggregation: 4,
+        credit_batch: 8, // margin 8 - 4 + 1 = 5
+        failure_timeout: Some(SimDuration::from_millis(10)),
+        ..ChannelConfig::default()
+    };
+    let ch =
+        ChannelDecl::new("bad", vec![0], vec![1], config).patience(SimDuration::from_millis(5)); // < 2t
+    let report = check(&Topology::new(2).channel(ch));
+    assert_eq!(errors_with(&report, "SC006"), 1, "{}", report.to_text());
+    assert_eq!(errors_with(&report, "SC005"), 1, "{}", report.to_text());
 }
 
 // ---- SC007: replica-group sanity (crates/replica) ----
@@ -336,6 +353,20 @@ fn sc007_patience_below_the_failover_hierarchy_is_error() {
     let mut ok = replicated();
     ok.channels[0].config.replication_patience = Some(SimDuration::from_millis(40));
     assert!(check(&ok).is_clean(), "{}", check(&ok).to_text());
+}
+
+#[test]
+fn sc007_zero_replication_patience_is_error() {
+    // Rejected by `validate()`; no failure_timeout, so no other rule or
+    // hierarchy check is in play.
+    let mut topo = replicated();
+    topo.channels[0].config.failure_timeout = None;
+    topo.channels[0].config.replication_patience = Some(SimDuration::ZERO);
+    let report = check(&topo);
+    assert_eq!(errors_with(&report, "SC007"), 1, "{}", report.to_text());
+    let message = ConfigError::ZeroReplicationPatience.to_string();
+    assert!(report.errors().any(|f| f.message == message), "{}", report.to_text());
+    assert!(!report.certified_deadlock_free);
 }
 
 #[test]
@@ -468,6 +499,13 @@ fn mutation_battery_every_defect_is_flagged() {
             Box::new(|mut t| {
                 // fig5's window is 64 with aggregation 1: margin 64.
                 t.channels[0].config.credit_batch = 65;
+                t
+            }),
+        ),
+        (
+            "zero replication patience",
+            Box::new(|mut t| {
+                t.channels[1].config.replication_patience = Some(SimDuration::ZERO);
                 t
             }),
         ),
@@ -607,5 +645,55 @@ proptest! {
             }
         });
         prop_assert_eq!(received.iter().sum::<u64>(), (producers.len() * per_producer) as u64);
+    }
+}
+
+// ---- Property: no config `validate()` rejects is certified ----
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// On a one-producer channel whose consumer list matches `replicas`,
+    /// every rule a generated config breaks is an error finding in the
+    /// rule's own words, so streamcheck certifies no config that
+    /// `validate()` rejects.
+    #[test]
+    fn no_config_validate_rejects_is_certified(
+        element_bytes in prop_oneof![Just(0u64), Just(1u64 << 10)],
+        aggregation in 0usize..4,
+        credits in prop_oneof![Just(None), (0usize..12).prop_map(Some)],
+        // Credits up to 11: both sides of the stall margin.
+        credit_batch in 0usize..14,
+        round_robin in any::<bool>(),
+        timeout_ms in prop_oneof![Just(None), Just(Some(0u64)), Just(Some(10))],
+        patience_ms in prop_oneof![Just(None), Just(Some(0u64)), Just(Some(15)), Just(Some(100))],
+        replicas in prop_oneof![Just(0usize), Just(2)],
+    ) {
+        let config = ChannelConfig {
+            element_bytes,
+            aggregation,
+            credits,
+            route: if round_robin { RoutePolicy::RoundRobin } else { RoutePolicy::Static },
+            credit_batch,
+            failure_timeout: timeout_ms.map(SimDuration::from_millis),
+            replicas,
+            replication_patience: patience_ms.map(SimDuration::from_millis),
+        };
+        let consumers: Vec<usize> = (1..replicas + 2).collect();
+        let topo = Topology::new(replicas + 2)
+            .channel(ChannelDecl::new("pipe", vec![0], consumers, config.clone()));
+        let report = check(&topo);
+        if config.validate().is_err() {
+            prop_assert!(report.errors().count() >= 1, "{config:?}\n{}", report.to_text());
+            prop_assert!(!report.certified_deadlock_free, "{config:?}\n{}", report.to_text());
+        }
+        for rule in config.violations() {
+            let message = rule.to_string();
+            prop_assert!(
+                report.errors().any(|f| f.message == message),
+                "{rule:?} unreported\n{}",
+                report.to_text()
+            );
+        }
     }
 }

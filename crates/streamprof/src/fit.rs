@@ -105,9 +105,9 @@ pub fn fit(trace: &Trace) -> Option<FitReport> {
 }
 
 /// Grid-search the `perfmodel` β(S) curve through measured
-/// `(granularity_bytes, beta_eff)` points (same grid as
-/// `perfmodel::fit::fit_beta`). Returns the curve and its sum of squared
-/// errors.
+/// `(granularity_bytes, beta_eff)` points: `beta_min` in steps of 0.05,
+/// `s0` log-spaced from 1 byte to 1 GB. Returns the curve and its sum of
+/// squared errors.
 pub fn fit_beta_curve(points: &[(f64, f64)]) -> (Beta, f64) {
     assert!(!points.is_empty(), "need at least one (S, beta) point");
     let mut best = (Beta::new(0.5, 1e6), f64::INFINITY);
